@@ -42,9 +42,6 @@
 //!     everything is acked (exponential backoff + full jitter between
 //!     failures)
 //! ```
-//!
-//! The job table reads both the segment format and the legacy
-//! `jobs.jsonl` JSON-lines export (one-release compatibility shim).
 
 use std::path::{Path, PathBuf};
 
@@ -202,12 +199,7 @@ fn reingest(args: &[String]) {
 }
 
 fn load_jobs(dir: &Path) -> JobTable {
-    // Prefer the segment-format table; fall back to a legacy JSON-lines
-    // dump from an older release (load sniffs the format either way).
-    let path = [dir.join("jobs.tsdb"), dir.join("jobs.jsonl")]
-        .into_iter()
-        .find(|p| p.exists())
-        .unwrap_or_else(|| dir.join("jobs.tsdb"));
+    let path = dir.join("jobs.tsdb");
     JobTable::load(&path).unwrap_or_else(|e| {
         die(&format!("{path:?}: {e} (run `supremm simulate` or `ingest` first)"))
     })
@@ -356,7 +348,7 @@ fn ingestd_cmd(args: &[String]) {
     let db = open_store_with_retention(&store_dir, retention_from_args(args).as_ref());
     let store = std::sync::Arc::new(std::sync::RwLock::new(db));
     // The job table is optional for a pure ingest node.
-    let table = if dir.join("jobs.tsdb").exists() || dir.join("jobs.jsonl").exists() {
+    let table = if dir.join("jobs.tsdb").exists() {
         load_jobs(&dir)
     } else {
         JobTable::new(Vec::new())
@@ -464,8 +456,8 @@ fn diagnose_cmd(args: &[String]) {
     for d in diagnoses.iter().take(10) {
         println!("  job {} ({}): {} — {}", d.job, d.exit.name(), d.cause.name(), d.note);
     }
-    // Self-observability: surface deprecation shims and slow queries
-    // recorded while this process loaded the data.
+    // Self-observability: surface slow queries recorded while this
+    // process loaded the data.
     let report = diagnose::obs_report(&supremm_obs::global().snapshot());
     if !report.is_empty() {
         print!("{report}");

@@ -12,20 +12,20 @@
 //!
 //! Entries are plain wire frames — the spool reuses the frame's own
 //! magic + length + CRC for torn-tail detection, so recovery is the same
-//! scan the server runs on the network payload. Like the tsdb WAL,
-//! [`Spool::open`] replays frames until the first bad one, returns the
-//! valid prefix, and truncates the torn tail; anything the agent
-//! considered durable (it called [`Spool::sync`] before counting a batch
-//! as accepted) is before that point by construction.
+//! scan the server runs on the network payload. The file is a
+//! [`supremm_tsdb::durable::AppendLog`], like the tsdb WAL: what
+//! [`Spool::open`] truncates was never synced, so anything the agent
+//! counted as accepted (after [`Spool::sync`]) survives.
 //!
 //! `base_seq` keeps the `(agent_id, batch_seq)` idempotency key monotone
 //! across restarts: [`Spool::reset`] — called once every spooled batch
-//! has been acked — rewrites the file through a tmp + fsync + rename so
-//! the recorded next-seq can never be torn.
+//! has been acked — replaces the file atomically, so the recorded
+//! next-seq can never be torn.
 
-use std::fs::{self, File, OpenOptions};
-use std::io::{self, BufWriter, Read, Seek, SeekFrom, Write};
-use std::path::{Path, PathBuf};
+use std::io;
+use std::path::Path;
+
+use supremm_tsdb::durable::{self, AppendLog};
 
 use crate::wire::{decode_batch_at, MAGIC};
 
@@ -44,107 +44,44 @@ pub struct SpoolRecovery {
 /// Append-side handle. Writes are buffered; [`Spool::sync`] flushes and
 /// fsyncs — only then may the agent count the batch as accepted.
 pub struct Spool {
-    path: PathBuf,
-    writer: BufWriter<File>,
-    len: u64,
+    log: AppendLog,
     entries: u64,
     base_seq: u64,
 }
 
-fn write_header(file: &mut File, base_seq: u64) -> io::Result<()> {
-    file.write_all(SPOOL_MAGIC)?;
-    file.write_all(&base_seq.to_le_bytes())?;
-    file.sync_all()
+fn header(base_seq: u64) -> [u8; HEADER_LEN as usize] {
+    let mut h = [0u8; HEADER_LEN as usize];
+    h[..8].copy_from_slice(SPOOL_MAGIC);
+    h[8..].copy_from_slice(&base_seq.to_le_bytes());
+    h
 }
 
 impl Spool {
     /// Open (creating if absent), replay valid frames, truncate any torn
-    /// tail, and position for appending.
+    /// tail, and position for appending. A header torn on first
+    /// creation means seq 0: nothing was ever accepted through this
+    /// spool, and reset goes through a rename.
     pub fn open(path: &Path) -> io::Result<SpoolRecovery> {
-        let mut file = OpenOptions::new().read(true).write(true).create(true).open(path)?;
-        let file_len = file.metadata()?.len();
-
         let mut batches: Vec<(u64, Vec<u8>)> = Vec::new();
-        let mut base_seq = 0u64;
-        let mut good_end: u64;
-        if file_len == 0 {
-            write_header(&mut file, 0)?;
-            good_end = HEADER_LEN;
-        } else {
-            let mut buf = Vec::with_capacity(file_len as usize);
-            file.read_to_end(&mut buf)?;
-            if buf.len() < SPOOL_MAGIC.len() {
-                if SPOOL_MAGIC.starts_with(&buf) {
-                    // Torn first-creation write: nothing was ever accepted
-                    // through this spool, so a fresh header loses nothing.
-                    file.set_len(0)?;
-                    file.seek(SeekFrom::Start(0))?;
-                    write_header(&mut file, 0)?;
-                    buf.clear();
-                } else {
-                    return Err(io::Error::new(
-                        io::ErrorKind::InvalidData,
-                        format!("{}: not a SUPSPOL1 relay spool", path.display()),
-                    ));
-                }
-            } else if &buf[..SPOOL_MAGIC.len()] != SPOOL_MAGIC {
-                // Not our file — refuse rather than clobber.
-                return Err(io::Error::new(
-                    io::ErrorKind::InvalidData,
-                    format!("{}: not a SUPSPOL1 relay spool", path.display()),
-                ));
-            }
-            if buf.len() < HEADER_LEN as usize {
-                // Torn base_seq on first creation (reset goes through a
-                // rename, so a half-written header means seq 0).
-                if !buf.is_empty() {
-                    file.set_len(0)?;
-                    file.seek(SeekFrom::Start(0))?;
-                    write_header(&mut file, 0)?;
-                }
-                good_end = HEADER_LEN;
-            } else {
-                let mut seq8 = [0u8; 8];
-                seq8.copy_from_slice(&buf[8..16]);
-                base_seq = u64::from_le_bytes(seq8);
-                good_end = HEADER_LEN;
-                let mut pos = HEADER_LEN as usize;
-                loop {
-                    let start = pos;
-                    match decode_batch_at(&buf, &mut pos) {
-                        Ok(batch) => {
-                            batches.push((batch.batch_seq, buf[start..pos].to_vec()));
-                            good_end = pos as u64;
-                        }
-                        Err(_) => break,
-                    }
-                }
-            }
-        }
-
-        let truncated_bytes = file_len.saturating_sub(good_end);
-        if truncated_bytes > 0 {
-            file.set_len(good_end)?;
-            file.sync_all()?;
-        }
-        file.seek(SeekFrom::Start(good_end))?;
-        let spool = Spool {
-            path: path.to_path_buf(),
-            writer: BufWriter::new(file),
-            len: good_end,
-            entries: batches.len() as u64,
-            base_seq,
-        };
-        Ok(SpoolRecovery { spool, batches, truncated_bytes })
+        let rec = AppendLog::open(path, &header(0), SPOOL_MAGIC.len(), |rest| {
+            let mut len = 0usize;
+            let batch = decode_batch_at(rest, &mut len).ok()?;
+            batches.push((batch.batch_seq, rest.get(..len)?.to_vec()));
+            Some(len)
+        })?;
+        let base_seq =
+            rec.header.get(8..).and_then(|b| b.try_into().ok()).map_or(0, u64::from_le_bytes);
+        let spool = Spool { log: rec.log, entries: batches.len() as u64, base_seq };
+        Ok(SpoolRecovery { spool, batches, truncated_bytes: rec.truncated_bytes })
     }
 
     pub fn path(&self) -> &Path {
-        &self.path
+        self.log.path()
     }
 
     /// Spool file length in bytes (header + entries + buffered).
     pub fn bytes(&self) -> u64 {
-        self.len
+        self.log.len()
     }
 
     /// Entries appended or recovered and not yet cleared by a reset.
@@ -169,8 +106,7 @@ impl Spool {
                 "spool entries must be relay wire frames",
             ));
         }
-        self.writer.write_all(frame)?;
-        self.len += frame.len() as u64;
+        self.log.append(frame)?;
         self.entries += 1;
         Ok(())
     }
@@ -178,27 +114,18 @@ impl Spool {
     /// Flush buffers and fsync. When this returns, every appended batch
     /// survives a crash — the agent's acceptance point for source data.
     pub fn sync(&mut self) -> io::Result<()> {
-        self.writer.flush()?;
-        self.writer.get_ref().sync_all()
+        self.log.sync()
     }
 
     /// Drop all entries (every spooled batch has been acked) and record
-    /// `next_seq` as the new seq floor. Atomic: a fresh header is
-    /// written to a tmp file, fsynced, and renamed over the spool, so a
-    /// crash mid-reset leaves either the old full spool (resent, deduped
-    /// server-side) or the new empty one — never a torn file.
+    /// `next_seq` as the new seq floor. Atomic: a crash mid-reset leaves
+    /// either the old full spool (resent, deduped server-side) or the
+    /// new empty one — never a torn file.
     pub fn reset(&mut self, next_seq: u64) -> io::Result<()> {
-        self.writer.flush()?;
-        let tmp = self.path.with_extension("tmp");
-        {
-            let mut f = File::create(&tmp)?;
-            write_header(&mut f, next_seq)?;
-        }
-        fs::rename(&tmp, &self.path)?;
-        let mut file = OpenOptions::new().read(true).write(true).open(&self.path)?;
-        file.seek(SeekFrom::End(0))?;
-        self.writer = BufWriter::new(file);
-        self.len = HEADER_LEN;
+        let fresh = header(next_seq);
+        durable::replace_file(self.log.path(), &fresh)?;
+        // The rename swapped the inode under the old handle: reopen.
+        self.log = AppendLog::open(self.log.path(), &fresh, SPOOL_MAGIC.len(), |_| None)?.log;
         self.entries = 0;
         self.base_seq = next_seq;
         Ok(())
@@ -209,6 +136,8 @@ impl Spool {
 mod tests {
     use super::*;
     use crate::wire::{encode_batch, Batch, BatchRecord};
+    use std::fs;
+    use std::path::PathBuf;
 
     fn tmp(name: &str) -> PathBuf {
         let dir =
@@ -359,6 +288,27 @@ mod tests {
         let rec = Spool::open(&path).unwrap();
         assert_eq!(rec.batches.len(), 1);
         let _ = fs::remove_dir_all(path.parent().unwrap());
+    }
+
+    /// Format pin: the synced spool and the reset spool equal, byte for
+    /// byte, what the writer produced before the durable-file layer
+    /// existed (length + CRC32 of the file), so a spool left by an older
+    /// agent reopens unchanged.
+    #[test]
+    fn spool_bytes_are_pinned() {
+        let path = tmp("golden");
+        let mut rec = Spool::open(&path).unwrap();
+        for (_, f) in frames() {
+            rec.spool.append_frame(&f).unwrap();
+        }
+        rec.spool.sync().unwrap();
+        let bytes = fs::read(&path).unwrap();
+        assert_eq!((bytes.len(), supremm_tsdb::crc::crc32(&bytes)), (154, 0x4879_8FA1));
+        rec.spool.reset(4).unwrap();
+        assert_eq!(fs::read(&path).unwrap(), b"SUPSPOL1\x04\0\0\0\0\0\0\0");
+        let dir = path.parent().unwrap();
+        assert_eq!(fs::read_dir(dir).unwrap().count(), 1, "no tmp left beside the spool");
+        let _ = fs::remove_dir_all(dir);
     }
 
     #[test]

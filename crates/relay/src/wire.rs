@@ -24,7 +24,7 @@
 //! Decoding is strict (trailing garbage is an error, CRC must match,
 //! all lengths bounded) and never panics on arbitrary input.
 
-use supremm_tsdb::codec::{decode_chunk_at, encode_chunk, get_varint, put_varint};
+use supremm_tsdb::codec::{decode_chunk_at, encode_chunk, get_str, get_varint, put_str, put_varint};
 use supremm_tsdb::crc::crc32;
 
 /// Frame magic; bump the trailing digit for incompatible revisions.
@@ -35,7 +35,7 @@ pub const HEADER_BYTES: usize = 16;
 /// batch an agent seals (agents default to 256 KiB).
 pub const MAX_PAYLOAD_BYTES: usize = 16 * 1024 * 1024;
 /// Bound on agent / host / metric name lengths.
-const MAX_NAME_BYTES: u64 = 512;
+const MAX_NAME_BYTES: usize = 512;
 /// Bound on records per batch.
 const MAX_RECORDS: u64 = 1 << 20;
 
@@ -93,35 +93,23 @@ impl std::fmt::Display for WireError {
 
 impl std::error::Error for WireError {}
 
-fn put_name(buf: &mut Vec<u8>, name: &str) {
-    put_varint(buf, name.len() as u64);
-    buf.extend_from_slice(name.as_bytes());
-}
-
 fn get_name(buf: &[u8], pos: &mut usize) -> Result<String, WireError> {
-    let len = get_varint(buf, pos).ok_or(WireError::Malformed("name length varint"))?;
-    if len > MAX_NAME_BYTES {
+    let name = get_str(buf, pos).ok_or(WireError::Malformed("name"))?;
+    if name.len() > MAX_NAME_BYTES {
         return Err(WireError::Malformed("name too long"));
     }
-    let len = len as usize;
-    let end = pos.checked_add(len).ok_or(WireError::Malformed("name length overflow"))?;
-    let bytes = buf.get(*pos..end).ok_or(WireError::Malformed("name runs past payload"))?;
-    *pos = end;
-    match std::str::from_utf8(bytes) {
-        Ok(s) => Ok(s.to_string()),
-        Err(_) => Err(WireError::Malformed("name not utf-8")),
-    }
+    Ok(name.to_string())
 }
 
 /// Encode one batch as a self-contained frame.
 pub fn encode_batch(batch: &Batch) -> Result<Vec<u8>, WireError> {
     let mut payload = Vec::with_capacity(64 + 32 * batch.records.len());
-    put_name(&mut payload, &batch.agent_id);
+    put_str(&mut payload, &batch.agent_id);
     put_varint(&mut payload, batch.batch_seq);
     put_varint(&mut payload, batch.records.len() as u64);
     for rec in &batch.records {
-        put_name(&mut payload, &rec.host);
-        put_name(&mut payload, &rec.metric);
+        put_str(&mut payload, &rec.host);
+        put_str(&mut payload, &rec.metric);
         payload.extend_from_slice(&encode_chunk(&rec.samples));
     }
     if payload.len() > MAX_PAYLOAD_BYTES {

@@ -18,6 +18,8 @@
 //! NaN payloads, signed zeros and infinities, because values travel as
 //! raw `u64` bit patterns end to end.
 
+use crate::stats::ChunkStats;
+
 /// Append a LEB128 varint.
 pub fn put_varint(buf: &mut Vec<u8>, mut v: u64) {
     loop {
@@ -56,6 +58,97 @@ pub fn zigzag(v: i64) -> u64 {
 
 pub fn unzigzag(z: u64) -> i64 {
     ((z >> 1) as i64) ^ -((z & 1) as i64)
+}
+
+// --- length-prefixed fields -------------------------------------------------
+//
+// The one reader and writer for variable-length fields in every
+// container here and in the relay wire format. Readers never read past
+// `buf`, never allocate from an unchecked length, `None` on any damage.
+
+/// Append `varint len · bytes`.
+pub fn put_bytes(buf: &mut Vec<u8>, bytes: &[u8]) {
+    put_varint(buf, bytes.len() as u64);
+    buf.extend_from_slice(bytes);
+}
+
+/// Read `varint len · bytes`, advancing `pos` past it.
+pub fn get_bytes<'a>(buf: &'a [u8], pos: &mut usize) -> Option<&'a [u8]> {
+    let len = usize::try_from(get_varint(buf, pos)?).ok()?;
+    let end = pos.checked_add(len)?;
+    let bytes = buf.get(*pos..end)?;
+    *pos = end;
+    Some(bytes)
+}
+
+/// Append `varint len · utf-8 bytes`.
+pub fn put_str(buf: &mut Vec<u8>, s: &str) {
+    put_bytes(buf, s.as_bytes());
+}
+
+/// Read `varint len · utf-8 bytes`; validated in place, no copy made.
+pub fn get_str<'a>(buf: &'a [u8], pos: &mut usize) -> Option<&'a str> {
+    std::str::from_utf8(get_bytes(buf, pos)?).ok()
+}
+
+/// Write side of a string table: names interned to dense ids in
+/// first-seen order, serialized as `varint n · (varint len · bytes)*`.
+#[derive(Default)]
+pub struct StrTable<'a> {
+    names: Vec<&'a str>,
+}
+
+impl<'a> StrTable<'a> {
+    /// The id of `s`, assigning the next one on first sight.
+    pub fn intern(&mut self, s: &'a str) -> u64 {
+        let id = self.names.iter().position(|n| *n == s).unwrap_or_else(|| {
+            self.names.push(s);
+            self.names.len() - 1
+        });
+        id as u64
+    }
+
+    pub fn write(&self, buf: &mut Vec<u8>) {
+        put_varint(buf, self.names.len() as u64);
+        for name in &self.names {
+            put_str(buf, name);
+        }
+    }
+}
+
+/// Read a string table written by [`StrTable::write`].
+pub fn get_str_table(buf: &[u8], pos: &mut usize) -> Option<Vec<String>> {
+    let n = usize::try_from(get_varint(buf, pos)?).ok()?;
+    // Each name costs at least its length byte: bound before allocating.
+    if n > buf.len() {
+        return None;
+    }
+    let mut table = Vec::with_capacity(n);
+    for _ in 0..n {
+        table.push(get_str(buf, pos)?.to_owned());
+    }
+    Some(table)
+}
+
+/// Append one [`ChunkStats`]: `varint count`, then the sum / min / max /
+/// last bit patterns as fixed little-endian u64s.
+pub fn put_stats(buf: &mut Vec<u8>, stats: &ChunkStats) {
+    put_varint(buf, stats.count);
+    for v in [stats.sum, stats.min, stats.max, stats.last] {
+        buf.extend_from_slice(&v.to_bits().to_le_bytes());
+    }
+}
+
+/// Read one [`ChunkStats`] written by [`put_stats`].
+pub fn get_stats(buf: &[u8], pos: &mut usize) -> Option<ChunkStats> {
+    let count = get_varint(buf, pos)?;
+    let mut bits = || {
+        let end = pos.checked_add(8)?;
+        let raw = <[u8; 8]>::try_from(buf.get(*pos..end)?).ok()?;
+        *pos = end;
+        Some(f64::from_bits(u64::from_le_bytes(raw)))
+    };
+    Some(ChunkStats { count, sum: bits()?, min: bits()?, max: bits()?, last: bits()? })
 }
 
 // --- bit stream -----------------------------------------------------------
@@ -205,17 +298,11 @@ fn encode_values_xor(out: &mut Vec<u8>, values: &[u64]) {
         }
         prev = bits;
     }
-    let bytes = w.into_bytes();
-    put_varint(out, bytes.len() as u64);
-    out.extend_from_slice(&bytes);
+    put_bytes(out, &w.into_bytes());
 }
 
 fn decode_values_xor(buf: &[u8], pos: &mut usize, n: usize) -> Option<Vec<u64>> {
-    let len = get_varint(buf, pos)? as usize;
-    let end = pos.checked_add(len)?;
-    let bytes = buf.get(*pos..end)?;
-    *pos = end;
-    let mut r = BitReader::new(bytes);
+    let mut r = BitReader::new(get_bytes(buf, pos)?);
     let mut out = Vec::with_capacity(n);
     let mut prev = 0u64;
     let mut prev_lead = 0u32;

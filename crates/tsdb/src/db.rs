@@ -7,9 +7,8 @@
 //! one.
 //!
 //! Read path: every sealed segment contributes one sorted run per
-//! matching series (v2 segments locate those runs through their
-//! per-series chunk index and decode *only* the matching chunks; v1
-//! segments fall back to decoding whole blocks), the memtable
+//! matching series (located through the segment's per-series chunk
+//! index, decoding *only* the matching chunks), the memtable
 //! contributes the highest-priority run, and a k-way last-write-wins
 //! merge combines them — later runs win per `(series, timestamp)`.
 //! That makes compaction and crash-leftover segments (a compacted
@@ -32,6 +31,7 @@
 //! `*.tmp` leftovers), open the WAL (which truncates any torn tail), and
 //! replay surviving WAL records into the memtable.
 
+use std::collections::btree_map::Entry;
 use std::collections::{BTreeMap, BTreeSet};
 use std::fs;
 use std::io;
@@ -150,9 +150,6 @@ impl Default for DbOptions {
 #[derive(Debug, Clone, Default)]
 pub struct DbStats {
     pub segments: usize,
-    /// Segments carrying a v2 per-series chunk index (the rest are
-    /// read-shim v1 files that force the block-decode fallback).
-    pub indexed_segments: usize,
     pub segment_bytes: u64,
     pub wal_bytes: u64,
     pub mem_series: usize,
@@ -207,8 +204,6 @@ struct TsdbMetrics {
     compact_micros: Histogram,
     compact_bytes_total: Counter,
     query_index_segments_total: Counter,
-    query_v1_fallback_total: Counter,
-    v1_segments_open_total: Counter,
     retention_pass_micros: Histogram,
     rollup_segments_written_total: Counter,
     rollup_bins_written_total: Counter,
@@ -237,8 +232,6 @@ impl TsdbMetrics {
             compact_micros: obs.histogram("tsdb_compact_micros"),
             compact_bytes_total: obs.counter("tsdb_compact_bytes_total"),
             query_index_segments_total: obs.counter("tsdb_query_index_segments_total"),
-            query_v1_fallback_total: obs.counter("tsdb_query_v1_fallback_total"),
-            v1_segments_open_total: obs.counter("tsdb_deprecated_v1_segment_open_total"),
             retention_pass_micros: obs.histogram("tsdb_retention_pass_micros"),
             rollup_segments_written_total: obs.counter("tsdb_retention_rollup_segments_total"),
             rollup_bins_written_total: obs.counter("tsdb_retention_rollup_bins_total"),
@@ -267,6 +260,61 @@ fn seg_seq(path: &Path) -> Option<u64> {
     let name = path.file_name()?.to_str()?;
     let num = name.strip_prefix("seg-")?.strip_suffix(".tsdb")?;
     num.parse().ok()
+}
+
+/// Open one segment file of the expected `kind`. `None` when it lies
+/// wholly below `dropped_before`: the manifest committed that drop but
+/// a crash landed before the delete, so open finishes it now and reopen
+/// stays unambiguous.
+fn open_unless_dropped(
+    path: &Path,
+    kind: u8,
+    dropped_before: u64,
+) -> Result<Option<SegmentReader>, TsdbError> {
+    let reader = SegmentReader::open(path)?;
+    if reader.kind != kind {
+        return Err(TsdbError::Corrupt(format!(
+            "{}: segment kind {}, expected {kind}",
+            path.display(),
+            reader.kind
+        )));
+    }
+    if reader.time_range().is_some_and(|(_, max)| max < dropped_before) {
+        fs::remove_file(path)?;
+        return Ok(None);
+    }
+    Ok(Some(reader))
+}
+
+/// `(seq, path)` of every segment wholly below `dropped_before` — the
+/// only ones retention may unlink (drops are whole-file).
+fn wholly_below(readers: &[(u64, SegmentReader)], dropped_before: u64) -> Vec<(u64, PathBuf)> {
+    readers
+        .iter()
+        .filter(|(_, r)| r.time_range().is_some_and(|(_, max)| max < dropped_before))
+        .map(|(seq, r)| (*seq, r.path().to_path_buf()))
+        .collect()
+}
+
+/// Block `ix` of `reader`, read and CRC-checked at most once per
+/// `cache` lifetime.
+fn cached_block<'c>(
+    reader: &SegmentReader,
+    cache: &'c mut BTreeMap<u32, Vec<u8>>,
+    ix: u32,
+) -> Result<&'c [u8], TsdbError> {
+    match cache.entry(ix) {
+        Entry::Occupied(hit) => Ok(hit.into_mut()),
+        Entry::Vacant(miss) => {
+            let block = reader.entries.get(ix as usize).ok_or_else(|| {
+                TsdbError::Corrupt(format!(
+                    "{}: series index block {ix} out of range",
+                    reader.path().display()
+                ))
+            })?;
+            Ok(miss.insert(reader.read_block(block)?))
+        }
+    }
 }
 
 /// Ensure a decoded run is strictly ascending in time; if not (foreign
@@ -426,43 +474,13 @@ impl Tsdb {
         for entry in fs::read_dir(dir)? {
             let path = entry?.path();
             if let Some(seq) = seg_seq(&path) {
-                let reader = SegmentReader::open(&path)?;
-                if reader.kind != KIND_SERIES {
-                    return Err(TsdbError::Corrupt(format!(
-                        "{}: wrong segment kind {} in series store",
-                        path.display(),
-                        reader.kind
-                    )));
-                }
-                // Wholly below the raw watermark: the manifest committed
-                // this drop but a crash landed before the delete —
-                // finish it now, so reopen is unambiguous.
-                if reader
-                    .time_range()
-                    .is_some_and(|(_, max)| max < manifest.raw_dropped_before)
-                {
-                    fs::remove_file(&path)?;
-                    continue;
-                }
-                segments.push((seq, reader));
+                let reader = open_unless_dropped(&path, KIND_SERIES, manifest.raw_dropped_before)?;
+                segments.extend(reader.map(|r| (seq, r)));
             } else if let Some((bin, seq)) = roll_id(&path) {
-                let reader = SegmentReader::open(&path)?;
-                if reader.kind != KIND_ROLLUP {
-                    return Err(TsdbError::Corrupt(format!(
-                        "{}: wrong segment kind {} for a rollup file",
-                        path.display(),
-                        reader.kind
-                    )));
+                let dropped_before = manifest.level(bin).dropped_before;
+                if let Some(reader) = open_unless_dropped(&path, KIND_ROLLUP, dropped_before)? {
+                    rollups.entry(bin).or_default().push((seq, reader));
                 }
-                // Same crashed-drop completion, per level.
-                if reader
-                    .time_range()
-                    .is_some_and(|(_, max)| max < manifest.level(bin).dropped_before)
-                {
-                    fs::remove_file(&path)?;
-                    continue;
-                }
-                rollups.entry(bin).or_default().push((seq, reader));
             }
         }
         segments.sort_by_key(|&(seq, _)| seq);
@@ -494,19 +512,6 @@ impl Tsdb {
             bins.into_iter().collect()
         };
         let met = TsdbMetrics::new(obs, &tier_bins);
-        for (_, reader) in &segments {
-            if reader.version() < 2 {
-                met.v1_segments_open_total.inc();
-                met.obs.event(
-                    "deprecation",
-                    // suplint: allow(R7) -- cold open-time path, once per legacy segment
-                    format!(
-                        "v1 segment read shim used for {} — reseal via compact before the shim is removed",
-                        reader.path().display()
-                    ),
-                );
-            }
-        }
         let db = Tsdb {
             dir: dir.to_path_buf(),
             wal: recovery.wal,
@@ -653,25 +658,19 @@ impl Tsdb {
             }
         }
         merged.retain(|_, series| !series.is_empty());
-        if merged.is_empty() {
-            let old: Vec<PathBuf> =
-                self.segments.iter().map(|(_, r)| r.path().to_path_buf()).collect();
-            self.segments.clear();
-            for p in old {
-                fs::remove_file(&p)?;
-            }
-            self.generation += 1;
-            self.met.compact_micros.observe_timer(t);
-            self.update_storage_gauges();
-            return Ok(());
-        }
-        let seq = self.next_seq;
-        let reader = write_segment(&self.dir, seq, &merged, &self.opts)?;
-        self.met.compact_bytes_total.add(reader.file_len());
+        let replacement = if merged.is_empty() {
+            None
+        } else {
+            let seq = self.next_seq;
+            let reader = write_segment(&self.dir, seq, &merged, &self.opts)?;
+            self.met.compact_bytes_total.add(reader.file_len());
+            self.next_seq = seq + 1;
+            Some((seq, reader))
+        };
+        // The merged segment is sealed: only now may its inputs go.
         let old: Vec<PathBuf> =
-            self.segments.iter().map(|(_, r)| r.path().to_path_buf()).collect();
-        self.segments = vec![(seq, reader)];
-        self.next_seq = seq + 1;
+            self.segments.drain(..).map(|(_, r)| r.path().to_path_buf()).collect();
+        self.segments.extend(replacement);
         for p in old {
             fs::remove_file(&p)?;
         }
@@ -682,25 +681,12 @@ impl Tsdb {
     }
 
     /// All series keys present (segments + memtable), sorted. Answered
-    /// from the per-series index without touching block data; only v1
-    /// read-shim segments still pay for a decode.
+    /// from the per-series index without touching block data.
     pub fn series_keys(&self) -> Result<Vec<SeriesKey>, TsdbError> {
         let mut keys: BTreeSet<SeriesKey> = self.mem.keys().cloned().collect();
         for (_, reader) in &self.segments {
-            match reader.series_index() {
-                Some(idx) => {
-                    for entry in idx {
-                        keys.insert(SeriesKey::new(&*entry.host, &*entry.metric));
-                    }
-                }
-                None => {
-                    for entry in &reader.entries {
-                        let payload = reader.read_block(entry)?;
-                        for chunk in reader.decode_series_block(&payload)? {
-                            keys.insert(SeriesKey::new(chunk.host, chunk.metric));
-                        }
-                    }
-                }
+            for entry in reader.series_index().unwrap_or(&[]) {
+                keys.insert(SeriesKey::new(&*entry.host, &*entry.metric));
             }
         }
         // Series whose raw data has fully expired still exist in the
@@ -717,36 +703,22 @@ impl Tsdb {
         Ok(keys.into_iter().collect())
     }
 
-    /// One sorted run per series for one v2 segment, decoding only the
+    /// One sorted run per series for one segment, decoding only the
     /// chunks the index says belong to matching series and overlap the
     /// range. Blocks are fetched at most once per query.
     fn segment_runs_indexed(
         &self,
         reader: &SegmentReader,
-        idx: &[SeriesEntry],
         sel: &Selector,
         t0: u64,
         t1: u64,
         acc: &mut BTreeMap<SeriesKey, Vec<Vec<(u64, u64)>>>,
     ) -> Result<(), TsdbError> {
         let mut cache: BTreeMap<u32, Vec<u8>> = BTreeMap::new();
-        for entry in matching_entries(idx, sel) {
+        for entry in matching_entries(reader.series_index().unwrap_or(&[]), sel) {
             let mut run: Vec<(u64, u64)> = Vec::new();
             for r in entry.chunks.iter().filter(|r| r.max_ts >= t0 && r.min_ts <= t1) {
-                let payload = match cache.get(&r.block_ix) {
-                    Some(p) => p,
-                    None => {
-                        let block = reader.entries.get(r.block_ix as usize).ok_or_else(|| {
-                            TsdbError::Corrupt(format!(
-                                "{}: series index block {} out of range",
-                                reader.path().display(),
-                                r.block_ix
-                            ))
-                        })?;
-                        let p = reader.read_block(block)?;
-                        cache.entry(r.block_ix).or_insert(p)
-                    }
-                };
+                let payload = cached_block(reader, &mut cache, r.block_ix)?;
                 let samples = reader.decode_chunk_in_block(payload, r)?;
                 run.extend(samples.into_iter().filter(|&(ts, _)| ts >= t0 && ts <= t1));
             }
@@ -760,46 +732,12 @@ impl Tsdb {
         Ok(())
     }
 
-    /// v1 read shim: no per-series index, so decode every overlapping
-    /// block and keep what matches.
-    fn segment_runs_v1(
-        &self,
-        reader: &SegmentReader,
-        sel: &Selector,
-        t0: u64,
-        t1: u64,
-        acc: &mut BTreeMap<SeriesKey, Vec<Vec<(u64, u64)>>>,
-    ) -> Result<(), TsdbError> {
-        let mut per: BTreeMap<SeriesKey, Vec<(u64, u64)>> = BTreeMap::new();
-        for entry in &reader.entries {
-            if entry.max_ts < t0 || entry.min_ts > t1 {
-                continue;
-            }
-            let payload = reader.read_block(entry)?;
-            for chunk in reader.decode_series_block(&payload)? {
-                let key = SeriesKey::new(chunk.host, chunk.metric);
-                if !sel.matches(&key) {
-                    continue;
-                }
-                per.entry(key)
-                    .or_default()
-                    .extend(chunk.samples.into_iter().filter(|&(ts, _)| ts >= t0 && ts <= t1));
-            }
-        }
-        for (key, run) in per {
-            if !run.is_empty() {
-                acc.entry(key).or_default().push(normalize_run(run));
-            }
-        }
-        Ok(())
-    }
-
     /// Range scan: all series matching `sel`, samples with
     /// `t0 <= ts <= t1`, merged last-write-wins, sorted by key then ts.
     ///
     /// Index-driven: each segment contributes one sorted run per series
-    /// (decoding only matching chunks when the segment carries a
-    /// series index), and a k-way merge resolves overwrites.
+    /// (decoding only matching chunks), and a k-way merge resolves
+    /// overwrites.
     pub fn query(
         &self,
         sel: &Selector,
@@ -815,16 +753,8 @@ impl Tsdb {
         }
         let mut acc: BTreeMap<SeriesKey, Vec<Vec<(u64, u64)>>> = BTreeMap::new();
         for (_, reader) in &self.segments {
-            match reader.series_index() {
-                Some(idx) => {
-                    self.met.query_index_segments_total.inc();
-                    self.segment_runs_indexed(reader, idx, sel, t0, t1, &mut acc)?
-                }
-                None => {
-                    self.met.query_v1_fallback_total.inc();
-                    self.segment_runs_v1(reader, sel, t0, t1, &mut acc)?
-                }
-            }
+            self.met.query_index_segments_total.inc();
+            self.segment_runs_indexed(reader, sel, t0, t1, &mut acc)?;
         }
         for (key, series) in &self.mem {
             if !sel.matches(key) {
@@ -925,13 +855,12 @@ impl Tsdb {
     /// multiples of `bin_secs`; returns `(bin_start_ts, agg)` per
     /// non-empty bin.
     ///
-    /// Fast path: when every segment carries a series index and a
-    /// series' sources are disjoint in time, bins that fully cover a
-    /// chunk fold the chunk's stored statistics and the chunk is never
-    /// decompressed; only boundary chunks are decoded. Falls back to
-    /// binning the merged scan — the two produce bit-identical output
-    /// (see [`crate::stats`] for why, and the differential proptests
-    /// for proof).
+    /// Fast path: when a series' sources are disjoint in time, bins
+    /// that fully cover a chunk fold the chunk's stored statistics and
+    /// the chunk is never decompressed; only boundary chunks are
+    /// decoded. Falls back to binning the merged scan — the two produce
+    /// bit-identical output (see [`crate::stats`] for why, and the
+    /// differential proptests for proof).
     pub fn downsample(
         &self,
         sel: &Selector,
@@ -973,36 +902,23 @@ impl Tsdb {
         let raw_t0 = t0.max(self.manifest.raw_dropped_before);
         let mut raw_hit = false;
         if raw_t0 <= t1 {
-            if self.segments.iter().any(|(_, r)| r.series_index().is_none()) {
-                // Read-shim store: no pre-aggregates to fold — bin the
-                // merged scan into the (possibly seeded) accumulators.
-                for (key, samples) in self.query(sel, raw_t0, t1)? {
-                    let bins = accs.entry(key).or_default();
-                    for (ts, v) in samples {
-                        bins.entry(ts / bin_secs * bin_secs).or_default().add(v);
-                        raw_hit = true;
-                    }
+            let mut keys: BTreeSet<SeriesKey> = BTreeSet::new();
+            for key in self.mem.keys() {
+                if sel.matches(key) {
+                    // suplint: allow(R7) -- owned copy per matching series key, not per sample
+                    keys.insert(key.clone());
                 }
-            } else {
-                let mut keys: BTreeSet<SeriesKey> = BTreeSet::new();
-                for key in self.mem.keys() {
-                    if sel.matches(key) {
-                        // suplint: allow(R7) -- owned copy per matching series key, not per sample
-                        keys.insert(key.clone());
-                    }
+            }
+            for (_, reader) in &self.segments {
+                for entry in matching_entries(reader.series_index().unwrap_or(&[]), sel) {
+                    keys.insert(SeriesKey::new(&*entry.host, &*entry.metric));
                 }
-                for (_, reader) in &self.segments {
-                    for entry in matching_entries(reader.series_index().unwrap_or(&[]), sel) {
-                        keys.insert(SeriesKey::new(&*entry.host, &*entry.metric));
-                    }
-                }
-                for key in keys {
-                    let mut bins = accs.remove(&key).unwrap_or_default();
-                    raw_hit |=
-                        self.downsample_one_into(&key, raw_t0, t1, bin_secs, agg, &mut bins)?;
-                    if !bins.is_empty() {
-                        accs.insert(key, bins);
-                    }
+            }
+            for key in keys {
+                let mut bins = accs.remove(&key).unwrap_or_default();
+                raw_hit |= self.downsample_one_into(&key, raw_t0, t1, bin_secs, agg, &mut bins)?;
+                if !bins.is_empty() {
+                    accs.insert(key, bins);
                 }
             }
         }
@@ -1244,24 +1160,7 @@ impl Tsdb {
                                 continue;
                             }
                         }
-                        let payload = match cache.get(&r.block_ix) {
-                            Some(p) => p,
-                            None => {
-                                let block = seg
-                                    .reader
-                                    .entries
-                                    .get(r.block_ix as usize)
-                                    .ok_or_else(|| {
-                                        TsdbError::Corrupt(format!(
-                                            "{}: series index block {} out of range",
-                                            seg.reader.path().display(),
-                                            r.block_ix
-                                        ))
-                                    })?;
-                                let p = seg.reader.read_block(block)?;
-                                cache.entry(r.block_ix).or_insert(p)
-                            }
-                        };
+                        let payload = cached_block(seg.reader, &mut cache, r.block_ix)?;
                         let samples = seg.reader.decode_chunk_in_block(payload, r)?;
                         for (ts, bits) in samples {
                             if ts >= t0 && ts <= t1 {
@@ -1354,6 +1253,21 @@ impl Tsdb {
                 format!("injected fault at {label}"),
             )));
         }
+        Ok(())
+    }
+
+    /// Durably replace the manifest with an edited copy. The in-memory
+    /// manifest changes only once the new file is in place, so a failed
+    /// (or fault-injected) store leaves both as they were.
+    fn commit_manifest(
+        &mut self,
+        edit: impl FnOnce(&mut RetentionManifest),
+    ) -> Result<(), TsdbError> {
+        // suplint: allow(R7) -- manifest is a few lines; cloned once per transition
+        let mut m = self.manifest.clone();
+        edit(&mut m);
+        m.store(&self.dir)?;
+        self.manifest = m;
         Ok(())
     }
 
@@ -1456,12 +1370,8 @@ impl Tsdb {
                 self.met.rollup_bins_written_total.add(u64::from(n_bins));
             }
             self.fault("rollup-sealed", bin)?;
-            // suplint: allow(R7) -- manifest is a few lines; cloned once per level per pass
-            let mut m = self.manifest.clone();
-            m.levels.entry(bin).or_default().rolled_through = target;
             self.fault("manifest-rolled", bin)?;
-            m.store(&self.dir)?;
-            self.manifest = m;
+            self.commit_manifest(|m| m.levels.entry(bin).or_default().rolled_through = target)?;
         }
 
         // Phase 2: advance the raw watermark, then drop raw segments
@@ -1476,23 +1386,11 @@ impl Tsdb {
             .max(self.manifest.raw_dropped_before);
         if new_w > self.manifest.raw_dropped_before {
             self.fault("manifest-raw-watermark", new_w)?;
-            // suplint: allow(R7) -- manifest clone, once per pass
-            let mut m = self.manifest.clone();
-            m.raw_dropped_before = new_w;
-            m.store(&self.dir)?;
-            self.manifest = m;
+            self.commit_manifest(|m| m.raw_dropped_before = new_w)?;
             self.met.raw_watermark.set(as_i64(new_w));
             self.generation += 1;
         }
-        let droppable: Vec<(u64, PathBuf)> = self
-            .segments
-            .iter()
-            .filter(|(_, r)| {
-                r.time_range().is_some_and(|(_, max)| max < self.manifest.raw_dropped_before)
-            })
-            .map(|(seq, r)| (*seq, r.path().to_path_buf()))
-            .collect();
-        for (seq, path) in droppable {
+        for (seq, path) in wholly_below(&self.segments, self.manifest.raw_dropped_before) {
             self.fault("drop-raw", seq)?;
             // Forget the reader before unlinking: if the delete faults,
             // the in-memory view stays consistent with a file reopen
@@ -1515,25 +1413,12 @@ impl Tsdb {
                 continue;
             }
             self.fault("manifest-rollup-drop", bin)?;
-            // suplint: allow(R7) -- manifest clone, once per level per pass
-            let mut m = self.manifest.clone();
-            m.levels.entry(bin).or_default().dropped_before = dropped_before;
-            m.store(&self.dir)?;
-            self.manifest = m;
+            self.commit_manifest(|m| {
+                m.levels.entry(bin).or_default().dropped_before = dropped_before
+            })?;
             self.generation += 1;
-            let droppable: Vec<(u64, PathBuf)> = self
-                .rollups
-                .get(&bin)
-                .map(|v| {
-                    v.iter()
-                        .filter(|(_, r)| {
-                            r.time_range().is_some_and(|(_, max)| max < dropped_before)
-                        })
-                        .map(|(seq, r)| (*seq, r.path().to_path_buf()))
-                        .collect()
-                })
-                .unwrap_or_default();
-            for (seq, path) in droppable {
+            let level = self.rollups.get(&bin).map_or(&[][..], Vec::as_slice);
+            for (seq, path) in wholly_below(level, dropped_before) {
                 self.fault("drop-rollup", seq)?;
                 if let Some(v) = self.rollups.get_mut(&bin) {
                     v.retain(|(s, _)| *s != seq);
@@ -1564,11 +1449,6 @@ impl Tsdb {
     pub fn stats(&self) -> DbStats {
         DbStats {
             segments: self.segments.len(),
-            indexed_segments: self
-                .segments
-                .iter()
-                .filter(|(_, r)| r.series_index().is_some())
-                .count(),
             segment_bytes: self.disk_bytes(),
             wal_bytes: self.wal.len(),
             mem_series: self.mem.len(),
@@ -1640,7 +1520,6 @@ mod tests {
         db.flush().unwrap();
         assert_eq!(db.stats().mem_samples, 0);
         assert_eq!(db.stats().segments, 1);
-        assert_eq!(db.stats().indexed_segments, 1);
         assert!(db.wal.is_empty());
         let after = db.query(&Selector::all(), 0, u64::MAX).unwrap();
         assert_eq!(before, after);
@@ -1829,38 +1708,6 @@ mod tests {
     }
 
     #[test]
-    fn v1_read_shim_segments_still_serve_queries() {
-        use crate::segment::KIND_SERIES;
-        let dir = tmpdir("v1shim");
-        // Hand-seal a v1 (index-less) segment into the store directory.
-        let samples: Vec<(u64, u64)> =
-            (0..50u64).map(|i| (i * 600, (i as f64).to_bits())).collect();
-        let mut w = SegmentWriter::new(KIND_SERIES);
-        w.push_series_block(&[("legacy-host", "cpu_user", samples.as_slice())]);
-        w.seal_with_version(&dir.join("seg-000001.tsdb"), 1).unwrap();
-
-        let mut db = Tsdb::open(&dir).unwrap();
-        assert_eq!(db.stats().segments, 1);
-        assert_eq!(db.stats().indexed_segments, 0);
-        // New data lands in a v2 segment alongside the old one.
-        db.append_batch("legacy-host", "cpu_user", &[(600, 99.0)]).unwrap();
-        db.sync().unwrap();
-        db.flush().unwrap();
-        assert_eq!(db.stats().indexed_segments, 1);
-        let out = db.query_series("legacy-host", "cpu_user", 0, u64::MAX).unwrap();
-        assert_eq!(out.len(), 50);
-        assert_eq!(out[1], (600, 99.0), "v2 overwrite wins over v1 data");
-        let fast = db.query(&Selector::all(), 0, u64::MAX).unwrap();
-        let slow = db.query_naive(&Selector::all(), 0, u64::MAX).unwrap();
-        assert_bit_identical(&fast, &slow);
-        let down = db.downsample(&Selector::all(), 0, u64::MAX, 3600, Agg::Mean).unwrap();
-        let down_naive =
-            db.downsample_naive(&Selector::all(), 0, u64::MAX, 3600, Agg::Mean).unwrap();
-        assert_bit_identical(&down, &down_naive);
-        let _ = fs::remove_dir_all(&dir);
-    }
-
-    #[test]
     fn generation_bumps_on_mutation_only() {
         let dir = tmpdir("gen");
         let mut db = Tsdb::open(&dir).unwrap();
@@ -1898,34 +1745,9 @@ mod tests {
         assert!(snap.counter("tsdb_flush_bytes_total").unwrap() > 0);
         assert!(snap.counter("tsdb_compact_bytes_total").unwrap() > 0);
         assert_eq!(snap.counter("tsdb_query_index_segments_total"), Some(1));
-        assert_eq!(snap.counter("tsdb_query_v1_fallback_total"), Some(0));
         assert_eq!(snap.gauge("tsdb_segments"), Some(1));
         assert_eq!(snap.gauge("tsdb_memtable_samples"), Some(0));
         assert!(snap.gauge("tsdb_indexed_chunks").unwrap() > 0);
-        let _ = fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn v1_segment_open_emits_deprecation_event() {
-        use std::sync::Arc;
-        let dir = tmpdir("obs-v1");
-        let _ = fs::remove_dir_all(&dir);
-        fs::create_dir_all(&dir).unwrap();
-        let mut w = SegmentWriter::new(KIND_SERIES);
-        w.push_series_block(&[("h", "m", &[(0u64, 1.0f64.to_bits()), (10, 2.0f64.to_bits())][..])]);
-        w.seal_with_version(&dir.join("seg-000001.tsdb"), 1).unwrap();
-        let obs = Arc::new(supremm_obs::ObsRegistry::new());
-        let db = Tsdb::open_with_obs(&dir, DbOptions::default(), obs.clone()).unwrap();
-        let snap = obs.snapshot();
-        assert_eq!(snap.counter("tsdb_deprecated_v1_segment_open_total"), Some(1));
-        assert!(snap
-            .events
-            .iter()
-            .any(|e| e.kind == "deprecation" && e.detail.contains("v1 segment")));
-        // The shim still serves reads — and tallies the fallback.
-        let got = db.query(&Selector::all(), 0, u64::MAX).unwrap();
-        assert_eq!(got.len(), 1);
-        assert_eq!(obs.snapshot().counter("tsdb_query_v1_fallback_total"), Some(1));
         let _ = fs::remove_dir_all(&dir);
     }
 

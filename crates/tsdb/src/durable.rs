@@ -1,0 +1,299 @@
+//! The durable-file layer: every file this workspace must not lose or
+//! tear goes to disk through one of two primitives.
+//!
+//! - [`replace_file`] — atomic whole-file replace (tmp, fsync, rename):
+//!   a crash leaves the old file or the new one, never a mix. Sealed
+//!   segments, the retention manifest and the relay spool's reset.
+//! - [`AppendLog`] — a fixed header, then self-delimiting frames.
+//!   Appends are buffered, [`AppendLog::sync`] is the durability point,
+//!   [`AppendLog::open`] replays the valid prefix and cuts off whatever
+//!   a crash left after it. Frame contents are the caller's business:
+//!   the tsdb WAL and the relay spool are the two formats on top.
+//!
+//! Directory fsync is best-effort (not every platform allows it; the
+//! rename is atomic without it) and happens only where a directory
+//! entry changes — creation and replace — never on append or sync.
+
+use std::fs::{self, File, OpenOptions};
+use std::io::{self, BufWriter, Read, Seek, SeekFrom, Write};
+use std::path::{Path, PathBuf};
+
+/// Best-effort fsync of the directory holding `path`.
+fn sync_parent_dir(path: &Path) {
+    let dir = match path.parent() {
+        Some(p) if !p.as_os_str().is_empty() => p,
+        _ => Path::new("."),
+    };
+    if let Ok(d) = File::open(dir) {
+        let _ = d.sync_all();
+    }
+}
+
+/// Atomically replace (or create) `path` with `bytes`. On error the old
+/// file, if any, is untouched and no `.tmp` is left behind.
+pub fn replace_file(path: &Path, bytes: &[u8]) -> io::Result<()> {
+    let mut tmp = path.as_os_str().to_owned();
+    tmp.push(".tmp");
+    let tmp = PathBuf::from(tmp);
+    let written = File::create(&tmp)
+        .and_then(|mut f| {
+            f.write_all(bytes)?;
+            f.sync_all()
+        })
+        .and_then(|()| fs::rename(&tmp, path));
+    if written.is_err() {
+        let _ = fs::remove_file(&tmp);
+        return written;
+    }
+    sync_parent_dir(path);
+    Ok(())
+}
+
+/// Append side of a framed log file; see the module docs.
+pub struct AppendLog {
+    path: PathBuf,
+    writer: BufWriter<File>,
+    header_len: u64,
+    /// Header + valid frames + buffered appends.
+    len: u64,
+}
+
+/// What [`AppendLog::open`] found on disk.
+pub struct Recovered {
+    pub log: AppendLog,
+    /// The file's header as it now stands on disk.
+    pub header: Vec<u8>,
+    /// Bytes of torn tail cut off (0 on a clean log).
+    pub truncated_bytes: u64,
+}
+
+impl AppendLog {
+    /// Open `path`, creating it with `fresh_header` if absent.
+    ///
+    /// The first `magic_len` bytes of the header identify the format: a
+    /// file that starts differently is refused, never clobbered. A file
+    /// shorter than the header whose bytes agree with the magic is a
+    /// creation the crash tore — nothing was ever synced through it, so
+    /// it is rewritten fresh.
+    ///
+    /// `next_frame` sees the bytes after the last valid frame and
+    /// returns the length of the next one, or `None` at the first frame
+    /// that is short or damaged; everything from there on is truncated.
+    pub fn open(
+        path: &Path,
+        fresh_header: &[u8],
+        magic_len: usize,
+        mut next_frame: impl FnMut(&[u8]) -> Option<usize>,
+    ) -> io::Result<Recovered> {
+        let mut file =
+            OpenOptions::new().read(true).write(true).create(true).truncate(false).open(path)?;
+        let file_len = file.metadata()?.len();
+        let mut buf = Vec::with_capacity(file_len as usize);
+        file.read_to_end(&mut buf)?;
+
+        let magic = fresh_header.get(..magic_len).unwrap_or(fresh_header);
+        let seen = buf.len().min(magic.len());
+        if buf[..seen] != magic[..seen] {
+            return Err(io::Error::new(
+                io::ErrorKind::InvalidData,
+                format!("{}: not a {} file", path.display(), String::from_utf8_lossy(magic)),
+            ));
+        }
+        if buf.len() < fresh_header.len() {
+            if !buf.is_empty() {
+                file.set_len(0)?;
+                file.seek(SeekFrom::Start(0))?;
+            }
+            file.write_all(fresh_header)?;
+            file.sync_all()?;
+            sync_parent_dir(path);
+            buf = fresh_header.to_vec();
+        }
+
+        let mut good_end = fresh_header.len();
+        while let Some(n) = buf.get(good_end..).and_then(&mut next_frame) {
+            match good_end.checked_add(n) {
+                Some(end) if n > 0 && end <= buf.len() => good_end = end,
+                _ => break,
+            }
+        }
+        let good_end = good_end as u64;
+        let truncated_bytes = file_len.saturating_sub(good_end);
+        if truncated_bytes > 0 {
+            file.set_len(good_end)?;
+            file.sync_all()?;
+        }
+        file.seek(SeekFrom::Start(good_end))?;
+        let header = buf[..fresh_header.len()].to_vec();
+        let log = AppendLog {
+            path: path.to_path_buf(),
+            writer: BufWriter::new(file),
+            header_len: fresh_header.len() as u64,
+            len: good_end,
+        };
+        Ok(Recovered { log, header, truncated_bytes })
+    }
+
+    pub fn path(&self) -> &Path {
+        &self.path
+    }
+
+    /// Log length in bytes: header + valid frames + buffered appends.
+    pub fn len(&self) -> u64 {
+        self.len
+    }
+
+    /// True when the log holds nothing but its header.
+    pub fn is_empty(&self) -> bool {
+        self.len <= self.header_len
+    }
+
+    /// Buffer one frame. NOT durable until [`AppendLog::sync`] returns.
+    pub fn append(&mut self, frame: &[u8]) -> io::Result<()> {
+        self.writer.write_all(frame)?;
+        self.len += frame.len() as u64;
+        Ok(())
+    }
+
+    /// Flush buffers and fsync: every frame appended so far survives a
+    /// crash once this returns.
+    pub fn sync(&mut self) -> io::Result<()> {
+        self.writer.flush()?;
+        self.writer.get_ref().sync_all()
+    }
+
+    /// Drop every frame in place: truncate back to the header and fsync.
+    pub fn truncate_to_header(&mut self) -> io::Result<()> {
+        self.writer.flush()?;
+        let f = self.writer.get_mut();
+        f.set_len(self.header_len)?;
+        f.seek(SeekFrom::Start(self.header_len))?;
+        f.sync_all()?;
+        self.len = self.header_len;
+        Ok(())
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn tmpdir(name: &str) -> PathBuf {
+        let dir = std::env::temp_dir().join(format!("tsdb-durable-{name}-{}", std::process::id()));
+        let _ = fs::remove_dir_all(&dir);
+        fs::create_dir_all(&dir).unwrap();
+        dir
+    }
+
+    fn names(dir: &Path) -> Vec<String> {
+        let mut v: Vec<String> = fs::read_dir(dir)
+            .unwrap()
+            .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
+            .collect();
+        v.sort();
+        v
+    }
+
+    #[test]
+    fn replace_file_is_all_or_nothing() {
+        let dir = tmpdir("replace");
+        let path = dir.join("state.bin");
+        replace_file(&path, b"old").unwrap();
+        replace_file(&path, b"new contents").unwrap();
+        assert_eq!(fs::read(&path).unwrap(), b"new contents");
+        assert_eq!(names(&dir), ["state.bin"], "no tmp left after success");
+
+        // The write step fails (the tmp name is taken by a directory):
+        // the old file stays, byte for byte.
+        fs::create_dir(dir.join("state.bin.tmp")).unwrap();
+        assert!(replace_file(&path, b"never lands").is_err());
+        assert_eq!(fs::read(&path).unwrap(), b"new contents");
+        fs::remove_dir(dir.join("state.bin.tmp")).unwrap();
+
+        // Missing directory: an error, and nothing is created.
+        assert!(replace_file(&dir.join("missing").join("state.bin"), b"x").is_err());
+        assert_eq!(names(&dir), ["state.bin"]);
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    /// Toy format: 4-byte magic + 2 spare header bytes, frames are one
+    /// length byte followed by that many payload bytes, all 0xAB.
+    const HEADER: &[u8] = b"TOY1\x07\x09";
+
+    fn toy_open(path: &Path) -> io::Result<(Recovered, Vec<Vec<u8>>)> {
+        let mut frames = Vec::new();
+        let rec = AppendLog::open(path, HEADER, 4, |rest| {
+            let (&len, body) = rest.split_first()?;
+            let body = body.get(..len as usize)?;
+            if body.iter().any(|&b| b != 0xAB) {
+                return None;
+            }
+            frames.push(body.to_vec());
+            Some(1 + len as usize)
+        })?;
+        Ok((rec, frames))
+    }
+
+    #[test]
+    fn append_log_recovers_the_valid_prefix_at_every_cut() {
+        let dir = tmpdir("log");
+        let path = dir.join("toy.log");
+        let written: Vec<Vec<u8>> = vec![vec![0xAB; 3], vec![], vec![0xAB; 5]];
+        {
+            let (mut rec, frames) = toy_open(&path).unwrap();
+            assert!(frames.is_empty() && rec.log.is_empty());
+            assert_eq!(rec.header, HEADER);
+            for f in &written {
+                let mut frame = vec![f.len() as u8];
+                frame.extend_from_slice(f);
+                rec.log.append(&frame).unwrap();
+            }
+            rec.log.sync().unwrap();
+            assert_eq!(rec.log.len(), fs::metadata(&path).unwrap().len());
+        }
+        let good = fs::read(&path).unwrap();
+        let boundaries = [6usize, 10, 11, 17];
+        assert_eq!(good.len(), 17);
+
+        for cut in 0..=good.len() {
+            fs::write(&path, &good[..cut]).unwrap();
+            let (rec, frames) = toy_open(&path).unwrap();
+            let expect = boundaries.iter().filter(|&&b| b <= cut).count().saturating_sub(1);
+            assert_eq!(frames, written[..expect], "cut at {cut}");
+            assert_eq!(rec.header, HEADER, "cut at {cut}");
+            // A torn header is rewritten, not counted as a torn tail.
+            let end = boundaries[expect];
+            assert_eq!(rec.truncated_bytes as usize, cut.saturating_sub(end), "cut at {cut}");
+            assert_eq!(rec.log.len() as usize, end, "cut at {cut}");
+            drop(rec);
+            assert_eq!(fs::read(&path).unwrap(), &good[..end], "cut at {cut}");
+        }
+
+        // A damaged frame ends the prefix; appends continue after it.
+        let mut bad = good.clone();
+        bad[12] = 0x00;
+        fs::write(&path, &bad).unwrap();
+        let (mut rec, frames) = toy_open(&path).unwrap();
+        assert_eq!(frames, written[..2]);
+        assert_eq!(rec.truncated_bytes, 6);
+        rec.log.append(&[1, 0xAB]).unwrap();
+        rec.log.sync().unwrap();
+        rec.log.truncate_to_header().unwrap();
+        assert!(rec.log.is_empty());
+        drop(rec);
+        assert_eq!(fs::read(&path).unwrap(), HEADER);
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn append_log_refuses_a_foreign_magic() {
+        let dir = tmpdir("foreign");
+        let path = dir.join("toy.log");
+        for foreign in [&b"TOX1\x07\x09\x01\xAB"[..], b"NOPE", b"TO?"] {
+            fs::write(&path, foreign).unwrap();
+            assert!(toy_open(&path).is_err());
+            assert_eq!(fs::read(&path).unwrap(), foreign, "refused, not clobbered");
+        }
+        let _ = fs::remove_dir_all(&dir);
+    }
+}

@@ -21,13 +21,18 @@
 //! ```
 //!
 //! - [`codec`] — Gorilla-style per-series chunk compression:
-//!   delta-of-delta timestamps and XOR / zigzag-varint values;
+//!   delta-of-delta timestamps and XOR / zigzag-varint values; plus the
+//!   one reader/writer for varint-length-prefixed fields every
+//!   container here (and the relay wire format) uses;
+//! - [`durable`] — the durable-file layer: atomic whole-file replace and
+//!   the framed append log with valid-prefix recovery that the WAL, the
+//!   relay spool, segment seal and the retention manifest are built on;
 //! - [`segment`] — immutable segment files: versioned header, per-block
 //!   CRC32, sparse time index + per-series chunk index in the footer;
 //! - [`stats`] — chunk-level pre-aggregates ([`stats::ChunkStats`]) and
 //!   the bin accumulator both downsampling paths share;
-//! - [`wal`] — the write-ahead log: length+CRC framed records, torn-write
-//!   detection, replay-and-truncate recovery;
+//! - [`wal`] — the write-ahead log: length+CRC framed records over a
+//!   [`durable::AppendLog`];
 //! - [`db`] — the engine: [`Tsdb`] (open → append → sync → flush →
 //!   compact) with time-range + host/metric predicate scans and
 //!   downsampling;
@@ -46,6 +51,7 @@
 pub mod codec;
 pub mod crc;
 pub mod db;
+pub mod durable;
 pub mod recordlog;
 pub mod retention;
 pub mod segment;

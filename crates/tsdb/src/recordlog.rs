@@ -12,7 +12,7 @@
 
 use std::path::Path;
 
-use crate::codec::{get_varint, put_varint};
+use crate::codec::{get_bytes, get_varint, put_bytes, put_varint};
 use crate::segment::{SegmentReader, SegmentWriter, TsdbError, KIND_RECORDS};
 
 /// Records per block: small enough that one corrupt block loses little,
@@ -31,8 +31,7 @@ pub fn write_records(path: &Path, records: &[(u64, Vec<u8>)]) -> Result<u64, Tsd
         for (ts, bytes) in block {
             min_ts = min_ts.min(*ts);
             max_ts = max_ts.max(*ts);
-            put_varint(&mut payload, bytes.len() as u64);
-            payload.extend_from_slice(bytes);
+            put_bytes(&mut payload, bytes);
         }
         if min_ts == u64::MAX {
             min_ts = 0;
@@ -66,26 +65,13 @@ pub fn read_records(path: &Path) -> Result<Vec<Vec<u8>>, TsdbError> {
             return Err(bad("count out of range"));
         }
         for _ in 0..n {
-            let len = get_varint(&payload, &mut pos).ok_or_else(|| bad("length"))? as usize;
-            let end = pos.checked_add(len).ok_or_else(|| bad("overflow"))?;
-            let bytes = payload.get(pos..end).ok_or_else(|| bad("bytes"))?;
-            pos = end;
-            out.push(bytes.to_vec());
+            out.push(get_bytes(&payload, &mut pos).ok_or_else(|| bad("record"))?.to_vec());
         }
         if pos != payload.len() {
             return Err(bad("trailing bytes"));
         }
     }
     Ok(out)
-}
-
-/// Quick check: is the file at `path` a tsdb segment (vs. e.g. legacy
-/// JSON lines)? Reads only the 8-byte magic.
-pub fn is_segment_file(path: &Path) -> bool {
-    use std::io::Read;
-    let Ok(mut f) = std::fs::File::open(path) else { return false };
-    let mut magic = [0u8; 8];
-    f.read_exact(&mut magic).map(|_| &magic == crate::segment::MAGIC).unwrap_or(false)
 }
 
 #[cfg(test)]
@@ -111,7 +97,6 @@ mod tests {
         assert_eq!(back.len(), 3000);
         assert_eq!(back[0], b"job-0");
         assert_eq!(back[2999], b"job-2999");
-        assert!(is_segment_file(&path));
         let _ = fs::remove_dir_all(path.parent().unwrap());
     }
 
@@ -132,6 +117,9 @@ mod tests {
             (2, vec![0xDE, 0xAD]),
         ];
         write_records(&path, &records).unwrap();
+        // Format pin: same file as before the shared codec helpers.
+        let file = fs::read(&path).unwrap();
+        assert_eq!((file.len(), crate::crc::crc32(&file)), (59, 0x8BA7_FB65));
         let back = read_records(&path).unwrap();
         assert_eq!(back, vec![vec![], vec![0u8, 255, 128, 7], vec![0xDE, 0xAD]]);
         let _ = fs::remove_dir_all(path.parent().unwrap());
@@ -141,7 +129,6 @@ mod tests {
     fn non_segment_files_are_not_mistaken() {
         let path = tmp("legacy");
         fs::write(&path, b"{\"job\":1}\n{\"job\":2}\n").unwrap();
-        assert!(!is_segment_file(&path));
         assert!(read_records(&path).is_err());
         let _ = fs::remove_dir_all(path.parent().unwrap());
     }

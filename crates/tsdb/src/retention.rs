@@ -15,8 +15,8 @@
 //!   [`crate::segment::KIND_ROLLUP`]): per `(host, metric)` series, one
 //!   [`ChunkStats`] row per time bin — the exact count / sequential sum
 //!   / min / max / last a downsampling bin would have computed from the
-//!   raw samples ([`crate::stats`] owns that arithmetic). Sealed with
-//!   the same tmp → fsync → rename dance as every other segment.
+//!   raw samples ([`crate::stats`] owns that arithmetic). Sealed like
+//!   every other segment.
 //! - **the manifest** (`retention.manifest`): per-tier watermarks. The
 //!   watermark *is* the deletion record: any raw segment wholly below
 //!   `raw_dropped_before` (and any rollup segment wholly below its
@@ -36,13 +36,13 @@
 //! and tiers nest without overlap.
 
 use std::collections::BTreeMap;
-use std::fs::{self, File, OpenOptions};
-use std::io::Write;
+use std::fs;
 use std::path::Path;
 
-use crate::codec::{get_varint, put_varint};
+use crate::codec::{get_stats, get_str_table, get_varint, put_stats, put_varint, StrTable};
 use crate::crc::crc32;
 use crate::db::SeriesKey;
+use crate::durable;
 use crate::segment::TsdbError;
 use crate::stats::ChunkStats;
 
@@ -207,9 +207,9 @@ pub struct LevelMark {
 }
 
 /// The durable retention state of one store: the raw watermark plus one
-/// [`LevelMark`] per rollup level. Written atomically (tmp → fsync →
-/// rename) on every transition, *before* the file deletions it
-/// authorizes — so a reopen can always finish what a crash interrupted.
+/// [`LevelMark`] per rollup level. Replaced atomically on every
+/// transition, *before* the file deletions it authorizes — so a reopen
+/// can always finish what a crash interrupted.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct RetentionManifest {
     /// Raw samples with `ts < raw_dropped_before` are logically gone;
@@ -313,24 +313,10 @@ impl RetentionManifest {
         }
     }
 
-    /// Durably replace the store's manifest: write `<file>.tmp`, fsync,
-    /// rename over the live file, best-effort fsync the directory.
+    /// Durably replace the store's manifest (see
+    /// [`durable::replace_file`]).
     pub fn store(&self, dir: &Path) -> Result<(), TsdbError> {
-        let path = dir.join(MANIFEST_FILE);
-        let tmp = dir.join("retention.manifest.tmp");
-        {
-            let mut f =
-                OpenOptions::new().write(true).create(true).truncate(true).open(&tmp)?;
-            f.write_all(&self.to_bytes())?;
-            f.sync_all()?;
-        }
-        fs::rename(&tmp, &path)?;
-        if let Ok(d) = File::open(dir) {
-            // Best-effort, same policy as segment sealing: the rename is
-            // atomic even where directory fsync is unavailable.
-            let _ = d.sync_all();
-        }
-        Ok(())
+        Ok(durable::replace_file(&dir.join(MANIFEST_FILE), &self.to_bytes())?)
     }
 }
 
@@ -391,17 +377,8 @@ pub(crate) fn encode_rollup_block(
     bin_secs: u64,
     rows: &RollupRows,
 ) -> Option<(Vec<u8>, u64, u64, u32)> {
-    let mut hosts: Vec<&str> = Vec::new();
-    let mut metrics: Vec<&str> = Vec::new();
-    fn intern<'a>(table: &mut Vec<&'a str>, s: &'a str) -> u64 {
-        match table.iter().position(|t| *t == s) {
-            Some(i) => i as u64,
-            None => {
-                table.push(s);
-                (table.len() - 1) as u64
-            }
-        }
-    }
+    let mut hosts = StrTable::default();
+    let mut metrics = StrTable::default();
     let mut min_ts = u64::MAX;
     let mut max_ts = 0u64;
     let mut n_bins = 0u64;
@@ -410,8 +387,8 @@ pub(crate) fn encode_rollup_block(
         if bins.is_empty() {
             continue;
         }
-        let host_id = intern(&mut hosts, key.host.as_str());
-        let metric_id = intern(&mut metrics, key.metric.as_str());
+        let host_id = hosts.intern(&key.host);
+        let metric_id = metrics.intern(&key.metric);
         for &bin_start in bins.keys() {
             min_ts = min_ts.min(bin_start);
             max_ts = max_ts.max(bin_start.saturating_add(bin_secs.saturating_sub(1)));
@@ -424,16 +401,8 @@ pub(crate) fn encode_rollup_block(
     }
     let mut payload = Vec::new();
     put_varint(&mut payload, bin_secs);
-    put_varint(&mut payload, hosts.len() as u64);
-    for h in &hosts {
-        put_varint(&mut payload, h.len() as u64);
-        payload.extend_from_slice(h.as_bytes());
-    }
-    put_varint(&mut payload, metrics.len() as u64);
-    for m in &metrics {
-        put_varint(&mut payload, m.len() as u64);
-        payload.extend_from_slice(m.as_bytes());
-    }
+    hosts.write(&mut payload);
+    metrics.write(&mut payload);
     put_varint(&mut payload, series.len() as u64);
     for (host_id, metric_id, bins) in series {
         put_varint(&mut payload, host_id);
@@ -441,11 +410,7 @@ pub(crate) fn encode_rollup_block(
         put_varint(&mut payload, bins.len() as u64);
         for (&bin_start, stats) in bins {
             put_varint(&mut payload, bin_start);
-            put_varint(&mut payload, stats.count);
-            payload.extend_from_slice(&stats.sum.to_bits().to_le_bytes());
-            payload.extend_from_slice(&stats.min.to_bits().to_le_bytes());
-            payload.extend_from_slice(&stats.max.to_bits().to_le_bytes());
-            payload.extend_from_slice(&stats.last.to_bits().to_le_bytes());
+            put_stats(&mut payload, stats);
         }
     }
     Some((payload, min_ts, max_ts, u32::try_from(n_bins).unwrap_or(u32::MAX)))
@@ -466,25 +431,8 @@ pub(crate) fn decode_rollup_block(
     if bin_secs == 0 {
         return Err(bad("bin_secs must be positive"));
     }
-    let read_table = |pos: &mut usize, what: &str| -> Result<Vec<String>, TsdbError> {
-        let n = get_varint(payload, pos).ok_or_else(|| bad(what))? as usize;
-        if n > payload.len() {
-            return Err(bad("table count out of range"));
-        }
-        let mut table = Vec::with_capacity(n);
-        for _ in 0..n {
-            let len = get_varint(payload, pos).ok_or_else(|| bad("name length"))? as usize;
-            let end = pos.checked_add(len).ok_or_else(|| bad("name overflow"))?;
-            let bytes = payload.get(*pos..end).ok_or_else(|| bad("name bytes"))?;
-            *pos = end;
-            table.push(
-                std::str::from_utf8(bytes).map_err(|_| bad("name not utf-8"))?.to_owned(),
-            );
-        }
-        Ok(table)
-    };
-    let hosts = read_table(&mut pos, "host table")?;
-    let metrics = read_table(&mut pos, "metric table")?;
+    let hosts = get_str_table(payload, &mut pos).ok_or_else(|| bad("host table"))?;
+    let metrics = get_str_table(payload, &mut pos).ok_or_else(|| bad("metric table"))?;
     let n_series = get_varint(payload, &mut pos).ok_or_else(|| bad("series count"))? as usize;
     if n_series > payload.len() {
         return Err(bad("series count out of range"));
@@ -508,20 +456,8 @@ pub(crate) fn decode_rollup_block(
                 return Err(bad("bin starts not strictly ascending"));
             }
             prev = Some(bin_start);
-            let count = get_varint(payload, &mut pos).ok_or_else(|| bad("bin count"))?;
-            let mut bits = |what: &str| -> Result<f64, TsdbError> {
-                let end = pos.checked_add(8).ok_or_else(|| bad(what))?;
-                let raw = payload.get(pos..end).ok_or_else(|| bad(what))?;
-                pos = end;
-                let mut b = [0u8; 8];
-                b.copy_from_slice(raw);
-                Ok(f64::from_bits(u64::from_le_bytes(b)))
-            };
-            let sum = bits("sum bits")?;
-            let min = bits("min bits")?;
-            let max = bits("max bits")?;
-            let last = bits("last bits")?;
-            series.insert(bin_start, ChunkStats { count, sum, min, max, last });
+            let stats = get_stats(payload, &mut pos).ok_or_else(|| bad("bin stats"))?;
+            series.insert(bin_start, stats);
         }
     }
     if pos != payload.len() {
@@ -601,6 +537,10 @@ mod tests {
         m.store(&dir).unwrap();
         assert!(!dir.join("retention.manifest.tmp").exists());
         assert_eq!(RetentionManifest::load(&dir).unwrap(), Some(m.clone()));
+        // Format pin: the file equals, byte for byte, what the writer
+        // produced before the durable-file layer existed.
+        let bytes = fs::read(dir.join(MANIFEST_FILE)).unwrap();
+        assert_eq!((bytes.len(), crc32(&bytes)), (72, 0x6662_0267));
 
         // Overwrite is atomic-replace, not append.
         m.raw_dropped_before = 172_800;
@@ -636,6 +576,8 @@ mod tests {
             .insert(1200, ChunkStats { count: 2, sum: -0.0, min: -0.0, max: 0.0, last: 0.0 });
         let (payload, min_ts, max_ts, n) = encode_rollup_block(600, &rows).unwrap();
         assert_eq!((min_ts, max_ts, n), (0, 1799, 3));
+        // Format pin: same bytes as before the shared codec helpers.
+        assert_eq!((payload.len(), crc32(&payload)), (129, 0xEE93_945B));
         let (bin, decoded) = decode_rollup_block(&payload, Path::new("x")).unwrap();
         assert_eq!(bin, 600);
         assert_eq!(decoded.len(), 2);

@@ -12,7 +12,7 @@
 //! │ block 1: …                                   │
 //! ├──────────────────────────────────────────────┤
 //! │ index block: one entry per data block,       │ (same framing)
-//! │ then (v2) the per-series chunk index         │
+//! │ then the per-series chunk index              │
 //! ├──────────────────────────────────────────────┤
 //! │ footer: u64 index_offset · u32 index_len ·   │ 20 bytes
 //! │         u32 index_crc · magic "BDST"         │
@@ -21,8 +21,8 @@
 //!
 //! The block index is *sparse in time*: per block it records the covered
 //! `[min_ts, max_ts]`, so a range query opens only blocks that can
-//! intersect it. Version 2 appends a **per-series chunk index** to the
-//! same CRC-protected index frame: for every `(host, metric)` in the
+//! intersect it. A **per-series chunk index** follows in the same
+//! CRC-protected index frame: for every `(host, metric)` in the
 //! segment, the exact location of each of its compressed chunks
 //! (`block · offset · len`), the chunk's time range, and its
 //! pre-computed statistics ([`crate::stats::ChunkStats`]). A selective
@@ -30,15 +30,14 @@
 //! decodes only that series' chunks; a downsampling query can fold
 //! whole chunks from the stats without decompressing them at all.
 //!
-//! Version-1 segments (block index only) still open; the reader
-//! reports `series_index() == None` and callers fall back to decoding
-//! blocks. Writers emit v2 only — the read shim is the one-release
-//! compatibility policy.
+//! One format version is written and read: [`VERSION`]. Any other
+//! version in the header is refused at open with
+//! [`TsdbError::BadVersion`]; the file is left alone.
 //!
-//! Segments are written to a temp file, fsync'd, then renamed into
-//! place — a crash mid-write leaves no visible segment.
+//! Segments are sealed through [`crate::durable::replace_file`] — a
+//! crash mid-write leaves no visible segment.
 //!
-//! Series-block payload (kind 0, unchanged since v1):
+//! Series-block payload (kind 0):
 //!
 //! ```text
 //! varint n_hosts · (varint len · bytes)*        host string table
@@ -47,7 +46,7 @@
 //!                    varint chunk_len · chunk bytes)*
 //! ```
 //!
-//! v2 series-index tail (inside the index frame, after the block
+//! Series-index tail (inside the index frame, after the block
 //! entries):
 //!
 //! ```text
@@ -62,12 +61,16 @@
 
 use std::collections::BTreeMap;
 use std::fmt;
-use std::fs::{self, File, OpenOptions};
-use std::io::{self, Read, Seek, SeekFrom, Write};
+use std::fs::File;
+use std::io::{self, Read, Seek, SeekFrom};
 use std::path::{Path, PathBuf};
 
-use crate::codec::{self, decode_chunk_at, get_varint, put_varint};
+use crate::codec::{
+    self, decode_chunk_at, get_stats, get_str_table, get_varint, put_bytes, put_stats,
+    put_varint, StrTable,
+};
 use crate::crc::crc32;
+use crate::durable;
 use crate::stats::ChunkStats;
 
 pub const MAGIC: &[u8; 8] = b"SUPTSDB1";
@@ -90,7 +93,8 @@ pub enum TsdbError {
     /// Structural damage: bad magic, bad CRC, truncated frame — with a
     /// human-readable description of where.
     Corrupt(String),
-    /// The file is a segment but from a future format version.
+    /// The file is a segment, but of a format version this build does
+    /// not read (older or newer than [`VERSION`]).
     BadVersion(u16),
     /// A retention policy failed validation (see `tsdb::retention`).
     Policy(String),
@@ -101,6 +105,12 @@ impl fmt::Display for TsdbError {
         match self {
             TsdbError::Io(e) => write!(f, "tsdb io error: {e}"),
             TsdbError::Corrupt(what) => write!(f, "tsdb corruption: {what}"),
+            TsdbError::BadVersion(v) if *v < VERSION => write!(
+                f,
+                "tsdb segment version {v} is no longer readable (this build reads version \
+                 {VERSION} only): open the store with a release that reads it and run \
+                 `compact` there to reseal it at version {VERSION}"
+            ),
             TsdbError::BadVersion(v) => write!(f, "tsdb segment version {v} is newer than {VERSION}"),
             TsdbError::Policy(what) => write!(f, "tsdb retention policy: {what}"),
         }
@@ -139,7 +149,7 @@ pub struct SeriesChunk {
     pub samples: Vec<(u64, u64)>,
 }
 
-/// v2 series index: the exact location of one compressed chunk plus its
+/// Series index: the exact location of one compressed chunk plus its
 /// time range and pre-aggregates. `offset`/`len` are relative to the
 /// owning block's payload and frame the chunk's encoded bytes.
 #[derive(Debug, Clone, PartialEq)]
@@ -152,7 +162,7 @@ pub struct ChunkRef {
     pub stats: ChunkStats,
 }
 
-/// v2 series index: every chunk of one `(host, metric)` series, in the
+/// Series index: every chunk of one `(host, metric)` series, in the
 /// order the writer emitted them (ascending time for engine-produced
 /// segments).
 #[derive(Debug, Clone)]
@@ -168,7 +178,7 @@ pub struct SeriesEntry {
 pub struct SegmentWriter {
     kind: u8,
     blocks: Vec<(Vec<u8>, u64, u64, u32)>, // payload, min_ts, max_ts, n_chunks
-    /// Per-series chunk refs for the v2 index, keyed `(host, metric)`.
+    /// Per-series chunk refs for the series index, keyed `(host, metric)`.
     series: BTreeMap<(String, String), Vec<ChunkRef>>,
 }
 
@@ -184,40 +194,19 @@ impl SegmentWriter {
         if chunks.is_empty() {
             return;
         }
-        fn intern<'a>(table: &mut Vec<&'a str>, s: &'a str) -> u64 {
-            match table.iter().position(|t| *t == s) {
-                Some(i) => i as u64,
-                None => {
-                    table.push(s);
-                    (table.len() - 1) as u64
-                }
-            }
-        }
-        let mut hosts: Vec<&str> = Vec::new();
-        let mut metrics: Vec<&str> = Vec::new();
-        let mut host_ids = Vec::with_capacity(chunks.len());
-        let mut metric_ids = Vec::with_capacity(chunks.len());
-        for (host, metric, _) in chunks {
-            host_ids.push(intern(&mut hosts, host));
-            metric_ids.push(intern(&mut metrics, metric));
-        }
+        let mut hosts = StrTable::default();
+        let mut metrics = StrTable::default();
+        let ids: Vec<(u64, u64)> =
+            chunks.iter().map(|(h, m, _)| (hosts.intern(h), metrics.intern(m))).collect();
 
         let block_ix = self.blocks.len() as u32;
         let mut payload = Vec::new();
-        put_varint(&mut payload, hosts.len() as u64);
-        for h in &hosts {
-            put_varint(&mut payload, h.len() as u64);
-            payload.extend_from_slice(h.as_bytes());
-        }
-        put_varint(&mut payload, metrics.len() as u64);
-        for m in &metrics {
-            put_varint(&mut payload, m.len() as u64);
-            payload.extend_from_slice(m.as_bytes());
-        }
+        hosts.write(&mut payload);
+        metrics.write(&mut payload);
         put_varint(&mut payload, chunks.len() as u64);
         let mut min_ts = u64::MAX;
         let mut max_ts = 0u64;
-        for (i, (host, metric, samples)) in chunks.iter().enumerate() {
+        for ((host, metric, samples), (host_id, metric_id)) in chunks.iter().zip(ids) {
             let mut chunk_min = u64::MAX;
             let mut chunk_max = 0u64;
             for &(ts, _) in *samples {
@@ -226,12 +215,11 @@ impl SegmentWriter {
             }
             min_ts = min_ts.min(chunk_min);
             max_ts = max_ts.max(chunk_max);
-            put_varint(&mut payload, host_ids[i]);
-            put_varint(&mut payload, metric_ids[i]);
+            put_varint(&mut payload, host_id);
+            put_varint(&mut payload, metric_id);
             let chunk = codec::encode_chunk(samples);
-            put_varint(&mut payload, chunk.len() as u64);
-            let offset = payload.len() as u32;
-            payload.extend_from_slice(&chunk);
+            put_bytes(&mut payload, &chunk);
+            let offset = (payload.len() - chunk.len()) as u32;
             self.series
                 .entry((host.to_string(), metric.to_string()))
                 .or_default()
@@ -259,93 +247,48 @@ impl SegmentWriter {
         self.blocks.is_empty()
     }
 
-    /// Seal at the current format version: write `<path>.tmp`, fsync,
-    /// rename to `path`, fsync the parent directory so the rename itself
-    /// is durable.
+    /// Seal to `path` atomically (see [`durable::replace_file`]);
+    /// returns the file's size in bytes.
     pub fn seal(self, path: &Path) -> Result<u64, TsdbError> {
-        self.seal_with_version(path, VERSION)
-    }
-
-    /// Seal at an explicit format version (`1` omits the per-series
-    /// index). Exists so compatibility tests and migration tooling can
-    /// produce old-format segments; everything else wants [`seal`].
-    ///
-    /// [`seal`]: SegmentWriter::seal
-    pub fn seal_with_version(self, path: &Path, version: u16) -> Result<u64, TsdbError> {
-        if version == 0 || version > VERSION {
-            return Err(TsdbError::BadVersion(version));
-        }
         let mut buf = Vec::new();
         buf.extend_from_slice(MAGIC);
-        buf.extend_from_slice(&version.to_le_bytes());
+        buf.extend_from_slice(&VERSION.to_le_bytes());
         buf.push(self.kind);
         buf.push(0); // reserved
 
+        // Block frames go into the file, one sparse-index entry each
+        // into the index frame.
         let mut index = Vec::new();
-        let mut entries: Vec<IndexEntry> = Vec::new();
+        put_varint(&mut index, self.blocks.len() as u64);
         for (payload, min_ts, max_ts, n_chunks) in &self.blocks {
-            let offset = buf.len() as u64;
+            put_varint(&mut index, buf.len() as u64);
+            put_varint(&mut index, payload.len() as u64);
+            put_varint(&mut index, *min_ts);
+            put_varint(&mut index, *max_ts);
+            put_varint(&mut index, u64::from(*n_chunks));
             buf.extend_from_slice(&(payload.len() as u32).to_le_bytes());
             buf.extend_from_slice(&crc32(payload).to_le_bytes());
             buf.extend_from_slice(payload);
-            entries.push(IndexEntry {
-                offset,
-                len: payload.len() as u32,
-                min_ts: *min_ts,
-                max_ts: *max_ts,
-                n_chunks: *n_chunks,
-            });
         }
-        put_varint(&mut index, entries.len() as u64);
-        for e in &entries {
-            put_varint(&mut index, e.offset);
-            put_varint(&mut index, e.len as u64);
-            put_varint(&mut index, e.min_ts);
-            put_varint(&mut index, e.max_ts);
-            put_varint(&mut index, e.n_chunks as u64);
-        }
-        if version >= 2 {
-            // Segment-wide string tables, then per-series chunk refs.
-            let mut hosts: Vec<&str> = Vec::new();
-            let mut metrics: Vec<&str> = Vec::new();
-            for (host, metric) in self.series.keys() {
-                if !hosts.iter().any(|h| *h == host.as_str()) {
-                    hosts.push(host);
-                }
-                if !metrics.iter().any(|m| *m == metric.as_str()) {
-                    metrics.push(metric);
-                }
-            }
-            put_varint(&mut index, hosts.len() as u64);
-            for h in &hosts {
-                put_varint(&mut index, h.len() as u64);
-                index.extend_from_slice(h.as_bytes());
-            }
-            put_varint(&mut index, metrics.len() as u64);
-            for m in &metrics {
-                put_varint(&mut index, m.len() as u64);
-                index.extend_from_slice(m.as_bytes());
-            }
-            put_varint(&mut index, self.series.len() as u64);
-            for ((host, metric), refs) in &self.series {
-                let host_id = hosts.iter().position(|h| *h == host.as_str()).unwrap_or(0) as u64;
-                let metric_id =
-                    metrics.iter().position(|m| *m == metric.as_str()).unwrap_or(0) as u64;
-                put_varint(&mut index, host_id);
-                put_varint(&mut index, metric_id);
-                put_varint(&mut index, refs.len() as u64);
-                for r in refs {
-                    put_varint(&mut index, r.block_ix as u64);
-                    put_varint(&mut index, r.offset as u64);
-                    put_varint(&mut index, r.len as u64);
-                    put_varint(&mut index, r.min_ts);
-                    put_varint(&mut index, r.max_ts);
-                    put_varint(&mut index, r.stats.count);
-                    index.extend_from_slice(&r.stats.sum.to_bits().to_le_bytes());
-                    index.extend_from_slice(&r.stats.min.to_bits().to_le_bytes());
-                    index.extend_from_slice(&r.stats.max.to_bits().to_le_bytes());
-                    index.extend_from_slice(&r.stats.last.to_bits().to_le_bytes());
-                }
+        // Segment-wide string tables, then per-series chunk refs.
+        let mut hosts = StrTable::default();
+        let mut metrics = StrTable::default();
+        let ids: Vec<(u64, u64)> =
+            self.series.keys().map(|(h, m)| (hosts.intern(h), metrics.intern(m))).collect();
+        hosts.write(&mut index);
+        metrics.write(&mut index);
+        put_varint(&mut index, self.series.len() as u64);
+        for (refs, (host_id, metric_id)) in self.series.values().zip(ids) {
+            put_varint(&mut index, host_id);
+            put_varint(&mut index, metric_id);
+            put_varint(&mut index, refs.len() as u64);
+            for r in refs {
+                put_varint(&mut index, r.block_ix as u64);
+                put_varint(&mut index, r.offset as u64);
+                put_varint(&mut index, r.len as u64);
+                put_varint(&mut index, r.min_ts);
+                put_varint(&mut index, r.max_ts);
+                put_stats(&mut index, &r.stats);
             }
         }
         let index_offset = buf.len() as u64;
@@ -355,20 +298,7 @@ impl SegmentWriter {
         buf.extend_from_slice(&crc32(&index).to_le_bytes());
         buf.extend_from_slice(FOOTER_MAGIC);
 
-        let tmp = path.with_extension("tsdb.tmp");
-        {
-            let mut f = OpenOptions::new().write(true).create(true).truncate(true).open(&tmp)?;
-            f.write_all(&buf)?;
-            f.sync_all()?;
-        }
-        fs::rename(&tmp, path)?;
-        if let Some(dir) = path.parent() {
-            // Best-effort: directory fsync is not available on every
-            // platform; the rename is still atomic without it.
-            if let Ok(d) = File::open(dir) {
-                let _ = d.sync_all();
-            }
-        }
+        durable::replace_file(path, &buf)?;
         Ok(buf.len() as u64)
     }
 }
@@ -381,33 +311,8 @@ pub struct SegmentReader {
     path: PathBuf,
     pub kind: u8,
     pub entries: Vec<IndexEntry>,
-    version: u16,
     series: Vec<SeriesEntry>,
     file_len: u64,
-}
-
-/// Parse a varint-framed string table out of the index frame.
-fn read_string_table(
-    index: &[u8],
-    pos: &mut usize,
-    what: &str,
-    path: &Path,
-) -> Result<Vec<String>, TsdbError> {
-    let bad = |w: &str| corrupt(format!("{}: series index {what}: {w}", path.display()));
-    let n = get_varint(index, pos).ok_or_else(|| bad("count"))? as usize;
-    if n > index.len() {
-        return Err(bad("count out of range"));
-    }
-    let mut table = Vec::with_capacity(n);
-    for _ in 0..n {
-        let len = get_varint(index, pos).ok_or_else(|| bad("name length"))? as usize;
-        let end = pos.checked_add(len).ok_or_else(|| bad("name overflow"))?;
-        let bytes = index.get(*pos..end).ok_or_else(|| bad("name bytes"))?;
-        *pos = end;
-        // Validate before allocating: no copy is made for invalid input.
-        table.push(std::str::from_utf8(bytes).map_err(|_| bad("name not utf-8"))?.to_owned());
-    }
-    Ok(table)
 }
 
 impl SegmentReader {
@@ -423,7 +328,7 @@ impl SegmentReader {
             return Err(corrupt(format!("{}: bad magic", path.display())));
         }
         let version = u16::from_le_bytes([header[8], header[9]]);
-        if version > VERSION {
+        if version != VERSION {
             return Err(TsdbError::BadVersion(version));
         }
         let kind = header[10];
@@ -468,19 +373,15 @@ impl SegmentReader {
             let min_ts = field("min_ts")?;
             let max_ts = field("max_ts")?;
             let n_chunks = field("n_chunks")? as u32;
-            if offset < HEADER_LEN as u64
-                || offset + 8 + len as u64 > index_offset
-            {
+            // Block frame = 8-byte len+crc header, then `len` payload bytes.
+            let end = offset.checked_add(8 + u64::from(len));
+            if offset < HEADER_LEN as u64 || !end.is_some_and(|e| e <= index_offset) {
                 return Err(corrupt(format!("{}: index[{i}] out of bounds", path.display())));
             }
             entries.push(IndexEntry { offset, len, min_ts, max_ts, n_chunks });
         }
 
-        let series = if version >= 2 {
-            Self::parse_series_index(&index, &mut pos, &entries, path)?
-        } else {
-            Vec::new()
-        };
+        let series = Self::parse_series_index(&index, &mut pos, &entries, path)?;
         if pos != index.len() {
             return Err(corrupt(format!("{}: trailing index bytes", path.display())));
         }
@@ -488,7 +389,6 @@ impl SegmentReader {
             path: path.to_path_buf(),
             kind,
             entries,
-            version,
             series,
             file_len,
         })
@@ -501,8 +401,8 @@ impl SegmentReader {
         path: &Path,
     ) -> Result<Vec<SeriesEntry>, TsdbError> {
         let bad = |w: String| corrupt(format!("{}: series index: {w}", path.display()));
-        let hosts = read_string_table(index, pos, "hosts", path)?;
-        let metrics = read_string_table(index, pos, "metrics", path)?;
+        let hosts = get_str_table(index, pos).ok_or_else(|| bad("host table".into()))?;
+        let metrics = get_str_table(index, pos).ok_or_else(|| bad("metric table".into()))?;
         let n_series =
             get_varint(index, pos).ok_or_else(|| bad("series count".into()))? as usize;
         if n_series > index.len() {
@@ -538,23 +438,8 @@ impl SegmentReader {
                 let len = field("len")? as u32;
                 let min_ts = field("min_ts")?;
                 let max_ts = field("max_ts")?;
-                let count = field("count")?;
-                let mut bits = |name: &str| -> Result<f64, TsdbError> {
-                    let end = pos.checked_add(8).ok_or_else(|| {
-                        bad(format!("series[{s}].chunk[{c}].{name} overflow"))
-                    })?;
-                    let raw = index.get(*pos..end).ok_or_else(|| {
-                        bad(format!("series[{s}].chunk[{c}].{name} truncated"))
-                    })?;
-                    *pos = end;
-                    let mut b = [0u8; 8];
-                    b.copy_from_slice(raw);
-                    Ok(f64::from_bits(u64::from_le_bytes(b)))
-                };
-                let sum = bits("sum")?;
-                let min = bits("min")?;
-                let max = bits("max")?;
-                let last = bits("last")?;
+                let stats = get_stats(index, pos)
+                    .ok_or_else(|| bad(format!("series[{s}].chunk[{c}].stats")))?;
                 let entry = entries.get(block_ix as usize).ok_or_else(|| {
                     bad(format!("series[{s}].chunk[{c}] block {block_ix} out of range"))
                 })?;
@@ -567,14 +452,7 @@ impl SegmentReader {
                 if min_ts > max_ts {
                     return Err(bad(format!("series[{s}].chunk[{c}] inverted time range")));
                 }
-                chunks.push(ChunkRef {
-                    block_ix,
-                    offset,
-                    len,
-                    min_ts,
-                    max_ts,
-                    stats: ChunkStats { count, sum, min, max, last },
-                });
+                chunks.push(ChunkRef { block_ix, offset, len, min_ts, max_ts, stats });
             }
             out.push(SeriesEntry { host, metric, chunks });
         }
@@ -589,16 +467,10 @@ impl SegmentReader {
         self.file_len
     }
 
-    /// Format version this segment was sealed at.
-    pub fn version(&self) -> u16 {
-        self.version
-    }
-
-    /// The per-series chunk index, sorted by `(host, metric)`.
-    /// `None` for version-1 segments — callers must fall back to
-    /// decoding blocks.
+    /// The per-series chunk index, sorted by `(host, metric)`. Always
+    /// `Some`: every readable segment carries one.
     pub fn series_index(&self) -> Option<&[SeriesEntry]> {
-        (self.version >= 2).then_some(self.series.as_slice())
+        Some(&self.series)
     }
 
     /// Overall `[min_ts, max_ts]` across all blocks; `None` if empty.
@@ -637,7 +509,7 @@ impl SegmentReader {
         Ok(payload)
     }
 
-    /// Decode one chunk addressed by a v2 [`ChunkRef`] out of its
+    /// Decode one chunk addressed by a [`ChunkRef`] out of its
     /// block's already-read payload, without touching the rest of the
     /// block.
     pub fn decode_chunk_in_block(
@@ -671,25 +543,8 @@ impl SegmentReader {
     pub fn decode_series_block(&self, payload: &[u8]) -> Result<Vec<SeriesChunk>, TsdbError> {
         let bad = |what: &str| corrupt(format!("{}: series block: {what}", self.path.display()));
         let mut pos = 0usize;
-        let read_table = |pos: &mut usize| -> Result<Vec<String>, TsdbError> {
-            let n = get_varint(payload, pos).ok_or_else(|| bad("table count"))? as usize;
-            if n > payload.len() {
-                return Err(bad("table count out of range"));
-            }
-            let mut table = Vec::with_capacity(n);
-            for _ in 0..n {
-                let len = get_varint(payload, pos).ok_or_else(|| bad("name length"))? as usize;
-                let end = pos.checked_add(len).ok_or_else(|| bad("name overflow"))?;
-                let bytes = payload.get(*pos..end).ok_or_else(|| bad("name bytes"))?;
-                *pos = end;
-                table.push(
-                    std::str::from_utf8(bytes).map_err(|_| bad("name not utf-8"))?.to_owned(),
-                );
-            }
-            Ok(table)
-        };
-        let hosts = read_table(&mut pos)?;
-        let metrics = read_table(&mut pos)?;
+        let hosts = get_str_table(payload, &mut pos).ok_or_else(|| bad("host table"))?;
+        let metrics = get_str_table(payload, &mut pos).ok_or_else(|| bad("metric table"))?;
         let n_chunks = get_varint(payload, &mut pos).ok_or_else(|| bad("chunk count"))? as usize;
         if n_chunks > payload.len() {
             return Err(bad("chunk count out of range"));
@@ -712,10 +567,10 @@ impl SegmentReader {
                 return Err(bad("chunk length mismatch"));
             }
             pos = end;
-            // suplint: allow(R7) -- one owned name per series in the v1 read shim
+            // suplint: allow(R7) -- one owned name per chunk; compaction and the naive oracles only
             let host = hosts.get(host_id).ok_or_else(|| bad("host id out of range"))?.clone();
             let metric =
-                // suplint: allow(R7) -- as above: once per series, open-time only
+                // suplint: allow(R7) -- as above
                 metrics.get(metric_id).ok_or_else(|| bad("metric id out of range"))?.clone();
             out.push(SeriesChunk { host, metric, samples });
         }
@@ -729,6 +584,7 @@ impl SegmentReader {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::fs;
 
     fn tmpdir(name: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!("tsdb-seg-{name}-{}", std::process::id()));
@@ -775,7 +631,6 @@ mod tests {
 
         let r = SegmentReader::open(&path).unwrap();
         assert_eq!(r.kind, KIND_SERIES);
-        assert_eq!(r.version(), VERSION);
         assert_eq!(r.entries.len(), 1);
         assert_eq!(r.time_range(), Some((0, 149 * 600)));
         let payload = r.read_block(&r.entries[0]).unwrap();
@@ -798,7 +653,7 @@ mod tests {
         w.seal(&path).unwrap();
 
         let r = SegmentReader::open(&path).unwrap();
-        let idx = r.series_index().expect("v2 segment has a series index");
+        let idx = r.series_index().expect("every segment has a series index");
         assert_eq!(idx.len(), 3);
         // Sorted by (host, metric).
         let names: Vec<(&str, &str)> =
@@ -830,27 +685,61 @@ mod tests {
         let _ = fs::remove_dir_all(&dir);
     }
 
+    /// Two files no writer of this build produces, both with every CRC
+    /// valid: an index entry whose offset sits at the top of `u64`, and
+    /// a version-1 header. Neither may panic, and a refused file is
+    /// never unlinked.
     #[test]
-    fn v1_segments_open_without_series_index() {
-        let dir = tmpdir("v1compat");
+    fn hostile_index_offset_and_old_version_are_refused_not_panicked_on() {
+        let dir = tmpdir("hostile");
+
+        let mut index = Vec::new();
+        for v in [1, u64::MAX - 3, 0, 0, 0, 0] {
+            put_varint(&mut index, v); // one entry: offset, len, min_ts, max_ts, n_chunks
+        }
+        index.extend_from_slice(&[0, 0, 0]); // empty series index
+        let mut bytes = Vec::new();
+        bytes.extend_from_slice(MAGIC);
+        bytes.extend_from_slice(&VERSION.to_le_bytes());
+        bytes.extend_from_slice(&[KIND_SERIES, 0]);
+        bytes.extend_from_slice(&index);
+        bytes.extend_from_slice(&(HEADER_LEN as u64).to_le_bytes()); // index_offset
+        bytes.extend_from_slice(&(index.len() as u32).to_le_bytes());
+        bytes.extend_from_slice(&crc32(&index).to_le_bytes());
+        bytes.extend_from_slice(FOOTER_MAGIC);
+        let hostile = dir.join("hostile.tsdb");
+        fs::write(&hostile, &bytes).unwrap();
+        assert!(matches!(SegmentReader::open(&hostile), Err(TsdbError::Corrupt(_))));
+        fs::remove_file(&hostile).unwrap();
+
         let path = dir.join("seg-000001.tsdb");
         let mut w = SegmentWriter::new(KIND_SERIES);
-        let owned = sample_chunks();
-        w.push_series_block(&as_refs(&owned));
-        w.seal_with_version(&path, 1).unwrap();
+        w.push_series_block(&as_refs(&sample_chunks()));
+        w.seal(&path).unwrap();
+        let mut v1 = fs::read(&path).unwrap();
+        v1[8..10].copy_from_slice(&1u16.to_le_bytes());
+        fs::write(&path, &v1).unwrap();
+        let Err(err) = SegmentReader::open(&path) else { panic!("v1 header must not open") };
+        assert!(matches!(err, TsdbError::BadVersion(1)));
+        let msg = err.to_string();
+        assert!(msg.contains("version 1") && msg.contains("compact"), "{msg}");
+        assert!(matches!(crate::db::Tsdb::open(&dir), Err(TsdbError::BadVersion(1))));
+        assert_eq!(fs::read(&path).unwrap(), v1, "refused segment left in place");
+        let _ = fs::remove_dir_all(&dir);
+    }
 
-        let r = SegmentReader::open(&path).unwrap();
-        assert_eq!(r.version(), 1);
-        assert!(r.series_index().is_none());
-        // Block decode path still works.
-        let payload = r.read_block(&r.entries[0]).unwrap();
-        assert_eq!(r.decode_series_block(&payload).unwrap().len(), 3);
-        // Future versions are rejected by the writer.
-        let w2 = SegmentWriter::new(KIND_SERIES);
-        assert!(matches!(
-            w2.seal_with_version(&dir.join("seg-000002.tsdb"), VERSION + 1),
-            Err(TsdbError::BadVersion(_))
-        ));
+    /// Format pin: the sealed bytes of a fixed input equal what the
+    /// writer produced before the durable-file layer existed (length +
+    /// CRC32 of the whole file), so older stores reopen unchanged.
+    #[test]
+    fn sealed_bytes_are_pinned() {
+        let dir = tmpdir("golden");
+        let path = dir.join("seg-000001.tsdb");
+        let mut w = SegmentWriter::new(KIND_SERIES);
+        w.push_series_block(&as_refs(&sample_chunks()));
+        w.seal(&path).unwrap();
+        let bytes = fs::read(&path).unwrap();
+        assert_eq!((bytes.len(), crc32(&bytes)), (1609, 0x2569_9914));
         let _ = fs::remove_dir_all(&dir);
     }
 

@@ -18,21 +18,23 @@
 //!
 //! **Torn-write handling.** A crash can leave a partial record at the
 //! tail (short frame, short payload, or payload that fails its CRC).
-//! [`Wal::open`] replays records until the first bad frame, returns the
-//! good prefix, and truncates the file back to the end of the last good
-//! record — so the next append never interleaves with garbage. Anything
-//! before the torn tail was acked and survives; the torn record itself
-//! was never acked (sync() hadn't returned) so dropping it keeps the
-//! durability contract.
+//! The file is a [`crate::durable::AppendLog`]: [`Wal::open`] replays
+//! the records before the first bad frame and truncates the rest. What
+//! is dropped was never acked (`sync` hadn't returned), so the
+//! durability contract holds.
 
-use std::fs::{File, OpenOptions};
-use std::io::{self, BufWriter, Read, Seek, SeekFrom, Write};
-use std::path::{Path, PathBuf};
+use std::io;
+use std::path::Path;
 
-use crate::codec::{get_varint, put_varint};
+use crate::codec::{get_str, get_varint, put_str, put_varint};
 use crate::crc::crc32;
+use crate::durable::AppendLog;
 
 pub const WAL_MAGIC: &[u8; 8] = b"SUPWAL01";
+/// Record frame header: u32 len + u32 crc.
+const FRAME_HEADER: usize = 8;
+/// Longest LEB128 encoding of a u64.
+const MAX_VARINT: usize = 10;
 
 /// One replayed / to-be-appended WAL record: a batch of samples for a
 /// single series.
@@ -44,34 +46,32 @@ pub struct WalRecord {
     pub samples: Vec<(u64, u64)>,
 }
 
-/// Encode one record from borrowed parts — the append path never has
-/// to assemble an owned [`WalRecord`] just to serialize it.
-fn encode_parts(host: &str, metric: &str, samples: &[(u64, u64)]) -> Vec<u8> {
-    let mut p = Vec::with_capacity(host.len() + metric.len() + samples.len() * 6);
-    put_varint(&mut p, host.len() as u64);
-    p.extend_from_slice(host.as_bytes());
-    put_varint(&mut p, metric.len() as u64);
-    p.extend_from_slice(metric.as_bytes());
-    put_varint(&mut p, samples.len() as u64);
+/// Encode one framed record from borrowed parts — the append path never
+/// has to assemble an owned [`WalRecord`] just to serialize it.
+fn encode_frame(host: &str, metric: &str, samples: &[(u64, u64)]) -> Vec<u8> {
+    // An upper bound, so the buffer never regrows mid-record.
+    let varints = 3 + 2 * samples.len();
+    let mut f =
+        Vec::with_capacity(FRAME_HEADER + host.len() + metric.len() + varints * MAX_VARINT);
+    f.extend_from_slice(&[0u8; FRAME_HEADER]);
+    put_str(&mut f, host);
+    put_str(&mut f, metric);
+    put_varint(&mut f, samples.len() as u64);
     for &(ts, bits) in samples {
-        put_varint(&mut p, ts);
-        put_varint(&mut p, bits);
+        put_varint(&mut f, ts);
+        put_varint(&mut f, bits);
     }
-    p
+    let (head, payload) = f.split_at_mut(FRAME_HEADER);
+    head[..4].copy_from_slice(&(payload.len() as u32).to_le_bytes());
+    head[4..].copy_from_slice(&crc32(payload).to_le_bytes());
+    f
 }
 
 impl WalRecord {
     fn decode(payload: &[u8]) -> Option<WalRecord> {
         let mut pos = 0usize;
-        let read_str = |pos: &mut usize| -> Option<String> {
-            let len = get_varint(payload, pos)? as usize;
-            let end = pos.checked_add(len)?;
-            let bytes = payload.get(*pos..end)?;
-            *pos = end;
-            String::from_utf8(bytes.to_vec()).ok()
-        };
-        let host = read_str(&mut pos)?;
-        let metric = read_str(&mut pos)?;
+        let host = get_str(payload, &mut pos)?.to_owned();
+        let metric = get_str(payload, &mut pos)?.to_owned();
         let n = get_varint(payload, &mut pos)? as usize;
         if n > payload.len().saturating_sub(pos).saturating_mul(32) + 1 {
             return None;
@@ -89,6 +89,15 @@ impl WalRecord {
     }
 }
 
+/// The CRC-checked payload of the frame at the start of `rest` and the
+/// frame's length; `None` if the frame is short or fails its CRC.
+fn frame_payload(rest: &[u8]) -> Option<(&[u8], usize)> {
+    let &[l0, l1, l2, l3, c0, c1, c2, c3] = rest.get(..FRAME_HEADER)? else { return None };
+    let end = FRAME_HEADER.checked_add(u32::from_le_bytes([l0, l1, l2, l3]) as usize)?;
+    let payload = rest.get(FRAME_HEADER..end)?;
+    (crc32(payload) == u32::from_le_bytes([c0, c1, c2, c3])).then_some((payload, end))
+}
+
 /// What [`Wal::open`] found on disk.
 pub struct WalRecovery {
     pub wal: Wal,
@@ -101,91 +110,33 @@ pub struct WalRecovery {
 /// Append-side handle. Writes are buffered; [`Wal::sync`] flushes and
 /// fsyncs — the durability ack point.
 pub struct Wal {
-    path: PathBuf,
-    writer: BufWriter<File>,
-    /// Length of the durable, valid prefix (grows on append).
-    len: u64,
+    log: AppendLog,
 }
 
 impl Wal {
     /// Open (creating if absent), replay valid records, truncate any
     /// torn tail, and position for appending.
     pub fn open(path: &Path) -> io::Result<WalRecovery> {
-        let mut file =
-            OpenOptions::new().read(true).write(true).create(true).open(path)?;
-        let file_len = file.metadata()?.len();
-
         let mut records = Vec::new();
-        let mut good_end: u64;
-        if file_len == 0 {
-            file.write_all(WAL_MAGIC)?;
-            file.sync_all()?;
-            good_end = WAL_MAGIC.len() as u64;
-        } else {
-            let mut buf = Vec::with_capacity(file_len as usize);
-            file.read_to_end(&mut buf)?;
-            if buf.len() < WAL_MAGIC.len() {
-                if WAL_MAGIC.starts_with(&buf) {
-                    // Torn header write: nothing was ever acked in this
-                    // log, so rewriting it fresh loses nothing.
-                    file.set_len(0)?;
-                    file.seek(SeekFrom::Start(0))?;
-                    file.write_all(WAL_MAGIC)?;
-                    file.sync_all()?;
-                    buf = WAL_MAGIC.to_vec();
-                } else {
-                    return Err(io::Error::new(
-                        io::ErrorKind::InvalidData,
-                        format!("{}: not a SUPWAL01 write-ahead log", path.display()),
-                    ));
-                }
-            } else if &buf[..WAL_MAGIC.len()] != WAL_MAGIC {
-                // Not our file — refuse rather than clobber.
-                return Err(io::Error::new(
-                    io::ErrorKind::InvalidData,
-                    format!("{}: not a SUPWAL01 write-ahead log", path.display()),
-                ));
-            }
-            good_end = WAL_MAGIC.len() as u64;
-            let mut pos = WAL_MAGIC.len();
-            loop {
-                let Some(&[l0, l1, l2, l3, c0, c1, c2, c3]) = buf.get(pos..pos + 8) else {
-                    break;
-                };
-                let len = u32::from_le_bytes([l0, l1, l2, l3]) as usize;
-                let crc = u32::from_le_bytes([c0, c1, c2, c3]);
-                let Some(payload) = buf.get(pos + 8..pos + 8 + len) else { break };
-                if crc32(payload) != crc {
-                    break;
-                }
-                let Some(rec) = WalRecord::decode(payload) else { break };
-                records.push(rec);
-                pos += 8 + len;
-                good_end = pos as u64;
-            }
-        }
-
-        let truncated_bytes = file_len.saturating_sub(good_end);
-        if truncated_bytes > 0 {
-            file.set_len(good_end)?;
-            file.sync_all()?;
-        }
-        file.seek(SeekFrom::Start(good_end))?;
-        let wal = Wal { path: path.to_path_buf(), writer: BufWriter::new(file), len: good_end };
-        Ok(WalRecovery { wal, records, truncated_bytes })
+        let rec = AppendLog::open(path, WAL_MAGIC, WAL_MAGIC.len(), |rest| {
+            let (payload, len) = frame_payload(rest)?;
+            records.push(WalRecord::decode(payload)?);
+            Some(len)
+        })?;
+        Ok(WalRecovery { wal: Wal { log: rec.log }, records, truncated_bytes: rec.truncated_bytes })
     }
 
     pub fn path(&self) -> &Path {
-        &self.path
+        self.log.path()
     }
 
     /// Valid log length in bytes (header + acked records + buffered).
     pub fn len(&self) -> u64 {
-        self.len
+        self.log.len()
     }
 
     pub fn is_empty(&self) -> bool {
-        self.len <= WAL_MAGIC.len() as u64
+        self.log.is_empty()
     }
 
     /// Buffer one record. NOT durable until [`Wal::sync`] returns.
@@ -201,31 +152,19 @@ impl Wal {
         metric: &str,
         samples: &[(u64, u64)],
     ) -> io::Result<()> {
-        let payload = encode_parts(host, metric, samples);
-        self.writer.write_all(&(payload.len() as u32).to_le_bytes())?;
-        self.writer.write_all(&crc32(&payload).to_le_bytes())?;
-        self.writer.write_all(&payload)?;
-        self.len += 8 + payload.len() as u64;
-        Ok(())
+        self.log.append(&encode_frame(host, metric, samples))
     }
 
     /// Flush buffers and fsync. When this returns, every record appended
     /// so far is durable — the ack point of the store.
     pub fn sync(&mut self) -> io::Result<()> {
-        self.writer.flush()?;
-        self.writer.get_ref().sync_all()
+        self.log.sync()
     }
 
     /// Discard all records (after their data has been sealed into a
     /// segment): truncate back to the header and fsync.
     pub fn reset(&mut self) -> io::Result<()> {
-        self.writer.flush()?;
-        let f = self.writer.get_mut();
-        f.set_len(WAL_MAGIC.len() as u64)?;
-        f.seek(SeekFrom::Start(WAL_MAGIC.len() as u64))?;
-        f.sync_all()?;
-        self.len = WAL_MAGIC.len() as u64;
-        Ok(())
+        self.log.truncate_to_header()
     }
 }
 
@@ -233,6 +172,7 @@ impl Wal {
 mod tests {
     use super::*;
     use std::fs;
+    use std::path::PathBuf;
 
     fn tmp(name: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!("tsdb-wal-{name}-{}", std::process::id()));
@@ -271,6 +211,24 @@ mod tests {
         let rec = Wal::open(&path).unwrap();
         assert_eq!(rec.records, recs());
         assert_eq!(rec.truncated_bytes, 0);
+        let _ = fs::remove_dir_all(path.parent().unwrap());
+    }
+
+    /// Format pin: the synced log of a fixed input equals, byte for
+    /// byte, what the writer produced before the durable-file layer
+    /// existed (length + CRC32 of the file), so an older `wal.log`
+    /// replays unchanged.
+    #[test]
+    fn synced_bytes_are_pinned() {
+        let path = tmp("golden");
+        let mut rec = Wal::open(&path).unwrap();
+        for r in recs() {
+            rec.wal.append(&r).unwrap();
+        }
+        rec.wal.sync().unwrap();
+        let bytes = fs::read(&path).unwrap();
+        assert_eq!((bytes.len(), crc32(&bytes)), (101, 0xCA86_E6CB));
+        assert_eq!(rec.wal.len(), 101);
         let _ = fs::remove_dir_all(path.parent().unwrap());
     }
 
@@ -341,7 +299,7 @@ mod tests {
             rec.wal.append(&recs()[0]).unwrap();
             rec.wal.sync().unwrap();
             // Simulate a torn append: write half a frame directly.
-            rec.wal.writer.write_all(&[0x55, 0x00, 0x00]).unwrap();
+            rec.wal.log.append(&[0x55, 0x00, 0x00]).unwrap();
             rec.wal.sync().unwrap();
         }
         {

@@ -9,7 +9,6 @@ use std::sync::atomic::{AtomicU64, Ordering};
 
 use proptest::prelude::*;
 use supremm_tsdb::codec::{decode_chunk, encode_chunk};
-use supremm_tsdb::segment::{SegmentWriter, KIND_SERIES};
 use supremm_tsdb::wal::{Wal, WalRecord};
 use supremm_tsdb::{Agg, DbOptions, RetentionPolicy, RollupLevel, Selector, Tsdb};
 
@@ -152,51 +151,6 @@ proptest! {
                 "selector {:?} range [{}, {}] bin {} agg {:?}", sel, t0, t1, bin, agg
             );
         }
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn v1_segments_without_series_index_still_answer_queries(
-        v1_samples in prop::collection::vec((0u8..2, 0u8..2, 0u64..300, any::<u64>()), 1..60),
-        ops in store_ops(),
-        bin in 1u64..50,
-        agg_ix in 0u8..6,
-    ) {
-        let dir = tmpdir("diff-v1");
-        // Hand-seal an index-less v1 segment the way the previous
-        // release's writer laid it out (one-release read shim).
-        let mut by_series: std::collections::BTreeMap<(String, String),
-            std::collections::BTreeMap<u64, u64>> = std::collections::BTreeMap::new();
-        for (host, metric, ts, bits) in &v1_samples {
-            by_series
-                .entry((format!("h{host}"), format!("m{metric}")))
-                .or_default()
-                .insert(*ts, *bits);
-        }
-        let owned: Vec<(String, String, Vec<(u64, u64)>)> = by_series
-            .into_iter()
-            .map(|((h, m), pts)| (h, m, pts.into_iter().collect()))
-            .collect();
-        let chunks: Vec<(&str, &str, &[(u64, u64)])> = owned
-            .iter()
-            .map(|(h, m, pts)| (h.as_str(), m.as_str(), pts.as_slice()))
-            .collect();
-        let mut w = SegmentWriter::new(KIND_SERIES);
-        w.push_series_block(&chunks);
-        w.seal_with_version(&dir.join("seg-000001.tsdb"), 1).unwrap();
-
-        // Layer v2 writes (and their index) on top, then reopen.
-        let db = build_store(&dir, &ops);
-        drop(db);
-        let db = Tsdb::open_with(&dir, small_opts()).unwrap();
-        let all = Selector::all();
-        let fast = bits_view(db.query(&all, 0, u64::MAX).unwrap());
-        let naive = bits_view(db.query_naive(&all, 0, u64::MAX).unwrap());
-        prop_assert_eq!(fast, naive);
-        let agg = agg_from(agg_ix);
-        let fast = bits_view(db.downsample(&all, 0, u64::MAX, bin, agg).unwrap());
-        let naive = bits_view(db.downsample_naive(&all, 0, u64::MAX, bin, agg).unwrap());
-        prop_assert_eq!(fast, naive, "bin {} agg {:?}", bin, agg);
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -1,5 +1,4 @@
-//! Per-job binary codec for the segment-backed job table, plus the
-//! one-release read-compat decoder for the legacy JSON-lines export.
+//! Per-job binary codec for the segment-backed job table.
 //!
 //! Binary layout (version byte first, then fields in struct order):
 //!
@@ -14,7 +13,6 @@
 //! == r` bit-for-bit — the property the pipeline-through-store
 //! differential tests rely on.
 
-use supremm_metrics::json::Value;
 use supremm_metrics::metric::KeyMetricVec;
 use supremm_metrics::{ExtendedMetric, JobId, ScienceField, Timestamp, UserId};
 
@@ -132,57 +130,6 @@ pub fn decode(buf: &[u8]) -> Result<JobRecord, BinError> {
     })
 }
 
-// --- legacy JSON-lines read shim ------------------------------------------
-
-fn science_from_variant(s: &str) -> Option<ScienceField> {
-    ScienceField::ALL.iter().copied().find(|f| format!("{f:?}") == s)
-}
-
-fn exit_from_variant(s: &str) -> Option<ExitKind> {
-    [ExitKind::Completed, ExitKind::Failed, ExitKind::NodeFailure, ExitKind::Cancelled]
-        .into_iter()
-        .find(|k| format!("{k:?}") == s)
-}
-
-/// Decode one line of the pre-segment JSON-lines export (shape produced
-/// by the old serde derive). Read-only: new files are always segments.
-pub fn decode_legacy_json(line: &str) -> Option<JobRecord> {
-    let v = Value::parse(line)?;
-    let floats = |field: &str, n: usize| -> Option<Vec<f64>> {
-        let arr = v[field].as_array()?;
-        if arr.len() != n {
-            return None;
-        }
-        arr.iter().map(|x| x.as_f64()).collect()
-    };
-    let metric_vals = floats("metrics", 8)?;
-    let mut metrics = KeyMetricVec::default();
-    metrics.0.copy_from_slice(&metric_vals);
-    let ext_vals = floats("extended", ExtendedMetric::ALL.len())?;
-    let mut extended = [0.0f64; ExtendedMetric::ALL.len()];
-    extended.copy_from_slice(&ext_vals);
-    Some(JobRecord {
-        job: JobId(v["job"].as_u64()?),
-        user: UserId(v["user"].as_u64()? as u32),
-        app: match &v["app"] {
-            Value::Null => None,
-            a => Some(a.as_str()?.to_string()),
-        },
-        science: science_from_variant(v["science"].as_str()?)?,
-        queue: v["queue"].as_str()?.to_string(),
-        submit: Timestamp(v["submit"].as_u64()?),
-        start: Timestamp(v["start"].as_u64()?),
-        end: Timestamp(v["end"].as_u64()?),
-        nodes: v["nodes"].as_u64()? as u32,
-        exit: exit_from_variant(v["exit"].as_str()?)?,
-        metrics,
-        extended,
-        flops_valid: v["flops_valid"].as_bool()?,
-        samples: v["samples"].as_u64()? as u32,
-        coverage_gaps: v["coverage_gaps"].as_u64()? as u32,
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -239,23 +186,5 @@ mod tests {
         let mut extra = enc.clone();
         extra.push(0);
         assert!(decode(&extra).is_err());
-    }
-
-    #[test]
-    fn legacy_json_lines_decode() {
-        let line = r#"{"job":9,"user":4,"app":"WRF","science":"AtmosphericSciences","queue":"large","submit":10,"start":600,"end":7200,"nodes":32,"exit":"Failed","metrics":[3.25,0,0,0,0,0,0,0],"extended":[0.125,0.125,0.125,0.125,0.125,0.125,0.125,0.125,0.125,0.125,0.125,0.125,0.125,0.125,0.125,0.125,0.125,0.125,0.125,0.125],"flops_valid":false,"samples":11,"coverage_gaps":0}"#;
-        let r = decode_legacy_json(line).unwrap();
-        assert_eq!(r.job, JobId(9));
-        assert_eq!(r.app.as_deref(), Some("WRF"));
-        assert_eq!(r.science, ScienceField::AtmosphericSciences);
-        assert_eq!(r.exit, ExitKind::Failed);
-        assert_eq!(r.metrics.0[0], 3.25);
-        assert_eq!(r.samples, 11);
-        // Null app.
-        let line = line.replace("\"WRF\"", "null");
-        assert_eq!(decode_legacy_json(&line).unwrap().app, None);
-        // Corruption fails cleanly.
-        assert!(decode_legacy_json("{broken").is_none());
-        assert!(decode_legacy_json("{}").is_none());
     }
 }

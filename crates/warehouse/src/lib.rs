@@ -23,7 +23,7 @@
 //! - [`binfmt`] is the compact binary import format of §5's future work
 //!   (delta+varint over the text format's content, lossless);
 //! - [`jobcodec`] is the per-job binary codec behind the segment-backed
-//!   job table (bit-exact floats, legacy JSON-lines read shim);
+//!   job table (bit-exact floats);
 //! - [`tsdbio`] bridges warehouse products into the `supremm-tsdb`
 //!   storage engine (system series, per-host metric series).
 

@@ -240,9 +240,7 @@ mod tests {
 
 /// Disk persistence: the export/import format is a tsdb record segment
 /// (kind 1) — one binary [`JobRecord`] per entry ([`crate::jobcodec`]),
-/// CRC-checked blocks, atomic rename on write. [`JobTable::load`] also
-/// accepts the pre-segment JSON-lines export for one release
-/// (detected by magic; see [`crate::jobcodec::decode_legacy_json`]).
+/// CRC-checked blocks, atomic rename on write.
 impl JobTable {
     /// Write the table to a file (atomic: tmp + fsync + rename).
     pub fn save(&self, path: &std::path::Path) -> std::io::Result<()> {
@@ -253,63 +251,20 @@ impl JobTable {
             .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e.to_string()))
     }
 
-    /// Load a table previously written with [`JobTable::save`] — or, for
-    /// one release, a legacy JSON-lines export. Returns the table and
-    /// the number of records skipped as corrupt (legacy path only;
-    /// segment corruption is an error, not a skip).
-    ///
-    /// Deprecation events are reported into the process-global obs
-    /// registry; use [`JobTable::load_counting_with_obs`] to direct
-    /// them elsewhere (e.g. for test isolation).
-    pub fn load_counting(path: &std::path::Path) -> std::io::Result<(JobTable, usize)> {
-        Self::load_counting_with_obs(path, &supremm_obs::global())
-    }
-
-    /// [`JobTable::load_counting`] with an explicit obs registry.
-    pub fn load_counting_with_obs(
-        path: &std::path::Path,
-        obs: &supremm_obs::ObsRegistry,
-    ) -> std::io::Result<(JobTable, usize)> {
-        if supremm_tsdb::recordlog::is_segment_file(path) {
-            let records = supremm_tsdb::recordlog::read_records(path).map_err(|e| {
+    /// Load a table previously written with [`JobTable::save`]. Any
+    /// other file, and any corruption, is an error — never a skip.
+    pub fn load(path: &std::path::Path) -> std::io::Result<JobTable> {
+        let records = supremm_tsdb::recordlog::read_records(path).map_err(|e| {
+            std::io::Error::new(std::io::ErrorKind::InvalidData, e.to_string())
+        })?;
+        let jobs = records
+            .iter()
+            .map(|bytes| crate::jobcodec::decode(bytes))
+            .collect::<Result<Vec<_>, _>>()
+            .map_err(|e| {
                 std::io::Error::new(std::io::ErrorKind::InvalidData, e.to_string())
             })?;
-            let jobs = records
-                .iter()
-                .map(|bytes| crate::jobcodec::decode(bytes))
-                .collect::<Result<Vec<_>, _>>()
-                .map_err(|e| {
-                    std::io::Error::new(std::io::ErrorKind::InvalidData, e.to_string())
-                })?;
-            return Ok((JobTable::new(jobs), 0));
-        }
-        // Legacy JSON-lines: tolerate corrupt lines, count them.
-        obs.counter("warehouse_deprecated_jobs_jsonl_load_total").inc();
-        obs.event(
-            "deprecation",
-            format!(
-                "legacy jobs.jsonl read shim used for {} — re-save via JobTable::save before the shim is removed",
-                path.display()
-            ),
-        );
-        let text = std::fs::read_to_string(path)?;
-        let mut jobs = Vec::new();
-        let mut bad = 0usize;
-        for line in text.lines() {
-            if line.is_empty() {
-                continue;
-            }
-            match crate::jobcodec::decode_legacy_json(line) {
-                Some(j) => jobs.push(j),
-                None => bad += 1,
-            }
-        }
-        Ok((JobTable::new(jobs), bad))
-    }
-
-    /// [`JobTable::load_counting`] without the skip count.
-    pub fn load(path: &std::path::Path) -> std::io::Result<JobTable> {
-        Ok(Self::load_counting(path)?.0)
+        Ok(JobTable::new(jobs))
     }
 }
 
@@ -341,38 +296,13 @@ mod persistence_tests {
         }])
     }
 
-    /// The old serde-derive JSON-lines shape, reproduced for shim tests.
-    fn legacy_line(j: &JobRecord) -> String {
-        use supremm_metrics::json::{obj, Value};
-        obj([
-            ("job", j.job.0.into()),
-            ("user", j.user.0.into()),
-            ("app", j.app.as_deref().into()),
-            ("science", format!("{:?}", j.science).into()),
-            ("queue", j.queue.as_str().into()),
-            ("submit", j.submit.0.into()),
-            ("start", j.start.0.into()),
-            ("end", j.end.0.into()),
-            ("nodes", j.nodes.into()),
-            ("exit", format!("{:?}", j.exit).into()),
-            ("metrics", Value::Array(j.metrics.0.iter().map(|&v| v.into()).collect())),
-            ("extended", Value::Array(j.extended.iter().map(|&v| v.into()).collect())),
-            ("flops_valid", j.flops_valid.into()),
-            ("samples", j.samples.into()),
-            ("coverage_gaps", j.coverage_gaps.into()),
-        ])
-        .to_string()
-    }
-
     #[test]
     fn segment_file_round_trip() {
         let path =
             std::env::temp_dir().join(format!("supremm-table-{}.tsdb", std::process::id()));
         let t = sample_table();
         t.save(&path).unwrap();
-        assert!(supremm_tsdb::recordlog::is_segment_file(&path));
-        let (back, bad) = JobTable::load_counting(&path).unwrap();
-        assert_eq!(bad, 0);
+        let back = JobTable::load(&path).unwrap();
         assert_eq!(back.jobs(), t.jobs());
         std::fs::remove_file(&path).unwrap();
     }
@@ -383,58 +313,6 @@ mod persistence_tests {
             std::env::temp_dir().join(format!("supremm-empty-{}.tsdb", std::process::id()));
         JobTable::default().save(&path).unwrap();
         assert!(JobTable::load(&path).unwrap().is_empty());
-        std::fs::remove_file(&path).unwrap();
-    }
-
-    #[test]
-    fn legacy_json_lines_still_load() {
-        let path =
-            std::env::temp_dir().join(format!("supremm-legacy-{}.jsonl", std::process::id()));
-        let t = sample_table();
-        let text: String = t.jobs().iter().map(|j| legacy_line(j) + "\n").collect();
-        std::fs::write(&path, &text).unwrap();
-        let (back, bad) = JobTable::load_counting(&path).unwrap();
-        assert_eq!(bad, 0);
-        assert_eq!(back.jobs(), t.jobs());
-        std::fs::remove_file(&path).unwrap();
-    }
-
-    #[test]
-    fn legacy_load_emits_deprecation_event() {
-        let path =
-            std::env::temp_dir().join(format!("supremm-depr-{}.jsonl", std::process::id()));
-        let t = sample_table();
-        let text: String = t.jobs().iter().map(|j| legacy_line(j) + "\n").collect();
-        std::fs::write(&path, &text).unwrap();
-        let obs = supremm_obs::ObsRegistry::new();
-        let (back, bad) = JobTable::load_counting_with_obs(&path, &obs).unwrap();
-        assert_eq!(bad, 0);
-        assert_eq!(back.jobs(), t.jobs());
-        let snap = obs.snapshot();
-        assert_eq!(snap.counter("warehouse_deprecated_jobs_jsonl_load_total"), Some(1));
-        assert!(snap
-            .events
-            .iter()
-            .any(|e| e.kind == "deprecation" && e.detail.contains("jobs.jsonl read shim")));
-        // The segment-format fast path stays silent.
-        let seg = std::env::temp_dir().join(format!("supremm-depr-{}.tsdb", std::process::id()));
-        t.save(&seg).unwrap();
-        let quiet = supremm_obs::ObsRegistry::new();
-        JobTable::load_counting_with_obs(&seg, &quiet).unwrap();
-        assert_eq!(quiet.snapshot().counter("warehouse_deprecated_jobs_jsonl_load_total"), None);
-        std::fs::remove_file(&path).unwrap();
-        std::fs::remove_file(&seg).unwrap();
-    }
-
-    #[test]
-    fn legacy_corrupt_lines_are_counted_not_fatal() {
-        let path =
-            std::env::temp_dir().join(format!("supremm-corrupt-{}.jsonl", std::process::id()));
-        let good = legacy_line(&sample_table().jobs()[0]);
-        std::fs::write(&path, format!("{good}garbage\n\n{good}\n{{broken\n")).unwrap();
-        let (back, bad) = JobTable::load_counting(&path).unwrap();
-        assert_eq!(back.len(), 1);
-        assert_eq!(bad, 2);
         std::fs::remove_file(&path).unwrap();
     }
 }

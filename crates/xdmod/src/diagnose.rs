@@ -172,21 +172,12 @@ pub fn failure_profile(diagnoses: &[Diagnosis]) -> Vec<(Cause, usize)> {
     v
 }
 
-/// Render the self-observability side of a diagnosis: deprecation
-/// warnings and slow queries recorded in the obs event log, plus the
-/// counters that corroborate them. Empty string when there is nothing
-/// to report, so callers can print it unconditionally.
+/// Render the self-observability side of a diagnosis: slow queries
+/// recorded in the obs event log. Empty string when there is nothing to
+/// report, so callers can print it unconditionally.
 pub fn obs_report(snap: &supremm_obs::Snapshot) -> String {
     use std::fmt::Write as _;
     let mut out = String::new();
-    let deprecations: Vec<_> =
-        snap.events.iter().filter(|e| e.kind == "deprecation").collect();
-    if !deprecations.is_empty() {
-        let _ = writeln!(out, "{} deprecation warning(s):", deprecations.len());
-        for e in &deprecations {
-            let _ = writeln!(out, "  {}", e.detail);
-        }
-    }
     let slow: Vec<_> = snap.events.iter().filter(|e| e.kind == "slow_query").collect();
     if !slow.is_empty() {
         let _ = writeln!(out, "{} slow quer(y/ies):", slow.len());
@@ -324,15 +315,13 @@ mod tests {
     }
 
     #[test]
-    fn obs_report_surfaces_deprecations_and_slow_queries() {
+    fn obs_report_surfaces_slow_queries() {
         let obs = supremm_obs::ObsRegistry::new();
         assert_eq!(obs_report(&obs.snapshot()), "");
-        obs.event("deprecation", "v1 segment read shim used for seg-000001.tsdb");
         obs.event("slow_query", "/v1/series?name=cpu_user took 250000us (status 200)");
         obs.event("info", "not interesting");
         let report = obs_report(&obs.snapshot());
-        assert!(report.contains("1 deprecation warning(s):"));
-        assert!(report.contains("seg-000001.tsdb"));
+        assert!(report.contains("1 slow quer(y/ies):"));
         assert!(report.contains("250000us"));
         assert!(!report.contains("not interesting"));
     }

@@ -1313,7 +1313,7 @@ mod tests {
         let obs = ObsRegistry::new();
         obs.counter("pipeline_files_consumed_total").add(5);
         obs.histogram("tsdb_wal_append_micros").observe(7);
-        obs.event("deprecation", "v1 segment read shim used for seg-000001.tsdb");
+        obs.event("slow_query", "/v1/series?name=cpu_user took 250000us (status 200)");
         let r = handle_with_obs(&t, None, &obs, "GET /v1/metrics HTTP/1.1");
         assert_eq!(r.status, 200, "{}", r.body);
         assert_eq!(r.content_type, "text/plain; version=0.0.4");
@@ -1325,7 +1325,7 @@ mod tests {
         let v = Value::parse(&r.body).unwrap();
         assert_eq!(v["counters"]["pipeline_files_consumed_total"], 5.0);
         assert_eq!(v["histograms"]["tsdb_wal_append_micros"]["count"], 1.0);
-        assert_eq!(v["events"][0]["kind"], "deprecation");
+        assert_eq!(v["events"][0]["kind"], "slow_query");
 
         // Unknown formats and parameters are clean 400s.
         let bad = handle_with_obs(&t, None, &obs, "GET /v1/metrics?format=xml HTTP/1.1");
