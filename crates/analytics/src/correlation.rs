@@ -7,7 +7,6 @@
 //! ib tx. Therefore, we have selected the smallest independent set of
 //! metrics that describe the execution behavior of the job mix."
 
-use rayon::prelude::*;
 
 /// Pearson correlation of two equal-length series. `NaN` when either
 /// side is constant.
@@ -33,19 +32,16 @@ pub fn pearson(x: &[f64], y: &[f64]) -> f64 {
 }
 
 /// Full correlation matrix of `vars` (each an equal-length series),
-/// computed in parallel over the upper triangle.
+/// computed over the upper triangle and mirrored.
 pub fn correlation_matrix(vars: &[Vec<f64>]) -> Vec<Vec<f64>> {
     let k = vars.len();
-    let pairs: Vec<(usize, usize)> =
-        (0..k).flat_map(|i| (i..k).map(move |j| (i, j))).collect();
-    let vals: Vec<((usize, usize), f64)> = pairs
-        .into_par_iter()
-        .map(|(i, j)| ((i, j), if i == j { 1.0 } else { pearson(&vars[i], &vars[j]) }))
-        .collect();
     let mut m = vec![vec![0.0; k]; k];
-    for ((i, j), v) in vals {
-        m[i][j] = v;
-        m[j][i] = v;
+    for i in 0..k {
+        for j in i..k {
+            let v = if i == j { 1.0 } else { pearson(&vars[i], &vars[j]) };
+            m[i][j] = v;
+            m[j][i] = v;
+        }
     }
     m
 }

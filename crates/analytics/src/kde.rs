@@ -6,7 +6,6 @@
 //! This is the same estimator family: a Gaussian kernel with bandwidth
 //! from Scott's / Silverman's rule, evaluated on a regular grid.
 
-use rayon::prelude::*;
 
 use crate::stats::{percentile_sorted, Moments};
 
@@ -67,7 +66,6 @@ impl Kde {
             self.data.iter().cloned().fold(f64::NEG_INFINITY, f64::max) + 3.0 * self.bandwidth;
         let step = (hi - lo) / (points - 1) as f64;
         (0..points)
-            .into_par_iter()
             .map(|i| {
                 let x = lo + i as f64 * step;
                 (x, self.density(x))

@@ -9,9 +9,9 @@
 //! 3. *Wrap-corrected deltas vs naive subtraction*: the per-counter price
 //!    of correctness on narrow registers.
 
-use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
 
+use supremm_bench::bench;
 use supremm_metrics::schema::{CounterKind, DeviceClass};
 use supremm_metrics::{Duration, HostId, JobId, Timestamp};
 use supremm_procsim::{KernelSource, KernelState, NodeActivity, NodeSpec};
@@ -81,21 +81,18 @@ fn parse_csv_zoo(streams: &[(DeviceClass, String)]) -> usize {
     rows
 }
 
-fn bench_format_ablation(c: &mut Criterion) {
+fn bench_format_ablation() {
     let unified = unified_day();
     let zoo = csv_zoo_day();
-    let mut g = c.benchmark_group("ablation_format");
-    g.sample_size(20);
-    g.bench_function("unified_self_describing_parse", |b| {
-        b.iter(|| black_box(parse(black_box(&unified)).unwrap()));
+    bench("ablation_format/unified_self_describing_parse", None, || {
+        black_box(parse(black_box(&unified)).unwrap())
     });
-    g.bench_function("per_device_csv_zoo_parse", |b| {
-        b.iter(|| black_box(parse_csv_zoo(black_box(&zoo))));
+    bench("ablation_format/per_device_csv_zoo_parse", None, || {
+        black_box(parse_csv_zoo(black_box(&zoo)))
     });
-    g.finish();
 }
 
-fn bench_join_ablation(c: &mut Criterion) {
+fn bench_join_ablation() {
     // Synthetic sample stream and job windows for the tagging-vs-join
     // comparison.
     let jobs: Vec<(JobId, u64, u64)> = (0..200)
@@ -112,10 +109,9 @@ fn bench_join_ablation(c: &mut Criterion) {
         })
         .collect();
 
-    let mut g = c.benchmark_group("ablation_job_matching");
-    g.bench_function("in_band_job_tags", |b| {
+    {
         // Tagged at the source: attribution is a field read.
-        b.iter(|| {
+        bench("ablation_job_matching/in_band_job_tags", None, || {
             let mut hits = 0usize;
             for &(_, tag) in &samples {
                 if tag.is_some() {
@@ -124,13 +120,13 @@ fn bench_join_ablation(c: &mut Criterion) {
             }
             black_box(hits)
         });
-    });
-    g.bench_function("time_window_join", |b| {
+    }
+    {
         // Join after the fact: every sample searches the accounting
         // windows (sorted; binary search on start, then scan).
         let mut windows = jobs.clone();
         windows.sort_by_key(|&(_, s, _)| s);
-        b.iter(|| {
+        bench("ablation_job_matching/time_window_join", None, || {
             let mut hits = 0usize;
             for &(ts, _) in &samples {
                 let idx = windows.partition_point(|&(_, s, _)| s <= ts);
@@ -143,35 +139,31 @@ fn bench_join_ablation(c: &mut Criterion) {
             }
             black_box(hits)
         });
-    });
-    g.finish();
+    }
 }
 
-fn bench_delta_ablation(c: &mut Criterion) {
+fn bench_delta_ablation() {
     let prev: Vec<u64> = (0..10_000u64).map(|i| i.wrapping_mul(0x9e3779b9)).collect();
     let cur: Vec<u64> = prev.iter().map(|&v| v.wrapping_add(12_345)).collect();
     let kind = CounterKind::Event { width: 32 };
-    let mut g = c.benchmark_group("ablation_delta");
-    g.bench_function("wrap_corrected", |b| {
-        b.iter(|| {
-            let mut acc = 0u64;
-            for (&p, &u) in prev.iter().zip(&cur) {
-                acc = acc.wrapping_add(counter_delta(p & 0xffff_ffff, u & 0xffff_ffff, kind));
-            }
-            black_box(acc)
-        });
+    bench("ablation_delta/wrap_corrected", None, || {
+        let mut acc = 0u64;
+        for (&p, &u) in prev.iter().zip(&cur) {
+            acc = acc.wrapping_add(counter_delta(p & 0xffff_ffff, u & 0xffff_ffff, kind));
+        }
+        black_box(acc)
     });
-    g.bench_function("naive_subtraction", |b| {
-        b.iter(|| {
-            let mut acc = 0u64;
-            for (&p, &u) in prev.iter().zip(&cur) {
-                acc = acc.wrapping_add((u & 0xffff_ffff).wrapping_sub(p & 0xffff_ffff));
-            }
-            black_box(acc)
-        });
+    bench("ablation_delta/naive_subtraction", None, || {
+        let mut acc = 0u64;
+        for (&p, &u) in prev.iter().zip(&cur) {
+            acc = acc.wrapping_add((u & 0xffff_ffff).wrapping_sub(p & 0xffff_ffff));
+        }
+        black_box(acc)
     });
-    g.finish();
 }
 
-criterion_group!(benches, bench_format_ablation, bench_join_ablation, bench_delta_ablation);
-criterion_main!(benches);
+fn main() {
+    bench_format_ablation();
+    bench_join_ablation();
+    bench_delta_ablation();
+}

@@ -1,11 +1,11 @@
 //! Analytics kernels: the statistical machinery under the reports.
 
-use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use std::hint::black_box;
 
 use supremm_analytics::persistence::persistence_ratios;
 use supremm_analytics::stats::Moments;
 use supremm_analytics::{correlation_matrix, linear_fit, Kde};
+use supremm_bench::bench;
 
 /// Deterministic pseudo-random series.
 fn series(n: usize, salt: u64) -> Vec<f64> {
@@ -23,44 +23,26 @@ fn series(n: usize, salt: u64) -> Vec<f64> {
         .collect()
 }
 
-fn bench_analytics(c: &mut Criterion) {
-    let mut g = c.benchmark_group("analytics");
-
+fn main() {
     let data = series(5_000, 1);
-    g.throughput(Throughput::Elements(5_000));
-    g.bench_function("welford_5k", |b| {
-        b.iter(|| black_box(Moments::from_slice(black_box(&data))));
-    });
+    bench("analytics/welford_5k", None, || black_box(Moments::from_slice(black_box(&data))));
 
     let vars: Vec<Vec<f64>> = (0..20).map(|i| series(2_000, i)).collect();
-    g.bench_function("correlation_matrix_20x2k", |b| {
-        b.iter(|| black_box(correlation_matrix(black_box(&vars))));
+    bench("analytics/correlation_matrix_20x2k", None, || {
+        black_box(correlation_matrix(black_box(&vars)))
     });
 
     let long = series(4_320, 7); // 30 days of 10-min bins
-    g.bench_function("persistence_ratios_30d", |b| {
-        b.iter(|| {
-            black_box(persistence_ratios(black_box(&long), 10.0, &[1, 3, 10, 50, 100]))
-        });
+    bench("analytics/persistence_ratios_30d", None, || {
+        black_box(persistence_ratios(black_box(&long), 10.0, &[1, 3, 10, 50, 100]))
     });
 
     let kde_data = series(2_000, 9);
     let kde = Kde::fit(&kde_data);
-    g.bench_function("kde_fit_2k", |b| {
-        b.iter(|| black_box(Kde::fit(black_box(&kde_data))));
-    });
-    g.bench_function("kde_grid_512_over_2k", |b| {
-        b.iter(|| black_box(kde.grid(512)));
-    });
+    bench("analytics/kde_fit_2k", None, || black_box(Kde::fit(black_box(&kde_data))));
+    bench("analytics/kde_grid_512_over_2k", None, || black_box(kde.grid(512)));
 
     let x: Vec<f64> = (0..1_000).map(|i| i as f64).collect();
     let y = series(1_000, 11);
-    g.bench_function("ols_fit_1k", |b| {
-        b.iter(|| black_box(linear_fit(black_box(&x), black_box(&y))));
-    });
-
-    g.finish();
+    bench("analytics/ols_fit_1k", None, || black_box(linear_fit(black_box(&x), black_box(&y))));
 }
-
-criterion_group!(benches, bench_analytics);
-criterion_main!(benches);

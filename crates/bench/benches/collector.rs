@@ -7,9 +7,9 @@
 //! the paper's 0.1 % budget (which also covered fork/exec of the real
 //! binary). The format write/parse benches size the data-handling half.
 
-use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use std::hint::black_box;
 
+use supremm_bench::bench;
 use supremm_metrics::{Duration, HostId, JobId, Timestamp};
 use supremm_procsim::{KernelState, NodeActivity, NodeSpec};
 use supremm_taccstats::format::parse;
@@ -48,39 +48,27 @@ fn one_node_day() -> String {
     c.into_files().remove(0).1
 }
 
-fn bench_collector(c: &mut Criterion) {
-    let mut g = c.benchmark_group("collector");
-
+fn main() {
     // §3 overhead claim: one sample's cost vs the 600 s interval.
-    g.bench_function("sample_one_node", |b| {
+    {
         let kernel = busy_kernel();
         let mut collector = Collector::new(HostId(0));
         let mut ts = 600u64;
-        b.iter(|| {
+        bench("collector/sample_one_node", None, || {
             ts += 600;
             collector.sample(black_box(&kernel), Timestamp(ts));
         });
-    });
+    }
 
     // Kernel-side cost of advancing all counters one interval.
-    g.bench_function("kernel_advance_interval", |b| {
+    {
         let mut kernel = busy_kernel();
         let act = NodeActivity { user_frac: 0.8, flops: 3e12, ..NodeActivity::idle() };
-        b.iter(|| kernel.advance(black_box(&act), 600.0));
-    });
+        bench("collector/kernel_advance_interval", None, || kernel.advance(black_box(&act), 600.0));
+    }
 
     let day = one_node_day();
-    g.throughput(Throughput::Bytes(day.len() as u64));
-    g.bench_function("parse_node_day", |b| {
-        b.iter(|| parse(black_box(&day)).unwrap());
-    });
+    bench("collector/parse_node_day", Some(day.len() as u64), || parse(black_box(&day)).unwrap());
 
-    g.bench_function("write_node_day", |b| {
-        b.iter(|| black_box(one_node_day()).len());
-    });
-
-    g.finish();
+    bench("collector/write_node_day", Some(day.len() as u64), || black_box(one_node_day()).len());
 }
-
-criterion_group!(benches, bench_collector);
-criterion_main!(benches);

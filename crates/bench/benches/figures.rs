@@ -6,9 +6,9 @@
 //! report-generation time. Correctness of the artifacts is covered by the
 //! `repro` binary and the experiment tests; this file sizes them.
 
-use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
 
+use supremm_bench::bench;
 use supremm_clustersim::ClusterConfig;
 use supremm_core::experiments;
 use supremm_core::pipeline::{run_pipeline, MachineDataset, PipelineOptions};
@@ -21,50 +21,41 @@ fn datasets() -> (MachineDataset, MachineDataset) {
     )
 }
 
-fn bench_figures(c: &mut Criterion) {
+fn main() {
     let (ranger, ls4) = datasets();
-    let mut g = c.benchmark_group("figures");
-    g.sample_size(20);
 
-    g.bench_function("sec4_2_correlation_selection", |b| {
-        b.iter(|| black_box(experiments::corr_metric_selection(&ranger)));
+    bench("figures/sec4_2_correlation_selection", None, || {
+        black_box(experiments::corr_metric_selection(&ranger))
     });
-    g.bench_function("fig2_user_profiles", |b| {
-        b.iter(|| black_box(experiments::fig2_user_profiles(&ranger)));
+    bench("figures/fig2_user_profiles", None, || {
+        black_box(experiments::fig2_user_profiles(&ranger))
     });
-    g.bench_function("fig3_md_app_profiles", |b| {
-        b.iter(|| black_box(experiments::fig3_md_apps(&ranger, &ls4)));
+    bench("figures/fig3_md_app_profiles", None, || {
+        black_box(experiments::fig3_md_apps(&ranger, &ls4))
     });
-    g.bench_function("fig4_wasted_node_hours", |b| {
-        b.iter(|| black_box(experiments::fig4_wasted_hours(&ranger, 0.90)));
+    bench("figures/fig4_wasted_node_hours", None, || {
+        black_box(experiments::fig4_wasted_hours(&ranger, 0.90))
     });
-    g.bench_function("fig5_anomalous_user_profile", |b| {
-        b.iter(|| black_box(experiments::fig5_anomalous_profile(&ranger)));
+    bench("figures/fig5_anomalous_user_profile", None, || {
+        black_box(experiments::fig5_anomalous_profile(&ranger))
     });
-    g.bench_function("table1_persistence", |b| {
-        b.iter(|| black_box(experiments::table1_persistence(&ranger)));
+    bench("figures/table1_persistence", None, || {
+        black_box(experiments::table1_persistence(&ranger))
     });
-    g.bench_function("fig6_persistence_fit", |b| {
-        b.iter(|| black_box(experiments::fig6_persistence_fit(&ranger, &ls4)));
+    bench("figures/fig6_persistence_fit", None, || {
+        black_box(experiments::fig6_persistence_fit(&ranger, &ls4))
     });
-    g.bench_function("fig7_system_reports", |b| {
-        b.iter(|| black_box(experiments::fig7_system_reports(&ranger)));
+    bench("figures/fig7_system_reports", None, || {
+        black_box(experiments::fig7_system_reports(&ranger))
     });
-    g.bench_function("fig8_active_nodes", |b| {
-        b.iter(|| black_box(experiments::fig8_active_nodes(&ranger)));
+    bench("figures/fig8_active_nodes", None, || black_box(experiments::fig8_active_nodes(&ranger)));
+    bench("figures/fig9_10_flops_series_and_kde", None, || {
+        black_box(experiments::fig9_10_flops(&ranger))
     });
-    g.bench_function("fig9_10_flops_series_and_kde", |b| {
-        b.iter(|| black_box(experiments::fig9_10_flops(&ranger)));
+    bench("figures/fig11_12_memory_series_and_kde", None, || {
+        black_box(experiments::fig11_12_memory(&ranger))
     });
-    g.bench_function("fig11_12_memory_series_and_kde", |b| {
-        b.iter(|| black_box(experiments::fig11_12_memory(&ranger)));
+    bench("figures/sec3_volume_and_workload", None, || {
+        black_box(experiments::volume_and_workload(&ranger, 549.0))
     });
-    g.bench_function("sec3_volume_and_workload", |b| {
-        b.iter(|| black_box(experiments::volume_and_workload(&ranger, 549.0)));
-    });
-
-    g.finish();
 }
-
-criterion_group!(benches, bench_figures);
-criterion_main!(benches);

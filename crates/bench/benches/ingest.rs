@@ -1,9 +1,9 @@
 //! Warehouse-side benchmarks: ingest and time-series assembly throughput
 //! over a realistic multi-node archive (the Netezza/MySQL role of §4.1).
 
-use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use std::hint::black_box;
 
+use supremm_bench::bench;
 use supremm_clustersim::ClusterConfig;
 use supremm_core::pipeline::{run_pipeline, MachineDataset, PipelineOptions};
 use supremm_taccstats::format::parse;
@@ -16,57 +16,40 @@ fn small_dataset() -> MachineDataset {
     )
 }
 
-fn bench_ingest(c: &mut Criterion) {
+fn main() {
     let ds = small_dataset();
     let bytes = ds.raw_total_bytes;
 
-    let mut g = c.benchmark_group("ingest");
-    g.sample_size(10);
-    g.throughput(Throughput::Bytes(bytes));
-    g.bench_function("archive_to_job_table", |b| {
-        b.iter(|| {
-            let (records, stats) =
-                ingest(black_box(&ds.archive), &ds.accounting, &ds.lariat);
-            black_box((records.len(), stats))
-        });
+    bench("ingest/archive_to_job_table", Some(bytes), || {
+        let (records, stats) = ingest(black_box(&ds.archive), &ds.accounting, &ds.lariat);
+        black_box((records.len(), stats))
     });
 
-    g.throughput(Throughput::Bytes(bytes));
-    g.bench_function("archive_to_system_series", |b| {
-        b.iter(|| black_box(SystemSeries::from_archive(&ds.archive, 600)).bins.len());
+    bench("ingest/archive_to_system_series", Some(bytes), || {
+        black_box(SystemSeries::from_archive(&ds.archive, 600)).bins.len()
     });
-    g.finish();
 
-    let mut g = c.benchmark_group("warehouse_queries");
-    g.bench_function("global_aggregate", |b| {
-        b.iter(|| black_box(ds.table.global_aggregate()));
+    bench("warehouse_queries/global_aggregate", None, || black_box(ds.table.global_aggregate()));
+    bench("warehouse_queries/group_by_user_node_hours", None, || {
+        let groups = ds.table.group_by(|j| j.user);
+        black_box(groups.len())
     });
-    g.bench_function("group_by_user_node_hours", |b| {
-        b.iter(|| {
-            let groups = ds.table.group_by(|j| j.user);
-            black_box(groups.len())
-        });
+    bench("warehouse_queries/top5_users", None, || {
+        black_box(ds.table.top_by_node_hours(|j| j.user, 5))
     });
-    g.bench_function("top5_users", |b| {
-        b.iter(|| black_box(ds.table.top_by_node_hours(|j| j.user, 5)));
-    });
-    g.finish();
 
     // §5 future work: text vs the compact binary import format.
     let (_, text) = ds.archive.iter().next().expect("archive non-empty");
     let parsed = parse(text).expect("valid raw file");
     let bin = binfmt::encode(&parsed);
-    let mut g = c.benchmark_group("binfmt");
-    g.throughput(Throughput::Bytes(text.len() as u64));
-    g.bench_function("text_parse_one_file", |b| {
-        b.iter(|| black_box(parse(black_box(text)).unwrap()));
+    bench("binfmt/text_parse_one_file", Some(text.len() as u64), || {
+        black_box(parse(black_box(text)).unwrap())
     });
-    g.throughput(Throughput::Bytes(bin.len() as u64));
-    g.bench_function("binary_decode_one_file", |b| {
-        b.iter(|| black_box(binfmt::decode(black_box(&bin)).unwrap()));
+    bench("binfmt/binary_decode_one_file", Some(bin.len() as u64), || {
+        black_box(binfmt::decode(black_box(&bin)).unwrap())
     });
-    g.bench_function("binary_encode_one_file", |b| {
-        b.iter(|| black_box(binfmt::encode(black_box(&parsed))));
+    bench("binfmt/binary_encode_one_file", Some(bin.len() as u64), || {
+        black_box(binfmt::encode(black_box(&parsed)))
     });
     println!(
         "binfmt: text {} B -> binary {} B ({:.1}x smaller)",
@@ -74,8 +57,4 @@ fn bench_ingest(c: &mut Criterion) {
         bin.len(),
         text.len() as f64 / bin.len() as f64
     );
-    g.finish();
 }
-
-criterion_group!(benches, bench_ingest);
-criterion_main!(benches);

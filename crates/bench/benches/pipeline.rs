@@ -7,9 +7,9 @@
 //! - `consume/*` — single-pass ingest+series vs the two separate passes
 //!   the batch code used to make.
 
-use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use std::hint::black_box;
 
+use supremm_bench::bench;
 use supremm_clustersim::ClusterConfig;
 use supremm_core::pipeline::{run_pipeline, PipelineOptions};
 use supremm_metrics::{Duration, HostId, JobId, Timestamp};
@@ -42,75 +42,58 @@ fn one_node_day() -> String {
     c.into_files().remove(0).1
 }
 
-fn bench_raw_parse(c: &mut Criterion) {
+fn bench_raw_parse() {
     let day = one_node_day();
-    let mut g = c.benchmark_group("raw_parse");
-    g.throughput(Throughput::Bytes(day.len() as u64));
-    g.bench_function("zero_copy_stream", |b| {
-        b.iter(|| {
-            let mut rows = 0usize;
-            for item in stream(black_box(&day)).unwrap() {
-                if let SampleRef::Record(rec) = item.unwrap() {
-                    rows += rec.row_count();
-                }
+    bench("raw_parse/zero_copy_stream", Some(day.len() as u64), || {
+        let mut rows = 0usize;
+        for item in stream(black_box(&day)).unwrap() {
+            if let SampleRef::Record(rec) = item.unwrap() {
+                rows += rec.row_count();
             }
-            rows
-        });
+        }
+        rows
     });
-    g.bench_function("owned_batch_parse", |b| {
-        b.iter(|| parse(black_box(&day)).unwrap().samples.len());
+    bench("raw_parse/owned_batch_parse", Some(day.len() as u64), || {
+        parse(black_box(&day)).unwrap().samples.len()
     });
-    g.finish();
 }
 
-fn bench_pipeline(c: &mut Criterion) {
+fn bench_pipeline() {
     let cfg = || ClusterConfig::ranger().scaled(12, 3);
-    let mut g = c.benchmark_group("pipeline");
-    g.sample_size(10);
-    g.bench_function("overlapped", |b| {
-        b.iter(|| {
-            run_pipeline(cfg(), &PipelineOptions { keep_archive: false, ..Default::default() })
-                .table
-                .len()
-        });
-    });
-    g.bench_function("batch", |b| {
-        b.iter(|| {
-            run_pipeline(
-                cfg(),
-                &PipelineOptions { keep_archive: false, overlap: false, ..Default::default() },
-            )
+    bench("pipeline/overlapped", None, || {
+        run_pipeline(cfg(), &PipelineOptions { keep_archive: false, ..Default::default() })
             .table
             .len()
-        });
     });
-    g.finish();
+    bench("pipeline/batch", None, || {
+        run_pipeline(
+            cfg(),
+            &PipelineOptions { keep_archive: false, overlap: false, ..Default::default() },
+        )
+        .table
+        .len()
+    });
 }
 
-fn bench_consume(c: &mut Criterion) {
+fn bench_consume() {
     let ds = run_pipeline(
         ClusterConfig::ranger().scaled(12, 2),
         &PipelineOptions { keep_archive: true, ..Default::default() },
     );
-    let mut g = c.benchmark_group("consume");
-    g.sample_size(10);
-    g.throughput(Throughput::Bytes(ds.raw_total_bytes));
-    g.bench_function("single_pass_jobs_and_series", |b| {
-        b.iter(|| {
-            let (records, stats, series) =
-                ingest_with_series(black_box(&ds.archive), &ds.accounting, &ds.lariat, 600);
-            black_box((records.len(), stats, series.bins.len()))
-        });
+    bench("consume/single_pass_jobs_and_series", Some(ds.raw_total_bytes), || {
+        let (records, stats, series) =
+            ingest_with_series(black_box(&ds.archive), &ds.accounting, &ds.lariat, 600);
+        black_box((records.len(), stats, series.bins.len()))
     });
-    g.bench_function("two_separate_passes", |b| {
-        b.iter(|| {
-            let (records, stats) = ingest(black_box(&ds.archive), &ds.accounting, &ds.lariat);
-            let series = SystemSeries::from_archive(&ds.archive, 600);
-            black_box((records.len(), stats, series.bins.len()))
-        });
+    bench("consume/two_separate_passes", Some(ds.raw_total_bytes), || {
+        let (records, stats) = ingest(black_box(&ds.archive), &ds.accounting, &ds.lariat);
+        let series = SystemSeries::from_archive(&ds.archive, 600);
+        black_box((records.len(), stats, series.bins.len()))
     });
-    g.finish();
 }
 
-criterion_group!(benches, bench_raw_parse, bench_pipeline, bench_consume);
-criterion_main!(benches);
+fn main() {
+    bench_raw_parse();
+    bench_pipeline();
+    bench_consume();
+}

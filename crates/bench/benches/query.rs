@@ -11,9 +11,9 @@ use std::net::{SocketAddr, TcpStream};
 use std::path::Path;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
-use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
 
+use supremm_bench::bench;
 use supremm_warehouse::tsdb::{Agg, DbOptions, Selector, Tsdb};
 use supremm_warehouse::JobTable;
 use supremm_xdmod::serve::{serve_shared, ServeOptions};
@@ -51,50 +51,40 @@ fn one_series() -> Selector {
     Selector { host: Some("c042".into()), metric: Some("cpu_user".into()) }
 }
 
-fn bench_query(c: &mut Criterion) {
+fn bench_query() {
     let dir = std::env::temp_dir().join(format!("supremm-query-bench-{}", std::process::id()));
     let db = build_store(&dir);
     let sel = one_series();
     let all = Selector::all();
 
-    let mut g = c.benchmark_group("query");
-    g.sample_size(10);
     // One series, one timestamp: the index decodes a single chunk.
-    g.bench_function("point_lookup/indexed", |b| {
-        b.iter(|| black_box(db.query(&sel, 600_000, 600_000).unwrap()))
+    bench("query/point_lookup/indexed", None, || {
+        black_box(db.query(&sel, 600_000, 600_000).unwrap())
     });
-    g.bench_function("point_lookup/naive", |b| {
-        b.iter(|| black_box(db.query_naive(&sel, 600_000, 600_000).unwrap()))
+    bench("query/point_lookup/naive", None, || {
+        black_box(db.query_naive(&sel, 600_000, 600_000).unwrap())
     });
     // One series, whole retention: decodes 1/512th of the store.
-    g.bench_function("selective_series/indexed", |b| {
-        b.iter(|| black_box(db.query(&sel, 0, u64::MAX).unwrap()))
+    bench("query/selective_series/indexed", None, || {
+        black_box(db.query(&sel, 0, u64::MAX).unwrap())
     });
-    g.bench_function("selective_series/naive", |b| {
-        b.iter(|| black_box(db.query_naive(&sel, 0, u64::MAX).unwrap()))
+    bench("query/selective_series/naive", None, || {
+        black_box(db.query_naive(&sel, 0, u64::MAX).unwrap())
     });
     // Every series: both paths decode everything; the index must not lose.
-    g.bench_function("wide_scan/indexed", |b| {
-        b.iter(|| black_box(db.query(&all, 0, u64::MAX).unwrap()))
-    });
-    g.bench_function("wide_scan/naive", |b| {
-        b.iter(|| black_box(db.query_naive(&all, 0, u64::MAX).unwrap()))
-    });
-    g.finish();
+    bench("query/wide_scan/indexed", None, || black_box(db.query(&all, 0, u64::MAX).unwrap()));
+    bench("query/wide_scan/naive", None, || black_box(db.query_naive(&all, 0, u64::MAX).unwrap()));
 
-    let mut g = c.benchmark_group("downsample");
-    g.sample_size(10);
     // Hour bins decode every chunk; day and week bins fold most chunk
     // stats straight from the footer index.
     for bin in [3_600u64, 86_400, 604_800] {
-        g.bench_function(format!("max_bin{bin}/preagg").as_str(), |b| {
-            b.iter(|| black_box(db.downsample(&all, 0, u64::MAX, bin, Agg::Max).unwrap()))
+        bench(&format!("downsample/max_bin{bin}/preagg"), None, || {
+            black_box(db.downsample(&all, 0, u64::MAX, bin, Agg::Max).unwrap())
         });
-        g.bench_function(format!("max_bin{bin}/naive").as_str(), |b| {
-            b.iter(|| black_box(db.downsample_naive(&all, 0, u64::MAX, bin, Agg::Max).unwrap()))
+        bench(&format!("downsample/max_bin{bin}/naive"), None, || {
+            black_box(db.downsample_naive(&all, 0, u64::MAX, bin, Agg::Max).unwrap())
         });
     }
-    g.finish();
 
     drop(db);
     let _ = std::fs::remove_dir_all(&dir);
@@ -170,7 +160,7 @@ fn try_fetch(stream: &mut TcpStream, target: &str) -> std::io::Result<(usize, bo
     Ok((content_length, keep_alive))
 }
 
-fn bench_serve(c: &mut Criterion) {
+fn bench_serve() {
     let dir = std::env::temp_dir().join(format!("supremm-serve-bench-{}", std::process::id()));
     // The serve loop wants shared references that outlive the worker
     // threads; leaking them is fine for a bench process.
@@ -188,27 +178,24 @@ fn bench_serve(c: &mut Criterion) {
     let warm = "/v1/series?host=c042&metric=cpu_user&bin=86400&agg=max";
     assert!(client.fetch(warm) > 0, "serve layer returned an empty response");
 
-    let mut g = c.benchmark_group("serve");
-    g.sample_size(10);
     // Distinct t1 per request: every lookup misses the response cache
     // and runs the indexed query under the store lock.
     let tick = AtomicU64::new(0);
-    g.bench_function("series_cold", |b| {
-        b.iter(|| {
-            let n = tick.fetch_add(1, Ordering::Relaxed);
-            let t1 = SPAN_SECS + n; // distinct per request, full range
-            black_box(
-                client.fetch(&format!("/v1/series?host=c042&metric=cpu_user&t1={t1}&bin=86400&agg=max")),
-            )
-        })
+    bench("serve/series_cold", None, || {
+        let n = tick.fetch_add(1, Ordering::Relaxed);
+        let t1 = SPAN_SECS + n; // distinct per request, full range
+        black_box(
+            client.fetch(&format!("/v1/series?host=c042&metric=cpu_user&t1={t1}&bin=86400&agg=max")),
+        )
     });
     // Identical request every time: served from the response cache.
-    g.bench_function("series_cached", |b| b.iter(|| black_box(client.fetch(warm))));
-    g.finish();
+    bench("serve/series_cached", None, || black_box(client.fetch(warm)));
 
     shutdown.store(true, Ordering::SeqCst);
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-criterion_group!(benches, bench_query, bench_serve);
-criterion_main!(benches);
+fn main() {
+    bench_query();
+    bench_serve();
+}

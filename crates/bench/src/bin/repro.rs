@@ -43,6 +43,7 @@
 //! scale (3936 nodes × 20 months) changes volumes, not shapes; see
 //! DESIGN.md.
 
+use supremm_bench::secs_per_iter;
 use supremm_clustersim::{ClusterConfig, FaultPlan};
 use supremm_core::experiments::{self, ExperimentResult};
 use supremm_core::pipeline::{run_pipeline, MachineDataset, PipelineOptions};
@@ -264,20 +265,6 @@ fn write_tsdb_bench(
     }
     s.push_str("  ]\n}\n");
     std::fs::write("BENCH_tsdb.json", s)
-}
-
-/// Seconds per iteration, with the repetition count sized from a single
-/// timed warm-up run so fast paths get enough reps to measure.
-fn secs_per_iter(mut f: impl FnMut()) -> f64 {
-    let t0 = std::time::Instant::now();
-    f();
-    let once = t0.elapsed().as_secs_f64();
-    let reps = ((0.3 / once.max(1e-9)) as u64).clamp(3, 2000) as u32;
-    let t1 = std::time::Instant::now();
-    for _ in 0..reps {
-        f();
-    }
-    t1.elapsed().as_secs_f64() / f64::from(reps)
 }
 
 /// One keep-alive HTTP request; returns the body length.
@@ -653,10 +640,7 @@ fn write_metrics_snapshot() -> std::io::Result<()> {
         "GET /v1/metrics?format=json HTTP/1.1",
     );
     if resp.status != 200 {
-        return Err(std::io::Error::new(
-            std::io::ErrorKind::Other,
-            format!("metrics endpoint: {}", resp.body),
-        ));
+        return Err(std::io::Error::other(format!("metrics endpoint: {}", resp.body)));
     }
     std::fs::write("BENCH_metrics.json", resp.body)
 }

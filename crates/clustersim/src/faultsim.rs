@@ -26,6 +26,7 @@
 //! | `clock_skew`     | ntpd step on reboot                      | a run of `T` stamps shifted |
 //! | `drop_record`    | dropped heartbeat / scheduler stall      | record blocks silently missing |
 
+use supremm_metrics::rng::SplitMix64;
 use supremm_metrics::HostId;
 
 /// Per-fault-kind probabilities, each in `[0, 1]`.
@@ -118,42 +119,10 @@ impl InjectionLog {
     }
 }
 
-/// splitmix64 — tiny, seedable, no external dependency, and good enough
-/// for scheduling faults (we need determinism, not statistical quality).
-#[derive(Debug, Clone)]
-struct FaultRng {
-    state: u64,
-}
-
-impl FaultRng {
-    fn new(seed: u64) -> FaultRng {
-        FaultRng { state: seed }
-    }
-
-    fn next_u64(&mut self) -> u64 {
-        self.state = self.state.wrapping_add(0x9e37_79b9_7f4a_7c15);
-        let mut z = self.state;
-        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-        z ^ (z >> 31)
-    }
-
-    /// Uniform in `[0, 1)`.
-    fn uniform(&mut self) -> f64 {
-        (self.next_u64() >> 11) as f64 / (1u64 << 53) as f64
-    }
-
-    fn chance(&mut self, p: f64) -> bool {
-        p > 0.0 && self.uniform() < p
-    }
-
-    /// Uniform integer in `[0, n)`; 0 when `n == 0`.
-    fn index(&mut self, n: usize) -> usize {
-        if n == 0 {
-            return 0;
-        }
-        (self.next_u64() % n as u64) as usize
-    }
+/// Bernoulli draw that consumes no randomness for an impossible event,
+/// so zeroing one rate leaves the schedule of the others untouched.
+fn chance(rng: &mut SplitMix64, p: f64) -> bool {
+    p > 0.0 && rng.uniform() < p
 }
 
 impl FaultPlan {
@@ -177,13 +146,13 @@ impl FaultPlan {
 
     /// Per-file RNG: depends only on the plan seed and the file identity,
     /// so the schedule is independent of processing order.
-    fn rng_for(&self, host: HostId, day: u64) -> FaultRng {
+    fn rng_for(&self, host: HostId, day: u64) -> SplitMix64 {
         let mut h = self.seed ^ 0x5f61_756c_7473_696d; // "_faultsim"
         for k in [u64::from(host.0), day] {
             h ^= k.wrapping_mul(0x9e37_79b9_7f4a_7c15);
             h = h.rotate_left(29).wrapping_mul(0x85eb_ca6b_c2b2_ae35);
         }
-        FaultRng::new(h)
+        SplitMix64::new(h)
     }
 
     /// Apply the plan to one host-day file. Returns `None` when the file
@@ -206,18 +175,18 @@ impl FaultPlan {
             return (Some(text), log);
         }
         let mut rng = self.rng_for(host, day);
-        if rng.chance(self.rates.file_loss) {
+        if chance(&mut rng, self.rates.file_loss) {
             log.files_lost = 1;
             return (None, log);
         }
 
         let mut out = self.mutate_blocks(&text, &mut rng, &mut log);
 
-        if rng.chance(self.rates.truncation) && out.len() > 64 {
+        if chance(&mut rng, self.rates.truncation) && out.len() > 64 {
             // Cut somewhere in the back three quarters so the header
             // usually survives — a truncated file should mostly degrade,
             // not vanish.
-            let cut = out.len() / 4 + rng.index(out.len() - out.len() / 4);
+            let cut = out.len() / 4 + rng.below((out.len() - out.len() / 4) as u64) as usize;
             out.truncate(cut);
             log.files_truncated = 1;
         }
@@ -228,7 +197,7 @@ impl FaultPlan {
     /// `T` line plus its device rows (one record). Header (`$`/`!`) and
     /// mark (`%`) lines pass through untouched — marks carry job
     /// attribution and losing them is modelled by `file_loss` instead.
-    fn mutate_blocks(&self, text: &str, rng: &mut FaultRng, log: &mut InjectionLog) -> String {
+    fn mutate_blocks(&self, text: &str, rng: &mut SplitMix64, log: &mut InjectionLog) -> String {
         let mut out = String::with_capacity(text.len());
         // Collect record blocks as line-index ranges.
         let lines: Vec<&str> = text.split_inclusive('\n').collect();
@@ -250,10 +219,10 @@ impl FaultPlan {
                 end += 1;
             }
             let block = &lines[i..end];
-            if rng.chance(self.rates.drop_record) {
+            if chance(rng, self.rates.drop_record) {
                 log.records_dropped += 1;
             } else {
-                let copies = if rng.chance(self.rates.duplicate_tick) {
+                let copies = if chance(rng, self.rates.duplicate_tick) {
                     log.ticks_duplicated += 1;
                     2
                 } else {
@@ -270,12 +239,12 @@ impl FaultPlan {
 
     /// Write one record block, possibly skewing its stamp or tearing one
     /// of its lines.
-    fn emit_block(&self, block: &[&str], out: &mut String, rng: &mut FaultRng, log: &mut InjectionLog) {
-        let skew = if rng.chance(self.rates.clock_skew) {
+    fn emit_block(&self, block: &[&str], out: &mut String, rng: &mut SplitMix64, log: &mut InjectionLog) {
+        let skew = if chance(rng, self.rates.clock_skew) {
             log.records_skewed += 1;
             // ±1..900 s, never exactly zero.
-            let mag = 1 + rng.index(900) as i64;
-            if rng.chance(0.5) {
+            let mag = 1 + rng.below(900) as i64;
+            if chance(rng, 0.5) {
                 -mag
             } else {
                 mag
@@ -283,9 +252,9 @@ impl FaultPlan {
         } else {
             0
         };
-        let tear = if rng.chance(self.rates.torn_line) {
+        let tear = if chance(rng, self.rates.torn_line) {
             log.lines_torn += 1;
-            Some(rng.index(block.len()))
+            Some(rng.below(block.len() as u64) as usize)
         } else {
             None
         };
@@ -302,7 +271,7 @@ impl FaultPlan {
                 // classic shape of an interrupted block write. NUL cannot
                 // re-form a valid row, and everything stays ASCII so the
                 // file remains valid UTF-8.
-                let keep = rng.index(s.trim_end().len().max(1));
+                let keep = rng.below(s.trim_end().len().max(1) as u64) as usize;
                 out.push_str(&s[..keep]);
                 out.push_str("\u{0}###torn###\n");
             } else {

@@ -4,31 +4,30 @@
 //! cluster config, so runs are exactly reproducible — a property both the
 //! test suite and the benchmark harness rely on.
 
-use rand::rngs::SmallRng;
-use rand::{RngExt, SeedableRng};
+use supremm_metrics::rng::SplitMix64;
 
 /// A seeded source of the distributions the workload model needs.
 #[derive(Debug, Clone)]
 pub struct Sampler {
-    rng: SmallRng,
+    rng: SplitMix64,
     spare_normal: Option<f64>,
 }
 
 impl Sampler {
     pub fn new(seed: u64) -> Sampler {
-        Sampler { rng: SmallRng::seed_from_u64(seed), spare_normal: None }
+        Sampler { rng: SplitMix64::new(seed), spare_normal: None }
     }
 
     /// Derive an independent sampler (e.g. one per job) without consuming
     /// much parent state.
     pub fn fork(&mut self, salt: u64) -> Sampler {
-        let seed = self.rng.random::<u64>() ^ salt.wrapping_mul(0x9e37_79b9_7f4a_7c15);
+        let seed = self.rng.next_u64() ^ salt.wrapping_mul(0x9e37_79b9_7f4a_7c15);
         Sampler::new(seed)
     }
 
     /// Uniform in `[0, 1)`.
     pub fn uniform(&mut self) -> f64 {
-        self.rng.random::<f64>()
+        self.rng.uniform()
     }
 
     /// Uniform in `[lo, hi)`.
@@ -39,7 +38,7 @@ impl Sampler {
     /// Uniform integer in `[0, n)`.
     pub fn index(&mut self, n: usize) -> usize {
         assert!(n > 0);
-        self.rng.random_range(0..n)
+        self.rng.below(n as u64) as usize
     }
 
     /// Standard normal via Box–Muller (with the spare cached).

@@ -5,8 +5,6 @@
 //! (job begin/end marks, periodic samples) and the log generators exactly
 //! the way the real deployment's hooks do.
 
-use rayon::prelude::*;
-
 use supremm_metrics::{Duration, HostId, JobId, Timestamp, UserId};
 use supremm_procsim::{KernelState, NodeActivity, PerfEvent};
 
@@ -232,8 +230,8 @@ impl Simulation {
             self.scheduler.submit(job);
         }
 
-        // 2. Generate this interval's activity (serial: mutates each job
-        //    once) and apply to kernels in parallel (disjoint nodes).
+        // 2. Generate this interval's activity (mutates each job once)
+        //    and apply it to the kernels.
         let n = self.kernels.len();
         let mut acts: Vec<Option<NodeActivity>> = vec![None; n];
         let mut papi_clobbers = Vec::new();
@@ -251,17 +249,13 @@ impl Simulation {
                 .perfctrs_mut()
                 .user_reprogram(0, PerfEvent::UserDefined(0x5aa5));
         }
-        let node_up = &self.node_up;
-        self.kernels
-            .par_iter_mut()
-            .enumerate()
-            .for_each(|(i, kernel)| {
-                if !node_up[i] {
-                    return; // powered off
-                }
-                let act = acts[i].unwrap_or_else(NodeActivity::idle);
-                kernel.advance(&act, dt as f64);
-            });
+        for (i, kernel) in self.kernels.iter_mut().enumerate() {
+            if !self.node_up[i] {
+                continue; // powered off
+            }
+            let act = acts[i].unwrap_or_else(NodeActivity::idle);
+            kernel.advance(&act, dt as f64);
+        }
 
         self.now = t1;
 

@@ -586,7 +586,6 @@ fn pooled_ingest<T>(
             }
         };
         let value = produce(&mut on_file);
-        drop(on_file);
         drop(senders); // hang up: workers drain their queues and exit
 
         let mut failures = PoolFailures { files_lost: lost_sends, ..PoolFailures::default() };
@@ -629,7 +628,7 @@ fn run_overlapped(
     let workers = ingest_worker_count(opts);
     let keep = opts.keep_archive;
     pooled_ingest(consume_opts, workers, keep, met, |on_file| {
-        drive_simulation(cfg, faulted(opts.fault_plan, fault_log, |key, text| on_file(key, text)))
+        drive_simulation(cfg, faulted(opts.fault_plan, fault_log, on_file))
     })
 }
 

@@ -4,32 +4,22 @@
 //! are resolved *by job and by user*, so these identifiers thread through
 //! every layer from the collector's job-boundary marks to XDMoD dimensions.
 
-use serde::{Deserialize, Serialize};
-
 /// Batch job identifier, as assigned by the scheduler and stamped into every
 /// TACC_Stats record between the job's `%begin`/`%end` marks.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize, Default,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct JobId(pub u64);
 
 /// A user account on the cluster.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize, Default,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct UserId(pub u32);
 
 /// A compute node. Hostnames render as `c<id>` (e.g. `c0412`).
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize, Default,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct HostId(pub u32);
 
 /// An application code (NAMD, AMBER, GROMACS, ...), as identified by Lariat
 /// from the job's executable.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize, Default,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct AppId(pub u32);
 
 impl std::fmt::Display for JobId {
@@ -74,7 +64,7 @@ impl std::fmt::Display for HostId {
 
 /// Parent science of an allocation, used by the Figure 7a style reports
 /// ("average memory usage per core broken up by parent science").
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum ScienceField {
     MolecularBiosciences,
     Physics,

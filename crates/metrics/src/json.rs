@@ -436,7 +436,7 @@ fn parse_string(b: &[u8], pos: &mut usize) -> Option<String> {
                 // are valid).
                 let start = *pos;
                 *pos += 1;
-                while b.get(*pos).map_or(false, |&c| c & 0xC0 == 0x80) {
+                while b.get(*pos).is_some_and(|&c| c & 0xC0 == 0x80) {
                     *pos += 1;
                 }
                 out.push_str(std::str::from_utf8(&b[start..*pos]).ok()?);
@@ -456,7 +456,7 @@ fn parse_number(b: &[u8], pos: &mut usize) -> Option<Value> {
         *pos += 1;
     }
     let digits_start = *pos;
-    while b.get(*pos).map_or(false, |c| c.is_ascii_digit()) {
+    while b.get(*pos).is_some_and(|c| c.is_ascii_digit()) {
         *pos += 1;
     }
     if *pos == digits_start {
@@ -465,7 +465,7 @@ fn parse_number(b: &[u8], pos: &mut usize) -> Option<Value> {
     if b.get(*pos) == Some(&b'.') {
         *pos += 1;
         let frac_start = *pos;
-        while b.get(*pos).map_or(false, |c| c.is_ascii_digit()) {
+        while b.get(*pos).is_some_and(|c| c.is_ascii_digit()) {
             *pos += 1;
         }
         if *pos == frac_start {
@@ -478,7 +478,7 @@ fn parse_number(b: &[u8], pos: &mut usize) -> Option<Value> {
             *pos += 1;
         }
         let exp_start = *pos;
-        while b.get(*pos).map_or(false, |c| c.is_ascii_digit()) {
+        while b.get(*pos).is_some_and(|c| c.is_ascii_digit()) {
             *pos += 1;
         }
         if *pos == exp_start {

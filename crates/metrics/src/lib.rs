@@ -12,6 +12,8 @@
 pub mod ids;
 pub mod json;
 pub mod metric;
+pub mod par;
+pub mod rng;
 pub mod schema;
 pub mod time;
 pub mod units;

@@ -6,8 +6,6 @@
 //! [`KeyMetric`] is that set; [`ExtendedMetric`] is the wider measured set
 //! the correlation analysis runs over.
 
-use serde::{Deserialize, Serialize};
-
 /// The eight key metrics of §4.2.
 ///
 /// Units, per the paper's definitions:
@@ -20,7 +18,7 @@ use serde::{Deserialize, Serialize};
 ///   `$SCRATCH` and the quota-limited `$WORK` Lustre filesystems.
 /// - `NetIbTx` / `NetLnetTx`: InfiniBand and Lustre-networking transmit
 ///   rates (bytes/s).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum KeyMetric {
     CpuIdle,
     MemUsed,
@@ -86,7 +84,7 @@ impl std::fmt::Display for KeyMetric {
 
 /// A dense `f64` vector indexed by [`KeyMetric`]; the shape of a usage
 /// profile (one radar chart octagon).
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct KeyMetricVec(pub [f64; 8]);
 
 impl KeyMetricVec {
@@ -115,7 +113,7 @@ impl KeyMetricVec {
 /// over. The paper notes e.g. `cpu_user` is strongly anti-correlated with
 /// `cpu_idle` and `net_ib_rx` strongly correlated with `net_ib_tx`; those
 /// redundant partners live here.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum ExtendedMetric {
     CpuUser,
     CpuSystem,

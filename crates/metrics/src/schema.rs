@@ -8,10 +8,9 @@
 //! their header, making every file parseable without out-of-band knowledge.
 
 use crate::units::Unit;
-use serde::{Deserialize, Serialize};
 
 /// How a schema key behaves over time.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum CounterKind {
     /// Monotonically increasing cumulative counter with the given register
     /// width in bits; readers take deltas and must handle wraparound.
@@ -36,7 +35,7 @@ impl CounterKind {
 }
 
 /// One key of a device schema.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SchemaEntry {
     pub key: &'static str,
     pub kind: CounterKind,
@@ -54,7 +53,7 @@ impl SchemaEntry {
 }
 
 /// An ordered device schema.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Schema {
     pub entries: &'static [SchemaEntry],
 }
@@ -100,7 +99,7 @@ impl Schema {
 /// counters per core/socket, block devices, scheduler accounting, IB,
 /// Lustre filesystem + network, memory per socket, net devices, NUMA,
 /// process stats, SysV shm, ram-backed fs, vm stats).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum DeviceClass {
     /// Per-core scheduler accounting (user/sys/idle/iowait jiffies).
     Cpu,

@@ -5,21 +5,15 @@
 //! time series bins, job durations — is expressed in these types, so we keep
 //! them small, `Copy`, and arithmetic-friendly.
 
-use serde::{Deserialize, Serialize};
-
 /// Seconds since the simulation epoch (the moment the cluster "boots").
 ///
 /// Real TACC_Stats stamps records with Unix time; a simulation epoch plays
 /// the same role without pretending to be wall-clock time.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct Timestamp(pub u64);
 
 /// A span of simulated time, in seconds.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct Duration(pub u64);
 
 impl Timestamp {
@@ -132,7 +126,7 @@ impl std::fmt::Display for Duration {
 /// The paper's deployment samples every ten minutes; analyses exclude jobs
 /// shorter than one interval, because such jobs never receive a periodic
 /// sample.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SampleInterval(pub Duration);
 
 impl SampleInterval {

@@ -1,12 +1,10 @@
 //! Physical units for schema entries and report axes.
 
-use serde::{Deserialize, Serialize};
-
 /// Unit of a measured quantity.
 ///
 /// TACC_Stats' self-describing format annotates every schema key with its
 /// unit (e.g. `U=KB`); reports convert to human scales at render time.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Unit {
     /// Dimensionless count (events, packets, processes...).
     Count,

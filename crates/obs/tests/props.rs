@@ -1,7 +1,7 @@
 //! Property tests for the telemetry core. The nightly CI job reruns
-//! these with `PROPTEST_CASES=1024`.
+//! these with `SUPREMM_CASES=1024`.
 
-use proptest::prelude::*;
+use supremm_metrics::rng::cases;
 use supremm_obs::{render_prometheus, EventLog, HistSnapshot, Histogram, ObsRegistry};
 
 /// Build a histogram snapshot from raw observations.
@@ -20,15 +20,14 @@ fn assert_hist_eq(a: &HistSnapshot, b: &HistSnapshot) {
     assert_eq!(a.sum, b.sum);
 }
 
-proptest! {
-    /// merge is commutative and associative, and the merge of the parts
-    /// equals one histogram fed the concatenation.
-    #[test]
-    fn histogram_merge_is_commutative_associative(
-        xs in proptest::collection::vec(any::<u64>(), 0..64),
-        ys in proptest::collection::vec(any::<u64>(), 0..64),
-        zs in proptest::collection::vec(any::<u64>(), 0..64),
-    ) {
+/// merge is commutative and associative, and the merge of the parts
+/// equals one histogram fed the concatenation.
+#[test]
+fn histogram_merge_is_commutative_associative() {
+    cases("histogram_merge_is_commutative_associative", 256, |rng| {
+        let xs = rng.vec(0..64, |r| r.next_u64());
+        let ys = rng.vec(0..64, |r| r.next_u64());
+        let zs = rng.vec(0..64, |r| r.next_u64());
         let (a, b, c) = (hist_of(&xs), hist_of(&ys), hist_of(&zs));
         assert_hist_eq(&a.merge(&b), &b.merge(&a));
         assert_hist_eq(&a.merge(&b).merge(&c), &a.merge(&b.merge(&c)));
@@ -36,14 +35,15 @@ proptest! {
         assert_hist_eq(&a.merge(&b).merge(&c), &hist_of(&all));
         // Identity: merging the empty histogram changes nothing.
         assert_hist_eq(&a.merge(&HistSnapshot::default()), &a);
-    }
+    });
+}
 
-    /// Concurrent increments never make a counter regress, and the final
-    /// value is exactly the sum of what every thread contributed.
-    #[test]
-    fn counters_never_regress_under_concurrency(
-        per_thread in proptest::collection::vec(1u64..200, 1..6),
-    ) {
+/// Concurrent increments never make a counter regress, and the final
+/// value is exactly the sum of what every thread contributed.
+#[test]
+fn counters_never_regress_under_concurrency() {
+    cases("counters_never_regress_under_concurrency", 256, |rng| {
+        let per_thread = rng.vec(1..6, |r| r.range(1..200));
         let reg = ObsRegistry::new();
         let c = reg.counter("race_total");
         std::thread::scope(|scope| {
@@ -66,16 +66,19 @@ proptest! {
                 }
             });
         });
-        prop_assert_eq!(c.get(), per_thread.iter().sum::<u64>());
-    }
+        assert_eq!(c.get(), per_thread.iter().sum::<u64>());
+    });
+}
 
-    /// Snapshot rendering is byte-deterministic: the same metric state
-    /// renders identically no matter the registration order.
-    #[test]
-    fn render_is_byte_deterministic(
-        metrics in proptest::collection::vec(("[a-z_]{1,12}", 0u64..1000), 1..16),
-        seed in any::<u64>(),
-    ) {
+/// Snapshot rendering is byte-deterministic: the same metric state
+/// renders identically no matter the registration order.
+#[test]
+fn render_is_byte_deterministic() {
+    cases("render_is_byte_deterministic", 256, |rng| {
+        // Names match `[a-z_]{1,12}`.
+        let metrics =
+            rng.vec(1..16, |r| (r.string(b"abcdefghijklmnopqrstuvwxyz_", 1..13), r.range(0..1000)));
+        let seed = rng.next_u64();
         let forward = ObsRegistry::new();
         for (name, v) in &metrics {
             forward.counter(name).add(*v);
@@ -90,23 +93,24 @@ proptest! {
         }
         let a = render_prometheus(&forward.snapshot());
         let b = render_prometheus(&rotated.snapshot());
-        prop_assert_eq!(a.into_bytes(), b.into_bytes());
+        assert_eq!(a.into_bytes(), b.into_bytes());
         // And re-rendering the same registry is stable.
-        prop_assert_eq!(
+        assert_eq!(
             render_prometheus(&forward.snapshot()),
             render_prometheus(&forward.snapshot())
         );
-    }
+    });
+}
 
-    /// The ring buffer never panics for any capacity and overflow
-    /// pattern, keeps at most `capacity` events, and accounts for every
-    /// push as either retained or dropped.
-    #[test]
-    fn ring_buffer_never_panics(
-        capacity in 0usize..40,
-        pushes in 0usize..200,
-        drain_at in proptest::collection::vec(0usize..200, 0..4),
-    ) {
+/// The ring buffer never panics for any capacity and overflow
+/// pattern, keeps at most `capacity` events, and accounts for every
+/// push as either retained or dropped.
+#[test]
+fn ring_buffer_never_panics() {
+    cases("ring_buffer_never_panics", 256, |rng| {
+        let capacity = rng.range(0..40) as usize;
+        let pushes = rng.range(0..200) as usize;
+        let drain_at = rng.vec(0..4, |r| r.range(0..200) as usize);
         let log = EventLog::new(capacity);
         for i in 0..pushes {
             log.push("k", format!("event {i}"));
@@ -117,14 +121,14 @@ proptest! {
             }
         }
         let kept = log.entries();
-        prop_assert!(kept.len() <= capacity);
-        prop_assert_eq!(kept.len() as u64 + log.dropped(), pushes as u64);
+        assert!(kept.len() <= capacity);
+        assert_eq!(kept.len() as u64 + log.dropped(), pushes as u64);
         // Survivors are the newest pushes, oldest-first, seq contiguous.
         for pair in kept.windows(2) {
-            prop_assert_eq!(pair[1].seq, pair[0].seq + 1);
+            assert_eq!(pair[1].seq, pair[0].seq + 1);
         }
         if let Some(last) = kept.last() {
-            prop_assert_eq!(last.seq as usize, pushes - 1);
+            assert_eq!(last.seq as usize, pushes - 1);
         }
-    }
+    });
 }

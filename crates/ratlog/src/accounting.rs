@@ -4,11 +4,10 @@
 //! Engine's `accounting(5)` file that Ranger and Lonestar4 actually ran.
 //! The warehouse joins these against the TACC_Stats raw data by job id.
 
-use serde::{Deserialize, Serialize};
 use supremm_metrics::{HostId, JobId, ScienceField, Timestamp, UserId};
 
 /// One accounting record.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct AccountingRecord {
     pub queue: String,
     pub owner: UserId,

@@ -6,12 +6,11 @@
 //! uses it to map job → application (accounting logs know only the
 //! executable-less job script name).
 
-use serde::{Deserialize, Serialize};
 use supremm_metrics::json::{self, Value};
 use supremm_metrics::{JobId, UserId};
 
 /// One Lariat summary record.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct LariatRecord {
     pub job: JobId,
     pub user: UserId,

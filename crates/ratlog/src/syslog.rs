@@ -11,12 +11,11 @@
 //! 3. the [`RatRecord`] uniform record and the [`rationalize`] pipeline
 //!    that applies the parsers plus a host→job mapping.
 
-use serde::{Deserialize, Serialize};
 use supremm_metrics::json::{self, Value};
 use supremm_metrics::{HostId, JobId, Timestamp};
 
 /// Syslog-style severity.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum Severity {
     Info,
     Warning,
@@ -25,7 +24,7 @@ pub enum Severity {
 }
 
 /// Normalised event classification — the "single uniform format" target.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum EventCode {
     OomKill,
     SoftLockup,
@@ -119,7 +118,7 @@ impl Severity {
 }
 
 /// One rationalized record: uniform format, job-tagged.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RatRecord {
     pub ts: Timestamp,
     pub host: HostId,

@@ -25,6 +25,7 @@ use std::net::TcpStream;
 use std::path::Path;
 use std::time::{Duration, Instant};
 
+use supremm_metrics::rng::SplitMix64;
 use supremm_obs::{Gauge, ObsHandle};
 use supremm_taccstats::derive::file_extended_series;
 
@@ -109,14 +110,6 @@ enum SendResult {
     Poisoned { status: u16 },
 }
 
-fn splitmix64(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
-}
-
 /// One collector agent bound to a server address and a spool file.
 pub struct Agent {
     id: String,
@@ -137,7 +130,7 @@ pub struct Agent {
     next_seq: u64,
     max_acked: Option<u64>,
     conn: Option<TcpStream>,
-    rng: u64,
+    rng: SplitMix64,
     /// Consecutive failed attempts (drives the backoff exponent).
     attempt: u32,
     met: AgentMetrics,
@@ -183,7 +176,7 @@ impl Agent {
             next_seq,
             max_acked: None,
             conn: None,
-            rng,
+            rng: SplitMix64::new(rng),
             attempt: 0,
             met,
         };
@@ -309,7 +302,7 @@ impl Agent {
         let base = self.opts.backoff_base.as_micros() as u64;
         let max = self.opts.backoff_max.as_micros() as u64;
         let cap = base.saturating_mul(1u64 << self.attempt.min(20)).min(max).max(1);
-        Duration::from_micros(splitmix64(&mut self.rng) % cap)
+        Duration::from_micros(self.rng.below(cap))
     }
 
     /// Flush everything offered so far and push until the server has

@@ -33,6 +33,7 @@ use std::sync::{Arc, Condvar, Mutex, MutexGuard, RwLock};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
+use supremm_metrics::rng::SplitMix64;
 use supremm_obs::{Gauge, ObsHandle, Timer};
 use supremm_tsdb::Tsdb;
 
@@ -90,19 +91,11 @@ impl ChaosPlan {
         }
         h ^= seq.wrapping_mul(0xff51_afd7_ed55_8ccd);
         h ^= attempt.rotate_left(32);
-        let before = uniform(&mut h) < self.drop_before_apply;
-        let after = uniform(&mut h) < self.drop_after_apply;
+        let mut rng = SplitMix64::new(h);
+        let before = rng.uniform() < self.drop_before_apply;
+        let after = rng.uniform() < self.drop_after_apply;
         (before, after)
     }
-}
-
-fn uniform(state: &mut u64) -> f64 {
-    *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^= z >> 31;
-    (z >> 11) as f64 / (1u64 << 53) as f64
 }
 
 /// What [`IngestCore::submit`] tells the HTTP layer to answer.

@@ -127,7 +127,7 @@ fn crate_key(ident: &str) -> Option<String> {
 
 /// Names that can never resolve inside the workspace.
 fn is_external_root(seg: &str) -> bool {
-    matches!(seg, "std" | "core" | "alloc" | "rand" | "proptest" | "criterion" | "rayon" | "libc")
+    matches!(seg, "std" | "core" | "alloc")
 }
 
 impl CallGraph {
@@ -178,8 +178,7 @@ impl CallGraph {
         let empty_globs = Vec::new();
         let mut edges: Vec<Vec<(usize, u32)>> = vec![Vec::new(); g.nodes.len()];
         let mut ambiguities: Vec<Ambiguity> = Vec::new();
-        for caller in 0..g.nodes.len() {
-            let node = &g.nodes[caller];
+        for (caller, node) in g.nodes.iter().enumerate() {
             let aliases =
                 file_aliases.get(node.file.as_str()).unwrap_or(&empty_aliases);
             let globs = file_globs.get(node.file.as_str()).unwrap_or(&empty_globs);
@@ -434,8 +433,7 @@ pub fn panic_propagation(g: &CallGraph, waivers: &WaiverIndex) -> Vec<Finding> {
     let n = g.nodes.len();
     let mut taint: Vec<Option<Taint>> = vec![None; n];
     // Seeds, in deterministic node order.
-    for id in 0..n {
-        let node = &g.nodes[id];
+    for (id, node) in g.nodes.iter().enumerate() {
         if let Some(p) = g
             .item(id)
             .panics
@@ -552,9 +550,9 @@ pub fn lock_order(g: &CallGraph, waivers: &WaiverIndex) -> Vec<Finding> {
     let n = g.nodes.len();
     // Locks each function acquires, transitively (fixed point).
     let mut acq: Vec<BTreeSet<String>> = vec![BTreeSet::new(); n];
-    for id in 0..n {
+    for (id, node) in g.nodes.iter().enumerate() {
         for ev in &g.item(id).locks {
-            acq[id].insert(lock_identity(&ev.lock, &g.nodes[id]));
+            acq[id].insert(lock_identity(&ev.lock, node));
         }
     }
     loop {

@@ -191,9 +191,7 @@ mod tests {
             message: "tab\there".into(),
             waived: false,
         }];
-        let mut a = Assessment::default();
-        a.new = findings.clone();
-        a.files_scanned = 1;
+        let a = Assessment { new: findings.clone(), files_scanned: 1, ..Default::default() };
         let ambs = vec![Ambiguity {
             file: "x.rs".into(),
             line: 9,

@@ -243,12 +243,12 @@ fn parse_waiver(comment: &[u8]) -> WaiverParse {
     WaiverParse::Ok(rules)
 }
 
+type WaiverLines = BTreeMap<u32, Vec<Vec<String>>>;
+
 /// Map of line → waiver rule lists covering that line, plus W0
 /// findings for malformed/unjustified waivers.
-fn collect_waivers(
-    toks: &[Token<'_>],
-) -> (BTreeMap<u32, Vec<Vec<String>>>, Vec<(u32, &'static str)>) {
-    let mut covered: BTreeMap<u32, Vec<Vec<String>>> = BTreeMap::new();
+fn collect_waivers(toks: &[Token<'_>]) -> (WaiverLines, Vec<(u32, &'static str)>) {
+    let mut covered = WaiverLines::new();
     let mut bad: Vec<(u32, &'static str)> = Vec::new();
     let mut last_code_line = 0u32;
     for t in toks {

@@ -846,9 +846,8 @@ impl Parser<'_, '_> {
     fn receiver_chain(&self, at: usize) -> String {
         let mut segs: Vec<String> = Vec::new();
         let mut i = at;
-        loop {
-            // Expect a separator before the current position.
-            let Some(sep) = i.checked_sub(1).and_then(|p| self.t.get(p)) else { break };
+        // Expect a separator before the current position.
+        while let Some(sep) = i.checked_sub(1).and_then(|p| self.t.get(p)) {
             if !(is_punct(sep, b".") || is_punct(sep, b"::")) {
                 break;
             }

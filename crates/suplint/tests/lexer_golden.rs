@@ -3,6 +3,7 @@
 //! soup (it runs on every file in the workspace, including this one).
 
 use suplint::lexer::{lex, TokKind, Token};
+use supremm_metrics::rng::SplitMix64;
 
 fn kinds(src: &str) -> Vec<TokKind> {
     lex(src.as_bytes()).into_iter().map(|t| t.kind).collect()
@@ -89,7 +90,7 @@ fn shifts_vs_generics_and_compound_ops() {
     assert!(toks.contains(&"<<".to_string()));
     assert!(toks.contains(&"<<=".to_string()));
     assert!(toks.contains(&">>=".to_string()));
-    assert!(toks.contains(&"..".to_string()) == false);
+    assert!(!toks.contains(&"..".to_string()));
 }
 
 #[test]
@@ -104,20 +105,6 @@ fn strings_swallow_comment_markers_and_vice_versa() {
 }
 
 // --- fuzz: never panic, always terminate -----------------------------------
-
-/// Deterministic splitmix64 — the repo's seeded-randomness idiom, local
-/// here because suplint is dependency-free.
-struct Rng(u64);
-
-impl Rng {
-    fn next(&mut self) -> u64 {
-        self.0 = self.0.wrapping_add(0x9e3779b97f4a7c15);
-        let mut z = self.0;
-        z = (z ^ (z >> 30)).wrapping_mul(0xbf58476d1ce4e5b9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94d049bb133111eb);
-        z ^ (z >> 31)
-    }
-}
 
 fn check_lex(buf: &[u8]) {
     let toks = lex(buf);
@@ -136,10 +123,10 @@ fn check_lex(buf: &[u8]) {
 
 #[test]
 fn arbitrary_byte_soup_never_panics() {
-    let mut rng = Rng(0x5eed_1234);
+    let mut rng = SplitMix64::new(0x5eed_1234);
     for round in 0..300 {
-        let len = (rng.next() % 2048) as usize;
-        let buf: Vec<u8> = (0..len).map(|_| (rng.next() & 0xff) as u8).collect();
+        let len = rng.below(2048) as usize;
+        let buf: Vec<u8> = (0..len).map(|_| (rng.next_u64() & 0xff) as u8).collect();
         check_lex(&buf);
         let _ = round;
     }
@@ -153,12 +140,12 @@ fn tricky_fragment_soup_never_panics() {
         b"0x", b"1e", b"1.", b"..=", b"<<=", b"'", b"#", b"r#", b"br", b"cr\"", b"\n",
         b"\xff\xfe", b"\xe2\x98", b"mod x {", b"}", b"#[cfg(test)]",
     ];
-    let mut rng = Rng(42);
+    let mut rng = SplitMix64::new(42);
     for _ in 0..500 {
-        let n = (rng.next() % 24) as usize;
+        let n = rng.below(24) as usize;
         let mut buf = Vec::new();
         for _ in 0..n {
-            buf.extend_from_slice(FRAGS[(rng.next() as usize) % FRAGS.len()]);
+            buf.extend_from_slice(rng.pick(FRAGS));
         }
         check_lex(&buf);
     }

@@ -1,13 +1,13 @@
 //! Golden tests for the item-tree parser and workspace call graph over
 //! deliberately nasty Rust, plus fuzz-style guarantees: the parser must
 //! never panic and must always terminate on arbitrary token soup. The
-//! nightly CI job reruns the property tests with `PROPTEST_CASES=1024`.
+//! nightly CI job reruns the property tests with `SUPREMM_CASES=1024`.
 
-use proptest::prelude::*;
 use suplint::callgraph::CallGraph;
 use suplint::classify;
 use suplint::lexer::lex;
 use suplint::syntax::{parse, CallKind, FileItems};
+use supremm_metrics::rng::{cases, SplitMix64};
 
 fn items(src: &str) -> FileItems {
     parse(&lex(src.as_bytes()))
@@ -227,8 +227,9 @@ fn golden_graph_excludes_test_functions() {
 
 /// Vocabulary biased towards the parser's trigger tokens so random
 /// programs actually exercise item recovery, not just the error paths.
-fn soup_word() -> impl Strategy<Value = &'static str> {
-    proptest::sample::select(vec![
+fn soup_word(rng: &mut SplitMix64) -> &'static str {
+    #[rustfmt::skip]
+    const WORDS: &[&str] = &[
         "fn", "impl", "mod", "use", "struct", "trait", "for", "where", "as",
         "let", "self", "crate", "super", "loop", "while", "match", "move",
         "{", "}", "(", ")", "[", "]", "<", ">", "::", ":", ";", ",", ".",
@@ -236,40 +237,48 @@ fn soup_word() -> impl Strategy<Value = &'static str> {
         "x", "y", "unwrap", "expect", "lock", "read", "write", "drop",
         "panic", "r#\"raw\"#", "\"str\"", "// line comment\n", "/* block */",
         "0", "1.5", "'c'", "\n",
-    ])
+    ];
+    rng.pick(WORDS)
 }
 
-proptest! {
-    /// The parser and call-graph builder never panic and always
-    /// terminate, whatever bytes they are fed.
-    #[test]
-    fn parser_survives_arbitrary_bytes(bytes in proptest::collection::vec(any::<u8>(), 0..512)) {
+/// The parser and call-graph builder never panic and always
+/// terminate, whatever bytes they are fed.
+#[test]
+fn parser_survives_arbitrary_bytes() {
+    cases("parser_survives_arbitrary_bytes", 256, |rng| {
+        let bytes = rng.vec(0..512, |r| r.next_u64() as u8);
         let toks = lex(&bytes);
         let tree = parse(&toks);
         // The output stays internally consistent even on garbage.
         for f in &tree.fns {
-            prop_assert!(f.mods.len() <= 64);
+            assert!(f.mods.len() <= 64);
         }
-    }
+    });
+}
 
-    /// Rust-shaped token soup: unbalanced braces, truncated items,
-    /// pathological nesting — recovery must stay total.
-    #[test]
-    fn parser_survives_token_soup(words in proptest::collection::vec(soup_word(), 0..256)) {
+/// Rust-shaped token soup: unbalanced braces, truncated items,
+/// pathological nesting — recovery must stay total.
+#[test]
+fn parser_survives_token_soup() {
+    cases("parser_survives_token_soup", 256, |rng| {
+        let words = rng.vec(0..256, soup_word);
         let src = words.join(" ");
         let tree = parse(&lex(src.as_bytes()));
         let files = vec![(classify("crates/tsdb/src/fuzz.rs"), tree)];
         let g = CallGraph::build(&files);
-        prop_assert_eq!(g.nodes.len(), g.edges.len());
-    }
+        assert_eq!(g.nodes.len(), g.edges.len());
+    });
+}
 
-    /// Lexing is a partition: parsing a file twice yields the same tree
-    /// (determinism underwrites the byte-stable reports).
-    #[test]
-    fn parse_is_deterministic(words in proptest::collection::vec(soup_word(), 0..128)) {
+/// Lexing is a partition: parsing a file twice yields the same tree
+/// (determinism underwrites the byte-stable reports).
+#[test]
+fn parse_is_deterministic() {
+    cases("parse_is_deterministic", 256, |rng| {
+        let words = rng.vec(0..128, soup_word);
         let src = words.join(" ");
         let a = parse(&lex(src.as_bytes()));
         let b = parse(&lex(src.as_bytes()));
-        prop_assert_eq!(format!("{a:?}"), format!("{b:?}"));
-    }
+        assert_eq!(format!("{a:?}"), format!("{b:?}"));
+    });
 }

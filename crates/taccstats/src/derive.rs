@@ -218,10 +218,10 @@ pub fn interval_metrics_ref(prev: &RecordRef<'_>, cur: &RecordRef<'_>) -> Option
 /// no usable interval are omitted; a file that fails to parse reduces
 /// to an empty series set (the lenient scanner quarantines torn tails).
 pub fn file_extended_series(text: &str) -> Vec<(ExtendedMetric, Vec<(u64, f64)>)> {
-    let Ok(mut samples) = stream_lenient(text) else { return Vec::new() };
+    let Ok(samples) = stream_lenient(text) else { return Vec::new() };
     let mut batches: Vec<Vec<(u64, f64)>> = vec![Vec::new(); ExtendedMetric::ALL.len()];
     let mut prev: Option<RecordRef<'_>> = None;
-    while let Some(item) = samples.next() {
+    for item in samples {
         let Ok(sample) = item else { break };
         let SampleRef::Record(rec) = sample else { continue };
         if let Some(p) = &prev {

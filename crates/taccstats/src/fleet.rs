@@ -1,13 +1,11 @@
 //! Cluster-wide collection: one collector per node, driven in parallel.
 //!
-//! On the real machines every node runs its own TACC_Stats process; here a
-//! Rayon pool plays the role of "all nodes at once". Work is embarrassingly
+//! On the real machines every node runs its own TACC_Stats process; here
+//! scoped threads play the role of "all nodes at once". Work is embarrassingly
 //! parallel (node state and collector state pair 1:1), which is exactly
 //! the property the real deployment relies on to keep overhead ~0.1 %.
 
-use rayon::prelude::*;
-
-use supremm_metrics::{HostId, JobId, Timestamp};
+use supremm_metrics::{par, HostId, JobId, Timestamp};
 use supremm_procsim::KernelState;
 
 use crate::archive::{RawArchive, RawFileKey};
@@ -58,15 +56,7 @@ impl FleetCollector {
     /// (outage injection) produce no records, which is how Figure 8's
     /// active-node dips become visible downstream.
     pub fn sample_all(&mut self, kernels: &[KernelState], active: &[bool], ts: Timestamp) {
-        self.collectors
-            .par_iter_mut()
-            .zip(kernels.par_iter())
-            .zip(active.par_iter())
-            .for_each(|((collector, kernel), &up)| {
-                if up {
-                    collector.sample(kernel, ts);
-                }
-            });
+        self.sample_all_except(kernels, active, ts, &std::collections::HashSet::new());
     }
 
     /// Periodic sample of every running node except those in `skip`
@@ -78,15 +68,11 @@ impl FleetCollector {
         ts: Timestamp,
         skip: &std::collections::HashSet<HostId>,
     ) {
-        self.collectors
-            .par_iter_mut()
-            .zip(kernels.par_iter())
-            .zip(active.par_iter())
-            .for_each(|((collector, kernel), &up)| {
-                if up && !skip.contains(&collector.host()) {
-                    collector.sample(kernel, ts);
-                }
-            });
+        par::for_each_mut(&mut self.collectors, |i, collector| {
+            if active[i] && !skip.contains(&collector.host()) {
+                collector.sample(&kernels[i], ts);
+            }
+        });
     }
 
     /// Drain every file the collectors have rotated out so far (days
@@ -102,10 +88,7 @@ impl FleetCollector {
 
     /// Flush everything into a flat file list (node order).
     pub fn into_files(self) -> Vec<(RawFileKey, String)> {
-        self.collectors
-            .into_par_iter()
-            .flat_map_iter(|c| c.into_files())
-            .collect()
+        self.collectors.into_iter().flat_map(|c| c.into_files()).collect()
     }
 
     /// Flush everything into an archive.
@@ -161,7 +144,7 @@ mod tests {
 
     #[test]
     fn parallel_and_serial_sampling_agree() {
-        let n = 6u32;
+        let n = 80u32; // enough nodes that `sample_all` really fans out
         let build = || -> Vec<KernelState> {
             let mut ks: Vec<KernelState> =
                 (0..n).map(|_| KernelState::new(NodeSpec::ranger())).collect();

@@ -444,8 +444,7 @@ fn stream_with(text: &str, strict: bool) -> Result<FileStream<'_>, ParseError> {
 
     let mut rest = text;
     let mut line_no = 1usize;
-    loop {
-        let Some((line, no, after)) = split_line(rest, line_no) else { break };
+    while let Some((line, no, after)) = split_line(rest, line_no) {
         match line.as_bytes().first() {
             Some(b'$') => {
                 let mut parts = line[1..].splitn(2, ' ');
@@ -1036,7 +1035,7 @@ mod tests {
     fn drain_lenient(text: &str) -> (Vec<Sample>, ScanQuarantine) {
         let mut s = stream_lenient(text).unwrap();
         let mut out = Vec::new();
-        while let Some(item) = s.next() {
+        for item in s.by_ref() {
             match item.expect("lenient streams never yield Err") {
                 SampleRef::Record(r) => out.push(Sample::Record(r.to_record())),
                 SampleRef::Mark(m) => out.push(Sample::Mark(m)),

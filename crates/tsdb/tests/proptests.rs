@@ -2,12 +2,12 @@
 //! chunk codec, the WAL (including truncation at arbitrary offsets), and
 //! the full engine with interleaved flushes and compaction.
 //!
-//! CI's nightly job reruns this suite with `PROPTEST_CASES=1024`.
+//! CI's nightly job reruns this suite with `SUPREMM_CASES=1024`.
 
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use proptest::prelude::*;
+use supremm_metrics::rng::{cases, SplitMix64};
 use supremm_tsdb::codec::{decode_chunk, encode_chunk};
 use supremm_tsdb::wal::{Wal, WalRecord};
 use supremm_tsdb::{Agg, DbOptions, RetentionPolicy, RollupLevel, Selector, Tsdb};
@@ -27,8 +27,8 @@ fn tmpdir(tag: &str) -> PathBuf {
 /// Sample streams that exercise both the timestamp DoD path (regular and
 /// irregular spacing, including wrap-around deltas) and both value modes
 /// (integral deltas and XOR floats, with NaN/∞ bit patterns).
-fn samples_strategy() -> impl Strategy<Value = Vec<(u64, u64)>> {
-    prop::collection::vec((any::<u64>(), any::<u64>()), 0..200)
+fn samples_strategy(rng: &mut SplitMix64, len: std::ops::Range<usize>) -> Vec<(u64, u64)> {
+    rng.vec(len, |r| (r.next_u64(), r.next_u64()))
 }
 
 /// Tiny chunks/blocks so even small random stores span many chunks,
@@ -39,8 +39,16 @@ fn small_opts() -> DbOptions {
 
 /// Store-building ops: (host, metric, ts, value bits, action) where
 /// action 2 flushes and action 3 flushes+compacts after the append.
-fn store_ops() -> impl Strategy<Value = Vec<(u8, u8, u64, u64, u8)>> {
-    prop::collection::vec((0u8..3, 0u8..2, 0u64..500, any::<u64>(), 0u8..4), 1..120)
+fn store_ops(rng: &mut SplitMix64) -> Vec<(u8, u8, u64, u64, u8)> {
+    rng.vec(1..120, |r| {
+        let (host, metric) = (r.range(0..3) as u8, r.range(0..2) as u8);
+        (host, metric, r.range(0..500), r.next_u64(), r.range(0..4) as u8)
+    })
+}
+
+/// `(host, metric, t0, len)` read windows reaching past the written range.
+fn arb_windows(rng: &mut SplitMix64, n: std::ops::Range<usize>) -> Vec<(u8, u8, u64, u64)> {
+    rng.vec(n, |r| (r.range(0..5) as u8, r.range(0..4) as u8, r.range(0..600), r.range(0..600)))
 }
 
 fn build_store(dir: &std::path::Path, ops: &[(u8, u8, u64, u64, u8)]) -> Tsdb {
@@ -71,9 +79,9 @@ fn build_store_with(
 
 /// Query output with values as raw bit patterns, so NaN payloads and
 /// signed zeros must match exactly — "close enough" is a bug here.
-fn bits_view(
-    result: Vec<(supremm_tsdb::SeriesKey, Vec<(u64, f64)>)>,
-) -> Vec<(String, String, Vec<(u64, u64)>)> {
+type BitsView = Vec<(String, String, Vec<(u64, u64)>)>;
+
+fn bits_view(result: Vec<(supremm_tsdb::SeriesKey, Vec<(u64, f64)>)>) -> BitsView {
     result
         .into_iter()
         .map(|(k, pts)| {
@@ -106,12 +114,11 @@ fn selector_from(host: u8, metric: u8) -> Selector {
     }
 }
 
-proptest! {
-    #[test]
-    fn indexed_query_is_bit_identical_to_naive(
-        ops in store_ops(),
-        queries in prop::collection::vec((0u8..5, 0u8..4, 0u64..600, 0u64..600), 1..8),
-    ) {
+#[test]
+fn indexed_query_is_bit_identical_to_naive() {
+    cases("indexed_query_is_bit_identical_to_naive", 256, |rng| {
+        let ops = store_ops(rng);
+        let queries = arb_windows(rng, 1..8);
         let dir = tmpdir("diff-query");
         let db = build_store(&dir, &ops);
         // Reopen so every flushed segment is read back through its
@@ -123,19 +130,20 @@ proptest! {
             let (t0, t1) = (*t0, t0.saturating_add(*len));
             let fast = bits_view(db.query(&sel, t0, t1).unwrap());
             let naive = bits_view(db.query_naive(&sel, t0, t1).unwrap());
-            prop_assert_eq!(fast, naive, "selector {:?} range [{}, {}]", sel, t0, t1);
+            assert_eq!(fast, naive, "selector {:?} range [{}, {}]", sel, t0, t1);
         }
         let _ = std::fs::remove_dir_all(&dir);
-    }
+    });
+}
 
-    #[test]
-    fn preagg_downsample_is_bit_identical_to_naive(
-        ops in store_ops(),
-        queries in prop::collection::vec(
-            (0u8..5, 0u8..4, 0u64..600, 0u64..600, 1u64..80, 0u8..6),
-            1..8,
-        ),
-    ) {
+#[test]
+fn preagg_downsample_is_bit_identical_to_naive() {
+    cases("preagg_downsample_is_bit_identical_to_naive", 256, |rng| {
+        let ops = store_ops(rng);
+        let queries = rng.vec(1..8, |r| {
+            let (host, metric) = (r.range(0..5) as u8, r.range(0..4) as u8);
+            (host, metric, r.range(0..600), r.range(0..600), r.range(1..80), r.range(0..6) as u8)
+        });
         let dir = tmpdir("diff-downsample");
         let db = build_store(&dir, &ops);
         drop(db);
@@ -146,33 +154,37 @@ proptest! {
             let agg = agg_from(*agg_ix);
             let fast = bits_view(db.downsample(&sel, t0, t1, *bin, agg).unwrap());
             let naive = bits_view(db.downsample_naive(&sel, t0, t1, *bin, agg).unwrap());
-            prop_assert_eq!(
+            assert_eq!(
                 fast, naive,
                 "selector {:?} range [{}, {}] bin {} agg {:?}", sel, t0, t1, bin, agg
             );
         }
         let _ = std::fs::remove_dir_all(&dir);
-    }
+    });
+}
 
-    #[test]
-    fn chunk_codec_round_trips_arbitrary_samples(samples in samples_strategy()) {
+#[test]
+fn chunk_codec_round_trips_arbitrary_samples() {
+    cases("chunk_codec_round_trips_arbitrary_samples", 256, |rng| {
+        let samples = samples_strategy(rng, 0..200);
         let enc = encode_chunk(&samples);
-        prop_assert_eq!(decode_chunk(&enc), Some(samples));
-    }
+        assert_eq!(decode_chunk(&enc), Some(samples));
+    });
+}
 
-    #[test]
-    fn chunk_decoder_never_panics_on_arbitrary_bytes(bytes in prop::collection::vec(any::<u8>(), 0..300)) {
+#[test]
+fn chunk_decoder_never_panics_on_arbitrary_bytes() {
+    cases("chunk_decoder_never_panics_on_arbitrary_bytes", 256, |rng| {
+        let bytes = rng.vec(0..300, |r| r.next_u64() as u8);
         // Any outcome is fine; crashing is not.
         let _ = decode_chunk(&bytes);
-    }
+    });
+}
 
-    #[test]
-    fn wal_replays_exactly_what_was_synced(
-        records in prop::collection::vec(
-            (prop::collection::vec((any::<u64>(), any::<u64>()), 0..20), 0u8..3),
-            0..20,
-        )
-    ) {
+#[test]
+fn wal_replays_exactly_what_was_synced() {
+    cases("wal_replays_exactly_what_was_synced", 256, |rng| {
+        let records = rng.vec(0..20, |r| (samples_strategy(r, 0..20), r.range(0..3) as u8));
         let dir = tmpdir("replay");
         let path = dir.join("wal");
         let written: Vec<WalRecord> = records
@@ -191,17 +203,18 @@ proptest! {
             wal.sync().unwrap();
         }
         let rec = Wal::open(&path).unwrap();
-        prop_assert_eq!(rec.truncated_bytes, 0);
-        prop_assert_eq!(rec.records, written);
+        assert_eq!(rec.truncated_bytes, 0);
+        assert_eq!(rec.records, written);
         let _ = std::fs::remove_dir_all(&dir);
-    }
+    });
+}
 
-    #[test]
-    fn wal_truncation_recovers_a_prefix(
-        samples in prop::collection::vec((any::<u64>(), any::<u64>()), 1..10),
-        n_records in 1usize..8,
-        cut_frac in 0.0f64..1.0,
-    ) {
+#[test]
+fn wal_truncation_recovers_a_prefix() {
+    cases("wal_truncation_recovers_a_prefix", 256, |rng| {
+        let samples = samples_strategy(rng, 1..10);
+        let n_records = rng.range(1..8) as usize;
+        let cut_frac = rng.uniform_in(0.0..1.0);
         let dir = tmpdir("torn");
         let path = dir.join("wal");
         let record = WalRecord { host: "h".into(), metric: "m".into(), samples };
@@ -217,26 +230,27 @@ proptest! {
         let cut = (bytes.len() as f64 * cut_frac) as usize;
         std::fs::write(&path, &bytes[..cut]).unwrap();
         let rec = Wal::open(&path).unwrap();
-        prop_assert!(rec.records.len() <= n_records);
+        assert!(rec.records.len() <= n_records);
         for r in &rec.records {
-            prop_assert_eq!(r, &record);
+            assert_eq!(r, &record);
         }
         // Recovery leaves an appendable log.
         let mut wal = rec.wal;
         wal.append(&record).unwrap();
         wal.sync().unwrap();
         let rec2 = Wal::open(&path).unwrap();
-        prop_assert_eq!(rec2.records.len(), rec.records.len() + 1);
+        assert_eq!(rec2.records.len(), rec.records.len() + 1);
         let _ = std::fs::remove_dir_all(&dir);
-    }
+    });
+}
 
-    #[test]
-    fn engine_with_flushes_and_compaction_equals_last_wins_map(
-        ops in prop::collection::vec(
-            (0u8..3, 0u8..2, 0u64..500, any::<u64>(), any::<bool>()),
-            1..120,
-        )
-    ) {
+#[test]
+fn engine_with_flushes_and_compaction_equals_last_wins_map() {
+    cases("engine_with_flushes_and_compaction_equals_last_wins_map", 256, |rng| {
+        let ops = rng.vec(1..120, |r| {
+            let (host, metric) = (r.range(0..3) as u8, r.range(0..2) as u8);
+            (host, metric, r.range(0..500), r.next_u64(), r.below(2) == 1)
+        });
         let dir = tmpdir("engine");
         let mut db = Tsdb::open(&dir).unwrap();
         let mut model: std::collections::BTreeMap<(String, String, u64), u64> =
@@ -258,23 +272,24 @@ proptest! {
         for (key, pts) in db.query(&Selector::all(), 0, u64::MAX).unwrap() {
             for (ts, v) in pts {
                 let old = got.insert((key.host.clone(), key.metric.clone(), ts), v.to_bits());
-                prop_assert!(old.is_none(), "duplicate sample in query output");
+                assert!(old.is_none(), "duplicate sample in query output");
             }
         }
-        prop_assert_eq!(got, model);
+        assert_eq!(got, model);
         let _ = std::fs::remove_dir_all(&dir);
-    }
+    });
+}
 
-    /// Retention differential #1: whatever raw survives the pass must
-    /// answer queries bit-identically to the pre-retention store on the
-    /// surviving window — through the fast path, the naive path, and a
-    /// reopen from disk.
-    #[test]
-    fn retention_never_loses_raw_newer_than_the_ttl(
-        ops in store_ops(),
-        (raw_ttl, b1, m2) in (1u64..300, 1u64..6, 2u64..5),
-        queries in prop::collection::vec((0u8..5, 0u8..4, 0u64..600, 0u64..600), 1..6),
-    ) {
+/// Retention differential #1: whatever raw survives the pass must
+/// answer queries bit-identically to the pre-retention store on the
+/// surviving window — through the fast path, the naive path, and a
+/// reopen from disk.
+#[test]
+fn retention_never_loses_raw_newer_than_the_ttl() {
+    cases("retention_never_loses_raw_newer_than_the_ttl", 256, |rng| {
+        let ops = store_ops(rng);
+        let (raw_ttl, b1, m2) = (rng.range(1..300), rng.range(1..6), rng.range(2..5));
+        let queries = arb_windows(rng, 1..6);
         let dir = tmpdir("retention-raw");
         // Non-last levels get a TTL far beyond the data range so only
         // the raw cut moves; tier expiry has its own integration tests.
@@ -302,33 +317,34 @@ proptest! {
             .collect();
 
         let report = db.enforce_retention(now).unwrap();
-        prop_assert_eq!(report.raw_watermark, target);
+        assert_eq!(report.raw_watermark, target);
         drop(db);
         let db = Tsdb::open_with(&dir, opts).unwrap();
-        prop_assert_eq!(db.stats().raw_watermark, target);
+        assert_eq!(db.stats().raw_watermark, target);
         for ((host, metric, t0, len), want) in queries.iter().zip(&pre) {
             let sel = selector_from(*host, *metric);
             let (t0, t1) = (*t0.max(&target), t0.saturating_add(*len));
             let fast = bits_view(db.query(&sel, t0, t1).unwrap());
             let naive = bits_view(db.query_naive(&sel, t0, t1).unwrap());
-            prop_assert_eq!(&fast, want, "fast, selector {:?} [{}, {}]", sel, t0, t1);
-            prop_assert_eq!(&naive, want, "naive, selector {:?} [{}, {}]", sel, t0, t1);
+            assert_eq!(&fast, want, "fast, selector {:?} [{}, {}]", sel, t0, t1);
+            assert_eq!(&naive, want, "naive, selector {:?} [{}, {}]", sel, t0, t1);
         }
         let _ = std::fs::remove_dir_all(&dir);
-    }
+    });
+}
 
-    /// Retention differential #2: after the pass, tier-fold downsample
-    /// over the *whole* range — rolled history plus surviving raw — is
-    /// bit-identical to the pre-retention naive oracle. At the finest
-    /// tier's own bin width that holds for every aggregate (rollup sums
-    /// are the exact per-bin sequential sums); at coarser multiples it
-    /// holds for the order-insensitive aggregates.
-    #[test]
-    fn tier_fold_downsample_matches_the_pre_retention_oracle(
-        ops in store_ops(),
-        (raw_ttl, b1, m2) in (1u64..300, 1u64..6, 2u64..5),
-        k in 1u64..4,
-    ) {
+/// Retention differential #2: after the pass, tier-fold downsample
+/// over the *whole* range — rolled history plus surviving raw — is
+/// bit-identical to the pre-retention naive oracle. At the finest
+/// tier's own bin width that holds for every aggregate (rollup sums
+/// are the exact per-bin sequential sums); at coarser multiples it
+/// holds for the order-insensitive aggregates.
+#[test]
+fn tier_fold_downsample_matches_the_pre_retention_oracle() {
+    cases("tier_fold_downsample_matches_the_pre_retention_oracle", 256, |rng| {
+        let ops = store_ops(rng);
+        let (raw_ttl, b1, m2) = (rng.range(1..300), rng.range(1..6), rng.range(2..5));
+        let k = rng.range(1..4);
         let dir = tmpdir("retention-fold");
         let retention = RetentionPolicy {
             raw_ttl: Some(raw_ttl),
@@ -358,12 +374,12 @@ proptest! {
         db.enforce_retention(db.max_timestamp().unwrap_or(0)).unwrap();
         for (&agg, want) in ALL_AGGS.iter().zip(&pre_fine) {
             let got = bits_view(db.downsample(&all, 0, u64::MAX, b1, agg).unwrap());
-            prop_assert_eq!(&got, want, "fine bin {} agg {:?}", b1, agg);
+            assert_eq!(&got, want, "fine bin {} agg {:?}", b1, agg);
         }
         for (&agg, want) in FOLD_SAFE.iter().zip(&pre_coarse) {
             let got = bits_view(db.downsample(&all, 0, u64::MAX, coarse_bin, agg).unwrap());
-            prop_assert_eq!(&got, want, "coarse bin {} agg {:?}", coarse_bin, agg);
+            assert_eq!(&got, want, "coarse bin {} agg {:?}", coarse_bin, agg);
         }
         let _ = std::fs::remove_dir_all(&dir);
-    }
+    });
 }

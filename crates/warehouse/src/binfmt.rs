@@ -24,6 +24,7 @@ use supremm_metrics::schema::DeviceClass;
 use supremm_metrics::{JobId, Timestamp};
 use supremm_procsim::DeviceReading;
 use supremm_taccstats::format::{JobMark, ParsedFile, Record, Sample};
+use supremm_tsdb::codec::{self, put_str, put_varint};
 
 const MAGIC: &[u8; 4] = b"SUPB";
 const VERSION: u16 = 1;
@@ -54,35 +55,15 @@ impl std::fmt::Display for BinError {
 
 impl std::error::Error for BinError {}
 
-// --- varint primitives ----------------------------------------------------
-
-pub(crate) fn put_varint(buf: &mut Vec<u8>, mut v: u64) {
-    loop {
-        let byte = (v & 0x7f) as u8;
-        v >>= 7;
-        if v == 0 {
-            buf.push(byte);
-            return;
-        }
-        buf.push(byte | 0x80);
-    }
-}
+// --- primitives: `tsdb::codec`'s, with this format's error type -----------
 
 pub(crate) fn get_varint(buf: &[u8], pos: &mut usize) -> Result<u64, BinError> {
-    let mut v = 0u64;
-    let mut shift = 0u32;
-    loop {
-        let &byte = buf.get(*pos).ok_or(BinError::Truncated)?;
-        *pos += 1;
-        v |= u64::from(byte & 0x7f) << shift;
-        if byte & 0x80 == 0 {
-            return Ok(v);
-        }
-        shift += 7;
-        if shift >= 64 {
-            return Err(BinError::Truncated);
-        }
-    }
+    codec::get_varint(buf, pos).ok_or(BinError::Truncated)
+}
+
+pub(crate) fn get_str(buf: &[u8], pos: &mut usize) -> Result<String, BinError> {
+    let bytes = codec::get_bytes(buf, pos).ok_or(BinError::Truncated)?;
+    String::from_utf8(bytes.to_vec()).map_err(|_| BinError::BadString)
 }
 
 /// Zigzag over a *wrapped* (mod 2^64) difference: small forward or
@@ -90,26 +71,11 @@ pub(crate) fn get_varint(buf: &[u8], pos: &mut usize) -> Result<u64, BinError> {
 /// magnitudes. `delta_encode(p, v)` round-trips through
 /// `delta_decode(p, ·)` for every `(p, v)` pair.
 fn delta_encode(prev: u64, cur: u64) -> u64 {
-    let d = cur.wrapping_sub(prev) as i64;
-    (d as u64).wrapping_shl(1) ^ ((d >> 63) as u64)
+    codec::zigzag(cur.wrapping_sub(prev) as i64)
 }
 
 fn delta_decode(prev: u64, z: u64) -> u64 {
-    let d = ((z >> 1) as i64) ^ -((z & 1) as i64);
-    prev.wrapping_add(d as u64)
-}
-
-pub(crate) fn put_str(buf: &mut Vec<u8>, s: &str) {
-    put_varint(buf, s.len() as u64);
-    buf.extend_from_slice(s.as_bytes());
-}
-
-pub(crate) fn get_str(buf: &[u8], pos: &mut usize) -> Result<String, BinError> {
-    let len = get_varint(buf, pos)? as usize;
-    let end = pos.checked_add(len).ok_or(BinError::Truncated)?;
-    let bytes = buf.get(*pos..end).ok_or(BinError::Truncated)?;
-    *pos = end;
-    String::from_utf8(bytes.to_vec()).map_err(|_| BinError::BadString)
+    prev.wrapping_add(codec::unzigzag(z) as u64)
 }
 
 fn class_id(c: DeviceClass) -> u8 {
@@ -389,6 +355,12 @@ mod tests {
         for cut in (8..bin.len()).step_by(97) {
             let _ = decode(&bin[..cut]);
         }
+        // A string length past 2^32 is refused outright, never wrapped
+        // to a short read on a 32-bit target.
+        let mut huge = bin[..6].to_vec();
+        put_varint(&mut huge, (1 << 32) | 1);
+        huge.extend_from_slice(b"c0007");
+        assert_eq!(decode(&huge), Err(BinError::Truncated));
     }
 
     #[test]

@@ -15,8 +15,9 @@
 
 use supremm_metrics::metric::KeyMetricVec;
 use supremm_metrics::{ExtendedMetric, JobId, ScienceField, Timestamp, UserId};
+use supremm_tsdb::codec::{put_str, put_varint};
 
-use crate::binfmt::{get_str, get_varint, put_str, put_varint, BinError};
+use crate::binfmt::{get_str, get_varint, BinError};
 use crate::record::{ExitKind, JobRecord};
 
 const VERSION: u8 = 1;

@@ -1,12 +1,11 @@
 //! The assembled per-job record.
 
-use serde::{Deserialize, Serialize};
 use supremm_metrics::metric::KeyMetricVec;
 use supremm_metrics::{ExtendedMetric, JobId, ScienceField, Timestamp, UserId};
 
 /// Job termination classification, decoded from the accounting `failed`
 /// field.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ExitKind {
     Completed,
     Failed,
@@ -46,7 +45,7 @@ impl ExitKind {
 
 /// One job with everything the reports need: identity and timing from
 /// accounting, application from Lariat, resource metrics from TACC_Stats.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct JobRecord {
     pub job: JobId,
     pub user: UserId,

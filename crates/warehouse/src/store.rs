@@ -6,7 +6,6 @@
 
 use std::collections::BTreeMap;
 
-use rayon::prelude::*;
 
 use supremm_metrics::metric::KeyMetricVec;
 use supremm_metrics::{ExtendedMetric, KeyMetric};
@@ -52,8 +51,8 @@ impl JobTable {
 
     /// Jobs matching a predicate, as a new table (cheap enough at this
     /// scale; keeps the API composable).
-    pub fn filter(&self, pred: impl Fn(&JobRecord) -> bool + Sync) -> JobTable {
-        JobTable { jobs: self.jobs.par_iter().filter(|j| pred(j)).cloned().collect() }
+    pub fn filter(&self, pred: impl Fn(&JobRecord) -> bool) -> JobTable {
+        JobTable { jobs: self.jobs.iter().filter(|j| pred(j)).cloned().collect() }
     }
 
     /// Group jobs by an arbitrary key.

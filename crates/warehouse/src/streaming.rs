@@ -6,15 +6,13 @@
 //! [`crate::timeseries::SystemSeries`]. Per-file results are
 //! [`FilePartial`]s keyed by [`RawFileKey`]; partials merge
 //! associatively (each file key appears exactly once), so accumulation
-//! can run under a rayon reduce or across ingest worker threads, and
+//! can run under a parallel reduce or across ingest worker threads, and
 //! the final cross-file merge happens sequentially in key order —
 //! byte-identical output regardless of arrival order or thread count.
 
 use std::collections::BTreeMap;
 
-use rayon::prelude::*;
-
-use supremm_metrics::JobId;
+use supremm_metrics::{par, JobId};
 use supremm_ratlog::accounting::AccountingRecord;
 use supremm_ratlog::lariat::LariatRecord;
 use supremm_taccstats::derive::interval_metrics_ref;
@@ -217,7 +215,7 @@ impl StreamAccumulator {
     }
 
     /// Union two accumulators (disjoint file keys). Associative and
-    /// commutative, so it serves as the rayon reduce operator.
+    /// commutative, so it serves as the parallel reduce operator.
     pub fn absorb(self, other: StreamAccumulator) -> StreamAccumulator {
         let (mut into, from) =
             if self.partials.len() >= other.partials.len() { (self, other) } else { (other, self) };
@@ -273,17 +271,16 @@ impl StreamAccumulator {
 }
 
 /// One parallel pass over a whole archive: map each file to an
-/// accumulator, rayon-reduce by [`StreamAccumulator::absorb`].
+/// accumulator, reduce by [`StreamAccumulator::absorb`].
 pub fn consume_archive(archive: &RawArchive, opts: ConsumeOptions) -> StreamAccumulator {
     let files: Vec<(RawFileKey, &str)> = archive.iter().map(|(k, text)| (*k, text)).collect();
-    files
-        .par_iter()
-        .map(|&(key, text)| {
-            let mut acc = StreamAccumulator::new(opts);
-            acc.consume(key, text);
-            acc
-        })
-        .reduce(|| StreamAccumulator::new(opts), StreamAccumulator::absorb)
+    let one = |&(key, text): &(RawFileKey, &str)| {
+        let mut acc = StreamAccumulator::new(opts);
+        acc.consume(key, text);
+        acc
+    };
+    par::map_reduce(&files, one, StreamAccumulator::absorb)
+        .unwrap_or_else(|| StreamAccumulator::new(opts))
 }
 
 #[cfg(test)]
@@ -293,9 +290,9 @@ mod tests {
     use supremm_procsim::{KernelState, NodeActivity, NodeSpec};
     use supremm_taccstats::Collector;
 
-    fn two_host_archive() -> RawArchive {
+    fn archive_of(hosts: u32) -> RawArchive {
         let mut archive = RawArchive::new();
-        for host in 0..2u32 {
+        for host in 0..hosts {
             let mut kernel = KernelState::new(NodeSpec::ranger());
             let mut c = Collector::new(HostId(host));
             let mut ts = Timestamp(600);
@@ -316,7 +313,7 @@ mod tests {
 
     #[test]
     fn accumulator_is_order_insensitive() {
-        let archive = two_host_archive();
+        let archive = archive_of(2);
         let opts = ConsumeOptions { bin_secs: Some(600), job_fragments: true, strict: false };
         let forward = {
             let mut acc = StreamAccumulator::new(opts);
@@ -339,7 +336,8 @@ mod tests {
 
     #[test]
     fn split_accumulators_absorb_to_the_same_result() {
-        let archive = two_host_archive();
+        // Enough files that `consume_archive` really fans out.
+        let archive = archive_of(80);
         let opts = ConsumeOptions { bin_secs: Some(600), job_fragments: true, strict: false };
         let whole = {
             let mut acc = StreamAccumulator::new(opts);
@@ -361,7 +359,12 @@ mod tests {
             right.absorb(left).finish(&[], &[])
         };
         assert_eq!(whole.stats, halves.stats);
-        assert_eq!(whole.series.unwrap().bins, halves.series.unwrap().bins);
+        let parallel = consume_archive(&archive, opts).finish(&[], &[]);
+        assert_eq!(whole.stats, parallel.stats);
+        assert_eq!(whole.records, parallel.records);
+        let bins = whole.series.unwrap().bins;
+        assert_eq!(bins, halves.series.unwrap().bins);
+        assert_eq!(bins, parallel.series.unwrap().bins);
     }
 
     #[test]
@@ -433,7 +436,7 @@ mod tests {
 
     #[test]
     fn binning_can_be_disabled() {
-        let archive = two_host_archive();
+        let archive = archive_of(2);
         let acc =
             consume_archive(&archive, ConsumeOptions { bin_secs: None, job_fragments: true, strict: false });
         assert_eq!(acc.files(), archive.len());

@@ -4,7 +4,6 @@
 //! *dimension*, optionally *filter*, get a dataset. That is exactly the
 //! surface implemented here, over the warehouse's [`JobTable`].
 
-use serde::Serialize;
 use supremm_metrics::{KeyMetric, ScienceField, UserId};
 use supremm_warehouse::record::ExitKind;
 use supremm_warehouse::store::weighted_metric_mean;
@@ -73,7 +72,7 @@ pub struct Query {
 }
 
 /// Query result: labelled rows, ordered by descending value.
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Dataset {
     pub rows: Vec<(String, f64)>,
 }

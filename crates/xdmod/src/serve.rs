@@ -157,11 +157,13 @@ fn parse_statistic(s: &str, metric: Option<&str>) -> Option<Statistic> {
     })
 }
 
+type Params<'a> = Vec<(&'a str, &'a str)>;
+
 /// Split a target like `/v1/query?a=b&c=d` into path and query pairs.
 /// A non-empty query segment without `=` is malformed, and so is a
 /// repeated key (`?host=a&host=b` — which one did the client mean?):
 /// the client gets a 400, not a silently dropped parameter.
-fn split_target(target: &str) -> Result<(&str, Vec<(&str, &str)>), String> {
+fn split_target(target: &str) -> Result<(&str, Params<'_>), String> {
     let Some((path, qs)) = target.split_once('?') else {
         return Ok((target, Vec::new()));
     };

@@ -5,9 +5,8 @@
 
 use std::sync::OnceLock;
 
-use proptest::prelude::*;
-
 use supremm_suite::clustersim::{FaultPlan, FaultRates, InjectionLog};
+use supremm_suite::metrics::rng::cases;
 use supremm_suite::metrics::schema::DeviceClass;
 use supremm_suite::metrics::{Duration, HostId, JobId, ScienceField, Timestamp, UserId};
 use supremm_suite::prelude::*;
@@ -376,45 +375,43 @@ fn sample_file() -> &'static str {
     text
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(24))]
-
-    // Arbitrary byte corruption never panics the lenient scanner, and
-    // its byte/record books always balance.
-    #[test]
-    fn lenient_scanner_survives_arbitrary_corruption(
-        edits in proptest::collection::vec((any::<proptest::sample::Index>(), any::<u8>()), 1..24),
-    ) {
+// Arbitrary byte corruption never panics the lenient scanner, and
+// its byte/record books always balance.
+#[test]
+fn lenient_scanner_survives_arbitrary_corruption() {
+    cases("lenient_scanner_survives_arbitrary_corruption", 24, |rng| {
+        let edits = rng.vec(1..24, |r| (r.next_u64(), r.next_u64() as u8));
         let mut bytes = sample_file().as_bytes().to_vec();
         for (idx, byte) in &edits {
-            let i = idx.index(bytes.len());
+            let i = (idx % bytes.len() as u64) as usize;
             bytes[i] = *byte;
         }
         let text = String::from_utf8_lossy(&bytes).into_owned();
         if let Ok(mut s) = stream_lenient(&text) {
             let mut emitted = 0u64;
-            while let Some(item) = s.next() {
-                prop_assert!(item.is_ok(), "lenient streams never yield Err");
+            for item in s.by_ref() {
+                assert!(item.is_ok(), "lenient streams never yield Err");
                 if matches!(item, Ok(supremm_suite::taccstats::SampleRef::Record(_))) {
                     emitted += 1;
                 }
             }
             let q = s.quarantine();
-            prop_assert_eq!(s.clean_bytes() + q.bytes, s.total_bytes());
-            prop_assert_eq!(s.total_bytes(), text.len() as u64);
-            prop_assert_eq!(s.records_started(), s.records_emitted() + q.records);
-            prop_assert_eq!(s.records_emitted(), emitted);
+            assert_eq!(s.clean_bytes() + q.bytes, s.total_bytes());
+            assert_eq!(s.total_bytes(), text.len() as u64);
+            assert_eq!(s.records_started(), s.records_emitted() + q.records);
+            assert_eq!(s.records_emitted(), emitted);
         }
         // Err(..) here means header damage — whole-file rejection is the
         // correct lenient behavior for an unknowable schema.
-    }
+    });
+}
 
-    // The full consumer conserves records under any seeded fault plan.
-    #[test]
-    fn ingest_stats_conservation_under_random_fault_plans(
-        seed in any::<u64>(),
-        rate in 0.0f64..0.6,
-    ) {
+// The full consumer conserves records under any seeded fault plan.
+#[test]
+fn ingest_stats_conservation_under_random_fault_plans() {
+    cases("ingest_stats_conservation_under_random_fault_plans", 24, |rng| {
+        let seed = rng.next_u64();
+        let rate = rng.uniform_in(0.0..0.6);
         let plan = FaultPlan::new(seed, FaultRates::uniform(rate));
         let mut archive = RawArchive::new();
         for (key, text) in baseline().archive.iter() {
@@ -423,16 +420,19 @@ proptest! {
             }
         }
         let out = consume_archive(&archive, ConsumeOptions::default()).finish(&[], &[]);
-        prop_assert!(out.stats.conservation_holds(), "{:?}", out.stats);
-        prop_assert_eq!(out.stats.files, archive.len());
+        assert!(out.stats.conservation_holds(), "{:?}", out.stats);
+        assert_eq!(out.stats.files, archive.len());
         // Bytes are conserved too: quarantined never exceeds the input.
-        prop_assert!(out.stats.bytes_quarantined <= archive.total_bytes());
-    }
+        assert!(out.stats.bytes_quarantined <= archive.total_bytes());
+    });
+}
 
-    // End-to-end: the pipeline with any modest fault plan still
-    // produces a coherent dataset (no panics anywhere downstream).
-    #[test]
-    fn pipeline_never_panics_under_fault_plans(seed in any::<u64>()) {
+// End-to-end: the pipeline with any modest fault plan still
+// produces a coherent dataset (no panics anywhere downstream).
+#[test]
+fn pipeline_never_panics_under_fault_plans() {
+    cases("pipeline_never_panics_under_fault_plans", 24, |rng| {
+        let seed = rng.next_u64();
         let ds = run_pipeline(
             ClusterConfig::ranger().scaled(4, 1),
             &PipelineOptions {
@@ -440,21 +440,20 @@ proptest! {
                 ..Default::default()
             },
         );
-        prop_assert!(ds.ingest_stats.conservation_holds(), "{:?}", ds.ingest_stats);
+        assert!(ds.ingest_stats.conservation_holds(), "{:?}", ds.ingest_stats);
         let cov = ds.series.coverage(4);
-        prop_assert!((0.0..=1.0).contains(&cov));
+        assert!((0.0..=1.0).contains(&cov));
         // With a 25% fault plan a job can legitimately end up with zero
         // samples: every archive file covering its nodes may have been
         // dropped or truncated away. Only insist on samples when the
         // plan left the data intact.
         let data_lost = ds.faults_injected.total_events() > 0;
         for job in ds.table.jobs() {
-            prop_assert!(
+            assert!(
                 job.samples > 0 || data_lost,
                 "job {:?} has no samples yet no faults were injected",
                 job.job
             );
         }
-    }
+    });
 }
-

@@ -58,8 +58,10 @@ fn tmp(name: &str) -> PathBuf {
 /// Full store contents as `(host, metric, [(ts, f64 bits)])`, sorted.
 /// Comparing bits (not floats) makes the differential exact under NaN
 /// payloads and signed zeros.
-fn dump(db: &Tsdb) -> Vec<(String, String, Vec<(u64, u64)>)> {
-    let mut out: Vec<(String, String, Vec<(u64, u64)>)> = db
+type Dump = Vec<(String, String, Vec<(u64, u64)>)>;
+
+fn dump(db: &Tsdb) -> Dump {
+    let mut out: Dump = db
         .query(&Selector::all(), 0, u64::MAX)
         .unwrap()
         .into_iter()
@@ -73,7 +75,7 @@ fn dump(db: &Tsdb) -> Vec<(String, String, Vec<(u64, u64)>)> {
 }
 
 /// The reference: the batch `core::pipeline` ingest path.
-fn batch_dump(dir: &Path) -> Vec<(String, String, Vec<(u64, u64)>)> {
+fn batch_dump(dir: &Path) -> Dump {
     let mut db = Tsdb::open(dir).unwrap();
     store_archive_series(&mut db, archive()).unwrap();
     dump(&db)

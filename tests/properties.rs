@@ -1,9 +1,8 @@
 //! Property-based tests over the tool chain's core invariants.
 
-use proptest::prelude::*;
-
 use supremm_suite::analytics::stats::{Moments, WeightedMoments};
 use supremm_suite::analytics::{linear_fit, pearson, Kde};
+use supremm_suite::metrics::rng::{cases, SplitMix64};
 use supremm_suite::metrics::schema::{CounterKind, DeviceClass};
 use supremm_suite::metrics::{JobId, ScienceField, Timestamp, UserId};
 use supremm_suite::procsim::DeviceReading;
@@ -17,73 +16,69 @@ use supremm_suite::taccstats::format::{
 // Raw-format round trip with arbitrary (schema-consistent) content.
 // ---------------------------------------------------------------------
 
-fn arb_reading(class: DeviceClass) -> impl Strategy<Value = DeviceReading> {
-    let len = class.schema().len();
-    (
-        "[a-z][a-z0-9_/]{0,10}",
-        proptest::collection::vec(any::<u64>(), len..=len),
-    )
-        .prop_map(|(device, values)| DeviceReading { device, values })
+/// A device name matching `[a-z][a-z0-9_/]{0,10}`.
+fn arb_device(rng: &mut SplitMix64) -> String {
+    const ALPHABET: &[u8] = b"abcdefghijklmnopqrstuvwxyz0123456789_/";
+    rng.string(&ALPHABET[..26], 1..2) + &rng.string(ALPHABET, 0..11)
 }
 
-fn arb_record() -> impl Strategy<Value = Record> {
-    let classes = proptest::sample::subsequence(DeviceClass::ALL.to_vec(), 1..6);
-    (classes, any::<u32>(), proptest::option::of(any::<u32>())).prop_flat_map(
-        |(classes, ts, job)| {
-            let readings: Vec<_> = classes
-                .iter()
-                .map(|&c| {
-                    proptest::collection::vec(arb_reading(c), 1..4)
-                        .prop_map(move |rs| (c, rs))
-                })
-                .collect();
-            readings.prop_map(move |rs| Record {
-                ts: Timestamp(ts as u64),
-                job: job.map(|j| JobId(j as u64)),
-                readings: rs.into_iter().collect(),
-            })
-        },
-    )
+fn arb_reading(rng: &mut SplitMix64, class: DeviceClass) -> DeviceReading {
+    let device = arb_device(rng);
+    let values = (0..class.schema().len()).map(|_| rng.next_u64()).collect();
+    DeviceReading { device, values }
 }
 
-fn arb_mark() -> impl Strategy<Value = JobMark> {
-    (any::<bool>(), any::<u32>(), any::<u32>()).prop_map(|(begin, job, at)| {
-        let job = JobId(job as u64);
-        let at = Timestamp(at as u64);
-        if begin {
-            JobMark::Begin { job, at }
-        } else {
-            JobMark::End { job, at }
+/// One to five device classes, in schema order, each with one to three
+/// readings; `u32` timestamps and job ids, full-range `u64` values.
+fn arb_record(rng: &mut SplitMix64) -> Record {
+    let mut wanted = rng.range(1..6);
+    let mut readings = Vec::new();
+    for (i, &class) in DeviceClass::ALL.iter().enumerate() {
+        if rng.below((DeviceClass::ALL.len() - i) as u64) < wanted {
+            wanted -= 1;
+            readings.push((class, rng.vec(1..4, |r| arb_reading(r, class))));
         }
-    })
+    }
+    Record {
+        ts: Timestamp(rng.next_u64() >> 32),
+        job: (rng.below(2) == 1).then(|| JobId(rng.next_u64() >> 32)),
+        readings: readings.into_iter().collect(),
+    }
 }
 
-/// Marks interleaved with records; record timestamps drawn from a tiny
-/// set so multi-record ticks (several records sharing one `T` stamp)
-/// show up constantly.
-fn arb_sample() -> impl Strategy<Value = Sample> {
-    prop_oneof![
-        3 => (arb_record(), 0u64..4).prop_map(|(mut r, tick)| {
-            r.ts = Timestamp(tick * 600);
-            Sample::Record(r)
-        }),
-        1 => arb_mark().prop_map(Sample::Mark),
-    ]
+fn arb_mark(rng: &mut SplitMix64) -> JobMark {
+    let begin = rng.below(2) == 1;
+    let job = JobId(rng.next_u64() >> 32);
+    let at = Timestamp(rng.next_u64() >> 32);
+    if begin {
+        JobMark::Begin { job, at }
+    } else {
+        JobMark::End { job, at }
+    }
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(64))]
+/// Marks interleaved with records (1 : 3); record timestamps drawn from
+/// a tiny set so multi-record ticks (several records sharing one `T`
+/// stamp) show up constantly.
+fn arb_sample(rng: &mut SplitMix64) -> Sample {
+    if rng.below(4) == 0 {
+        return Sample::Mark(arb_mark(rng));
+    }
+    let mut r = arb_record(rng);
+    r.ts = Timestamp(rng.range(0..4) * 600);
+    Sample::Record(r)
+}
 
-    // -------------------------------------------------------------------
-    // Zero-copy streaming scanner vs the format writer: every sample the
-    // writer emits — records, `%` marks, multi-record ticks — comes back
-    // in order and value-identical.
-    // -------------------------------------------------------------------
+// -------------------------------------------------------------------
+// Zero-copy streaming scanner vs the format writer: every sample the
+// writer emits — records, `%` marks, multi-record ticks — comes back
+// in order and value-identical.
+// -------------------------------------------------------------------
 
-    #[test]
-    fn zero_copy_stream_agrees_with_the_writer(
-        samples in proptest::collection::vec(arb_sample(), 1..12),
-    ) {
+#[test]
+fn zero_copy_stream_agrees_with_the_writer() {
+    cases("zero_copy_stream_agrees_with_the_writer", 64, |rng| {
+        let samples = rng.vec(1..12, arb_sample);
         let classes = DeviceClass::ALL;
         let mut w = FileWriter::new("c0042", "amd64_core", 16, Timestamp(0), &classes);
         for s in &samples {
@@ -100,13 +95,15 @@ proptest! {
                 SampleRef::Mark(m) => got.push(Sample::Mark(m)),
             }
         }
-        prop_assert_eq!(got, samples);
-    }
+        assert_eq!(got, samples);
+    });
+}
 
-    #[test]
-    fn one_malformed_line_rejects_the_whole_file(
-        records in proptest::collection::vec(arb_record(), 1..6),
-        garbage in prop::sample::select(vec![
+#[test]
+fn one_malformed_line_rejects_the_whole_file() {
+    cases("one_malformed_line_rejects_the_whole_file", 64, |rng| {
+        let records = rng.vec(1..6, arb_record);
+        let garbage = rng.pick(&[
             "???",                 // unknown device class
             "T",                   // record start missing fields
             "T zebra 7",           // non-numeric timestamp
@@ -115,9 +112,8 @@ proptest! {
             "% jump 1 2",          // unknown mark kind
             "cpu",                 // device row missing instance name
             "mem c0 not_a_number", // non-numeric value
-        ]),
-        frac in 0.0f64..1.0,
-    ) {
+        ]);
+        let frac = rng.uniform_in(0.0..1.0);
         let classes = DeviceClass::ALL;
         let mut w = FileWriter::new("c0042", "amd64_core", 16, Timestamp(0), &classes);
         for r in &records {
@@ -145,13 +141,16 @@ proptest! {
             corrupted.push_str(garbage);
             corrupted.push('\n');
         }
-        prop_assert!(parse(&corrupted).is_err());
+        assert!(parse(&corrupted).is_err());
         let mut s = stream(&corrupted).expect("header untouched");
-        prop_assert!(s.any(|item| item.is_err()));
-    }
+        assert!(s.any(|item| item.is_err()));
+    });
+}
 
-    #[test]
-    fn format_round_trips_arbitrary_records(records in proptest::collection::vec(arb_record(), 1..8)) {
+#[test]
+fn format_round_trips_arbitrary_records() {
+    cases("format_round_trips_arbitrary_records", 64, |rng| {
+        let records = rng.vec(1..8, arb_record);
         let classes = DeviceClass::ALL;
         let mut w = FileWriter::new("c0042", "amd64_core", 16, Timestamp(0), &classes);
         w.write_mark(JobMark::Begin { job: JobId(1), at: Timestamp(0) });
@@ -161,61 +160,78 @@ proptest! {
         w.write_mark(JobMark::End { job: JobId(1), at: Timestamp(999_999) });
         let text = w.finish();
         let parsed = parse(&text).unwrap();
-        prop_assert_eq!(parsed.records().count(), records.len());
+        assert_eq!(parsed.records().count(), records.len());
         for (got, want) in parsed.records().zip(&records) {
-            prop_assert_eq!(got, want);
+            assert_eq!(got, want);
         }
-        prop_assert_eq!(parsed.marks().count(), 2);
-    }
+        assert_eq!(parsed.marks().count(), 2);
+    });
+}
 
-    // -------------------------------------------------------------------
-    // Counter delta correction.
-    // -------------------------------------------------------------------
+// -------------------------------------------------------------------
+// Counter delta correction.
+// -------------------------------------------------------------------
 
-    #[test]
-    fn delta_of_increasing_counter_is_exact(prev in any::<u64>(), inc in 0u64..u64::MAX / 2) {
-        prop_assume!(prev.checked_add(inc).is_some());
+#[test]
+fn delta_of_increasing_counter_is_exact() {
+    cases("delta_of_increasing_counter_is_exact", 64, |rng| {
+        let prev = rng.next_u64();
+        let inc = rng.range(0..u64::MAX / 2);
+        if prev.checked_add(inc).is_none() {
+            return;
+        }
         let kind = CounterKind::Event { width: 64 };
-        prop_assert_eq!(counter_delta(prev, prev + inc, kind), inc);
-    }
+        assert_eq!(counter_delta(prev, prev + inc, kind), inc);
+    });
+}
 
-    #[test]
-    fn delta_survives_single_wrap_on_narrow_registers(
-        width in 8u32..48,
-        prev_off in 1u64..1000,
-        inc in 1u64..1_000_000,
-    ) {
+#[test]
+fn delta_survives_single_wrap_on_narrow_registers() {
+    cases("delta_survives_single_wrap_on_narrow_registers", 64, |rng| {
+        let width = rng.range(8..48) as u32;
+        let prev_off = rng.range(1..1000);
+        let inc = rng.range(1..1_000_000);
         let modulus = 1u64 << width;
-        prop_assume!(inc < modulus);
+        if inc >= modulus {
+            return;
+        }
         let prev = modulus - (prev_off % modulus).max(1);
         let cur = (prev + inc) % modulus;
-        prop_assume!(cur < prev); // visible wrap
+        if cur >= prev {
+            return; // no visible wrap
+        }
         let kind = CounterKind::Event { width };
-        prop_assert_eq!(counter_delta(prev, cur, kind), inc);
-    }
+        assert_eq!(counter_delta(prev, cur, kind), inc);
+    });
+}
 
-    #[test]
-    fn delta_never_exceeds_modulus(prev in any::<u64>(), cur in any::<u64>(), width in 8u32..48) {
+#[test]
+fn delta_never_exceeds_modulus() {
+    cases("delta_never_exceeds_modulus", 64, |rng| {
+        let prev = rng.next_u64();
+        let cur = rng.next_u64();
+        let width = rng.range(8..48) as u32;
         let modulus = 1u64 << width;
         let kind = CounterKind::Event { width };
         let d = counter_delta(prev % modulus, cur % modulus, kind);
-        prop_assert!(d < modulus);
-    }
+        assert!(d < modulus);
+    });
+}
 
-    // -------------------------------------------------------------------
-    // Accounting record round trip.
-    // -------------------------------------------------------------------
+// -------------------------------------------------------------------
+// Accounting record round trip.
+// -------------------------------------------------------------------
 
-    #[test]
-    fn accounting_round_trips(
-        owner in any::<u32>(),
-        job in any::<u64>(),
-        sci in 0usize..ScienceField::ALL.len(),
-        submit in any::<u32>(),
-        wall in any::<u32>(),
-        failed in prop::sample::select(vec![0u32, 1, 19, 100]),
-        nodes in 1u32..4096,
-    ) {
+#[test]
+fn accounting_round_trips() {
+    cases("accounting_round_trips", 64, |rng| {
+        let owner = (rng.next_u64() >> 32) as u32;
+        let job = rng.next_u64();
+        let sci = rng.range(0..ScienceField::ALL.len() as u64) as usize;
+        let submit = (rng.next_u64() >> 32) as u32;
+        let wall = (rng.next_u64() >> 32) as u32;
+        let failed = rng.pick(&[0u32, 1, 19, 100]);
+        let nodes = rng.range(1..4096) as u32;
         let rec = AccountingRecord {
             queue: "normal".into(),
             owner: UserId(owner),
@@ -231,24 +247,32 @@ proptest! {
             hosts: (0..nodes.min(64)).map(supremm_suite::metrics::HostId).collect(),
         };
         let parsed = AccountingRecord::parse_line(&rec.to_line()).unwrap();
-        prop_assert_eq!(parsed, rec);
-    }
+        assert_eq!(parsed, rec);
+    });
+}
 
-    // -------------------------------------------------------------------
-    // Statistics invariants.
-    // -------------------------------------------------------------------
+// -------------------------------------------------------------------
+// Statistics invariants.
+// -------------------------------------------------------------------
 
-    #[test]
-    fn moments_merge_is_associative_enough(xs in proptest::collection::vec(-1e6f64..1e6, 3..60), split in 1usize..58) {
+#[test]
+fn moments_merge_is_associative_enough() {
+    cases("moments_merge_is_associative_enough", 64, |rng| {
+        let xs = rng.vec(3..60, |r| r.uniform_in(-1e6..1e6));
+        let split = rng.range(1..58) as usize;
         let split = split.min(xs.len() - 1);
         let whole = Moments::from_slice(&xs);
         let merged = Moments::from_slice(&xs[..split]).merge(Moments::from_slice(&xs[split..]));
-        prop_assert!((whole.mean() - merged.mean()).abs() < 1e-6 * (1.0 + whole.mean().abs()));
-        prop_assert!((whole.variance() - merged.variance()).abs() < 1e-5 * (1.0 + whole.variance()));
-    }
+        assert!((whole.mean() - merged.mean()).abs() < 1e-6 * (1.0 + whole.mean().abs()));
+        assert!((whole.variance() - merged.variance()).abs() < 1e-5 * (1.0 + whole.variance()));
+    });
+}
 
-    #[test]
-    fn weighted_moments_scale_invariance(xs in proptest::collection::vec(0.0f64..1e4, 2..40), k in 1.0f64..100.0) {
+#[test]
+fn weighted_moments_scale_invariance() {
+    cases("weighted_moments_scale_invariance", 64, |rng| {
+        let xs = rng.vec(2..40, |r| r.uniform_in(0.0..1e4));
+        let k = rng.uniform_in(1.0..100.0);
         // Multiplying all weights by a constant changes nothing.
         let mut a = WeightedMoments::new();
         let mut b = WeightedMoments::new();
@@ -257,45 +281,54 @@ proptest! {
             a.push(x, w);
             b.push(x, w * k);
         }
-        prop_assert!((a.mean() - b.mean()).abs() < 1e-9 * (1.0 + a.mean().abs()));
-        prop_assert!((a.variance() - b.variance()).abs() < 1e-7 * (1.0 + a.variance()));
-    }
+        assert!((a.mean() - b.mean()).abs() < 1e-9 * (1.0 + a.mean().abs()));
+        assert!((a.variance() - b.variance()).abs() < 1e-7 * (1.0 + a.variance()));
+    });
+}
 
-    #[test]
-    fn pearson_is_bounded_and_symmetric(
-        pairs in proptest::collection::vec((-1e3f64..1e3, -1e3f64..1e3), 4..50)
-    ) {
+#[test]
+fn pearson_is_bounded_and_symmetric() {
+    cases("pearson_is_bounded_and_symmetric", 64, |rng| {
+        let pairs = rng.vec(4..50, |r| (r.uniform_in(-1e3..1e3), r.uniform_in(-1e3..1e3)));
         let x: Vec<f64> = pairs.iter().map(|p| p.0).collect();
         let y: Vec<f64> = pairs.iter().map(|p| p.1).collect();
         let r = pearson(&x, &y);
         if r.is_nan() {
-            return Ok(()); // constant side
+            return; // constant side
         }
-        prop_assert!((-1.0 - 1e-9..=1.0 + 1e-9).contains(&r));
-        prop_assert!((pearson(&y, &x) - r).abs() < 1e-12);
-    }
+        assert!((-1.0 - 1e-9..=1.0 + 1e-9).contains(&r));
+        assert!((pearson(&y, &x) - r).abs() < 1e-12);
+    });
+}
 
-    #[test]
-    fn linear_fit_is_exact_on_lines(a in -100f64..100.0, b in -100f64..100.0, n in 3usize..40) {
+#[test]
+fn linear_fit_is_exact_on_lines() {
+    cases("linear_fit_is_exact_on_lines", 64, |rng| {
+        let a = rng.uniform_in(-100.0..100.0);
+        let b = rng.uniform_in(-100.0..100.0);
+        let n = rng.range(3..40) as usize;
         let x: Vec<f64> = (0..n).map(|i| i as f64).collect();
         let y: Vec<f64> = x.iter().map(|&v| a + b * v).collect();
         let fit = linear_fit(&x, &y).unwrap();
-        prop_assert!((fit.intercept - a).abs() < 1e-6 * (1.0 + a.abs()));
-        prop_assert!((fit.slope - b).abs() < 1e-6 * (1.0 + b.abs()));
-    }
+        assert!((fit.intercept - a).abs() < 1e-6 * (1.0 + a.abs()));
+        assert!((fit.slope - b).abs() < 1e-6 * (1.0 + b.abs()));
+    });
+}
 
-    #[test]
-    fn kde_density_is_nonnegative_and_normalised(data in proptest::collection::vec(-50f64..50.0, 5..80)) {
+#[test]
+fn kde_density_is_nonnegative_and_normalised() {
+    cases("kde_density_is_nonnegative_and_normalised", 64, |rng| {
+        let data = rng.vec(5..80, |r| r.uniform_in(-50.0..50.0));
         let kde = Kde::fit(&data);
         let grid = kde.grid(256);
         let dx = grid[1].0 - grid[0].0;
         let mut integral = 0.0;
         for &(_, d) in &grid {
-            prop_assert!(d >= 0.0);
+            assert!(d >= 0.0);
             integral += d * dx;
         }
-        prop_assert!((integral - 1.0).abs() < 0.05, "integral {}", integral);
-    }
+        assert!((integral - 1.0).abs() < 0.05, "integral {}", integral);
+    });
 }
 
 // ---------------------------------------------------------------------
@@ -322,16 +355,13 @@ mod scheduler_props {
         }
     }
 
-    proptest! {
-        #![proptest_config(ProptestConfig::with_cases(48))]
-
-        /// Whatever the submission stream, the scheduler never
-        /// double-books a node and never conjures nodes from thin air.
-        #[test]
-        fn scheduler_never_double_books(
-            jobs in proptest::collection::vec((1u32..12, 1u64..120), 1..40),
-            machine in 8u32..32,
-        ) {
+    /// Whatever the submission stream, the scheduler never
+    /// double-books a node and never conjures nodes from thin air.
+    #[test]
+    fn scheduler_never_double_books() {
+        cases("scheduler_never_double_books", 48, |rng| {
+            let jobs = rng.vec(1..40, |r| (r.range(1..12) as u32, r.range(1..120)));
+            let machine = rng.range(8..32) as u32;
             let mut s = Scheduler::new(machine);
             let mut busy: std::collections::HashMap<HostId, (JobId, Timestamp)> =
                 Default::default();
@@ -369,10 +399,10 @@ mod scheduler_props {
                     })
                     .collect();
                 for (job, hosts) in s.schedule(now, &reservations) {
-                    prop_assert_eq!(hosts.len(), job.nodes as usize);
+                    assert_eq!(hosts.len(), job.nodes as usize);
                     let end = now + job.duration;
                     for h in &hosts {
-                        prop_assert!(
+                        assert!(
                             !busy.contains_key(h),
                             "node {} double-booked at t={}",
                             h,
@@ -383,10 +413,10 @@ mod scheduler_props {
                     running.push((job.id, hosts, end));
                 }
                 // Conservation: busy + free == machine.
-                prop_assert_eq!(busy.len() + s.free_count(), machine as usize);
+                assert_eq!(busy.len() + s.free_count(), machine as usize);
                 now = now + Duration(600);
             }
-        }
+        });
     }
 }
 
@@ -394,11 +424,10 @@ mod scheduler_props {
 // Binary format: lossless on arbitrary record streams.
 // ---------------------------------------------------------------------
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(32))]
-
-    #[test]
-    fn binfmt_round_trips_arbitrary_files(records in proptest::collection::vec(arb_record(), 1..10)) {
+#[test]
+fn binfmt_round_trips_arbitrary_files() {
+    cases("binfmt_round_trips_arbitrary_files", 32, |rng| {
+        let records = rng.vec(1..10, arb_record);
         use supremm_suite::taccstats::format::ParsedFile;
         use supremm_suite::warehouse::binfmt;
         let file = ParsedFile {
@@ -415,14 +444,15 @@ proptest! {
         };
         let bin = binfmt::encode(&file);
         let back = binfmt::decode(&bin).unwrap();
-        prop_assert_eq!(back, file);
-    }
+        assert_eq!(back, file);
+    });
+}
 
-    #[test]
-    fn p2_quantile_tracks_exact_within_tolerance(
-        xs in proptest::collection::vec(0.0f64..1e4, 200..800),
-        p in 0.1f64..0.9,
-    ) {
+#[test]
+fn p2_quantile_tracks_exact_within_tolerance() {
+    cases("p2_quantile_tracks_exact_within_tolerance", 32, |rng| {
+        let xs = rng.vec(200..800, |r| r.uniform_in(0.0..1e4));
+        let p = rng.uniform_in(0.1..0.9);
         use supremm_suite::analytics::quantile::P2Quantile;
         let mut est = P2Quantile::new(p);
         for &x in &xs {
@@ -434,15 +464,16 @@ proptest! {
         // Compare ranks rather than values: the estimate's rank must be
         // within ±10 percentage points of the target.
         let rank = sorted.iter().filter(|&&v| v <= got).count() as f64 / sorted.len() as f64;
-        prop_assert!((rank - p).abs() < 0.12, "rank {} for p {}", rank, p);
-    }
+        assert!((rank - p).abs() < 0.12, "rank {} for p {}", rank, p);
+    });
+}
 
-    #[test]
-    fn trend_decomposition_reconstructs_the_series(
-        base in 10.0f64..100.0,
-        slope in -0.01f64..0.01,
-        amp in 0.0f64..5.0,
-    ) {
+#[test]
+fn trend_decomposition_reconstructs_the_series() {
+    cases("trend_decomposition_reconstructs_the_series", 32, |rng| {
+        let base = rng.uniform_in(10.0..100.0);
+        let slope = rng.uniform_in(-0.01..0.01);
+        let amp = rng.uniform_in(0.0..5.0);
         use supremm_suite::analytics::trend::decompose;
         let period = 48usize;
         let n = period * 6;
@@ -456,22 +487,23 @@ proptest! {
         // trend + seasonal must reconstruct the noiseless series closely.
         for (i, &v) in series.iter().enumerate() {
             let fitted = d.trend.predict(i as f64) + d.seasonal[i % period];
-            prop_assert!((fitted - v).abs() < 0.35 + 0.05 * amp, "i={} {} vs {}", i, fitted, v);
+            assert!((fitted - v).abs() < 0.35 + 0.05 * amp, "i={} {} vs {}", i, fitted, v);
         }
-        prop_assert!(d.resid_sd < 0.3 + 0.05 * amp);
-    }
+        assert!(d.resid_sd < 0.3 + 0.05 * amp);
+    });
+}
 
-    /// Retention across the suite facade: random writes under a random
-    /// two-tier policy, one data-time pass, then a reopen. Surviving
-    /// raw answers bit-identically to the pre-retention oracle, and the
-    /// finest tier reconstructs the full downsampled history.
-    #[test]
-    fn retention_pass_preserves_surviving_raw_and_rolled_history(
-        samples in proptest::collection::vec((0u64..2000, any::<u32>()), 1..200),
-        raw_ttl in 1u64..1500,
-        bin in 1u64..20,
-        mult in 2u64..5,
-    ) {
+/// Retention across the suite facade: random writes under a random
+/// two-tier policy, one data-time pass, then a reopen. Surviving
+/// raw answers bit-identically to the pre-retention oracle, and the
+/// finest tier reconstructs the full downsampled history.
+#[test]
+fn retention_pass_preserves_surviving_raw_and_rolled_history() {
+    cases("retention_pass_preserves_surviving_raw_and_rolled_history", 32, |rng| {
+        let samples = rng.vec(1..200, |r| (r.range(0..2000), (r.next_u64() >> 32) as u32));
+        let raw_ttl = rng.range(1..1500);
+        let bin = rng.range(1..20);
+        let mult = rng.range(2..5);
         use supremm_suite::warehouse::tsdb::{
             Agg, DbOptions, RetentionPolicy, RollupLevel, Selector, Tsdb,
         };
@@ -506,14 +538,14 @@ proptest! {
         let pre_down = db.downsample_naive(&all, 0, u64::MAX, coarse, Agg::Count).unwrap();
 
         let report = db.enforce_retention(now).unwrap();
-        prop_assert_eq!(report.raw_watermark, target);
+        assert_eq!(report.raw_watermark, target);
         drop(db);
         let db = Tsdb::open_with(&dir, opts).unwrap();
-        prop_assert_eq!(db.query(&all, target, u64::MAX).unwrap(), pre_raw);
-        prop_assert_eq!(
+        assert_eq!(db.query(&all, target, u64::MAX).unwrap(), pre_raw);
+        assert_eq!(
             db.downsample(&all, 0, u64::MAX, coarse, Agg::Count).unwrap(),
             pre_down
         );
         let _ = std::fs::remove_dir_all(&dir);
-    }
+    });
 }
