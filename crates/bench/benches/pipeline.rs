@@ -2,8 +2,8 @@
 //!
 //! - `raw_parse/*` — zero-copy streaming scan vs owned batch parse of
 //!   one node-day file (MB/s);
-//! - `pipeline/*` — end-to-end wall time, overlapped collect→ingest vs
-//!   collect-everything-then-ingest;
+//! - `pipeline/overlapped` — end-to-end wall time of the pipeline
+//!   (collection overlapped with pooled ingest);
 //! - `consume/*` — single-pass ingest+series vs the two separate passes
 //!   the batch code used to make.
 
@@ -16,7 +16,7 @@ use supremm_metrics::{Duration, HostId, JobId, Timestamp};
 use supremm_procsim::{KernelState, NodeActivity, NodeSpec};
 use supremm_taccstats::format::{parse, stream, SampleRef};
 use supremm_taccstats::Collector;
-use supremm_warehouse::{ingest, ingest_with_series, SystemSeries};
+use supremm_warehouse::{consume_archive, ingest, ConsumeOptions, SystemSeries};
 
 /// One day of one busy node's raw output.
 fn one_node_day() -> String {
@@ -65,14 +65,6 @@ fn bench_pipeline() {
             .table
             .len()
     });
-    bench("pipeline/batch", None, || {
-        run_pipeline(
-            cfg(),
-            &PipelineOptions { keep_archive: false, overlap: false, ..Default::default() },
-        )
-        .table
-        .len()
-    });
 }
 
 fn bench_consume() {
@@ -81,9 +73,9 @@ fn bench_consume() {
         &PipelineOptions { keep_archive: true, ..Default::default() },
     );
     bench("consume/single_pass_jobs_and_series", Some(ds.raw_total_bytes), || {
-        let (records, stats, series) =
-            ingest_with_series(black_box(&ds.archive), &ds.accounting, &ds.lariat, 600);
-        black_box((records.len(), stats, series.bins.len()))
+        let opts = ConsumeOptions { bin_secs: Some(600), ..Default::default() };
+        let out = consume_archive(black_box(&ds.archive), opts).finish(&ds.accounting, &ds.lariat);
+        black_box((out.records.len(), out.stats, out.series.map(|s| s.bins.len())))
     });
     bench("consume/two_separate_passes", Some(ds.raw_total_bytes), || {
         let (records, stats) = ingest(black_box(&ds.archive), &ds.accounting, &ds.lariat);

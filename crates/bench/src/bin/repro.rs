@@ -269,39 +269,14 @@ fn write_tsdb_bench(
 
 /// One keep-alive HTTP request; returns the body length.
 fn http_fetch(stream: &mut std::net::TcpStream, target: &str) -> std::io::Result<usize> {
-    use std::io::{Read, Write};
+    use std::io::Write;
     // One write_all per request: interleaved small writes with Nagle on
     // stall each exchange on the peer's delayed ACK.
     let req = format!("GET {target} HTTP/1.1\r\nHost: repro\r\n\r\n");
     stream.write_all(req.as_bytes())?;
     stream.flush()?;
-    let mut buf = Vec::new();
-    let mut tmp = [0u8; 4096];
-    let header_end = loop {
-        if let Some(ix) = buf.windows(4).position(|w| w == b"\r\n\r\n") {
-            break ix;
-        }
-        let n = stream.read(&mut tmp)?;
-        if n == 0 {
-            return Err(std::io::Error::new(std::io::ErrorKind::UnexpectedEof, "closed"));
-        }
-        buf.extend_from_slice(&tmp[..n]);
-    };
-    let head = String::from_utf8_lossy(&buf[..header_end]).to_ascii_lowercase();
-    let content_length: usize = head
-        .lines()
-        .find_map(|l| l.strip_prefix("content-length:"))
-        .and_then(|v| v.trim().parse().ok())
-        .unwrap_or(0);
-    let body_start = header_end + 4;
-    while buf.len() < body_start + content_length {
-        let n = stream.read(&mut tmp)?;
-        if n == 0 {
-            return Err(std::io::Error::new(std::io::ErrorKind::UnexpectedEof, "closed"));
-        }
-        buf.extend_from_slice(&tmp[..n]);
-    }
-    Ok(content_length)
+    let (_status, _head, body) = supremm_relay::agent::read_http_response(stream)?;
+    Ok(body.len())
 }
 
 /// Query-path benchmark: a synthetic 64-host x 8-metric fortnight store
@@ -408,13 +383,7 @@ fn write_query_bench(root: &std::path::Path) -> std::io::Result<()> {
     let opts = supremm_xdmod::serve::ServeOptions::default();
     let served: std::io::Result<(f64, f64)> = std::thread::scope(|s| {
         s.spawn(|| {
-            let _ = supremm_xdmod::serve::serve_shared(
-                &table,
-                Some(&lock),
-                listener,
-                &shutdown,
-                &opts,
-            );
+            let _ = supremm_xdmod::serve::serve(&table, Some(&lock), listener, &shutdown, &opts);
         });
         let run = || -> std::io::Result<(f64, f64)> {
             let mut stream = std::net::TcpStream::connect(addr)?;
@@ -633,7 +602,7 @@ fn write_retention_bench(root: &std::path::Path) -> std::io::Result<()> {
 /// snapshot next to the bench numbers.
 fn write_metrics_snapshot() -> std::io::Result<()> {
     let table = supremm_warehouse::JobTable::default();
-    let resp = supremm_xdmod::serve::handle_with_obs(
+    let resp = supremm_xdmod::serve::handle(
         &table,
         None,
         &supremm_obs::global(),

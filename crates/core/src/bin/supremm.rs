@@ -332,7 +332,7 @@ fn serve_cmd(args: &[String]) {
         slow_query_micros,
         ..supremm_xdmod::serve::ServeOptions::default()
     };
-    supremm_xdmod::serve::serve_shared(&table, store.as_ref(), listener, &shutdown, &opts)
+    supremm_xdmod::serve::serve(&table, store.as_ref(), listener, &shutdown, &opts)
         .unwrap_or_else(|e| die(&format!("serve: {e}")));
 }
 
@@ -362,7 +362,6 @@ fn ingestd_cmd(args: &[String]) {
         ingest_opts.max_batch_bytes =
             v.parse().unwrap_or_else(|_| die("--max-batch-bytes needs an integer"));
     }
-    let max_body_bytes = ingest_opts.max_batch_bytes;
     let core = supremm_relay::IngestCore::start(store.clone(), ingest_opts);
     let listener = std::net::TcpListener::bind(&addr)
         .unwrap_or_else(|e| die(&format!("bind {addr}: {e}")));
@@ -391,12 +390,11 @@ fn ingestd_cmd(args: &[String]) {
     });
     let opts = supremm_xdmod::serve::ServeOptions {
         ingest: Some(core.clone()),
-        max_body_bytes,
         ..supremm_xdmod::serve::ServeOptions::default()
     };
-    // serve_shared drains the core after the workers stop accepting:
-    // every acked batch is applied + synced before this returns.
-    supremm_xdmod::serve::serve_shared(&table, Some(&*store), listener, &shutdown, &opts)
+    // serve drains the core after the workers stop accepting: every
+    // acked batch is applied + synced before this returns.
+    supremm_xdmod::serve::serve(&table, Some(&*store), listener, &shutdown, &opts)
         .unwrap_or_else(|e| die(&format!("ingestd: {e}")));
     println!("ingestd drained: {} batches applied", core.applied());
 }

@@ -48,24 +48,11 @@ pub struct PipelineOptions {
     /// Keep the raw archive in the result (it is by far the largest
     /// artifact; reports only need the table + series).
     pub keep_archive: bool,
-    /// Overlap collection with ingest: raw files are handed to a worker
-    /// pool as soon as the collector rotates them, so parsing runs
-    /// concurrently with the simulation and — with `keep_archive:
-    /// false` — file text is dropped right after its single parse.
-    /// `false` falls back to collect-everything-then-ingest (still one
-    /// parse per file). Both modes produce bit-identical output.
-    pub overlap: bool,
-    /// Ingest worker threads in overlap mode; `None` sizes from the
-    /// available parallelism.
-    pub ingest_workers: Option<usize>,
     /// Seeded fault injection applied to every raw file at the
     /// collector → ingest boundary (crashes, truncation, torn lines,
     /// duplicated ticks, clock skew, dropped records). `None` — and any
     /// plan whose rates are all zero — leaves every file untouched.
     pub fault_plan: Option<FaultPlan>,
-    /// Whole-file rejection on the first malformed line (the PR 1
-    /// ingest behaviour) instead of record-level quarantine.
-    pub strict_ingest: bool,
     /// Flush the run's products through the `tsdb` storage engine rooted
     /// here and read them back, making the on-disk store the source of
     /// truth for everything downstream (reports, serving): the system
@@ -90,10 +77,7 @@ impl Default for PipelineOptions {
         PipelineOptions {
             series_bin_secs: None,
             keep_archive: true,
-            overlap: true,
-            ingest_workers: None,
             fault_plan: None,
-            strict_ingest: false,
             store_dir: None,
             obs: None,
             retention: None,
@@ -112,9 +96,7 @@ struct PipelineMetrics {
     quarantined_bytes_total: supremm_obs::Counter,
     files_lost_total: supremm_obs::Counter,
     worker_panics_total: supremm_obs::Counter,
-    stage_collect: supremm_obs::Histogram,
-    stage_ingest: supremm_obs::Histogram,
-    stage_overlap: supremm_obs::Histogram,
+    stage_collect_ingest: supremm_obs::Histogram,
     stage_store: supremm_obs::Histogram,
 }
 
@@ -128,9 +110,7 @@ impl PipelineMetrics {
             quarantined_bytes_total: obs.counter("pipeline_quarantined_bytes_total"),
             files_lost_total: obs.counter("pipeline_files_lost_total"),
             worker_panics_total: obs.counter("pipeline_worker_panics_total"),
-            stage_collect: obs.histogram("pipeline_stage_micros{stage=\"collect\"}"),
-            stage_ingest: obs.histogram("pipeline_stage_micros{stage=\"ingest\"}"),
-            stage_overlap: obs.histogram("pipeline_stage_micros{stage=\"collect_ingest\"}"),
+            stage_collect_ingest: obs.histogram("pipeline_stage_micros{stage=\"collect_ingest\"}"),
             stage_store: obs.histogram("pipeline_stage_micros{stage=\"store\"}"),
         }
     }
@@ -237,7 +217,7 @@ fn syslog_lines_for_step(
 }
 
 /// The simulation's ground-truth side channels, separated from the raw
-/// files so the file flow can be redirected (archive vs channel).
+/// files, which flow to the ingest pool as they rotate.
 struct SimStreams {
     accounting: Vec<AccountingRecord>,
     lariat: Vec<LariatRecord>,
@@ -382,49 +362,38 @@ fn store_and_reload(
     (table, series)
 }
 
-fn ingest_worker_count(opts: &PipelineOptions) -> usize {
-    opts.ingest_workers.unwrap_or_else(|| {
-        let cores = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(2);
-        // Leave one core for the producer (the simulation itself).
-        cores.saturating_sub(1).clamp(1, 8)
-    })
+fn ingest_worker_count() -> usize {
+    let cores = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(2);
+    // Leave one core for the producer (the simulation itself).
+    cores.saturating_sub(1).clamp(1, 8)
 }
 
 /// Run the whole tool chain over one simulated machine.
+///
+/// Collection and ingest run concurrently: the simulation thread
+/// produces raw files into bounded per-worker channels as soon as the
+/// collector rotates them; the pool consumes each file exactly once
+/// into per-file partials. With `keep_archive: false` the text is freed
+/// right after its parse, so peak raw-text memory is bounded by the
+/// files in flight, not the whole run.
 pub fn run_pipeline(cfg: ClusterConfig, opts: &PipelineOptions) -> MachineDataset {
     let bin = opts.series_bin_secs.unwrap_or(cfg.interval.seconds());
     let consume_opts = ConsumeOptions {
         bin_secs: Some(bin),
         job_fragments: true,
-        strict: opts.strict_ingest,
+        strict: false,
     };
 
     let obs = opts.obs.clone().unwrap_or_else(supremm_obs::global);
     let met = PipelineMetrics::new(&obs);
 
     let mut fault_log = InjectionLog::default();
-    let (streams, acc, archive, pool) = if opts.overlap {
-        let t = supremm_obs::Timer::start();
-        let out = run_overlapped(&cfg, opts, consume_opts, &mut fault_log, &met);
-        met.stage_overlap.observe_timer(t);
-        out
-    } else {
-        // Batch mode: materialise the full archive first, then one
-        // parallel pass over it.
-        let mut archive = RawArchive::new();
-        let t = supremm_obs::Timer::start();
-        let streams = drive_simulation(
-            &cfg,
-            faulted(opts.fault_plan, &mut fault_log, |key, text| archive.insert(key, text)),
-        );
-        met.stage_collect.observe_timer(t);
-        let t = supremm_obs::Timer::start();
-        let acc = supremm_warehouse::consume_archive(&archive, consume_opts);
-        met.stage_ingest.observe_timer(t);
-        met.files_total.add(archive.len() as u64);
-        met.bytes_total.add(acc.total_bytes());
-        (streams, acc, archive, PoolFailures::default())
-    };
+    let t = supremm_obs::Timer::start();
+    let (streams, acc, archive, pool) =
+        pooled_ingest(consume_opts, ingest_worker_count(), opts.keep_archive, &met, |on_file| {
+            drive_simulation(&cfg, faulted(opts.fault_plan, &mut fault_log, on_file))
+        });
+    met.stage_collect_ingest.observe_timer(t);
 
     let raw_total_bytes = acc.total_bytes();
     let raw_mean = acc.mean_bytes_per_file();
@@ -452,7 +421,7 @@ pub fn run_pipeline(cfg: ClusterConfig, opts: &PipelineOptions) -> MachineDatase
 
     MachineDataset {
         cfg,
-        archive: if opts.keep_archive { archive } else { RawArchive::new() },
+        archive,
         raw_total_bytes,
         raw_mean_bytes_per_node_day: raw_mean,
         table,
@@ -612,26 +581,6 @@ fn pooled_ingest<T>(
     })
 }
 
-/// Collection and ingest running concurrently: the simulation thread
-/// produces raw files into bounded per-worker channels; the pool
-/// consumes each file exactly once into per-file partials. With
-/// `keep_archive: false` the text is freed right after its parse, so
-/// peak raw-text memory is bounded by the files in flight, not the
-/// whole run.
-fn run_overlapped(
-    cfg: &ClusterConfig,
-    opts: &PipelineOptions,
-    consume_opts: ConsumeOptions,
-    fault_log: &mut InjectionLog,
-    met: &PipelineMetrics,
-) -> (SimStreams, StreamAccumulator, RawArchive, PoolFailures) {
-    let workers = ingest_worker_count(opts);
-    let keep = opts.keep_archive;
-    pooled_ingest(consume_opts, workers, keep, met, |on_file| {
-        drive_simulation(cfg, faulted(opts.fault_plan, fault_log, on_file))
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -730,31 +679,25 @@ mod tests {
         assert_eq!(run(), run());
     }
 
-    /// The overlapped streaming pipeline must be byte-identical to the
-    /// batch (collect-then-ingest) pipeline: same ingest accounting,
-    /// same job aggregates, same series bins.
+    /// The pooled, streamed ingest must be byte-identical to one
+    /// `consume_archive` pass over the archive it kept: same ingest
+    /// accounting, same job records, same series bins.
     #[test]
-    fn overlapped_and_batch_pipelines_agree_exactly() {
-        let cfg = || ClusterConfig::ranger().scaled(10, 2);
-        let streaming = run_pipeline(
-            cfg(),
-            &PipelineOptions { overlap: true, ingest_workers: Some(3), ..Default::default() },
-        );
-        let batch = run_pipeline(cfg(), &PipelineOptions { overlap: false, ..Default::default() });
-        assert_eq!(streaming.ingest_stats, batch.ingest_stats);
-        assert_eq!(streaming.table.len(), batch.table.len());
-        assert_eq!(
-            streaming.table.total_node_hours().to_bits(),
-            batch.table.total_node_hours().to_bits(),
-            "job aggregates must be bit-identical"
-        );
-        assert_eq!(streaming.series.bins, batch.series.bins);
-        assert_eq!(streaming.raw_total_bytes, batch.raw_total_bytes);
-        // Overlap mode reassembles the same archive when asked to keep it.
-        assert_eq!(
-            streaming.archive.iter().collect::<Vec<_>>(),
-            batch.archive.iter().collect::<Vec<_>>(),
-        );
+    fn pipeline_matches_consume_of_its_kept_archive_exactly() {
+        let cfg = ClusterConfig::ranger().scaled(10, 2);
+        let consume_opts = ConsumeOptions {
+            bin_secs: Some(cfg.interval.seconds()),
+            job_fragments: true,
+            strict: false,
+        };
+        let ds = run_pipeline(cfg, &PipelineOptions::default());
+        assert!(!ds.archive.is_empty());
+        let acc = supremm_warehouse::consume_archive(&ds.archive, consume_opts);
+        assert_eq!(ds.raw_total_bytes, acc.total_bytes());
+        let want = acc.finish(&ds.accounting, &ds.lariat);
+        assert_eq!(ds.ingest_stats, want.stats);
+        assert_eq!(ds.table.jobs(), JobTable::new(want.records).jobs());
+        assert_eq!(ds.series.bins, want.series.expect("binning requested").bins);
     }
 
     /// With `keep_archive: false`, streaming never materialises the
@@ -812,21 +755,27 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
+    /// The pool's output does not depend on how many workers split
+    /// the files.
     #[test]
-    fn single_worker_overlap_matches_default() {
-        let cfg = || ClusterConfig::ranger().scaled(6, 1);
-        let one = run_pipeline(
-            cfg(),
-            &PipelineOptions { ingest_workers: Some(1), keep_archive: false, ..Default::default() },
-        );
-        let auto = run_pipeline(
-            cfg(),
-            &PipelineOptions { keep_archive: false, ..Default::default() },
-        );
-        assert_eq!(one.ingest_stats, auto.ingest_stats);
-        assert_eq!(one.series.bins, auto.series.bins);
-        assert_eq!(auto.ingest_stats.worker_panics, 0);
-        assert_eq!(auto.ingest_stats.files_lost, 0);
+    fn pooled_ingest_is_independent_of_worker_count() {
+        let ds = run_pipeline(ClusterConfig::ranger().scaled(6, 1), &PipelineOptions::default());
+        let opts = ConsumeOptions { bin_secs: Some(600), job_fragments: true, strict: false };
+        let met = PipelineMetrics::new(&supremm_obs::ObsRegistry::new());
+        let run = |workers: usize| {
+            let ((), acc, _, failures) = pooled_ingest(opts, workers, false, &met, |on_file| {
+                for (key, text) in ds.archive.iter() {
+                    on_file(*key, text.to_string());
+                }
+            });
+            assert_eq!(failures, PoolFailures::default());
+            acc.finish(&ds.accounting, &ds.lariat)
+        };
+        let (one, four) = (run(1), run(4));
+        assert_eq!(one.stats, four.stats);
+        assert_eq!(one.records, four.records);
+        assert_eq!(one.series.expect("binned").bins, four.series.expect("binned").bins);
+        assert_eq!(one.stats, ds.ingest_stats);
     }
 
     #[test]
@@ -894,5 +843,11 @@ mod tests {
         assert!(snap
             .histogram("pipeline_stage_micros{stage=\"collect_ingest\"}")
             .is_some_and(|h| h.count == 1 && h.sum > 0));
+        // No stage is registered that the pipeline never observes (an
+        // always-empty series would read as a stalled stage).
+        for dead in ["collect", "ingest"] {
+            let name = format!("pipeline_stage_micros{{stage=\"{dead}\"}}");
+            assert!(snap.histogram(&name).is_none(), "{name} still registered");
+        }
     }
 }

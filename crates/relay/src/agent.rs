@@ -448,7 +448,7 @@ fn header_value<'a>(headers: &'a str, name: &str) -> Option<&'a str> {
 
 /// Read one HTTP/1.1 response: status code, raw header block, body (by
 /// Content-Length; responses without one are treated as empty-bodied).
-fn read_http_response(stream: &mut TcpStream) -> io::Result<(u16, String, String)> {
+pub fn read_http_response(stream: &mut TcpStream) -> io::Result<(u16, String, String)> {
     let mut buf = Vec::with_capacity(512);
     let mut chunk = [0u8; 1024];
     let header_end = loop {

@@ -44,7 +44,8 @@ use crate::retention::{
     RetentionManifest, RetentionPolicy, RetentionReport, RollupRows,
 };
 use crate::segment::{
-    ChunkRef, SegmentReader, SegmentWriter, SeriesEntry, TsdbError, KIND_ROLLUP, KIND_SERIES,
+    ChunkRef, ChunkSamples, SegmentReader, SegmentWriter, SeriesEntry, TsdbError, KIND_ROLLUP,
+    KIND_SERIES,
 };
 use crate::stats::{BinAcc, ChunkStats};
 use crate::wal::Wal;
@@ -61,6 +62,9 @@ impl SeriesKey {
         SeriesKey { host: host.into(), metric: metric.into() }
     }
 }
+
+/// A query answer: each matching series with its `(ts, value)` points.
+type SeriesPoints = Vec<(SeriesKey, Vec<(u64, f64)>)>;
 
 /// Predicate over series: `None` matches everything.
 #[derive(Debug, Clone, Default)]
@@ -83,8 +87,8 @@ impl Selector {
     }
 
     pub fn matches(&self, key: &SeriesKey) -> bool {
-        self.host.as_deref().map_or(true, |h| h == key.host)
-            && self.metric.as_deref().map_or(true, |m| m == key.metric)
+        self.host.as_deref().is_none_or(|h| h == key.host)
+            && self.metric.as_deref().is_none_or(|m| m == key.metric)
     }
 }
 
@@ -330,7 +334,7 @@ fn normalize_run(run: Vec<(u64, u64)>) -> Vec<(u64, u64)> {
         return run;
     }
     let mut keyed: Vec<(usize, (u64, u64))> = run.into_iter().enumerate().collect();
-    keyed.sort_by(|a, b| (a.1 .0, a.0).cmp(&(b.1 .0, b.0)));
+    keyed.sort_by_key(|a| (a.1 .0, a.0));
     let mut out: Vec<(u64, u64)> = Vec::with_capacity(keyed.len());
     for (_, (ts, bits)) in keyed {
         match out.last_mut() {
@@ -393,7 +397,7 @@ fn matching_entries<'a>(idx: &'a [SeriesEntry], sel: &Selector) -> Vec<&'a Serie
     };
     slice
         .iter()
-        .filter(|e| sel.metric.as_deref().map_or(true, |m| m == e.metric))
+        .filter(|e| sel.metric.as_deref().is_none_or(|m| m == e.metric))
         .collect()
 }
 
@@ -407,10 +411,10 @@ fn bin_samples(samples: &[(u64, f64)], bin_secs: u64, agg: Agg) -> Vec<(u64, f64
 }
 
 fn bin_series(
-    series: Vec<(SeriesKey, Vec<(u64, f64)>)>,
+    series: SeriesPoints,
     bin_secs: u64,
     agg: Agg,
-) -> Vec<(SeriesKey, Vec<(u64, f64)>)> {
+) -> SeriesPoints {
     series
         .into_iter()
         .map(|(key, samples)| {
@@ -434,7 +438,7 @@ fn write_segment(
         .iter()
         .map(|(key, series)| (key, series.iter().map(|(&ts, &b)| (ts, b)).collect()))
         .collect();
-    let mut block: Vec<(&str, &str, &[(u64, u64)])> = Vec::new();
+    let mut block: Vec<ChunkSamples<'_>> = Vec::new();
     for (key, samples) in &flat {
         for chunk in samples.chunks(opts.chunk_samples.max(1)) {
             block.push((key.host.as_str(), key.metric.as_str(), chunk));
@@ -743,7 +747,7 @@ impl Tsdb {
         sel: &Selector,
         t0: u64,
         t1: u64,
-    ) -> Result<Vec<(SeriesKey, Vec<(u64, f64)>)>, TsdbError> {
+    ) -> Result<SeriesPoints, TsdbError> {
         // Retention truncates the raw tier logically: samples below the
         // watermark are gone even while their segment still spans it
         // (files are only ever dropped whole; see `enforce_retention`).
@@ -789,7 +793,7 @@ impl Tsdb {
         sel: &Selector,
         t0: u64,
         t1: u64,
-    ) -> Result<Vec<(SeriesKey, Vec<(u64, f64)>)>, TsdbError> {
+    ) -> Result<SeriesPoints, TsdbError> {
         // Same retention clamp as `query` — the oracle sees the same
         // logically-surviving raw data as the fast path.
         let t0 = t0.max(self.manifest.raw_dropped_before);
@@ -868,7 +872,7 @@ impl Tsdb {
         t1: u64,
         bin_secs: u64,
         agg: Agg,
-    ) -> Result<Vec<(SeriesKey, Vec<(u64, f64)>)>, TsdbError> {
+    ) -> Result<SeriesPoints, TsdbError> {
         Ok(self.downsample_tiered(sel, t0, t1, bin_secs, agg)?.0)
     }
 
@@ -892,7 +896,7 @@ impl Tsdb {
         t1: u64,
         bin_secs: u64,
         agg: Agg,
-    ) -> Result<(Vec<(SeriesKey, Vec<(u64, f64)>)>, Vec<String>), TsdbError> {
+    ) -> Result<(SeriesPoints, Vec<String>), TsdbError> {
         let bin_secs = bin_secs.max(1);
         let mut accs: BTreeMap<SeriesKey, BTreeMap<u64, BinAcc>> = BTreeMap::new();
         // Rollup tiers fold first: they cover strictly older time than
@@ -1187,7 +1191,7 @@ impl Tsdb {
         t1: u64,
         bin_secs: u64,
         agg: Agg,
-    ) -> Result<Vec<(SeriesKey, Vec<(u64, f64)>)>, TsdbError> {
+    ) -> Result<SeriesPoints, TsdbError> {
         let bin_secs = bin_secs.max(1);
         Ok(bin_series(self.query_naive(sel, t0, t1)?, bin_secs, agg))
     }

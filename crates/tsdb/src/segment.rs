@@ -182,6 +182,10 @@ pub struct SegmentWriter {
     series: BTreeMap<(String, String), Vec<ChunkRef>>,
 }
 
+/// One chunk handed to [`SegmentWriter::push_series_block`]:
+/// `(host, metric, samples)`, all borrowed.
+pub(crate) type ChunkSamples<'a> = (&'a str, &'a str, &'a [(u64, u64)]);
+
 impl SegmentWriter {
     pub fn new(kind: u8) -> SegmentWriter {
         SegmentWriter { kind, blocks: Vec::new(), series: BTreeMap::new() }
@@ -190,7 +194,7 @@ impl SegmentWriter {
     /// Add a series block: chunks grouped under shared string tables.
     /// `chunks` items are `(host, metric, samples)`; samples are
     /// borrowed — no copy is made on the way into the encoder.
-    pub fn push_series_block(&mut self, chunks: &[(&str, &str, &[(u64, u64)])]) {
+    pub fn push_series_block(&mut self, chunks: &[ChunkSamples<'_>]) {
         if chunks.is_empty() {
             return;
         }
@@ -345,7 +349,7 @@ impl SegmentReader {
         let index_crc = u32::from_le_bytes([c0, c1, c2, c3]);
         if index_offset
             .checked_add(index_len)
-            .map_or(true, |end| end != file_len - FOOTER_LEN as u64)
+            .is_none_or(|end| end != file_len - FOOTER_LEN as u64)
         {
             return Err(corrupt(format!("{}: index frame out of bounds", path.display())));
         }
@@ -375,7 +379,7 @@ impl SegmentReader {
             let n_chunks = field("n_chunks")? as u32;
             // Block frame = 8-byte len+crc header, then `len` payload bytes.
             let end = offset.checked_add(8 + u64::from(len));
-            if offset < HEADER_LEN as u64 || !end.is_some_and(|e| e <= index_offset) {
+            if offset < HEADER_LEN as u64 || end.is_none_or(|e| e > index_offset) {
                 return Err(corrupt(format!("{}: index[{i}] out of bounds", path.display())));
             }
             entries.push(IndexEntry { offset, len, min_ts, max_ts, n_chunks });
@@ -444,7 +448,7 @@ impl SegmentReader {
                     bad(format!("series[{s}].chunk[{c}] block {block_ix} out of range"))
                 })?;
                 let end = (offset as u64).checked_add(len as u64);
-                if end.map_or(true, |e| e > entry.len as u64) {
+                if end.is_none_or(|e| e > entry.len as u64) {
                     return Err(bad(format!(
                         "series[{s}].chunk[{c}] bytes {offset}+{len} exceed block {block_ix}"
                     )));
@@ -593,7 +597,9 @@ mod tests {
         dir
     }
 
-    fn sample_chunks() -> Vec<(String, String, Vec<(u64, u64)>)> {
+    type OwnedChunk = (String, String, Vec<(u64, u64)>);
+
+    fn sample_chunks() -> Vec<OwnedChunk> {
         vec![
             (
                 "c301-101".into(),
@@ -614,7 +620,7 @@ mod tests {
     }
 
     /// Borrow an owned chunk list into `push_series_block` form.
-    fn as_refs(owned: &[(String, String, Vec<(u64, u64)>)]) -> Vec<(&str, &str, &[(u64, u64)])> {
+    fn as_refs(owned: &[OwnedChunk]) -> Vec<ChunkSamples<'_>> {
         owned.iter().map(|(h, m, s)| (h.as_str(), m.as_str(), s.as_slice())).collect()
     }
 
@@ -761,11 +767,8 @@ mod tests {
             // decode fails, or (for truly dont-care bytes) data matches.
             if let Ok(r) = SegmentReader::open(&path) {
                 for e in &r.entries {
-                    match r.read_block(e) {
-                        Ok(p) => {
-                            let _ = r.decode_series_block(&p);
-                        }
-                        Err(_) => {}
+                    if let Ok(p) = r.read_block(e) {
+                        let _ = r.decode_series_block(&p);
                     }
                 }
             }

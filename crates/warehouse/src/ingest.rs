@@ -19,7 +19,6 @@ use supremm_taccstats::RawArchive;
 
 use crate::record::{ExitKind, JobRecord};
 use crate::streaming::{consume_archive, ConsumeOptions};
-use crate::timeseries::SystemSeries;
 
 /// Per-job accumulation of interval metrics (one fragment per host file;
 /// fragments merge associatively).
@@ -115,21 +114,6 @@ pub fn ingest(
     let opts = ConsumeOptions { bin_secs: None, job_fragments: true, strict: false };
     let out = consume_archive(archive, opts).finish(accounting, lariat);
     (out.records, out.stats)
-}
-
-/// Ingest *and* assemble the system series from the same single parse
-/// pass over the archive — the unified-consumer entry point for callers
-/// that need both products.
-pub fn ingest_with_series(
-    archive: &RawArchive,
-    accounting: &[AccountingRecord],
-    lariat: &[LariatRecord],
-    bin_secs: u64,
-) -> (Vec<JobRecord>, IngestStats, SystemSeries) {
-    assert!(bin_secs > 0);
-    let opts = ConsumeOptions { bin_secs: Some(bin_secs), job_fragments: true, strict: false };
-    let out = consume_archive(archive, opts).finish(accounting, lariat);
-    (out.records, out.stats, out.series.expect("binning requested"))
 }
 
 /// Join merged per-job fragments against the accounting and Lariat

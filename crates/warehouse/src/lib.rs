@@ -38,7 +38,7 @@ pub mod tsdbio;
 
 pub use supremm_tsdb as tsdb;
 
-pub use ingest::{ingest, ingest_with_series, IngestStats};
+pub use ingest::{ingest, IngestStats};
 pub use record::{ExitKind, JobRecord};
 pub use store::JobTable;
 pub use streaming::{consume_archive, ConsumeOptions, FilePartial, StreamAccumulator, StreamOutput};

@@ -16,8 +16,8 @@
 //! `POST /v1/write` is the live remote-write path: the body is one relay
 //! wire frame ([`supremm_relay::wire`]) and the request is handed to the
 //! attached [`IngestCore`] ([`ServeOptions::ingest`]). The response
-//! ladder is 413 (body over [`ServeOptions::max_body_bytes`], refused
-//! before the body is read) → 400 (undecodable frame) → 429 +
+//! ladder is 413 (body over the core's [`IngestCore::max_batch_bytes`],
+//! refused before the body is read) → 400 (undecodable frame) → 429 +
 //! `Retry-After` (admission queue full or draining) → 200 (the batch is
 //! durable — applied and WAL-synced — or a dedup-confirmed duplicate).
 //! The write path never answers 5xx. Request bodies are read for every
@@ -39,9 +39,10 @@
 //! and the store's mutation generation — any write to the store
 //! invalidates every cached entry at the next lookup.
 //!
-//! The request handling is a pure function ([`handle_with_store`]) so the
-//! protocol logic is unit-testable without sockets; [`serve`] /
-//! [`serve_shared`] are the accept-loop wrappers.
+//! The request handling is a pure function ([`handle`]) so the protocol
+//! logic is unit-testable without sockets; [`serve`] is the accept loop.
+//! Each request line is tokenised once into a [`Request`] that the
+//! router, cache key, metrics recorder and POST dispatcher all read.
 //!
 //! The serve loop reports into the `obs` self-observability registry
 //! (`GET /v1/metrics` in Prometheus text or the in-house JSON):
@@ -93,11 +94,6 @@ impl Response {
     fn with_retry_after(mut self, ms: u64) -> Response {
         self.retry_after_ms = Some(ms);
         self
-    }
-
-    /// Serialise as a close-delimited HTTP/1.1 message.
-    pub fn to_http(&self) -> String {
-        self.to_http_with(false)
     }
 
     /// Serialise as HTTP/1.1, advertising whether the connection stays
@@ -163,9 +159,9 @@ type Params<'a> = Vec<(&'a str, &'a str)>;
 /// A non-empty query segment without `=` is malformed, and so is a
 /// repeated key (`?host=a&host=b` — which one did the client mean?):
 /// the client gets a 400, not a silently dropped parameter.
-fn split_target(target: &str) -> Result<(&str, Params<'_>), String> {
+fn split_target(target: &str) -> (&str, Result<Params<'_>, String>) {
     let Some((path, qs)) = target.split_once('?') else {
-        return Ok((target, Vec::new()));
+        return (target, Ok(Vec::new()));
     };
     let mut params: Vec<(&str, &str)> = Vec::new();
     for kv in qs.split('&') {
@@ -175,14 +171,45 @@ fn split_target(target: &str) -> Result<(&str, Params<'_>), String> {
         match kv.split_once('=') {
             Some((k, v)) => {
                 if params.iter().any(|&(seen, _)| seen == k) {
-                    return Err(format!("duplicate query parameter {k:?}"));
+                    return (path, Err(format!("duplicate query parameter {k:?}")));
                 }
                 params.push((k, v));
             }
-            None => return Err(format!("malformed query parameter {kv:?}")),
+            None => return (path, Err(format!("malformed query parameter {kv:?}"))),
         }
     }
-    Ok((path, params))
+    (path, Ok(params))
+}
+
+/// One request line (`GET <target> HTTP/1.x`), tokenised once per
+/// request and borrowed from the connection buffer.
+struct Request<'a> {
+    /// Empty when the line has no method + target (answered 400).
+    method: &'a str,
+    /// As sent, query string included (the slow-query log quotes it).
+    target: &'a str,
+    path: &'a str,
+    /// `Err` carries the 400 message for a malformed query string.
+    params: Result<Params<'a>, String>,
+    /// Slot in [`ENDPOINTS`].
+    endpoint: usize,
+}
+
+impl<'a> Request<'a> {
+    fn parse(request_line: &'a str) -> Request<'a> {
+        let mut parts = request_line.split_whitespace();
+        let (Some(method), Some(target)) = (parts.next(), parts.next()) else {
+            return Request {
+                method: "",
+                target: request_line,
+                path: "",
+                params: Ok(Vec::new()),
+                endpoint: endpoint_index(""),
+            };
+        };
+        let (path, params) = split_target(target);
+        Request { method, target, path, params, endpoint: endpoint_index(path) }
+    }
 }
 
 /// First query key not in the endpoint's allowlist, as a 400 message.
@@ -205,22 +232,6 @@ fn parse_agg(s: &str) -> Option<Agg> {
         "count" => Agg::Count,
         _ => return None,
     })
-}
-
-/// Handle one request line (`GET <target> HTTP/1.x`) against the table.
-pub fn handle(table: &JobTable, request_line: &str) -> Response {
-    handle_with_store(table, None, request_line)
-}
-
-/// [`handle`], with an optional `tsdb` store behind `/v1/series`.
-/// `/v1/metrics` answers from the process-wide [`supremm_obs::global`]
-/// registry; use [`handle_with_obs`] to point it elsewhere.
-pub fn handle_with_store(
-    table: &JobTable,
-    store: Option<&Tsdb>,
-    request_line: &str,
-) -> Response {
-    handle_with_obs(table, store, &supremm_obs::global(), request_line)
 }
 
 /// Render the registry snapshot as the in-house JSON value type.
@@ -268,28 +279,36 @@ fn metrics_json(snap: &supremm_obs::Snapshot) -> Value {
     ])
 }
 
-/// [`handle_with_store`], answering `/v1/metrics` from an explicit
-/// registry instead of the process-wide one.
-pub fn handle_with_obs(
+/// Handle one request line (`GET <target> HTTP/1.x`) against the table,
+/// with an optional `tsdb` store behind `/v1/series` and the registry
+/// `/v1/metrics` answers from.
+pub fn handle(
     table: &JobTable,
     store: Option<&Tsdb>,
     obs: &ObsRegistry,
     request_line: &str,
 ) -> Response {
-    let mut parts = request_line.split_whitespace();
-    let (method, target) = match (parts.next(), parts.next()) {
-        (Some(m), Some(t)) => (m, t),
-        _ => return Response::error(400, "malformed request line"),
-    };
-    if method != "GET" {
+    route(table, store, obs, &Request::parse(request_line))
+}
+
+fn route(
+    table: &JobTable,
+    store: Option<&Tsdb>,
+    obs: &ObsRegistry,
+    req: &Request<'_>,
+) -> Response {
+    if req.method.is_empty() {
+        return Response::error(400, "malformed request line");
+    }
+    if req.method != "GET" {
         return Response::error(400, "only GET is supported");
     }
-    let (path, params) = match split_target(target) {
-        Ok(split) => split,
-        Err(msg) => return Response::error(400, &msg),
+    let params = match &req.params {
+        Ok(params) => params,
+        Err(msg) => return Response::error(400, msg),
     };
     let get = |key: &str| params.iter().find(|(k, _)| *k == key).map(|&(_, v)| v);
-    match path {
+    match req.path {
         "/healthz" => Response::json(200, "{\"status\":\"ok\"}".into()),
         "/v1/summary" => {
             let users = table.group_by(|j| j.user).len();
@@ -305,7 +324,7 @@ pub fn handle_with_obs(
             )
         }
         "/v1/query" => {
-            if let Some(msg) = unknown_param(&params, &["dimension", "statistic", "metric", "top"])
+            if let Some(msg) = unknown_param(params, &["dimension", "statistic", "metric", "top"])
             {
                 return Response::error(400, &msg);
             }
@@ -332,7 +351,7 @@ pub fn handle_with_obs(
         }
         "/v1/series" => {
             if let Some(msg) =
-                unknown_param(&params, &["host", "metric", "t0", "t1", "bin", "agg"])
+                unknown_param(params, &["host", "metric", "t0", "t1", "bin", "agg"])
             {
                 return Response::error(400, &msg);
             }
@@ -395,7 +414,7 @@ pub fn handle_with_obs(
             )
         }
         "/v1/metrics" => {
-            if let Some(msg) = unknown_param(&params, &["format"]) {
+            if let Some(msg) = unknown_param(params, &["format"]) {
                 return Response::error(400, &msg);
             }
             let snap = obs.snapshot();
@@ -421,32 +440,23 @@ pub fn handle_with_obs(
 /// Tuning for the pooled serve loop.
 #[derive(Clone)]
 pub struct ServeOptions {
-    /// Accept-loop worker threads.
-    pub threads: usize,
-    /// Max cached responses; 0 disables the cache.
-    pub cache_entries: usize,
     /// Requests slower than this land in the obs event log as
     /// `slow_query` entries (`supremm serve --slow-query-ms`).
     pub slow_query_micros: u64,
     /// Registry the serve loop reports into.
     pub obs: ObsHandle,
     /// Ingest core behind `POST /v1/write`; without one the endpoint
-    /// answers 503. The serve loop drains it on shutdown.
+    /// answers 503. The serve loop drains it on shutdown. Its
+    /// [`IngestCore::max_batch_bytes`] is also the largest request body
+    /// the server reads.
     pub ingest: Option<Arc<IngestCore>>,
-    /// Largest acceptable request body. Beyond it the server answers
-    /// 413 *without reading the body* and closes the connection (the
-    /// stream cannot be resynced past bytes it refuses to read).
-    pub max_body_bytes: usize,
 }
 
 impl std::fmt::Debug for ServeOptions {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("ServeOptions")
-            .field("threads", &self.threads)
-            .field("cache_entries", &self.cache_entries)
             .field("slow_query_micros", &self.slow_query_micros)
             .field("ingest", &self.ingest.is_some())
-            .field("max_body_bytes", &self.max_body_bytes)
             .finish()
     }
 }
@@ -454,12 +464,9 @@ impl std::fmt::Debug for ServeOptions {
 impl Default for ServeOptions {
     fn default() -> ServeOptions {
         ServeOptions {
-            threads: 4,
-            cache_entries: 256,
             slow_query_micros: 100_000,
             obs: supremm_obs::global(),
             ingest: None,
-            max_body_bytes: 4 * 1024 * 1024,
         }
     }
 }
@@ -470,12 +477,7 @@ impl Default for ServeOptions {
 const ENDPOINTS: [&str; 7] =
     ["healthz", "v1_summary", "v1_query", "v1_series", "v1_metrics", "v1_write", "other"];
 
-fn endpoint_index(request_line: &str) -> usize {
-    let path = request_line
-        .split_whitespace()
-        .nth(1)
-        .map(|t| t.split_once('?').map_or(t, |(p, _)| p))
-        .unwrap_or("");
+fn endpoint_index(path: &str) -> usize {
     match path {
         "/healthz" => 0,
         "/v1/summary" => 1,
@@ -561,9 +563,8 @@ impl ServeMetrics {
     }
 
     /// Record one finished request (cached or computed).
-    fn record(&self, request_line: &str, micros: u64, resp: &Response) {
-        let ep = self.endpoints.get(endpoint_index(request_line));
-        if let Some(ep) = ep {
+    fn record(&self, req: &Request<'_>, micros: u64, resp: &Response) {
+        if let Some(ep) = self.endpoints.get(req.endpoint) {
             ep.requests.inc();
             ep.latency.observe(micros);
         }
@@ -575,10 +576,9 @@ impl ServeMetrics {
         }
         if micros >= self.slow_query_micros {
             self.slow_queries.inc();
-            let target = request_line.split_whitespace().nth(1).unwrap_or(request_line);
             self.obs.event(
                 "slow_query",
-                format!("{target} took {micros}us (status {})", resp.status),
+                format!("{} took {micros}us (status {})", req.target, resp.status),
             );
         }
     }
@@ -640,9 +640,6 @@ impl ResponseCache {
     }
 
     pub fn get(&self, key: &str, generation: u64) -> Option<Response> {
-        if self.capacity == 0 {
-            return None;
-        }
         let mut inner = self.lock();
         inner.tick += 1;
         let tick = inner.tick;
@@ -665,9 +662,6 @@ impl ResponseCache {
     /// Insert, evicting least-recently-used entries over capacity.
     /// Returns how many entries were evicted.
     pub fn put(&self, key: String, generation: u64, response: Response) -> usize {
-        if self.capacity == 0 {
-            return 0;
-        }
         let mut inner = self.lock();
         inner.tick += 1;
         let tick = inner.tick;
@@ -707,24 +701,22 @@ impl ResponseCache {
     }
 }
 
-/// Canonical cache key for a request line, or `None` if the request is
+/// Canonical cache key for a request, or `None` if the request is
 /// not cacheable (non-GET, non-`/v1/` path, or malformed — those must
 /// re-run so errors stay fresh). `/v1/metrics` is deliberately
 /// uncacheable: its body is a live registry snapshot and the store
 /// generation the cache keys on does not advance when metrics do.
-fn cache_key(request_line: &str) -> Option<String> {
-    let mut parts = request_line.split_whitespace();
-    let (method, target) = (parts.next()?, parts.next()?);
-    if method != "GET" {
+fn cache_key(req: &Request<'_>) -> Option<String> {
+    if req.method != "GET" {
         return None;
     }
-    let (path, mut params) = split_target(target).ok()?;
-    if !path.starts_with("/v1/") || path == "/v1/metrics" {
+    if !req.path.starts_with("/v1/") || req.path == "/v1/metrics" {
         return None;
     }
+    let mut params = req.params.as_ref().ok()?.clone();
     params.sort_unstable();
-    let mut key = String::with_capacity(target.len());
-    key.push_str(path);
+    let mut key = String::with_capacity(req.target.len());
+    key.push_str(req.path);
     for (i, (k, v)) in params.iter().enumerate() {
         key.push(if i == 0 { '?' } else { '&' });
         key.push_str(k);
@@ -734,72 +726,41 @@ fn cache_key(request_line: &str) -> Option<String> {
     Some(key)
 }
 
-/// How the serve loop reaches the (optional) store.
-#[derive(Clone, Copy)]
-enum StoreView<'a> {
-    None,
-    /// Exclusive reader: the store cannot change while serving.
-    Direct(&'a Tsdb),
-    /// Shared with writers; read-locked per request.
-    Shared(&'a RwLock<Tsdb>),
-}
-
-/// Answer one request line, consulting the cache first. For the shared
-/// view the read lock covers the generation probe *and* the compute, so
-/// a cached entry can never be tagged with a generation it didn't see.
+/// Answer one request, consulting the cache first. The store (when
+/// there is one) is shared with writers: the read lock covers the
+/// generation probe *and* the compute, so a cached entry can never be
+/// tagged with a generation it didn't see.
 fn respond(
     table: &JobTable,
-    view: StoreView<'_>,
-    cache: Option<&ResponseCache>,
+    store: Option<&RwLock<Tsdb>>,
+    cache: &ResponseCache,
     met: &ServeMetrics,
-    request_line: &str,
+    req: &Request<'_>,
 ) -> Response {
-    match view {
-        StoreView::None => respond_with(table, None, cache, met, request_line),
-        StoreView::Direct(db) => respond_with(table, Some(db), cache, met, request_line),
-        StoreView::Shared(lock) => {
-            let db = lock.read().unwrap_or_else(|e| e.into_inner());
-            respond_with(table, Some(&db), cache, met, request_line)
-        }
-    }
-}
-
-fn respond_with(
-    table: &JobTable,
-    store: Option<&Tsdb>,
-    cache: Option<&ResponseCache>,
-    met: &ServeMetrics,
-    request_line: &str,
-) -> Response {
+    let guard = store.map(|lock| lock.read().unwrap_or_else(|e| e.into_inner()));
+    let db = guard.as_deref();
     let t = Timer::start();
-    let resp = respond_inner(table, store, cache, met, request_line);
-    met.record(request_line, t.elapsed_micros(), &resp);
-    resp
-}
-
-fn respond_inner(
-    table: &JobTable,
-    store: Option<&Tsdb>,
-    cache: Option<&ResponseCache>,
-    met: &ServeMetrics,
-    request_line: &str,
-) -> Response {
-    let Some(cache) = cache else {
-        return handle_with_obs(table, store, &met.obs, request_line);
+    let resp = match cache_key(req) {
+        None => route(table, db, &met.obs, req),
+        Some(key) => {
+            let generation = db.map_or(0, Tsdb::generation);
+            match cache.get(&key, generation) {
+                Some(hit) => {
+                    met.cache_hits.inc();
+                    hit
+                }
+                None => {
+                    met.cache_misses.inc();
+                    let resp = route(table, db, &met.obs, req);
+                    if resp.status == 200 {
+                        met.cache_evictions.add(cache.put(key, generation, resp.clone()) as u64);
+                    }
+                    resp
+                }
+            }
+        }
     };
-    let Some(key) = cache_key(request_line) else {
-        return handle_with_obs(table, store, &met.obs, request_line);
-    };
-    let generation = store.map(|db| db.generation()).unwrap_or(0);
-    if let Some(hit) = cache.get(&key, generation) {
-        met.cache_hits.inc();
-        return hit;
-    }
-    met.cache_misses.inc();
-    let resp = handle_with_obs(table, store, &met.obs, request_line);
-    if resp.status == 200 {
-        met.cache_evictions.add(cache.put(key, generation, resp.clone()) as u64);
-    }
+    met.record(req, t.elapsed_micros(), &resp);
     resp
 }
 
@@ -808,16 +769,11 @@ fn respond_inner(
 fn respond_post(
     ingest: Option<&IngestCore>,
     met: &ServeMetrics,
-    request_line: &str,
+    req: &Request<'_>,
     body: &[u8],
 ) -> Option<Response> {
     let t = Timer::start();
-    let path = request_line
-        .split_whitespace()
-        .nth(1)
-        .map(|t| t.split_once('?').map_or(t, |(p, _)| p))
-        .unwrap_or("");
-    let resp = match (path, ingest) {
+    let resp = match (req.path, ingest) {
         ("/v1/write", Some(core)) => match core.submit(body) {
             WriteOutcome::Acked { seq, deduped } => {
                 Response::json(200, format!("{{\"acked\":{seq},\"deduped\":{deduped}}}"))
@@ -834,12 +790,19 @@ fn respond_post(
         ("/v1/write", None) => Response::error(503, "ingest not enabled"),
         _ => Response::error(404, "unknown path"),
     };
-    met.record(request_line, t.elapsed_micros(), &resp);
+    met.record(req, t.elapsed_micros(), &resp);
     Some(resp)
 }
 
 // --- connection + accept loops --------------------------------------------
 
+/// Accept-loop worker threads.
+const WORKER_THREADS: usize = 4;
+/// Max cached responses.
+const CACHE_ENTRIES: usize = 256;
+/// Largest request body read when no ingest core (the only consumer of
+/// bodies) is attached.
+const MAX_BODY_BYTES_WITHOUT_INGEST: usize = 4 * 1024 * 1024;
 /// Hard ceiling on requests served per connection before forcing a
 /// close (bounds how long one client can pin a worker).
 const MAX_REQUESTS_PER_CONN: usize = 256;
@@ -858,8 +821,8 @@ fn find_header_end(buf: &[u8]) -> Option<usize> {
 fn serve_connection(
     mut stream: TcpStream,
     table: &JobTable,
-    view: StoreView<'_>,
-    cache: Option<&ResponseCache>,
+    store: Option<&RwLock<Tsdb>>,
+    cache: &ResponseCache,
     met: &ServeMetrics,
     ingest: Option<&IngestCore>,
     max_body_bytes: usize,
@@ -897,7 +860,7 @@ fn serve_connection(
             // bare request line and wait; answer it once and close.
             if let Some(nl) = buf.iter().position(|&b| b == b'\n') {
                 let line = String::from_utf8_lossy(&buf[..nl]);
-                let resp = respond(table, view, cache, met, line.trim_end());
+                let resp = respond(table, store, cache, met, &Request::parse(line.trim_end()));
                 let _ = stream.write_all(resp.to_http_with(false).as_bytes());
             }
             return;
@@ -906,6 +869,7 @@ fn serve_connection(
         buf.drain(..end + 4);
         let mut lines = head.lines();
         let request_line = lines.next().unwrap_or("").trim_end();
+        let req = Request::parse(request_line);
         // HTTP/1.1 defaults to keep-alive, HTTP/1.0 to close; an
         // explicit Connection header overrides either way.
         let mut keep = request_line.ends_with("HTTP/1.1");
@@ -935,7 +899,7 @@ fn serve_connection(
         }
         if content_length > max_body_bytes {
             let resp = Response::error(413, &format!("body exceeds {max_body_bytes} bytes"));
-            met.record(request_line, 0, &resp);
+            met.record(&req, 0, &resp);
             let _ = stream.write_all(resp.to_http_with(false).as_bytes());
             return;
         }
@@ -952,13 +916,13 @@ fn serve_connection(
             }
             body = buf.drain(..content_length).collect();
         }
-        let resp = if request_line.starts_with("POST ") {
-            match respond_post(ingest, met, request_line, &body) {
+        let resp = if req.method == "POST" {
+            match respond_post(ingest, met, &req, &body) {
                 Some(r) => r,
                 None => return, // chaos plan: sever without answering
             }
         } else {
-            respond(table, view, cache, met, request_line)
+            respond(table, store, cache, met, &req)
         };
         served += 1;
         let keep = keep && served < MAX_REQUESTS_PER_CONN;
@@ -969,24 +933,30 @@ fn serve_connection(
 }
 
 /// The pooled accept loop: each worker owns a listener clone and
-/// accepts independently until `shutdown` flips.
-fn serve_pooled(
+/// accepts independently until `shutdown` flips. Binds are the caller's
+/// job so tests can use an ephemeral port. The store is one concurrent
+/// writers may mutate: each request takes the read lock, and the
+/// response cache keys on the store's mutation generation so writes
+/// invalidate it.
+pub fn serve(
     table: &JobTable,
-    view: StoreView<'_>,
+    store: Option<&RwLock<Tsdb>>,
     listener: TcpListener,
     shutdown: &AtomicBool,
     opts: &ServeOptions,
 ) -> std::io::Result<()> {
     listener.set_nonblocking(true)?;
-    let threads = opts.threads.max(1);
-    let mut listeners = Vec::with_capacity(threads);
-    for _ in 1..threads {
+    let mut listeners = Vec::with_capacity(WORKER_THREADS);
+    for _ in 1..WORKER_THREADS {
         listeners.push(listener.try_clone()?);
     }
     listeners.push(listener);
-    let cache = ResponseCache::new(opts.cache_entries);
+    let cache = ResponseCache::new(CACHE_ENTRIES);
     let met = ServeMetrics::new(opts);
     let ingest = opts.ingest.as_deref();
+    // Beyond this the server answers 413 *without reading the body* and
+    // closes the connection.
+    let max_body_bytes = ingest.map_or(MAX_BODY_BYTES_WITHOUT_INGEST, IngestCore::max_batch_bytes);
     std::thread::scope(|scope| {
         for l in listeners {
             let cache = &cache;
@@ -998,11 +968,11 @@ fn serve_pooled(
                             serve_connection(
                                 stream,
                                 table,
-                                view,
-                                Some(cache),
+                                store,
+                                cache,
                                 met,
                                 ingest,
-                                opts.max_body_bytes,
+                                max_body_bytes,
                             );
                         }
                         Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
@@ -1025,44 +995,6 @@ fn serve_pooled(
         ingest.drain();
     }
     Ok(())
-}
-
-/// Accept-loop: serve requests until `shutdown` flips. Binds are the
-/// caller's job so tests can use an ephemeral port.
-pub fn serve(table: &JobTable, listener: TcpListener, shutdown: &AtomicBool) -> std::io::Result<()> {
-    serve_with_store(table, None, listener, shutdown)
-}
-
-/// [`serve`], with an optional read-only `tsdb` store behind
-/// `/v1/series`.
-pub fn serve_with_store(
-    table: &JobTable,
-    store: Option<&Tsdb>,
-    listener: TcpListener,
-    shutdown: &AtomicBool,
-) -> std::io::Result<()> {
-    let view = match store {
-        Some(db) => StoreView::Direct(db),
-        None => StoreView::None,
-    };
-    serve_pooled(table, view, listener, shutdown, &ServeOptions::default())
-}
-
-/// [`serve`], with a store that concurrent writers may mutate: each
-/// request takes the read lock, and the response cache keys on the
-/// store's mutation generation so writes invalidate it.
-pub fn serve_shared(
-    table: &JobTable,
-    store: Option<&RwLock<Tsdb>>,
-    listener: TcpListener,
-    shutdown: &AtomicBool,
-    opts: &ServeOptions,
-) -> std::io::Result<()> {
-    let view = match store {
-        Some(lock) => StoreView::Shared(lock),
-        None => StoreView::None,
-    };
-    serve_pooled(table, view, listener, shutdown, opts)
 }
 
 #[cfg(test)]
@@ -1097,12 +1029,17 @@ mod tests {
         JobTable::new(vec![job(1, "NAMD", 0.1), job(2, "AMBER", 0.4), job(3, "NAMD", 0.2)])
     }
 
+    /// [`handle`] with no store and a throwaway registry.
+    fn handle_line(table: &JobTable, request_line: &str) -> Response {
+        handle(table, None, &ObsRegistry::new(), request_line)
+    }
+
     #[test]
     fn healthz_and_summary() {
         let t = table();
-        let r = handle(&t, "GET /healthz HTTP/1.0");
+        let r = handle_line(&t, "GET /healthz HTTP/1.0");
         assert_eq!(r.status, 200);
-        let r = handle(&t, "GET /v1/summary HTTP/1.0");
+        let r = handle_line(&t, "GET /v1/summary HTTP/1.0");
         assert_eq!(r.status, 200);
         let v = supremm_metrics::json::Value::parse(&r.body).unwrap();
         assert_eq!(v["jobs"], 3u64);
@@ -1112,7 +1049,7 @@ mod tests {
     #[test]
     fn query_endpoint_runs_framework_queries() {
         let t = table();
-        let r = handle(
+        let r = handle_line(
             &t,
             "GET /v1/query?dimension=application&statistic=node_hours HTTP/1.0",
         );
@@ -1125,9 +1062,9 @@ mod tests {
     #[test]
     fn weighted_mean_needs_metric_param() {
         let t = table();
-        let bad = handle(&t, "GET /v1/query?dimension=none&statistic=weighted_mean HTTP/1.0");
+        let bad = handle_line(&t, "GET /v1/query?dimension=none&statistic=weighted_mean HTTP/1.0");
         assert_eq!(bad.status, 400);
-        let good = handle(
+        let good = handle_line(
             &t,
             "GET /v1/query?dimension=none&statistic=weighted_mean&metric=cpu_idle HTTP/1.0",
         );
@@ -1140,17 +1077,17 @@ mod tests {
     #[test]
     fn top_truncates_and_errors_are_clean() {
         let t = table();
-        let r = handle(
+        let r = handle_line(
             &t,
             "GET /v1/query?dimension=user&statistic=job_count&top=1 HTTP/1.0",
         );
         let v = supremm_metrics::json::Value::parse(&r.body).unwrap();
         assert_eq!(v["rows"].as_array().unwrap().len(), 1);
-        assert_eq!(handle(&t, "GET /nope HTTP/1.0").status, 404);
-        assert_eq!(handle(&t, "POST /healthz HTTP/1.0").status, 400);
-        assert_eq!(handle(&t, "garbage").status, 400);
+        assert_eq!(handle_line(&t, "GET /nope HTTP/1.0").status, 404);
+        assert_eq!(handle_line(&t, "POST /healthz HTTP/1.0").status, 400);
+        assert_eq!(handle_line(&t, "garbage").status, 400);
         assert_eq!(
-            handle(&t, "GET /v1/query?dimension=bogus&statistic=job_count HTTP/1.0").status,
+            handle_line(&t, "GET /v1/query?dimension=bogus&statistic=job_count HTTP/1.0").status,
             400
         );
     }
@@ -1170,11 +1107,11 @@ mod tests {
             "GET /v1/query?dimension=user&statistic=job_count&top=abc HTTP/1.0",
             "GET /v1/query?dimension=user&statistic=job_count&top=-1 HTTP/1.0",
         ] {
-            let r = handle(&t, bad);
+            let r = handle_line(&t, bad);
             assert_eq!(r.status, 400, "{bad} -> {}", r.body);
         }
         // Empty segments (trailing `&`) are tolerated, not errors.
-        let ok = handle(&t, "GET /v1/query?dimension=user&statistic=job_count& HTTP/1.0");
+        let ok = handle_line(&t, "GET /v1/query?dimension=user&statistic=job_count& HTTP/1.0");
         assert_eq!(ok.status, 200, "{}", ok.body);
     }
 
@@ -1187,7 +1124,7 @@ mod tests {
             "GET /v1/query?dimension=user&statistic=job_count&dimension=queue HTTP/1.0",
             "GET /v1/query?top=1&top=2&dimension=user&statistic=job_count HTTP/1.0",
         ] {
-            let r = handle(&t, bad);
+            let r = handle_line(&t, bad);
             assert_eq!(r.status, 400, "{bad} -> {}", r.body);
             assert!(r.body.contains("duplicate"), "{bad} -> {}", r.body);
         }
@@ -1204,10 +1141,11 @@ mod tests {
         db.flush().unwrap();
         let t = table();
         // Without a store attached the endpoint is a clean 404.
-        assert_eq!(handle(&t, "GET /v1/series HTTP/1.0").status, 404);
-        let r = handle_with_store(
+        assert_eq!(handle_line(&t, "GET /v1/series HTTP/1.0").status, 404);
+        let r = handle(
             &t,
             Some(&db),
+            &ObsRegistry::new(),
             "GET /v1/series?host=c0000&metric=cpu_user&t0=0&t1=600 HTTP/1.0",
         );
         assert_eq!(r.status, 200, "{}", r.body);
@@ -1217,7 +1155,7 @@ mod tests {
         assert_eq!(v["series"][0]["points"].as_array().unwrap().len(), 2);
         assert_eq!(v["series"][0]["points"][1][1], 0.75);
         // Downsampling folds all three samples into one mean bin.
-        let r = handle_with_store(&t, Some(&db), "GET /v1/series?bin=1800 HTTP/1.0");
+        let r = handle(&t, Some(&db), &ObsRegistry::new(), "GET /v1/series?bin=1800 HTTP/1.0");
         assert_eq!(r.status, 200, "{}", r.body);
         let v = Value::parse(&r.body).unwrap();
         assert_eq!(v["series"][0]["points"][0][1], 0.5);
@@ -1227,7 +1165,7 @@ mod tests {
             "GET /v1/series?bin=0 HTTP/1.0",
             "GET /v1/series?bin=600&agg=median HTTP/1.0",
         ] {
-            assert_eq!(handle_with_store(&t, Some(&db), bad).status, 400, "{bad}");
+            assert_eq!(handle(&t, Some(&db), &ObsRegistry::new(), bad).status, 400, "{bad}");
         }
         let _ = std::fs::remove_dir_all(&dir);
     }
@@ -1249,7 +1187,7 @@ mod tests {
         assert!(cache.get("a", 1).is_none(), "stale entry evicted on mismatch");
         assert!(cache.hits() >= 2);
         assert!(cache.misses() >= 2);
-        // Capacity 0 disables caching entirely.
+        // Capacity 0 holds nothing.
         let off = ResponseCache::new(0);
         off.put("x".into(), 1, resp("X"));
         assert!(off.get("x", 1).is_none());
@@ -1273,29 +1211,30 @@ mod tests {
         std::fs::create_dir_all(&dir).unwrap();
         let mut db = Tsdb::open(&dir).unwrap();
         db.append_batch("h", "m", &[(0, 1.0)]).unwrap();
+        let db = RwLock::new(db);
         let t = table();
         let cache = ResponseCache::new(16);
         let (_opts, met) = test_metrics();
-        let line = "GET /v1/series?host=h&metric=m HTTP/1.1";
-        let first = respond_with(&t, Some(&db), Some(&cache), &met, line);
+        let line = Request::parse("GET /v1/series?host=h&metric=m HTTP/1.1");
+        let first = respond(&t, Some(&db), &cache, &met, &line);
         assert_eq!(first.status, 200);
         // Same generation: served from cache, bit-identical.
-        let again = respond_with(&t, Some(&db), Some(&cache), &met, line);
+        let again = respond(&t, Some(&db), &cache, &met, &line);
         assert_eq!(first, again);
         assert_eq!(cache.hits(), 1);
         // Equivalent query, different parameter order: same cache slot.
-        let reordered = respond_with(
+        let reordered = respond(
             &t,
             Some(&db),
-            Some(&cache),
+            &cache,
             &met,
-            "GET /v1/series?metric=m&host=h HTTP/1.1",
+            &Request::parse("GET /v1/series?metric=m&host=h HTTP/1.1"),
         );
         assert_eq!(reordered, first);
         assert_eq!(cache.hits(), 2);
         // A write bumps the generation; the next read recomputes.
-        db.append_batch("h", "m", &[(600, 2.0)]).unwrap();
-        let after = respond_with(&t, Some(&db), Some(&cache), &met, line);
+        db.write().unwrap().append_batch("h", "m", &[(600, 2.0)]).unwrap();
+        let after = respond(&t, Some(&db), &cache, &met, &line);
         assert_ne!(after, first, "stale response must not be served");
         assert!(after.body.contains("600"));
         // The obs mirror saw the same traffic.
@@ -1316,13 +1255,13 @@ mod tests {
         obs.counter("pipeline_files_consumed_total").add(5);
         obs.histogram("tsdb_wal_append_micros").observe(7);
         obs.event("slow_query", "/v1/series?name=cpu_user took 250000us (status 200)");
-        let r = handle_with_obs(&t, None, &obs, "GET /v1/metrics HTTP/1.1");
+        let r = handle(&t, None, &obs, "GET /v1/metrics HTTP/1.1");
         assert_eq!(r.status, 200, "{}", r.body);
         assert_eq!(r.content_type, "text/plain; version=0.0.4");
         assert!(r.body.contains("pipeline_files_consumed_total 5\n"), "{}", r.body);
         assert!(r.body.contains("tsdb_wal_append_micros_count 1\n"), "{}", r.body);
 
-        let r = handle_with_obs(&t, None, &obs, "GET /v1/metrics?format=json HTTP/1.1");
+        let r = handle(&t, None, &obs, "GET /v1/metrics?format=json HTTP/1.1");
         assert_eq!(r.status, 200, "{}", r.body);
         let v = Value::parse(&r.body).unwrap();
         assert_eq!(v["counters"]["pipeline_files_consumed_total"], 5.0);
@@ -1330,17 +1269,18 @@ mod tests {
         assert_eq!(v["events"][0]["kind"], "slow_query");
 
         // Unknown formats and parameters are clean 400s.
-        let bad = handle_with_obs(&t, None, &obs, "GET /v1/metrics?format=xml HTTP/1.1");
+        let bad = handle(&t, None, &obs, "GET /v1/metrics?format=xml HTTP/1.1");
         assert_eq!(bad.status, 400);
-        let bad = handle_with_obs(&t, None, &obs, "GET /v1/metrics?fmt=json HTTP/1.1");
+        let bad = handle(&t, None, &obs, "GET /v1/metrics?fmt=json HTTP/1.1");
         assert_eq!(bad.status, 400);
     }
 
     #[test]
     fn metrics_endpoint_is_never_cached() {
-        assert_eq!(cache_key("GET /v1/metrics HTTP/1.1"), None);
-        assert_eq!(cache_key("GET /v1/metrics?format=json HTTP/1.1"), None);
-        assert!(cache_key("GET /v1/series?host=h HTTP/1.1").is_some());
+        let key = |line| cache_key(&Request::parse(line));
+        assert_eq!(key("GET /v1/metrics HTTP/1.1"), None);
+        assert_eq!(key("GET /v1/metrics?format=json HTTP/1.1"), None);
+        assert!(key("GET /v1/series?host=h HTTP/1.1").is_some());
     }
 
     #[test]
@@ -1350,7 +1290,8 @@ mod tests {
         // Threshold 0: every request is "slow".
         let opts = ServeOptions { slow_query_micros: 0, ..opts };
         let met = ServeMetrics::new(&opts);
-        let r = respond_with(&t, None, None, &met, "GET /v1/summary HTTP/1.1");
+        let cache = ResponseCache::new(CACHE_ENTRIES);
+        let r = respond(&t, None, &cache, &met, &Request::parse("GET /v1/summary HTTP/1.1"));
         assert_eq!(r.status, 200);
         let snap = met.obs.snapshot();
         assert_eq!(snap.counter("serve_slow_queries_total"), Some(1));
@@ -1363,9 +1304,11 @@ mod tests {
     fn request_metrics_tally_status_classes_and_bytes() {
         let t = table();
         let (_opts, met) = test_metrics();
-        let ok = respond_with(&t, None, None, &met, "GET /healthz HTTP/1.1");
-        let notfound = respond_with(&t, None, None, &met, "GET /nope HTTP/1.1");
-        let bad = respond_with(&t, None, None, &met, "POST /healthz HTTP/1.1");
+        let cache = ResponseCache::new(CACHE_ENTRIES);
+        let get = |line| respond(&t, None, &cache, &met, &Request::parse(line));
+        let ok = get("GET /healthz HTTP/1.1");
+        let notfound = get("GET /nope HTTP/1.1");
+        let bad = get("POST /healthz HTTP/1.1");
         let snap = met.obs.snapshot();
         // Endpoint labels follow the path (the rejected POST still
         // counts against /healthz — it consumed that handler's time).
@@ -1382,33 +1325,10 @@ mod tests {
             .is_some_and(|h| h.count == 2));
     }
 
-    /// Read exactly one HTTP response (headers + Content-Length body).
+    /// Read exactly one HTTP response, reassembled as head + body.
     fn read_response(stream: &mut std::net::TcpStream) -> String {
-        let mut buf = Vec::new();
-        let mut scratch = [0u8; 1024];
-        let header_end = loop {
-            if let Some(ix) = buf.windows(4).position(|w| w == b"\r\n\r\n") {
-                break ix;
-            }
-            let n = stream.read(&mut scratch).unwrap();
-            assert!(n > 0, "connection closed mid-headers");
-            buf.extend_from_slice(&scratch[..n]);
-        };
-        let head = String::from_utf8_lossy(&buf[..header_end]).into_owned();
-        let content_length: usize = head
-            .lines()
-            .find_map(|l| {
-                let (name, value) = l.split_once(':')?;
-                name.eq_ignore_ascii_case("content-length")
-                    .then(|| value.trim().parse().ok())?
-            })
-            .expect("Content-Length header");
-        while buf.len() < header_end + 4 + content_length {
-            let n = stream.read(&mut scratch).unwrap();
-            assert!(n > 0, "connection closed mid-body");
-            buf.extend_from_slice(&scratch[..n]);
-        }
-        String::from_utf8_lossy(&buf[..header_end + 4 + content_length]).into_owned()
+        let (_, head, body) = supremm_relay::agent::read_http_response(stream).unwrap();
+        format!("{head}\r\n\r\n{body}")
     }
 
     #[test]
@@ -1422,7 +1342,7 @@ mod tests {
         let shutdown = Arc::new(AtomicBool::new(false));
         let flag = shutdown.clone();
         let handle_thread = std::thread::spawn(move || {
-            let _ = serve(&t, listener, &flag);
+            let _ = serve(&t, None, listener, &flag, &ServeOptions::default());
         });
 
         let mut stream = std::net::TcpStream::connect(addr).unwrap();
@@ -1450,7 +1370,7 @@ mod tests {
         let shutdown = Arc::new(AtomicBool::new(false));
         let flag = shutdown.clone();
         let handle_thread = std::thread::spawn(move || {
-            let _ = serve(&t, listener, &flag);
+            let _ = serve(&t, None, listener, &flag, &ServeOptions::default());
         });
 
         let mut stream = std::net::TcpStream::connect(addr).unwrap();
@@ -1489,7 +1409,7 @@ mod tests {
         let shutdown = Arc::new(AtomicBool::new(false));
         let flag = shutdown.clone();
         let server = std::thread::spawn(move || {
-            let _ = serve(&t, listener, &flag);
+            let _ = serve(&t, None, listener, &flag, &ServeOptions::default());
         });
 
         let clients: Vec<_> = (0..8)
@@ -1530,13 +1450,7 @@ mod tests {
         let flag = shutdown.clone();
         let server_store = store.clone();
         let server = std::thread::spawn(move || {
-            let _ = serve_shared(
-                &t,
-                Some(&server_store),
-                listener,
-                &flag,
-                &ServeOptions { threads: 2, cache_entries: 32, ..ServeOptions::default() },
-            );
+            let _ = serve(&t, Some(&server_store), listener, &flag, &ServeOptions::default());
         });
 
         let fetch = || {
@@ -1572,7 +1486,7 @@ mod tests {
         assert!(http.starts_with("HTTP/1.1 429 Too Many Requests"), "{http}");
         assert!(http.contains("Retry-After: 2\r\n"), "{http}");
         assert!(http.contains("X-Retry-After-Ms: 1500\r\n"), "{http}");
-        let plain = Response::error(400, "x").to_http();
+        let plain = Response::error(400, "x").to_http_with(false);
         assert!(!plain.contains("Retry-After"), "{plain}");
     }
 
@@ -1590,14 +1504,17 @@ mod tests {
         let opts = ServeOptions { obs, ..ServeOptions::default() };
         let met = ServeMetrics::new(&opts);
 
+        let post = |core: Option<&IngestCore>, line, body: &[u8]| {
+            respond_post(core, &met, &Request::parse(line), body).unwrap()
+        };
         // No ingest core attached: 503.
-        let r = respond_post(None, &met, "POST /v1/write HTTP/1.1", b"").unwrap();
+        let r = post(None, "POST /v1/write HTTP/1.1", b"");
         assert_eq!(r.status, 503);
         // POSTs to other paths are clean 404s.
-        let r = respond_post(Some(&core), &met, "POST /healthz HTTP/1.1", b"").unwrap();
+        let r = post(Some(&core), "POST /healthz HTTP/1.1", b"");
         assert_eq!(r.status, 404);
         // Garbage frame: 400.
-        let r = respond_post(Some(&core), &met, "POST /v1/write HTTP/1.1", b"junk").unwrap();
+        let r = post(Some(&core), "POST /v1/write HTTP/1.1", b"junk");
         assert_eq!(r.status, 400);
         // A valid frame acks with its seq.
         let frame = supremm_relay::encode_batch(&supremm_relay::Batch {
@@ -1610,13 +1527,13 @@ mod tests {
             }],
         })
         .unwrap();
-        let r = respond_post(Some(&core), &met, "POST /v1/write HTTP/1.1", &frame).unwrap();
+        let r = post(Some(&core), "POST /v1/write HTTP/1.1", &frame);
         assert_eq!(r.status, 200, "{}", r.body);
         assert!(r.body.contains("\"acked\":7"), "{}", r.body);
         assert!(r.body.contains("\"deduped\":false"), "{}", r.body);
         // Draining: 429 with a retry hint.
         core.begin_drain();
-        let r = respond_post(Some(&core), &met, "POST /v1/write HTTP/1.1", &frame).unwrap();
+        let r = post(Some(&core), "POST /v1/write HTTP/1.1", &frame);
         assert_eq!(r.status, 429);
         assert!(r.retry_after_ms.is_some());
         core.drain();
@@ -1637,23 +1554,21 @@ mod tests {
         let obs: ObsHandle = Arc::new(ObsRegistry::new());
         let core = IngestCore::start(
             store.clone(),
-            supremm_relay::IngestOptions { obs: obs.clone(), ..Default::default() },
+            supremm_relay::IngestOptions {
+                obs: obs.clone(),
+                max_batch_bytes: 4096,
+                ..Default::default()
+            },
         );
         let t = table();
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
         let addr = listener.local_addr().unwrap();
         let shutdown = Arc::new(AtomicBool::new(false));
         let flag = shutdown.clone();
-        let opts = ServeOptions {
-            threads: 2,
-            obs,
-            ingest: Some(core),
-            max_body_bytes: 4096,
-            ..ServeOptions::default()
-        };
+        let opts = ServeOptions { obs, ingest: Some(core), ..ServeOptions::default() };
         let server_store = store.clone();
         let server = std::thread::spawn(move || {
-            let _ = serve_shared(&t, Some(&server_store), listener, &flag, &opts);
+            let _ = serve(&t, Some(&server_store), listener, &flag, &opts);
         });
 
         let frame = supremm_relay::encode_batch(&supremm_relay::Batch {

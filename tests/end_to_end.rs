@@ -124,11 +124,13 @@ fn system_series_busy_nodes_match_job_table_occupancy() {
 
 #[test]
 fn single_pass_ingest_matches_the_old_two_pass_outputs() {
-    use supremm_suite::warehouse::{ingest, ingest_with_series, SystemSeries};
+    use supremm_suite::warehouse::{consume_archive, ingest, ConsumeOptions, SystemSeries};
     let ds = dataset();
     // One parse pass producing both products ...
-    let (jobs_single, stats_single, series_single) =
-        ingest_with_series(&ds.archive, &ds.accounting, &ds.lariat, 600);
+    let opts = ConsumeOptions { bin_secs: Some(600), ..Default::default() };
+    let single = consume_archive(&ds.archive, opts).finish(&ds.accounting, &ds.lariat);
+    let (jobs_single, stats_single) = (single.records, single.stats);
+    let series_single = single.series.expect("binning requested");
     // ... must equal the two independent passes it replaced, bit for bit.
     let (jobs_two, stats_two) = ingest(&ds.archive, &ds.accounting, &ds.lariat);
     let series_two = SystemSeries::from_archive(&ds.archive, 600);
@@ -205,6 +207,8 @@ fn http_api_answers_over_the_pipeline_table() {
     let ds = dataset();
     let resp = handle(
         &ds.table,
+        None,
+        &supremm_obs::ObsRegistry::new(),
         "GET /v1/query?dimension=application&statistic=node_hours HTTP/1.0",
     );
     assert_eq!(resp.status, 200);

@@ -55,43 +55,43 @@ fn zero_rate_plan_is_bit_identical_to_disabled() {
     }
 }
 
+/// The consume options `run_pipeline` uses for [`cfg`].
+fn pipeline_consume_opts(strict: bool) -> ConsumeOptions {
+    ConsumeOptions { bin_secs: Some(cfg().interval.seconds()), job_fragments: true, strict }
+}
+
 #[test]
-fn faulted_overlapped_and_batch_pipelines_agree_exactly() {
-    // The fault schedule is keyed by (seed, host, day) only, so the
-    // overlapped producer thread must inject the same faults as the
-    // batch path — and the quarantine merge keeps output bit-identical.
-    let plan = Some(FaultPlan::with_rate(0xFEED, 0.2));
-    let batch = run_pipeline(
-        cfg(),
-        &PipelineOptions { keep_archive: true, fault_plan: plan, ..Default::default() },
-    );
-    let overlapped = run_pipeline(
+fn faulted_pipeline_matches_consume_of_its_post_fault_archive() {
+    // Faults go in on the producer thread before a file reaches the
+    // pool, so the kept archive holds the post-fault text: one
+    // `consume_archive` pass over it is the reference the streamed,
+    // pooled ingest (and its quarantine merge) must match bit for bit.
+    let ds = run_pipeline(
         cfg(),
         &PipelineOptions {
             keep_archive: true,
-            overlap: true,
-            ingest_workers: Some(3),
-            fault_plan: plan,
+            fault_plan: Some(FaultPlan::with_rate(0xFEED, 0.2)),
             ..Default::default()
         },
     );
-    assert_eq!(overlapped.faults_injected, batch.faults_injected);
-    assert_eq!(overlapped.ingest_stats, batch.ingest_stats);
-    assert_eq!(overlapped.table.jobs(), batch.table.jobs());
-    assert_eq!(overlapped.series.bins, batch.series.bins);
-    assert_eq!(overlapped.archive.len(), batch.archive.len());
+    assert!(ds.faults_injected.total_events() > 0, "{:?}", ds.faults_injected);
+    assert!(ds.ingest_stats.samples_quarantined > 0, "{:?}", ds.ingest_stats);
+    let acc = consume_archive(&ds.archive, pipeline_consume_opts(false));
+    assert_eq!(ds.raw_total_bytes, acc.total_bytes());
+    let want = acc.finish(&ds.accounting, &ds.lariat);
+    assert_eq!(ds.ingest_stats, want.stats);
+    assert_eq!(ds.table.jobs(), JobTable::new(want.records).jobs());
+    assert_eq!(ds.series.bins, want.series.expect("binning requested").bins);
 }
 
 #[test]
 fn lenient_scan_of_a_clean_archive_matches_strict_exactly() {
-    let strict = run_pipeline(
-        cfg(),
-        &PipelineOptions { strict_ingest: true, ..Default::default() },
-    );
     let lenient = baseline();
-    assert_eq!(strict.table.jobs(), lenient.table.jobs());
-    assert_eq!(strict.series.bins, lenient.series.bins);
-    assert_eq!(strict.ingest_stats, lenient.ingest_stats);
+    let strict = consume_archive(&lenient.archive, pipeline_consume_opts(true))
+        .finish(&lenient.accounting, &lenient.lariat);
+    assert_eq!(JobTable::new(strict.records).jobs(), lenient.table.jobs());
+    assert_eq!(strict.series.expect("binning requested").bins, lenient.series.bins);
+    assert_eq!(strict.stats, lenient.ingest_stats);
 }
 
 // ---------------------------------------------------------------------

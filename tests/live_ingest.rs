@@ -27,7 +27,7 @@ use supremm_suite::prelude::*;
 use supremm_suite::taccstats::RawArchive;
 use supremm_suite::warehouse::tsdb::{Selector, Tsdb};
 use supremm_suite::warehouse::tsdbio::store_archive_series;
-use supremm_suite::xdmod::serve::{serve_shared, ServeOptions};
+use supremm_suite::xdmod::serve::{serve, ServeOptions};
 
 fn env_u64(name: &str, default: u64) -> u64 {
     std::env::var(name).ok().and_then(|v| v.parse().ok()).unwrap_or(default)
@@ -108,16 +108,11 @@ fn start_server(dir: &Path, tune: impl FnOnce(&mut IngestOptions)) -> LiveServer
     let addr = listener.local_addr().unwrap().to_string();
     let shutdown = Arc::new(AtomicBool::new(false));
     let flag = shutdown.clone();
-    let opts = ServeOptions {
-        threads: 2,
-        obs: obs.clone(),
-        ingest: Some(core),
-        ..ServeOptions::default()
-    };
+    let opts = ServeOptions { obs: obs.clone(), ingest: Some(core), ..ServeOptions::default() };
     let server_store = store.clone();
     let thread = std::thread::spawn(move || {
         let table = JobTable::new(Vec::new());
-        let _ = serve_shared(&table, Some(&*server_store), listener, &flag, &opts);
+        let _ = serve(&table, Some(&*server_store), listener, &flag, &opts);
     });
     LiveServer { addr, store, obs, shutdown, thread }
 }
@@ -296,7 +291,19 @@ fn backpressure_throttles_agents_without_losing_data() {
         o.queue_cap = 1;
         o.retry_after_ms = 1;
     });
-    run_agents(&server.addr, &dir.join("spools"), &server.obs);
+    // Force the collision rather than hope the scheduler produces one:
+    // with the store's write lock held the single writer stalls on its
+    // first batch, the queue of one fills, and the next submit must be
+    // refused. The gate opens on the first Busy.
+    std::thread::scope(|s| {
+        let gate = server.store.write().unwrap();
+        s.spawn(|| run_agents(&server.addr, &dir.join("spools"), &server.obs));
+        let busy = "relay_server_rejected_total{reason=\"busy\"}";
+        while server.obs.snapshot().counter(busy).unwrap_or(0) == 0 {
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        drop(gate);
+    });
 
     let (store, obs) = server.stop();
     let live = dump(&store.read().unwrap());

@@ -18,7 +18,7 @@
 //! `SUPREMM_SOAK_CLIENTS` / `SUPREMM_SOAK_WRITES` / `SUPREMM_SOAK_REQS`
 //! (the nightly CI job runs with elevated values).
 
-use std::io::{Read, Write};
+use std::io::Write;
 use std::net::{TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, RwLock};
@@ -27,47 +27,11 @@ use supremm_metrics::json::Value;
 use supremm_obs::ObsRegistry;
 use supremm_warehouse::tsdb::Tsdb;
 use supremm_warehouse::JobTable;
-use supremm_xdmod::serve::{serve_shared, ServeOptions};
+use supremm_relay::agent::read_http_response;
+use supremm_xdmod::serve::{serve, ServeOptions};
 
 fn env_or(name: &str, default: usize) -> usize {
     std::env::var(name).ok().and_then(|v| v.parse().ok()).unwrap_or(default)
-}
-
-/// Read exactly one HTTP/1.1 response (headers + Content-Length body)
-/// off a keep-alive stream. Returns (status, body).
-fn read_response(stream: &mut TcpStream) -> (u16, String) {
-    let mut buf = Vec::new();
-    let mut scratch = [0u8; 4096];
-    let header_end = loop {
-        if let Some(ix) = buf.windows(4).position(|w| w == b"\r\n\r\n") {
-            break ix;
-        }
-        let n = stream.read(&mut scratch).expect("read headers");
-        assert!(n > 0, "connection closed mid-headers");
-        buf.extend_from_slice(&scratch[..n]);
-    };
-    let head = String::from_utf8_lossy(&buf[..header_end]).into_owned();
-    let status: u16 = head
-        .lines()
-        .next()
-        .and_then(|l| l.split_whitespace().nth(1))
-        .and_then(|s| s.parse().ok())
-        .expect("status line");
-    let content_length: usize = head
-        .lines()
-        .find_map(|l| {
-            let (name, value) = l.split_once(':')?;
-            name.eq_ignore_ascii_case("content-length").then(|| value.trim().parse().ok())?
-        })
-        .expect("Content-Length header");
-    while buf.len() < header_end + 4 + content_length {
-        let n = stream.read(&mut scratch).expect("read body");
-        assert!(n > 0, "connection closed mid-body");
-        buf.extend_from_slice(&scratch[..n]);
-    }
-    let body =
-        String::from_utf8_lossy(&buf[header_end + 4..header_end + 4 + content_length]).into_owned();
-    (status, body)
 }
 
 /// A keep-alive client that transparently reconnects when the server
@@ -95,10 +59,8 @@ impl Client {
             }
             // A fresh request racing the server's budget-close can die
             // mid-read; retry it on a new connection.
-            match std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                read_response(self.stream.as_mut().expect("stream present"))
-            })) {
-                Ok(resp) => return resp,
+            match read_http_response(stream) {
+                Ok((status, _head, body)) => return (status, body),
                 Err(_) => self.stream = None,
             }
         }
@@ -151,13 +113,11 @@ fn soak_serve_layer_under_concurrent_writes() {
         let obs = obs.clone();
         std::thread::spawn(move || {
             let opts = ServeOptions {
-                threads: 4,
-                cache_entries: 64,
                 slow_query_micros: 250_000,
                 obs,
                 ..ServeOptions::default()
             };
-            serve_shared(&table, Some(&store), listener, &flag, &opts).expect("serve");
+            serve(&table, Some(&store), listener, &flag, &opts).expect("serve");
         })
     };
 
@@ -317,13 +277,11 @@ fn retention_pass_races_keep_alive_readers_and_live_writer() {
         let obs = obs.clone();
         std::thread::spawn(move || {
             let opts = ServeOptions {
-                threads: 4,
-                cache_entries: 64,
                 slow_query_micros: 250_000,
                 obs,
                 ..ServeOptions::default()
             };
-            serve_shared(&table, Some(&store), listener, &flag, &opts).expect("serve");
+            serve(&table, Some(&store), listener, &flag, &opts).expect("serve");
         })
     };
 
