@@ -6,8 +6,7 @@ use std::hint::black_box;
 use supremm_bench::bench;
 use supremm_clustersim::ClusterConfig;
 use supremm_core::pipeline::{run_pipeline, MachineDataset, PipelineOptions};
-use supremm_taccstats::format::parse;
-use supremm_warehouse::{binfmt, ingest, SystemSeries};
+use supremm_warehouse::{ingest, SystemSeries};
 
 fn small_dataset() -> MachineDataset {
     run_pipeline(
@@ -38,23 +37,4 @@ fn main() {
         black_box(ds.table.top_by_node_hours(|j| j.user, 5))
     });
 
-    // §5 future work: text vs the compact binary import format.
-    let (_, text) = ds.archive.iter().next().expect("archive non-empty");
-    let parsed = parse(text).expect("valid raw file");
-    let bin = binfmt::encode(&parsed);
-    bench("binfmt/text_parse_one_file", Some(text.len() as u64), || {
-        black_box(parse(black_box(text)).unwrap())
-    });
-    bench("binfmt/binary_decode_one_file", Some(bin.len() as u64), || {
-        black_box(binfmt::decode(black_box(&bin)).unwrap())
-    });
-    bench("binfmt/binary_encode_one_file", Some(bin.len() as u64), || {
-        black_box(binfmt::encode(black_box(&parsed)))
-    });
-    println!(
-        "binfmt: text {} B -> binary {} B ({:.1}x smaller)",
-        text.len(),
-        bin.len(),
-        text.len() as f64 / bin.len() as f64
-    );
 }

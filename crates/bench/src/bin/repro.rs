@@ -11,22 +11,17 @@
 //!
 //! `--bench-json` additionally writes `BENCH_pipeline.json` with the
 //! end-to-end pipeline timings (wall seconds, raw MB, MB/s, peak-RSS
-//! proxy), `BENCH_tsdb.json` with the storage-engine numbers
-//! (compression ratio vs. the raw binfmt encoding, encode and scan
-//! throughput), and `BENCH_query.json` with the query-path numbers
-//! (series-indexed reads vs. the naive full decode, pre-aggregated
-//! downsampling, and `/v1/series` served cold vs. from the response
-//! cache) so runs can be compared across revisions,
-//! `BENCH_ingest.json` with the live remote-write numbers (relay
-//! batches/s, wire MB/s, and the `/v1/write` apply-latency mean and
-//! p99 taken from the `relay_server_write_micros` histogram),
-//! `BENCH_retention.json` with the retention-pass numbers (rollup +
-//! expiry wall time, bytes reclaimed, rolled-history downsample speedup
-//! and the tier-exactness probes), and
-//! `BENCH_metrics.json` with the run's live `/v1/metrics` telemetry
-//! snapshot (the self-observability counters and latency histograms the
-//! pipeline, storage engine and query path recorded while producing the
-//! numbers above).
+//! proxy), `BENCH_query.json` with `/v1/series` served over a live
+//! socket cold vs. from the response cache, `BENCH_ingest.json` with the
+//! live remote-write numbers (relay batches/s, wire MB/s, and the
+//! `/v1/write` apply-latency mean and p99 taken from the
+//! `relay_server_write_micros` histogram), and `BENCH_metrics.json` with
+//! the run's live `/v1/metrics` telemetry snapshot (the
+//! self-observability counters and latency histograms the pipeline,
+//! storage engine and query path recorded while producing the numbers
+//! above). The storage engine itself — ingest, bytes on disk, reads,
+//! retention — is measured by `benchmark/` (see its README), which
+//! checks every answer and bounds every end-to-end metric.
 //!
 //! `--store-dir DIR` flushes each machine's products through the `tsdb`
 //! storage engine rooted at `DIR/<machine>` (series store + segment job
@@ -43,7 +38,6 @@
 //! scale (3936 nodes × 20 months) changes volumes, not shapes; see
 //! DESIGN.md.
 
-use supremm_bench::secs_per_iter;
 use supremm_clustersim::{ClusterConfig, FaultPlan};
 use supremm_core::experiments::{self, ExperimentResult};
 use supremm_core::pipeline::{run_pipeline, MachineDataset, PipelineOptions};
@@ -197,76 +191,6 @@ fn write_bench_json(timings: &[BenchTiming]) -> std::io::Result<()> {
     std::fs::write("BENCH_pipeline.json", s)
 }
 
-/// Storage-engine benchmark: push each machine's per-host metric series
-/// and system series through a fresh `tsdb` store, then report the
-/// on-disk footprint against the raw binfmt encoding of the same
-/// archive, plus encode and full-scan throughput.
-fn write_tsdb_bench(
-    sets: &[(&str, &MachineDataset)],
-    root: &std::path::Path,
-) -> std::io::Result<()> {
-    use std::fmt::Write as _;
-    use supremm_taccstats::format::parse;
-    use supremm_warehouse::binfmt;
-    use supremm_warehouse::tsdb::{Selector, Tsdb};
-    use supremm_warehouse::tsdbio;
-
-    let io_err = |e: supremm_warehouse::tsdb::TsdbError| {
-        std::io::Error::new(std::io::ErrorKind::InvalidData, e.to_string())
-    };
-    let mut s = String::from("{\n  \"stores\": [\n");
-    for (i, (label, ds)) in sets.iter().enumerate() {
-        let dir = root.join(label).join("metrics");
-        let _ = std::fs::remove_dir_all(&dir);
-        std::fs::create_dir_all(&dir)?;
-        let mut db = Tsdb::open(&dir).map_err(io_err)?;
-
-        let t0 = std::time::Instant::now();
-        let samples = tsdbio::store_archive_series(&mut db, &ds.archive)?;
-        tsdbio::store_system_series(&mut db, &ds.series)?;
-        db.flush().map_err(io_err)?;
-        let encode_secs = t0.elapsed().as_secs_f64();
-
-        let tsdb_bytes = db.disk_bytes();
-        let binfmt_bytes: u64 = ds
-            .archive
-            .iter()
-            .filter_map(|(_, text)| parse(text).ok())
-            .map(|p| binfmt::encode(&p).len() as u64)
-            .sum();
-        let ratio = binfmt_bytes as f64 / tsdb_bytes.max(1) as f64;
-
-        let t1 = std::time::Instant::now();
-        let mut scanned = 0u64;
-        for (_, pts) in db.query(&Selector::all(), 0, u64::MAX).map_err(io_err)? {
-            scanned += pts.len() as u64;
-        }
-        let scan_secs = t1.elapsed().as_secs_f64();
-
-        eprintln!(
-            "[repro] {label} tsdb store: {} samples, {:.2} MB on disk \
-             ({:.1}x smaller than binfmt), encode {:.0} samples/s, scan {:.0} samples/s",
-            samples,
-            tsdb_bytes as f64 / (1024.0 * 1024.0),
-            ratio,
-            samples as f64 / encode_secs.max(1e-9),
-            scanned as f64 / scan_secs.max(1e-9),
-        );
-        let _ = write!(
-            s,
-            "    {{\"label\": \"{label}\", \"samples\": {samples}, \
-             \"tsdb_bytes\": {tsdb_bytes}, \"binfmt_bytes\": {binfmt_bytes}, \
-             \"compression_vs_binfmt\": {ratio:.3}, \
-             \"encode_samples_per_s\": {:.0}, \"scan_samples_per_s\": {:.0}}}",
-            samples as f64 / encode_secs.max(1e-9),
-            scanned as f64 / scan_secs.max(1e-9),
-        );
-        s.push_str(if i + 1 < sets.len() { ",\n" } else { "\n" });
-    }
-    s.push_str("  ]\n}\n");
-    std::fs::write("BENCH_tsdb.json", s)
-}
-
 /// One keep-alive HTTP request; returns the body length.
 fn http_fetch(stream: &mut std::net::TcpStream, target: &str) -> std::io::Result<usize> {
     use std::io::Write;
@@ -279,14 +203,12 @@ fn http_fetch(stream: &mut std::net::TcpStream, target: &str) -> std::io::Result
     Ok(body.len())
 }
 
-/// Query-path benchmark: a synthetic 64-host x 8-metric fortnight store
-/// (segment-resident), timing the series-indexed read path against the
-/// naive decode-everything oracle, pre-aggregated downsampling at three
-/// bin widths, and `/v1/series` over a live socket cold vs. cached.
+/// Serve-path benchmark: a synthetic 64-host x 8-metric fortnight store
+/// (segment-resident) behind `/v1/series` over a live socket, cold vs.
+/// answered from the response cache.
 fn write_query_bench(root: &std::path::Path) -> std::io::Result<()> {
     use std::fmt::Write as _;
-    use std::hint::black_box;
-    use supremm_warehouse::tsdb::{Agg, DbOptions, Selector, Tsdb};
+    use supremm_warehouse::tsdb::{DbOptions, Tsdb};
 
     const HOSTS: usize = 64;
     const METRICS: [&str; 8] = [
@@ -321,55 +243,6 @@ fn write_query_bench(root: &std::path::Path) -> std::io::Result<()> {
         "[repro] query bench store: {total_samples} samples across {} series",
         HOSTS * METRICS.len()
     );
-
-    let one = Selector { host: Some("c042".into()), metric: Some("cpu_user".into()) };
-    let all = Selector::all();
-
-    let point_indexed = secs_per_iter(|| {
-        if let Ok(r) = db.query(&one, 600_000, 600_000) {
-            black_box(r.len());
-        }
-    });
-    let point_naive = secs_per_iter(|| {
-        if let Ok(r) = db.query_naive(&one, 600_000, 600_000) {
-            black_box(r.len());
-        }
-    });
-    let sel_indexed = secs_per_iter(|| {
-        if let Ok(r) = db.query(&one, 0, u64::MAX) {
-            black_box(r.len());
-        }
-    });
-    let sel_naive = secs_per_iter(|| {
-        if let Ok(r) = db.query_naive(&one, 0, u64::MAX) {
-            black_box(r.len());
-        }
-    });
-
-    let mut bins = String::new();
-    let mut wide = (0.0f64, 0.0f64); // (preagg, naive) at the week bin
-    for (i, bin) in [3_600u64, 86_400, 604_800].into_iter().enumerate() {
-        let preagg = secs_per_iter(|| {
-            if let Ok(r) = db.downsample(&all, 0, u64::MAX, bin, Agg::Max) {
-                black_box(r.len());
-            }
-        });
-        let naive = secs_per_iter(|| {
-            if let Ok(r) = db.downsample_naive(&all, 0, u64::MAX, bin, Agg::Max) {
-                black_box(r.len());
-            }
-        });
-        if bin == 604_800 {
-            wide = (preagg, naive);
-        }
-        let _ = write!(
-            bins,
-            "{}    {{\"bin_secs\": {bin}, \"agg\": \"max\", \"preagg_secs\": {preagg:.9}, \
-             \"naive_secs\": {naive:.9}, \"speedup\": {:.2}}}",
-            if i == 0 { "" } else { ",\n" },
-            naive / preagg.max(1e-12),
-        );
-    }
 
     // Serve layer: real sockets against the pooled keep-alive server.
     // Distinct `t1` values force response-cache misses; the repeated
@@ -412,11 +285,7 @@ fn write_query_bench(root: &std::path::Path) -> std::io::Result<()> {
     let (serve_cold, serve_cached) = served?;
 
     eprintln!(
-        "[repro] query bench: point {:.1}x, selective {:.1}x, wide downsample {:.1}x, \
-         serve cached {:.1}x",
-        point_naive / point_indexed.max(1e-12),
-        sel_naive / sel_indexed.max(1e-12),
-        wide.1 / wide.0.max(1e-12),
+        "[repro] query bench: serve cached {:.1}x",
         serve_cold / serve_cached.max(1e-12),
     );
 
@@ -429,171 +298,12 @@ fn write_query_bench(root: &std::path::Path) -> std::io::Result<()> {
     );
     let _ = writeln!(
         s,
-        "  \"point_lookup\": {{\"indexed_secs\": {point_indexed:.9}, \
-         \"naive_secs\": {point_naive:.9}, \"speedup\": {:.2}}},",
-        point_naive / point_indexed.max(1e-12)
-    );
-    let _ = writeln!(
-        s,
-        "  \"selective_query\": {{\"indexed_secs\": {sel_indexed:.9}, \
-         \"naive_secs\": {sel_naive:.9}, \"speedup\": {:.2}}},",
-        sel_naive / sel_indexed.max(1e-12)
-    );
-    let _ = writeln!(
-        s,
-        "  \"wide_downsample\": {{\"bin_secs\": 604800, \"agg\": \"max\", \
-         \"preagg_secs\": {:.9}, \"naive_secs\": {:.9}, \"speedup\": {:.2}}},",
-        wide.0,
-        wide.1,
-        wide.1 / wide.0.max(1e-12)
-    );
-    let _ = writeln!(s, "  \"downsample\": [\n{bins}\n  ],");
-    let _ = writeln!(
-        s,
         "  \"serve\": {{\"cold_secs_per_request\": {serve_cold:.9}, \
          \"cached_secs_per_request\": {serve_cached:.9}, \"speedup\": {:.2}}}",
         serve_cold / serve_cached.max(1e-12)
     );
     s.push_str("}\n");
     std::fs::write("BENCH_query.json", s)
-}
-
-/// Retention benchmark: a fortnight store under `raw=2d,1h=7d,1d=inf`,
-/// timing the rollup+expiry pass itself, the storage reclaimed, and
-/// rolled-history downsamples before vs after the pass. Two exactness
-/// probes compare tier-served answers bitwise against pre-retention
-/// captures on the windows each tier serves at its own bin width.
-fn write_retention_bench(root: &std::path::Path) -> std::io::Result<()> {
-    use std::fmt::Write as _;
-    use std::hint::black_box;
-    use supremm_warehouse::tsdb::{Agg, DbOptions, RetentionPolicy, Selector, Tsdb};
-
-    const HOSTS: usize = 64;
-    const METRICS: [&str; 8] = [
-        "cpu_user", "cpu_system", "cpu_idle", "mem_used", "net_rx", "net_tx", "ib_rx", "flops",
-    ];
-    const SAMPLES_PER_SERIES: u64 = 2016; // 14 days at 600 s cadence
-    const STEP_SECS: u64 = 600;
-    const DAY: u64 = 86_400;
-    const POLICY: &str = "raw=2d,1h=7d,1d=inf";
-
-    let io_err = |e: supremm_warehouse::tsdb::TsdbError| {
-        std::io::Error::new(std::io::ErrorKind::InvalidData, e.to_string())
-    };
-    let policy = RetentionPolicy::parse(POLICY)
-        .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidInput, e))?;
-    let dir = root.join("retentionbench");
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir)?;
-    let mut db = Tsdb::open_with(
-        &dir,
-        DbOptions { chunk_samples: 128, block_chunks: 64, retention: policy },
-    )
-    .map_err(io_err)?;
-    // Ingest in time order, sealing one segment per day, the way a live
-    // collector fleet lands data — retention drops whole segments only,
-    // so segments must not straddle the entire history.
-    let samples_per_day = DAY / STEP_SECS;
-    for day in 0..SAMPLES_PER_SERIES / samples_per_day {
-        for h in 0..HOSTS {
-            let host = format!("c{h:03}");
-            for (m, metric) in METRICS.iter().enumerate() {
-                let base = (h * 31 + m * 7) as f64;
-                let samples: Vec<(u64, f64)> = (day * samples_per_day
-                    ..(day + 1) * samples_per_day)
-                    .map(|i| (i * STEP_SECS, base + (i as f64 * 0.01).sin()))
-                    .collect();
-                db.append_batch(&host, metric, &samples)?;
-            }
-        }
-        db.flush().map_err(io_err)?;
-    }
-    let total_samples = HOSTS as u64 * METRICS.len() as u64 * SAMPLES_PER_SERIES;
-    let now = db.max_timestamp().unwrap_or(0); // data time, 14 days in
-    let all = Selector::all();
-
-    // Pre-retention baselines on the windows each tier will serve:
-    // the 1 h tier gets [12d-7d, 12d) = [7d, 12d), the 1 d tier [0, 7d).
-    let raw_cut = now.saturating_sub(2 * DAY) / DAY * DAY;
-    let hour_cut = now.saturating_sub(7 * DAY) / DAY * DAY;
-    let pre_hour =
-        db.downsample(&all, hour_cut, raw_cut - 1, 3_600, Agg::Mean).map_err(io_err)?;
-    let pre_day = db.downsample(&all, 0, hour_cut - 1, DAY, Agg::Mean).map_err(io_err)?;
-    let rolled_pre_secs = secs_per_iter(|| {
-        if let Ok(r) = db.downsample(&all, 0, raw_cut - 1, 3_600, Agg::Max) {
-            black_box(r.len());
-        }
-    });
-    let bytes_before = db.stats().segment_bytes;
-
-    let t0 = std::time::Instant::now();
-    let report = db.enforce_retention(now).map_err(io_err)?;
-    let pass_secs = t0.elapsed().as_secs_f64();
-    let t1 = std::time::Instant::now();
-    let noop = db.enforce_retention(now).map_err(io_err)?;
-    let noop_secs = t1.elapsed().as_secs_f64();
-    let bytes_after = db.stats().segment_bytes;
-
-    let post_hour =
-        db.downsample(&all, hour_cut, raw_cut - 1, 3_600, Agg::Mean).map_err(io_err)?;
-    let post_day = db.downsample(&all, 0, hour_cut - 1, DAY, Agg::Mean).map_err(io_err)?;
-    let bits = |series: &[(supremm_warehouse::tsdb::SeriesKey, Vec<(u64, f64)>)]| -> Vec<u64> {
-        series.iter().flat_map(|(_, pts)| pts.iter().map(|&(_, v)| v.to_bits())).collect()
-    };
-    let exact = bits(&pre_hour) == bits(&post_hour) && bits(&pre_day) == bits(&post_day);
-    let rolled_post_secs = secs_per_iter(|| {
-        if let Ok(r) = db.downsample(&all, 0, raw_cut - 1, 3_600, Agg::Max) {
-            black_box(r.len());
-        }
-    });
-
-    eprintln!(
-        "[repro] retention: pass {pass_secs:.3}s, {} -> {} bytes ({:.1}% kept), \
-         rolled downsample {:.1}x, exact={exact}",
-        bytes_before,
-        bytes_after,
-        100.0 * bytes_after as f64 / bytes_before.max(1) as f64,
-        rolled_pre_secs / rolled_post_secs.max(1e-12),
-    );
-
-    let mut s = String::from("{\n");
-    let _ = writeln!(
-        s,
-        "  \"store\": {{\"hosts\": {HOSTS}, \"metrics\": {}, \
-         \"samples_per_series\": {SAMPLES_PER_SERIES}, \"total_samples\": {total_samples}}},",
-        METRICS.len()
-    );
-    let _ = writeln!(s, "  \"policy\": \"{POLICY}\",");
-    let _ = writeln!(
-        s,
-        "  \"pass\": {{\"duration_secs\": {pass_secs:.9}, \"noop_secs\": {noop_secs:.9}, \
-         \"rollup_segments_written\": {}, \"rollup_bins_written\": {}, \
-         \"raw_segments_dropped\": {}, \"rollup_segments_dropped\": {}, \
-         \"raw_watermark\": {}}},",
-        report.rollup_segments_written,
-        report.rollup_bins_written,
-        report.raw_segments_dropped,
-        report.rollup_segments_dropped,
-        report.raw_watermark
-    );
-    let _ = writeln!(
-        s,
-        "  \"disk_bytes\": {{\"before\": {bytes_before}, \"after\": {bytes_after}, \
-         \"kept_frac\": {:.4}}},",
-        bytes_after as f64 / bytes_before.max(1) as f64
-    );
-    let _ = writeln!(
-        s,
-        "  \"rolled_downsample\": {{\"bin_secs\": 3600, \"agg\": \"max\", \
-         \"pre_retention_secs\": {rolled_pre_secs:.9}, \"tier_served_secs\": \
-         {rolled_post_secs:.9}, \"speedup\": {:.2}}},",
-        rolled_pre_secs / rolled_post_secs.max(1e-12)
-    );
-    let _ = writeln!(s, "  \"tier_answers_bit_identical\": {exact},");
-    let _ = writeln!(s, "  \"noop_pass_reports_zero\": {}", noop.rollup_segments_written == 0);
-    s.push_str("}\n");
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::write("BENCH_retention.json", s)
 }
 
 /// Dump the process-global obs registry — populated by every pipeline,
@@ -808,10 +518,6 @@ fn main() {
             .store_dir
             .clone()
             .unwrap_or_else(|| std::env::temp_dir().join("repro-tsdb-bench"));
-        match write_tsdb_bench(&[("ranger", &ranger), ("lonestar4", &ls4)], &bench_root) {
-            Ok(()) => eprintln!("[repro] wrote BENCH_tsdb.json"),
-            Err(e) => eprintln!("[repro] could not write BENCH_tsdb.json: {e}"),
-        }
         match write_query_bench(&bench_root) {
             Ok(()) => eprintln!("[repro] wrote BENCH_query.json"),
             Err(e) => eprintln!("[repro] could not write BENCH_query.json: {e}"),
@@ -819,10 +525,6 @@ fn main() {
         match write_ingest_bench(&bench_root) {
             Ok(()) => eprintln!("[repro] wrote BENCH_ingest.json"),
             Err(e) => eprintln!("[repro] could not write BENCH_ingest.json: {e}"),
-        }
-        match write_retention_bench(&bench_root) {
-            Ok(()) => eprintln!("[repro] wrote BENCH_retention.json"),
-            Err(e) => eprintln!("[repro] could not write BENCH_retention.json: {e}"),
         }
         match write_metrics_snapshot() {
             Ok(()) => eprintln!("[repro] wrote BENCH_metrics.json"),

@@ -4,7 +4,7 @@ use std::time::Instant;
 
 /// Seconds per iteration, with the repetition count sized from a single
 /// timed warm-up run so fast paths get enough reps to measure.
-pub fn secs_per_iter(mut f: impl FnMut()) -> f64 {
+fn secs_per_iter(mut f: impl FnMut()) -> f64 {
     let t0 = Instant::now();
     f();
     let once = t0.elapsed().as_secs_f64();

@@ -70,7 +70,6 @@ pub const R1_ZONES: &[&str] = &[
     "xdmod::serve",
     "warehouse::tsdbio",
     "warehouse::jobcodec",
-    "warehouse::binfmt",
     "relay",
 ];
 

@@ -8,20 +8,7 @@
 //! ten-minute samples, and counters that restart from zero when a node
 //! reboots or a module reloads.
 
-use std::collections::BTreeMap;
-
-use supremm_metrics::schema::{CounterKind, DeviceClass};
-use supremm_procsim::DeviceReading;
-
-use crate::format::Record;
-
-/// Per-interval values of one device instance: increments for event
-/// counters, current values for gauges.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct DeviceDelta {
-    pub device: String,
-    pub values: Vec<u64>,
-}
+use supremm_metrics::schema::CounterKind;
 
 /// The increment of a single counter between two reads.
 ///
@@ -41,42 +28,9 @@ pub fn counter_delta(prev: u64, cur: u64, kind: CounterKind) -> u64 {
     }
 }
 
-/// Compute per-instance deltas between two consecutive records.
-///
-/// Devices are matched by instance name; instances present in only one
-/// record (hot-plug, reprogram renames) are dropped — a conservative
-/// choice that can only lose one interval of data.
-pub fn record_delta(prev: &Record, cur: &Record) -> BTreeMap<DeviceClass, Vec<DeviceDelta>> {
-    let mut out = BTreeMap::new();
-    for (&class, cur_readings) in &cur.readings {
-        let Some(prev_readings) = prev.readings.get(&class) else { continue };
-        let schema = class.schema();
-        let prev_by_name: BTreeMap<&str, &DeviceReading> =
-            prev_readings.iter().map(|r| (r.device.as_str(), r)).collect();
-        let mut deltas = Vec::with_capacity(cur_readings.len());
-        for c in cur_readings {
-            let Some(p) = prev_by_name.get(c.device.as_str()) else { continue };
-            let values = c
-                .values
-                .iter()
-                .zip(&p.values)
-                .zip(schema.entries)
-                .map(|((&cv, &pv), entry)| match entry.kind {
-                    CounterKind::Event { .. } => counter_delta(pv, cv, entry.kind),
-                    CounterKind::Gauge => cv,
-                })
-                .collect();
-            deltas.push(DeviceDelta { device: c.device.clone(), values });
-        }
-        out.insert(class, deltas);
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use supremm_metrics::{JobId, Timestamp};
 
     #[test]
     fn plain_delta() {
@@ -99,55 +53,5 @@ mod tests {
     fn full_width_decrease_is_reset() {
         let k = CounterKind::Event { width: 64 };
         assert_eq!(counter_delta(1_000_000, 250, k), 250);
-    }
-
-    #[test]
-    fn gauge_passes_through_current_value() {
-        let mk = |cpu_vals: Vec<u64>, mem_vals: Vec<u64>| {
-            let mut readings = BTreeMap::new();
-            readings.insert(
-                DeviceClass::Cpu,
-                vec![DeviceReading { device: "0".into(), values: cpu_vals }],
-            );
-            readings.insert(
-                DeviceClass::Mem,
-                vec![DeviceReading { device: "0".into(), values: mem_vals }],
-            );
-            Record { ts: Timestamp(0), job: Some(JobId(1)), readings }
-        };
-        let prev = mk(vec![10, 0, 5, 100, 0, 0, 0], vec![100, 50, 1, 2, 40, 1, 30, 2]);
-        let cur = mk(vec![40, 0, 9, 160, 0, 0, 0], vec![100, 20, 2, 4, 70, 1, 60, 2]);
-        let d = record_delta(&prev, &cur);
-        // Events are differenced...
-        assert_eq!(d[&DeviceClass::Cpu][0].values[0], 30);
-        assert_eq!(d[&DeviceClass::Cpu][0].values[3], 60);
-        // ...gauges are the current reading.
-        assert_eq!(d[&DeviceClass::Mem][0].values[4], 70);
-    }
-
-    #[test]
-    fn unmatched_instances_are_dropped() {
-        let mk = |device: &str| {
-            let mut readings = BTreeMap::new();
-            readings.insert(
-                DeviceClass::Irq,
-                vec![DeviceReading { device: device.into(), values: vec![5] }],
-            );
-            Record { ts: Timestamp(0), job: None, readings }
-        };
-        let d = record_delta(&mk("0"), &mk("1"));
-        assert!(d[&DeviceClass::Irq].is_empty());
-    }
-
-    #[test]
-    fn class_missing_from_prev_is_skipped() {
-        let mut readings = BTreeMap::new();
-        readings.insert(
-            DeviceClass::Irq,
-            vec![DeviceReading { device: "0".into(), values: vec![5] }],
-        );
-        let cur = Record { ts: Timestamp(600), job: None, readings };
-        let prev = Record { ts: Timestamp(0), job: None, readings: BTreeMap::new() };
-        assert!(record_delta(&prev, &cur).is_empty());
     }
 }

@@ -6,32 +6,41 @@
 //! resets the WAL. [`Tsdb::compact`] merges all sealed segments into
 //! one.
 //!
-//! Read path: every sealed segment contributes one sorted run per
-//! matching series (located through the segment's per-series chunk
-//! index, decoding *only* the matching chunks), the memtable
-//! contributes the highest-priority run, and a k-way last-write-wins
-//! merge combines them — later runs win per `(series, timestamp)`.
-//! That makes compaction and crash-leftover segments (a compacted
-//! segment sealed but its inputs not yet deleted) both idempotent:
-//! re-merging identical samples changes nothing.
+//! Read path — plan → fetch → fold. Every read first builds one
+//! `ReadPlan`: per matching series, the chunk refs overlapping the
+//! window in each sealed segment plus the memtable's samples. The plan
+//! is built in a single pass that consults each segment's series index
+//! once; a segment whose time range misses the window is skipped before
+//! its index is touched. The plan is then walked series-major through
+//! one `BlockFetcher` holding at most one CRC-verified block per
+//! segment. The engine lays chunks out series-major too, so each block
+//! is read once per query; a foreign layout only costs a re-read.
 //!
-//! [`Tsdb::downsample`] goes one step further: when a bin fully covers
-//! a chunk, it folds the chunk's pre-computed statistics
-//! ([`crate::stats::ChunkStats`]) straight into the bin and never
-//! decompresses the chunk. The result is bit-identical to the naive
-//! decode-everything path ([`Tsdb::downsample_naive`]) — both paths run
-//! the same [`BinAcc`] arithmetic, and the fold is only taken where the
-//! sequential-sum prefix rule allows it.
+//! [`Tsdb::query`] decodes each series' planned chunks into one sorted
+//! run per segment, adds the memtable as the highest-priority run, and
+//! a k-way last-write-wins merge combines them — later runs win per
+//! `(series, timestamp)`. That makes compaction and crash-leftover
+//! segments (a compacted segment sealed but its inputs not yet deleted)
+//! both idempotent: re-merging identical samples changes nothing.
+//!
+//! [`Tsdb::downsample`] folds instead of decoding where it can: when a
+//! series' planned sources are disjoint in time and a bin fully covers
+//! a chunk, the chunk's pre-computed statistics
+//! ([`crate::stats::ChunkStats`]) go straight into the bin and the
+//! chunk is never decompressed (nor its block fetched). Sources that
+//! overlap fall back to binning the merge of the runs already planned.
+//! Both ways run the same [`BinAcc`] arithmetic, and the fold is only
+//! taken where the sequential-sum prefix rule allows it, so the result
+//! is bit-identical to decoding everything.
 //!
 //! The slow reference implementations ([`Tsdb::query_naive`],
-//! [`Tsdb::downsample_naive`]) are kept public as differential-test
-//! oracles and benchmark baselines.
+//! [`Tsdb::downsample_naive`]) live in the child module `oracle`, kept
+//! public as differential-test oracles.
 //!
 //! Crash recovery = [`Tsdb::open`]: scan `seg-*.tsdb` (ignoring
 //! `*.tmp` leftovers), open the WAL (which truncates any torn tail), and
 //! replay surviving WAL records into the memtable.
 
-use std::collections::btree_map::Entry;
 use std::collections::{BTreeMap, BTreeSet};
 use std::fs;
 use std::io;
@@ -49,6 +58,8 @@ use crate::segment::{
 };
 use crate::stats::{BinAcc, ChunkStats};
 use crate::wal::Wal;
+
+mod oracle;
 
 /// Identity of one series: a (host, metric) pair.
 #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -197,7 +208,6 @@ pub struct Tsdb {
 /// Obs handles cached at open so the write/query hot paths never touch
 /// the registry lock (see DESIGN.md § "Self-observability").
 struct TsdbMetrics {
-    obs: ObsHandle,
     wal_append_micros: Histogram,
     wal_fsync_micros: Histogram,
     mem_samples: Gauge,
@@ -208,6 +218,7 @@ struct TsdbMetrics {
     compact_micros: Histogram,
     compact_bytes_total: Counter,
     query_index_segments_total: Counter,
+    query_blocks_read_total: Counter,
     retention_pass_micros: Histogram,
     rollup_segments_written_total: Counter,
     rollup_bins_written_total: Counter,
@@ -222,10 +233,8 @@ struct TsdbMetrics {
 }
 
 impl TsdbMetrics {
-    fn new(obs: ObsHandle, tier_bins: &[u64]) -> TsdbMetrics {
+    fn new(obs: &ObsHandle, tier_bins: &[u64]) -> TsdbMetrics {
         TsdbMetrics {
-            // suplint: allow(R7) -- one registry-handle clone per Tsdb open, not per query
-            obs: obs.clone(),
             wal_append_micros: obs.histogram("tsdb_wal_append_micros"),
             wal_fsync_micros: obs.histogram("tsdb_wal_fsync_micros"),
             mem_samples: obs.gauge("tsdb_memtable_samples"),
@@ -236,6 +245,7 @@ impl TsdbMetrics {
             compact_micros: obs.histogram("tsdb_compact_micros"),
             compact_bytes_total: obs.counter("tsdb_compact_bytes_total"),
             query_index_segments_total: obs.counter("tsdb_query_index_segments_total"),
+            query_blocks_read_total: obs.counter("tsdb_query_blocks_read_total"),
             retention_pass_micros: obs.histogram("tsdb_retention_pass_micros"),
             rollup_segments_written_total: obs.counter("tsdb_retention_rollup_segments_total"),
             rollup_bins_written_total: obs.counter("tsdb_retention_rollup_bins_total"),
@@ -300,24 +310,53 @@ fn wholly_below(readers: &[(u64, SegmentReader)], dropped_before: u64) -> Vec<(u
         .collect()
 }
 
-/// Block `ix` of `reader`, read and CRC-checked at most once per
-/// `cache` lifetime.
-fn cached_block<'c>(
-    reader: &SegmentReader,
-    cache: &'c mut BTreeMap<u32, Vec<u8>>,
-    ix: u32,
-) -> Result<&'c [u8], TsdbError> {
-    match cache.entry(ix) {
-        Entry::Occupied(hit) => Ok(hit.into_mut()),
-        Entry::Vacant(miss) => {
-            let block = reader.entries.get(ix as usize).ok_or_else(|| {
-                TsdbError::Corrupt(format!(
-                    "{}: series index block {ix} out of range",
-                    reader.path().display()
-                ))
-            })?;
-            Ok(miss.insert(reader.read_block(block)?))
-        }
+/// One series' share of a read plan: where its samples in the window
+/// live. `segs` is oldest segment first — the last-write-wins order.
+#[derive(Default)]
+struct SeriesPlan<'a> {
+    /// `(slot in Tsdb::segments, chunk refs overlapping the window in
+    /// index order)`; never an empty ref list.
+    segs: Vec<(usize, Vec<&'a ChunkRef>)>,
+    /// The series' memtable samples, when any fall inside the window.
+    mem: Option<&'a BTreeMap<u64, u64>>,
+}
+
+/// `(host, metric)` → plan, in the order answers are returned (the
+/// same order `SeriesKey` sorts in) and the order segments store chunks.
+type ReadPlan<'a> = BTreeMap<(&'a str, &'a str), SeriesPlan<'a>>;
+
+/// Reads blocks for one query, holding at most one CRC-verified block
+/// per segment. A plan walked series-major over engine-written
+/// segments asks for each block in one consecutive stretch, so each is
+/// read once; any other order only costs a re-read.
+struct BlockFetcher<'a> {
+    segments: &'a [(u64, SegmentReader)],
+    /// Per slot of `segments`: the block held, as `(block_ix, payload)`.
+    held: Vec<Option<(u32, Vec<u8>)>>,
+    blocks_read: &'a Counter,
+}
+
+impl BlockFetcher<'_> {
+    /// Decode the chunk `r` addresses in segment `slot` (a slot of the
+    /// plan this fetcher was made beside, so always in range).
+    fn decode(&mut self, slot: usize, r: &ChunkRef) -> Result<Vec<(u64, u64)>, TsdbError> {
+        let (reader, held) = (&self.segments[slot].1, &mut self.held[slot]);
+        let payload = match held {
+            Some((ix, payload)) if *ix == r.block_ix => payload,
+            _ => {
+                let block = reader.entries.get(r.block_ix as usize).ok_or_else(|| {
+                    TsdbError::Corrupt(format!(
+                        "{}: series index block {} out of range",
+                        reader.path().display(),
+                        r.block_ix
+                    ))
+                })?;
+                let payload = reader.read_block(block)?;
+                self.blocks_read.inc();
+                &held.insert((r.block_ix, payload)).1
+            }
+        };
+        reader.decode_chunk_in_block(payload, r)
     }
 }
 
@@ -401,27 +440,124 @@ fn matching_entries<'a>(idx: &'a [SeriesEntry], sel: &Selector) -> Vec<&'a Serie
         .collect()
 }
 
-/// Bin one merged sample stream; shared by every downsampling path.
-fn bin_samples(samples: &[(u64, f64)], bin_secs: u64, agg: Agg) -> Vec<(u64, f64)> {
-    let mut bins: BTreeMap<u64, BinAcc> = BTreeMap::new();
-    for &(ts, v) in samples {
-        bins.entry(ts / bin_secs * bin_secs).or_default().add(v);
+/// Decode one series' planned chunks into strictly-ascending runs
+/// clipped to `[t0, t1]`, in [`merge_runs`] priority order: one run per
+/// segment oldest first, the memtable last.
+fn planned_runs(
+    series: &SeriesPlan<'_>,
+    fetch: &mut BlockFetcher<'_>,
+    t0: u64,
+    t1: u64,
+) -> Result<Vec<Vec<(u64, u64)>>, TsdbError> {
+    let mut runs: Vec<Vec<(u64, u64)>> = Vec::with_capacity(series.segs.len() + 1);
+    for (slot, refs) in &series.segs {
+        let mut run: Vec<(u64, u64)> = Vec::new();
+        for r in refs {
+            let samples = fetch.decode(*slot, r)?;
+            run.extend(samples.into_iter().filter(|&(ts, _)| ts >= t0 && ts <= t1));
+        }
+        runs.push(normalize_run(run));
     }
-    bins.into_iter().map(|(start, acc)| (start, agg.finish(&acc))).collect()
+    if let Some(mem) = series.mem {
+        runs.push(mem.range(t0..=t1).map(|(&ts, &b)| (ts, b)).collect());
+    }
+    Ok(runs)
 }
 
-fn bin_series(
-    series: SeriesPoints,
+/// Whether `(first ts, last ts)` spans ascend without touching: no two
+/// of them can hold the same timestamp.
+fn ascending_disjoint(spans: impl IntoIterator<Item = (u64, u64)>) -> bool {
+    let mut prev_last: Option<u64> = None;
+    spans.into_iter().all(|(first, last)| prev_last.replace(last).is_none_or(|p| p < first))
+}
+
+fn bin_add(bins: &mut BTreeMap<u64, BinAcc>, bin_secs: u64, ts: u64, bits: u64) {
+    bins.entry(ts / bin_secs * bin_secs).or_default().add(f64::from_bits(bits));
+}
+
+/// Bin one planned series' samples in `[t0, t1]` into `bins`; returns
+/// whether any sample contributed. When the series' sources are
+/// disjoint in time and each segment's chunks ascend, a chunk that one
+/// bin fully covers folds its stored statistics and is never decoded;
+/// otherwise overwrites are possible and the merge of the planned runs
+/// is binned instead.
+///
+/// `bins` may arrive pre-seeded with rollup-tier folds for older time:
+/// the raw walk is strictly newer, so adding on top preserves time
+/// order, and a Sum/Mean bin seeded by a rollup fails `can_fold` and
+/// decodes its raw chunk, continuing the sequential sum sample by
+/// sample.
+fn fold_planned(
+    series: &SeriesPlan<'_>,
+    fetch: &mut BlockFetcher<'_>,
+    t0: u64,
+    t1: u64,
     bin_secs: u64,
     agg: Agg,
-) -> SeriesPoints {
-    series
-        .into_iter()
-        .map(|(key, samples)| {
-            let binned = bin_samples(&samples, bin_secs, agg);
-            (key, binned)
-        })
-        .collect()
+    bins: &mut BTreeMap<u64, BinAcc>,
+) -> Result<bool, TsdbError> {
+    enum Source<'p, 'a> {
+        Seg(usize, &'p [&'a ChunkRef]),
+        Mem(&'a BTreeMap<u64, u64>),
+    }
+    // `(first ts, last ts, source)` clipped to the window.
+    let mut sources: Vec<(u64, u64, Source<'_, '_>)> = Vec::with_capacity(series.segs.len() + 1);
+    let mut orderly = true;
+    for (slot, refs) in &series.segs {
+        orderly &= ascending_disjoint(refs.iter().map(|r| (r.min_ts, r.max_ts)));
+        let first = refs.iter().map(|r| r.min_ts).min().unwrap_or(0).max(t0);
+        let last = refs.iter().map(|r| r.max_ts).max().unwrap_or(0).min(t1);
+        sources.push((first, last, Source::Seg(*slot, refs)));
+    }
+    if let Some(mem) = series.mem {
+        let mut range = mem.range(t0..=t1).map(|(&ts, _)| ts);
+        if let Some(first) = range.next() {
+            sources.push((first, range.next_back().unwrap_or(first), Source::Mem(mem)));
+        }
+    }
+    // Walk order is ascending time; it only means something when no two
+    // sources can hold the same timestamp.
+    sources.sort_unstable_by_key(|&(first, last, _)| (first, last));
+    if !orderly || !ascending_disjoint(sources.iter().map(|&(first, last, _)| (first, last))) {
+        let merged = merge_runs(planned_runs(series, fetch, t0, t1)?);
+        for &(ts, bits) in &merged {
+            bin_add(bins, bin_secs, ts, bits);
+        }
+        return Ok(!merged.is_empty());
+    }
+    let needs_sum = agg.needs_sequential_sum();
+    let mut added = false;
+    for (_, _, source) in sources {
+        match source {
+            Source::Mem(mem) => {
+                for (&ts, &bits) in mem.range(t0..=t1) {
+                    bin_add(bins, bin_secs, ts, bits);
+                    added = true;
+                }
+            }
+            Source::Seg(slot, refs) => {
+                for r in refs {
+                    let fully_inside = r.min_ts >= t0 && r.max_ts <= t1;
+                    let single_bin = r.min_ts / bin_secs == r.max_ts / bin_secs;
+                    if fully_inside && single_bin && r.stats.count > 0 {
+                        let acc = bins.entry(r.min_ts / bin_secs * bin_secs).or_default();
+                        if acc.can_fold(needs_sum) {
+                            acc.fold_chunk(&r.stats);
+                            added = true;
+                            continue;
+                        }
+                    }
+                    for (ts, bits) in fetch.decode(slot, r)? {
+                        if ts >= t0 && ts <= t1 {
+                            bin_add(bins, bin_secs, ts, bits);
+                            added = true;
+                        }
+                    }
+                }
+            }
+        }
+    }
+    Ok(added)
 }
 
 /// Seal one key→samples map into `seg-{seq:06}.tsdb`. Chunks are
@@ -515,7 +651,7 @@ impl Tsdb {
             bins.extend(rollups.keys().copied());
             bins.into_iter().collect()
         };
-        let met = TsdbMetrics::new(obs, &tier_bins);
+        let met = TsdbMetrics::new(&obs, &tier_bins);
         let db = Tsdb {
             dir: dir.to_path_buf(),
             wal: recovery.wal,
@@ -553,10 +689,6 @@ impl Tsdb {
         self.met.mem_samples.set(as_i64(self.mem_samples));
         let rolls: usize = self.rollups.values().map(Vec::len).sum();
         self.met.rollup_segments.set(as_i64(rolls as u64));
-    }
-
-    pub fn dir(&self) -> &Path {
-        &self.dir
     }
 
     /// Monotone mutation counter: bumped by every append, flush, and
@@ -684,64 +816,45 @@ impl Tsdb {
         Ok(())
     }
 
-    /// All series keys present (segments + memtable), sorted. Answered
-    /// from the per-series index without touching block data.
-    pub fn series_keys(&self) -> Result<Vec<SeriesKey>, TsdbError> {
-        let mut keys: BTreeSet<SeriesKey> = self.mem.keys().cloned().collect();
-        for (_, reader) in &self.segments {
-            for entry in reader.series_index().unwrap_or(&[]) {
-                keys.insert(SeriesKey::new(&*entry.host, &*entry.metric));
+    /// The one gather every read starts from: per series matching
+    /// `sel`, the chunk refs overlapping `[t0, t1]` in each sealed
+    /// segment plus its memtable samples. Consults each segment's series
+    /// index once; a segment whose time range misses the window is
+    /// skipped before its index is touched.
+    fn plan(&self, sel: &Selector, t0: u64, t1: u64) -> ReadPlan<'_> {
+        let mut plan = ReadPlan::new();
+        for (slot, (_, reader)) in self.segments.iter().enumerate() {
+            if reader.time_range().is_none_or(|(min, max)| max < t0 || min > t1) {
+                continue;
             }
-        }
-        // Series whose raw data has fully expired still exist in the
-        // rollup tiers — keep them discoverable.
-        for readers in self.rollups.values() {
-            for (_, reader) in readers {
-                for entry in &reader.entries {
-                    let payload = reader.read_block(entry)?;
-                    let (_, rows) = decode_rollup_block(&payload, reader.path())?;
-                    keys.extend(rows.into_keys());
+            self.met.query_index_segments_total.inc();
+            for entry in matching_entries(reader.series_index().unwrap_or(&[]), sel) {
+                let refs: Vec<&ChunkRef> =
+                    entry.chunks.iter().filter(|r| r.max_ts >= t0 && r.min_ts <= t1).collect();
+                if !refs.is_empty() {
+                    let series = plan.entry((&entry.host, &entry.metric)).or_default();
+                    series.segs.push((slot, refs));
                 }
             }
         }
-        Ok(keys.into_iter().collect())
+        for (key, series) in &self.mem {
+            if sel.matches(key) && series.range(t0..=t1).next().is_some() {
+                plan.entry((&key.host, &key.metric)).or_default().mem = Some(series);
+            }
+        }
+        plan
     }
 
-    /// One sorted run per series for one segment, decoding only the
-    /// chunks the index says belong to matching series and overlap the
-    /// range. Blocks are fetched at most once per query.
-    fn segment_runs_indexed(
-        &self,
-        reader: &SegmentReader,
-        sel: &Selector,
-        t0: u64,
-        t1: u64,
-        acc: &mut BTreeMap<SeriesKey, Vec<Vec<(u64, u64)>>>,
-    ) -> Result<(), TsdbError> {
-        let mut cache: BTreeMap<u32, Vec<u8>> = BTreeMap::new();
-        for entry in matching_entries(reader.series_index().unwrap_or(&[]), sel) {
-            let mut run: Vec<(u64, u64)> = Vec::new();
-            for r in entry.chunks.iter().filter(|r| r.max_ts >= t0 && r.min_ts <= t1) {
-                let payload = cached_block(reader, &mut cache, r.block_ix)?;
-                let samples = reader.decode_chunk_in_block(payload, r)?;
-                run.extend(samples.into_iter().filter(|&(ts, _)| ts >= t0 && ts <= t1));
-            }
-            if run.is_empty() {
-                continue;
-            }
-            acc.entry(SeriesKey::new(&*entry.host, &*entry.metric))
-                .or_default()
-                .push(normalize_run(run));
+    fn fetcher(&self) -> BlockFetcher<'_> {
+        BlockFetcher {
+            segments: &self.segments,
+            held: vec![None; self.segments.len()],
+            blocks_read: &self.met.query_blocks_read_total,
         }
-        Ok(())
     }
 
     /// Range scan: all series matching `sel`, samples with
     /// `t0 <= ts <= t1`, merged last-write-wins, sorted by key then ts.
-    ///
-    /// Index-driven: each segment contributes one sorted run per series
-    /// (decoding only matching chunks), and a k-way merge resolves
-    /// overwrites.
     pub fn query(
         &self,
         sel: &Selector,
@@ -755,104 +868,18 @@ impl Tsdb {
         if t0 > t1 {
             return Ok(Vec::new());
         }
-        let mut acc: BTreeMap<SeriesKey, Vec<Vec<(u64, u64)>>> = BTreeMap::new();
-        for (_, reader) in &self.segments {
-            self.met.query_index_segments_total.inc();
-            self.segment_runs_indexed(reader, sel, t0, t1, &mut acc)?;
-        }
-        for (key, series) in &self.mem {
-            if !sel.matches(key) {
-                continue;
-            }
-            let run: Vec<(u64, u64)> = series.range(t0..=t1).map(|(&ts, &b)| (ts, b)).collect();
-            if run.is_empty() {
-                continue;
-            }
-            // suplint: allow(R7) -- entry() needs an owned key; once per matching series
-            acc.entry(key.clone()).or_default().push(run);
-        }
-        Ok(acc
-            .into_iter()
-            .map(|(key, runs)| {
-                let samples: Vec<(u64, f64)> = merge_runs(runs)
-                    .into_iter()
-                    .map(|(ts, bits)| (ts, f64::from_bits(bits)))
-                    .collect();
-                (key, samples)
-            })
-            .filter(|(_, s)| !s.is_empty())
-            .collect())
-    }
-
-    /// Reference implementation of [`Tsdb::query`]: decode every
-    /// overlapping block into a map, last insert wins. Kept as the
-    /// differential-test oracle and benchmark baseline — do not
-    /// "optimize" this; its value is being obviously correct.
-    pub fn query_naive(
-        &self,
-        sel: &Selector,
-        t0: u64,
-        t1: u64,
-    ) -> Result<SeriesPoints, TsdbError> {
-        // Same retention clamp as `query` — the oracle sees the same
-        // logically-surviving raw data as the fast path.
-        let t0 = t0.max(self.manifest.raw_dropped_before);
-        if t0 > t1 {
-            return Ok(Vec::new());
-        }
-        let mut acc: BTreeMap<SeriesKey, BTreeMap<u64, u64>> = BTreeMap::new();
-        for (_, reader) in &self.segments {
-            for entry in &reader.entries {
-                // Sparse time index: skip blocks outside the range.
-                if entry.max_ts < t0 || entry.min_ts > t1 {
-                    continue;
-                }
-                let payload = reader.read_block(entry)?;
-                for chunk in reader.decode_series_block(&payload)? {
-                    let key = SeriesKey::new(chunk.host, chunk.metric);
-                    if !sel.matches(&key) {
-                        continue;
-                    }
-                    let series = acc.entry(key).or_default();
-                    for (ts, bits) in chunk.samples {
-                        if ts >= t0 && ts <= t1 {
-                            series.insert(ts, bits);
-                        }
-                    }
-                }
+        let mut fetch = self.fetcher();
+        let mut out: SeriesPoints = Vec::new();
+        for ((host, metric), series) in self.plan(sel, t0, t1) {
+            let samples: Vec<(u64, f64)> = merge_runs(planned_runs(&series, &mut fetch, t0, t1)?)
+                .into_iter()
+                .map(|(ts, bits)| (ts, f64::from_bits(bits)))
+                .collect();
+            if !samples.is_empty() {
+                out.push((SeriesKey::new(host, metric), samples));
             }
         }
-        for (key, series) in &self.mem {
-            if !sel.matches(key) {
-                continue;
-            }
-            // suplint: allow(R7) -- entry() needs an owned key; once per matching series
-            let out = acc.entry(key.clone()).or_default();
-            for (&ts, &bits) in series.range(t0..=t1) {
-                out.insert(ts, bits);
-            }
-        }
-        Ok(acc
-            .into_iter()
-            .filter(|(_, s)| !s.is_empty())
-            .map(|(key, series)| {
-                let samples =
-                    series.into_iter().map(|(ts, bits)| (ts, f64::from_bits(bits))).collect();
-                (key, samples)
-            })
-            .collect())
-    }
-
-    /// Single-series range scan.
-    pub fn query_series(
-        &self,
-        host: &str,
-        metric: &str,
-        t0: u64,
-        t1: u64,
-    ) -> Result<Vec<(u64, f64)>, TsdbError> {
-        let sel = Selector { host: Some(host.to_string()), metric: Some(metric.to_string()) };
-        Ok(self.query(&sel, t0, t1)?.into_iter().next().map(|(_, s)| s).unwrap_or_default())
+        Ok(out)
     }
 
     /// Downsample matching series into `bin_secs` bins aligned at
@@ -906,24 +933,10 @@ impl Tsdb {
         let raw_t0 = t0.max(self.manifest.raw_dropped_before);
         let mut raw_hit = false;
         if raw_t0 <= t1 {
-            let mut keys: BTreeSet<SeriesKey> = BTreeSet::new();
-            for key in self.mem.keys() {
-                if sel.matches(key) {
-                    // suplint: allow(R7) -- owned copy per matching series key, not per sample
-                    keys.insert(key.clone());
-                }
-            }
-            for (_, reader) in &self.segments {
-                for entry in matching_entries(reader.series_index().unwrap_or(&[]), sel) {
-                    keys.insert(SeriesKey::new(&*entry.host, &*entry.metric));
-                }
-            }
-            for key in keys {
-                let mut bins = accs.remove(&key).unwrap_or_default();
-                raw_hit |= self.downsample_one_into(&key, raw_t0, t1, bin_secs, agg, &mut bins)?;
-                if !bins.is_empty() {
-                    accs.insert(key, bins);
-                }
+            let mut fetch = self.fetcher();
+            for ((host, metric), series) in self.plan(sel, raw_t0, t1) {
+                let bins = accs.entry(SeriesKey::new(host, metric)).or_default();
+                raw_hit |= fold_planned(&series, &mut fetch, raw_t0, t1, bin_secs, agg, bins)?;
             }
         }
         let mut tiers: Vec<String> = Vec::new();
@@ -1037,165 +1050,6 @@ impl Tsdb {
         Ok(used)
     }
 
-    /// One series through the pre-aggregated path, or the merged-scan
-    /// fallback when sources overlap in time (overwrites in flight).
-    /// Adds into `bins` — which may arrive pre-seeded with rollup-tier
-    /// folds for older time (the raw walk is strictly newer, so adding
-    /// on top preserves time order; a Sum/Mean bin seeded by a rollup
-    /// fails `can_fold` and decodes its raw chunk, continuing the
-    /// sequential sum sample-by-sample). Returns whether any raw data
-    /// contributed.
-    fn downsample_one_into(
-        &self,
-        key: &SeriesKey,
-        t0: u64,
-        t1: u64,
-        bin_secs: u64,
-        agg: Agg,
-        bins: &mut BTreeMap<u64, BinAcc>,
-    ) -> Result<bool, TsdbError> {
-        let exact =
-            // suplint: allow(R7) -- exact selector is built once per series read
-            Selector { host: Some(key.host.clone()), metric: Some(key.metric.clone()) };
-
-        // Gather this series' sources: per-segment chunk refs clipped to
-        // the range, plus the memtable window.
-        struct SegSource<'a> {
-            reader: &'a SegmentReader,
-            refs: Vec<&'a ChunkRef>,
-            min_ts: u64,
-            max_ts: u64,
-        }
-        let mut seg_sources: Vec<SegSource<'_>> = Vec::new();
-        let mut orderly = true;
-        for (_, reader) in &self.segments {
-            let idx = reader.series_index().unwrap_or(&[]);
-            for entry in matching_entries(idx, &exact) {
-                let refs: Vec<&ChunkRef> = entry
-                    .chunks
-                    .iter()
-                    .filter(|r| r.max_ts >= t0 && r.min_ts <= t1)
-                    .collect();
-                if refs.is_empty() {
-                    continue;
-                }
-                // Refs must be ascending and non-overlapping for the
-                // walk order (and the fold) to be meaningful.
-                orderly &= refs.windows(2).all(|w| match w {
-                    [a, b] => a.max_ts < b.min_ts,
-                    _ => true,
-                });
-                let min_ts = refs.iter().map(|r| r.min_ts).min().unwrap_or(0).max(t0);
-                let max_ts = refs.iter().map(|r| r.max_ts).max().unwrap_or(0).min(t1);
-                seg_sources.push(SegSource { reader, refs, min_ts, max_ts });
-            }
-        }
-        let mem_window = self.mem.get(key).and_then(|series| {
-            let mut range = series.range(t0..=t1);
-            let first = range.next().map(|(&ts, _)| ts)?;
-            let last = range.next_back().map(|(&ts, _)| ts).unwrap_or(first);
-            Some((first, last))
-        });
-
-        // Disjointness check: if any two sources could hold the same
-        // timestamp, overwrites are possible and only a full merge is
-        // correct.
-        let mut spans: Vec<(u64, u64)> =
-            seg_sources.iter().map(|s| (s.min_ts, s.max_ts)).collect();
-        if let Some(w) = mem_window {
-            spans.push(w);
-        }
-        spans.sort_unstable();
-        let disjoint = spans.windows(2).all(|w| match w {
-            [a, b] => a.1 < b.0,
-            _ => true,
-        });
-        if spans.is_empty() {
-            return Ok(false);
-        }
-        if !orderly || !disjoint {
-            let series = self.query(&exact, t0, t1)?;
-            let samples =
-                series.into_iter().next().map(|(_, s)| s).unwrap_or_default();
-            for &(ts, v) in &samples {
-                bins.entry(ts / bin_secs * bin_secs).or_default().add(v);
-            }
-            return Ok(!samples.is_empty());
-        }
-
-        // Walk sources in ascending time order, folding chunk stats
-        // where a single bin fully covers the chunk.
-        enum Source<'a> {
-            Seg(SegSource<'a>),
-            Mem,
-        }
-        let mut sources: Vec<(u64, Source<'_>)> =
-            seg_sources.into_iter().map(|s| (s.min_ts, Source::Seg(s))).collect();
-        if let Some((first, _)) = mem_window {
-            sources.push((first, Source::Mem));
-        }
-        sources.sort_by_key(|&(min_ts, _)| min_ts);
-
-        let needs_sum = agg.needs_sequential_sum();
-        let mut added = false;
-        for (_, source) in sources {
-            match source {
-                Source::Mem => {
-                    if let Some(series) = self.mem.get(key) {
-                        for (&ts, &bits) in series.range(t0..=t1) {
-                            bins.entry(ts / bin_secs * bin_secs)
-                                .or_default()
-                                .add(f64::from_bits(bits));
-                            added = true;
-                        }
-                    }
-                }
-                Source::Seg(seg) => {
-                    let mut cache: BTreeMap<u32, Vec<u8>> = BTreeMap::new();
-                    for r in seg.refs {
-                        let fully_inside = r.min_ts >= t0 && r.max_ts <= t1;
-                        let single_bin = r.min_ts / bin_secs == r.max_ts / bin_secs;
-                        if fully_inside && single_bin && r.stats.count > 0 {
-                            let acc =
-                                bins.entry(r.min_ts / bin_secs * bin_secs).or_default();
-                            if acc.can_fold(needs_sum) {
-                                acc.fold_chunk(&r.stats);
-                                added = true;
-                                continue;
-                            }
-                        }
-                        let payload = cached_block(seg.reader, &mut cache, r.block_ix)?;
-                        let samples = seg.reader.decode_chunk_in_block(payload, r)?;
-                        for (ts, bits) in samples {
-                            if ts >= t0 && ts <= t1 {
-                                bins.entry(ts / bin_secs * bin_secs)
-                                    .or_default()
-                                    .add(f64::from_bits(bits));
-                                added = true;
-                            }
-                        }
-                    }
-                }
-            }
-        }
-        Ok(added)
-    }
-
-    /// Reference implementation of [`Tsdb::downsample`] over
-    /// [`Tsdb::query_naive`]: decode everything, bin scalar-by-scalar.
-    /// Differential-test oracle and benchmark baseline.
-    pub fn downsample_naive(
-        &self,
-        sel: &Selector,
-        t0: u64,
-        t1: u64,
-        bin_secs: u64,
-        agg: Agg,
-    ) -> Result<SeriesPoints, TsdbError> {
-        let bin_secs = bin_secs.max(1);
-        Ok(bin_series(self.query_naive(sel, t0, t1)?, bin_secs, agg))
-    }
-
     /// Newest data timestamp anywhere in the store (memtable, raw
     /// segments, rollup tiers). Retention callers pass this as `now` so
     /// a store ages by its own data clock, not the wall clock —
@@ -1222,11 +1076,6 @@ impl Tsdb {
             }
         }
         max
-    }
-
-    /// The store's retention policy (from [`DbOptions`]).
-    pub fn retention_policy(&self) -> &RetentionPolicy {
-        &self.opts.retention
     }
 
     /// Raw samples below this data timestamp are logically dropped;
@@ -1445,11 +1294,6 @@ impl Tsdb {
             + self.rollups.values().flatten().map(|(_, r)| r.file_len()).sum::<u64>()
     }
 
-    /// The registry this store reports into.
-    pub fn obs(&self) -> &ObsHandle {
-        &self.met.obs
-    }
-
     pub fn stats(&self) -> DbStats {
         DbStats {
             segments: self.segments.len(),
@@ -1487,6 +1331,12 @@ mod tests {
         db.sync().unwrap();
     }
 
+    /// Samples of one series in `[t0, t1]`.
+    fn one_series(db: &Tsdb, host: &str, metric: &str, t0: u64, t1: u64) -> Vec<(u64, f64)> {
+        let sel = Selector { host: Some(host.into()), metric: Some(metric.into()) };
+        db.query(&sel, t0, t1).unwrap().into_iter().next().map(|(_, s)| s).unwrap_or_default()
+    }
+
     /// Compare query outputs bitwise (NaN-safe): same keys, same
     /// timestamps, same value bits.
     fn assert_bit_identical(
@@ -1509,7 +1359,7 @@ mod tests {
         let dir = tmpdir("mem");
         let mut db = Tsdb::open(&dir).unwrap();
         fill(&mut db);
-        let out = db.query_series("c301-101", "cpu_user", 600, 1800).unwrap();
+        let out = one_series(&db, "c301-101", "cpu_user", 600, 1800);
         assert_eq!(out, vec![(600, 1.25), (1200, 2.25), (1800, 3.25)]);
         assert_eq!(db.stats().mem_series, 4);
         let _ = fs::remove_dir_all(&dir);
@@ -1578,7 +1428,7 @@ mod tests {
         let after = db.query(&Selector::all(), 0, u64::MAX).unwrap();
         assert_eq!(before, after);
         // Overwrite won: ts=600 is 99.0.
-        let s = db.query_series("c301-101", "cpu_user", 600, 600).unwrap();
+        let s = one_series(&db, "c301-101", "cpu_user", 600, 600);
         assert_eq!(s, vec![(600, 99.0)]);
         let _ = fs::remove_dir_all(&dir);
     }
@@ -1620,10 +1470,10 @@ mod tests {
         let mut db = Tsdb::open(&dir).unwrap();
         fill(&mut db);
         db.flush().unwrap();
-        let out = db.query_series("c301-102", "mem_used", 6000, 6600).unwrap();
+        let out = one_series(&db, "c301-102", "mem_used", 6000, 6600);
         assert_eq!(out.len(), 2);
         assert_eq!(out[0].0, 6000);
-        let empty = db.query_series("c301-102", "mem_used", 10_000_000, 20_000_000).unwrap();
+        let empty = one_series(&db, "c301-102", "mem_used", 10_000_000, 20_000_000);
         assert!(empty.is_empty());
         let _ = fs::remove_dir_all(&dir);
     }
@@ -1648,7 +1498,7 @@ mod tests {
             db.flush().unwrap();
         }
         let db = Tsdb::open(&dir).unwrap();
-        let out = db.query_series("h", "m", 0, u64::MAX).unwrap();
+        let out = one_series(&db, "h", "m", 0, u64::MAX);
         assert_eq!(out[0].1.to_bits(), nan_bits);
         assert_eq!(out[1].1, f64::NEG_INFINITY);
         assert_eq!(out[2].1.to_bits(), (-0.0f64).to_bits());
@@ -1755,17 +1605,77 @@ mod tests {
         let _ = fs::remove_dir_all(&dir);
     }
 
+    /// The read plan's property: a query reads each block it needs
+    /// once, and a segment outside the window costs nothing.
     #[test]
-    fn series_keys_answer_from_index_without_decoding() {
-        let dir = tmpdir("keys");
-        let mut db = Tsdb::open(&dir).unwrap();
-        fill(&mut db);
+    fn each_needed_block_is_read_once_per_query() {
+        use std::sync::Arc;
+        let dir = tmpdir("blocks");
+        let obs = Arc::new(supremm_obs::ObsRegistry::new());
+        // One chunk per series, one host's 16 series per block.
+        let opts = DbOptions { block_chunks: 16, ..Default::default() };
+        let mut db = Tsdb::open_with_obs(&dir, opts, obs.clone()).unwrap();
+        for h in 0..8 {
+            for m in 0..16 {
+                let samples: Vec<(u64, f64)> =
+                    (0..12).map(|i| (1000 + i * 600, (h * 16 + m) as f64 + i as f64)).collect();
+                db.append_batch(&format!("h{h:02}"), &format!("m{m:02}"), &samples).unwrap();
+            }
+        }
         db.flush().unwrap();
-        db.append("extra-host", "gpu_util", 0, 0.5).unwrap();
-        let keys = db.series_keys().unwrap();
-        assert_eq!(keys.len(), 5);
-        assert!(keys.contains(&SeriesKey::new("extra-host", "gpu_util")));
-        assert!(keys.contains(&SeriesKey::new("c301-102", "mem_used")));
+        assert_eq!(db.stats().segments, 1);
+        let (_, reader) = &db.segments[0];
+        assert_eq!(reader.entries.len(), 8, "multi-block segment");
+        let blocks_holding_m03: BTreeSet<u32> = reader
+            .series_index()
+            .unwrap()
+            .iter()
+            .filter(|e| e.metric == "m03")
+            .flat_map(|e| e.chunks.iter().map(|r| r.block_ix))
+            .collect();
+        assert_eq!(blocks_holding_m03.len(), 8);
+
+        let blocks_read = || obs.snapshot().counter("tsdb_query_blocks_read_total").unwrap_or(0);
+        let index_walks =
+            || obs.snapshot().counter("tsdb_query_index_segments_total").unwrap_or(0);
+        let reads_of = |f: &dyn Fn()| {
+            let before = blocks_read();
+            f();
+            blocks_read() - before
+        };
+
+        // Panel: one host, all 16 metrics, bins narrower than a chunk so
+        // every chunk is decoded — out of one block, fetched once.
+        let panel = reads_of(&|| {
+            let out = db.downsample(&Selector::host("h05"), 0, u64::MAX, 1800, Agg::Mean).unwrap();
+            assert_eq!(out.len(), 16);
+        });
+        assert_eq!(panel, 1);
+        // Fleet: one metric on every host — one chunk in each block.
+        let fleet = reads_of(&|| {
+            let out = db.downsample(&Selector::metric("m03"), 0, u64::MAX, 1800, Agg::Max).unwrap();
+            assert_eq!(out.len(), 8);
+        });
+        assert_eq!(fleet, blocks_holding_m03.len() as u64);
+        let scan = reads_of(&|| {
+            assert_eq!(db.query(&Selector::metric("m03"), 0, u64::MAX).unwrap().len(), 8);
+        });
+        assert_eq!(scan, blocks_holding_m03.len() as u64);
+        // A bin that covers whole chunks folds their stats: no block at all.
+        let folded = reads_of(&|| {
+            let out = db.downsample(&Selector::host("h05"), 0, u64::MAX, 86_400, Agg::Max).unwrap();
+            assert_eq!(out.len(), 16);
+        });
+        assert_eq!(folded, 0);
+        // A window the segment's time range misses: index untouched.
+        let walks = index_walks();
+        let outside = reads_of(&|| {
+            assert!(db.query(&Selector::all(), 100_000, 200_000).unwrap().is_empty());
+            let down = db.downsample(&Selector::all(), 0, 999, 600, Agg::Sum).unwrap();
+            assert!(down.is_empty());
+        });
+        assert_eq!(outside, 0);
+        assert_eq!(index_walks(), walks);
         let _ = fs::remove_dir_all(&dir);
     }
 }

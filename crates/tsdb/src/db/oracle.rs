@@ -1,0 +1,105 @@
+//! Reference implementations of the read path: decode every overlapping
+//! block into a map, last insert wins. Differential-test oracles for
+//! [`Tsdb::query`] and [`Tsdb::downsample`] — do not "optimize" these;
+//! their value is being obviously correct.
+
+use std::collections::BTreeMap;
+
+use super::{Agg, Selector, SeriesKey, SeriesPoints, Tsdb};
+use crate::segment::TsdbError;
+use crate::stats::BinAcc;
+
+/// Bin one merged sample stream, scalar by scalar.
+fn bin_samples(samples: &[(u64, f64)], bin_secs: u64, agg: Agg) -> Vec<(u64, f64)> {
+    let mut bins: BTreeMap<u64, BinAcc> = BTreeMap::new();
+    for &(ts, v) in samples {
+        bins.entry(ts / bin_secs * bin_secs).or_default().add(v);
+    }
+    bins.into_iter().map(|(start, acc)| (start, agg.finish(&acc))).collect()
+}
+
+fn bin_series(
+    series: SeriesPoints,
+    bin_secs: u64,
+    agg: Agg,
+) -> SeriesPoints {
+    series
+        .into_iter()
+        .map(|(key, samples)| {
+            let binned = bin_samples(&samples, bin_secs, agg);
+            (key, binned)
+        })
+        .collect()
+}
+
+impl Tsdb {
+    /// Reference implementation of [`Tsdb::query`].
+    pub fn query_naive(
+        &self,
+        sel: &Selector,
+        t0: u64,
+        t1: u64,
+    ) -> Result<SeriesPoints, TsdbError> {
+        // Same retention clamp as `query` — the oracle sees the same
+        // logically-surviving raw data as the fast path.
+        let t0 = t0.max(self.manifest.raw_dropped_before);
+        if t0 > t1 {
+            return Ok(Vec::new());
+        }
+        let mut acc: BTreeMap<SeriesKey, BTreeMap<u64, u64>> = BTreeMap::new();
+        for (_, reader) in &self.segments {
+            for entry in &reader.entries {
+                // Sparse time index: skip blocks outside the range.
+                if entry.max_ts < t0 || entry.min_ts > t1 {
+                    continue;
+                }
+                let payload = reader.read_block(entry)?;
+                for chunk in reader.decode_series_block(&payload)? {
+                    let key = SeriesKey::new(chunk.host, chunk.metric);
+                    if !sel.matches(&key) {
+                        continue;
+                    }
+                    let series = acc.entry(key).or_default();
+                    for (ts, bits) in chunk.samples {
+                        if ts >= t0 && ts <= t1 {
+                            series.insert(ts, bits);
+                        }
+                    }
+                }
+            }
+        }
+        for (key, series) in &self.mem {
+            if !sel.matches(key) {
+                continue;
+            }
+            // suplint: allow(R7) -- entry() needs an owned key; once per matching series
+            let out = acc.entry(key.clone()).or_default();
+            for (&ts, &bits) in series.range(t0..=t1) {
+                out.insert(ts, bits);
+            }
+        }
+        Ok(acc
+            .into_iter()
+            .filter(|(_, s)| !s.is_empty())
+            .map(|(key, series)| {
+                let samples =
+                    series.into_iter().map(|(ts, bits)| (ts, f64::from_bits(bits))).collect();
+                (key, samples)
+            })
+            .collect())
+    }
+
+    /// Reference implementation of [`Tsdb::downsample`] over
+    /// [`Tsdb::query_naive`]: decode everything, bin scalar-by-scalar.
+    pub fn downsample_naive(
+        &self,
+        sel: &Selector,
+        t0: u64,
+        t1: u64,
+        bin_secs: u64,
+        agg: Agg,
+    ) -> Result<SeriesPoints, TsdbError> {
+        let bin_secs = bin_secs.max(1);
+        Ok(bin_series(self.query_naive(sel, t0, t1)?, bin_secs, agg))
+    }
+}

@@ -58,6 +58,10 @@
 //!      varint min_ts · varint max_ts · varint count ·
 //!      u64 sum_bits · u64 min_bits · u64 max_bits · u64 last_bits)*)*
 //! ```
+//!
+//! Series entries are strictly ascending by `(host, metric)` — readers
+//! binary-search them — and a file where they are not is refused at
+//! open as corrupt.
 
 use std::collections::BTreeMap;
 use std::fmt;
@@ -458,6 +462,11 @@ impl SegmentReader {
                 }
                 chunks.push(ChunkRef { block_ix, offset, len, min_ts, max_ts, stats });
             }
+            // Readers binary-search this index by host: an unsorted or
+            // duplicated entry would silently hide series.
+            if out.last().is_some_and(|p| (&p.host, &p.metric) >= (&host, &metric)) {
+                return Err(bad(format!("series[{s}] not in ascending (host, metric) order")));
+            }
             out.push(SeriesEntry { host, metric, chunks });
         }
         Ok(out)
@@ -691,10 +700,10 @@ mod tests {
         let _ = fs::remove_dir_all(&dir);
     }
 
-    /// Two files no writer of this build produces, both with every CRC
-    /// valid: an index entry whose offset sits at the top of `u64`, and
-    /// a version-1 header. Neither may panic, and a refused file is
-    /// never unlinked.
+    /// Three files no writer of this build produces, all with every CRC
+    /// valid: an index entry whose offset sits at the top of `u64`, a
+    /// series index out of `(host, metric)` order, and a version-1
+    /// header. None may panic, and a refused file is never unlinked.
     #[test]
     fn hostile_index_offset_and_old_version_are_refused_not_panicked_on() {
         let dir = tmpdir("hostile");
@@ -716,6 +725,28 @@ mod tests {
         let hostile = dir.join("hostile.tsdb");
         fs::write(&hostile, &bytes).unwrap();
         assert!(matches!(SegmentReader::open(&hostile), Err(TsdbError::Corrupt(_))));
+
+        // Two series, no blocks, index order `(b, m)` then `(a, m)`; then
+        // the same entry twice. Either would make the host binary search
+        // answer with a wrong subset.
+        for second_host_id in [0, 1] {
+            let mut index = vec![0]; // no block entries
+            index.extend_from_slice(&[2, 1, b'a', 1, b'b']); // hosts: a, b
+            index.extend_from_slice(&[1, 1, b'm']); // metrics: m
+            index.extend_from_slice(&[2, 1, 0, 0, second_host_id, 0, 0]); // (host, metric, 0 chunks) x2
+            let mut bytes = bytes[..HEADER_LEN].to_vec();
+            bytes.extend_from_slice(&index);
+            bytes.extend_from_slice(&(HEADER_LEN as u64).to_le_bytes());
+            bytes.extend_from_slice(&(index.len() as u32).to_le_bytes());
+            bytes.extend_from_slice(&crc32(&index).to_le_bytes());
+            bytes.extend_from_slice(FOOTER_MAGIC);
+            fs::write(&hostile, &bytes).unwrap();
+            let Err(TsdbError::Corrupt(msg)) = SegmentReader::open(&hostile) else {
+                panic!("unsorted series index must not open")
+            };
+            assert!(msg.contains("ascending (host, metric)"), "{msg}");
+            assert_eq!(fs::read(&hostile).unwrap(), bytes, "refused segment left in place");
+        }
         fs::remove_file(&hostile).unwrap();
 
         let path = dir.join("seg-000001.tsdb");

@@ -15,20 +15,46 @@
 
 use supremm_metrics::metric::KeyMetricVec;
 use supremm_metrics::{ExtendedMetric, JobId, ScienceField, Timestamp, UserId};
-use supremm_tsdb::codec::{put_str, put_varint};
+use supremm_tsdb::codec::{self, put_str, put_varint};
 
-use crate::binfmt::{get_str, get_varint, BinError};
 use crate::record::{ExitKind, JobRecord};
 
 const VERSION: u8 = 1;
+
+/// Decoding failures.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum DecodeError {
+    Truncated,
+    BadString,
+}
+
+impl std::fmt::Display for DecodeError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            DecodeError::Truncated => write!(f, "truncated input"),
+            DecodeError::BadString => write!(f, "invalid utf-8 string"),
+        }
+    }
+}
+
+impl std::error::Error for DecodeError {}
+
+fn get_varint(buf: &[u8], pos: &mut usize) -> Result<u64, DecodeError> {
+    codec::get_varint(buf, pos).ok_or(DecodeError::Truncated)
+}
+
+fn get_str(buf: &[u8], pos: &mut usize) -> Result<String, DecodeError> {
+    let bytes = codec::get_bytes(buf, pos).ok_or(DecodeError::Truncated)?;
+    String::from_utf8(bytes.to_vec()).map_err(|_| DecodeError::BadString)
+}
 
 fn science_id(s: ScienceField) -> u8 {
     // suplint: allow(R1) -- ScienceField::ALL lists every variant; position cannot miss
     ScienceField::ALL.iter().position(|&x| x == s).expect("member") as u8
 }
 
-fn science_from_id(id: u8) -> Result<ScienceField, BinError> {
-    ScienceField::ALL.get(id as usize).copied().ok_or(BinError::Truncated)
+fn science_from_id(id: u8) -> Result<ScienceField, DecodeError> {
+    ScienceField::ALL.get(id as usize).copied().ok_or(DecodeError::Truncated)
 }
 
 /// Encode one job record.
@@ -63,27 +89,27 @@ pub fn encode(r: &JobRecord) -> Vec<u8> {
     buf
 }
 
-fn get_f64(buf: &[u8], pos: &mut usize) -> Result<f64, BinError> {
-    let end = pos.checked_add(8).ok_or(BinError::Truncated)?;
-    let &[a, b, c, d, e, f, g, h] = buf.get(*pos..end).ok_or(BinError::Truncated)? else {
-        return Err(BinError::Truncated);
+fn get_f64(buf: &[u8], pos: &mut usize) -> Result<f64, DecodeError> {
+    let end = pos.checked_add(8).ok_or(DecodeError::Truncated)?;
+    let &[a, b, c, d, e, f, g, h] = buf.get(*pos..end).ok_or(DecodeError::Truncated)? else {
+        return Err(DecodeError::Truncated);
     };
     *pos = end;
     Ok(f64::from_bits(u64::from_le_bytes([a, b, c, d, e, f, g, h])))
 }
 
-fn get_u8(buf: &[u8], pos: &mut usize) -> Result<u8, BinError> {
-    let &b = buf.get(*pos).ok_or(BinError::Truncated)?;
+fn get_u8(buf: &[u8], pos: &mut usize) -> Result<u8, DecodeError> {
+    let &b = buf.get(*pos).ok_or(DecodeError::Truncated)?;
     *pos += 1;
     Ok(b)
 }
 
 /// Decode one record; rejects trailing bytes and unknown versions.
-pub fn decode(buf: &[u8]) -> Result<JobRecord, BinError> {
+pub fn decode(buf: &[u8]) -> Result<JobRecord, DecodeError> {
     let mut pos = 0usize;
     let version = get_u8(buf, &mut pos)?;
     if version != VERSION {
-        return Err(BinError::Truncated);
+        return Err(DecodeError::Truncated);
     }
     let job = JobId(get_varint(buf, &mut pos)?);
     let user = UserId(get_varint(buf, &mut pos)? as u32);
@@ -110,7 +136,7 @@ pub fn decode(buf: &[u8]) -> Result<JobRecord, BinError> {
     let samples = get_varint(buf, &mut pos)? as u32;
     let coverage_gaps = get_varint(buf, &mut pos)? as u32;
     if pos != buf.len() {
-        return Err(BinError::Truncated);
+        return Err(DecodeError::Truncated);
     }
     Ok(JobRecord {
         job,

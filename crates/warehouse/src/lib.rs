@@ -20,14 +20,11 @@
 //!   [`timeseries`]: one zero-copy scan per raw file produces a
 //!   mergeable [`streaming::FilePartial`] feeding job fragments *and*
 //!   system bins, so archives are parsed exactly once per run;
-//! - [`binfmt`] is the compact binary import format of §5's future work
-//!   (delta+varint over the text format's content, lossless);
 //! - [`jobcodec`] is the per-job binary codec behind the segment-backed
 //!   job table (bit-exact floats);
 //! - [`tsdbio`] bridges warehouse products into the `supremm-tsdb`
 //!   storage engine (system series, per-host metric series).
 
-pub mod binfmt;
 pub mod ingest;
 pub mod jobcodec;
 pub mod record;

@@ -78,26 +78,6 @@ const FIELDS: [SystemField; 16] = [
     SystemField { name: "lnet_tx_bps", get: |b| b.lnet_tx_bps, set: |b, v| b.lnet_tx_bps = v },
 ];
 
-/// The 16 system-bin field names, in struct order (mirrors [`FIELDS`]).
-pub const SYSTEM_FIELDS: [&str; 16] = [
-    "active_nodes",
-    "busy_nodes",
-    "intervals",
-    "flops",
-    "mem_used_bytes",
-    "cpu_user_sum",
-    "cpu_system_sum",
-    "cpu_idle_sum",
-    "scratch_write_bps",
-    "scratch_read_bps",
-    "work_write_bps",
-    "work_read_bps",
-    "share_write_bps",
-    "share_read_bps",
-    "ib_tx_bps",
-    "lnet_tx_bps",
-];
-
 /// Append a [`SystemSeries`] into the store (one series per bin field,
 /// plus binning metadata). Call [`Tsdb::sync`] or [`Tsdb::flush`] after.
 pub fn store_system_series(db: &mut Tsdb, series: &SystemSeries) -> io::Result<()> {
@@ -210,13 +190,6 @@ mod tests {
     }
 
     #[test]
-    fn system_fields_mirror_the_field_table() {
-        for (i, field) in FIELDS.iter().enumerate() {
-            assert_eq!(SYSTEM_FIELDS[i], field.name);
-        }
-    }
-
-    #[test]
     fn unknown_system_metric_is_ignored_not_fatal() {
         let dir = tmpdir("unknownmetric");
         let series = SystemSeries::from_archive(&archive(), 600);
@@ -291,15 +264,15 @@ mod tests {
         let n = store_archive_series(&mut db, &archive()).unwrap();
         assert!(n > 0);
         db.flush().unwrap();
-        let flops = db
-            .query_series("c0000", ExtendedMetric::CpuFlops.name(), 0, u64::MAX)
-            .unwrap();
-        assert_eq!(flops.len(), 5, "five paired intervals");
-        assert!(flops.iter().all(|&(_, v)| v > 0.0));
-        let keys = db.series_keys().unwrap();
-        assert!(keys
-            .iter()
-            .any(|k| k.host == "c0001" && k.metric == ExtendedMetric::MemUsed.name()));
+        let one = |host: &str, metric: &str| {
+            let sel = Selector { host: Some(host.into()), metric: Some(metric.into()) };
+            db.query(&sel, 0, u64::MAX).unwrap()
+        };
+        let flops = one("c0000", ExtendedMetric::CpuFlops.name());
+        assert_eq!(flops.len(), 1);
+        assert_eq!(flops[0].1.len(), 5, "five paired intervals");
+        assert!(flops[0].1.iter().all(|&(_, v)| v > 0.0));
+        assert_eq!(one("c0001", ExtendedMetric::MemUsed.name()).len(), 1);
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

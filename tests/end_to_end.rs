@@ -183,25 +183,6 @@ fn key_metric_means_stay_physical_end_to_end() {
 }
 
 #[test]
-fn binary_format_round_trips_the_whole_archive() {
-    use supremm_suite::warehouse::binfmt;
-    let ds = dataset();
-    let mut total_text = 0usize;
-    let mut total_bin = 0usize;
-    for (key, text) in ds.archive.iter() {
-        let parsed = parse(text).unwrap();
-        let bin = binfmt::encode(&parsed);
-        let back = binfmt::decode(&bin)
-            .unwrap_or_else(|e| panic!("{}: {e}", key.file_name()));
-        assert_eq!(back, parsed, "{}", key.file_name());
-        total_text += text.len();
-        total_bin += bin.len();
-    }
-    let ratio = total_text as f64 / total_bin as f64;
-    assert!(ratio > 3.0, "binary only {ratio:.1}x smaller over the archive");
-}
-
-#[test]
 fn http_api_answers_over_the_pipeline_table() {
     use supremm_suite::xdmod::serve::handle;
     let ds = dataset();

@@ -420,34 +420,6 @@ mod scheduler_props {
     }
 }
 
-// ---------------------------------------------------------------------
-// Binary format: lossless on arbitrary record streams.
-// ---------------------------------------------------------------------
-
-#[test]
-fn binfmt_round_trips_arbitrary_files() {
-    cases("binfmt_round_trips_arbitrary_files", 32, |rng| {
-        let records = rng.vec(1..10, arb_record);
-        use supremm_suite::taccstats::format::ParsedFile;
-        use supremm_suite::warehouse::binfmt;
-        let file = ParsedFile {
-            hostname: "c0042".into(),
-            arch: "amd64_core".into(),
-            cores: 16,
-            start: Timestamp(0),
-            classes: DeviceClass::ALL.to_vec(),
-            samples: records
-                .iter()
-                .cloned()
-                .map(supremm_suite::taccstats::format::Sample::Record)
-                .collect(),
-        };
-        let bin = binfmt::encode(&file);
-        let back = binfmt::decode(&bin).unwrap();
-        assert_eq!(back, file);
-    });
-}
-
 #[test]
 fn p2_quantile_tracks_exact_within_tolerance() {
     cases("p2_quantile_tracks_exact_within_tolerance", 32, |rng| {
