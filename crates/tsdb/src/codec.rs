@@ -388,9 +388,9 @@ pub fn decode_chunk_at(buf: &[u8], pos: &mut usize) -> Option<Vec<(u64, u64)>> {
     if n == 0 {
         return Some(Vec::new());
     }
-    // Each sample costs ≥ 1 byte of timestamp stream; cap pathological
-    // claimed lengths before allocating.
-    if n > buf.len().saturating_sub(*pos).saturating_mul(64) {
+    // Each sample costs ≥ 1 byte of timestamp stream; refuse a claimed
+    // count the bytes cannot hold before allocating for it.
+    if n > buf.len().saturating_sub(*pos) {
         return None;
     }
     let &mode = buf.get(*pos)?;
@@ -494,6 +494,31 @@ mod tests {
             bad[i] ^= 0x55;
             let _ = decode_chunk(&bad);
         }
+    }
+
+    /// A chunk may claim at most one sample per remaining byte (each
+    /// costs ≥ 1 byte of timestamp stream); a larger count is refused
+    /// before anything is reserved for it. A cap of 64 samples per byte
+    /// would let a well-formed header reserve 512 B per input byte.
+    #[test]
+    fn hostile_sample_count_is_refused() {
+        let claiming = |n: u64, rest: &[u8]| {
+            let mut buf = Vec::new();
+            put_varint(&mut buf, n);
+            buf.extend_from_slice(rest);
+            buf
+        };
+        // Mode byte, then 64 KiB of one-byte varints.
+        let mut rest = vec![super::MODE_INT];
+        rest.resize(1 + (64 << 10), 0x00);
+        for n in [rest.len() as u64 * 64, rest.len() as u64 + 1] {
+            assert!(decode_chunk_at(&claiming(n, &rest), &mut 0).is_none(), "claimed {n}");
+        }
+        // The densest legal chunk sits well inside the bound: constant
+        // integers at a constant step are two bytes a sample.
+        let dense: Vec<(u64, u64)> = (0..4096).map(|i| (i * 600, 7.0f64.to_bits())).collect();
+        assert!(encode_chunk(&dense).len() < 2 * dense.len() + 16);
+        round_trip(&dense);
     }
 
     #[test]

@@ -635,9 +635,9 @@ impl Tsdb {
         let mut mem: BTreeMap<SeriesKey, BTreeMap<u64, u64>> = BTreeMap::new();
         let mut mem_samples = 0u64;
         let mut recovered_samples = 0u64;
-        for rec in &recovery.records {
-            let series = mem.entry(SeriesKey::new(&*rec.host, &*rec.metric)).or_default();
-            for &(ts, bits) in &rec.samples {
+        for rec in recovery.records {
+            let series = mem.entry(SeriesKey::new(rec.host, rec.metric)).or_default();
+            for (ts, bits) in rec.samples {
                 if series.insert(ts, bits).is_none() {
                     mem_samples += 1;
                 }
@@ -837,7 +837,11 @@ impl Tsdb {
                 }
             }
         }
-        for (key, series) in &self.mem {
+        // Keys sort host-major, so a named host's series are one
+        // contiguous key range: start there and stop at the next host.
+        let start = SeriesKey::new(sel.host.as_deref().unwrap_or(""), "");
+        let same_host = |key: &SeriesKey| sel.host.as_deref().is_none_or(|h| h == key.host);
+        for (key, series) in self.mem.range(start..).take_while(|&(key, _)| same_host(key)) {
             if sel.matches(key) && series.range(t0..=t1).next().is_some() {
                 plan.entry((&key.host, &key.metric)).or_default().mem = Some(series);
             }
@@ -1444,6 +1448,54 @@ mod tests {
         let by_metric = db.query(&Selector::metric("mem_used"), 0, u64::MAX).unwrap();
         assert_eq!(by_metric.len(), 2);
         assert!(by_metric.iter().all(|(k, _)| k.metric == "mem_used"));
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    /// The four selector shapes against the oracles while the data sits
+    /// in the memtable, then in a segment, then in both. The memtable is
+    /// consulted by key range, so the hosts sit on that range's edges:
+    /// first and last key, and a strict prefix of its successor.
+    #[test]
+    fn selector_shapes_match_the_oracle_across_memtable_and_segments() {
+        let dir = tmpdir("sel-shapes");
+        let mut db = Tsdb::open(&dir).unwrap();
+        let write = |db: &mut Tsdb, hosts: &[&str], t: u64| {
+            for (h, host) in hosts.iter().enumerate() {
+                for (metric, base) in [("cpu_user", 0.25), ("mem_used", 1.0e9)] {
+                    let v = base + h as f64;
+                    db.append_batch(host, metric, &[(t, v), (t + 600, v + 0.5)]).unwrap();
+                }
+            }
+            db.sync().unwrap();
+        };
+        let check = |db: &Tsdb, stage: &str, c1_samples: usize| {
+            // "c" and "zz" name no series: one falls before "c1", one
+            // past the last key.
+            for host in [None, Some("a0"), Some("c1"), Some("c10"), Some("z9"), Some("c"), Some("zz")] {
+                for metric in [None, Some("cpu_user"), Some("mem_used"), Some("nope")] {
+                    let sel = Selector { host: host.map(Into::into), metric: metric.map(Into::into) };
+                    let fast = db.query(&sel, 0, u64::MAX).unwrap();
+                    assert_bit_identical(&fast, &db.query_naive(&sel, 0, u64::MAX).unwrap());
+                    let fast = db.downsample(&sel, 0, u64::MAX, 3600, Agg::Mean).unwrap();
+                    let slow = db.downsample_naive(&sel, 0, u64::MAX, 3600, Agg::Mean).unwrap();
+                    assert_bit_identical(&fast, &slow);
+                }
+            }
+            let c1 = db.query(&Selector::host("c1"), 0, u64::MAX).unwrap();
+            let want = vec![("c1", c1_samples); 2];
+            let got: Vec<_> = c1.iter().map(|(k, s)| (k.host.as_str(), s.len())).collect();
+            assert_eq!(got, want, "{stage}");
+        };
+        write(&mut db, &["a0", "c1", "c10", "z9"], 0);
+        check(&db, "memtable only", 2);
+        db.flush().unwrap();
+        check(&db, "segment only", 2);
+        // "c1" is now absent from the memtable and its range starts on
+        // "c10"; "c10" and "z9" are split across segment and memtable.
+        write(&mut db, &["c10", "z9"], 7200);
+        check(&db, "split", 2);
+        write(&mut db, &["c1"], 7200);
+        check(&db, "split, c1 in both", 4);
         let _ = fs::remove_dir_all(&dir);
     }
 

@@ -73,7 +73,9 @@ impl WalRecord {
         let host = get_str(payload, &mut pos)?.to_owned();
         let metric = get_str(payload, &mut pos)?.to_owned();
         let n = get_varint(payload, &mut pos)? as usize;
-        if n > payload.len().saturating_sub(pos).saturating_mul(32) + 1 {
+        // Each sample is two varints, ≥ 2 bytes: refuse a claimed count
+        // the payload cannot hold before allocating for it.
+        if n > payload.len().saturating_sub(pos) / 2 {
             return None;
         }
         let mut samples = Vec::with_capacity(n);
@@ -288,6 +290,41 @@ mod tests {
         let rec = Wal::open(&path).unwrap();
         assert_eq!(rec.records, recs()[..1].to_vec());
         assert!(rec.truncated_bytes > 0);
+        let _ = fs::remove_dir_all(path.parent().unwrap());
+    }
+
+    /// A record may claim at most one sample per two payload bytes (a
+    /// sample is two varints). A CRC-correct record claiming more is
+    /// refused before anything is reserved for it — at 32 samples per
+    /// byte that would be 512 B reserved per input byte — and replay
+    /// treats it as the torn tail; the densest legal record decodes.
+    #[test]
+    fn hostile_sample_count_is_refused_as_a_torn_tail() {
+        let path = tmp("hostile-count");
+        let framed = |n: u64, body: &[u8]| {
+            let mut payload = Vec::new();
+            put_str(&mut payload, "h");
+            put_str(&mut payload, "m");
+            put_varint(&mut payload, n);
+            payload.extend_from_slice(body);
+            let mut frame = (payload.len() as u32).to_le_bytes().to_vec();
+            frame.extend_from_slice(&crc32(&payload).to_le_bytes());
+            frame.extend_from_slice(&payload);
+            frame
+        };
+        // 64 KiB of one-byte varints: exactly 32 Ki two-byte samples.
+        let body = vec![0x01u8; 64 << 10];
+        let fits = body.len() as u64 / 2;
+        for n in [body.len() as u64 * 32 + 1, fits + 1] {
+            assert_eq!(WalRecord::decode(&framed(n, &body)[FRAME_HEADER..]), None, "claimed {n}");
+        }
+
+        let hostile = framed(body.len() as u64 * 32 + 1, &body);
+        fs::write(&path, [&WAL_MAGIC[..], &framed(fits, &body), &hostile].concat()).unwrap();
+        let rec = Wal::open(&path).unwrap();
+        assert_eq!(rec.records.len(), 1);
+        assert_eq!(rec.records[0].samples, vec![(1, 1); fits as usize]);
+        assert_eq!(rec.truncated_bytes, hostile.len() as u64);
         let _ = fs::remove_dir_all(path.parent().unwrap());
     }
 
