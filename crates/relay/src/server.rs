@@ -409,14 +409,15 @@ impl IngestCore {
             let result = {
                 let mut db = self.store.write().unwrap_or_else(|e| e.into_inner());
                 let mut samples = 0u64;
+                // One scratch for the whole apply group, not one per record.
+                let mut vals: Vec<(u64, f64)> = Vec::new();
                 let mut apply = || -> std::io::Result<()> {
                     for b in &batches {
                         for rec in &b.records {
-                            let vals: Vec<(u64, f64)> = rec
-                                .samples
-                                .iter()
-                                .map(|&(ts, bits)| (ts, f64::from_bits(bits)))
-                                .collect();
+                            vals.clear();
+                            vals.extend(
+                                rec.samples.iter().map(|&(ts, bits)| (ts, f64::from_bits(bits))),
+                            );
                             db.append_batch(&rec.host, &rec.metric, &vals)?;
                             samples += vals.len() as u64;
                         }

@@ -1,8 +1,8 @@
 //! CRC-32 (IEEE 802.3, reflected polynomial 0xEDB88320), slicing-by-16.
 //!
-//! Every block and WAL record carries one of these; a mismatch is how
+//! Every block and WAL frame carries one of these; a mismatch is how
 //! torn writes and bit rot announce themselves. Every block read, every
-//! index frame at open and every WAL record at replay is verified, so
+//! index frame at open and every WAL frame at replay is verified, so
 //! the checksum sits on every cold path. The kernel takes sixteen input
 //! bytes per step through sixteen tables (table `k` is the CRC of a byte
 //! followed by `k` zero bytes), which makes the sixteen lookups of a step

@@ -1,7 +1,8 @@
 //! The storage engine: WAL-fronted memtable over immutable segments.
 //!
-//! Write path: `append*` buffers samples in the memtable **and** frames
-//! them into the WAL; [`Tsdb::sync`] makes them durable (the ack point);
+//! Write path: `append*` buffers samples in the memtable **and** encodes
+//! them into the WAL's pending frame; [`Tsdb::sync`] seals the frame and
+//! makes it durable (the ack point);
 //! [`Tsdb::flush`] seals the memtable into a new immutable segment and
 //! resets the WAL. [`Tsdb::compact`] merges all sealed segments into
 //! one.
@@ -39,7 +40,7 @@
 //!
 //! Crash recovery = [`Tsdb::open`]: scan `seg-*.tsdb` (ignoring
 //! `*.tmp` leftovers), open the WAL (which truncates any torn tail), and
-//! replay surviving WAL records into the memtable.
+//! replay the records of its surviving frames into the memtable.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::fs;
@@ -59,7 +60,10 @@ use crate::segment::{
 use crate::stats::{BinAcc, ChunkStats};
 use crate::wal::Wal;
 
+mod memtable;
 mod oracle;
+
+use memtable::Memtable;
 
 /// Identity of one series: a (host, metric) pair.
 #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -184,8 +188,7 @@ pub struct DbStats {
 pub struct Tsdb {
     dir: PathBuf,
     wal: Wal,
-    mem: BTreeMap<SeriesKey, BTreeMap<u64, u64>>,
-    mem_samples: u64,
+    mem: Memtable,
     segments: Vec<(u64, SegmentReader)>, // (seq, reader), ascending seq
     next_seq: u64,
     /// Rollup tiers: bin_secs → (seq, reader), ascending seq. Later
@@ -208,7 +211,6 @@ pub struct Tsdb {
 /// Obs handles cached at open so the write/query hot paths never touch
 /// the registry lock (see DESIGN.md § "Self-observability").
 struct TsdbMetrics {
-    wal_append_micros: Histogram,
     wal_fsync_micros: Histogram,
     mem_samples: Gauge,
     segments: Gauge,
@@ -235,7 +237,6 @@ struct TsdbMetrics {
 impl TsdbMetrics {
     fn new(obs: &ObsHandle, tier_bins: &[u64]) -> TsdbMetrics {
         TsdbMetrics {
-            wal_append_micros: obs.histogram("tsdb_wal_append_micros"),
             wal_fsync_micros: obs.histogram("tsdb_wal_fsync_micros"),
             mem_samples: obs.gauge("tsdb_memtable_samples"),
             segments: obs.gauge("tsdb_segments"),
@@ -317,8 +318,9 @@ struct SeriesPlan<'a> {
     /// `(slot in Tsdb::segments, chunk refs overlapping the window in
     /// index order)`; never an empty ref list.
     segs: Vec<(usize, Vec<&'a ChunkRef>)>,
-    /// The series' memtable samples, when any fall inside the window.
-    mem: Option<&'a BTreeMap<u64, u64>>,
+    /// The series' memtable samples inside the window, when there are
+    /// any.
+    mem: Option<&'a [(u64, u64)]>,
 }
 
 /// `(host, metric)` → plan, in the order answers are returned (the
@@ -459,7 +461,8 @@ fn planned_runs(
         runs.push(normalize_run(run));
     }
     if let Some(mem) = series.mem {
-        runs.push(mem.range(t0..=t1).map(|(&ts, &b)| (ts, b)).collect());
+        // suplint: allow(R7) -- the merge takes owned runs: one copy of the window per series per query, as collecting the map range was
+        runs.push(mem.to_vec());
     }
     Ok(runs)
 }
@@ -498,7 +501,7 @@ fn fold_planned(
 ) -> Result<bool, TsdbError> {
     enum Source<'p, 'a> {
         Seg(usize, &'p [&'a ChunkRef]),
-        Mem(&'a BTreeMap<u64, u64>),
+        Mem(&'a [(u64, u64)]),
     }
     // `(first ts, last ts, source)` clipped to the window.
     let mut sources: Vec<(u64, u64, Source<'_, '_>)> = Vec::with_capacity(series.segs.len() + 1);
@@ -510,9 +513,8 @@ fn fold_planned(
         sources.push((first, last, Source::Seg(*slot, refs)));
     }
     if let Some(mem) = series.mem {
-        let mut range = mem.range(t0..=t1).map(|(&ts, _)| ts);
-        if let Some(first) = range.next() {
-            sources.push((first, range.next_back().unwrap_or(first), Source::Mem(mem)));
+        if let (Some(&(first, _)), Some(&(last, _))) = (mem.first(), mem.last()) {
+            sources.push((first, last, Source::Mem(mem)));
         }
     }
     // Walk order is ascending time; it only means something when no two
@@ -530,7 +532,7 @@ fn fold_planned(
     for (_, _, source) in sources {
         match source {
             Source::Mem(mem) => {
-                for (&ts, &bits) in mem.range(t0..=t1) {
+                for &(ts, bits) in mem {
                     bin_add(bins, bin_secs, ts, bits);
                     added = true;
                 }
@@ -560,24 +562,20 @@ fn fold_planned(
     Ok(added)
 }
 
-/// Seal one key→samples map into `seg-{seq:06}.tsdb`. Chunks are
-/// borrowed straight out of the materialized per-series vectors — no
-/// per-chunk copy is made on the way into the encoder.
+/// Seal the series of `data` into `seg-{seq:06}.tsdb`. Chunks are
+/// borrowed straight out of the per-series runs — nothing is copied on
+/// the way into the encoder.
 fn write_segment(
     dir: &Path,
     seq: u64,
-    data: &BTreeMap<SeriesKey, BTreeMap<u64, u64>>,
+    data: &Memtable,
     opts: &DbOptions,
 ) -> Result<SegmentReader, TsdbError> {
     let mut writer = SegmentWriter::new(KIND_SERIES);
-    let flat: Vec<(&SeriesKey, Vec<(u64, u64)>)> = data
-        .iter()
-        .map(|(key, series)| (key, series.iter().map(|(&ts, &b)| (ts, b)).collect()))
-        .collect();
     let mut block: Vec<ChunkSamples<'_>> = Vec::new();
-    for (key, samples) in &flat {
-        for chunk in samples.chunks(opts.chunk_samples.max(1)) {
-            block.push((key.host.as_str(), key.metric.as_str(), chunk));
+    for (host, metric, run) in data.series(None) {
+        for chunk in run.chunks(opts.chunk_samples.max(1)) {
+            block.push((host, metric, chunk));
             if block.len() >= opts.block_chunks.max(1) {
                 writer.push_series_block(&block);
                 block.clear();
@@ -631,19 +629,15 @@ impl Tsdb {
             next_roll_seq.insert(bin, readers.last().map(|&(s, _)| s + 1).unwrap_or(1));
         }
 
-        let recovery = Wal::open(&dir.join("wal.log")).map_err(TsdbError::Io)?;
-        let mut mem: BTreeMap<SeriesKey, BTreeMap<u64, u64>> = BTreeMap::new();
-        let mut mem_samples = 0u64;
+        let mut mem = Memtable::default();
         let mut recovered_samples = 0u64;
-        for rec in recovery.records {
-            let series = mem.entry(SeriesKey::new(rec.host, rec.metric)).or_default();
-            for (ts, bits) in rec.samples {
-                if series.insert(ts, bits).is_none() {
-                    mem_samples += 1;
-                }
-                recovered_samples += 1;
-            }
-        }
+        let (mut wal, recovered_truncated_bytes) =
+            Wal::replay(&dir.join("wal.log"), |host, metric, samples| {
+                recovered_samples += samples.len() as u64;
+                mem.extend(host, metric, samples.iter().copied());
+            })
+            .map_err(TsdbError::Io)?;
+        wal.observe_seals(obs.histogram("tsdb_wal_append_micros"));
 
         let tier_bins: Vec<u64> = {
             let mut bins: BTreeSet<u64> =
@@ -654,9 +648,8 @@ impl Tsdb {
         let met = TsdbMetrics::new(&obs, &tier_bins);
         let db = Tsdb {
             dir: dir.to_path_buf(),
-            wal: recovery.wal,
+            wal,
             mem,
-            mem_samples,
             segments,
             next_seq,
             rollups,
@@ -666,7 +659,7 @@ impl Tsdb {
             opts,
             generation: 0,
             recovered_samples,
-            recovered_truncated_bytes: recovery.truncated_bytes,
+            recovered_truncated_bytes,
             met,
         };
         db.met.raw_watermark.set(as_i64(db.manifest.raw_dropped_before));
@@ -686,7 +679,7 @@ impl Tsdb {
             })
             .sum();
         self.met.chunks.set(as_i64(chunks as u64));
-        self.met.mem_samples.set(as_i64(self.mem_samples));
+        self.met.mem_samples.set(as_i64(self.mem.samples()));
         let rolls: usize = self.rollups.values().map(Vec::len).sum();
         self.met.rollup_segments.set(as_i64(rolls as u64));
     }
@@ -703,8 +696,8 @@ impl Tsdb {
         self.append_batch(host, metric, &[(ts, value)])
     }
 
-    /// Append a batch for one series (one WAL record — cheaper than
-    /// per-sample appends).
+    /// Append a batch for one series (one WAL record). For a series the
+    /// store has seen, nothing is allocated on the way in.
     pub fn append_batch(
         &mut self,
         host: &str,
@@ -714,18 +707,10 @@ impl Tsdb {
         if samples.is_empty() {
             return Ok(());
         }
-        let bits: Vec<(u64, u64)> =
-            samples.iter().map(|&(ts, v)| (ts, v.to_bits())).collect();
-        let t = Timer::start();
-        self.wal.append_parts(host, metric, &bits)?;
-        self.met.wal_append_micros.observe_timer(t);
-        let series = self.mem.entry(SeriesKey::new(host, metric)).or_default();
-        for (ts, b) in bits {
-            if series.insert(ts, b).is_none() {
-                self.mem_samples += 1;
-            }
-        }
-        self.met.mem_samples.set(as_i64(self.mem_samples));
+        let bits = || samples.iter().map(|&(ts, v)| (ts, v.to_bits()));
+        self.wal.append_samples(host, metric, bits())?;
+        self.mem.extend(host, metric, bits());
+        self.met.mem_samples.set(as_i64(self.mem.samples()));
         self.generation += 1;
         Ok(())
     }
@@ -759,7 +744,6 @@ impl Tsdb {
         // Segment is durable; only now is it safe to drop the WAL.
         self.wal.reset()?;
         self.mem.clear();
-        self.mem_samples = 0;
         self.generation += 1;
         self.met.flush_micros.observe_timer(t);
         self.update_storage_gauges();
@@ -778,22 +762,18 @@ impl Tsdb {
         // Physical GC: compaction is where logically-dropped samples
         // (below the retention watermark) actually leave the disk.
         let watermark = self.manifest.raw_dropped_before;
-        let mut merged: BTreeMap<SeriesKey, BTreeMap<u64, u64>> = BTreeMap::new();
+        // Oldest segment first, so a later one wins a shared timestamp;
+        // a series the watermark empties never enters `merged`.
+        let mut merged = Memtable::default();
         for (_, reader) in &self.segments {
             for entry in &reader.entries {
                 let payload = reader.read_block(entry)?;
                 for chunk in reader.decode_series_block(&payload)? {
-                    let series =
-                        merged.entry(SeriesKey::new(chunk.host, chunk.metric)).or_default();
-                    for (ts, bits) in chunk.samples {
-                        if ts >= watermark {
-                            series.insert(ts, bits);
-                        }
-                    }
+                    let kept = chunk.samples.into_iter().filter(|&(ts, _)| ts >= watermark);
+                    merged.extend(&chunk.host, &chunk.metric, kept);
                 }
             }
         }
-        merged.retain(|_, series| !series.is_empty());
         let replacement = if merged.is_empty() {
             None
         } else {
@@ -837,13 +817,14 @@ impl Tsdb {
                 }
             }
         }
-        // Keys sort host-major, so a named host's series are one
-        // contiguous key range: start there and stop at the next host.
-        let start = SeriesKey::new(sel.host.as_deref().unwrap_or(""), "");
-        let same_host = |key: &SeriesKey| sel.host.as_deref().is_none_or(|h| h == key.host);
-        for (key, series) in self.mem.range(start..).take_while(|&(key, _)| same_host(key)) {
-            if sel.matches(key) && series.range(t0..=t1).next().is_some() {
-                plan.entry((&key.host, &key.metric)).or_default().mem = Some(series);
+        for (host, metric, run) in self.mem.series(sel.host.as_deref()) {
+            if sel.metric.as_deref().is_some_and(|m| m != metric) {
+                continue;
+            }
+            let lo = run.partition_point(|&(ts, _)| ts < t0);
+            let hi = run.partition_point(|&(ts, _)| ts <= t1);
+            if let Some(window) = run.get(lo..hi).filter(|w| !w.is_empty()) {
+                plan.entry((host, metric)).or_default().mem = Some(window);
             }
         }
         plan
@@ -1062,10 +1043,8 @@ impl Tsdb {
     pub fn max_timestamp(&self) -> Option<u64> {
         let mut max: Option<u64> = None;
         let mut push = |v: u64| max = Some(max.map_or(v, |m| m.max(v)));
-        for series in self.mem.values() {
-            if let Some((&ts, _)) = series.iter().next_back() {
-                push(ts);
-            }
+        if let Some(ts) = self.mem.max_timestamp() {
+            push(ts);
         }
         for (_, r) in &self.segments {
             if let Some((_, hi)) = r.time_range() {
@@ -1304,7 +1283,7 @@ impl Tsdb {
             segment_bytes: self.disk_bytes(),
             wal_bytes: self.wal.len(),
             mem_series: self.mem.len(),
-            mem_samples: self.mem_samples,
+            mem_samples: self.mem.samples(),
             recovered_samples: self.recovered_samples,
             recovered_truncated_bytes: self.recovered_truncated_bytes,
             rollup_segments: self.rollups.values().map(Vec::len).sum(),
@@ -1412,6 +1391,28 @@ mod tests {
         let db = Tsdb::open(&dir).unwrap();
         assert!(db.stats().recovered_samples > 0);
         assert_eq!(db.query(&Selector::all(), 0, u64::MAX).unwrap(), expect);
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    /// A clean close keeps an append no `sync` ever acked: the WAL
+    /// seals its pending frame as it drops.
+    #[test]
+    fn clean_close_keeps_unsynced_appends() {
+        let dir = tmpdir("clean-close");
+        let expect;
+        {
+            let mut db = Tsdb::open(&dir).unwrap();
+            fill(&mut db);
+            db.append_batch("c301-101", "cpu_user", &[(600, 99.0), (200_000, 7.0)]).unwrap();
+            db.append("c301-103", "cpu_user", 0, 0.5).unwrap();
+            expect = db.query(&Selector::all(), 0, u64::MAX).unwrap();
+        }
+        let db = Tsdb::open(&dir).unwrap();
+        assert_eq!(db.stats().recovered_truncated_bytes, 0);
+        assert_eq!(db.stats().recovered_samples, 803);
+        assert_eq!(db.stats().mem_samples, 802, "the overwrite of ts 600 is one sample");
+        assert_eq!(db.query(&Selector::all(), 0, u64::MAX).unwrap(), expect);
+        assert_eq!(one_series(&db, "c301-101", "cpu_user", 600, 600), vec![(600, 99.0)]);
         let _ = fs::remove_dir_all(&dir);
     }
 

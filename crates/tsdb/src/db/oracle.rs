@@ -68,14 +68,16 @@ impl Tsdb {
                 }
             }
         }
-        for (key, series) in &self.mem {
-            if !sel.matches(key) {
+        for (host, metric, run) in self.mem.series(None) {
+            let key = SeriesKey::new(host, metric);
+            if !sel.matches(&key) {
                 continue;
             }
-            // suplint: allow(R7) -- entry() needs an owned key; once per matching series
-            let out = acc.entry(key.clone()).or_default();
-            for (&ts, &bits) in series.range(t0..=t1) {
-                out.insert(ts, bits);
+            let series = acc.entry(key).or_default();
+            for &(ts, bits) in run {
+                if ts >= t0 && ts <= t1 {
+                    series.insert(ts, bits);
+                }
             }
         }
         Ok(acc

@@ -31,7 +31,8 @@
 //!   CRC32, sparse time index + per-series chunk index in the footer;
 //! - [`stats`] — chunk-level pre-aggregates ([`stats::ChunkStats`]) and
 //!   the bin accumulator both downsampling paths share;
-//! - [`wal`] — the write-ahead log: length+CRC framed records over a
+//! - [`wal`] — the write-ahead log: one length+CRC frame per apply
+//!   group (string table + delta-timed records) over a
 //!   [`durable::AppendLog`];
 //! - [`db`] — the engine: [`Tsdb`] (open → append → sync → flush →
 //!   compact) with time-range + host/metric predicate scans and
