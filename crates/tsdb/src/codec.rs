@@ -152,69 +152,102 @@ pub fn get_stats(buf: &[u8], pos: &mut usize) -> Option<ChunkStats> {
 }
 
 // --- bit stream -----------------------------------------------------------
+//
+// Bits travel most significant first. Writer and reader both work a
+// 64-bit word at a time and keep their pending bits left-aligned, so a
+// field is two shifts and an OR, never a loop over its bits.
 
 struct BitWriter {
     buf: Vec<u8>,
-    /// Bits already used in the last byte (0..8; 8 means full).
-    used: u32,
+    /// Pending bits in the top `fill` positions; zero below them.
+    acc: u64,
+    /// 0..=63: a full accumulator spills at once.
+    fill: u32,
 }
 
 impl BitWriter {
-    fn new() -> BitWriter {
-        BitWriter { buf: Vec::new(), used: 8 }
+    fn with_capacity(bytes: usize) -> BitWriter {
+        BitWriter { buf: Vec::with_capacity(bytes), acc: 0, fill: 0 }
     }
 
     fn push_bit(&mut self, bit: bool) {
-        if self.used == 8 {
-            self.buf.push(0);
-            self.used = 0;
-        }
-        if bit {
-            let last = self.buf.len() - 1;
-            self.buf[last] |= 1 << (7 - self.used);
-        }
-        self.used += 1;
+        self.push_bits(bit as u64, 1);
     }
 
-    /// Push the low `n` bits of `v`, most significant first.
+    /// Push the low `n` bits of `v` (`n` ≤ 64), most significant first.
     fn push_bits(&mut self, v: u64, n: u32) {
-        for i in (0..n).rev() {
-            self.push_bit((v >> i) & 1 == 1);
+        if n == 0 {
+            return; // `v << 64` below would overflow
         }
+        let top = v << (64 - n);
+        self.acc |= top >> self.fill;
+        let fill = self.fill.wrapping_add(n);
+        if fill < 64 {
+            self.fill = fill;
+            return;
+        }
+        self.buf.extend_from_slice(&self.acc.to_be_bytes());
+        // What did not fit is `top` past its first `64 - self.fill` bits.
+        // From an empty accumulator that is a shift by 64 (nothing is
+        // left), which one `<<` cannot express: hence two.
+        self.acc = (top << 1) << (63 - self.fill);
+        self.fill = fill.wrapping_sub(64);
     }
 
-    fn into_bytes(self) -> Vec<u8> {
+    /// The stream, its last byte zero-padded.
+    fn into_bytes(mut self) -> Vec<u8> {
+        let pending = self.fill.div_ceil(8) as usize;
+        self.buf.extend_from_slice(&self.acc.to_be_bytes()[..pending]);
         self.buf
     }
 }
 
 struct BitReader<'a> {
-    buf: &'a [u8],
-    pos: usize,
-    used: u32,
+    /// The stream's bytes not yet in the window.
+    rest: &'a [u8],
+    /// Unread bits in the top `have` positions; zero below them.
+    win: u64,
+    have: u32,
 }
 
 impl<'a> BitReader<'a> {
     fn new(buf: &'a [u8]) -> BitReader<'a> {
-        BitReader { buf, pos: 0, used: 0 }
+        BitReader { rest: buf, win: 0, have: 0 }
+    }
+
+    /// Top the window up to at least 57 bits, or to the stream's end.
+    fn refill(&mut self) {
+        while self.have <= 56 {
+            let Some((&byte, rest)) = self.rest.split_first() else { return };
+            self.win |= u64::from(byte) << (56 - self.have);
+            self.have += 8;
+            self.rest = rest;
+        }
     }
 
     fn read_bit(&mut self) -> Option<bool> {
-        let byte = *self.buf.get(self.pos)?;
-        let bit = (byte >> (7 - self.used)) & 1 == 1;
-        self.used += 1;
-        if self.used == 8 {
-            self.used = 0;
-            self.pos += 1;
-        }
-        Some(bit)
+        Some(self.read_bits(1)? == 1)
     }
 
+    /// The next `n` bits (`n` ≤ 64); `None` when fewer remain.
     fn read_bits(&mut self, n: u32) -> Option<u64> {
-        let mut v = 0u64;
-        for _ in 0..n {
-            v = (v << 1) | self.read_bit()? as u64;
+        if n > 56 {
+            // More than a refill guarantees: take it in two.
+            let high = self.read_bits(n - 32)?;
+            return Some((high << 32) | self.read_bits(32)?);
         }
+        if self.have < n {
+            self.refill();
+            if self.have < n {
+                return None;
+            }
+        }
+        if n == 0 {
+            return Some(0); // `win >> 64` below would overflow
+        }
+        let v = self.win >> (64 - n);
+        self.win <<= n;
+        self.have -= n;
         Some(v)
     }
 }
@@ -240,35 +273,37 @@ fn integral(bits: u64) -> Option<i64> {
     }
 }
 
-fn encode_values_int(out: &mut Vec<u8>, ints: &[i64]) {
+/// Int-delta stream. Gives up at the first value that is not an exact
+/// integer, leaving a partial stream for the caller to discard.
+fn encode_values_int(out: &mut Vec<u8>, samples: &[(u64, u64)]) -> bool {
     let mut prev = 0i64;
-    for &v in ints {
+    for &(_, bits) in samples {
+        let Some(v) = integral(bits) else { return false };
         put_varint(out, zigzag(v.wrapping_sub(prev)));
         prev = v;
     }
+    true
 }
 
-fn decode_values_int(buf: &[u8], pos: &mut usize, n: usize) -> Option<Vec<u64>> {
-    let mut out = Vec::with_capacity(n);
+fn decode_values_int(buf: &[u8], pos: &mut usize, out: &mut [(u64, u64)]) -> Option<()> {
     let mut prev = 0i64;
-    for _ in 0..n {
-        let v = prev.wrapping_add(unzigzag(get_varint(buf, pos)?));
-        prev = v;
-        out.push((v as f64).to_bits());
+    for slot in out {
+        prev = prev.wrapping_add(unzigzag(get_varint(buf, pos)?));
+        slot.1 = (prev as f64).to_bits();
     }
-    Some(out)
+    Some(())
 }
 
 /// Gorilla XOR stream. Control codes per value (after the first, which
 /// is 64 raw bits): `0` = identical to previous; `10` = changed bits fit
 /// the previous leading/length window; `11` = new window (6 bits leading
 /// zeros, 6 bits length-1, then the meaningful bits).
-fn encode_values_xor(out: &mut Vec<u8>, values: &[u64]) {
-    let mut w = BitWriter::new();
+fn encode_values_xor(out: &mut Vec<u8>, samples: &[(u64, u64)]) {
+    let mut w = BitWriter::with_capacity(samples.len() * 4 + 8);
     let mut prev = 0u64;
     let mut prev_lead = u32::MAX; // "no window yet"
     let mut prev_len = 0u32;
-    for (i, &bits) in values.iter().enumerate() {
+    for (i, &(_, bits)) in samples.iter().enumerate() {
         if i == 0 {
             w.push_bits(bits, 64);
         } else {
@@ -276,7 +311,6 @@ fn encode_values_xor(out: &mut Vec<u8>, values: &[u64]) {
             if xor == 0 {
                 w.push_bit(false);
             } else {
-                w.push_bit(true);
                 let lead = xor.leading_zeros().min(63);
                 let trail = xor.trailing_zeros();
                 // xor != 0 guarantees lead + trail <= 63, so these cannot wrap.
@@ -284,12 +318,10 @@ fn encode_values_xor(out: &mut Vec<u8>, values: &[u64]) {
                 let prev_end = prev_lead.wrapping_add(prev_len);
                 if prev_lead != u32::MAX && lead >= prev_lead && lead.wrapping_add(len) <= prev_end
                 {
-                    w.push_bit(false);
+                    w.push_bits(0b10, 2);
                     w.push_bits(xor >> (64 - prev_end), prev_len);
                 } else {
-                    w.push_bit(true);
-                    w.push_bits(lead as u64, 6);
-                    w.push_bits((len - 1) as u64, 6);
+                    w.push_bits(0b11 << 12 | u64::from(lead) << 6 | u64::from(len - 1), 14);
                     w.push_bits(xor >> trail, len);
                     prev_lead = lead;
                     prev_len = len;
@@ -301,21 +333,21 @@ fn encode_values_xor(out: &mut Vec<u8>, values: &[u64]) {
     put_bytes(out, &w.into_bytes());
 }
 
-fn decode_values_xor(buf: &[u8], pos: &mut usize, n: usize) -> Option<Vec<u64>> {
+fn decode_values_xor(buf: &[u8], pos: &mut usize, out: &mut [(u64, u64)]) -> Option<()> {
     let mut r = BitReader::new(get_bytes(buf, pos)?);
-    let mut out = Vec::with_capacity(n);
     let mut prev = 0u64;
     let mut prev_lead = 0u32;
     let mut prev_len = 0u32;
-    for i in 0..n {
+    for (i, slot) in out.iter_mut().enumerate() {
         let bits = if i == 0 {
             r.read_bits(64)?
         } else if !r.read_bit()? {
             prev
         } else {
             if r.read_bit()? {
-                prev_lead = r.read_bits(6)? as u32;
-                prev_len = r.read_bits(6)? as u32 + 1;
+                let window = r.read_bits(12)? as u32;
+                prev_lead = window >> 6;
+                prev_len = (window & 63) + 1;
             }
             let window_end = prev_lead.checked_add(prev_len)?;
             if prev_len == 0 || window_end > 64 {
@@ -324,10 +356,10 @@ fn decode_values_xor(buf: &[u8], pos: &mut usize, n: usize) -> Option<Vec<u64>> 
             let meaningful = r.read_bits(prev_len)?;
             prev ^ (meaningful << (64 - window_end))
         };
-        out.push(bits);
+        slot.1 = bits;
         prev = bits;
     }
-    Some(out)
+    Some(())
 }
 
 // --- chunk ----------------------------------------------------------------
@@ -338,14 +370,15 @@ fn decode_values_xor(buf: &[u8], pos: &mut usize, n: usize) -> Option<Vec<u64>> 
 /// timestamp stream is `varint t0 · zigzag varint d0 · zigzag varints of
 /// delta-of-deltas`. Empty input encodes as a single `0`.
 pub fn encode_chunk(samples: &[(u64, u64)]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(samples.len() * 2 + 16);
+    // A ten-minute gauge costs ≈ 1 B of timestamp and ≈ 3.4 B of value a
+    // sample, a counter less; anything noisier grows the buffer.
+    let mut out = Vec::with_capacity(samples.len() * 5 + 16);
     put_varint(&mut out, samples.len() as u64);
     if samples.is_empty() {
         return out;
     }
-
-    let ints: Option<Vec<i64>> = samples.iter().map(|&(_, bits)| integral(bits)).collect();
-    out.push(if ints.is_some() { MODE_INT } else { MODE_XOR });
+    let mode_at = out.len();
+    out.push(MODE_INT);
 
     // Timestamps: delta-of-delta.
     put_varint(&mut out, samples[0].0);
@@ -360,12 +393,13 @@ pub fn encode_chunk(samples: &[(u64, u64)]) -> Vec<u8> {
         }
     }
 
-    match ints {
-        Some(ints) => encode_values_int(&mut out, &ints),
-        None => {
-            let values: Vec<u64> = samples.iter().map(|&(_, bits)| bits).collect();
-            encode_values_xor(&mut out, &values);
-        }
+    // The value stream is last, so int-delta is tried in place and, when
+    // a value is not an integer (a gauge's first), cut off again.
+    let values_at = out.len();
+    if !encode_values_int(&mut out, samples) {
+        out.truncate(values_at);
+        out[mode_at] = MODE_XOR;
+        encode_values_xor(&mut out, samples);
     }
     out
 }
@@ -396,28 +430,182 @@ pub fn decode_chunk_at(buf: &[u8], pos: &mut usize) -> Option<Vec<(u64, u64)>> {
     let &mode = buf.get(*pos)?;
     *pos += 1;
 
-    let mut ts = Vec::with_capacity(n);
-    ts.push(get_varint(buf, pos)?);
-    if n >= 2 {
-        let mut delta = unzigzag(get_varint(buf, pos)?);
-        ts.push(ts[0].wrapping_add(delta as u64));
-        for i in 2..n {
-            delta = delta.wrapping_add(unzigzag(get_varint(buf, pos)?));
-            ts.push(ts[i - 1].wrapping_add(delta as u64));
+    // Timestamps first, then the value stream fills in beside them.
+    let mut out = Vec::with_capacity(n);
+    let mut ts = get_varint(buf, pos)?;
+    out.push((ts, 0));
+    // The first delta is a delta-of-delta from zero.
+    let mut delta = 0i64;
+    for _ in 1..n {
+        delta = delta.wrapping_add(unzigzag(get_varint(buf, pos)?));
+        ts = ts.wrapping_add(delta as u64);
+        out.push((ts, 0));
+    }
+
+    match mode {
+        MODE_INT => decode_values_int(buf, pos, &mut out)?,
+        MODE_XOR => decode_values_xor(buf, pos, &mut out)?,
+        _ => return None,
+    }
+    Some(out)
+}
+
+/// The sample streams `tests/proptests.rs` draws, so the differential
+/// tests below run on the shapes the properties run on.
+#[cfg(test)]
+#[allow(dead_code)]
+#[path = "../tests/common/mod.rs"]
+mod strategy;
+
+/// The bit-at-a-time stream the word kernel replaced, and the chunk
+/// decoder as it stood on top of it: what the differential tests hold
+/// the kernel to, bit for bit and `None` for `None`.
+#[cfg(test)]
+mod reference {
+    use super::{get_bytes, get_varint, unzigzag, MODE_INT, MODE_XOR};
+
+    pub struct BitWriter {
+        buf: Vec<u8>,
+        /// Bits already used in the last byte (0..8; 8 means full).
+        used: u32,
+    }
+
+    impl BitWriter {
+        pub fn new() -> BitWriter {
+            BitWriter { buf: Vec::new(), used: 8 }
+        }
+
+        fn push_bit(&mut self, bit: bool) {
+            if self.used == 8 {
+                self.buf.push(0);
+                self.used = 0;
+            }
+            if bit {
+                let last = self.buf.len() - 1;
+                self.buf[last] |= 1 << (7 - self.used);
+            }
+            self.used += 1;
+        }
+
+        pub fn push_bits(&mut self, v: u64, n: u32) {
+            for i in (0..n).rev() {
+                self.push_bit((v >> i) & 1 == 1);
+            }
+        }
+
+        pub fn into_bytes(self) -> Vec<u8> {
+            self.buf
         }
     }
 
-    let values = match mode {
-        MODE_INT => decode_values_int(buf, pos, n)?,
-        MODE_XOR => decode_values_xor(buf, pos, n)?,
-        _ => return None,
-    };
-    Some(ts.into_iter().zip(values).collect())
+    pub struct BitReader<'a> {
+        buf: &'a [u8],
+        pos: usize,
+        used: u32,
+    }
+
+    impl<'a> BitReader<'a> {
+        pub fn new(buf: &'a [u8]) -> BitReader<'a> {
+            BitReader { buf, pos: 0, used: 0 }
+        }
+
+        fn read_bit(&mut self) -> Option<bool> {
+            let byte = *self.buf.get(self.pos)?;
+            let bit = (byte >> (7 - self.used)) & 1 == 1;
+            self.used += 1;
+            if self.used == 8 {
+                self.used = 0;
+                self.pos += 1;
+            }
+            Some(bit)
+        }
+
+        pub fn read_bits(&mut self, n: u32) -> Option<u64> {
+            let mut v = 0u64;
+            for _ in 0..n {
+                v = (v << 1) | self.read_bit()? as u64;
+            }
+            Some(v)
+        }
+    }
+
+    fn decode_values_int(buf: &[u8], pos: &mut usize, n: usize) -> Option<Vec<u64>> {
+        let mut out = Vec::with_capacity(n);
+        let mut prev = 0i64;
+        for _ in 0..n {
+            let v = prev.wrapping_add(unzigzag(get_varint(buf, pos)?));
+            prev = v;
+            out.push((v as f64).to_bits());
+        }
+        Some(out)
+    }
+
+    fn decode_values_xor(buf: &[u8], pos: &mut usize, n: usize) -> Option<Vec<u64>> {
+        let mut r = BitReader::new(get_bytes(buf, pos)?);
+        let mut out = Vec::with_capacity(n);
+        let mut prev = 0u64;
+        let mut prev_lead = 0u32;
+        let mut prev_len = 0u32;
+        for i in 0..n {
+            let bits = if i == 0 {
+                r.read_bits(64)?
+            } else if !r.read_bit()? {
+                prev
+            } else {
+                if r.read_bit()? {
+                    prev_lead = r.read_bits(6)? as u32;
+                    prev_len = r.read_bits(6)? as u32 + 1;
+                }
+                let window_end = prev_lead.checked_add(prev_len)?;
+                if prev_len == 0 || window_end > 64 {
+                    return None;
+                }
+                let meaningful = r.read_bits(prev_len)?;
+                prev ^ (meaningful << (64 - window_end))
+            };
+            out.push(bits);
+            prev = bits;
+        }
+        Some(out)
+    }
+
+    pub fn decode_chunk(buf: &[u8]) -> Option<Vec<(u64, u64)>> {
+        let pos = &mut 0usize;
+        let n = get_varint(buf, pos)? as usize;
+        if n == 0 {
+            return (*pos == buf.len()).then(Vec::new);
+        }
+        if n > buf.len().saturating_sub(*pos) {
+            return None;
+        }
+        let &mode = buf.get(*pos)?;
+        *pos += 1;
+
+        let mut ts = Vec::with_capacity(n);
+        ts.push(get_varint(buf, pos)?);
+        if n >= 2 {
+            let mut delta = unzigzag(get_varint(buf, pos)?);
+            ts.push(ts[0].wrapping_add(delta as u64));
+            for i in 2..n {
+                delta = delta.wrapping_add(unzigzag(get_varint(buf, pos)?));
+                ts.push(ts[i - 1].wrapping_add(delta as u64));
+            }
+        }
+
+        let values = match mode {
+            MODE_INT => decode_values_int(buf, pos, n)?,
+            MODE_XOR => decode_values_xor(buf, pos, n)?,
+            _ => return None,
+        };
+        (*pos == buf.len()).then(|| ts.into_iter().zip(values).collect())
+    }
 }
 
 #[cfg(test)]
 mod tests {
+    use super::strategy::{samples_of, Spacing, Values};
     use super::*;
+    use supremm_metrics::rng::{cases, SplitMix64};
 
     fn round_trip(samples: &[(u64, u64)]) {
         let enc = encode_chunk(samples);
@@ -458,8 +646,7 @@ mod tests {
         buf.len() - 1
     }
 
-    #[test]
-    fn special_float_values_survive() {
+    fn special_floats() -> Vec<(u64, u64)> {
         let specials = [
             0.0f64.to_bits(),
             (-0.0f64).to_bits(),
@@ -470,9 +657,85 @@ mod tests {
             f64::MIN_POSITIVE.to_bits(),
             f64::MAX.to_bits(),
         ];
-        let samples: Vec<(u64, u64)> =
-            specials.iter().enumerate().map(|(i, &b)| (i as u64 * 7, b)).collect();
-        round_trip(&samples);
+        specials.iter().enumerate().map(|(i, &b)| (i as u64 * 7, b)).collect()
+    }
+
+    #[test]
+    fn special_float_values_survive() {
+        round_trip(&special_floats());
+    }
+
+    /// A day of a ten-minute gauge: a quantised load that holds still,
+    /// moves inside its window, and now and then jumps out of it.
+    fn gauge_day() -> Vec<(u64, u64)> {
+        let mut rng = SplitMix64::new(0x5EED_6A06);
+        let mut v = 40.0f64;
+        (1..=144)
+            .map(|i| {
+                match rng.below(4) {
+                    0 => {}
+                    1 | 2 => v = 40.0 + rng.below(64) as f64 / 8.0,
+                    _ => v = rng.uniform_in(0.0..100.0),
+                }
+                (i * 600, v.to_bits())
+            })
+            .collect()
+    }
+
+    /// A day of a monotone counter, one tick in sixteen a second late.
+    fn counter_day() -> Vec<(u64, u64)> {
+        let mut rng = SplitMix64::new(0x5EED_C7A0);
+        let mut total = 0u64;
+        (1..=144)
+            .map(|i| {
+                total += rng.below(1 << 20);
+                (i * 600 + u64::from(rng.below(16) == 0), (total as f64).to_bits())
+            })
+            .collect()
+    }
+
+    /// How many values of an XOR chunk took each control code:
+    /// `[0, 10, 11]`.
+    fn xor_codes(enc: &[u8]) -> [usize; 3] {
+        let mut pos = 0;
+        let n = get_varint(enc, &mut pos).unwrap();
+        assert_eq!(enc[pos], MODE_XOR);
+        pos += 1;
+        (0..n).for_each(|_| {
+            get_varint(enc, &mut pos).unwrap();
+        });
+        let mut r = BitReader::new(get_bytes(enc, &mut pos).unwrap());
+        r.read_bits(64).unwrap();
+        let (mut codes, mut len) = ([0; 3], 0);
+        for _ in 1..n {
+            if !r.read_bit().unwrap() {
+                codes[0] += 1;
+                continue;
+            }
+            if r.read_bit().unwrap() {
+                len = r.read_bits(12).unwrap() as u32 % 64 + 1;
+                codes[2] += 1;
+            } else {
+                codes[1] += 1;
+            }
+            r.read_bits(len).unwrap();
+        }
+        codes
+    }
+
+    /// The bytes `encode_chunk` produced before the bit stream went from
+    /// a bit to a word at a time (length + CRC32), pinned where they are
+    /// made: segments, relay frames and spools all carry them.
+    #[test]
+    fn encoded_bytes_are_pinned() {
+        let pin = |samples: &[(u64, u64)]| {
+            let enc = encode_chunk(samples);
+            (enc.len(), crate::crc::crc32(&enc))
+        };
+        assert_eq!(xor_codes(&encode_chunk(&gauge_day())), [35, 106, 2]);
+        assert_eq!(pin(&gauge_day()), (936, 0x28C5_7391));
+        assert_eq!(pin(&counter_day()), (580, 0x12D1_785C));
+        assert_eq!(pin(&special_floats()), (53, 0xAC77_4067));
     }
 
     #[test]
@@ -543,5 +806,110 @@ mod tests {
         for v in [0i64, 1, -1, i64::MAX, i64::MIN, 42, -42] {
             assert_eq!(unzigzag(zigzag(v)), v);
         }
+    }
+
+    // --- the word kernel against the bit-at-a-time reference ---------------
+
+    /// Both writers fed `fields` produce the same bytes, and the reader
+    /// gets every field back out of them.
+    fn assert_same_stream(fields: &[(u64, u32)]) {
+        let (mut new, mut old) = (BitWriter::with_capacity(0), reference::BitWriter::new());
+        for &(v, n) in fields {
+            new.push_bits(v, n);
+            old.push_bits(v, n);
+        }
+        let bytes = new.into_bytes();
+        assert_eq!(bytes, old.into_bytes());
+        let mut r = BitReader::new(&bytes);
+        for (i, &(v, n)) in fields.iter().enumerate() {
+            let low = if n == 64 { v } else { v & ((1 << n) - 1) };
+            assert_eq!(r.read_bits(n), Some(low), "field {i}, {n} bits");
+        }
+        // Less than a byte of padding is all that is left.
+        assert_eq!(r.read_bits(8), None);
+    }
+
+    #[test]
+    fn writer_matches_bit_at_a_time_at_every_fill_and_width() {
+        let mut rng = SplitMix64::new(0x5EED_B175);
+        for fill in 0..=63 {
+            for width in 0..=64 {
+                let after = rng.below(65) as u32;
+                let fields = [fill, width, after].map(|n| (rng.next_u64(), n));
+                assert_same_stream(&fields);
+            }
+        }
+    }
+
+    #[test]
+    fn bit_streams_match_bit_at_a_time_on_seeded_fields() {
+        cases("bit_streams_match_bit_at_a_time_on_seeded_fields", 256, |rng| {
+            assert_same_stream(&rng.vec(0..200, |r| (r.next_u64(), r.below(65) as u32)));
+            // Any bytes read at any widths: the same fields, and `None`
+            // at the same read, which is the first to ask for more bits
+            // than remain.
+            let bytes = rng.vec(0..64, |r| r.next_u64() as u8);
+            let (mut new, mut old) = (BitReader::new(&bytes), reference::BitReader::new(&bytes));
+            loop {
+                let n = rng.below(65) as u32;
+                let got = new.read_bits(n);
+                assert_eq!(got, old.read_bits(n), "{n} bits of {bytes:x?}");
+                if got.is_none() {
+                    break;
+                }
+            }
+        });
+    }
+
+    /// `v << 64` overflows and `wrapping_shl(64)` does nothing, so the
+    /// widths 0 and 64, an empty accumulator and an empty window each
+    /// take a branch of their own.
+    #[test]
+    fn widths_0_and_64_on_empty_and_part_filled_state() {
+        const WORD: u64 = 0x0123_4567_89AB_CDEF;
+        let written = |fields: &[(u64, u32)]| {
+            let mut w = BitWriter::with_capacity(0);
+            fields.iter().for_each(|&(v, n)| w.push_bits(v, n));
+            w.into_bytes()
+        };
+        assert_eq!(written(&[]), [0u8; 0]);
+        assert_eq!(written(&[(u64::MAX, 0)]), [0u8; 0]);
+        assert_eq!(written(&[(WORD, 64), (u64::MAX, 0)]), WORD.to_be_bytes());
+        let spilled = written(&[(0b101, 3), (u64::MAX, 0), (u64::MAX, 64)]);
+        assert_eq!(spilled, [0xBF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xE0]);
+
+        let mut r = BitReader::new(&[]);
+        assert_eq!((r.read_bits(0), r.read_bits(1), r.read_bits(64)), (Some(0), None, None));
+        let word = WORD.to_be_bytes();
+        let mut r = BitReader::new(&word);
+        assert_eq!((r.read_bits(0), r.read_bits(64)), (Some(0), Some(WORD)));
+        assert_eq!((r.read_bits(0), r.read_bits(1)), (Some(0), None));
+        let mut r = BitReader::new(&spilled);
+        assert_eq!((r.read_bits(3), r.read_bits(64)), (Some(0b101), Some(u64::MAX)));
+        assert_eq!((r.read_bits(5), r.read_bits(1)), (Some(0), None));
+        // One bit short of a 64-bit field, with the window part-filled.
+        let mut r = BitReader::new(&spilled[1..]);
+        assert_eq!((r.read_bits(1), r.read_bits(64)), (Some(1), None));
+    }
+
+    #[test]
+    fn decoder_matches_reference_on_every_truncation_and_bit_flip() {
+        cases("decoder_matches_reference_on_every_truncation_and_bit_flip", 16, |rng| {
+            for values in Values::ALL {
+                let spacing = rng.pick(&Spacing::ALL);
+                let samples = samples_of(rng, spacing, values, 1..16);
+                let enc = encode_chunk(&samples);
+                assert_eq!(reference::decode_chunk(&enc).as_ref(), Some(&samples), "{values:?}");
+                for cut in 0..enc.len() {
+                    let cut = &enc[..cut];
+                    assert_eq!(decode_chunk(cut), reference::decode_chunk(cut), "{cut:x?}");
+                }
+                for bit in 0..enc.len() * 8 {
+                    let mut bad = enc.clone();
+                    bad[bit / 8] ^= 0x80 >> (bit % 8);
+                    assert_eq!(decode_chunk(&bad), reference::decode_chunk(&bad), "{bad:x?}");
+                }
+            }
+        });
     }
 }

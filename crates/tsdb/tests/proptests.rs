@@ -8,7 +8,7 @@ use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use supremm_metrics::rng::{cases, SplitMix64};
-use supremm_tsdb::codec::{decode_chunk, encode_chunk};
+use supremm_tsdb::codec::{decode_chunk, encode_chunk, get_bytes, get_varint, put_bytes};
 use supremm_tsdb::wal::{Wal, WalRecord};
 use supremm_tsdb::{Agg, DbOptions, RetentionPolicy, RollupLevel, Selector, Tsdb};
 
@@ -24,11 +24,93 @@ fn tmpdir(tag: &str) -> PathBuf {
     dir
 }
 
-/// Sample streams that exercise both the timestamp DoD path (regular and
-/// irregular spacing, including wrap-around deltas) and both value modes
-/// (integral deltas and XOR floats, with NaN/∞ bit patterns).
-fn samples_strategy(rng: &mut SplitMix64, len: std::ops::Range<usize>) -> Vec<(u64, u64)> {
-    rng.vec(len, |r| (r.next_u64(), r.next_u64()))
+mod common;
+use common::{samples_of, samples_strategy, Spacing, Values};
+
+/// An encoded chunk taken apart along the layout in `encode_chunk`'s
+/// doc: where the mode byte sits, how many bytes each timestamp varint
+/// took, and where the value stream starts. Empty chunks have no mode.
+fn take_apart(enc: &[u8]) -> (usize, Vec<usize>, usize) {
+    let mut pos = 0;
+    let n = get_varint(enc, &mut pos).unwrap();
+    let mode_at = pos;
+    pos += usize::from(n > 0);
+    let ts_lens = (0..n)
+        .map(|_| {
+            let from = pos;
+            get_varint(enc, &mut pos).unwrap();
+            pos - from
+        })
+        .collect();
+    (mode_at, ts_lens, pos)
+}
+
+/// Which of the codec's paths the encoded cases took, read back from
+/// the bytes: a property that round-trips 256 chunks of one shape has
+/// tested one shape.
+#[derive(Debug, Default)]
+struct Coverage {
+    int_mode: u32,
+    xor_mode: u32,
+    /// Delta-of-delta timestamps of one byte, and of more.
+    short_dod: u32,
+    long_dod: u32,
+    /// XOR control codes `0`, `10` and `11`.
+    same: u32,
+    reuse: u32,
+    fresh: u32,
+    /// Meaningful-bit fields of at most 56 bits, and of more (which the
+    /// reader takes in two).
+    narrow: u32,
+    wide: u32,
+}
+
+impl Coverage {
+    fn observe(&mut self, enc: &[u8]) {
+        let (mode_at, ts_lens, mut pos) = take_apart(enc);
+        if ts_lens.is_empty() {
+            return;
+        }
+        for &len in ts_lens.iter().skip(2) {
+            *(if len == 1 { &mut self.short_dod } else { &mut self.long_dod }) += 1;
+        }
+        if enc[mode_at] == 1 {
+            self.int_mode += 1;
+            return;
+        }
+        self.xor_mode += 1;
+        let stream = get_bytes(enc, &mut pos).unwrap();
+        let mut at = 0;
+        let mut take = |n: u32| {
+            (0..n).fold(0u64, |v, _| {
+                let bit = stream[at / 8] >> (7 - at % 8) & 1;
+                at += 1;
+                v << 1 | u64::from(bit)
+            })
+        };
+        take(64);
+        let mut len = 0;
+        for _ in 1..ts_lens.len() {
+            if take(1) == 0 {
+                self.same += 1;
+                continue;
+            }
+            if take(1) == 1 {
+                self.fresh += 1;
+                len = (take(12) % 64) as u32 + 1;
+            } else {
+                self.reuse += 1;
+            }
+            *(if len > 56 { &mut self.wide } else { &mut self.narrow }) += 1;
+            take(len);
+        }
+    }
+
+    fn paths(&self) -> [u32; 9] {
+        let Coverage { int_mode, xor_mode, short_dod, long_dod, same, reuse, fresh, narrow, wide } =
+            *self;
+        [int_mode, xor_mode, short_dod, long_dod, same, reuse, fresh, narrow, wide]
+    }
 }
 
 /// Tiny chunks/blocks so even small random stores span many chunks,
@@ -165,11 +247,18 @@ fn preagg_downsample_is_bit_identical_to_naive() {
 
 #[test]
 fn chunk_codec_round_trips_arbitrary_samples() {
+    let (mut seen, mut ran) = (Coverage::default(), 0);
     cases("chunk_codec_round_trips_arbitrary_samples", 256, |rng| {
         let samples = samples_strategy(rng, 0..200);
         let enc = encode_chunk(&samples);
+        seen.observe(&enc);
+        ran += 1;
         assert_eq!(decode_chunk(&enc), Some(samples));
     });
+    // A replay of one case (`SUPREMM_CASE_SEED`) covers what it covers.
+    if ran >= 256 {
+        assert!(seen.paths().iter().all(|&hits| hits > 0), "a codec path went untested: {seen:?}");
+    }
 }
 
 #[test]
@@ -178,6 +267,38 @@ fn chunk_decoder_never_panics_on_arbitrary_bytes() {
         let bytes = rng.vec(0..300, |r| r.next_u64() as u8);
         // Any outcome is fine; crashing is not.
         let _ = decode_chunk(&bytes);
+
+        // Raw bytes die on the count or the mode byte (2 of 256 are
+        // valid). To reach the bit reader, keep a real chunk's count and
+        // timestamp stream, say XOR, and damage only the value stream.
+        let spacing = rng.pick(&Spacing::ALL);
+        let samples = samples_of(rng, spacing, Values::Mixed, 1..40);
+        let enc = encode_chunk(&samples);
+        let (mode_at, _, mut pos) = take_apart(&enc);
+        let mut head = enc[..pos].to_vec();
+        // A short mix can come out all integers: no bit stream to cut.
+        let stream = if enc[mode_at] == 0 { get_bytes(&enc, &mut pos).unwrap() } else { &[] };
+        head[mode_at] = 0;
+        let first = &stream[..stream.len().min(8)];
+        let mut hostile: Vec<Vec<u8>> =
+            (0..stream.len()).map(|cut| stream[..cut].to_vec()).collect();
+        // Whole bytes after the last field; noise, whose fields end at
+        // every bit and sooner or later claim `lead + len > 64`; all
+        // ones, which claim it at once; `10` before any window is set.
+        hostile.push([stream, &rng.vec(1..9, |r| r.next_u64() as u8)].concat());
+        hostile.push(rng.vec(0..400, |r| r.next_u64() as u8));
+        hostile.push(vec![0xFF; rng.range(0..400) as usize]);
+        hostile.push([first, &[0b1000_0000 | rng.next_u64() as u8 >> 2], &[0xA5; 16]].concat());
+        for stream in hostile {
+            let mut buf = head.clone();
+            put_bytes(&mut buf, &stream);
+            // The outcome is free; what is returned is not: as many
+            // samples as claimed, in no more room than the input's bytes.
+            if let Some(decoded) = decode_chunk(&buf) {
+                assert_eq!(decoded.len(), samples.len());
+                assert!(decoded.capacity() <= buf.len(), "{} > {}", decoded.capacity(), buf.len());
+            }
+        }
     });
 }
 
