@@ -15,14 +15,20 @@
 //! its index is touched. The plan is then walked series-major through
 //! one `BlockFetcher` holding at most one CRC-verified block per
 //! segment. The engine lays chunks out series-major too, so each block
-//! is read once per query; a foreign layout only costs a re-read.
+//! is read once per walk; a foreign layout only costs a re-read.
 //!
-//! [`Tsdb::query`] decodes each series' planned chunks into one sorted
-//! run per segment, adds the memtable as the highest-priority run, and
-//! a k-way last-write-wins merge combines them — later runs win per
+//! `Tsdb::walk` is that walk as a stream: it decodes each series'
+//! planned chunks into one sorted run per segment, adds the memtable
+//! (when asked to) as the highest-priority run, and a k-way
+//! last-write-wins merge combines them — later runs win per
 //! `(series, timestamp)`. That makes compaction and crash-leftover
 //! segments (a compacted segment sealed but its inputs not yet deleted)
 //! both idempotent: re-merging identical samples changes nothing.
+//! Everything that visits every sample of a series in key order is a
+//! consumer of it: [`Tsdb::query`] collects it, [`Tsdb::compact`] feeds
+//! it to the segment writer, and [`Tsdb::enforce_retention`] bins it
+//! into every rollup level at once. Each holds one series' run and the
+//! fetcher's blocks, never the store.
 //!
 //! [`Tsdb::downsample`] folds instead of decoding where it can: when a
 //! series' planned sources are disjoint in time and a bin fully covers
@@ -50,12 +56,11 @@ use std::path::{Path, PathBuf};
 use supremm_obs::{Counter, Gauge, Histogram, ObsHandle, Timer};
 
 use crate::retention::{
-    decode_rollup_block, encode_rollup_block, roll_file_name, roll_id, FaultHook,
-    RetentionManifest, RetentionPolicy, RetentionReport, RollupRows,
+    decode_rollup_block, roll_file_name, roll_id, FaultHook, RetentionManifest, RetentionPolicy,
+    RetentionReport, RollupBlock, RollupBlockBuilder,
 };
 use crate::segment::{
-    ChunkRef, ChunkSamples, SegmentReader, SegmentWriter, SeriesEntry, TsdbError, KIND_ROLLUP,
-    KIND_SERIES,
+    ChunkRef, SegmentReader, SegmentWriter, SeriesEntry, TsdbError, KIND_ROLLUP, KIND_SERIES,
 };
 use crate::stats::{BinAcc, ChunkStats};
 use crate::wal::Wal;
@@ -102,8 +107,13 @@ impl Selector {
     }
 
     pub fn matches(&self, key: &SeriesKey) -> bool {
-        self.host.as_deref().is_none_or(|h| h == key.host)
-            && self.metric.as_deref().is_none_or(|m| m == key.metric)
+        self.accepts(&key.host, &key.metric)
+    }
+
+    /// [`Selector::matches`] on names no `SeriesKey` owns yet.
+    pub(crate) fn accepts(&self, host: &str, metric: &str) -> bool {
+        self.host.as_deref().is_none_or(|h| h == host)
+            && self.metric.as_deref().is_none_or(|m| m == metric)
     }
 }
 
@@ -327,7 +337,11 @@ struct SeriesPlan<'a> {
 /// same order `SeriesKey` sorts in) and the order segments store chunks.
 type ReadPlan<'a> = BTreeMap<(&'a str, &'a str), SeriesPlan<'a>>;
 
-/// Reads blocks for one query, holding at most one CRC-verified block
+/// One series as [`Tsdb::walk`] yields it: `(host, metric, samples)`,
+/// the samples strictly ascending and merged last-write-wins.
+type WalkedSeries<'a> = (&'a str, &'a str, Vec<(u64, u64)>);
+
+/// Reads blocks for one walk, holding at most one CRC-verified block
 /// per segment. A plan walked series-major over engine-written
 /// segments asks for each block in one consecutive stretch, so each is
 /// read once; any other order only costs a re-read.
@@ -335,7 +349,8 @@ struct BlockFetcher<'a> {
     segments: &'a [(u64, SegmentReader)],
     /// Per slot of `segments`: the block held, as `(block_ix, payload)`.
     held: Vec<Option<(u32, Vec<u8>)>>,
-    blocks_read: &'a Counter,
+    /// `tsdb_query_blocks_read_total`, when the walk is a query's.
+    blocks_read: Option<&'a Counter>,
 }
 
 impl BlockFetcher<'_> {
@@ -354,7 +369,9 @@ impl BlockFetcher<'_> {
                     ))
                 })?;
                 let payload = reader.read_block(block)?;
-                self.blocks_read.inc();
+                if let Some(c) = self.blocks_read {
+                    c.inc();
+                }
                 &held.insert((r.block_ix, payload)).1
             }
         };
@@ -562,33 +579,32 @@ fn fold_planned(
     Ok(added)
 }
 
-/// Seal the series of `data` into `seg-{seq:06}.tsdb`. Chunks are
-/// borrowed straight out of the per-series runs — nothing is copied on
-/// the way into the encoder.
-fn write_segment(
+/// Seal a stream of series, in `SeriesKey` order, into
+/// `seg-{seq:06}.tsdb`; `None` (and no file) when it held no sample.
+/// Each run is cut into chunks and encoded as it arrives, so only the
+/// encoded segment accumulates.
+fn write_segment<'a, R: AsRef<[(u64, u64)]>>(
     dir: &Path,
     seq: u64,
-    data: &Memtable,
     opts: &DbOptions,
-) -> Result<SegmentReader, TsdbError> {
+    series: impl Iterator<Item = Result<(&'a str, &'a str, R), TsdbError>>,
+) -> Result<Option<SegmentReader>, TsdbError> {
     let mut writer = SegmentWriter::new(KIND_SERIES);
-    let mut block: Vec<ChunkSamples<'_>> = Vec::new();
-    for (host, metric, run) in data.series(None) {
-        for chunk in run.chunks(opts.chunk_samples.max(1)) {
-            block.push((host, metric, chunk));
-            if block.len() >= opts.block_chunks.max(1) {
-                writer.push_series_block(&block);
-                block.clear();
+    for item in series {
+        let (host, metric, run) = item?;
+        for chunk in run.as_ref().chunks(opts.chunk_samples.max(1)) {
+            if writer.push_chunk(host, metric, chunk) >= opts.block_chunks.max(1) {
+                writer.close_block();
             }
         }
     }
-    if !block.is_empty() {
-        writer.push_series_block(&block);
+    if writer.is_empty() {
+        return Ok(None);
     }
     // suplint: allow(R7) -- filename built once per segment seal
     let path = dir.join(format!("seg-{seq:06}.tsdb"));
     writer.seal(&path)?;
-    SegmentReader::open(&path)
+    SegmentReader::open(&path).map(Some)
 }
 
 impl Tsdb {
@@ -737,9 +753,10 @@ impl Tsdb {
         }
         let t = Timer::start();
         let seq = self.next_seq;
-        let reader = write_segment(&self.dir, seq, &self.mem, &self.opts)?;
-        self.met.flush_bytes_total.add(reader.file_len());
-        self.segments.push((seq, reader));
+        let series = self.mem.series(None).map(|(host, metric, run)| Ok((host, metric, run)));
+        let reader = write_segment(&self.dir, seq, &self.opts, series)?;
+        self.met.flush_bytes_total.add(reader.as_ref().map_or(0, SegmentReader::file_len));
+        self.segments.extend(reader.map(|r| (seq, r)));
         self.next_seq = seq + 1;
         // Segment is durable; only now is it safe to drop the WAL.
         self.wal.reset()?;
@@ -754,35 +771,29 @@ impl Tsdb {
     /// and after. Crash-safe: the merged segment (higher seq) is sealed
     /// before the inputs are deleted, and last-wins merging makes any
     /// leftover inputs harmless.
+    ///
+    /// Physical GC: compaction is where logically-dropped samples
+    /// (below the retention watermark) actually leave the disk, so a
+    /// lone segment is rewritten too when it reaches below the
+    /// watermark.
     pub fn compact(&mut self) -> Result<(), TsdbError> {
-        if self.segments.len() <= 1 {
+        let watermark = self.manifest.raw_dropped_before;
+        let holds_dropped =
+            |r: &SegmentReader| r.time_range().is_some_and(|(min, _)| min < watermark);
+        if self.segments.len() <= 1 && !self.segments.iter().any(|(_, r)| holds_dropped(r)) {
             return Ok(());
         }
         let t = Timer::start();
-        // Physical GC: compaction is where logically-dropped samples
-        // (below the retention watermark) actually leave the disk.
-        let watermark = self.manifest.raw_dropped_before;
-        // Oldest segment first, so a later one wins a shared timestamp;
-        // a series the watermark empties never enters `merged`.
-        let mut merged = Memtable::default();
-        for (_, reader) in &self.segments {
-            for entry in &reader.entries {
-                let payload = reader.read_block(entry)?;
-                for chunk in reader.decode_series_block(&payload)? {
-                    let kept = chunk.samples.into_iter().filter(|&(ts, _)| ts >= watermark);
-                    merged.extend(&chunk.host, &chunk.metric, kept);
-                }
-            }
-        }
-        let replacement = if merged.is_empty() {
-            None
-        } else {
-            let seq = self.next_seq;
-            let reader = write_segment(&self.dir, seq, &merged, &self.opts)?;
+        // The sealed segments alone, clamped at the watermark: a series
+        // the watermark empties never reaches the writer, and the
+        // memtable stays the WAL's.
+        let seq = self.next_seq;
+        let series = self.walk(&Selector::all(), 0, u64::MAX, false);
+        let replacement = write_segment(&self.dir, seq, &self.opts, series)?.map(|r| (seq, r));
+        if let Some((_, reader)) = &replacement {
             self.met.compact_bytes_total.add(reader.file_len());
             self.next_seq = seq + 1;
-            Some((seq, reader))
-        };
+        }
         // The merged segment is sealed: only now may its inputs go.
         let old: Vec<PathBuf> =
             self.segments.drain(..).map(|(_, r)| r.path().to_path_buf()).collect();
@@ -796,18 +807,24 @@ impl Tsdb {
         Ok(())
     }
 
-    /// The one gather every read starts from: per series matching
+    /// The one gather every walk starts from: per series matching
     /// `sel`, the chunk refs overlapping `[t0, t1]` in each sealed
-    /// segment plus its memtable samples. Consults each segment's series
-    /// index once; a segment whose time range misses the window is
-    /// skipped before its index is touched.
-    fn plan(&self, sel: &Selector, t0: u64, t1: u64) -> ReadPlan<'_> {
+    /// segment plus — for a `live` walk — its memtable samples. Consults
+    /// each segment's series index once; a segment whose time range
+    /// misses the window is skipped before its index is touched.
+    ///
+    /// `live` says the walk is a query's: it sees the memtable and the
+    /// `tsdb_query_*` counters count it. Maintenance (compaction, the
+    /// roll pass) walks the sealed segments only, uncounted.
+    fn plan(&self, sel: &Selector, t0: u64, t1: u64, live: bool) -> ReadPlan<'_> {
         let mut plan = ReadPlan::new();
         for (slot, (_, reader)) in self.segments.iter().enumerate() {
             if reader.time_range().is_none_or(|(min, max)| max < t0 || min > t1) {
                 continue;
             }
-            self.met.query_index_segments_total.inc();
+            if live {
+                self.met.query_index_segments_total.inc();
+            }
             for entry in matching_entries(reader.series_index().unwrap_or(&[]), sel) {
                 let refs: Vec<&ChunkRef> =
                     entry.chunks.iter().filter(|r| r.max_ts >= t0 && r.min_ts <= t1).collect();
@@ -816,6 +833,9 @@ impl Tsdb {
                     series.segs.push((slot, refs));
                 }
             }
+        }
+        if !live {
+            return plan;
         }
         for (host, metric, run) in self.mem.series(sel.host.as_deref()) {
             if sel.metric.as_deref().is_some_and(|m| m != metric) {
@@ -830,12 +850,40 @@ impl Tsdb {
         plan
     }
 
-    fn fetcher(&self) -> BlockFetcher<'_> {
+    fn fetcher(&self, live: bool) -> BlockFetcher<'_> {
         BlockFetcher {
             segments: &self.segments,
             held: vec![None; self.segments.len()],
-            blocks_read: &self.met.query_blocks_read_total,
+            blocks_read: live.then_some(&self.met.query_blocks_read_total),
         }
+    }
+
+    /// The one series-major walk, as a stream: each planned series
+    /// with its samples in `[t0, t1]` merged last-write-wins across its
+    /// sources, in `SeriesKey` order; a series the window leaves empty
+    /// is skipped. It holds one series' runs and the fetcher's one
+    /// block per segment. See [`Tsdb::plan`] for `live`.
+    ///
+    /// Retention truncates the raw tier logically: samples below the
+    /// watermark are gone even while their segment still spans it
+    /// (files are only ever dropped whole; see `enforce_retention`), so
+    /// every walk starts no earlier than the watermark.
+    fn walk<'a>(
+        &'a self,
+        sel: &Selector,
+        t0: u64,
+        t1: u64,
+        live: bool,
+    ) -> impl Iterator<Item = Result<WalkedSeries<'a>, TsdbError>> + 'a {
+        let t0 = t0.max(self.manifest.raw_dropped_before);
+        let plan = if t0 > t1 { ReadPlan::new() } else { self.plan(sel, t0, t1, live) };
+        let mut fetch = self.fetcher(live);
+        plan.into_iter().filter_map(move |((host, metric), series)| {
+            match planned_runs(&series, &mut fetch, t0, t1).map(merge_runs) {
+                Ok(run) if run.is_empty() => None,
+                run => Some(run.map(|run| (host, metric, run))),
+            }
+        })
     }
 
     /// Range scan: all series matching `sel`, samples with
@@ -846,25 +894,13 @@ impl Tsdb {
         t0: u64,
         t1: u64,
     ) -> Result<SeriesPoints, TsdbError> {
-        // Retention truncates the raw tier logically: samples below the
-        // watermark are gone even while their segment still spans it
-        // (files are only ever dropped whole; see `enforce_retention`).
-        let t0 = t0.max(self.manifest.raw_dropped_before);
-        if t0 > t1 {
-            return Ok(Vec::new());
-        }
-        let mut fetch = self.fetcher();
-        let mut out: SeriesPoints = Vec::new();
-        for ((host, metric), series) in self.plan(sel, t0, t1) {
-            let samples: Vec<(u64, f64)> = merge_runs(planned_runs(&series, &mut fetch, t0, t1)?)
-                .into_iter()
-                .map(|(ts, bits)| (ts, f64::from_bits(bits)))
-                .collect();
-            if !samples.is_empty() {
-                out.push((SeriesKey::new(host, metric), samples));
-            }
-        }
-        Ok(out)
+        self.walk(sel, t0, t1, true)
+            .map(|series| {
+                let (host, metric, run) = series?;
+                let samples = run.into_iter().map(|(ts, bits)| (ts, f64::from_bits(bits)));
+                Ok((SeriesKey::new(host, metric), samples.collect()))
+            })
+            .collect()
     }
 
     /// Downsample matching series into `bin_secs` bins aligned at
@@ -918,8 +954,8 @@ impl Tsdb {
         let raw_t0 = t0.max(self.manifest.raw_dropped_before);
         let mut raw_hit = false;
         if raw_t0 <= t1 {
-            let mut fetch = self.fetcher();
-            for ((host, metric), series) in self.plan(sel, raw_t0, t1) {
+            let mut fetch = self.fetcher(true);
+            for ((host, metric), series) in self.plan(sel, raw_t0, t1, true) {
                 let bins = accs.entry(SeriesKey::new(host, metric)).or_default();
                 raw_hit |= fold_planned(&series, &mut fetch, raw_t0, t1, bin_secs, agg, bins)?;
             }
@@ -985,26 +1021,25 @@ impl Tsdb {
                 continue; // window entirely outside the query range
             }
             let Some(readers) = self.rollups.get(&bin) else { continue };
-            // Later seqs overwrite earlier per (series, bin_start).
-            let mut level_rows: RollupRows = BTreeMap::new();
+            // The matching series only; later seqs overwrite earlier
+            // per (series, bin_start).
+            let mut level_rows: BTreeMap<SeriesKey, BTreeMap<u64, ChunkStats>> = BTreeMap::new();
             for (_, reader) in readers {
                 for entry in &reader.entries {
                     if entry.max_ts < t0.max(lo) || entry.min_ts > t1 {
                         continue;
                     }
                     let payload = reader.read_block(entry)?;
-                    let (b, rows) = decode_rollup_block(&payload, reader.path())?;
+                    let keep = |host: &str, metric: &str, bins: &[(u64, ChunkStats)]| {
+                        let key = SeriesKey::new(host, metric);
+                        level_rows.entry(key).or_default().extend(bins.iter().copied());
+                    };
+                    let b = decode_rollup_block(&payload, reader.path(), sel, keep)?;
                     if b != bin {
                         return Err(TsdbError::Corrupt(format!(
                             "{}: rollup block bin {b} does not match file level {bin}",
                             reader.path().display()
                         )));
-                    }
-                    for (key, bins_map) in rows {
-                        if !sel.matches(&key) {
-                            continue;
-                        }
-                        level_rows.entry(key).or_default().extend(bins_map);
                     }
                 }
             }
@@ -1061,12 +1096,6 @@ impl Tsdb {
         max
     }
 
-    /// Raw samples below this data timestamp are logically dropped;
-    /// 0 when retention never ran.
-    pub fn raw_watermark(&self) -> u64 {
-        self.manifest.raw_dropped_before
-    }
-
     /// Install (or clear) the crash-injection hook that
     /// [`Tsdb::enforce_retention`] fires at every durability
     /// transition. Test-only instrumentation: production stores never
@@ -1107,43 +1136,44 @@ impl Tsdb {
         Ok(())
     }
 
-    /// Exact per-bin statistics for all raw samples in `[from, to)` —
-    /// precisely what [`Tsdb::downsample`]'s accumulators would compute,
-    /// which is what makes rollup-served answers exact (see
-    /// [`crate::stats`] for the sequential-sum argument).
-    fn compute_rollup_rows(
+    /// One rollup block per entry of `behind` — `(bin_secs,
+    /// rolled_through)` of a level whose mark is short of `target` — off
+    /// one walk of the raw samples in `[earliest mark, target)`: each
+    /// series' merged run is binned into every level from that level's
+    /// own mark. The bins are precisely what [`Tsdb::downsample`]'s
+    /// accumulators would compute, which is what makes rollup-served
+    /// answers exact (see [`crate::stats`] for the sequential-sum
+    /// argument). `None` for a level with no sample in its window.
+    fn roll_blocks(
         &self,
-        bin_secs: u64,
-        from: u64,
-        to: u64,
-    ) -> Result<RollupRows, TsdbError> {
-        let mut rows: RollupRows = BTreeMap::new();
-        if from >= to {
-            return Ok(rows);
-        }
-        for (key, samples) in self.query(&Selector::all(), from, to - 1)? {
-            let mut bins: BTreeMap<u64, BinAcc> = BTreeMap::new();
-            for (ts, v) in samples {
-                bins.entry(ts / bin_secs * bin_secs).or_default().add(v);
-            }
-            let stats: BTreeMap<u64, ChunkStats> = bins
-                .into_iter()
-                .map(|(bs, acc)| {
-                    let s = ChunkStats {
-                        count: acc.count,
-                        sum: acc.sum,
-                        min: acc.min,
-                        max: acc.max,
-                        last: acc.last,
-                    };
-                    (bs, s)
-                })
-                .collect();
-            if !stats.is_empty() {
-                rows.insert(key, stats);
+        behind: &[(u64, u64)],
+        target: u64,
+    ) -> Result<Vec<Option<RollupBlock>>, TsdbError> {
+        let Some(from) = behind.iter().map(|&(_, from)| from).min() else {
+            return Ok(Vec::new());
+        };
+        let mut builders: Vec<RollupBlockBuilder<'_>> =
+            behind.iter().map(|&(bin, _)| RollupBlockBuilder::new(bin)).collect();
+        let mut bins: Vec<(u64, BinAcc)> = Vec::new();
+        for series in self.walk(&Selector::all(), from, target - 1, false) {
+            let (host, metric, run) = series?;
+            for (&(bin, from), builder) in behind.iter().zip(&mut builders) {
+                bins.clear();
+                for &(ts, bits) in &run[run.partition_point(|&(ts, _)| ts < from)..] {
+                    let start = ts / bin * bin;
+                    match bins.last_mut() {
+                        Some((open, acc)) if *open == start => acc.add(f64::from_bits(bits)),
+                        _ => {
+                            let mut acc = BinAcc::new();
+                            acc.add(f64::from_bits(bits));
+                            bins.push((start, acc));
+                        }
+                    }
+                }
+                builder.push_series(host, metric, &bins);
             }
         }
-        Ok(rows)
+        Ok(builders.into_iter().map(RollupBlockBuilder::finish).collect())
     }
 
     /// Apply the store's [`RetentionPolicy`] as of data time `now`.
@@ -1151,12 +1181,12 @@ impl Tsdb {
     ///
     /// Three phases, each durable before the next begins:
     ///
-    /// 1. **Roll**: for each level, fold raw samples in
-    ///    `[rolled_through, target)` into exact per-bin statistics,
-    ///    seal them as a rollup segment (tmp → fsync → rename), then
-    ///    advance the level's `rolled_through` in the manifest. The
-    ///    roll target is aligned to the coarsest configured bin, so no
-    ///    rollup bin ever straddles a watermark.
+    /// 1. **Roll**: one walk of the raw tier folds each level's
+    ///    `[rolled_through, target)` into exact per-bin statistics;
+    ///    then, level by level, seal them as a rollup segment (tmp →
+    ///    fsync → rename) and advance the level's `rolled_through` in
+    ///    the manifest. The roll target is aligned to the coarsest
+    ///    configured bin, so no rollup bin ever straddles a watermark.
     /// 2. **Drop raw**: advance the raw watermark to the minimum
     ///    `rolled_through` (manifest first), then delete raw segments
     ///    wholly below it — never partial files; spanning segments are
@@ -1182,16 +1212,18 @@ impl Tsdb {
         let coarse = policy.coarsest_bin();
         let target = now.saturating_sub(raw_ttl) / coarse * coarse;
 
-        // Phase 1: roll [rolled_through, target) into every level.
-        for level in &policy.levels {
-            let bin = level.bin_secs;
-            let from = self.manifest.level(bin).rolled_through;
-            if from >= target {
-                continue;
-            }
+        // Phase 1: roll [rolled_through, target) into every level that
+        // is behind — one walk, then each level's seal and commit.
+        let behind: Vec<(u64, u64)> = policy
+            .levels
+            .iter()
+            .map(|l| (l.bin_secs, self.manifest.level(l.bin_secs).rolled_through))
+            .filter(|&(_, from)| from < target)
+            .collect();
+        let blocks = self.roll_blocks(&behind, target)?;
+        for (&(bin, _), block) in behind.iter().zip(blocks) {
             self.fault("rollup-seal", bin)?;
-            let rows = self.compute_rollup_rows(bin, from, target)?;
-            if let Some((payload, min_ts, max_ts, n_bins)) = encode_rollup_block(bin, &rows) {
+            if let Some((payload, min_ts, max_ts, n_bins)) = block {
                 let seq = self.next_roll_seq.get(&bin).copied().unwrap_or(1);
                 let mut w = SegmentWriter::new(KIND_ROLLUP);
                 w.push_raw_block(payload, min_ts, max_ts, n_bins);
@@ -1655,6 +1687,100 @@ mod tests {
         assert_eq!(snap.gauge("tsdb_segments"), Some(1));
         assert_eq!(snap.gauge("tsdb_memtable_samples"), Some(0));
         assert!(snap.gauge("tsdb_indexed_chunks").unwrap() > 0);
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    /// A small store rolled through 1200 into one level-600 file, with
+    /// raw samples on both sides of that watermark.
+    fn rolled_store(dir: &Path, obs: ObsHandle) -> (Tsdb, DbOptions) {
+        let retention = RetentionPolicy::parse("raw=600,600=forever").unwrap();
+        let opts = DbOptions { retention, ..Default::default() };
+        let mut db = Tsdb::open_with_obs(dir, opts.clone(), obs).unwrap();
+        for (host, base) in [("a", 1.0), ("b", 10.0)] {
+            let samples: Vec<(u64, f64)> =
+                [0, 300, 600, 1100, 1500, 2000].iter().map(|&ts| (ts, base + ts as f64)).collect();
+            db.append_batch(host, "m", &samples).unwrap();
+            db.flush().unwrap();
+        }
+        let report = db.enforce_retention(2000).unwrap();
+        assert_eq!((report.raw_watermark, report.rollup_bins_written), (1200, 4));
+        (db, opts)
+    }
+
+    /// Compaction and the roll pass walk the store as the read path
+    /// does, but are not queries: the query counters do not see them.
+    #[test]
+    fn maintenance_walks_leave_the_query_counters_alone() {
+        use std::sync::Arc;
+        let dir = tmpdir("maintenance");
+        let obs = Arc::new(supremm_obs::ObsRegistry::new());
+        let (mut db, _) = rolled_store(&dir, obs.clone());
+        assert_eq!(db.stats().segments, 2, "both straddle the watermark");
+        db.compact().unwrap();
+        assert_eq!(db.stats().segments, 1);
+        let snap = obs.snapshot();
+        assert_eq!(snap.counter("tsdb_query_index_segments_total").unwrap_or(0), 0);
+        assert_eq!(snap.counter("tsdb_query_blocks_read_total").unwrap_or(0), 0);
+        assert_eq!(db.query(&Selector::all(), 0, u64::MAX).unwrap().len(), 2);
+        let snap = obs.snapshot();
+        assert_eq!(snap.counter("tsdb_query_index_segments_total"), Some(1));
+        assert_eq!(snap.counter("tsdb_query_blocks_read_total"), Some(1));
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    /// A rollup block the visitor refuses folds nothing — not even the
+    /// series it handed over before the damage: the tiered read fails
+    /// whole. Under a valid CRC every truncation is refused and a
+    /// flipped byte is refused exactly when the visitor says so; under
+    /// the file's own CRC every flip is.
+    #[test]
+    fn a_refused_rollup_block_folds_nothing() {
+        let dir = tmpdir("roll-refused");
+        let (db, opts) = rolled_store(&dir, supremm_obs::global());
+        drop(db);
+        let roll = dir.join("roll-600-000001.tsdb");
+        let reader = SegmentReader::open(&roll).unwrap();
+        let entry = reader.entries[0].clone();
+        let payload = reader.read_block(&entry).unwrap();
+        let reseal = |payload: &[u8]| {
+            let mut w = SegmentWriter::new(KIND_ROLLUP);
+            w.push_raw_block(payload.to_vec(), entry.min_ts, entry.max_ts, entry.n_chunks);
+            w.seal(&roll).unwrap();
+        };
+        // The second series of the block: the visitor has passed over
+        // the first by the time it reaches most of the damage.
+        let tiered = || {
+            let db = Tsdb::open_with(&dir, opts.clone()).unwrap();
+            db.downsample_tiered(&Selector::host("b"), 0, u64::MAX, 600, Agg::Sum)
+        };
+        let good = tiered().unwrap();
+        assert_eq!(good.1, vec!["raw", "rollup:600"]);
+        assert_eq!(good.0[0].1, vec![(0, 320.0), (600, 1720.0), (1200, 1510.0), (1800, 2010.0)]);
+
+        for cut in 0..payload.len() {
+            reseal(&payload[..cut]);
+            assert!(matches!(tiered(), Err(TsdbError::Corrupt(_))), "cut {cut}");
+        }
+        for i in 0..payload.len() {
+            let mut bad = payload.clone();
+            bad[i] ^= 0xFF;
+            let refused = decode_rollup_block(&bad, &roll, &Selector::all(), |_, _, _| {})
+                .map_or(true, |bin| bin != 600);
+            reseal(&bad);
+            assert_eq!(tiered().is_err(), refused, "flip {i} under a valid crc");
+        }
+        reseal(&payload);
+        let file = fs::read(&roll).unwrap();
+        let at = entry.offset as usize + 8;
+        for i in at..at + payload.len() {
+            let mut bad = file.clone();
+            bad[i] ^= 0xFF;
+            fs::write(&roll, &bad).unwrap();
+            assert!(matches!(tiered(), Err(TsdbError::Corrupt(_))), "flip {i} under the file's crc");
+        }
+        fs::write(&roll, &file).unwrap();
+        let again = tiered().unwrap();
+        assert_bit_identical(&again.0, &good.0);
         let _ = fs::remove_dir_all(&dir);
     }
 

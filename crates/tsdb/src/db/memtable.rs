@@ -1,7 +1,6 @@
 //! The one in-memory series shape: per series a strictly-ascending run
 //! of `(timestamp, f64 bits)`, found from borrowed names without
-//! allocating and walked in [`super::SeriesKey`] order. The live
-//! memtable is one; so is what `compact` gathers before resealing it.
+//! allocating and walked in [`super::SeriesKey`] order.
 
 use std::collections::BTreeMap;
 use std::ops::Bound;

@@ -41,10 +41,10 @@ use std::path::Path;
 
 use crate::codec::{get_stats, get_str_table, get_varint, put_stats, put_varint, StrTable};
 use crate::crc::crc32;
-use crate::db::SeriesKey;
+use crate::db::Selector;
 use crate::durable;
 use crate::segment::TsdbError;
-use crate::stats::ChunkStats;
+use crate::stats::{BinAcc, ChunkStats};
 
 /// On-disk name of the retention manifest inside a store directory.
 pub const MANIFEST_FILE: &str = "retention.manifest";
@@ -78,16 +78,6 @@ pub struct RetentionPolicy {
 }
 
 impl RetentionPolicy {
-    /// A policy that never rolls or drops anything (today's behavior).
-    pub fn keep_forever() -> RetentionPolicy {
-        RetentionPolicy::default()
-    }
-
-    /// True when [`Tsdb::enforce_retention`] would be a no-op.
-    pub fn is_noop(&self) -> bool {
-        self.raw_ttl.is_none()
-    }
-
     /// Structural validation; called at [`Tsdb::open`] time so a bad
     /// policy fails loudly instead of corrupting tier selection.
     ///
@@ -343,9 +333,6 @@ pub struct RetentionReport {
 /// could land. Production stores never set it.
 pub type FaultHook = Box<dyn FnMut(&str) -> bool + Send + Sync>;
 
-/// Decoded rollup rows: per series, `bin_start → stats`.
-pub(crate) type RollupRows = BTreeMap<SeriesKey, BTreeMap<u64, ChunkStats>>;
-
 /// Rollup segment file name for one level + sequence number.
 pub(crate) fn roll_file_name(bin_secs: u64, seq: u64) -> String {
     // suplint: allow(R7) -- filename built once per rollup segment seal
@@ -360,7 +347,12 @@ pub(crate) fn roll_id(path: &Path) -> Option<(u64, u64)> {
     Some((bin.parse().ok()?, seq.parse().ok()?))
 }
 
-/// Encode one rollup block. Layout (all varints unless noted):
+/// One finished rollup block: the payload, the inclusive time range
+/// `(min_ts, max_ts)` its bins cover, and the bin count.
+pub(crate) type RollupBlock = (Vec<u8>, u64, u64, u32);
+
+/// Builds one rollup block a series at a time, in series-key order.
+/// Layout (all varints unless noted):
 ///
 /// ```text
 /// bin_secs
@@ -370,59 +362,69 @@ pub(crate) fn roll_id(path: &Path) -> Option<(u64, u64)> {
 ///   host_id · metric_id · n_bins · per bin:
 ///     bin_start · count · u64 sum/min/max/last bits (LE, fixed)
 /// ```
-///
-/// Returns the payload plus the covered inclusive time range
-/// `(min_ts, max_ts)` and bin count; `None` when `rows` holds no bins.
-pub(crate) fn encode_rollup_block(
+#[derive(Default)]
+pub(crate) struct RollupBlockBuilder<'a> {
     bin_secs: u64,
-    rows: &RollupRows,
-) -> Option<(Vec<u8>, u64, u64, u32)> {
-    let mut hosts = StrTable::default();
-    let mut metrics = StrTable::default();
-    let mut min_ts = u64::MAX;
-    let mut max_ts = 0u64;
-    let mut n_bins = 0u64;
-    let mut series: Vec<(u64, u64, &BTreeMap<u64, ChunkStats>)> = Vec::new();
-    for (key, bins) in rows {
-        if bins.is_empty() {
-            continue;
-        }
-        let host_id = hosts.intern(&key.host);
-        let metric_id = metrics.intern(&key.metric);
-        for &bin_start in bins.keys() {
-            min_ts = min_ts.min(bin_start);
-            max_ts = max_ts.max(bin_start.saturating_add(bin_secs.saturating_sub(1)));
-        }
-        n_bins += bins.len() as u64;
-        series.push((host_id, metric_id, bins));
-    }
-    if series.is_empty() {
-        return None;
-    }
-    let mut payload = Vec::new();
-    put_varint(&mut payload, bin_secs);
-    hosts.write(&mut payload);
-    metrics.write(&mut payload);
-    put_varint(&mut payload, series.len() as u64);
-    for (host_id, metric_id, bins) in series {
-        put_varint(&mut payload, host_id);
-        put_varint(&mut payload, metric_id);
-        put_varint(&mut payload, bins.len() as u64);
-        for (&bin_start, stats) in bins {
-            put_varint(&mut payload, bin_start);
-            put_stats(&mut payload, stats);
-        }
-    }
-    Some((payload, min_ts, max_ts, u32::try_from(n_bins).unwrap_or(u32::MAX)))
+    hosts: StrTable<'a>,
+    metrics: StrTable<'a>,
+    /// The per-series rows, which follow the tables in the payload.
+    rows: Vec<u8>,
+    n_series: u64,
+    n_bins: u64,
+    min_ts: u64,
+    max_ts: u64,
 }
 
-/// Decode one rollup block back to `(bin_secs, rows)`. Every failure is
-/// a named [`TsdbError::Corrupt`] — the CRC should have caught damage
-/// first, so reaching one of these means a logic or format mismatch.
+impl<'a> RollupBlockBuilder<'a> {
+    pub(crate) fn new(bin_secs: u64) -> RollupBlockBuilder<'a> {
+        RollupBlockBuilder { bin_secs, min_ts: u64::MAX, ..Default::default() }
+    }
+
+    /// Add one series' finished bins, `(bin_start, acc)` ascending; a
+    /// series with none adds nothing.
+    pub(crate) fn push_series(&mut self, host: &'a str, metric: &'a str, bins: &[(u64, BinAcc)]) {
+        let (Some(&(first, _)), Some(&(last, _))) = (bins.first(), bins.last()) else { return };
+        self.min_ts = self.min_ts.min(first);
+        self.max_ts = self.max_ts.max(last.saturating_add(self.bin_secs.saturating_sub(1)));
+        self.n_series += 1;
+        self.n_bins += bins.len() as u64;
+        put_varint(&mut self.rows, self.hosts.intern(host));
+        put_varint(&mut self.rows, self.metrics.intern(metric));
+        put_varint(&mut self.rows, bins.len() as u64);
+        for &(bin_start, BinAcc { count, sum, min, max, last }) in bins {
+            put_varint(&mut self.rows, bin_start);
+            put_stats(&mut self.rows, &ChunkStats { count, sum, min, max, last });
+        }
+    }
+
+    /// `None` when no series had a bin.
+    pub(crate) fn finish(self) -> Option<RollupBlock> {
+        if self.n_series == 0 {
+            return None;
+        }
+        let mut payload = Vec::with_capacity(self.rows.len() + 64);
+        put_varint(&mut payload, self.bin_secs);
+        self.hosts.write(&mut payload);
+        self.metrics.write(&mut payload);
+        put_varint(&mut payload, self.n_series);
+        payload.extend_from_slice(&self.rows);
+        Some((payload, self.min_ts, self.max_ts, u32::try_from(self.n_bins).unwrap_or(u32::MAX)))
+    }
+}
+
+/// Walk one rollup block, handing `visit` each series `sel` accepts as
+/// `(host, metric, bins)`, bins ascending by start; returns the block's
+/// `bin_secs`. A series `sel` refuses is stepped over: nothing of it is
+/// kept. Every failure is a named [`TsdbError::Corrupt`] — the CRC
+/// should have caught damage first, so reaching one of these means a
+/// logic or format mismatch — and the series visited before it must be
+/// discarded with it.
 pub(crate) fn decode_rollup_block(
     payload: &[u8],
     path: &Path,
-) -> Result<(u64, RollupRows), TsdbError> {
+    sel: &Selector,
+    mut visit: impl FnMut(&str, &str, &[(u64, ChunkStats)]),
+) -> Result<u64, TsdbError> {
     let bad = |what: &str| {
         TsdbError::Corrupt(format!("{}: rollup block: {what}", path.display()))
     };
@@ -437,7 +439,7 @@ pub(crate) fn decode_rollup_block(
     if n_series > payload.len() {
         return Err(bad("series count out of range"));
     }
-    let mut rows: RollupRows = BTreeMap::new();
+    let mut bins: Vec<(u64, ChunkStats)> = Vec::new();
     for _ in 0..n_series {
         let host_id = get_varint(payload, &mut pos).ok_or_else(|| bad("host id"))? as usize;
         let metric_id =
@@ -448,7 +450,8 @@ pub(crate) fn decode_rollup_block(
         }
         let host = hosts.get(host_id).ok_or_else(|| bad("host id out of range"))?;
         let metric = metrics.get(metric_id).ok_or_else(|| bad("metric id out of range"))?;
-        let series = rows.entry(SeriesKey::new(host, metric)).or_default();
+        let wanted = sel.accepts(host, metric);
+        bins.clear();
         let mut prev: Option<u64> = None;
         for _ in 0..n {
             let bin_start = get_varint(payload, &mut pos).ok_or_else(|| bad("bin start"))?;
@@ -457,13 +460,18 @@ pub(crate) fn decode_rollup_block(
             }
             prev = Some(bin_start);
             let stats = get_stats(payload, &mut pos).ok_or_else(|| bad("bin stats"))?;
-            series.insert(bin_start, stats);
+            if wanted {
+                bins.push((bin_start, stats));
+            }
+        }
+        if wanted {
+            visit(host, metric, &bins);
         }
     }
     if pos != payload.len() {
         return Err(bad("trailing bytes"));
     }
-    Ok((bin_secs, rows))
+    Ok(bin_secs)
 }
 
 #[cfg(test)]
@@ -506,9 +514,9 @@ mod tests {
         // Garbage durations.
         assert!(RetentionPolicy::parse("raw=soon").is_err());
         assert!(RetentionPolicy::parse("raw").is_err());
-        // The default is valid and a no-op.
+        // The default is valid and keeps raw forever.
         assert!(RetentionPolicy::default().validate().is_ok());
-        assert!(RetentionPolicy::default().is_noop());
+        assert_eq!(RetentionPolicy::default().raw_ttl, None);
     }
 
     #[test]
@@ -561,56 +569,100 @@ mod tests {
         let _ = fs::remove_dir_all(&dir);
     }
 
-    #[test]
-    fn rollup_block_round_trips_bitwise() {
-        let mut rows: RollupRows = BTreeMap::new();
-        let nan = f64::from_bits(0x7FF8_0000_0000_0001);
-        rows.entry(SeriesKey::new("h1", "cpu"))
-            .or_default()
-            .extend([
-                (0u64, ChunkStats { count: 3, sum: 6.5, min: 1.0, max: 4.0, last: 1.5 }),
-                (600, ChunkStats { count: 1, sum: nan, min: f64::INFINITY, max: f64::NEG_INFINITY, last: nan }),
-            ]);
-        rows.entry(SeriesKey::new("h2", "mem"))
-            .or_default()
-            .insert(1200, ChunkStats { count: 2, sum: -0.0, min: -0.0, max: 0.0, last: 0.0 });
-        let (payload, min_ts, max_ts, n) = encode_rollup_block(600, &rows).unwrap();
-        assert_eq!((min_ts, max_ts, n), (0, 1799, 3));
-        // Format pin: same bytes as before the shared codec helpers.
-        assert_eq!((payload.len(), crc32(&payload)), (129, 0xEE93_945B));
-        let (bin, decoded) = decode_rollup_block(&payload, Path::new("x")).unwrap();
-        assert_eq!(bin, 600);
-        assert_eq!(decoded.len(), 2);
-        for (key, bins) in &rows {
-            let got = &decoded[key];
-            assert_eq!(got.len(), bins.len());
-            for (bs, stats) in bins {
-                let g = &got[bs];
-                assert_eq!(g.count, stats.count);
-                assert_eq!(g.sum.to_bits(), stats.sum.to_bits());
-                assert_eq!(g.min.to_bits(), stats.min.to_bits());
-                assert_eq!(g.max.to_bits(), stats.max.to_bits());
-                assert_eq!(g.last.to_bits(), stats.last.to_bits());
-            }
-        }
-        // Empty rows encode to nothing.
-        assert!(encode_rollup_block(600, &BTreeMap::new()).is_none());
+    /// One decoded series: names and bins, stats as bit patterns.
+    type Row = (String, String, Vec<(u64, [u64; 5])>);
+
+    fn bits(count: u64, [sum, min, max, last]: [f64; 4]) -> [u64; 5] {
+        [count, sum.to_bits(), min.to_bits(), max.to_bits(), last.to_bits()]
+    }
+
+    /// Everything the visitor hands over for `sel`, with the bin width.
+    fn visit_all(payload: &[u8], sel: &Selector) -> Result<(u64, Vec<Row>), TsdbError> {
+        let mut rows: Vec<Row> = Vec::new();
+        let bin = decode_rollup_block(payload, Path::new("x"), sel, |host, metric, bins| {
+            let bins = bins
+                .iter()
+                .map(|&(bs, s)| (bs, bits(s.count, [s.sum, s.min, s.max, s.last])))
+                .collect();
+            rows.push((host.to_owned(), metric.to_owned(), bins));
+        })?;
+        Ok((bin, rows))
     }
 
     #[test]
-    fn rollup_block_decode_never_panics_on_corruption() {
-        let mut rows: RollupRows = BTreeMap::new();
-        rows.entry(SeriesKey::new("h", "m"))
-            .or_default()
-            .insert(0, ChunkStats { count: 1, sum: 1.0, min: 1.0, max: 1.0, last: 1.0 });
-        let (payload, ..) = encode_rollup_block(60, &rows).unwrap();
-        for cut in 0..payload.len() {
-            let _ = decode_rollup_block(&payload[..cut], Path::new("x"));
+    fn rollup_block_round_trips_bitwise() {
+        let nan = f64::from_bits(0x7FF8_0000_0000_0001);
+        let (inf, ninf) = (f64::INFINITY, f64::NEG_INFINITY);
+        let series = [
+            (
+                "h1",
+                "cpu",
+                vec![
+                    (0, BinAcc { count: 3, sum: 6.5, min: 1.0, max: 4.0, last: 1.5 }),
+                    (600, BinAcc { count: 1, sum: nan, min: inf, max: ninf, last: nan }),
+                ],
+            ),
+            // A series with no bin leaves no trace, not even its names.
+            ("h1", "idle", vec![]),
+            ("h2", "mem", vec![(1200, BinAcc { count: 2, sum: -0.0, min: -0.0, max: 0.0, last: 0.0 })]),
+        ];
+        let mut builder = RollupBlockBuilder::new(600);
+        for (host, metric, bins) in &series {
+            builder.push_series(host, metric, bins);
         }
-        for i in 0..payload.len() {
-            let mut bad = payload.clone();
-            bad[i] ^= 0xFF;
-            let _ = decode_rollup_block(&bad, Path::new("x"));
+        let (payload, min_ts, max_ts, n) = builder.finish().unwrap();
+        assert_eq!((min_ts, max_ts, n), (0, 1799, 3));
+        // Format pin: same bytes as before the shared codec helpers.
+        assert_eq!((payload.len(), crc32(&payload)), (129, 0xEE93_945B));
+
+        let want: Vec<Row> = series
+            .iter()
+            .filter(|(_, _, bins)| !bins.is_empty())
+            .map(|(host, metric, bins)| {
+                let bins = bins
+                    .iter()
+                    .map(|&(bs, a)| (bs, bits(a.count, [a.sum, a.min, a.max, a.last])))
+                    .collect();
+                (host.to_string(), metric.to_string(), bins)
+            })
+            .collect();
+        assert_eq!(visit_all(&payload, &Selector::all()).unwrap(), (600, want.clone()));
+        // The selector is asked per series: a refused one is never
+        // handed over, and the walk still ends on the last byte.
+        for (sel, keep) in [
+            (Selector::host("h2"), vec![1]),
+            (Selector::metric("cpu"), vec![0]),
+            (Selector { host: Some("h1".into()), metric: Some("mem".into()) }, vec![]),
+            (Selector::host("h0"), vec![]),
+        ] {
+            let kept: Vec<Row> = keep.iter().map(|&i: &usize| want[i].clone()).collect();
+            assert_eq!(visit_all(&payload, &sel).unwrap(), (600, kept), "{sel:?}");
+        }
+        // No rows encode to nothing.
+        assert!(RollupBlockBuilder::new(600).finish().is_none());
+    }
+
+    /// Truncated anywhere, the block is refused whatever the selector
+    /// let through before the cut; a flipped byte never panics, and one
+    /// the decoder accepts still ends on the payload's last byte.
+    #[test]
+    fn rollup_block_decode_never_panics_on_corruption() {
+        let one = BinAcc { count: 1, sum: 1.0, min: 1.0, max: 1.0, last: 1.0 };
+        let mut builder = RollupBlockBuilder::new(60);
+        builder.push_series("h", "m", &[(0, one)]);
+        builder.push_series("h", "n", &[(0, one), (60, one)]);
+        let (payload, ..) = builder.finish().unwrap();
+        for sel in [Selector::all(), Selector::metric("n"), Selector::host("nope")] {
+            for cut in 0..payload.len() {
+                assert!(visit_all(&payload[..cut], &sel).is_err(), "cut {cut} {sel:?}");
+            }
+            for i in 0..payload.len() {
+                let mut bad = payload.clone();
+                bad[i] ^= 0xFF;
+                if let Ok((bin, rows)) = visit_all(&bad, &sel) {
+                    assert!(bin > 0 && rows.len() <= 2, "flip {i} {sel:?}");
+                }
+            }
         }
     }
 

@@ -184,6 +184,22 @@ pub struct SegmentWriter {
     blocks: Vec<(Vec<u8>, u64, u64, u32)>, // payload, min_ts, max_ts, n_chunks
     /// Per-series chunk refs for the series index, keyed `(host, metric)`.
     series: BTreeMap<(String, String), Vec<ChunkRef>>,
+    /// The series block chunks are arriving into.
+    open: OpenBlock,
+}
+
+/// A series block still taking chunks. Its string tables precede the
+/// chunks in the payload and are complete only when it closes, so the
+/// encoded chunks wait here.
+#[derive(Default)]
+struct OpenBlock {
+    /// The encoded chunks, back to back.
+    chunks: Vec<u8>,
+    /// `(host, metric, ref)` per chunk on its way to the series index;
+    /// `ref.offset` is into `chunks` until the block closes.
+    refs: Vec<(String, String, ChunkRef)>,
+    min_ts: Option<u64>,
+    max_ts: u64,
 }
 
 /// One chunk handed to [`SegmentWriter::push_series_block`]:
@@ -192,58 +208,73 @@ pub(crate) type ChunkSamples<'a> = (&'a str, &'a str, &'a [(u64, u64)]);
 
 impl SegmentWriter {
     pub fn new(kind: u8) -> SegmentWriter {
-        SegmentWriter { kind, blocks: Vec::new(), series: BTreeMap::new() }
+        SegmentWriter { kind, blocks: Vec::new(), series: BTreeMap::new(), open: OpenBlock::default() }
     }
 
     /// Add a series block: chunks grouped under shared string tables.
     /// `chunks` items are `(host, metric, samples)`; samples are
     /// borrowed — no copy is made on the way into the encoder.
     pub fn push_series_block(&mut self, chunks: &[ChunkSamples<'_>]) {
-        if chunks.is_empty() {
+        for (host, metric, samples) in chunks {
+            self.push_chunk(host, metric, samples);
+        }
+        self.close_block();
+    }
+
+    /// Encode one chunk into the open series block; returns how many
+    /// chunks the block now holds. The caller decides when it is full
+    /// ([`SegmentWriter::close_block`]).
+    pub(crate) fn push_chunk(&mut self, host: &str, metric: &str, samples: &[(u64, u64)]) -> usize {
+        let open = &mut self.open;
+        let mut chunk_min = u64::MAX;
+        let mut chunk_max = 0u64;
+        for &(ts, _) in samples {
+            chunk_min = chunk_min.min(ts);
+            chunk_max = chunk_max.max(ts);
+        }
+        if chunk_min != u64::MAX {
+            open.min_ts = Some(open.min_ts.map_or(chunk_min, |m| m.min(chunk_min)));
+        }
+        open.max_ts = open.max_ts.max(chunk_max);
+        let chunk = codec::encode_chunk(samples);
+        let r = ChunkRef {
+            block_ix: self.blocks.len() as u32,
+            offset: open.chunks.len() as u32,
+            len: chunk.len() as u32,
+            min_ts: if chunk_min == u64::MAX { 0 } else { chunk_min },
+            max_ts: chunk_max,
+            stats: ChunkStats::from_samples(samples),
+        };
+        open.chunks.extend_from_slice(&chunk);
+        open.refs.push((host.to_owned(), metric.to_owned(), r));
+        open.refs.len()
+    }
+
+    /// End the open series block, if it holds any chunk: lay out its
+    /// payload and hand its refs to the series index.
+    pub(crate) fn close_block(&mut self) {
+        let OpenBlock { chunks, mut refs, min_ts, max_ts } = std::mem::take(&mut self.open);
+        if refs.is_empty() {
             return;
         }
         let mut hosts = StrTable::default();
         let mut metrics = StrTable::default();
         let ids: Vec<(u64, u64)> =
-            chunks.iter().map(|(h, m, _)| (hosts.intern(h), metrics.intern(m))).collect();
-
-        let block_ix = self.blocks.len() as u32;
-        let mut payload = Vec::new();
+            refs.iter().map(|(h, m, _)| (hosts.intern(h), metrics.intern(m))).collect();
+        let mut payload = Vec::with_capacity(chunks.len() + 64);
         hosts.write(&mut payload);
         metrics.write(&mut payload);
-        put_varint(&mut payload, chunks.len() as u64);
-        let mut min_ts = u64::MAX;
-        let mut max_ts = 0u64;
-        for ((host, metric, samples), (host_id, metric_id)) in chunks.iter().zip(ids) {
-            let mut chunk_min = u64::MAX;
-            let mut chunk_max = 0u64;
-            for &(ts, _) in *samples {
-                chunk_min = chunk_min.min(ts);
-                chunk_max = chunk_max.max(ts);
-            }
-            min_ts = min_ts.min(chunk_min);
-            max_ts = max_ts.max(chunk_max);
+        put_varint(&mut payload, refs.len() as u64);
+        for ((_, _, r), (host_id, metric_id)) in refs.iter_mut().zip(ids) {
             put_varint(&mut payload, host_id);
             put_varint(&mut payload, metric_id);
-            let chunk = codec::encode_chunk(samples);
-            put_bytes(&mut payload, &chunk);
-            let offset = (payload.len() - chunk.len()) as u32;
-            self.series
-                .entry((host.to_string(), metric.to_string()))
-                .or_default()
-                .push(ChunkRef {
-                    block_ix,
-                    offset,
-                    len: chunk.len() as u32,
-                    min_ts: if chunk_min == u64::MAX { 0 } else { chunk_min },
-                    max_ts: chunk_max,
-                    stats: ChunkStats::from_samples(samples),
-                });
+            put_bytes(&mut payload, &chunks[r.offset as usize..][..r.len as usize]);
+            r.offset = payload.len() as u32 - r.len;
         }
-        if min_ts == u64::MAX {
-            min_ts = 0;
+        self.blocks.push((payload, min_ts.unwrap_or(0), max_ts, refs.len() as u32));
+        for (host, metric, r) in refs {
+            self.series.entry((host, metric)).or_default().push(r);
         }
-        self.blocks.push((payload, min_ts, max_ts, chunks.len() as u32));
     }
 
     /// Add an opaque block (kind-1 segments); time range is caller-set.
@@ -252,12 +283,13 @@ impl SegmentWriter {
     }
 
     pub fn is_empty(&self) -> bool {
-        self.blocks.is_empty()
+        self.blocks.is_empty() && self.open.refs.is_empty()
     }
 
     /// Seal to `path` atomically (see [`durable::replace_file`]);
     /// returns the file's size in bytes.
-    pub fn seal(self, path: &Path) -> Result<u64, TsdbError> {
+    pub fn seal(mut self, path: &Path) -> Result<u64, TsdbError> {
+        self.close_block();
         let mut buf = Vec::new();
         buf.extend_from_slice(MAGIC);
         buf.extend_from_slice(&VERSION.to_le_bytes());
@@ -552,7 +584,10 @@ impl SegmentReader {
         Ok(samples)
     }
 
-    /// Decode a kind-0 block payload into named series chunks.
+    /// Decode a kind-0 block payload into named series chunks: every
+    /// chunk, whoever it belongs to. The engine reads chunks through the
+    /// series index ([`SegmentReader::decode_chunk_in_block`]); this is
+    /// what the naive oracles check it against.
     pub fn decode_series_block(&self, payload: &[u8]) -> Result<Vec<SeriesChunk>, TsdbError> {
         let bad = |what: &str| corrupt(format!("{}: series block: {what}", self.path.display()));
         let mut pos = 0usize;
@@ -580,7 +615,7 @@ impl SegmentReader {
                 return Err(bad("chunk length mismatch"));
             }
             pos = end;
-            // suplint: allow(R7) -- one owned name per chunk; compaction and the naive oracles only
+            // suplint: allow(R7) -- one owned name per chunk; the naive oracles only
             let host = hosts.get(host_id).ok_or_else(|| bad("host id out of range"))?.clone();
             let metric =
                 // suplint: allow(R7) -- as above

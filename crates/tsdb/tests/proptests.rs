@@ -401,6 +401,109 @@ fn engine_with_flushes_and_compaction_equals_last_wins_map() {
     });
 }
 
+/// A store for the compaction walk: appends with colliding timestamps
+/// spread over at least three flushed segments, a raw watermark those
+/// segments straddle (they are sealed after the pass that set it, so
+/// hold samples on both sides), and a synced memtable tail that no
+/// segment holds, overlapping all of them in time.
+fn straddled_store(rng: &mut SplitMix64, dir: &std::path::Path) -> (Tsdb, DbOptions) {
+    let (raw_ttl, b1, m2) = (rng.range(1..300), rng.range(1..6), rng.range(2..5));
+    let retention = RetentionPolicy {
+        raw_ttl: Some(raw_ttl),
+        levels: vec![
+            RollupLevel { bin_secs: b1, ttl: Some(1_000_000) },
+            RollupLevel { bin_secs: b1 * m2, ttl: None },
+        ],
+    };
+    let opts = DbOptions { retention, ..small_opts() };
+    let mut db = Tsdb::open_with(dir, opts.clone()).unwrap();
+    let mut write = |db: &mut Tsdb, n: std::ops::Range<usize>| {
+        for (host, metric, ts, bits) in
+            rng.vec(n, |r| (r.range(0..3), r.range(0..2), r.range(0..500), r.next_u64()))
+        {
+            db.append(&format!("h{host}"), &format!("m{metric}"), ts, f64::from_bits(bits))
+                .unwrap();
+        }
+    };
+    write(&mut db, 20..60);
+    db.enforce_retention(db.max_timestamp().unwrap_or(0)).unwrap();
+    for _ in 0..3 {
+        write(&mut db, 20..60);
+        db.flush().unwrap();
+    }
+    write(&mut db, 5..40);
+    db.sync().unwrap();
+    (db, opts)
+}
+
+/// Every answer the walk's three consumers must agree on, as bits.
+fn walk_answers(db: &Tsdb) -> Vec<BitsView> {
+    let mut out = Vec::new();
+    for (host, metric) in [(4, 3), (1, 3), (4, 0), (2, 1), (3, 2)] {
+        let sel = selector_from(host, metric);
+        for (t0, t1) in [(0, u64::MAX), (100, 350), (250, 250)] {
+            let fast = bits_view(db.query(&sel, t0, t1).unwrap());
+            assert_eq!(fast, bits_view(db.query_naive(&sel, t0, t1).unwrap()), "{sel:?} [{t0}, {t1}]");
+            out.push(fast);
+            for (bin, agg) in [(7, Agg::Sum), (60, Agg::Last)] {
+                let fast = bits_view(db.downsample(&sel, t0, t1, bin, agg).unwrap());
+                let naive = bits_view(db.downsample_naive(&sel, t0, t1, bin, agg).unwrap());
+                // Below the watermark `downsample` also serves rollups,
+                // which the raw oracle does not see.
+                if t0 >= db.stats().raw_watermark {
+                    assert_eq!(fast, naive, "{sel:?} [{t0}, {t1}] bin {bin} {agg:?}");
+                }
+                out.push(fast);
+            }
+        }
+    }
+    out
+}
+
+/// The compaction walk against the oracles: answers are the oracles'
+/// before and after and do not move, the memtable tail stays where it
+/// was (memtable + WAL, in no segment), and a reopen without a flush
+/// recovers it over the compacted segment.
+#[test]
+fn compaction_walks_the_segments_and_leaves_the_memtable_tail_alone() {
+    cases("compaction_walks_the_segments_and_leaves_the_memtable_tail_alone", 128, |rng| {
+        let dir = tmpdir("walk");
+        let (mut db, opts) = straddled_store(rng, &dir);
+        let (before, stats) = (walk_answers(&db), db.stats());
+        assert!(stats.segments >= 3 && stats.mem_samples > 0, "{stats:?}");
+
+        db.compact().unwrap();
+        let after = db.stats();
+        assert!(after.segments <= 1, "{after:?}");
+        assert_eq!(
+            (after.mem_samples, after.mem_series, after.wal_bytes),
+            (stats.mem_samples, stats.mem_series, stats.wal_bytes)
+        );
+        assert_eq!(walk_answers(&db), before, "across compact");
+
+        drop(db); // no flush: the tail is the WAL's alone
+        let db = Tsdb::open_with(&dir, opts).unwrap();
+        assert_eq!(db.stats().mem_samples, stats.mem_samples);
+        assert_eq!(walk_answers(&db), before, "across reopen");
+        let _ = std::fs::remove_dir_all(&dir);
+    });
+}
+
+/// Format pin: for one fixed store the compacted segment equals, byte
+/// for byte, what `compact` wrote when it gathered the whole store into
+/// a memtable and resealed that (length + CRC32 of the file).
+#[test]
+fn compacted_bytes_are_pinned() {
+    let dir = tmpdir("walk-pin");
+    let (mut db, _) = straddled_store(&mut SplitMix64::new(0x5EED_0021), &dir);
+    let (watermark, tail) = (db.stats().raw_watermark, db.stats().mem_samples);
+    assert_eq!((watermark, tail), (388, 29), "the pin covers a clamped walk beside a live tail");
+    db.compact().unwrap();
+    let bytes = std::fs::read(dir.join("seg-000005.tsdb")).unwrap();
+    assert_eq!((bytes.len(), supremm_tsdb::crc::crc32(&bytes)), (741, 0x5FF9_90E3));
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 /// Retention differential #1: whatever raw survives the pass must
 /// answer queries bit-identically to the pre-retention store on the
 /// surviving window — through the fast path, the naive path, and a

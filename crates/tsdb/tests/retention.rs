@@ -13,6 +13,7 @@ use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 
+use supremm_tsdb::crc::crc32;
 use supremm_tsdb::{
     Agg, DbOptions, RetentionPolicy, RollupLevel, Selector, SeriesKey, Tsdb, TsdbError,
 };
@@ -85,6 +86,27 @@ fn assert_bit_identical(
 }
 
 const AGGS: [Agg; 6] = [Agg::Mean, Agg::Sum, Agg::Min, Agg::Max, Agg::Last, Agg::Count];
+
+/// `(len, crc32)` of one file of the store: what a format pin compares.
+fn file_pin(dir: &std::path::Path, name: &str) -> (usize, u32) {
+    let bytes = fs::read(dir.join(name)).unwrap_or_else(|e| panic!("{name}: {e}"));
+    (bytes.len(), crc32(&bytes))
+}
+
+/// Format pin: the rollup segments of a fixed small store equal, byte
+/// for byte, what the pass wrote when it queried the roll window once
+/// per level and encoded a map of maps (length + CRC32 of each file).
+#[test]
+fn rollup_segment_bytes_are_pinned() {
+    let dir = tmpdir("pin");
+    let mut db = Tsdb::open_with(&dir, opts(policy())).unwrap();
+    fill(&mut db, 0, 4_000);
+    let report = db.enforce_retention(4_000).unwrap();
+    assert_eq!((report.raw_watermark, report.rollup_bins_written), (3000, 144));
+    assert_eq!(file_pin(&dir, "roll-100-000001.tsdb"), (4295, 0xF4B4_1476));
+    assert_eq!(file_pin(&dir, "roll-500-000001.tsdb"), (940, 0xF986_6D44));
+    let _ = fs::remove_dir_all(&dir);
+}
 
 #[test]
 fn retention_rolls_drops_and_serves_exact_tiers() {
@@ -291,6 +313,113 @@ fn rollup_tiers_expire_on_their_own_ttls() {
         assert_eq!(bins.iter().map(|&(_, c)| c).sum::<f64>(), 300.0);
     }
     let _ = fs::remove_dir_all(&dir);
+}
+
+/// `compact` is where samples below the raw watermark leave the disk,
+/// and that holds for a store that has come to rest on one segment: a
+/// lone segment straddling the watermark is rewritten, one wholly above
+/// it is left alone (same file, same bytes).
+#[test]
+fn a_lone_segment_is_compacted_only_when_it_straddles_the_watermark() {
+    let dir = tmpdir("lone");
+    let mut db = Tsdb::open_with(&dir, opts(policy())).unwrap();
+    // One flush spanning [0, 4000]: the pass drops no file, so the
+    // segment keeps the 3000 s the watermark cut off.
+    for (host, base) in [("c301-101", 0.25f64), ("c301-102", 7.5)] {
+        let samples: Vec<(u64, f64)> =
+            (0..=4_000).step_by(10).map(|ts| (ts, base + (ts % 337) as f64)).collect();
+        db.append_batch(host, "cpu_user", &samples).unwrap();
+    }
+    db.flush().unwrap();
+    let report = db.enforce_retention(4_000).unwrap();
+    assert_eq!((report.raw_watermark, report.raw_segments_dropped), (3000, 0));
+    assert_eq!(db.stats().segments, 1);
+    let straddling = file_pin(&dir, "seg-000001.tsdb");
+    let answers = |db: &Tsdb| {
+        let raw = db.query(&Selector::all(), 0, u64::MAX).unwrap();
+        assert_bit_identical(&raw, &db.query_naive(&Selector::all(), 0, u64::MAX).unwrap(), "raw");
+        (raw, db.downsample_tiered(&Selector::all(), 0, u64::MAX, 500, Agg::Sum).unwrap())
+    };
+    let before = answers(&db);
+
+    db.compact().unwrap();
+    assert_eq!(db.stats().segments, 1);
+    assert!(!dir.join("seg-000001.tsdb").exists(), "the straddling segment was rewritten");
+    let above = file_pin(&dir, "seg-000002.tsdb");
+    assert!(above.0 < straddling.0 / 2, "{above:?} keeps a quarter of {straddling:?}");
+    let after = answers(&db);
+    assert_bit_identical(&after.0, &before.0, "raw across compact");
+    assert_bit_identical(&after.1 .0, &before.1 .0, "tiers across compact");
+
+    // Wholly above the watermark now: compacting again touches nothing.
+    let generation = db.generation();
+    db.compact().unwrap();
+    assert_eq!(file_pin(&dir, "seg-000002.tsdb"), above);
+    assert!(!dir.join("seg-000003.tsdb").exists());
+    assert_eq!(db.generation(), generation);
+    drop(db);
+    let db = Tsdb::open_with(&dir, opts(policy())).unwrap();
+    assert_bit_identical(&answers(&db).0, &before.0, "raw across reopen");
+    let _ = fs::remove_dir_all(&dir);
+}
+
+/// One walk feeds every level that is behind, each from its own mark.
+/// Kill a pass between its two manifest commits (level 100 rolled
+/// through 3000, level 500 sealed but still at 0), add data, and run
+/// the next pass: level 100 rolls [3000, 7000) and level 500 rolls
+/// [0, 7000) off the same walk. Each file equals what a store whose
+/// level started from that mark alone writes for that window.
+#[test]
+fn a_pass_resumed_from_uneven_marks_rolls_the_same_bytes() {
+    let stop_before_second_commit = || -> Box<dyn FnMut(&str) -> bool + Send + Sync> {
+        Box::new(|site: &str| site == "manifest-rolled:500")
+    };
+    let dir = tmpdir("uneven");
+    let mut db = Tsdb::open_with(&dir, opts(policy())).unwrap();
+    fill(&mut db, 0, 4_000);
+    db.set_retention_fault_hook(Some(stop_before_second_commit()));
+    assert!(db.enforce_retention(4_000).is_err());
+    drop(db);
+    let mut db = Tsdb::open_with(&dir, opts(policy())).unwrap();
+    assert_eq!(db.stats().raw_watermark, 0, "level 500 holds the watermark back");
+    fill(&mut db, 4_010, 8_000);
+    let report = db.enforce_retention(8_000).unwrap();
+    assert_eq!((report.raw_watermark, report.rollup_segments_written), (7000, 2));
+
+    // Never interrupted: level 100's second file covers [3000, 7000).
+    let even_dir = tmpdir("uneven-control");
+    let mut even = Tsdb::open_with(&even_dir, opts(policy())).unwrap();
+    fill(&mut even, 0, 4_000);
+    even.enforce_retention(4_000).unwrap();
+    fill(&mut even, 4_010, 8_000);
+    even.enforce_retention(8_000).unwrap();
+    assert_eq!(
+        file_pin(&dir, "roll-100-000002.tsdb"),
+        file_pin(&even_dir, "roll-100-000002.tsdb")
+    );
+    // Never rolled before: level 500's first file covers [0, 7000).
+    let late_dir = tmpdir("uneven-late");
+    let mut late = Tsdb::open_with(&late_dir, opts(policy())).unwrap();
+    fill(&mut late, 0, 4_000);
+    fill(&mut late, 4_010, 8_000);
+    late.enforce_retention(8_000).unwrap();
+    assert_eq!(
+        file_pin(&dir, "roll-500-000002.tsdb"),
+        file_pin(&late_dir, "roll-500-000001.tsdb")
+    );
+    // And the interrupted pass's sealed-but-uncommitted level-500 file
+    // is invisible behind the later one.
+    for agg in AGGS {
+        for (t0, t1, q) in [(0u64, u64::MAX, 500u64), (0, 4999, 1000), (5000, 6999, 100)] {
+            let got = db.downsample_tiered(&Selector::all(), t0, t1, q, agg).unwrap();
+            let want = even.downsample_tiered(&Selector::all(), t0, t1, q, agg).unwrap();
+            assert_bit_identical(&got.0, &want.0, &format!("agg {agg:?} {t0}..{t1} bin {q}"));
+            assert_eq!(got.1, want.1);
+        }
+    }
+    for d in [dir, even_dir, late_dir] {
+        let _ = fs::remove_dir_all(&d);
+    }
 }
 
 /// The crash-point torture matrix (ISSUE satellite #1).
