@@ -13,9 +13,12 @@
 //! is built in a single pass that consults each segment's series index
 //! once; a segment whose time range misses the window is skipped before
 //! its index is touched. The plan is then walked series-major through
-//! one `BlockFetcher` holding at most one CRC-verified block per
-//! segment. The engine lays chunks out series-major too, so each block
-//! is read once per walk; a foreign layout only costs a re-read.
+//! one `BlockFetcher`, which reads per block the plan touches one
+//! *extent* — the bytes from the first to the last planned chunk of
+//! that block — holds at most one per segment, and verifies each chunk
+//! against its own CRC as it decodes it. The engine lays chunks out
+//! series-major too, so each extent is read once per walk; a foreign
+//! layout only costs a re-read.
 //!
 //! `Tsdb::walk` is that walk as a stream: it decodes each series'
 //! planned chunks into one sorted run per segment, adds the memtable
@@ -28,7 +31,7 @@
 //! consumer of it: [`Tsdb::query`] collects it, [`Tsdb::compact`] feeds
 //! it to the segment writer, and [`Tsdb::enforce_retention`] bins it
 //! into every rollup level at once. Each holds one series' run and the
-//! fetcher's blocks, never the store.
+//! fetcher's extents, never the store.
 //!
 //! [`Tsdb::downsample`] folds instead of decoding where it can: when a
 //! series' planned sources are disjoint in time and a bin fully covers
@@ -231,6 +234,7 @@ struct TsdbMetrics {
     compact_bytes_total: Counter,
     query_index_segments_total: Counter,
     query_blocks_read_total: Counter,
+    query_bytes_verified_total: Counter,
     retention_pass_micros: Histogram,
     rollup_segments_written_total: Counter,
     rollup_bins_written_total: Counter,
@@ -257,6 +261,7 @@ impl TsdbMetrics {
             compact_bytes_total: obs.counter("tsdb_compact_bytes_total"),
             query_index_segments_total: obs.counter("tsdb_query_index_segments_total"),
             query_blocks_read_total: obs.counter("tsdb_query_blocks_read_total"),
+            query_bytes_verified_total: obs.counter("tsdb_query_bytes_verified_total"),
             retention_pass_micros: obs.histogram("tsdb_retention_pass_micros"),
             rollup_segments_written_total: obs.counter("tsdb_retention_rollup_segments_total"),
             rollup_bins_written_total: obs.counter("tsdb_retention_rollup_bins_total"),
@@ -341,41 +346,50 @@ type ReadPlan<'a> = BTreeMap<(&'a str, &'a str), SeriesPlan<'a>>;
 /// the samples strictly ascending and merged last-write-wins.
 type WalkedSeries<'a> = (&'a str, &'a str, Vec<(u64, u64)>);
 
-/// Reads blocks for one walk, holding at most one CRC-verified block
-/// per segment. A plan walked series-major over engine-written
-/// segments asks for each block in one consecutive stretch, so each is
+/// Reads chunks for one walk of one plan. Per `(segment, block)` the
+/// plan touches it reads one *extent* — the payload bytes from the
+/// first to the last planned chunk of that block — at the first decode
+/// that needs it, and holds at most one extent per segment, never more
+/// than a block. Every chunk is verified against its own CRC as it is
+/// decoded. A plan walked series-major over engine-written segments
+/// asks for each block in one consecutive stretch, so each extent is
 /// read once; any other order only costs a re-read.
 struct BlockFetcher<'a> {
     segments: &'a [(u64, SegmentReader)],
-    /// Per slot of `segments`: the block held, as `(block_ix, payload)`.
-    held: Vec<Option<(u32, Vec<u8>)>>,
-    /// `tsdb_query_blocks_read_total`, when the walk is a query's.
-    blocks_read: Option<&'a Counter>,
+    /// Per slot of `segments`, per block of it: the payload span
+    /// `(from, to)` that covers the block's planned chunks. Empty for a
+    /// slot the plan leaves alone.
+    planned: Vec<Vec<(u32, u32)>>,
+    /// Per slot of `segments`: the extent held, as `(block_ix, payload
+    /// offset it starts at, bytes)`.
+    held: Vec<Option<(u32, u32, Vec<u8>)>>,
+    /// `tsdb_query_blocks_read_total` and
+    /// `tsdb_query_bytes_verified_total`, when the walk is a query's.
+    counters: Option<(&'a Counter, &'a Counter)>,
 }
 
 impl BlockFetcher<'_> {
-    /// Decode the chunk `r` addresses in segment `slot` (a slot of the
-    /// plan this fetcher was made beside, so always in range).
+    /// Decode the chunk `r` addresses in segment `slot` — a chunk of
+    /// the plan this fetcher was made from.
     fn decode(&mut self, slot: usize, r: &ChunkRef) -> Result<Vec<(u64, u64)>, TsdbError> {
         let (reader, held) = (&self.segments[slot].1, &mut self.held[slot]);
-        let payload = match held {
-            Some((ix, payload)) if *ix == r.block_ix => payload,
+        let (from, bytes) = match held {
+            Some((ix, from, bytes)) if *ix == r.block_ix => (*from, &*bytes),
             _ => {
-                let block = reader.entries.get(r.block_ix as usize).ok_or_else(|| {
-                    TsdbError::Corrupt(format!(
-                        "{}: series index block {} out of range",
-                        reader.path().display(),
-                        r.block_ix
-                    ))
-                })?;
-                let payload = reader.read_block(block)?;
-                if let Some(c) = self.blocks_read {
-                    c.inc();
+                let (from, to) =
+                    self.planned[slot].get(r.block_ix as usize).copied().unwrap_or_default();
+                let mut bytes = held.take().map_or_else(Vec::new, |(_, _, bytes)| bytes);
+                reader.read_extent(r.block_ix, from..to, &mut bytes)?;
+                if let Some((blocks_read, _)) = self.counters {
+                    blocks_read.inc();
                 }
-                &held.insert((r.block_ix, payload)).1
+                (from, &held.insert((r.block_ix, from, bytes)).2)
             }
         };
-        reader.decode_chunk_in_block(payload, r)
+        if let Some((_, bytes_verified)) = self.counters {
+            bytes_verified.add(u64::from(r.len));
+        }
+        reader.decode_chunk_in_extent(bytes, from, r)
     }
 }
 
@@ -603,8 +617,7 @@ fn write_segment<'a, R: AsRef<[(u64, u64)]>>(
     }
     // suplint: allow(R7) -- filename built once per segment seal
     let path = dir.join(format!("seg-{seq:06}.tsdb"));
-    writer.seal(&path)?;
-    SegmentReader::open(&path).map(Some)
+    writer.seal_reader(&path).map(Some)
 }
 
 impl Tsdb {
@@ -850,11 +863,27 @@ impl Tsdb {
         plan
     }
 
-    fn fetcher(&self, live: bool) -> BlockFetcher<'_> {
+    /// The fetcher for one walk of `plan`; see [`Tsdb::plan`] for
+    /// `live`.
+    fn fetcher(&self, plan: &ReadPlan<'_>, live: bool) -> BlockFetcher<'_> {
+        let mut planned: Vec<Vec<(u32, u32)>> = vec![Vec::new(); self.segments.len()];
+        for (slot, refs) in plan.values().flat_map(|series| &series.segs) {
+            let spans = &mut planned[*slot];
+            spans.resize(self.segments[*slot].1.entries.len(), (u32::MAX, 0));
+            for r in refs {
+                // `r` came out of this reader's index, which holds no
+                // block out of range and no chunk past its block's end.
+                let span = &mut spans[r.block_ix as usize];
+                *span = (span.0.min(r.offset), span.1.max(r.offset + r.len));
+            }
+        }
+        let met = &self.met;
         BlockFetcher {
             segments: &self.segments,
+            planned,
             held: vec![None; self.segments.len()],
-            blocks_read: live.then_some(&self.met.query_blocks_read_total),
+            counters: live
+                .then_some((&met.query_blocks_read_total, &met.query_bytes_verified_total)),
         }
     }
 
@@ -862,7 +891,7 @@ impl Tsdb {
     /// with its samples in `[t0, t1]` merged last-write-wins across its
     /// sources, in `SeriesKey` order; a series the window leaves empty
     /// is skipped. It holds one series' runs and the fetcher's one
-    /// block per segment. See [`Tsdb::plan`] for `live`.
+    /// extent per segment. See [`Tsdb::plan`] for `live`.
     ///
     /// Retention truncates the raw tier logically: samples below the
     /// watermark are gone even while their segment still spans it
@@ -877,7 +906,7 @@ impl Tsdb {
     ) -> impl Iterator<Item = Result<WalkedSeries<'a>, TsdbError>> + 'a {
         let t0 = t0.max(self.manifest.raw_dropped_before);
         let plan = if t0 > t1 { ReadPlan::new() } else { self.plan(sel, t0, t1, live) };
-        let mut fetch = self.fetcher(live);
+        let mut fetch = self.fetcher(&plan, live);
         plan.into_iter().filter_map(move |((host, metric), series)| {
             match planned_runs(&series, &mut fetch, t0, t1).map(merge_runs) {
                 Ok(run) if run.is_empty() => None,
@@ -954,8 +983,9 @@ impl Tsdb {
         let raw_t0 = t0.max(self.manifest.raw_dropped_before);
         let mut raw_hit = false;
         if raw_t0 <= t1 {
-            let mut fetch = self.fetcher(true);
-            for ((host, metric), series) in self.plan(sel, raw_t0, t1, true) {
+            let plan = self.plan(sel, raw_t0, t1, true);
+            let mut fetch = self.fetcher(&plan, true);
+            for ((host, metric), series) in plan {
                 let bins = accs.entry(SeriesKey::new(host, metric)).or_default();
                 raw_hit |= fold_planned(&series, &mut fetch, raw_t0, t1, bin_secs, agg, bins)?;
             }
@@ -1228,8 +1258,7 @@ impl Tsdb {
                 let mut w = SegmentWriter::new(KIND_ROLLUP);
                 w.push_raw_block(payload, min_ts, max_ts, n_bins);
                 let path = self.dir.join(roll_file_name(bin, seq));
-                w.seal(&path)?;
-                let reader = SegmentReader::open(&path)?;
+                let reader = w.seal_reader(&path)?;
                 self.rollups.entry(bin).or_default().push((seq, reader));
                 self.next_roll_seq.insert(bin, seq + 1);
                 report.rollup_segments_written += 1;
@@ -1855,6 +1884,70 @@ mod tests {
         });
         assert_eq!(outside, 0);
         assert_eq!(index_walks(), walks);
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    /// The fetcher's property: a query reads and verifies the chunks it
+    /// decodes — counted to the byte — and no other byte of their block.
+    #[test]
+    fn a_query_verifies_the_chunks_it_decodes_and_nothing_else() {
+        use std::sync::Arc;
+        let dir = tmpdir("verified");
+        let obs = Arc::new(supremm_obs::ObsRegistry::new());
+        // One chunk per series, four hosts' 16 series per block.
+        let mut db = Tsdb::open_with_obs(&dir, DbOptions::default(), obs.clone()).unwrap();
+        for h in 0..8 {
+            for m in 0..16 {
+                let samples: Vec<(u64, f64)> =
+                    (0..144).map(|i| (86_400 + i * 600, (h * 16 + m) as f64 + i as f64)).collect();
+                db.append_batch(&format!("h{h:02}"), &format!("m{m:02}"), &samples).unwrap();
+            }
+        }
+        db.flush().unwrap();
+        let (_, reader) = &db.segments[0];
+        assert_eq!(reader.entries.len(), 2);
+        let chunk_lens = |host: &str| -> Vec<u64> {
+            let index = reader.series_index().unwrap().iter();
+            index.filter(|e| e.host == host).map(|e| u64::from(e.chunks[0].len)).collect()
+        };
+        let counter = |name: &str| obs.snapshot().counter(name).unwrap_or(0);
+        let counted = |f: &dyn Fn()| {
+            let before = (
+                counter("tsdb_query_blocks_read_total"),
+                counter("tsdb_query_bytes_verified_total"),
+            );
+            f();
+            (
+                counter("tsdb_query_blocks_read_total") - before.0,
+                counter("tsdb_query_bytes_verified_total") - before.1,
+            )
+        };
+
+        let h05 = chunk_lens("h05");
+        assert_eq!(h05.len(), 16);
+        let block_len = u64::from(reader.entries[1].len);
+        assert!(h05.iter().sum::<u64>() * 3 < block_len, "a panel is a fraction of its block");
+        let point = counted(&|| {
+            let sel = Selector { host: Some("h05".into()), metric: Some("m07".into()) };
+            assert_eq!(db.query(&sel, 90_000, 90_000).unwrap()[0].1.len(), 1);
+        });
+        assert_eq!(point, (1, h05[7]));
+        let panel = counted(&|| {
+            let out = db.downsample(&Selector::host("h05"), 0, u64::MAX, 1800, Agg::Mean).unwrap();
+            assert_eq!(out.len(), 16);
+        });
+        assert_eq!(panel, (1, h05.iter().sum()));
+        // A whole-chunk fold reads nothing, so verifies nothing.
+        let folded = counted(&|| {
+            db.downsample(&Selector::host("h05"), 0, u64::MAX, 172_800, Agg::Max).unwrap();
+        });
+        assert_eq!(folded, (0, 0));
+        // Everything: one extent per block, every chunk once.
+        let all = counted(&|| {
+            assert_eq!(db.query(&Selector::all(), 0, u64::MAX).unwrap().len(), 128);
+        });
+        let every_chunk: u64 = (0..8).flat_map(|h| chunk_lens(&format!("h{h:02}"))).sum();
+        assert_eq!(all, (2, every_chunk));
         let _ = fs::remove_dir_all(&dir);
     }
 }

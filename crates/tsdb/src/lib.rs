@@ -28,7 +28,8 @@
 //!   the framed append log with valid-prefix recovery that the WAL, the
 //!   relay spool, segment seal and the retention manifest are built on;
 //! - [`segment`] — immutable segment files: versioned header, per-block
-//!   CRC32, sparse time index + per-series chunk index in the footer;
+//!   CRC32, sparse time index + per-series chunk index (a CRC32 per
+//!   chunk) in the footer's index frame;
 //! - [`stats`] — chunk-level pre-aggregates ([`stats::ChunkStats`]) and
 //!   the bin accumulator both downsampling paths share;
 //! - [`wal`] — the write-ahead log: one length+CRC frame per apply

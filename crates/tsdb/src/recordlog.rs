@@ -117,8 +117,11 @@ mod tests {
             (2, vec![0xDE, 0xAD]),
         ];
         write_records(&path, &records).unwrap();
-        // Format pin: same file as before the shared codec helpers.
-        let file = fs::read(&path).unwrap();
+        // Format pin. A records file has no chunk index, so it is the
+        // version-2 file but for the header's version field.
+        let mut file = fs::read(&path).unwrap();
+        assert_eq!((file.len(), crate::crc::crc32(&file)), (59, 0x4199_08F6));
+        file[8..10].copy_from_slice(&2u16.to_le_bytes());
         assert_eq!((file.len(), crate::crc::crc32(&file)), (59, 0x8BA7_FB65));
         let back = read_records(&path).unwrap();
         assert_eq!(back, vec![vec![], vec![0u8, 255, 128, 7], vec![0xDE, 0xAD]]);

@@ -11,8 +11,9 @@
 //! │ block 0: u32 len · u32 crc32 · payload       │
 //! │ block 1: …                                   │
 //! ├──────────────────────────────────────────────┤
-//! │ index block: one entry per data block,       │ (same framing)
-//! │ then the per-series chunk index              │
+//! │ index block: one entry per data block,       │ (framed by the
+//! │ then the per-series chunk index, which       │  footer, not by
+//! │ carries one crc32 per chunk                  │  a block frame)
 //! ├──────────────────────────────────────────────┤
 //! │ footer: u64 index_offset · u32 index_len ·   │ 20 bytes
 //! │         u32 index_crc · magic "BDST"         │
@@ -24,11 +25,28 @@
 //! intersect it. A **per-series chunk index** follows in the same
 //! CRC-protected index frame: for every `(host, metric)` in the
 //! segment, the exact location of each of its compressed chunks
-//! (`block · offset · len`), the chunk's time range, and its
-//! pre-computed statistics ([`crate::stats::ChunkStats`]). A selective
-//! query then reads only the blocks that hold the series it wants and
-//! decodes only that series' chunks; a downsampling query can fold
-//! whole chunks from the stats without decompressing them at all.
+//! (`block · offset · len`), the CRC-32 of the chunk's encoded bytes,
+//! the chunk's time range, and its pre-computed statistics
+//! ([`crate::stats::ChunkStats`]). A selective query then reads only
+//! the bytes of the chunks it wants — an *extent* of a block, see
+//! [`SegmentReader::read_extent`] — and verifies each against its own
+//! checksum as it decodes it; a downsampling query can fold whole
+//! chunks from the stats without reading them at all.
+//!
+//! Three checksums, each over bytes no other covers alone:
+//!
+//! - `index_crc` (footer) covers the index frame: block entries, string
+//!   tables, and every chunk ref with its `crc`. It is checked at open,
+//!   so everything a reader holds in memory has been verified.
+//! - a chunk's `crc` (in the index) covers that chunk's encoded bytes
+//!   inside its block payload, and is checked whenever the chunk is
+//!   decoded out of an extent. This is the read path's unit of
+//!   verification.
+//! - a block frame's `crc32` covers the whole payload — string tables,
+//!   ids and length prefixes as well as the chunks — and is checked by
+//!   [`SegmentReader::read_block`], the unit for whole-block consumers
+//!   (the naive oracles, [`crate::recordlog`], rollup blocks, which
+//!   have no chunk index).
 //!
 //! One format version is written and read: [`VERSION`]. Any other
 //! version in the header is refused at open with
@@ -46,18 +64,28 @@
 //!                    varint chunk_len · chunk bytes)*
 //! ```
 //!
-//! Series-index tail (inside the index frame, after the block
-//! entries):
+//! Index frame: the block entries, then the series-index tail.
 //!
 //! ```text
+//! varint n_blocks ·
+//!   (varint offset · varint len · varint min_ts · varint max_ts ·
+//!    varint n_chunks)*
 //! varint n_hosts · (varint len · bytes)*        segment-wide tables
 //! varint n_metrics · (varint len · bytes)*
 //! varint n_series ·
 //!   (varint host_id · varint metric_id · varint n_chunks ·
-//!     (varint block_ix · varint offset · varint len ·
-//!      varint min_ts · varint max_ts · varint count ·
+//!     (varint block_ix · varint offset · varint len · u32 crc ·
+//!      varint d_min · varint d_max · varint count ·
 //!      u64 sum_bits · u64 min_bits · u64 max_bits · u64 last_bits)*)*
 //! ```
+//!
+//! `crc` is the little-endian CRC-32 of the `len` chunk bytes at
+//! `offset` in block `block_ix`'s payload. A chunk's time range is
+//! stored as two deltas: `d_min = min_ts − block.min_ts` (the block
+//! entry's, never larger than any of its chunks') and `d_max = max_ts −
+//! min_ts`. On a store of day segments at a 2020s epoch that is 1 + 3
+//! varint bytes where the absolute pair took 5 + 5, which more than
+//! pays for the four CRC bytes.
 //!
 //! Series entries are strictly ascending by `(host, metric)` — readers
 //! binary-search them — and a file where they are not is refused at
@@ -66,12 +94,14 @@
 use std::collections::BTreeMap;
 use std::fmt;
 use std::fs::File;
-use std::io::{self, Read, Seek, SeekFrom};
+use std::io;
+use std::ops::Range;
+use std::os::unix::fs::FileExt;
 use std::path::{Path, PathBuf};
 
 use crate::codec::{
-    self, decode_chunk_at, get_stats, get_str_table, get_varint, put_bytes, put_stats,
-    put_varint, StrTable,
+    self, decode_chunk, decode_chunk_at, get_stats, get_str_table, get_varint, put_bytes,
+    put_stats, put_varint, StrTable,
 };
 use crate::crc::crc32;
 use crate::durable;
@@ -79,7 +109,7 @@ use crate::stats::ChunkStats;
 
 pub const MAGIC: &[u8; 8] = b"SUPTSDB1";
 pub const FOOTER_MAGIC: &[u8; 4] = b"BDST";
-pub const VERSION: u16 = 2;
+pub const VERSION: u16 = 3;
 /// Segment holds compressed time series (host/metric chunks).
 pub const KIND_SERIES: u8 = 0;
 /// Segment holds opaque length-framed records (job table, etc.).
@@ -109,13 +139,12 @@ impl fmt::Display for TsdbError {
         match self {
             TsdbError::Io(e) => write!(f, "tsdb io error: {e}"),
             TsdbError::Corrupt(what) => write!(f, "tsdb corruption: {what}"),
-            TsdbError::BadVersion(v) if *v < VERSION => write!(
+            TsdbError::BadVersion(v) => write!(
                 f,
-                "tsdb segment version {v} is no longer readable (this build reads version \
-                 {VERSION} only): open the store with a release that reads it and run \
-                 `compact` there to reseal it at version {VERSION}"
+                "tsdb segment version {v} is not readable: this build reads version {VERSION} \
+                 only. The file is left untouched; rebuild the store from the raw archive, or \
+                 read it with the release that wrote it"
             ),
-            TsdbError::BadVersion(v) => write!(f, "tsdb segment version {v} is newer than {VERSION}"),
             TsdbError::Policy(what) => write!(f, "tsdb retention policy: {what}"),
         }
     }
@@ -154,13 +183,15 @@ pub struct SeriesChunk {
 }
 
 /// Series index: the exact location of one compressed chunk plus its
-/// time range and pre-aggregates. `offset`/`len` are relative to the
-/// owning block's payload and frame the chunk's encoded bytes.
+/// checksum, time range and pre-aggregates. `offset`/`len` are relative
+/// to the owning block's payload and frame the chunk's encoded bytes;
+/// `crc` is the CRC-32 of those bytes.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ChunkRef {
     pub block_ix: u32,
     pub offset: u32,
     pub len: u32,
+    pub crc: u32,
     pub min_ts: u64,
     pub max_ts: u64,
     pub stats: ChunkStats,
@@ -232,16 +263,18 @@ impl SegmentWriter {
             chunk_min = chunk_min.min(ts);
             chunk_max = chunk_max.max(ts);
         }
-        if chunk_min != u64::MAX {
-            open.min_ts = Some(open.min_ts.map_or(chunk_min, |m| m.min(chunk_min)));
-        }
+        // An empty chunk covers `[0, 0]`, and its block with it: the
+        // index stores a chunk's `min_ts` as a delta over its block's.
+        let chunk_min = chunk_min.min(chunk_max);
+        open.min_ts = Some(open.min_ts.map_or(chunk_min, |m| m.min(chunk_min)));
         open.max_ts = open.max_ts.max(chunk_max);
         let chunk = codec::encode_chunk(samples);
         let r = ChunkRef {
             block_ix: self.blocks.len() as u32,
             offset: open.chunks.len() as u32,
             len: chunk.len() as u32,
-            min_ts: if chunk_min == u64::MAX { 0 } else { chunk_min },
+            crc: crc32(&chunk),
+            min_ts: chunk_min,
             max_ts: chunk_max,
             stats: ChunkStats::from_samples(samples),
         };
@@ -273,7 +306,10 @@ impl SegmentWriter {
         }
         self.blocks.push((payload, min_ts.unwrap_or(0), max_ts, refs.len() as u32));
         for (host, metric, r) in refs {
-            self.series.entry((host, metric)).or_default().push(r);
+            // These lists become the sealed reader's index and live as
+            // long as it does: a series usually has one chunk in a
+            // segment, and a `Vec`'s first push would reserve four.
+            self.series.entry((host, metric)).or_insert_with(|| Vec::with_capacity(1)).push(r);
         }
     }
 
@@ -288,7 +324,14 @@ impl SegmentWriter {
 
     /// Seal to `path` atomically (see [`durable::replace_file`]);
     /// returns the file's size in bytes.
-    pub fn seal(mut self, path: &Path) -> Result<u64, TsdbError> {
+    pub fn seal(self, path: &Path) -> Result<u64, TsdbError> {
+        self.seal_reader(path).map(|r| r.file_len)
+    }
+
+    /// [`SegmentWriter::seal`], handing back the reader of the sealed
+    /// file — built from the index this writer holds, which is what
+    /// [`SegmentReader::open`] would parse back out of the file.
+    pub(crate) fn seal_reader(mut self, path: &Path) -> Result<SegmentReader, TsdbError> {
         self.close_block();
         let mut buf = Vec::new();
         buf.extend_from_slice(MAGIC);
@@ -299,16 +342,26 @@ impl SegmentWriter {
         // Block frames go into the file, one sparse-index entry each
         // into the index frame.
         let mut index = Vec::new();
+        let mut entries = Vec::with_capacity(self.blocks.len());
         put_varint(&mut index, self.blocks.len() as u64);
         for (payload, min_ts, max_ts, n_chunks) in &self.blocks {
-            put_varint(&mut index, buf.len() as u64);
-            put_varint(&mut index, payload.len() as u64);
-            put_varint(&mut index, *min_ts);
-            put_varint(&mut index, *max_ts);
-            put_varint(&mut index, u64::from(*n_chunks));
-            buf.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+            let (min_ts, max_ts, n_chunks) = (*min_ts, *max_ts, *n_chunks);
+            let entry = IndexEntry {
+                offset: buf.len() as u64,
+                len: payload.len() as u32,
+                min_ts,
+                max_ts,
+                n_chunks,
+            };
+            put_varint(&mut index, entry.offset);
+            put_varint(&mut index, u64::from(entry.len));
+            put_varint(&mut index, min_ts);
+            put_varint(&mut index, max_ts);
+            put_varint(&mut index, u64::from(n_chunks));
+            buf.extend_from_slice(&entry.len.to_le_bytes());
             buf.extend_from_slice(&crc32(payload).to_le_bytes());
             buf.extend_from_slice(payload);
+            entries.push(entry);
         }
         // Segment-wide string tables, then per-series chunk refs.
         let mut hosts = StrTable::default();
@@ -318,18 +371,24 @@ impl SegmentWriter {
         hosts.write(&mut index);
         metrics.write(&mut index);
         put_varint(&mut index, self.series.len() as u64);
-        for (refs, (host_id, metric_id)) in self.series.values().zip(ids) {
+        let mut series = Vec::with_capacity(self.series.len());
+        for (((host, metric), chunks), (host_id, metric_id)) in self.series.into_iter().zip(ids) {
             put_varint(&mut index, host_id);
             put_varint(&mut index, metric_id);
-            put_varint(&mut index, refs.len() as u64);
-            for r in refs {
-                put_varint(&mut index, r.block_ix as u64);
-                put_varint(&mut index, r.offset as u64);
-                put_varint(&mut index, r.len as u64);
-                put_varint(&mut index, r.min_ts);
-                put_varint(&mut index, r.max_ts);
+            put_varint(&mut index, chunks.len() as u64);
+            for r in &chunks {
+                // `push_chunk` folded this chunk's range into its
+                // block's, so neither delta can go below zero.
+                let block_min = entries[r.block_ix as usize].min_ts;
+                put_varint(&mut index, u64::from(r.block_ix));
+                put_varint(&mut index, u64::from(r.offset));
+                put_varint(&mut index, u64::from(r.len));
+                index.extend_from_slice(&r.crc.to_le_bytes());
+                put_varint(&mut index, r.min_ts - block_min);
+                put_varint(&mut index, r.max_ts - r.min_ts);
                 put_stats(&mut index, &r.stats);
             }
+            series.push(SeriesEntry { host, metric, chunks });
         }
         let index_offset = buf.len() as u64;
         buf.extend_from_slice(&index);
@@ -339,31 +398,52 @@ impl SegmentWriter {
         buf.extend_from_slice(FOOTER_MAGIC);
 
         durable::replace_file(path, &buf)?;
-        Ok(buf.len() as u64)
+        Ok(SegmentReader {
+            file: File::open(path)?,
+            path: path.to_path_buf(),
+            kind: self.kind,
+            time_range: time_range_of(&entries),
+            entries,
+            series,
+            file_len: buf.len() as u64,
+        })
     }
 }
 
 // --- reading --------------------------------------------------------------
 
 /// Read-side handle: validates header + footer + index on open, then
-/// serves CRC-checked blocks on demand.
+/// serves CRC-checked blocks and chunks on demand.
+///
+/// It keeps the file it opened and reads it positionally, so any number
+/// of threads may read through one `&SegmentReader` at once: there is
+/// no shared cursor to race on.
 pub struct SegmentReader {
     path: PathBuf,
+    file: File,
     pub kind: u8,
     pub entries: Vec<IndexEntry>,
     series: Vec<SeriesEntry>,
     file_len: u64,
+    time_range: Option<(u64, u64)>,
+}
+
+/// Overall `[min_ts, max_ts]` across `entries`; `None` if empty.
+fn time_range_of(entries: &[IndexEntry]) -> Option<(u64, u64)> {
+    let min = entries.iter().map(|e| e.min_ts).min()?;
+    let max = entries.iter().map(|e| e.max_ts).max()?;
+    Some((min, max))
 }
 
 impl SegmentReader {
     pub fn open(path: &Path) -> Result<SegmentReader, TsdbError> {
-        let mut f = File::open(path)?;
-        let file_len = f.metadata()?.len();
+        let file = File::open(path)?;
+        let file_len = file.metadata()?.len();
         if file_len < (HEADER_LEN + FOOTER_LEN) as u64 {
             return Err(corrupt(format!("{}: too short ({file_len} bytes)", path.display())));
         }
         let mut header = [0u8; HEADER_LEN];
-        f.read_exact(&mut header)?;
+        file.read_exact_at(&mut header, 0)?;
         if &header[..8] != MAGIC {
             return Err(corrupt(format!("{}: bad magic", path.display())));
         }
@@ -374,8 +454,7 @@ impl SegmentReader {
         let kind = header[10];
 
         let mut footer = [0u8; FOOTER_LEN];
-        f.seek(SeekFrom::End(-(FOOTER_LEN as i64)))?;
-        f.read_exact(&mut footer)?;
+        file.read_exact_at(&mut footer, file_len - FOOTER_LEN as u64)?;
         if &footer[16..] != FOOTER_MAGIC {
             return Err(corrupt(format!("{}: bad footer magic", path.display())));
         }
@@ -390,8 +469,7 @@ impl SegmentReader {
             return Err(corrupt(format!("{}: index frame out of bounds", path.display())));
         }
         let mut index = vec![0u8; index_len as usize];
-        f.seek(SeekFrom::Start(index_offset))?;
-        f.read_exact(&mut index)?;
+        file.read_exact_at(&mut index, index_offset)?;
         if crc32(&index) != index_crc {
             return Err(corrupt(format!("{}: index crc mismatch", path.display())));
         }
@@ -404,15 +482,13 @@ impl SegmentReader {
         }
         let mut entries = Vec::with_capacity(n);
         for i in 0..n {
-            let mut field = |name: &str| {
-                get_varint(&index, &mut pos)
-                    .ok_or_else(|| corrupt(format!("{}: index[{i}].{name}", path.display())))
-            };
+            let bad = |name: &str| corrupt(format!("{}: index[{i}].{name}", path.display()));
+            let mut field = |name: &str| get_varint(&index, &mut pos).ok_or_else(|| bad(name));
             let offset = field("offset")?;
-            let len = field("len")? as u32;
+            let len = u32::try_from(field("len")?).map_err(|_| bad("len"))?;
             let min_ts = field("min_ts")?;
             let max_ts = field("max_ts")?;
-            let n_chunks = field("n_chunks")? as u32;
+            let n_chunks = u32::try_from(field("n_chunks")?).map_err(|_| bad("n_chunks"))?;
             // Block frame = 8-byte len+crc header, then `len` payload bytes.
             let end = offset.checked_add(8 + u64::from(len));
             if offset < HEADER_LEN as u64 || end.is_none_or(|e| e > index_offset) {
@@ -427,7 +503,9 @@ impl SegmentReader {
         }
         Ok(SegmentReader {
             path: path.to_path_buf(),
+            file,
             kind,
+            time_range: time_range_of(&entries),
             entries,
             series,
             file_len,
@@ -469,30 +547,36 @@ impl SegmentReader {
             }
             let mut chunks = Vec::with_capacity(n_refs);
             for c in 0..n_refs {
-                let mut field = |name: &str| {
+                let corrupt_ref = |what: &str| bad(format!("series[{s}].chunk[{c}] {what}"));
+                // A varint field that must fit the `u32` it is kept in.
+                let field32 = |pos: &mut usize, name: &str| {
                     get_varint(index, pos)
-                        .ok_or_else(|| bad(format!("series[{s}].chunk[{c}].{name}")))
+                        .and_then(|v| u32::try_from(v).ok())
+                        .ok_or_else(|| corrupt_ref(name))
                 };
-                let block_ix = field("block_ix")? as u32;
-                let offset = field("offset")? as u32;
-                let len = field("len")? as u32;
-                let min_ts = field("min_ts")?;
-                let max_ts = field("max_ts")?;
-                let stats = get_stats(index, pos)
-                    .ok_or_else(|| bad(format!("series[{s}].chunk[{c}].stats")))?;
-                let entry = entries.get(block_ix as usize).ok_or_else(|| {
-                    bad(format!("series[{s}].chunk[{c}] block {block_ix} out of range"))
-                })?;
-                let end = (offset as u64).checked_add(len as u64);
-                if end.is_none_or(|e| e > entry.len as u64) {
-                    return Err(bad(format!(
-                        "series[{s}].chunk[{c}] bytes {offset}+{len} exceed block {block_ix}"
-                    )));
+                let block_ix = field32(pos, "block_ix")?;
+                let offset = field32(pos, "offset")?;
+                let len = field32(pos, "len")?;
+                let crc = pos
+                    .checked_add(4)
+                    .and_then(|end| <[u8; 4]>::try_from(index.get(*pos..end)?).ok())
+                    .map(u32::from_le_bytes)
+                    .ok_or_else(|| corrupt_ref("crc"))?;
+                *pos += 4;
+                let d_min = get_varint(index, pos).ok_or_else(|| corrupt_ref("d_min"))?;
+                let d_max = get_varint(index, pos).ok_or_else(|| corrupt_ref("d_max"))?;
+                let stats = get_stats(index, pos).ok_or_else(|| corrupt_ref("stats"))?;
+                let entry = entries
+                    .get(block_ix as usize)
+                    .ok_or_else(|| corrupt_ref("block out of range"))?;
+                if offset.checked_add(len).is_none_or(|end| end > entry.len) {
+                    return Err(corrupt_ref("bytes exceed its block"));
                 }
-                if min_ts > max_ts {
-                    return Err(bad(format!("series[{s}].chunk[{c}] inverted time range")));
-                }
-                chunks.push(ChunkRef { block_ix, offset, len, min_ts, max_ts, stats });
+                let min_ts =
+                    entry.min_ts.checked_add(d_min).ok_or_else(|| corrupt_ref("min_ts overflow"))?;
+                let max_ts =
+                    min_ts.checked_add(d_max).ok_or_else(|| corrupt_ref("max_ts overflow"))?;
+                chunks.push(ChunkRef { block_ix, offset, len, crc, min_ts, max_ts, stats });
             }
             // Readers binary-search this index by host: an unsorted or
             // duplicated entry would silently hide series.
@@ -519,18 +603,15 @@ impl SegmentReader {
     }
 
     /// Overall `[min_ts, max_ts]` across all blocks; `None` if empty.
+    /// Computed once, when the reader is made.
     pub fn time_range(&self) -> Option<(u64, u64)> {
-        let min = self.entries.iter().map(|e| e.min_ts).min()?;
-        let max = self.entries.iter().map(|e| e.max_ts).max()?;
-        Some((min, max))
+        self.time_range
     }
 
     /// Fetch + CRC-check one block's payload.
     pub fn read_block(&self, entry: &IndexEntry) -> Result<Vec<u8>, TsdbError> {
-        let mut f = File::open(&self.path)?;
-        f.seek(SeekFrom::Start(entry.offset))?;
         let mut frame = [0u8; 8];
-        f.read_exact(&mut frame)?;
+        self.file.read_exact_at(&mut frame, entry.offset)?;
         let [l0, l1, l2, l3, c0, c1, c2, c3] = frame;
         let len = u32::from_le_bytes([l0, l1, l2, l3]);
         let crc = u32::from_le_bytes([c0, c1, c2, c3]);
@@ -543,7 +624,7 @@ impl SegmentReader {
             )));
         }
         let mut payload = vec![0u8; len as usize];
-        f.read_exact(&mut payload)?;
+        self.file.read_exact_at(&mut payload, entry.offset.saturating_add(8))?;
         if crc32(&payload) != crc {
             return Err(corrupt(format!(
                 "{}: block at {} crc mismatch",
@@ -554,34 +635,83 @@ impl SegmentReader {
         Ok(payload)
     }
 
+    /// Read an *extent* — bytes `span` of block `block_ix`'s payload —
+    /// into `buf`, replacing what it held. Nothing is verified here:
+    /// the block frame's CRC covers bytes this does not read. Each
+    /// chunk inside is checked against its own CRC as
+    /// [`SegmentReader::decode_chunk_in_extent`] decodes it.
+    pub(crate) fn read_extent(
+        &self,
+        block_ix: u32,
+        span: Range<u32>,
+        buf: &mut Vec<u8>,
+    ) -> Result<(), TsdbError> {
+        let entry = self
+            .entries
+            .get(block_ix as usize)
+            .filter(|e| span.start <= span.end && span.end <= e.len)
+            .ok_or_else(|| {
+                corrupt(format!(
+                    "{}: extent {span:?} outside block {block_ix}",
+                    self.path.display()
+                ))
+            })?;
+        buf.clear();
+        buf.resize((span.end - span.start) as usize, 0);
+        // `open` checked that the frame ends inside the file, so the
+        // sum cannot wrap.
+        self.file.read_exact_at(buf, entry.offset + 8 + u64::from(span.start))?;
+        Ok(())
+    }
+
+    /// The encoded bytes `r` frames, out of `buf` — its block's payload
+    /// from offset `from` on.
+    fn chunk_bytes<'b>(
+        &self,
+        buf: &'b [u8],
+        from: u32,
+        r: &ChunkRef,
+    ) -> Result<&'b [u8], TsdbError> {
+        r.offset
+            .checked_sub(from)
+            .and_then(|at| buf.get(at as usize..)?.get(..r.len as usize))
+            .ok_or_else(|| self.bad_chunk(r, "out of bounds"))
+    }
+
+    fn bad_chunk(&self, r: &ChunkRef, what: &str) -> TsdbError {
+        corrupt(format!(
+            "{}: chunk at block {} offset {}: {what}",
+            self.path.display(),
+            r.block_ix,
+            r.offset
+        ))
+    }
+
     /// Decode one chunk addressed by a [`ChunkRef`] out of its
     /// block's already-read payload, without touching the rest of the
-    /// block.
+    /// block. [`SegmentReader::read_block`] verified the payload.
     pub fn decode_chunk_in_block(
         &self,
         payload: &[u8],
         r: &ChunkRef,
     ) -> Result<Vec<(u64, u64)>, TsdbError> {
-        let bad = |what: &str| {
-            corrupt(format!(
-                "{}: chunk at block {} offset {}: {what}",
-                self.path.display(),
-                r.block_ix,
-                r.offset
-            ))
-        };
-        let end = (r.offset as usize)
-            .checked_add(r.len as usize)
-            .ok_or_else(|| bad("length overflow"))?;
-        if end > payload.len() {
-            return Err(bad("out of block bounds"));
+        decode_chunk(self.chunk_bytes(payload, 0, r)?).ok_or_else(|| self.bad_chunk(r, "decode"))
+    }
+
+    /// Verify one chunk against its CRC and decode it, out of an
+    /// extent that [`SegmentReader::read_extent`] read from payload
+    /// offset `from` on.
+    pub(crate) fn decode_chunk_in_extent(
+        &self,
+        extent: &[u8],
+        from: u32,
+        r: &ChunkRef,
+    ) -> Result<Vec<(u64, u64)>, TsdbError> {
+        let bytes = self.chunk_bytes(extent, from, r)?;
+        if crc32(bytes) != r.crc {
+            return Err(self.bad_chunk(r, "crc mismatch"));
         }
-        let mut pos = r.offset as usize;
-        let samples = decode_chunk_at(&payload[..end], &mut pos).ok_or_else(|| bad("decode"))?;
-        if pos != end {
-            return Err(bad("length mismatch"));
-        }
-        Ok(samples)
+        decode_chunk(bytes).ok_or_else(|| self.bad_chunk(r, "decode"))
     }
 
     /// Decode a kind-0 block payload into named series chunks: every
@@ -794,15 +924,16 @@ mod tests {
         let Err(err) = SegmentReader::open(&path) else { panic!("v1 header must not open") };
         assert!(matches!(err, TsdbError::BadVersion(1)));
         let msg = err.to_string();
-        assert!(msg.contains("version 1") && msg.contains("compact"), "{msg}");
+        assert!(msg.contains("version 1") && msg.contains("left untouched"), "{msg}");
         assert!(matches!(crate::db::Tsdb::open(&dir), Err(TsdbError::BadVersion(1))));
         assert_eq!(fs::read(&path).unwrap(), v1, "refused segment left in place");
         let _ = fs::remove_dir_all(&dir);
     }
 
-    /// Format pin: the sealed bytes of a fixed input equal what the
-    /// writer produced before the durable-file layer existed (length +
-    /// CRC32 of the whole file), so older stores reopen unchanged.
+    /// Format pin: the sealed bytes of a fixed input (length + CRC32 of
+    /// the whole file). Version 3: the version-2 file of this input was
+    /// `(1609, 0x2569_9914)`; three chunk CRCs make it 12 bytes longer,
+    /// and at these small timestamps the two time deltas save nothing.
     #[test]
     fn sealed_bytes_are_pinned() {
         let dir = tmpdir("golden");
@@ -811,7 +942,7 @@ mod tests {
         w.push_series_block(&as_refs(&sample_chunks()));
         w.seal(&path).unwrap();
         let bytes = fs::read(&path).unwrap();
-        assert_eq!((bytes.len(), crc32(&bytes)), (1609, 0x2569_9914));
+        assert_eq!((bytes.len(), crc32(&bytes)), (1621, 0x3EC1_C50C));
         let _ = fs::remove_dir_all(&dir);
     }
 
@@ -878,6 +1009,309 @@ mod tests {
         assert_eq!(idx.len(), 2);
         assert_eq!(idx[0].chunks[0].block_ix, 0);
         assert_eq!(idx[1].chunks[0].block_ix, 1);
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    /// A file older than this build's format is refused by version,
+    /// with a message that sends nobody to `compact`, and nothing is
+    /// unlinked — neither it nor its neighbours in a store.
+    #[test]
+    fn a_version_2_segment_is_refused_and_left_on_disk() {
+        let dir = tmpdir("v2");
+        let path = dir.join("seg-000002.tsdb");
+        for name in ["seg-000001.tsdb", "seg-000002.tsdb"] {
+            let mut w = SegmentWriter::new(KIND_SERIES);
+            w.push_series_block(&as_refs(&sample_chunks()));
+            w.seal(&dir.join(name)).unwrap();
+        }
+        let mut v2 = fs::read(&path).unwrap();
+        v2[8..10].copy_from_slice(&2u16.to_le_bytes());
+        fs::write(&path, &v2).unwrap();
+        let listing = || {
+            let mut names: Vec<_> =
+                fs::read_dir(&dir).unwrap().map(|e| e.unwrap().file_name()).collect();
+            names.sort();
+            names
+        };
+        let before = listing();
+
+        let Err(err) = SegmentReader::open(&path) else { panic!("v2 header must not open") };
+        assert!(matches!(err, TsdbError::BadVersion(2)));
+        let msg = err.to_string();
+        assert!(msg.contains("version 2") && msg.contains("reads version 3 only"), "{msg}");
+        assert!(msg.contains("left untouched") && !msg.contains("compact"), "{msg}");
+        assert_eq!(fs::read(&path).unwrap(), v2);
+        assert!(matches!(crate::db::Tsdb::open(&dir), Err(TsdbError::BadVersion(2))));
+        assert_eq!(fs::read(&path).unwrap(), v2);
+        assert_eq!(listing(), before, "a refusing open unlinks nothing");
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    /// `fields` as the index frame of a one-block, one-series,
+    /// one-chunk segment, every field a `u64` so a test can write what
+    /// no writer would: `[block offset, len, min_ts, max_ts, n_chunks,
+    /// chunk block_ix, offset, len, crc, d_min, d_max]`.
+    fn one_chunk_index(fields: [u64; 11], stats: &ChunkStats) -> Vec<u8> {
+        let [b_offset, b_len, b_min, b_max, b_chunks, block_ix, offset, len, crc, d_min, d_max] =
+            fields;
+        let mut index = vec![1];
+        for v in [b_offset, b_len, b_min, b_max, b_chunks] {
+            put_varint(&mut index, v);
+        }
+        index.extend_from_slice(&[1, 1, b'h', 1, 1, b'm', 1, 0, 0, 1]);
+        for v in [block_ix, offset, len] {
+            put_varint(&mut index, v);
+        }
+        index.extend_from_slice(&(crc as u32).to_le_bytes());
+        put_varint(&mut index, d_min);
+        put_varint(&mut index, d_max);
+        put_stats(&mut index, stats);
+        index
+    }
+
+    /// A varint the writer keeps in a `u32` is refused when it does not
+    /// fit one, not wrapped into range: each such field of a valid
+    /// index, plus 2³², under a valid index CRC.
+    #[test]
+    fn index_fields_beyond_u32_are_refused_not_wrapped() {
+        let dir = tmpdir("wrap");
+        let path = dir.join("seg-000001.tsdb");
+        let mut w = SegmentWriter::new(KIND_SERIES);
+        w.push_series_block(&[("h", "m", &[(1000, 1u64), (1600, 2)][..])]);
+        let sealed = w.seal_reader(&path).unwrap();
+        let (entry, r) = (sealed.entries[0].clone(), sealed.series[0].chunks[0].clone());
+        let good = fs::read(&path).unwrap();
+        let fields = [
+            entry.offset,
+            u64::from(entry.len),
+            entry.min_ts,
+            entry.max_ts,
+            u64::from(entry.n_chunks),
+            u64::from(r.block_ix),
+            u64::from(r.offset),
+            u64::from(r.len),
+            u64::from(r.crc),
+            r.min_ts - entry.min_ts,
+            r.max_ts - r.min_ts,
+        ];
+        let with_index = |index: &[u8]| {
+            let frames_end = entry.offset as usize + 8 + entry.len as usize;
+            let mut bytes = good[..frames_end].to_vec();
+            bytes.extend_from_slice(index);
+            bytes.extend_from_slice(&(frames_end as u64).to_le_bytes());
+            bytes.extend_from_slice(&(index.len() as u32).to_le_bytes());
+            bytes.extend_from_slice(&crc32(index).to_le_bytes());
+            bytes.extend_from_slice(FOOTER_MAGIC);
+            bytes
+        };
+        assert_eq!(with_index(&one_chunk_index(fields, &r.stats)), good, "the grammar, by hand");
+
+        for (at, name) in
+            [(1, "len"), (4, "n_chunks"), (5, "block_ix"), (6, "offset"), (7, "len")]
+        {
+            let mut hostile = fields;
+            hostile[at] += 1 << 32;
+            fs::write(&path, with_index(&one_chunk_index(hostile, &r.stats))).unwrap();
+            let Err(TsdbError::Corrupt(msg)) = SegmentReader::open(&path) else {
+                panic!("field {at} ({name}) + 2^32 must not open")
+            };
+            assert!(msg.contains(name), "field {at}: {msg}");
+        }
+        // The two time deltas are `u64`s: they may not carry past it.
+        for at in [9, 10] {
+            let mut hostile = fields;
+            hostile[at] = u64::MAX;
+            fs::write(&path, with_index(&one_chunk_index(hostile, &r.stats))).unwrap();
+            let Err(TsdbError::Corrupt(msg)) = SegmentReader::open(&path) else {
+                panic!("delta {at} must not wrap")
+            };
+            assert!(msg.contains("overflow"), "{msg}");
+        }
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    /// Everything a reader holds, floats as bits (NaN statistics must
+    /// compare equal to themselves).
+    fn reader_fields(r: &SegmentReader) -> impl PartialEq + std::fmt::Debug {
+        let series: Vec<_> = r
+            .series
+            .iter()
+            .map(|e| {
+                let chunks: Vec<_> = e
+                    .chunks
+                    .iter()
+                    .map(|c| {
+                        let s = &c.stats;
+                        let stats = [s.sum, s.min, s.max, s.last].map(f64::to_bits);
+                        let place = (c.block_ix, c.offset, c.len, c.crc);
+                        (place, c.min_ts, c.max_ts, s.count, stats)
+                    })
+                    .collect();
+                (e.host.clone(), e.metric.clone(), chunks)
+            })
+            .collect();
+        (r.path.clone(), r.kind, r.entries.clone(), series, r.file_len, r.time_range)
+    }
+
+    /// The reader a writer hands back is the one `open` parses out of
+    /// the file it sealed, field for field.
+    #[test]
+    fn the_reader_from_the_writer_is_the_reader_open_builds() {
+        use supremm_metrics::rng::cases;
+        let dir = tmpdir("from-writer");
+        let path = dir.join("seg-000001.tsdb");
+        cases("the_reader_from_the_writer_is_the_reader_open_builds", 64, |rng| {
+            let mut w = SegmentWriter::new(KIND_SERIES);
+            for _ in 0..rng.range(0..5) {
+                let epoch = rng.pick(&[0, 1_700_000_000, u64::MAX - 1_000_000]);
+                let chunks = rng.vec(0..6, |r| {
+                    let samples =
+                        r.vec(0..40, |r| (epoch + r.range(0..1_000_000), r.next_u64()));
+                    (format!("h{}", r.range(0..4)), format!("m{}", r.range(0..3)), samples)
+                });
+                w.push_series_block(&as_refs(&chunks));
+            }
+            let sealed = w.seal_reader(&path).unwrap();
+            let opened = SegmentReader::open(&path).unwrap();
+            assert_eq!(reader_fields(&sealed), reader_fields(&opened));
+            assert_eq!(sealed.file_len(), fs::metadata(&path).unwrap().len());
+            for (block, entry) in opened.entries.iter().enumerate() {
+                let payload = opened.read_block(entry).unwrap();
+                for r in opened.series.iter().flat_map(|e| &e.chunks) {
+                    if r.block_ix as usize == block {
+                        let bytes = &payload[r.offset as usize..][..r.len as usize];
+                        assert_eq!(crc32(bytes), r.crc);
+                    }
+                }
+            }
+        });
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    /// An intact segment file and its chunks.
+    struct Intact {
+        bytes: Vec<u8>,
+        chunks: Vec<IntactChunk>,
+    }
+
+    struct IntactChunk {
+        /// `(series, chunk)` in the index.
+        ix: (usize, usize),
+        /// Where its encoded bytes lie in the file.
+        at: Range<usize>,
+        samples: Vec<(u64, u64)>,
+    }
+
+    fn seal_intact(path: &Path, blocks: &[Vec<OwnedChunk>]) -> Intact {
+        let mut w = SegmentWriter::new(KIND_SERIES);
+        for block in blocks {
+            w.push_series_block(&as_refs(block));
+        }
+        let r = w.seal_reader(path).unwrap();
+        let mut chunks = Vec::new();
+        for (s, entry) in r.series.iter().enumerate() {
+            for (c, cref) in entry.chunks.iter().enumerate() {
+                let block = &r.entries[cref.block_ix as usize];
+                let at = block.offset as usize + 8 + cref.offset as usize;
+                let payload = r.read_block(block).unwrap();
+                let samples = r.decode_chunk_in_block(&payload, cref).unwrap();
+                chunks.push(IntactChunk { ix: (s, c), at: at..at + cref.len as usize, samples });
+            }
+        }
+        Intact { bytes: fs::read(path).unwrap(), chunks }
+    }
+
+    /// Damage byte `i` of `intact` with `mask` and read everything back:
+    /// `open` refuses the file, or every chunk whose bytes hold `i` is
+    /// refused by its extent read and every other chunk decodes to its
+    /// own samples, and — when `i` is in no chunk — the block that holds
+    /// it is refused by `read_block`. No read returns a wrong sample.
+    fn assert_flip_is_caught(path: &Path, intact: &Intact, i: usize, mask: u8) {
+        let mut bad = intact.bytes.clone();
+        bad[i] ^= mask;
+        fs::write(path, &bad).unwrap();
+        let Ok(r) = SegmentReader::open(path) else { return };
+        // The index passed its CRC: these are the intact file's refs.
+        // One extent per block, first chunk to last, as a walk of the
+        // whole segment reads them.
+        let mut extent = Vec::new();
+        let mut in_a_chunk = false;
+        for (block_ix, block) in r.entries.iter().enumerate() {
+            let in_block = |c: &&ChunkRef| c.block_ix as usize == block_ix;
+            let refs = || r.series.iter().flat_map(|e| &e.chunks).filter(in_block);
+            let from = refs().map(|c| c.offset).min().unwrap_or(0);
+            let to = refs().map(|c| c.offset + c.len).max().unwrap_or(0);
+            r.read_extent(block_ix as u32, from..to, &mut extent).unwrap();
+            assert!(extent.len() <= block.len as usize);
+            for IntactChunk { ix: (s, c), at, samples: want } in &intact.chunks {
+                let cref = &r.series[*s].chunks[*c];
+                if !in_block(&cref) {
+                    continue;
+                }
+                let got = r.decode_chunk_in_extent(&extent, from, cref);
+                if at.contains(&i) {
+                    in_a_chunk = true;
+                    assert!(matches!(got, Err(TsdbError::Corrupt(_))), "byte {i} in chunk {s}/{c}");
+                } else {
+                    assert_eq!(&got.unwrap(), want, "byte {i}, chunk {s}/{c}");
+                }
+            }
+        }
+        if in_a_chunk {
+            return;
+        }
+        let frame = |e: &&IndexEntry| {
+            let start = e.offset as usize;
+            (start..start + 8 + e.len as usize).contains(&i)
+        };
+        match r.entries.iter().find(frame) {
+            Some(block) => assert!(r.read_block(block).is_err(), "byte {i} outside every chunk"),
+            // The header's kind and reserved bytes are under no
+            // checksum; a store refuses a wrong kind by value.
+            None => assert!(i == 11 || (i == 10 && r.kind != KIND_SERIES), "byte {i}"),
+        }
+    }
+
+    #[test]
+    fn every_flipped_byte_is_caught_where_it_is_read() {
+        let dir = tmpdir("flip-all");
+        let path = dir.join("seg-000001.tsdb");
+        let owned = sample_chunks();
+        let intact = seal_intact(&path, &[owned[..2].to_vec(), owned[2..].to_vec(), owned.clone()]);
+        assert_eq!(SegmentReader::open(&path).unwrap().entries.len(), 3, "multi-block");
+        for i in 0..intact.bytes.len() {
+            assert_flip_is_caught(&path, &intact, i, 0xFF);
+        }
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    /// The same on a segment of engine size — 8 blocks of 64 chunks of
+    /// a day's samples — at seeded random positions and masks.
+    #[test]
+    fn random_flips_in_a_large_segment_are_caught_where_they_are_read() {
+        use supremm_metrics::rng::cases;
+        let dir = tmpdir("flip-large");
+        let path = dir.join("seg-000001.tsdb");
+        let blocks: Vec<Vec<OwnedChunk>> = (0..8u64)
+            .map(|b| {
+                (0..64u64)
+                    .map(|c| {
+                        let (host, metric) = (b * 4 + c / 16, c % 16);
+                        let samples = (0..144u64)
+                            .map(|i| (1_700_000_000 + i * 600, (host * 1000 + metric * i) as f64))
+                            .map(|(ts, v)| (ts, v.to_bits()))
+                            .collect();
+                        (format!("h{host:03}"), format!("m{metric:02}"), samples)
+                    })
+                    .collect()
+            })
+            .collect();
+        let intact = seal_intact(&path, &blocks);
+        cases("random_flips_in_a_large_segment_are_caught_where_they_are_read", 64, |rng| {
+            let i = rng.range(0..intact.bytes.len() as u64) as usize;
+            let mask = rng.range(1..256) as u8;
+            assert_flip_is_caught(&path, &intact, i, mask);
+        });
         let _ = fs::remove_dir_all(&dir);
     }
 }

@@ -489,9 +489,10 @@ fn compaction_walks_the_segments_and_leaves_the_memtable_tail_alone() {
     });
 }
 
-/// Format pin: for one fixed store the compacted segment equals, byte
-/// for byte, what `compact` wrote when it gathered the whole store into
-/// a memtable and resealed that (length + CRC32 of the file).
+/// Format pin: the compacted segment of one fixed store (length + CRC32
+/// of the file). Version 3; the version-2 file of this store — which
+/// `compact` wrote alike whether it streamed the walk or gathered the
+/// store into a memtable first — was `(741, 0x5FF9_90E3)`.
 #[test]
 fn compacted_bytes_are_pinned() {
     let dir = tmpdir("walk-pin");
@@ -500,7 +501,79 @@ fn compacted_bytes_are_pinned() {
     assert_eq!((watermark, tail), (388, 29), "the pin covers a clamped walk beside a live tail");
     db.compact().unwrap();
     let bytes = std::fs::read(dir.join("seg-000005.tsdb")).unwrap();
-    assert_eq!((bytes.len(), supremm_tsdb::crc::crc32(&bytes)), (741, 0x5FF9_90E3));
+    assert_eq!((bytes.len(), supremm_tsdb::crc::crc32(&bytes)), (753, 0xD261_FCD0));
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Readers share one `Tsdb` behind an `RwLock`, as `xdmod::serve` has
+/// them, and every segment's one open file with it: eight threads,
+/// released together, make 10⁴ point / range / panel reads between them
+/// and each answer is the oracle's, bit for bit — a read that raced
+/// another for a file position would fail its chunk's CRC or return a
+/// neighbour's samples.
+#[test]
+fn concurrent_readers_get_the_oracles_answers() {
+    use std::sync::{Barrier, RwLock};
+    const THREADS: usize = 8;
+    const READS: usize = 10_000;
+    let dir = tmpdir("readers");
+    // Three day segments of four 16-chunk blocks each, and a tail in
+    // the memtable.
+    let opts = DbOptions { block_chunks: 16, ..Default::default() };
+    let mut db = Tsdb::open_with(&dir, opts).unwrap();
+    for day in 0..4u64 {
+        for host in 0..4u64 {
+            for metric in 0..16u64 {
+                let samples: Vec<(u64, f64)> = (0..if day < 3 { 144 } else { 20 })
+                    .map(|i| (day * 86_400 + i * 600, (host * 16 + metric + day * i) as f64))
+                    .collect();
+                db.append_batch(&format!("h{host}"), &format!("m{metric:02}"), &samples).unwrap();
+            }
+        }
+        if day < 3 {
+            db.flush().unwrap();
+        }
+    }
+    assert_eq!((db.stats().segments, db.stats().mem_series), (3, 64));
+    let db = RwLock::new(db);
+
+    cases("concurrent_readers_get_the_oracles_answers", 2, |rng| {
+        let queries: Vec<(Selector, u64, u64)> = rng.vec(250..251, |r| {
+            let host = format!("h{}", r.range(0..4));
+            let metric = format!("m{:02}", r.range(0..16));
+            let t0 = r.range(0..3 * 86_400 + 12_000);
+            let one = Selector { host: Some(host.clone()), metric: Some(metric) };
+            match r.range(0..3) {
+                0 => (one, t0, t0 + 600),
+                1 => (one, t0, t0 + r.range(0..259_200)),
+                _ => (Selector::host(host), t0, t0 + r.range(0..86_400)),
+            }
+        });
+        let want: Vec<BitsView> = {
+            let db = db.read().unwrap();
+            let naive = |(sel, t0, t1): &(Selector, u64, u64)| db.query_naive(sel, *t0, *t1);
+            queries.iter().map(|q| bits_view(naive(q).unwrap())).collect()
+        };
+        assert!(want.iter().filter(|w| !w.is_empty()).count() > 200, "most reads find samples");
+        let start = Barrier::new(THREADS);
+        std::thread::scope(|scope| {
+            for t in 0..THREADS {
+                let (db, queries, want, start) = (&db, &queries, &want, &start);
+                scope.spawn(move || {
+                    start.wait();
+                    for i in 0..READS / THREADS {
+                        // Coprime strides: the threads meet on the same
+                        // files in ever-changing company.
+                        let q = (t * 31 + i * (2 * t + 1)) % queries.len();
+                        let (sel, t0, t1) = &queries[q];
+                        let got = db.read().unwrap().query(sel, *t0, *t1);
+                        let got = got.unwrap_or_else(|e| panic!("thread {t} read {i}: {e}"));
+                        assert_eq!(bits_view(got), want[q], "thread {t} read {i}: {sel:?} {t0}");
+                    }
+                });
+            }
+        });
+    });
     let _ = std::fs::remove_dir_all(&dir);
 }
 

@@ -93,9 +93,10 @@ fn file_pin(dir: &std::path::Path, name: &str) -> (usize, u32) {
     (bytes.len(), crc32(&bytes))
 }
 
-/// Format pin: the rollup segments of a fixed small store equal, byte
-/// for byte, what the pass wrote when it queried the roll window once
-/// per level and encoded a map of maps (length + CRC32 of each file).
+/// Format pin: the rollup segments of a fixed small store (length +
+/// CRC32 of each file). A rollup file has no chunk index, so version 3
+/// moved its header's version field and nothing else: with a 2 written
+/// back there, each file is the one the pass wrote at version 2.
 #[test]
 fn rollup_segment_bytes_are_pinned() {
     let dir = tmpdir("pin");
@@ -103,8 +104,17 @@ fn rollup_segment_bytes_are_pinned() {
     fill(&mut db, 0, 4_000);
     let report = db.enforce_retention(4_000).unwrap();
     assert_eq!((report.raw_watermark, report.rollup_bins_written), (3000, 144));
-    assert_eq!(file_pin(&dir, "roll-100-000001.tsdb"), (4295, 0xF4B4_1476));
-    assert_eq!(file_pin(&dir, "roll-500-000001.tsdb"), (940, 0xF986_6D44));
+    assert_eq!(file_pin(&dir, "roll-100-000001.tsdb"), (4295, 0x7A3D_C6D1));
+    assert_eq!(file_pin(&dir, "roll-500-000001.tsdb"), (940, 0x75A7_F3D8));
+    for (name, v2_pin) in [
+        ("roll-100-000001.tsdb", (4295, 0xF4B4_1476)),
+        ("roll-500-000001.tsdb", (940, 0xF986_6D44)),
+    ] {
+        let mut bytes = fs::read(dir.join(name)).unwrap();
+        assert_eq!(bytes[8..10], 3u16.to_le_bytes(), "{name}");
+        bytes[8..10].copy_from_slice(&2u16.to_le_bytes());
+        assert_eq!((bytes.len(), crc32(&bytes)), v2_pin, "{name} at version 2");
+    }
     let _ = fs::remove_dir_all(&dir);
 }
 
