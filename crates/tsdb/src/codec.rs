@@ -18,6 +18,8 @@
 //! NaN payloads, signed zeros and infinities, because values travel as
 //! raw `u64` bit patterns end to end.
 
+use std::collections::BTreeMap;
+
 use crate::stats::ChunkStats;
 
 /// Append a LEB128 varint.
@@ -96,16 +98,26 @@ pub fn get_str<'a>(buf: &'a [u8], pos: &mut usize) -> Option<&'a str> {
 #[derive(Default)]
 pub struct StrTable<'a> {
     names: Vec<&'a str>,
+    /// Every name's id.
+    ids: BTreeMap<&'a str, u64>,
+    /// The name interned last and its id: input in key order repeats it.
+    last: Option<(&'a str, u64)>,
 }
 
 impl<'a> StrTable<'a> {
-    /// The id of `s`, assigning the next one on first sight.
+    /// The id of `s`, assigning the next one on first sight: O(1) when
+    /// `s` is the name interned last, O(log n) otherwise.
     pub fn intern(&mut self, s: &'a str) -> u64 {
-        let id = self.names.iter().position(|n| *n == s).unwrap_or_else(|| {
+        if let Some((_, id)) = self.last.filter(|&(name, _)| name == s) {
+            return id;
+        }
+        let next = self.names.len() as u64;
+        let id = *self.ids.entry(s).or_insert(next);
+        if id == next {
             self.names.push(s);
-            self.names.len() - 1
-        });
-        id as u64
+        }
+        self.last = Some((s, id));
+        id
     }
 
     pub fn write(&self, buf: &mut Vec<u8>) {
@@ -116,8 +128,9 @@ impl<'a> StrTable<'a> {
     }
 }
 
-/// Read a string table written by [`StrTable::write`].
-pub fn get_str_table(buf: &[u8], pos: &mut usize) -> Option<Vec<String>> {
+/// Read a string table written by [`StrTable::write`]: every name
+/// borrowed from `buf`, validated in place.
+pub fn get_str_table<'a>(buf: &'a [u8], pos: &mut usize) -> Option<Vec<&'a str>> {
     let n = usize::try_from(get_varint(buf, pos)?).ok()?;
     // Each name costs at least its length byte: bound before allocating.
     if n > buf.len() {
@@ -125,7 +138,7 @@ pub fn get_str_table(buf: &[u8], pos: &mut usize) -> Option<Vec<String>> {
     }
     let mut table = Vec::with_capacity(n);
     for _ in 0..n {
-        table.push(get_str(buf, pos)?.to_owned());
+        table.push(get_str(buf, pos)?);
     }
     Some(table)
 }
@@ -618,6 +631,36 @@ mod tests {
         round_trip(&[]);
         round_trip(&[(0, 0)]);
         round_trip(&[(600, 3.25f64.to_bits())]);
+    }
+
+    /// `StrTable` assigns the ids, and writes the bytes, a linear
+    /// search in first-seen order would: for input in key order (runs
+    /// of one name) and for any other.
+    #[test]
+    fn str_table_ids_are_first_seen_order() {
+        cases("str_table_ids_are_first_seen_order", 256, |rng| {
+            let mut names: Vec<String> = rng.vec(0..200, |r| format!("h{:02}", r.range(0..40)));
+            if rng.range(0..2) == 0 {
+                names.sort(); // runs of one name, as key-ordered input has
+            }
+            let mut table = StrTable::default();
+            let mut seen: Vec<&str> = Vec::new();
+            for name in &names {
+                let want = seen.iter().position(|s| s == name).unwrap_or_else(|| {
+                    seen.push(name);
+                    seen.len() - 1
+                });
+                assert_eq!(table.intern(name), want as u64, "{name} in {names:?}");
+            }
+            let (mut got, mut want) = (Vec::new(), Vec::new());
+            table.write(&mut got);
+            put_varint(&mut want, seen.len() as u64);
+            seen.iter().for_each(|s| put_str(&mut want, s));
+            assert_eq!(got, want);
+            let mut pos = 0;
+            assert_eq!(get_str_table(&got, &mut pos), Some(seen));
+            assert_eq!(pos, got.len());
+        });
     }
 
     #[test]

@@ -10,13 +10,16 @@
 //! Read path — plan → fetch → fold. Every read first builds one
 //! `ReadPlan`: per matching series, the chunk refs overlapping the
 //! window in each sealed segment plus the memtable's samples. The plan
-//! is built in a single pass that consults each segment's series index
-//! once; a segment whose time range misses the window is skipped before
-//! its index is touched. The plan is then walked series-major through
-//! one `BlockFetcher`, which reads per block the plan touches one
-//! *extent* — the bytes from the first to the last planned chunk of
-//! that block — holds at most one per segment, and verifies each chunk
-//! against its own CRC as it decodes it. The engine lays chunks out
+//! is built in a single pass that looks the selector up once in each
+//! segment's series index, in place (`SegmentReader::lookup`: a host is
+//! a binary search, a metric an integer filter, refs are decoded from
+//! the index bytes); a segment whose time range misses the window is
+//! skipped before its index is touched. The plan is then walked
+//! series-major through one `BlockFetcher`, which reads per block the
+//! plan touches one *extent* — the bytes from the first to the last
+//! planned chunk of that block — holds at most one per segment, and
+//! verifies each chunk against its own CRC as it decodes it. The
+//! engine lays chunks out
 //! series-major too, so each extent is read once per walk; a foreign
 //! layout only costs a re-read.
 //!
@@ -62,9 +65,7 @@ use crate::retention::{
     decode_rollup_block, roll_file_name, roll_id, FaultHook, RetentionManifest, RetentionPolicy,
     RetentionReport, RollupBlock, RollupBlockBuilder,
 };
-use crate::segment::{
-    ChunkRef, SegmentReader, SegmentWriter, SeriesEntry, TsdbError, KIND_ROLLUP, KIND_SERIES,
-};
+use crate::segment::{ChunkRef, SegmentReader, SegmentWriter, TsdbError, KIND_ROLLUP, KIND_SERIES};
 use crate::stats::{BinAcc, ChunkStats};
 use crate::wal::Wal;
 
@@ -332,7 +333,7 @@ fn wholly_below(readers: &[(u64, SegmentReader)], dropped_before: u64) -> Vec<(u
 struct SeriesPlan<'a> {
     /// `(slot in Tsdb::segments, chunk refs overlapping the window in
     /// index order)`; never an empty ref list.
-    segs: Vec<(usize, Vec<&'a ChunkRef>)>,
+    segs: Vec<(usize, Vec<ChunkRef>)>,
     /// The series' memtable samples inside the window, when there are
     /// any.
     mem: Option<&'a [(u64, u64)]>,
@@ -456,23 +457,6 @@ fn merge_runs(mut runs: Vec<Vec<(u64, u64)>>) -> Vec<(u64, u64)> {
     out
 }
 
-/// Series entries matching `sel`, using the index's `(host, metric)`
-/// sort order to binary-search the host range when one is given.
-fn matching_entries<'a>(idx: &'a [SeriesEntry], sel: &Selector) -> Vec<&'a SeriesEntry> {
-    let slice = match sel.host.as_deref() {
-        Some(h) => {
-            let lo = idx.partition_point(|e| e.host.as_str() < h);
-            let hi = lo + idx[lo..].partition_point(|e| e.host.as_str() <= h);
-            idx.get(lo..hi).unwrap_or(&[])
-        }
-        None => idx,
-    };
-    slice
-        .iter()
-        .filter(|e| sel.metric.as_deref().is_none_or(|m| m == e.metric))
-        .collect()
-}
-
 /// Decode one series' planned chunks into strictly-ascending runs
 /// clipped to `[t0, t1]`, in [`merge_runs`] priority order: one run per
 /// segment oldest first, the memtable last.
@@ -531,7 +515,7 @@ fn fold_planned(
     bins: &mut BTreeMap<u64, BinAcc>,
 ) -> Result<bool, TsdbError> {
     enum Source<'p, 'a> {
-        Seg(usize, &'p [&'a ChunkRef]),
+        Seg(usize, &'p [ChunkRef]),
         Mem(&'a [(u64, u64)]),
     }
     // `(first ts, last ts, source)` clipped to the window.
@@ -697,17 +681,13 @@ impl Tsdb {
     }
 
     /// Refresh the segment / chunk / memtable gauges after a structural
-    /// change (open, flush, compact).
+    /// change (open, flush, compact, retention). Chunks are counted from
+    /// the block entries, not the series indexes.
     fn update_storage_gauges(&self) {
         self.met.segments.set(as_i64(self.segments.len() as u64));
-        let chunks: usize = self
-            .segments
-            .iter()
-            .map(|(_, r)| {
-                r.series_index().map(|idx| idx.iter().map(|e| e.chunks.len()).sum()).unwrap_or(0)
-            })
-            .sum();
-        self.met.chunks.set(as_i64(chunks as u64));
+        let blocks = self.segments.iter().flat_map(|(_, r)| &r.entries);
+        let chunks: u64 = blocks.map(|e| u64::from(e.n_chunks)).sum();
+        self.met.chunks.set(as_i64(chunks));
         self.met.mem_samples.set(as_i64(self.mem.samples()));
         let rolls: usize = self.rollups.values().map(Vec::len).sum();
         self.met.rollup_segments.set(as_i64(rolls as u64));
@@ -822,9 +802,10 @@ impl Tsdb {
 
     /// The one gather every walk starts from: per series matching
     /// `sel`, the chunk refs overlapping `[t0, t1]` in each sealed
-    /// segment plus — for a `live` walk — its memtable samples. Consults
-    /// each segment's series index once; a segment whose time range
-    /// misses the window is skipped before its index is touched.
+    /// segment plus — for a `live` walk — its memtable samples. Looks
+    /// `sel` up once in each segment's index, decoding the matches' refs
+    /// from its bytes; a segment whose time range misses the window is
+    /// skipped before its index is touched.
     ///
     /// `live` says the walk is a query's: it sees the memtable and the
     /// `tsdb_query_*` counters count it. Maintenance (compaction, the
@@ -838,12 +819,11 @@ impl Tsdb {
             if live {
                 self.met.query_index_segments_total.inc();
             }
-            for entry in matching_entries(reader.series_index().unwrap_or(&[]), sel) {
-                let refs: Vec<&ChunkRef> =
-                    entry.chunks.iter().filter(|r| r.max_ts >= t0 && r.min_ts <= t1).collect();
+            for series in reader.lookup(sel) {
+                let refs: Vec<ChunkRef> =
+                    series.refs.filter(|r| r.max_ts >= t0 && r.min_ts <= t1).collect();
                 if !refs.is_empty() {
-                    let series = plan.entry((&entry.host, &entry.metric)).or_default();
-                    series.segs.push((slot, refs));
+                    plan.entry((series.host, series.metric)).or_default().segs.push((slot, refs));
                 }
             }
         }
@@ -1716,6 +1696,76 @@ mod tests {
         assert_eq!(snap.gauge("tsdb_segments"), Some(1));
         assert_eq!(snap.gauge("tsdb_memtable_samples"), Some(0));
         assert!(snap.gauge("tsdb_indexed_chunks").unwrap() > 0);
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    /// No engine path makes a segment's `series_index()` view: a store
+    /// taken through open, one read of each class, compaction, a
+    /// retention pass and a reopen reads every index in place. The
+    /// chunk gauge, counted from the block entries, agrees with the view
+    /// once a test makes it.
+    #[test]
+    fn no_engine_path_materializes_a_series_view() {
+        use std::sync::Arc;
+        let dir = tmpdir("no-view");
+        let retention = RetentionPolicy::parse("raw=2d,3600=forever").unwrap();
+        let opts = DbOptions { retention, ..Default::default() };
+        let obs = Arc::new(supremm_obs::ObsRegistry::new());
+        let open = || Tsdb::open_with_obs(&dir, opts.clone(), obs.clone()).unwrap();
+        let untouched = |db: &Tsdb, stage: &str| {
+            for (_, r) in db.segments.iter().chain(db.rollups.values().flatten()) {
+                assert!(!r.view_is_built(), "{stage}: {}", r.path().display());
+            }
+        };
+        let day = 86_400;
+        let read_each_class = |db: &Tsdb| {
+            let one = Selector { host: Some("h1".into()), metric: Some("m2".into()) };
+            assert_eq!(db.query(&one, 4 * day + 600, 4 * day + 600).unwrap()[0].1.len(), 1);
+            assert_eq!(db.query(&one, 3 * day, 5 * day).unwrap().len(), 1);
+            let panel = db.downsample(&Selector::host("h2"), 4 * day, 5 * day, 3600, Agg::Mean);
+            assert_eq!(panel.unwrap().len(), 3);
+            let fleet = db.downsample(&Selector::metric("m0"), 0, u64::MAX, day, Agg::Max);
+            assert_eq!(fleet.unwrap().len(), 4);
+            let history = db.downsample_tiered(&Selector::host("h3"), 0, u64::MAX, day, Agg::Sum);
+            assert_eq!(history.unwrap().0.len(), 3);
+            assert_eq!(db.query(&Selector::all(), 0, u64::MAX).unwrap().len(), 12);
+        };
+        let mut db = open();
+        for d in 0..5u64 {
+            for h in 0..4 {
+                for m in 0..3 {
+                    let samples: Vec<(u64, f64)> =
+                        (0..144).map(|i| (d * day + i * 600, (h * m + i) as f64)).collect();
+                    db.append_batch(&format!("h{h}"), &format!("m{m}"), &samples).unwrap();
+                }
+            }
+            db.flush().unwrap();
+        }
+        db.append("h0", "m0", 5 * day, 1.0).unwrap();
+        db.sync().unwrap();
+        drop(db);
+
+        let mut db = open();
+        assert_eq!(db.stats().segments, 5);
+        untouched(&db, "open");
+        read_each_class(&db);
+        untouched(&db, "reads");
+        db.compact().unwrap();
+        untouched(&db, "compact");
+        db.enforce_retention(db.max_timestamp().unwrap()).unwrap();
+        assert!(db.stats().rollup_segments > 0);
+        untouched(&db, "retention");
+        read_each_class(&db);
+        untouched(&db, "reads after retention");
+        drop(db);
+        let db = open();
+        untouched(&db, "reopen");
+        read_each_class(&db);
+        untouched(&db, "reads after reopen");
+
+        let views = db.segments.iter().map(|(_, r)| r.series_index().unwrap());
+        let viewed: usize = views.flat_map(|view| view.iter().map(|e| e.chunks.len())).sum();
+        assert_eq!(obs.snapshot().gauge("tsdb_indexed_chunks"), Some(viewed as i64));
         let _ = fs::remove_dir_all(&dir);
     }
 

@@ -90,6 +90,32 @@
 //! Series entries are strictly ascending by `(host, metric)` — readers
 //! binary-search them — and a file where they are not is refused at
 //! open as corrupt.
+//!
+//! **Opening.** [`SegmentReader::open`] checks the header's magic and
+//! version and the footer, reads the index frame and checks it against
+//! `index_crc`, then validates every field of it in one pass: block
+//! entries lie between the header and the index and their `len` and
+//! `n_chunks` fit a `u32`; the string tables are UTF-8; every series'
+//! host and metric ids are in range; every chunk ref's `block_ix`,
+//! `offset` and `len` fit a `u32`, its bytes lie inside its block's
+//! payload and its time deltas do not overflow; series ascend strictly
+//! by `(host, metric)` name; and nothing trails the last series. A file
+//! that fails any of it does not open. [`SegmentWriter::seal_reader`]
+//! makes its reader from the frame it just wrote through the same
+//! constructor.
+//!
+//! What a reader holds is that frame's bytes plus, for the series index,
+//! the distinct host and metric names ranked by byte order (spans of the
+//! frame) and one 12-byte row per series: host rank, metric rank and
+//! where its chunk refs start — ≈ 64 B a series for an engine day
+//! segment, nothing allocated per series. The ranks exist because the
+//! writer's metric table is in first-seen order, which is not name
+//! order when the first host lacks a metric. A lookup by host is a
+//! binary search over the rows, by metric an integer filter, and a
+//! match's [`ChunkRef`]s are decoded from the bytes by the same decoder
+//! that validated them. [`SegmentReader::series_index`] still hands out
+//! the index as owned [`SeriesEntry`]s, made on its first call; no
+//! engine path calls it.
 
 use std::collections::BTreeMap;
 use std::fmt;
@@ -98,12 +124,14 @@ use std::io;
 use std::ops::Range;
 use std::os::unix::fs::FileExt;
 use std::path::{Path, PathBuf};
+use std::sync::OnceLock;
 
 use crate::codec::{
-    self, decode_chunk, decode_chunk_at, get_stats, get_str_table, get_varint, put_bytes,
-    put_stats, put_varint, StrTable,
+    self, decode_chunk, decode_chunk_at, get_stats, get_str, get_str_table, get_varint,
+    put_bytes, put_stats, put_varint, StrTable,
 };
 use crate::crc::crc32;
+use crate::db::Selector;
 use crate::durable;
 use crate::stats::ChunkStats;
 
@@ -306,10 +334,7 @@ impl SegmentWriter {
         }
         self.blocks.push((payload, min_ts.unwrap_or(0), max_ts, refs.len() as u32));
         for (host, metric, r) in refs {
-            // These lists become the sealed reader's index and live as
-            // long as it does: a series usually has one chunk in a
-            // segment, and a `Vec`'s first push would reserve four.
-            self.series.entry((host, metric)).or_insert_with(|| Vec::with_capacity(1)).push(r);
+            self.series.entry((host, metric)).or_default().push(r);
         }
     }
 
@@ -329,8 +354,8 @@ impl SegmentWriter {
     }
 
     /// [`SegmentWriter::seal`], handing back the reader of the sealed
-    /// file — built from the index this writer holds, which is what
-    /// [`SegmentReader::open`] would parse back out of the file.
+    /// file — made from the index frame this writer just wrote by the
+    /// constructor [`SegmentReader::open`] uses, without reading it back.
     pub(crate) fn seal_reader(mut self, path: &Path) -> Result<SegmentReader, TsdbError> {
         self.close_block();
         let mut buf = Vec::new();
@@ -342,26 +367,16 @@ impl SegmentWriter {
         // Block frames go into the file, one sparse-index entry each
         // into the index frame.
         let mut index = Vec::new();
-        let mut entries = Vec::with_capacity(self.blocks.len());
         put_varint(&mut index, self.blocks.len() as u64);
         for (payload, min_ts, max_ts, n_chunks) in &self.blocks {
-            let (min_ts, max_ts, n_chunks) = (*min_ts, *max_ts, *n_chunks);
-            let entry = IndexEntry {
-                offset: buf.len() as u64,
-                len: payload.len() as u32,
-                min_ts,
-                max_ts,
-                n_chunks,
-            };
-            put_varint(&mut index, entry.offset);
-            put_varint(&mut index, u64::from(entry.len));
-            put_varint(&mut index, min_ts);
-            put_varint(&mut index, max_ts);
-            put_varint(&mut index, u64::from(n_chunks));
-            buf.extend_from_slice(&entry.len.to_le_bytes());
+            put_varint(&mut index, buf.len() as u64);
+            put_varint(&mut index, payload.len() as u64);
+            put_varint(&mut index, *min_ts);
+            put_varint(&mut index, *max_ts);
+            put_varint(&mut index, u64::from(*n_chunks));
+            buf.extend_from_slice(&(payload.len() as u32).to_le_bytes());
             buf.extend_from_slice(&crc32(payload).to_le_bytes());
             buf.extend_from_slice(payload);
-            entries.push(entry);
         }
         // Segment-wide string tables, then per-series chunk refs.
         let mut hosts = StrTable::default();
@@ -371,15 +386,14 @@ impl SegmentWriter {
         hosts.write(&mut index);
         metrics.write(&mut index);
         put_varint(&mut index, self.series.len() as u64);
-        let mut series = Vec::with_capacity(self.series.len());
-        for (((host, metric), chunks), (host_id, metric_id)) in self.series.into_iter().zip(ids) {
+        for (chunks, (host_id, metric_id)) in self.series.values().zip(ids) {
             put_varint(&mut index, host_id);
             put_varint(&mut index, metric_id);
             put_varint(&mut index, chunks.len() as u64);
-            for r in &chunks {
+            for r in chunks {
                 // `push_chunk` folded this chunk's range into its
                 // block's, so neither delta can go below zero.
-                let block_min = entries[r.block_ix as usize].min_ts;
+                let block_min = self.blocks[r.block_ix as usize].1;
                 put_varint(&mut index, u64::from(r.block_ix));
                 put_varint(&mut index, u64::from(r.offset));
                 put_varint(&mut index, u64::from(r.len));
@@ -388,7 +402,6 @@ impl SegmentWriter {
                 put_varint(&mut index, r.max_ts - r.min_ts);
                 put_stats(&mut index, &r.stats);
             }
-            series.push(SeriesEntry { host, metric, chunks });
         }
         let index_offset = buf.len() as u64;
         buf.extend_from_slice(&index);
@@ -398,22 +411,22 @@ impl SegmentWriter {
         buf.extend_from_slice(FOOTER_MAGIC);
 
         durable::replace_file(path, &buf)?;
-        Ok(SegmentReader {
-            file: File::open(path)?,
-            path: path.to_path_buf(),
-            kind: self.kind,
-            time_range: time_range_of(&entries),
-            entries,
-            series,
-            file_len: buf.len() as u64,
-        })
+        let file = File::open(path)?;
+        let file_len = buf.len() as u64;
+        let index = index.into_boxed_slice();
+        SegmentReader::from_index(path, file, self.kind, file_len, index_offset, index)
     }
 }
 
 // --- reading --------------------------------------------------------------
 
-/// Read-side handle: validates header + footer + index on open, then
-/// serves CRC-checked blocks and chunks on demand.
+/// Read-side handle: validates header, footer and every field of the
+/// index on open, then serves CRC-checked blocks and chunks on demand.
+///
+/// The series index stays the bytes it was read as. What the reader
+/// adds is the host and metric tables ranked by name and one
+/// [`SeriesRow`] per series, so [`SegmentReader::lookup`] finds a
+/// series by integer compares and decodes its refs from the bytes.
 ///
 /// It keeps the file it opened and reads it positionally, so any number
 /// of threads may read through one `&SegmentReader` at once: there is
@@ -423,9 +436,185 @@ pub struct SegmentReader {
     file: File,
     pub kind: u8,
     pub entries: Vec<IndexEntry>,
-    series: Vec<SeriesEntry>,
+    /// The index frame, validated whole at open.
+    index: Box<[u8]>,
+    series: SeriesRows,
+    /// [`SegmentReader::series_index`], made on its first call.
+    view: OnceLock<Vec<SeriesEntry>>,
     file_len: u64,
     time_range: Option<(u64, u64)>,
+}
+
+/// Bytes `start..end` of a reader's index frame.
+type Span = (u32, u32);
+
+/// What a reader keeps of its series index beside the bytes.
+#[derive(Debug, Clone, PartialEq, Eq)]
+struct SeriesRows {
+    /// The distinct host / metric names in byte order, as spans of the
+    /// index frame: a name's rank is its place here.
+    hosts: Vec<Span>,
+    metrics: Vec<Span>,
+    /// One row per series, in index order: strictly ascending.
+    rows: Vec<SeriesRow>,
+}
+
+/// One series of the index: its host and metric by rank, so rows sort
+/// as their names do, and where its chunk refs start.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct SeriesRow {
+    host: u32,
+    metric: u32,
+    /// Offset of the series' `n_chunks` in the index frame.
+    at: u32,
+}
+
+/// One series of a reader's index, read in place by
+/// [`SegmentReader::lookup`].
+pub(crate) struct IndexedSeries<'s> {
+    pub host: &'s str,
+    pub metric: &'s str,
+    pub refs: ChunkRefs<'s>,
+}
+
+/// A series' chunk refs in index order, decoded from the index bytes
+/// as they are iterated.
+pub(crate) struct ChunkRefs<'s> {
+    index: &'s [u8],
+    entries: &'s [IndexEntry],
+    pos: usize,
+    left: u64,
+}
+
+impl Iterator for ChunkRefs<'_> {
+    type Item = ChunkRef;
+
+    fn next(&mut self) -> Option<ChunkRef> {
+        self.left = self.left.checked_sub(1)?;
+        // `open` ran this decoder over every ref of these bytes, so it
+        // cannot fail here; were it to, the series would end early.
+        let r = read_ref(self.index, &mut self.pos, self.entries).ok();
+        if r.is_none() {
+            self.left = 0;
+        }
+        r
+    }
+}
+
+/// One chunk ref of the series index at `pos`, its time range made
+/// absolute against its block's. The one ref decoder: `open` validates
+/// every ref with it, and lookups and the view read through it. `Err`
+/// says what is wrong.
+fn read_ref(
+    index: &[u8],
+    pos: &mut usize,
+    entries: &[IndexEntry],
+) -> Result<ChunkRef, &'static str> {
+    // A varint field that must fit the `u32` it is kept in.
+    let field32 = |pos: &mut usize, name: &'static str| {
+        get_varint(index, pos).and_then(|v| u32::try_from(v).ok()).ok_or(name)
+    };
+    let block_ix = field32(pos, "block_ix")?;
+    let offset = field32(pos, "offset")?;
+    let len = field32(pos, "len")?;
+    let crc = pos
+        .checked_add(4)
+        .and_then(|end| <[u8; 4]>::try_from(index.get(*pos..end)?).ok())
+        .map(u32::from_le_bytes)
+        .ok_or("crc")?;
+    *pos += 4;
+    let d_min = get_varint(index, pos).ok_or("d_min")?;
+    let d_max = get_varint(index, pos).ok_or("d_max")?;
+    let stats = get_stats(index, pos).ok_or("stats")?;
+    let entry = entries.get(block_ix as usize).ok_or("block out of range")?;
+    if offset.checked_add(len).is_none_or(|end| end > entry.len) {
+        return Err("bytes exceed its block");
+    }
+    let min_ts = entry.min_ts.checked_add(d_min).ok_or("min_ts overflow")?;
+    let max_ts = min_ts.checked_add(d_max).ok_or("max_ts overflow")?;
+    Ok(ChunkRef { block_ix, offset, len, crc, min_ts, max_ts, stats })
+}
+
+/// Bytes `span` of `index`; empty if it lies outside.
+fn span_bytes(index: &[u8], (start, end): Span) -> &[u8] {
+    index.get(start as usize..end as usize).unwrap_or_default()
+}
+
+/// Read the string table at `pos` and rank it: its distinct names in
+/// byte order, as spans of `index`, and per id the rank of its name.
+/// Names spelled alike share a rank, so ranks compare as names do.
+fn ranked_names(index: &[u8], pos: &mut usize) -> Option<(Vec<Span>, Vec<u32>)> {
+    let n = usize::try_from(get_varint(index, pos)?).ok()?;
+    // Each name costs at least its length byte: bound before allocating.
+    if n > index.len() {
+        return None;
+    }
+    let mut by_name: Vec<(Span, u32)> = Vec::with_capacity(n);
+    for id in 0..n as u32 {
+        let len = get_str(index, pos)?.len();
+        by_name.push((((*pos - len) as u32, *pos as u32), id));
+    }
+    by_name.sort_unstable_by(|a, b| span_bytes(index, a.0).cmp(span_bytes(index, b.0)));
+    let mut distinct: Vec<Span> = Vec::with_capacity(n);
+    let mut rank_of = vec![0u32; n];
+    for (span, id) in by_name {
+        if distinct.last().is_none_or(|&last| span_bytes(index, last) != span_bytes(index, span)) {
+            distinct.push(span);
+        }
+        rank_of[id as usize] = distinct.len() as u32 - 1;
+    }
+    Some((distinct, rank_of))
+}
+
+/// Validate the series index at `pos` in one pass: every field fits its
+/// type, ids are in range, each chunk lies inside its block, the time
+/// deltas do not overflow, and series ascend strictly by `(host,
+/// metric)`. Returns the ranked host and metric tables and one row per
+/// series; nothing is allocated per series.
+fn series_rows(
+    index: &[u8],
+    pos: &mut usize,
+    entries: &[IndexEntry],
+    path: &Path,
+) -> Result<SeriesRows, TsdbError> {
+    let bad = |w: String| corrupt(format!("{}: series index: {w}", path.display()));
+    let (hosts, host_rank) = ranked_names(index, pos).ok_or_else(|| bad("host table".into()))?;
+    let (metrics, metric_rank) =
+        ranked_names(index, pos).ok_or_else(|| bad("metric table".into()))?;
+    let n_series = get_varint(index, pos).ok_or_else(|| bad("series count".into()))? as usize;
+    if n_series > index.len() {
+        return Err(bad("series count out of range".into()));
+    }
+    let mut rows: Vec<SeriesRow> = Vec::with_capacity(n_series);
+    for s in 0..n_series {
+        let field = |pos: &mut usize, name: &str| {
+            get_varint(index, pos).ok_or_else(|| bad(format!("series[{s}].{name}")))
+        };
+        let host_id = field(pos, "host_id")? as usize;
+        let metric_id = field(pos, "metric_id")? as usize;
+        let at = *pos as u32;
+        let n_refs = field(pos, "n_chunks")? as usize;
+        let host = *host_rank
+            .get(host_id)
+            .ok_or_else(|| bad(format!("series[{s}] host id out of range")))?;
+        let metric = *metric_rank
+            .get(metric_id)
+            .ok_or_else(|| bad(format!("series[{s}] metric id out of range")))?;
+        if n_refs > index.len() {
+            return Err(bad(format!("series[{s}] chunk count out of range")));
+        }
+        for c in 0..n_refs {
+            read_ref(index, pos, entries)
+                .map_err(|what| bad(format!("series[{s}].chunk[{c}] {what}")))?;
+        }
+        // Lookups binary-search the rows by host: an unsorted or
+        // duplicated entry would silently hide series.
+        if rows.last().is_some_and(|p| (p.host, p.metric) >= (host, metric)) {
+            return Err(bad(format!("series[{s}] not in ascending (host, metric) order")));
+        }
+        rows.push(SeriesRow { host, metric, at });
+    }
+    Ok(SeriesRows { hosts, metrics, rows })
 }
 
 /// Overall `[min_ts, max_ts]` across `entries`; `None` if empty.
@@ -468,16 +657,35 @@ impl SegmentReader {
         {
             return Err(corrupt(format!("{}: index frame out of bounds", path.display())));
         }
-        let mut index = vec![0u8; index_len as usize];
+        let mut index = vec![0u8; index_len as usize].into_boxed_slice();
         file.read_exact_at(&mut index, index_offset)?;
         if crc32(&index) != index_crc {
             return Err(corrupt(format!("{}: index crc mismatch", path.display())));
         }
+        SegmentReader::from_index(path, file, kind, file_len, index_offset, index)
+    }
 
+    /// The one constructor, behind [`SegmentReader::open`] and
+    /// [`SegmentWriter::seal_reader`]: `index` is the file's index frame
+    /// at `index_offset`, CRC-checked or just written. One pass checks
+    /// every field of it; the reader keeps the bytes, the ranked name
+    /// tables and one row per series.
+    fn from_index(
+        path: &Path,
+        file: File,
+        kind: u8,
+        file_len: u64,
+        index_offset: u64,
+        index: Box<[u8]>,
+    ) -> Result<SegmentReader, TsdbError> {
+        // Rows address the frame by `u32`; the footer's length is one.
+        if u32::try_from(index.len()).is_err() {
+            return Err(corrupt(format!("{}: index frame too long", path.display())));
+        }
         let mut pos = 0usize;
         let n = get_varint(&index, &mut pos)
             .ok_or_else(|| corrupt(format!("{}: index count", path.display())))? as usize;
-        if n > (index_len as usize) {
+        if n > index.len() {
             return Err(corrupt(format!("{}: index claims {n} entries", path.display())));
         }
         let mut entries = Vec::with_capacity(n);
@@ -497,7 +705,7 @@ impl SegmentReader {
             entries.push(IndexEntry { offset, len, min_ts, max_ts, n_chunks });
         }
 
-        let series = Self::parse_series_index(&index, &mut pos, &entries, path)?;
+        let series = series_rows(&index, &mut pos, &entries, path)?;
         if pos != index.len() {
             return Err(corrupt(format!("{}: trailing index bytes", path.display())));
         }
@@ -507,85 +715,11 @@ impl SegmentReader {
             kind,
             time_range: time_range_of(&entries),
             entries,
+            index,
             series,
+            view: OnceLock::new(),
             file_len,
         })
-    }
-
-    fn parse_series_index(
-        index: &[u8],
-        pos: &mut usize,
-        entries: &[IndexEntry],
-        path: &Path,
-    ) -> Result<Vec<SeriesEntry>, TsdbError> {
-        let bad = |w: String| corrupt(format!("{}: series index: {w}", path.display()));
-        let hosts = get_str_table(index, pos).ok_or_else(|| bad("host table".into()))?;
-        let metrics = get_str_table(index, pos).ok_or_else(|| bad("metric table".into()))?;
-        let n_series =
-            get_varint(index, pos).ok_or_else(|| bad("series count".into()))? as usize;
-        if n_series > index.len() {
-            return Err(bad("series count out of range".into()));
-        }
-        let mut out: Vec<SeriesEntry> = Vec::with_capacity(n_series);
-        for s in 0..n_series {
-            let mut field = |name: &str| {
-                get_varint(index, pos).ok_or_else(|| bad(format!("series[{s}].{name}")))
-            };
-            let host_id = field("host_id")? as usize;
-            let metric_id = field("metric_id")? as usize;
-            let n_refs = field("n_chunks")? as usize;
-            let host = hosts
-                .get(host_id)
-                .ok_or_else(|| bad(format!("series[{s}] host id out of range")))?
-                .clone(); // suplint: allow(R7) -- one owned name per series at segment open
-            let metric = metrics
-                .get(metric_id)
-                .ok_or_else(|| bad(format!("series[{s}] metric id out of range")))?
-                .clone(); // suplint: allow(R7) -- one owned name per series at segment open
-            if n_refs > index.len() {
-                return Err(bad(format!("series[{s}] chunk count out of range")));
-            }
-            let mut chunks = Vec::with_capacity(n_refs);
-            for c in 0..n_refs {
-                let corrupt_ref = |what: &str| bad(format!("series[{s}].chunk[{c}] {what}"));
-                // A varint field that must fit the `u32` it is kept in.
-                let field32 = |pos: &mut usize, name: &str| {
-                    get_varint(index, pos)
-                        .and_then(|v| u32::try_from(v).ok())
-                        .ok_or_else(|| corrupt_ref(name))
-                };
-                let block_ix = field32(pos, "block_ix")?;
-                let offset = field32(pos, "offset")?;
-                let len = field32(pos, "len")?;
-                let crc = pos
-                    .checked_add(4)
-                    .and_then(|end| <[u8; 4]>::try_from(index.get(*pos..end)?).ok())
-                    .map(u32::from_le_bytes)
-                    .ok_or_else(|| corrupt_ref("crc"))?;
-                *pos += 4;
-                let d_min = get_varint(index, pos).ok_or_else(|| corrupt_ref("d_min"))?;
-                let d_max = get_varint(index, pos).ok_or_else(|| corrupt_ref("d_max"))?;
-                let stats = get_stats(index, pos).ok_or_else(|| corrupt_ref("stats"))?;
-                let entry = entries
-                    .get(block_ix as usize)
-                    .ok_or_else(|| corrupt_ref("block out of range"))?;
-                if offset.checked_add(len).is_none_or(|end| end > entry.len) {
-                    return Err(corrupt_ref("bytes exceed its block"));
-                }
-                let min_ts =
-                    entry.min_ts.checked_add(d_min).ok_or_else(|| corrupt_ref("min_ts overflow"))?;
-                let max_ts =
-                    min_ts.checked_add(d_max).ok_or_else(|| corrupt_ref("max_ts overflow"))?;
-                chunks.push(ChunkRef { block_ix, offset, len, crc, min_ts, max_ts, stats });
-            }
-            // Readers binary-search this index by host: an unsorted or
-            // duplicated entry would silently hide series.
-            if out.last().is_some_and(|p| (&p.host, &p.metric) >= (&host, &metric)) {
-                return Err(bad(format!("series[{s}] not in ascending (host, metric) order")));
-            }
-            out.push(SeriesEntry { host, metric, chunks });
-        }
-        Ok(out)
     }
 
     pub fn path(&self) -> &Path {
@@ -596,10 +730,74 @@ impl SegmentReader {
         self.file_len
     }
 
-    /// The per-series chunk index, sorted by `(host, metric)`. Always
-    /// `Some`: every readable segment carries one.
+    /// The series `sel` names, in index order — `(host, metric)`
+    /// ascending — read in place: a host is a binary search over the
+    /// rows, a metric an integer filter, and a name no series here has
+    /// matches nothing.
+    pub(crate) fn lookup<'s>(
+        &'s self,
+        sel: &Selector,
+    ) -> impl Iterator<Item = IndexedSeries<'s>> + 's {
+        let SeriesRows { hosts, metrics, rows } = &self.series;
+        let rows = match sel.host.as_deref().map(|h| self.rank(hosts, h)) {
+            None => &rows[..],
+            Some(None) => &[],
+            Some(Some(host)) => {
+                let lo = rows.partition_point(|r| r.host < host);
+                let hi = lo + rows[lo..].partition_point(|r| r.host == host);
+                &rows[lo..hi]
+            }
+        };
+        // `Some(None)`: a metric no series here has.
+        let metric = sel.metric.as_deref().map(|m| self.rank(metrics, m));
+        let rows = if metric == Some(None) { &[] } else { rows };
+        rows.iter()
+            .filter(move |r| metric.flatten().is_none_or(|m| r.metric == m))
+            .map(|r| self.indexed(r))
+    }
+
+    /// The rank of `name` among `names`; `None` if no series has it.
+    fn rank(&self, names: &[Span], name: &str) -> Option<u32> {
+        let found = names.binary_search_by(|&s| span_bytes(&self.index, s).cmp(name.as_bytes()));
+        found.ok().map(|rank| rank as u32)
+    }
+
+    /// The name of rank `rank` among `names`.
+    fn name(&self, names: &[Span], rank: u32) -> &str {
+        let bytes = names.get(rank as usize).map_or(&[][..], |&s| span_bytes(&self.index, s));
+        // `open` checked every name is UTF-8.
+        std::str::from_utf8(bytes).unwrap_or_default()
+    }
+
+    fn indexed(&self, row: &SeriesRow) -> IndexedSeries<'_> {
+        let mut pos = row.at as usize;
+        let left = get_varint(&self.index, &mut pos).unwrap_or(0);
+        IndexedSeries {
+            host: self.name(&self.series.hosts, row.host),
+            metric: self.name(&self.series.metrics, row.metric),
+            refs: ChunkRefs { index: &self.index, entries: &self.entries, pos, left },
+        }
+    }
+
+    /// The per-series chunk index, sorted by `(host, metric)`, as owned
+    /// structs: made on the first call, by the decoder lookups use. No
+    /// engine path calls it. Always `Some`: every readable segment
+    /// carries one.
     pub fn series_index(&self) -> Option<&[SeriesEntry]> {
-        Some(&self.series)
+        Some(self.view.get_or_init(|| {
+            let entry = |s: IndexedSeries<'_>| SeriesEntry {
+                host: s.host.to_owned(),
+                metric: s.metric.to_owned(),
+                chunks: s.refs.collect(),
+            };
+            self.series.rows.iter().map(|r| entry(self.indexed(r))).collect()
+        }))
+    }
+
+    /// Whether [`SegmentReader::series_index`] has been made.
+    #[cfg(test)]
+    pub(crate) fn view_is_built(&self) -> bool {
+        self.view.get().is_some()
     }
 
     /// Overall `[min_ts, max_ts]` across all blocks; `None` if empty.
@@ -745,11 +943,10 @@ impl SegmentReader {
                 return Err(bad("chunk length mismatch"));
             }
             pos = end;
-            // suplint: allow(R7) -- one owned name per chunk; the naive oracles only
-            let host = hosts.get(host_id).ok_or_else(|| bad("host id out of range"))?.clone();
-            let metric =
-                // suplint: allow(R7) -- as above
-                metrics.get(metric_id).ok_or_else(|| bad("metric id out of range"))?.clone();
+            // One owned name per chunk: the naive oracles only.
+            let host = hosts.get(host_id).ok_or_else(|| bad("host id out of range"))?;
+            let metric = metrics.get(metric_id).ok_or_else(|| bad("metric id out of range"))?;
+            let (host, metric) = (host.to_string(), metric.to_string());
             out.push(SeriesChunk { host, metric, samples });
         }
         if pos != payload.len() {
@@ -1079,7 +1276,8 @@ mod tests {
         let mut w = SegmentWriter::new(KIND_SERIES);
         w.push_series_block(&[("h", "m", &[(1000, 1u64), (1600, 2)][..])]);
         let sealed = w.seal_reader(&path).unwrap();
-        let (entry, r) = (sealed.entries[0].clone(), sealed.series[0].chunks[0].clone());
+        let entry = sealed.entries[0].clone();
+        let r = sealed.series_index().unwrap()[0].chunks[0].clone();
         let good = fs::read(&path).unwrap();
         let fields = [
             entry.offset,
@@ -1130,27 +1328,29 @@ mod tests {
         let _ = fs::remove_dir_all(&dir);
     }
 
-    /// Everything a reader holds, floats as bits (NaN statistics must
-    /// compare equal to themselves).
+    /// A chunk ref, floats as bits (NaN statistics must compare equal
+    /// to themselves).
+    type RefBits = ((u32, u32, u32, u32), u64, u64, u64, [u64; 4]);
+
+    fn ref_bits(c: &ChunkRef) -> RefBits {
+        let s = &c.stats;
+        let stats = [s.sum, s.min, s.max, s.last].map(f64::to_bits);
+        ((c.block_ix, c.offset, c.len, c.crc), c.min_ts, c.max_ts, s.count, stats)
+    }
+
+    /// Everything a reader holds.
     fn reader_fields(r: &SegmentReader) -> impl PartialEq + std::fmt::Debug {
         let series: Vec<_> = r
-            .series
+            .series_index()
+            .unwrap()
             .iter()
             .map(|e| {
-                let chunks: Vec<_> = e
-                    .chunks
-                    .iter()
-                    .map(|c| {
-                        let s = &c.stats;
-                        let stats = [s.sum, s.min, s.max, s.last].map(f64::to_bits);
-                        let place = (c.block_ix, c.offset, c.len, c.crc);
-                        (place, c.min_ts, c.max_ts, s.count, stats)
-                    })
-                    .collect();
+                let chunks: Vec<RefBits> = e.chunks.iter().map(ref_bits).collect();
                 (e.host.clone(), e.metric.clone(), chunks)
             })
             .collect();
-        (r.path.clone(), r.kind, r.entries.clone(), series, r.file_len, r.time_range)
+        let held = (r.index.clone(), r.series.clone());
+        (r.path.clone(), r.kind, r.entries.clone(), series, held, r.file_len, r.time_range)
     }
 
     /// The reader a writer hands back is the one `open` parses out of
@@ -1177,7 +1377,7 @@ mod tests {
             assert_eq!(sealed.file_len(), fs::metadata(&path).unwrap().len());
             for (block, entry) in opened.entries.iter().enumerate() {
                 let payload = opened.read_block(entry).unwrap();
-                for r in opened.series.iter().flat_map(|e| &e.chunks) {
+                for r in opened.series_index().unwrap().iter().flat_map(|e| &e.chunks) {
                     if r.block_ix as usize == block {
                         let bytes = &payload[r.offset as usize..][..r.len as usize];
                         assert_eq!(crc32(bytes), r.crc);
@@ -1185,6 +1385,155 @@ mod tests {
                 }
             }
         });
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    /// Every lookup shape — all, host, metric, host + metric, and names
+    /// no series has — returns exactly what a filter over the
+    /// materialized view returns, in the same order; and the view holds
+    /// exactly the series written. Hosts carry different metric sets:
+    /// the first host never has `m0` and the second always does, so the
+    /// writer's first-seen metric table is out of name order.
+    #[test]
+    fn lookups_match_a_filter_over_the_view() {
+        use supremm_metrics::rng::cases;
+        let dir = tmpdir("lookup");
+        let path = dir.join("seg-000001.tsdb");
+        let hosts = ["a0", "c1", "c10", "c2", "z9"];
+        let metrics = ["m0", "m1", "m10", "m2", "n"];
+        let mut unsorted_tables = 0;
+        cases("lookups_match_a_filter_over_the_view", 64, |rng| {
+            let n_hosts = rng.range(1..6) as usize;
+            let sets: Vec<u64> = (0..n_hosts)
+                .map(|h| match (h, rng.range(0..32)) {
+                    (0, mask) => mask & !1,
+                    (1, mask) => mask | 1,
+                    (_, mask) => mask,
+                })
+                .collect();
+            let series: Vec<(&str, &str)> = (0..n_hosts)
+                .flat_map(|h| (0..5).map(move |m| (h, m)))
+                .filter(|&(h, m)| sets[h] >> m & 1 == 1)
+                .map(|(h, m)| (hosts[h], metrics[m]))
+                .collect();
+            // (chunks, samples) per series written.
+            let mut model: BTreeMap<(&str, &str), (usize, u64)> = BTreeMap::new();
+            let mut w = SegmentWriter::new(KIND_SERIES);
+            let n_blocks = if series.is_empty() { 0 } else { rng.range(1..4) };
+            for _ in 0..n_blocks {
+                let epoch = rng.pick(&[0, 1_700_000_000, u64::MAX - 1_000_000]);
+                let block: Vec<_> = rng.vec(0..8, |r| {
+                    // Ascending: a chunk's stats count nothing else.
+                    let mut ts = epoch + r.range(0..100_000);
+                    let samples = r.vec(0..20, |r| {
+                        ts += r.range(1..600);
+                        (ts, r.next_u64())
+                    });
+                    (r.pick(&series), samples)
+                });
+                for (key, samples) in &block {
+                    let (chunks, n) = model.entry(*key).or_default();
+                    *chunks += 1;
+                    *n += samples.len() as u64;
+                }
+                let block: Vec<ChunkSamples<'_>> =
+                    block.iter().map(|&((h, m), ref s)| (h, m, s.as_slice())).collect();
+                w.push_series_block(&block);
+            }
+            w.seal(&path).unwrap();
+            let r = SegmentReader::open(&path).unwrap();
+            let view = r.series_index().unwrap();
+            let written: Vec<_> = model.iter().map(|(&(h, m), &counts)| (h, m, counts)).collect();
+            let held: Vec<_> = view
+                .iter()
+                .map(|e| {
+                    let samples = e.chunks.iter().map(|c| c.stats.count).sum();
+                    (e.host.as_str(), e.metric.as_str(), (e.chunks.len(), samples))
+                })
+                .collect();
+            assert_eq!(held, written);
+            let mut first_seen: Vec<&str> = Vec::new();
+            for e in view {
+                if !first_seen.contains(&e.metric.as_str()) {
+                    first_seen.push(&e.metric);
+                }
+            }
+            unsorted_tables += usize::from(!first_seen.is_sorted());
+
+            let host_names = hosts.iter().chain(&["", "a", "c", "c100", "zz"]);
+            let metric_names = metrics.iter().chain(&["", "m", "m3", "zz"]);
+            for host in std::iter::once(None).chain(host_names.map(Some)) {
+                for metric in std::iter::once(None).chain(metric_names.clone().map(Some)) {
+                    let sel = Selector {
+                        host: host.map(|h| h.to_string()),
+                        metric: metric.map(|m| m.to_string()),
+                    };
+                    let got: Vec<(&str, &str, Vec<RefBits>)> = r
+                        .lookup(&sel)
+                        .map(|s| (s.host, s.metric, s.refs.map(|c| ref_bits(&c)).collect()))
+                        .collect();
+                    let want: Vec<(&str, &str, Vec<RefBits>)> = view
+                        .iter()
+                        .filter(|e| sel.accepts(&e.host, &e.metric))
+                        .map(|e| (&*e.host, &*e.metric, e.chunks.iter().map(ref_bits).collect()))
+                        .collect();
+                    assert_eq!(got, want, "{sel:?}");
+                }
+            }
+        });
+        assert!(unsorted_tables > 0, "no case wrote a metric table out of name order");
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    /// `index` (block entries, then the series index) as a whole
+    /// segment file, under a valid index CRC.
+    fn with_index(index: &[u8]) -> Vec<u8> {
+        let mut bytes = MAGIC.to_vec();
+        bytes.extend_from_slice(&VERSION.to_le_bytes());
+        bytes.extend_from_slice(&[KIND_SERIES, 0]);
+        bytes.extend_from_slice(index);
+        bytes.extend_from_slice(&(HEADER_LEN as u64).to_le_bytes());
+        bytes.extend_from_slice(&(index.len() as u32).to_le_bytes());
+        bytes.extend_from_slice(&crc32(index).to_le_bytes());
+        bytes.extend_from_slice(FOOTER_MAGIC);
+        bytes
+    }
+
+    /// A string table may list one name twice (no writer of this build
+    /// does). Both ids are that one name, as they were when the index
+    /// was parsed into strings: the series still have to ascend by name,
+    /// and a lookup of it finds them under either id.
+    #[test]
+    fn a_name_listed_twice_is_one_name() {
+        let dir = tmpdir("twice");
+        let path = dir.join("seg-000001.tsdb");
+        let mut index = vec![0]; // no block entries
+        index.extend_from_slice(&[2, 1, b'a', 1, b'a']); // hosts: a, a
+        index.extend_from_slice(&[2, 1, b'n', 1, b'm']); // metrics: n, m
+        let series = |s: [u8; 2], t: [u8; 2]| {
+            let mut index = index.clone();
+            index.extend_from_slice(&[2, s[0], s[1], 0, t[0], t[1], 0]); // 0 chunks each
+            index
+        };
+        // (a, m) then (a, n), through different host ids: ascending.
+        fs::write(&path, with_index(&series([0, 1], [1, 0]))).unwrap();
+        let r = SegmentReader::open(&path).unwrap();
+        let names = |sel: Selector| -> Vec<(String, String)> {
+            r.lookup(&sel).map(|s| (s.host.to_owned(), s.metric.to_owned())).collect()
+        };
+        let both = vec![("a".into(), "m".into()), ("a".into(), "n".into())];
+        assert_eq!(names(Selector::host("a")), both);
+        assert_eq!(names(Selector::all()), both);
+        assert_eq!(names(Selector::metric("n")), both[1..]);
+        // (a, n) then (a, m): descending by name, whatever the ids say.
+        fs::write(&path, with_index(&series([0, 0], [1, 1]))).unwrap();
+        let Err(TsdbError::Corrupt(msg)) = SegmentReader::open(&path) else {
+            panic!("unsorted series index must not open")
+        };
+        assert!(msg.contains("ascending (host, metric)"), "{msg}");
+        // (a, m) twice, through different host ids.
+        fs::write(&path, with_index(&series([0, 1], [1, 1]))).unwrap();
+        assert!(matches!(SegmentReader::open(&path), Err(TsdbError::Corrupt(_))));
         let _ = fs::remove_dir_all(&dir);
     }
 
@@ -1209,7 +1558,7 @@ mod tests {
         }
         let r = w.seal_reader(path).unwrap();
         let mut chunks = Vec::new();
-        for (s, entry) in r.series.iter().enumerate() {
+        for (s, entry) in r.series_index().unwrap().iter().enumerate() {
             for (c, cref) in entry.chunks.iter().enumerate() {
                 let block = &r.entries[cref.block_ix as usize];
                 let at = block.offset as usize + 8 + cref.offset as usize;
@@ -1236,15 +1585,16 @@ mod tests {
         // whole segment reads them.
         let mut extent = Vec::new();
         let mut in_a_chunk = false;
+        let series = r.series_index().unwrap();
         for (block_ix, block) in r.entries.iter().enumerate() {
             let in_block = |c: &&ChunkRef| c.block_ix as usize == block_ix;
-            let refs = || r.series.iter().flat_map(|e| &e.chunks).filter(in_block);
+            let refs = || series.iter().flat_map(|e| &e.chunks).filter(in_block);
             let from = refs().map(|c| c.offset).min().unwrap_or(0);
             let to = refs().map(|c| c.offset + c.len).max().unwrap_or(0);
             r.read_extent(block_ix as u32, from..to, &mut extent).unwrap();
             assert!(extent.len() <= block.len as usize);
             for IntactChunk { ix: (s, c), at, samples: want } in &intact.chunks {
-                let cref = &r.series[*s].chunks[*c];
+                let cref = &series[*s].chunks[*c];
                 if !in_block(&cref) {
                     continue;
                 }

@@ -1,0 +1,101 @@
+//! What opening a segment allocates, counted exactly: a test binary of
+//! its own, because it replaces the global allocator with one that
+//! counts the calls made on the current thread.
+//!
+//! `SegmentReader::open` keeps the series index as the bytes it read
+//! plus one fixed-width row per series, so what it allocates is bounded
+//! by its tables, not by its series: fewer than `n_hosts + n_metrics +
+//! 32` calls for a 4,096-series day segment. Parsing the index into
+//! owned structs took three per series (≈ 12,600).
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+
+use supremm_tsdb::segment::{SegmentReader, SegmentWriter, KIND_SERIES};
+
+struct Counting;
+
+thread_local! {
+    static CALLS: Cell<u64> = const { Cell::new(0) };
+}
+
+fn count() {
+    // `try_with`: the allocator also runs while thread-locals are torn down.
+    let _ = CALLS.try_with(|c| c.set(c.get() + 1));
+}
+
+// SAFETY: every method forwards its arguments unchanged to `System`,
+// which upholds `GlobalAlloc`'s contract; counting touches only a
+// const-initialized thread-local `Cell`, which never allocates.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        count();
+        // SAFETY: the caller's guarantees for `layout` are `System`'s.
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        count();
+        // SAFETY: as for `alloc`.
+        unsafe { System.alloc_zeroed(layout) }
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        count();
+        // SAFETY: `ptr` came from this allocator, that is from `System`,
+        // with `layout`; the caller guarantees the rest.
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: as for `realloc`.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+}
+
+#[global_allocator]
+static COUNTING: Counting = Counting;
+
+/// Allocations `f` makes on this thread.
+fn allocations<T>(f: impl FnOnce() -> T) -> (T, u64) {
+    let before = CALLS.with(Cell::get);
+    let out = f();
+    (out, CALLS.with(Cell::get) - before)
+}
+
+#[test]
+fn opening_a_day_segment_allocates_per_table_not_per_series() {
+    const HOSTS: usize = 256;
+    const METRICS: usize = 16;
+    let dir = std::env::temp_dir().join(format!("tsdb-open-allocs-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join("seg-000001.tsdb");
+
+    // The engine's day segment: one 144-sample chunk per series, 64
+    // chunks a block, series in key order.
+    let hosts: Vec<String> = (0..HOSTS).map(|h| format!("c{:03}-{:03}", h / 16, h % 16)).collect();
+    let metrics: Vec<String> = (0..METRICS).map(|m| format!("metric_{m:02}")).collect();
+    let samples: Vec<Vec<(u64, u64)>> = (0..HOSTS * METRICS)
+        .map(|s| (0..144).map(|i| (1_700_000_000 + i * 600, ((s as u64) * 7 + i).to_le())).collect())
+        .collect();
+    let series: Vec<_> = (0..HOSTS * METRICS)
+        .map(|s| (hosts[s / METRICS].as_str(), metrics[s % METRICS].as_str(), &samples[s][..]))
+        .collect();
+    let mut writer = SegmentWriter::new(KIND_SERIES);
+    for block in series.chunks(64) {
+        writer.push_series_block(block);
+    }
+    writer.seal(&path).unwrap();
+
+    let (reader, calls) = allocations(|| SegmentReader::open(&path).unwrap());
+    let bound = (HOSTS + METRICS + 32) as u64;
+    assert!(calls < bound, "open made {calls} allocations, bound {bound}");
+    assert_eq!(reader.entries.len(), HOSTS * METRICS / 64);
+
+    // The view is what costs per series, and only when asked for.
+    let (index, calls) = allocations(|| reader.series_index().unwrap().len());
+    assert_eq!(index, HOSTS * METRICS);
+    assert!(calls >= 3 * index as u64, "the view owns its names and ref lists: {calls}");
+    let _ = std::fs::remove_dir_all(&dir);
+}

@@ -245,6 +245,70 @@ fn preagg_downsample_is_bit_identical_to_naive() {
     });
 }
 
+/// Hosts that carry different metric sets — the first never has `m0`,
+/// the second always does, so a segment's metric table is out of name
+/// order and lookups go by rank — answer every selector shape, names no
+/// series has included, bit for bit as the oracles do.
+#[test]
+fn differing_metric_sets_answer_every_selector_as_the_oracles_do() {
+    const HOSTS: [&str; 4] = ["a0", "c1", "c10", "c2"];
+    const METRICS: [&str; 5] = ["m0", "m1", "m10", "m2", "n"];
+    cases("differing_metric_sets_answer_every_selector_as_the_oracles_do", 64, |rng| {
+        let n_hosts = rng.range(2..5) as usize;
+        let sets: Vec<u64> = (0..n_hosts)
+            .map(|h| match (h, rng.range(0..32)) {
+                (0, mask) => mask & !1,
+                (1, mask) => mask | 1,
+                (_, mask) => mask,
+            })
+            .collect();
+        let series: Vec<(&str, &str)> = (0..n_hosts)
+            .flat_map(|h| (0..5).map(move |m| (h, m)))
+            .filter(|&(h, m)| sets[h] >> m & 1 == 1)
+            .map(|(h, m)| (HOSTS[h], METRICS[m]))
+            .collect();
+        let dir = tmpdir("metric-sets");
+        let mut db = Tsdb::open_with(&dir, small_opts()).unwrap();
+        for _ in 0..rng.range(1..80) {
+            let (host, metric) = rng.pick(&series);
+            db.append(host, metric, rng.range(0..500), f64::from_bits(rng.next_u64())).unwrap();
+            match rng.range(0..8) {
+                0 => db.flush().unwrap(),
+                1 => {
+                    db.flush().unwrap();
+                    db.compact().unwrap();
+                }
+                _ => {}
+            }
+        }
+        db.sync().unwrap();
+        drop(db);
+        let db = Tsdb::open_with(&dir, small_opts()).unwrap();
+        let hosts = HOSTS.iter().chain(&["", "c", "c100", "zz"]);
+        let metrics = METRICS.iter().chain(&["", "m", "m3"]);
+        let windows = [(0, u64::MAX), (rng.range(0..500), rng.range(0..500))];
+        for host in std::iter::once(None).chain(hosts.map(Some)) {
+            for metric in std::iter::once(None).chain(metrics.clone().map(Some)) {
+                let sel = Selector {
+                    host: host.map(|h| h.to_string()),
+                    metric: metric.map(|m| m.to_string()),
+                };
+                for (t0, len) in windows {
+                    let t1 = t0.saturating_add(len);
+                    let fast = bits_view(db.query(&sel, t0, t1).unwrap());
+                    let naive = bits_view(db.query_naive(&sel, t0, t1).unwrap());
+                    assert_eq!(fast, naive, "{sel:?} [{t0}, {t1}]");
+                    let (bin, agg) = (rng.range(1..80), agg_from(rng.range(0..6) as u8));
+                    let fast = bits_view(db.downsample(&sel, t0, t1, bin, agg).unwrap());
+                    let naive = bits_view(db.downsample_naive(&sel, t0, t1, bin, agg).unwrap());
+                    assert_eq!(fast, naive, "{sel:?} [{t0}, {t1}] bin {bin} {agg:?}");
+                }
+            }
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+    });
+}
+
 #[test]
 fn chunk_codec_round_trips_arbitrary_samples() {
     let (mut seen, mut ran) = (Coverage::default(), 0);
