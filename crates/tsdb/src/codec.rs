@@ -179,8 +179,9 @@ struct BitWriter {
 }
 
 impl BitWriter {
-    fn with_capacity(bytes: usize) -> BitWriter {
-        BitWriter { buf: Vec::with_capacity(bytes), acc: 0, fill: 0 }
+    /// A stream that starts after `buf`'s bytes.
+    fn after(buf: Vec<u8>) -> BitWriter {
+        BitWriter { buf, acc: 0, fill: 0 }
     }
 
     fn push_bit(&mut self, bit: bool) {
@@ -207,7 +208,8 @@ impl BitWriter {
         self.fill = fill.wrapping_sub(64);
     }
 
-    /// The stream, its last byte zero-padded.
+    /// The buffer it was made `after`, then the stream, its last byte
+    /// zero-padded.
     fn into_bytes(mut self) -> Vec<u8> {
         let pending = self.fill.div_ceil(8) as usize;
         self.buf.extend_from_slice(&self.acc.to_be_bytes()[..pending]);
@@ -311,8 +313,13 @@ fn decode_values_int(buf: &[u8], pos: &mut usize, out: &mut [(u64, u64)]) -> Opt
 /// is 64 raw bits): `0` = identical to previous; `10` = changed bits fit
 /// the previous leading/length window; `11` = new window (6 bits leading
 /// zeros, 6 bits length-1, then the meaningful bits).
+///
+/// Appended as `varint len · stream`: the stream is written straight
+/// after `out`'s bytes and its length prefix rotated in ahead of it, so
+/// it has no buffer of its own.
 fn encode_values_xor(out: &mut Vec<u8>, samples: &[(u64, u64)]) {
-    let mut w = BitWriter::with_capacity(samples.len() * 4 + 8);
+    let at = out.len();
+    let mut w = BitWriter::after(std::mem::take(out));
     let mut prev = 0u64;
     let mut prev_lead = u32::MAX; // "no window yet"
     let mut prev_len = 0u32;
@@ -343,7 +350,11 @@ fn encode_values_xor(out: &mut Vec<u8>, samples: &[(u64, u64)]) {
         }
         prev = bits;
     }
-    put_bytes(out, &w.into_bytes());
+    *out = w.into_bytes();
+    let stream_end = out.len();
+    put_varint(out, stream_end.wrapping_sub(at) as u64);
+    let prefix = out.len().wrapping_sub(stream_end);
+    out[at..].rotate_right(prefix);
 }
 
 fn decode_values_xor(buf: &[u8], pos: &mut usize, out: &mut [(u64, u64)]) -> Option<()> {
@@ -383,25 +394,33 @@ fn decode_values_xor(buf: &[u8], pos: &mut usize, out: &mut [(u64, u64)]) -> Opt
 /// timestamp stream is `varint t0 · zigzag varint d0 · zigzag varints of
 /// delta-of-deltas`. Empty input encodes as a single `0`.
 pub fn encode_chunk(samples: &[(u64, u64)]) -> Vec<u8> {
+    let mut out = Vec::new();
+    encode_chunk_into(&mut out, samples);
+    out
+}
+
+/// [`encode_chunk`], appended to `out`: the bytes after `out`'s old
+/// length are the chunk, and nothing else is allocated.
+pub fn encode_chunk_into(out: &mut Vec<u8>, samples: &[(u64, u64)]) {
     // A ten-minute gauge costs ≈ 1 B of timestamp and ≈ 3.4 B of value a
     // sample, a counter less; anything noisier grows the buffer.
-    let mut out = Vec::with_capacity(samples.len() * 5 + 16);
-    put_varint(&mut out, samples.len() as u64);
+    out.reserve(samples.len() * 5 + 16);
+    put_varint(out, samples.len() as u64);
     if samples.is_empty() {
-        return out;
+        return;
     }
     let mode_at = out.len();
     out.push(MODE_INT);
 
     // Timestamps: delta-of-delta.
-    put_varint(&mut out, samples[0].0);
+    put_varint(out, samples[0].0);
     if samples.len() >= 2 {
         let d0 = samples[1].0.wrapping_sub(samples[0].0) as i64;
-        put_varint(&mut out, zigzag(d0));
+        put_varint(out, zigzag(d0));
         let mut prev_delta = d0;
         for w in samples.windows(2).skip(1) {
             let d = w[1].0.wrapping_sub(w[0].0) as i64;
-            put_varint(&mut out, zigzag(d.wrapping_sub(prev_delta)));
+            put_varint(out, zigzag(d.wrapping_sub(prev_delta)));
             prev_delta = d;
         }
     }
@@ -409,12 +428,11 @@ pub fn encode_chunk(samples: &[(u64, u64)]) -> Vec<u8> {
     // The value stream is last, so int-delta is tried in place and, when
     // a value is not an integer (a gauge's first), cut off again.
     let values_at = out.len();
-    if !encode_values_int(&mut out, samples) {
+    if !encode_values_int(out, samples) {
         out.truncate(values_at);
         out[mode_at] = MODE_XOR;
-        encode_values_xor(&mut out, samples);
+        encode_values_xor(out, samples);
     }
-    out
 }
 
 /// Decode a chunk produced by [`encode_chunk`]; `None` on any corruption.
@@ -856,7 +874,7 @@ mod tests {
     /// Both writers fed `fields` produce the same bytes, and the reader
     /// gets every field back out of them.
     fn assert_same_stream(fields: &[(u64, u32)]) {
-        let (mut new, mut old) = (BitWriter::with_capacity(0), reference::BitWriter::new());
+        let (mut new, mut old) = (BitWriter::after(Vec::new()), reference::BitWriter::new());
         for &(v, n) in fields {
             new.push_bits(v, n);
             old.push_bits(v, n);
@@ -911,7 +929,7 @@ mod tests {
     fn widths_0_and_64_on_empty_and_part_filled_state() {
         const WORD: u64 = 0x0123_4567_89AB_CDEF;
         let written = |fields: &[(u64, u32)]| {
-            let mut w = BitWriter::with_capacity(0);
+            let mut w = BitWriter::after(Vec::new());
             fields.iter().for_each(|&(v, n)| w.push_bits(v, n));
             w.into_bytes()
         };

@@ -1236,7 +1236,7 @@ impl Tsdb {
             if let Some((payload, min_ts, max_ts, n_bins)) = block {
                 let seq = self.next_roll_seq.get(&bin).copied().unwrap_or(1);
                 let mut w = SegmentWriter::new(KIND_ROLLUP);
-                w.push_raw_block(payload, min_ts, max_ts, n_bins);
+                w.push_raw_block(&payload, min_ts, max_ts, n_bins);
                 let path = self.dir.join(roll_file_name(bin, seq));
                 let reader = w.seal_reader(&path)?;
                 self.rollups.entry(bin).or_default().push((seq, reader));
@@ -1823,7 +1823,7 @@ mod tests {
         let payload = reader.read_block(&entry).unwrap();
         let reseal = |payload: &[u8]| {
             let mut w = SegmentWriter::new(KIND_ROLLUP);
-            w.push_raw_block(payload.to_vec(), entry.min_ts, entry.max_ts, entry.n_chunks);
+            w.push_raw_block(payload, entry.min_ts, entry.max_ts, entry.n_chunks);
             w.seal(&roll).unwrap();
         };
         // The second series of the block: the visitor has passed over

@@ -1,5 +1,6 @@
-//! Reference implementations of the read path: decode every overlapping
-//! block into a map, last insert wins. Differential-test oracles for
+//! Reference implementations of the read path: read every overlapping
+//! block whole, decode each of its chunks the owned series-index view
+//! addresses into a map, last insert wins. Differential-test oracles for
 //! [`Tsdb::query`] and [`Tsdb::downsample`] — do not "optimize" these;
 //! their value is being obviously correct.
 
@@ -48,21 +49,25 @@ impl Tsdb {
         }
         let mut acc: BTreeMap<SeriesKey, BTreeMap<u64, u64>> = BTreeMap::new();
         for (_, reader) in &self.segments {
-            for entry in &reader.entries {
+            // The owned view of the index, not the engine's lookup.
+            let index = reader.series_index().unwrap_or_default();
+            for (block_ix, entry) in reader.entries.iter().enumerate() {
                 // Sparse time index: skip blocks outside the range.
                 if entry.max_ts < t0 || entry.min_ts > t1 {
                     continue;
                 }
                 let payload = reader.read_block(entry)?;
-                for chunk in reader.decode_series_block(&payload)? {
-                    let key = SeriesKey::new(chunk.host, chunk.metric);
+                for series in index {
+                    let key = SeriesKey::new(&series.host, &series.metric);
                     if !sel.matches(&key) {
                         continue;
                     }
-                    let series = acc.entry(key).or_default();
-                    for (ts, bits) in chunk.samples {
-                        if ts >= t0 && ts <= t1 {
-                            series.insert(ts, bits);
+                    let points = acc.entry(key).or_default();
+                    for r in series.chunks.iter().filter(|r| r.block_ix as usize == block_ix) {
+                        for (ts, bits) in reader.decode_chunk_in_block(&payload, r)? {
+                            if ts >= t0 && ts <= t1 {
+                                points.insert(ts, bits);
+                            }
                         }
                     }
                 }

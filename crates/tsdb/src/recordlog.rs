@@ -36,11 +36,11 @@ pub fn write_records(path: &Path, records: &[(u64, Vec<u8>)]) -> Result<u64, Tsd
         if min_ts == u64::MAX {
             min_ts = 0;
         }
-        writer.push_raw_block(payload, min_ts, max_ts, block.len() as u32);
+        writer.push_raw_block(&payload, min_ts, max_ts, block.len() as u32);
     }
     if writer.is_empty() {
         // An empty table still needs a valid file to load back.
-        writer.push_raw_block(vec![0u8], 0, 0, 0);
+        writer.push_raw_block(&[0], 0, 0, 0);
     }
     writer.seal(path)
 }

@@ -42,27 +42,29 @@
 //!   inside its block payload, and is checked whenever the chunk is
 //!   decoded out of an extent. This is the read path's unit of
 //!   verification.
-//! - a block frame's `crc32` covers the whole payload — string tables,
-//!   ids and length prefixes as well as the chunks — and is checked by
+//! - a block frame's `crc32` covers the whole payload and is checked by
 //!   [`SegmentReader::read_block`], the unit for whole-block consumers
 //!   (the naive oracles, [`crate::recordlog`], rollup blocks, which
-//!   have no chunk index).
+//!   have no chunk index). A series block's payload is its chunks and
+//!   nothing else, so every byte of it also sits under a chunk CRC.
 //!
 //! One format version is written and read: [`VERSION`]. Any other
 //! version in the header is refused at open with
 //! [`TsdbError::BadVersion`]; the file is left alone.
 //!
-//! Segments are sealed through [`crate::durable::replace_file`] — a
-//! crash mid-write leaves no visible segment.
+//! [`SegmentWriter`] builds the file's image in memory, each chunk
+//! encoded at its final offset, and seals it through
+//! [`crate::durable::replace_file`] — a crash mid-write leaves no
+//! visible segment.
 //!
-//! Series-block payload (kind 0):
-//!
-//! ```text
-//! varint n_hosts · (varint len · bytes)*        host string table
-//! varint n_metrics · (varint len · bytes)*      metric string table
-//! varint n_chunks · (varint host_id · varint metric_id ·
-//!                    varint chunk_len · chunk bytes)*
-//! ```
+//! Series-block payload (kind 0): the encoded chunks back to back, in
+//! the order they were written. The series index is the only map of
+//! them: a block's [`ChunkRef`]s, sorted by `offset`, tile `[0, len)`
+//! of its payload — no gap, no overlap. No reader looks at a byte no
+//! ref addresses, which is why a version-3 file written while series
+//! blocks still led with string tables and gave each chunk a `(host_id,
+//! metric_id, len)` prefix reads exactly as a bare one (`compact`
+//! rewrites such a file bare).
 //!
 //! Index frame: the block entries, then the series-index tail.
 //!
@@ -127,8 +129,7 @@ use std::path::{Path, PathBuf};
 use std::sync::OnceLock;
 
 use crate::codec::{
-    self, decode_chunk, decode_chunk_at, get_stats, get_str, get_str_table, get_varint,
-    put_bytes, put_stats, put_varint, StrTable,
+    self, decode_chunk, get_stats, get_str, get_varint, put_stats, put_varint, StrTable,
 };
 use crate::crc::crc32;
 use crate::db::Selector;
@@ -201,15 +202,6 @@ pub struct IndexEntry {
     pub n_chunks: u32,
 }
 
-/// One compressed series chunk inside a block, addressed by string-table
-/// ids that [`SegmentReader`] resolves back to names.
-#[derive(Debug, Clone)]
-pub struct SeriesChunk {
-    pub host: String,
-    pub metric: String,
-    pub samples: Vec<(u64, u64)>,
-}
-
 /// Series index: the exact location of one compressed chunk plus its
 /// checksum, time range and pre-aggregates. `offset`/`len` are relative
 /// to the owning block's payload and frame the chunk's encoded bytes;
@@ -237,28 +229,20 @@ pub struct SeriesEntry {
 
 // --- writing --------------------------------------------------------------
 
-/// Builds a segment in memory, then seals it to disk atomically.
+/// Builds a segment as the image of its file, then seals it to disk
+/// atomically.
 pub struct SegmentWriter {
     kind: u8,
-    blocks: Vec<(Vec<u8>, u64, u64, u32)>, // payload, min_ts, max_ts, n_chunks
-    /// Per-series chunk refs for the series index, keyed `(host, metric)`.
-    series: BTreeMap<(String, String), Vec<ChunkRef>>,
-    /// The series block chunks are arriving into.
-    open: OpenBlock,
-}
-
-/// A series block still taking chunks. Its string tables precede the
-/// chunks in the payload and are complete only when it closes, so the
-/// encoded chunks wait here.
-#[derive(Default)]
-struct OpenBlock {
-    /// The encoded chunks, back to back.
-    chunks: Vec<u8>,
-    /// `(host, metric, ref)` per chunk on its way to the series index;
-    /// `ref.offset` is into `chunks` until the block closes.
-    refs: Vec<(String, String, ChunkRef)>,
-    min_ts: Option<u64>,
-    max_ts: u64,
+    /// The file so far: the header, then every block frame. The open
+    /// block's frame is last, its `len` and `crc` still zero.
+    image: Vec<u8>,
+    /// One sparse-index entry per closed block.
+    entries: Vec<IndexEntry>,
+    /// The block chunks are arriving into, once its first has come:
+    /// `offset` is its frame's, `len` is set when it closes.
+    open: Option<IndexEntry>,
+    /// Per-series chunk refs for the series index, by host, then metric.
+    series: BTreeMap<String, BTreeMap<String, Vec<ChunkRef>>>,
 }
 
 /// One chunk handed to [`SegmentWriter::push_series_block`]:
@@ -267,12 +251,17 @@ pub(crate) type ChunkSamples<'a> = (&'a str, &'a str, &'a [(u64, u64)]);
 
 impl SegmentWriter {
     pub fn new(kind: u8) -> SegmentWriter {
-        SegmentWriter { kind, blocks: Vec::new(), series: BTreeMap::new(), open: OpenBlock::default() }
+        let mut image = Vec::with_capacity(HEADER_LEN);
+        image.extend_from_slice(MAGIC);
+        image.extend_from_slice(&VERSION.to_le_bytes());
+        image.push(kind);
+        image.push(0); // reserved
+        SegmentWriter { kind, image, entries: Vec::new(), open: None, series: BTreeMap::new() }
     }
 
-    /// Add a series block: chunks grouped under shared string tables.
-    /// `chunks` items are `(host, metric, samples)`; samples are
-    /// borrowed — no copy is made on the way into the encoder.
+    /// Add a series block of `chunks`, `(host, metric, samples)` each;
+    /// samples are borrowed — no copy is made on the way into the
+    /// encoder.
     pub fn push_series_block(&mut self, chunks: &[ChunkSamples<'_>]) {
         for (host, metric, samples) in chunks {
             self.push_chunk(host, metric, samples);
@@ -280,11 +269,10 @@ impl SegmentWriter {
         self.close_block();
     }
 
-    /// Encode one chunk into the open series block; returns how many
-    /// chunks the block now holds. The caller decides when it is full
-    /// ([`SegmentWriter::close_block`]).
+    /// Encode one chunk into the open series block, at its place in the
+    /// file; returns how many chunks the block now holds. The caller
+    /// decides when it is full ([`SegmentWriter::close_block`]).
     pub(crate) fn push_chunk(&mut self, host: &str, metric: &str, samples: &[(u64, u64)]) -> usize {
-        let open = &mut self.open;
         let mut chunk_min = u64::MAX;
         let mut chunk_max = 0u64;
         for &(ts, _) in samples {
@@ -294,57 +282,73 @@ impl SegmentWriter {
         // An empty chunk covers `[0, 0]`, and its block with it: the
         // index stores a chunk's `min_ts` as a delta over its block's.
         let chunk_min = chunk_min.min(chunk_max);
-        open.min_ts = Some(open.min_ts.map_or(chunk_min, |m| m.min(chunk_min)));
-        open.max_ts = open.max_ts.max(chunk_max);
-        let chunk = codec::encode_chunk(samples);
+        let block = self.open_block(chunk_min, chunk_max);
+        block.min_ts = block.min_ts.min(chunk_min);
+        block.max_ts = block.max_ts.max(chunk_max);
+        block.n_chunks += 1;
+        let (payload_at, n_chunks) = (block.offset as usize + 8, block.n_chunks);
+        let at = self.image.len();
+        codec::encode_chunk_into(&mut self.image, samples);
+        let chunk = &self.image[at..];
         let r = ChunkRef {
-            block_ix: self.blocks.len() as u32,
-            offset: open.chunks.len() as u32,
+            block_ix: self.entries.len() as u32,
+            offset: (at - payload_at) as u32,
             len: chunk.len() as u32,
-            crc: crc32(&chunk),
+            crc: crc32(chunk),
             min_ts: chunk_min,
             max_ts: chunk_max,
             stats: ChunkStats::from_samples(samples),
         };
-        open.chunks.extend_from_slice(&chunk);
-        open.refs.push((host.to_owned(), metric.to_owned(), r));
-        open.refs.len()
+        // Names are owned once per series: a known one is found by
+        // borrowing.
+        let metrics = match self.series.get_mut(host) {
+            Some(metrics) => metrics,
+            None => self.series.entry(host.to_owned()).or_default(),
+        };
+        let refs = match metrics.get_mut(metric) {
+            Some(refs) => refs,
+            None => metrics.entry(metric.to_owned()).or_default(),
+        };
+        refs.push(r);
+        n_chunks as usize
     }
 
-    /// End the open series block, if it holds any chunk: lay out its
-    /// payload and hand its refs to the series index.
+    /// The open block, opening one that covers `[min_ts, max_ts]` if
+    /// none is: its frame goes into the image, `len` and `crc` zero.
+    fn open_block(&mut self, min_ts: u64, max_ts: u64) -> &mut IndexEntry {
+        let image = &mut self.image;
+        self.open.get_or_insert_with(|| {
+            let offset = image.len() as u64;
+            image.extend_from_slice(&[0; 8]);
+            IndexEntry { offset, len: 0, min_ts, max_ts, n_chunks: 0 }
+        })
+    }
+
+    /// End the open block, if there is one: its payload is the rest of
+    /// the image, so fill in its frame and index it.
     pub(crate) fn close_block(&mut self) {
-        let OpenBlock { chunks, mut refs, min_ts, max_ts } = std::mem::take(&mut self.open);
-        if refs.is_empty() {
-            return;
-        }
-        let mut hosts = StrTable::default();
-        let mut metrics = StrTable::default();
-        let ids: Vec<(u64, u64)> =
-            refs.iter().map(|(h, m, _)| (hosts.intern(h), metrics.intern(m))).collect();
-        let mut payload = Vec::with_capacity(chunks.len() + 64);
-        hosts.write(&mut payload);
-        metrics.write(&mut payload);
-        put_varint(&mut payload, refs.len() as u64);
-        for ((_, _, r), (host_id, metric_id)) in refs.iter_mut().zip(ids) {
-            put_varint(&mut payload, host_id);
-            put_varint(&mut payload, metric_id);
-            put_bytes(&mut payload, &chunks[r.offset as usize..][..r.len as usize]);
-            r.offset = payload.len() as u32 - r.len;
-        }
-        self.blocks.push((payload, min_ts.unwrap_or(0), max_ts, refs.len() as u32));
-        for (host, metric, r) in refs {
-            self.series.entry((host, metric)).or_default().push(r);
-        }
+        let Some(mut block) = self.open.take() else { return };
+        let frame = block.offset as usize;
+        let payload = &self.image[frame + 8..];
+        block.len = payload.len() as u32;
+        let crc = crc32(payload);
+        self.image[frame..frame + 4].copy_from_slice(&block.len.to_le_bytes());
+        self.image[frame + 4..frame + 8].copy_from_slice(&crc.to_le_bytes());
+        self.entries.push(block);
     }
 
-    /// Add an opaque block (kind-1 segments); time range is caller-set.
-    pub fn push_raw_block(&mut self, payload: Vec<u8>, min_ts: u64, max_ts: u64, n_items: u32) {
-        self.blocks.push((payload, min_ts, max_ts, n_items));
+    /// Add an opaque block (kind-1 and kind-2 segments); time range is
+    /// caller-set.
+    pub fn push_raw_block(&mut self, payload: &[u8], min_ts: u64, max_ts: u64, n_items: u32) {
+        self.close_block();
+        let block = self.open_block(min_ts, max_ts);
+        block.n_chunks = n_items;
+        self.image.extend_from_slice(payload);
+        self.close_block();
     }
 
     pub fn is_empty(&self) -> bool {
-        self.blocks.is_empty() && self.open.refs.is_empty()
+        self.entries.is_empty() && self.open.is_none()
     }
 
     /// Seal to `path` atomically (see [`durable::replace_file`]);
@@ -358,42 +362,37 @@ impl SegmentWriter {
     /// constructor [`SegmentReader::open`] uses, without reading it back.
     pub(crate) fn seal_reader(mut self, path: &Path) -> Result<SegmentReader, TsdbError> {
         self.close_block();
-        let mut buf = Vec::new();
-        buf.extend_from_slice(MAGIC);
-        buf.extend_from_slice(&VERSION.to_le_bytes());
-        buf.push(self.kind);
-        buf.push(0); // reserved
-
-        // Block frames go into the file, one sparse-index entry each
-        // into the index frame.
+        // One sparse-index entry per block frame.
         let mut index = Vec::new();
-        put_varint(&mut index, self.blocks.len() as u64);
-        for (payload, min_ts, max_ts, n_chunks) in &self.blocks {
-            put_varint(&mut index, buf.len() as u64);
-            put_varint(&mut index, payload.len() as u64);
-            put_varint(&mut index, *min_ts);
-            put_varint(&mut index, *max_ts);
-            put_varint(&mut index, u64::from(*n_chunks));
-            buf.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-            buf.extend_from_slice(&crc32(payload).to_le_bytes());
-            buf.extend_from_slice(payload);
+        put_varint(&mut index, self.entries.len() as u64);
+        for e in &self.entries {
+            put_varint(&mut index, e.offset);
+            put_varint(&mut index, u64::from(e.len));
+            put_varint(&mut index, e.min_ts);
+            put_varint(&mut index, e.max_ts);
+            put_varint(&mut index, u64::from(e.n_chunks));
         }
         // Segment-wide string tables, then per-series chunk refs.
         let mut hosts = StrTable::default();
         let mut metrics = StrTable::default();
-        let ids: Vec<(u64, u64)> =
-            self.series.keys().map(|(h, m)| (hosts.intern(h), metrics.intern(m))).collect();
+        let mut series = Vec::new();
+        for (host, by_metric) in &self.series {
+            let host_id = hosts.intern(host);
+            for (metric, refs) in by_metric {
+                series.push((host_id, metrics.intern(metric), refs));
+            }
+        }
         hosts.write(&mut index);
         metrics.write(&mut index);
-        put_varint(&mut index, self.series.len() as u64);
-        for (chunks, (host_id, metric_id)) in self.series.values().zip(ids) {
+        put_varint(&mut index, series.len() as u64);
+        for (host_id, metric_id, refs) in series {
             put_varint(&mut index, host_id);
             put_varint(&mut index, metric_id);
-            put_varint(&mut index, chunks.len() as u64);
-            for r in chunks {
+            put_varint(&mut index, refs.len() as u64);
+            for r in refs {
                 // `push_chunk` folded this chunk's range into its
                 // block's, so neither delta can go below zero.
-                let block_min = self.blocks[r.block_ix as usize].1;
+                let block_min = self.entries[r.block_ix as usize].min_ts;
                 put_varint(&mut index, u64::from(r.block_ix));
                 put_varint(&mut index, u64::from(r.offset));
                 put_varint(&mut index, u64::from(r.len));
@@ -403,16 +402,17 @@ impl SegmentWriter {
                 put_stats(&mut index, &r.stats);
             }
         }
-        let index_offset = buf.len() as u64;
-        buf.extend_from_slice(&index);
-        buf.extend_from_slice(&index_offset.to_le_bytes());
-        buf.extend_from_slice(&(index.len() as u32).to_le_bytes());
-        buf.extend_from_slice(&crc32(&index).to_le_bytes());
-        buf.extend_from_slice(FOOTER_MAGIC);
+        let mut image = self.image;
+        let index_offset = image.len() as u64;
+        image.extend_from_slice(&index);
+        image.extend_from_slice(&index_offset.to_le_bytes());
+        image.extend_from_slice(&(index.len() as u32).to_le_bytes());
+        image.extend_from_slice(&crc32(&index).to_le_bytes());
+        image.extend_from_slice(FOOTER_MAGIC);
 
-        durable::replace_file(path, &buf)?;
+        durable::replace_file(path, &image)?;
         let file = File::open(path)?;
-        let file_len = buf.len() as u64;
+        let file_len = image.len() as u64;
         let index = index.into_boxed_slice();
         SegmentReader::from_index(path, file, self.kind, file_len, index_offset, index)
     }
@@ -911,49 +911,6 @@ impl SegmentReader {
         }
         decode_chunk(bytes).ok_or_else(|| self.bad_chunk(r, "decode"))
     }
-
-    /// Decode a kind-0 block payload into named series chunks: every
-    /// chunk, whoever it belongs to. The engine reads chunks through the
-    /// series index ([`SegmentReader::decode_chunk_in_block`]); this is
-    /// what the naive oracles check it against.
-    pub fn decode_series_block(&self, payload: &[u8]) -> Result<Vec<SeriesChunk>, TsdbError> {
-        let bad = |what: &str| corrupt(format!("{}: series block: {what}", self.path.display()));
-        let mut pos = 0usize;
-        let hosts = get_str_table(payload, &mut pos).ok_or_else(|| bad("host table"))?;
-        let metrics = get_str_table(payload, &mut pos).ok_or_else(|| bad("metric table"))?;
-        let n_chunks = get_varint(payload, &mut pos).ok_or_else(|| bad("chunk count"))? as usize;
-        if n_chunks > payload.len() {
-            return Err(bad("chunk count out of range"));
-        }
-        let mut out = Vec::with_capacity(n_chunks);
-        for _ in 0..n_chunks {
-            let host_id = get_varint(payload, &mut pos).ok_or_else(|| bad("host id"))? as usize;
-            let metric_id =
-                get_varint(payload, &mut pos).ok_or_else(|| bad("metric id"))? as usize;
-            let chunk_len =
-                get_varint(payload, &mut pos).ok_or_else(|| bad("chunk length"))? as usize;
-            let end = pos.checked_add(chunk_len).ok_or_else(|| bad("chunk overflow"))?;
-            if end > payload.len() {
-                return Err(bad("chunk out of bounds"));
-            }
-            let mut cpos = pos;
-            let samples =
-                decode_chunk_at(payload, &mut cpos).ok_or_else(|| bad("chunk decode"))?;
-            if cpos != end {
-                return Err(bad("chunk length mismatch"));
-            }
-            pos = end;
-            // One owned name per chunk: the naive oracles only.
-            let host = hosts.get(host_id).ok_or_else(|| bad("host id out of range"))?;
-            let metric = metrics.get(metric_id).ok_or_else(|| bad("metric id out of range"))?;
-            let (host, metric) = (host.to_string(), metric.to_string());
-            out.push(SeriesChunk { host, metric, samples });
-        }
-        if pos != payload.len() {
-            return Err(bad("trailing bytes"));
-        }
-        Ok(out)
-    }
 }
 
 #[cfg(test)]
@@ -1011,12 +968,13 @@ mod tests {
         assert_eq!(r.entries.len(), 1);
         assert_eq!(r.time_range(), Some((0, 149 * 600)));
         let payload = r.read_block(&r.entries[0]).unwrap();
-        let chunks = r.decode_series_block(&payload).unwrap();
-        assert_eq!(chunks.len(), 3);
-        assert_eq!(chunks[0].host, "c301-101");
-        assert_eq!(chunks[2].metric, "cpu_user");
-        assert_eq!(chunks[1].samples.len(), 100);
-        assert_eq!(chunks[1].samples[3], (3 * 600, (3.0 * 4096.0f64).to_bits()));
+        let index = r.series_index().unwrap();
+        assert_eq!(index.len(), 3);
+        assert_eq!(index[0].host, "c301-101");
+        assert_eq!(index[2].metric, "cpu_user");
+        let samples = r.decode_chunk_in_block(&payload, &index[1].chunks[0]).unwrap();
+        assert_eq!(samples, owned[1].2);
+        assert_eq!(samples[3], (3 * 600, (3.0 * 4096.0f64).to_bits()));
         let _ = fs::remove_dir_all(&dir);
     }
 
@@ -1131,6 +1089,9 @@ mod tests {
     /// the whole file). Version 3: the version-2 file of this input was
     /// `(1609, 0x2569_9914)`; three chunk CRCs make it 12 bytes longer,
     /// and at these small timestamps the two time deltas save nothing.
+    /// With bare series blocks — no string tables or chunk prefixes in
+    /// the payload — the tabled `(1621, 0x3EC1_C50C)` (kept as
+    /// `tests/fixtures/seg-tabled-v3.tsdb`) is 50 bytes shorter.
     #[test]
     fn sealed_bytes_are_pinned() {
         let dir = tmpdir("golden");
@@ -1139,7 +1100,7 @@ mod tests {
         w.push_series_block(&as_refs(&sample_chunks()));
         w.seal(&path).unwrap();
         let bytes = fs::read(&path).unwrap();
-        assert_eq!((bytes.len(), crc32(&bytes)), (1621, 0x3EC1_C50C));
+        assert_eq!((bytes.len(), crc32(&bytes)), (1571, 0xF8C8_C6E4));
         let _ = fs::remove_dir_all(&dir);
     }
 
@@ -1160,9 +1121,9 @@ mod tests {
             // Must never panic. Either open fails, or a block read /
             // decode fails, or (for truly dont-care bytes) data matches.
             if let Ok(r) = SegmentReader::open(&path) {
-                for e in &r.entries {
-                    if let Ok(p) = r.read_block(e) {
-                        let _ = r.decode_series_block(&p);
+                for cref in r.series_index().unwrap().iter().flat_map(|e| &e.chunks) {
+                    if let Ok(p) = r.read_block(&r.entries[cref.block_ix as usize]) {
+                        let _ = r.decode_chunk_in_block(&p, cref);
                     }
                 }
             }
@@ -1573,8 +1534,10 @@ mod tests {
     /// Damage byte `i` of `intact` with `mask` and read everything back:
     /// `open` refuses the file, or every chunk whose bytes hold `i` is
     /// refused by its extent read and every other chunk decodes to its
-    /// own samples, and — when `i` is in no chunk — the block that holds
-    /// it is refused by `read_block`. No read returns a wrong sample.
+    /// own samples, and — when `i` is in no chunk — it is one of a block
+    /// frame's 8 bytes and `read_block` refuses that block: chunks tile
+    /// every payload, so no other byte is left. No read returns a wrong
+    /// sample.
     fn assert_flip_is_caught(path: &Path, intact: &Intact, i: usize, mask: u8) {
         let mut bad = intact.bytes.clone();
         bad[i] ^= mask;
@@ -1610,15 +1573,15 @@ mod tests {
         if in_a_chunk {
             return;
         }
-        let frame = |e: &&IndexEntry| {
-            let start = e.offset as usize;
-            (start..start + 8 + e.len as usize).contains(&i)
-        };
+        let frame = |e: &&IndexEntry| (e.offset as usize..e.offset as usize + 8).contains(&i);
         match r.entries.iter().find(frame) {
-            Some(block) => assert!(r.read_block(block).is_err(), "byte {i} outside every chunk"),
+            Some(block) => assert!(r.read_block(block).is_err(), "byte {i} in a block frame"),
             // The header's kind and reserved bytes are under no
             // checksum; a store refuses a wrong kind by value.
-            None => assert!(i == 11 || (i == 10 && r.kind != KIND_SERIES), "byte {i}"),
+            None => assert!(
+                i == 11 || (i == 10 && r.kind != KIND_SERIES),
+                "byte {i} is in no chunk and no block frame"
+            ),
         }
     }
 
@@ -1663,5 +1626,226 @@ mod tests {
             assert_flip_is_caught(&path, &intact, i, mask);
         });
         let _ = fs::remove_dir_all(&dir);
+    }
+
+    /// Each block's refs, sorted by offset, cover `[0, len)` of its
+    /// payload exactly — no gap, no overlap — and there are `n_chunks`
+    /// of them.
+    fn assert_refs_tile(r: &SegmentReader) {
+        let series = r.series_index().unwrap();
+        for (block_ix, entry) in r.entries.iter().enumerate() {
+            let mut spans: Vec<(u32, u32)> = series
+                .iter()
+                .flat_map(|e| &e.chunks)
+                .filter(|c| c.block_ix as usize == block_ix)
+                .map(|c| (c.offset, c.len))
+                .collect();
+            spans.sort_unstable();
+            assert_eq!(spans.len(), entry.n_chunks as usize, "block {block_ix}");
+            let mut end = 0;
+            for (offset, len) in spans {
+                assert_eq!(offset, end, "block {block_ix}: a gap or an overlap at {end}");
+                end += len;
+            }
+            assert_eq!(end, entry.len, "block {block_ix}: its refs end at {end}");
+        }
+    }
+
+    /// A series block is its chunks back to back: whether chunks come
+    /// one at a time (`push_chunk` / `close_block`, as `write_segment`
+    /// gives them) or a block at once (`push_series_block`), the file is
+    /// the same and its refs tile every block. Every case holds a series
+    /// split across a block boundary, chunks out of key order and an
+    /// empty chunk.
+    #[test]
+    fn refs_tile_every_series_block() {
+        use supremm_metrics::rng::{cases, SplitMix64};
+        let dir = tmpdir("tile");
+        let (path, again) = (dir.join("seg-000001.tsdb"), dir.join("seg-000002.tsdb"));
+        cases("refs_tile_every_series_block", 64, |rng| {
+            let epoch = rng.pick(&[0, 1_700_000_000, u64::MAX - 1_000_000]);
+            let draw = |r: &mut SplitMix64, n: Range<usize>| -> Vec<(u64, u64)> {
+                r.vec(n, |r| (epoch + r.range(0..1_000_000), r.next_u64()))
+            };
+            let mut blocks: Vec<Vec<OwnedChunk>> = vec![
+                vec![("h2".into(), "m1".into(), draw(rng, 1..20))],
+                vec![
+                    ("h0".into(), "m0".into(), Vec::new()),
+                    ("h2".into(), "m1".into(), draw(rng, 1..20)),
+                ],
+            ];
+            for _ in 0..rng.range(0..5) {
+                blocks.push(rng.vec(1..8, |r| {
+                    (format!("h{}", r.range(0..4)), format!("m{}", r.range(0..3)), draw(r, 0..30))
+                }));
+            }
+
+            let mut w = SegmentWriter::new(KIND_SERIES);
+            for block in &blocks {
+                w.push_series_block(&as_refs(block));
+            }
+            w.seal(&path).unwrap();
+            let mut w = SegmentWriter::new(KIND_SERIES);
+            for block in &blocks {
+                for (n, (host, metric, samples)) in block.iter().enumerate() {
+                    assert_eq!(w.push_chunk(host, metric, samples), n + 1);
+                }
+                w.close_block();
+                if rng.range(0..2) == 0 {
+                    w.close_block(); // closing no open block writes nothing
+                }
+            }
+            let r = w.seal_reader(&again).unwrap();
+            assert_eq!(fs::read(&again).unwrap(), fs::read(&path).unwrap());
+
+            assert_eq!(r.entries.len(), blocks.len());
+            assert_refs_tile(&r);
+            let h2m1 =
+                r.series_index().unwrap().iter().find(|e| (&*e.host, &*e.metric) == ("h2", "m1"));
+            let split = &h2m1.unwrap().chunks;
+            assert_eq!((split[0].block_ix, split[1].block_ix), (0, 1), "h2/m1 spans a boundary");
+            // Every chunk decodes to what was pushed, in push order.
+            let mut pushed: BTreeMap<_, Vec<_>> = BTreeMap::new();
+            for (host, metric, samples) in blocks.iter().flatten() {
+                pushed
+                    .entry((host.as_str(), metric.as_str()))
+                    .or_default()
+                    .push(samples.as_slice());
+            }
+            let payloads: Vec<Vec<u8>> =
+                r.entries.iter().map(|e| r.read_block(e).unwrap()).collect();
+            for e in r.series_index().unwrap() {
+                let got: Vec<Vec<(u64, u64)>> = e
+                    .chunks
+                    .iter()
+                    .map(|c| r.decode_chunk_in_block(&payloads[c.block_ix as usize], c).unwrap())
+                    .collect();
+                assert_eq!(got, pushed[&(&*e.host, &*e.metric)], "{}/{}", e.host, e.metric);
+            }
+        });
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    /// `sealed_bytes_are_pinned`'s input as the writer sealed it while
+    /// series blocks still carried string tables and a `(host_id,
+    /// metric_id, len)` prefix per chunk. Same version, same index
+    /// grammar: no reader looks at a byte no ref addresses.
+    const TABLED: &[u8] = include_bytes!("../tests/fixtures/seg-tabled-v3.tsdb");
+
+    /// Query output with values as bits, so NaNs compare.
+    fn bits(
+        points: Vec<(crate::db::SeriesKey, Vec<(u64, f64)>)>,
+    ) -> Vec<(String, Vec<(u64, u64)>)> {
+        let series = |(k, p): (crate::db::SeriesKey, Vec<(u64, f64)>)| {
+            let p = p.into_iter().map(|(t, v)| (t, v.to_bits())).collect();
+            (format!("{}/{}", k.host, k.metric), p)
+        };
+        points.into_iter().map(series).collect()
+    }
+
+    /// A store that holds the tabled fixture beside a bare segment of the
+    /// same series over overlapping times, either one the newer: every
+    /// read answers as the oracles do, none of them touches the
+    /// fixture's bytes, and `compact` rewrites the store bare.
+    #[test]
+    fn a_tabled_segment_reads_beside_a_bare_one_and_compacts_bare() {
+        use crate::db::{Agg, Tsdb};
+        use supremm_metrics::rng::cases;
+        assert_eq!((TABLED.len(), crc32(TABLED)), (1621, 0x3EC1_C50C), "the tabled writer's bytes");
+        let dir = tmpdir("tabled");
+
+        // The fixture's index is what a bare file of the same input
+        // indexes, but where the chunks sit; its chunks decode alike.
+        fs::write(dir.join("seg-000001.tsdb"), TABLED).unwrap();
+        let tabled = SegmentReader::open(&dir.join("seg-000001.tsdb")).unwrap();
+        let mut w = SegmentWriter::new(KIND_SERIES);
+        w.push_series_block(&as_refs(&sample_chunks()));
+        let fresh = w.seal_reader(&dir.join("seg-000002.tsdb")).unwrap();
+        let refs = |r: &SegmentReader| -> Vec<_> {
+            let payload = r.read_block(&r.entries[0]).unwrap();
+            let index = r.series_index().unwrap().iter();
+            let chunks = index.flat_map(|e| e.chunks.iter().map(move |c| (e, c)));
+            chunks
+                .map(|(e, c)| {
+                    let samples = r.decode_chunk_in_block(&payload, c).unwrap();
+                    let at_zero = ref_bits(&ChunkRef { offset: 0, ..c.clone() });
+                    (e.host.clone(), e.metric.clone(), at_zero, samples)
+                })
+                .collect()
+        };
+        assert_eq!(refs(&tabled), refs(&fresh));
+        assert_eq!((tabled.entries[0].len, fresh.entries[0].len), (1386, 1336));
+        let _ = fs::remove_dir_all(&dir);
+
+        cases("a_tabled_segment_reads_beside_a_bare_one_and_compacts_bare", 16, |rng| {
+            let dir = tmpdir("tabled-store");
+            let seg = |seq: u64| dir.join(format!("seg-{seq:06}.tsdb"));
+            let tabled_seq = rng.range(1..3);
+            fs::write(seg(tabled_seq), TABLED).unwrap();
+            // On the fixture's 600 s grid and between it, so samples
+            // collide and last-write-wins decides.
+            let hosts = ["c301-101", "c301-102", "c301-103"];
+            let metrics = ["cpu_user", "mem_used"];
+            let blocks: Vec<Vec<OwnedChunk>> = rng.vec(1..4, |r| {
+                r.vec(1..6, |r| {
+                    let mut ts: Vec<u64> = r.vec(1..40, |r| r.range(0..300) * 300);
+                    ts.sort_unstable();
+                    ts.dedup();
+                    let samples = ts.into_iter().map(|t| (t, r.next_u64())).collect();
+                    (r.pick(&hosts).to_string(), r.pick(&metrics).to_string(), samples)
+                })
+            });
+            let mut w = SegmentWriter::new(KIND_SERIES);
+            for block in &blocks {
+                w.push_series_block(&as_refs(block));
+            }
+            w.seal(&seg(3 - tabled_seq)).unwrap();
+
+            let selectors = [
+                Selector::all(),
+                Selector::host("c301-101"),
+                Selector::host("c301-103"),
+                Selector::metric("cpu_user"),
+                Selector { host: Some("c301-102".into()), metric: Some("mem_used".into()) },
+                Selector::host("c999"),
+            ];
+            let windows =
+                [(0, u64::MAX), (30_000, 60_000), (rng.range(0..90_000), rng.range(0..90_000))];
+            let answers = |db: &Tsdb| {
+                let mut out = Vec::new();
+                for sel in &selectors {
+                    for &(t0, t1) in &windows {
+                        let fast = bits(db.query(sel, t0, t1).unwrap());
+                        assert_eq!(fast, bits(db.query_naive(sel, t0, t1).unwrap()), "{sel:?}");
+                        out.push(fast);
+                        for (bin, agg) in [(600, Agg::Sum), (3600, Agg::Mean), (7, Agg::Last)] {
+                            let naive = bits(db.downsample_naive(sel, t0, t1, bin, agg).unwrap());
+                            let fast = bits(db.downsample(sel, t0, t1, bin, agg).unwrap());
+                            assert_eq!(fast, naive, "{sel:?} {bin} {agg:?}");
+                            let tiered = db.downsample_tiered(sel, t0, t1, bin, agg).unwrap();
+                            assert_eq!(bits(tiered.0), naive, "{sel:?} {bin} {agg:?} tiered");
+                            out.push(fast);
+                        }
+                    }
+                }
+                out
+            };
+            let db = Tsdb::open(&dir).unwrap();
+            let before = answers(&db);
+            drop(db);
+            assert_eq!(fs::read(seg(tabled_seq)).unwrap(), TABLED, "reads leave the fixture alone");
+
+            let mut db = Tsdb::open(&dir).unwrap();
+            db.compact().unwrap();
+            assert_eq!(answers(&db), before, "across compact");
+            let segments: Vec<PathBuf> = fs::read_dir(&dir)
+                .unwrap()
+                .map(|e| e.unwrap().path())
+                .filter(|p| p.file_name().unwrap().to_str().unwrap().starts_with("seg-"))
+                .collect();
+            assert_eq!(segments, [seg(3)], "compact writes one segment");
+            assert_refs_tile(&SegmentReader::open(&segments[0]).unwrap());
+            let _ = fs::remove_dir_all(&dir);
+        });
     }
 }

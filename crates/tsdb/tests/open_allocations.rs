@@ -1,12 +1,17 @@
-//! What opening a segment allocates, counted exactly: a test binary of
-//! its own, because it replaces the global allocator with one that
-//! counts the calls made on the current thread.
+//! What opening and sealing a segment allocate, counted exactly: a test
+//! binary of its own, because it replaces the global allocator with one
+//! that counts the calls made on the current thread.
 //!
 //! `SegmentReader::open` keeps the series index as the bytes it read
 //! plus one fixed-width row per series, so what it allocates is bounded
 //! by its tables, not by its series: fewer than `n_hosts + n_metrics +
 //! 32` calls for a 4,096-series day segment. Parsing the index into
 //! owned structs took three per series (≈ 12,600).
+//!
+//! `SegmentWriter` encodes every chunk straight into the file image and
+//! owns a series' names once, so what it allocates grows with series and
+//! blocks, not chunks. Staging each chunk took at least three per chunk:
+//! its encoded buffer and two owned names.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -63,30 +68,69 @@ fn allocations<T>(f: impl FnOnce() -> T) -> (T, u64) {
     (out, CALLS.with(Cell::get) - before)
 }
 
-#[test]
-fn opening_a_day_segment_allocates_per_table_not_per_series() {
-    const HOSTS: usize = 256;
-    const METRICS: usize = 16;
-    let dir = std::env::temp_dir().join(format!("tsdb-open-allocs-{}", std::process::id()));
+const HOSTS: usize = 256;
+const METRICS: usize = 16;
+
+/// `(host, metric, samples)`, as `push_series_block` takes it.
+type Chunk<'a> = (&'a str, &'a str, &'a [(u64, u64)]);
+
+/// A day of the engine's store: host and metric names, and 144 samples
+/// for each of the `HOSTS × METRICS` series, in key order.
+struct Day {
+    hosts: Vec<String>,
+    metrics: Vec<String>,
+    samples: Vec<Vec<(u64, u64)>>,
+}
+
+impl Day {
+    fn new() -> Day {
+        let hosts = (0..HOSTS).map(|h| format!("c{:03}-{:03}", h / 16, h % 16)).collect();
+        let metrics = (0..METRICS).map(|m| format!("metric_{m:02}")).collect();
+        let samples = (0..HOSTS * METRICS)
+            .map(|s| {
+                (0..144).map(|i| (1_700_000_000 + i * 600, ((s as u64) * 7 + i).to_le())).collect()
+            })
+            .collect();
+        Day { hosts, metrics, samples }
+    }
+
+    /// Every series cut into chunks of `chunk_samples`, in key order.
+    fn chunks(&self, chunk_samples: usize) -> Vec<Chunk<'_>> {
+        let series = self.samples.iter().enumerate().map(|(s, samples)| {
+            (self.hosts[s / METRICS].as_str(), self.metrics[s % METRICS].as_str(), samples)
+        });
+        series
+            .flat_map(|(h, m, samples)| samples.chunks(chunk_samples).map(move |c| (h, m, c)))
+            .collect()
+    }
+
+    /// Seal `chunks` to `path` in 64-chunk blocks, through
+    /// `push_series_block`.
+    fn seal(chunks: &[Chunk<'_>], path: &std::path::Path) -> u64 {
+        let mut writer = SegmentWriter::new(KIND_SERIES);
+        for block in chunks.chunks(64) {
+            writer.push_series_block(block);
+        }
+        writer.seal(path).unwrap()
+    }
+}
+
+fn tmpdir(tag: &str) -> std::path::PathBuf {
+    let dir = std::env::temp_dir().join(format!("tsdb-{tag}-allocs-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     std::fs::create_dir_all(&dir).unwrap();
+    dir
+}
+
+#[test]
+fn opening_a_day_segment_allocates_per_table_not_per_series() {
+    let dir = tmpdir("open");
     let path = dir.join("seg-000001.tsdb");
 
     // The engine's day segment: one 144-sample chunk per series, 64
     // chunks a block, series in key order.
-    let hosts: Vec<String> = (0..HOSTS).map(|h| format!("c{:03}-{:03}", h / 16, h % 16)).collect();
-    let metrics: Vec<String> = (0..METRICS).map(|m| format!("metric_{m:02}")).collect();
-    let samples: Vec<Vec<(u64, u64)>> = (0..HOSTS * METRICS)
-        .map(|s| (0..144).map(|i| (1_700_000_000 + i * 600, ((s as u64) * 7 + i).to_le())).collect())
-        .collect();
-    let series: Vec<_> = (0..HOSTS * METRICS)
-        .map(|s| (hosts[s / METRICS].as_str(), metrics[s % METRICS].as_str(), &samples[s][..]))
-        .collect();
-    let mut writer = SegmentWriter::new(KIND_SERIES);
-    for block in series.chunks(64) {
-        writer.push_series_block(block);
-    }
-    writer.seal(&path).unwrap();
+    let day = Day::new();
+    Day::seal(&day.chunks(144), &path);
 
     let (reader, calls) = allocations(|| SegmentReader::open(&path).unwrap());
     let bound = (HOSTS + METRICS + 32) as u64;
@@ -97,5 +141,27 @@ fn opening_a_day_segment_allocates_per_table_not_per_series() {
     let (index, calls) = allocations(|| reader.series_index().unwrap().len());
     assert_eq!(index, HOSTS * METRICS);
     assert!(calls >= 3 * index as u64, "the view owns its names and ref lists: {calls}");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// The same day sealed as one chunk per series and as eight: each
+/// chunk added costs less than one allocation (a series' ref list grows
+/// as its chunks come; the image, the index and the block entries grow
+/// by doubling). Staging a chunk took at least three.
+#[test]
+fn sealing_allocates_per_series_and_block_not_per_chunk() {
+    let dir = tmpdir("seal");
+    let day = Day::new();
+    let (one, eight) = (day.chunks(144), day.chunks(18));
+    assert_eq!((one.len(), eight.len()), (HOSTS * METRICS, 8 * HOSTS * METRICS));
+    let (one_len, one_calls) = allocations(|| Day::seal(&one, &dir.join("seg-000001.tsdb")));
+    let (eight_len, eight_calls) = allocations(|| Day::seal(&eight, &dir.join("seg-000002.tsdb")));
+    assert!(eight_len > one_len, "eight chunks a series take more bytes");
+    let added = (eight.len() - one.len()) as f64;
+    let per_chunk = (eight_calls as f64 - one_calls as f64) / added;
+    assert!(
+        per_chunk < 1.0,
+        "{one_calls} allocations for one chunk a series, {eight_calls} for eight: {per_chunk:.2} an added chunk"
+    );
     let _ = std::fs::remove_dir_all(&dir);
 }
