@@ -50,15 +50,6 @@ impl Moments {
         }
     }
 
-    /// Sample variance (n−1).
-    pub fn sample_variance(&self) -> f64 {
-        if self.n < 2 {
-            f64::NAN
-        } else {
-            self.m2 / (self.n - 1) as f64
-        }
-    }
-
     pub fn std_dev(&self) -> f64 {
         self.variance().sqrt()
     }

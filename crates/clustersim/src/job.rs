@@ -271,10 +271,6 @@ impl RunningJob {
         self.slice_idx += 1;
         act
     }
-
-    pub fn slices_produced(&self) -> u64 {
-        self.slice_idx
-    }
 }
 
 /// A finished job, as recorded by the simulator (ground truth for the

@@ -258,10 +258,6 @@ impl IngestCore {
         lock_inner(&self.state).applied
     }
 
-    pub fn is_draining(&self) -> bool {
-        lock_inner(&self.state).draining
-    }
-
     /// Handle one `POST /v1/write` body end to end. Blocks until the
     /// batch is durable (or refused).
     pub fn submit(&self, body: &[u8]) -> WriteOutcome {

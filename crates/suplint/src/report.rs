@@ -1,5 +1,5 @@
 //! Human diagnostics and the machine-readable reports:
-//! `lint_report.json` (schema v2, with call-graph ambiguities) and an
+//! `lint_report.json` (schema v3, with call-graph ambiguities) and an
 //! optional SARIF 2.1.0 rendering for code-scanning UIs.
 //!
 //! JSON is emitted by hand (escaping per RFC 8259) — the linter lints
@@ -7,30 +7,13 @@
 //! byte-deterministic: findings arrive pre-sorted and every map is
 //! iterated in a fixed order.
 
-use crate::callgraph::Ambiguity;
-use crate::rules::{Finding, RULES};
+use crate::rules::RULES;
+use crate::LintRun;
 
 /// Schema stamp for both report formats. v2 added `schema_version`
-/// itself, the `ambiguities` section, and rules R5–R8.
-pub const SCHEMA_VERSION: u32 = 2;
-
-/// Outcome of comparing findings against the baseline.
-#[derive(Debug, Default)]
-pub struct Assessment {
-    /// Findings beyond the baseline (the failing set).
-    pub new: Vec<Finding>,
-    /// Findings covered by the baseline.
-    pub baselined: usize,
-    /// Findings suppressed by justified waivers.
-    pub waived: usize,
-    pub files_scanned: usize,
-}
-
-impl Assessment {
-    pub fn total(&self) -> usize {
-        self.new.len() + self.baselined + self.waived
-    }
-}
+/// itself, the `ambiguities` section, and rules R5–R8; v3 has two
+/// statuses, `failing` and `waived`.
+pub const SCHEMA_VERSION: u32 = 3;
 
 fn json_escape(s: &str) -> String {
     let mut out = String::with_capacity(s.len() + 2);
@@ -48,30 +31,11 @@ fn json_escape(s: &str) -> String {
     out
 }
 
-/// Status of one finding relative to the baseline, for both renderers.
-fn status_of(f: &Finding, assessment: &Assessment) -> &'static str {
-    if f.waived {
-        return "waived";
-    }
-    let is_new = assessment
-        .new
-        .iter()
-        .any(|n| n.file == f.file && n.line == f.line && n.rule == f.rule);
-    if is_new {
-        "new"
-    } else {
-        "baselined"
-    }
-}
-
 /// The full JSON report: rule catalogue, every finding (with its
 /// status), unresolved call-graph ambiguities, and the summary the CI
 /// gate reads.
-pub fn render_json(
-    findings: &[Finding],
-    assessment: &Assessment,
-    ambiguities: &[Ambiguity],
-) -> String {
+pub fn render_json(run: &LintRun) -> String {
+    let (findings, ambiguities) = (&run.findings, &run.ambiguities);
     let mut out = format!("{{\n  \"schema_version\": {SCHEMA_VERSION},\n  \"rules\": {{\n");
     for (i, (id, desc)) in RULES.iter().enumerate() {
         out.push_str(&format!(
@@ -88,7 +52,7 @@ pub fn render_json(
             f.rule,
             json_escape(&f.file),
             f.line,
-            status_of(f, assessment),
+            if f.waived { "waived" } else { "failing" },
             json_escape(&f.message),
             if i + 1 < findings.len() { "," } else { "" }
         ));
@@ -106,22 +70,23 @@ pub fn render_json(
             if i + 1 < ambiguities.len() { "," } else { "" }
         ));
     }
+    let failing = run.failing().count();
     out.push_str(&format!(
-        "  ],\n  \"summary\": {{\"total\": {}, \"new\": {}, \"baselined\": {}, \"waived\": {}, \"ambiguities\": {}, \"files_scanned\": {}}}\n}}\n",
-        assessment.total(),
-        assessment.new.len(),
-        assessment.baselined,
-        assessment.waived,
+        "  ],\n  \"summary\": {{\"total\": {}, \"failing\": {}, \"waived\": {}, \"ambiguities\": {}, \"files_scanned\": {}}}\n}}\n",
+        findings.len(),
+        failing,
+        findings.len() - failing,
         ambiguities.len(),
-        assessment.files_scanned
+        run.files_scanned
     ));
     out
 }
 
 /// Minimal SARIF 2.1.0: one run, the rule catalogue as
 /// `tool.driver.rules`, one result per finding. Levels: `error` for
-/// new findings, `warning` for baselined, `note` for waived.
-pub fn render_sarif(findings: &[Finding], assessment: &Assessment) -> String {
+/// a failing finding, `note` for a waived one.
+pub fn render_sarif(run: &LintRun) -> String {
+    let findings = &run.findings;
     let mut out = String::from(
         "{\n  \"version\": \"2.1.0\",\n  \"$schema\": \"https://json.schemastore.org/sarif-2.1.0.json\",\n",
     );
@@ -138,11 +103,7 @@ pub fn render_sarif(findings: &[Finding], assessment: &Assessment) -> String {
     }
     out.push_str("          ]\n        }\n      },\n      \"results\": [\n");
     for (i, f) in findings.iter().enumerate() {
-        let level = match status_of(f, assessment) {
-            "new" => "error",
-            "baselined" => "warning",
-            _ => "note",
-        };
+        let level = if f.waived { "note" } else { "error" };
         out.push_str(&format!(
             "        {{\"ruleId\": \"{}\", \"level\": \"{}\", \"message\": {{\"text\": \"{}\"}}, \"locations\": [{{\"physicalLocation\": {{\"artifactLocation\": {{\"uri\": \"{}\"}}, \"region\": {{\"startLine\": {}}}}}}}]}}{}\n",
             f.rule,
@@ -157,24 +118,24 @@ pub fn render_sarif(findings: &[Finding], assessment: &Assessment) -> String {
     out
 }
 
-/// Compiler-style human diagnostics, new findings first. The
+/// Compiler-style human diagnostics, failing findings first. The
 /// `{file}:{line}: [{rule}] {message}` shape is load-bearing: CI's
 /// GitHub problem matcher parses it for inline annotations.
-pub fn render_human(assessment: &Assessment, waived: &[Finding]) -> String {
+pub fn render_human(run: &LintRun) -> String {
     let mut out = String::new();
-    for f in &assessment.new {
+    for f in run.failing() {
         out.push_str(&format!("{}:{}: [{}] {}\n", f.file, f.line, f.rule, f.message));
     }
-    for f in waived {
+    for f in run.findings.iter().filter(|f| f.waived) {
         out.push_str(&format!("{}:{}: [{}] waived: {}\n", f.file, f.line, f.rule, f.message));
     }
+    let failing = run.failing().count();
     out.push_str(&format!(
-        "suplint: {} finding(s) — {} new, {} baselined, {} waived — across {} files\n",
-        assessment.total(),
-        assessment.new.len(),
-        assessment.baselined,
-        assessment.waived,
-        assessment.files_scanned
+        "suplint: {} finding(s) — {} failing, {} waived — across {} files\n",
+        run.findings.len(),
+        failing,
+        run.findings.len() - failing,
+        run.files_scanned
     ));
     out
 }
@@ -182,8 +143,10 @@ pub fn render_human(assessment: &Assessment, waived: &[Finding]) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::callgraph::Ambiguity;
+    use crate::rules::Finding;
 
-    fn sample() -> (Vec<Finding>, Assessment, Vec<Ambiguity>) {
+    fn sample() -> LintRun {
         let findings = vec![Finding {
             rule: "R1",
             file: "a \"b\"\\c.rs".into(),
@@ -191,45 +154,44 @@ mod tests {
             message: "tab\there".into(),
             waived: false,
         }];
-        let a = Assessment { new: findings.clone(), files_scanned: 1, ..Default::default() };
-        let ambs = vec![Ambiguity {
+        let ambiguities = vec![Ambiguity {
             file: "x.rs".into(),
             line: 9,
             path: "frob".into(),
             candidates: vec!["a::A::frob".into(), "b::B::frob".into()],
         }];
-        (findings, a, ambs)
+        LintRun { findings, files_scanned: 1, ambiguities }
     }
 
     #[test]
     fn json_escapes_and_balances() {
-        let (findings, a, ambs) = sample();
-        let json = render_json(&findings, &a, &ambs);
-        assert!(json.contains("\"schema_version\": 2"));
+        let json = render_json(&sample());
+        assert!(json.contains("\"schema_version\": 3"));
         assert!(json.contains("a \\\"b\\\"\\\\c.rs"));
         assert!(json.contains("tab\\there"));
         assert_eq!(json.matches('{').count(), json.matches('}').count());
-        assert!(json.contains("\"new\": 1"));
+        assert!(json.contains("\"status\": \"failing\""));
+        assert!(json.contains("\"failing\": 1, \"waived\": 0"));
         assert!(json.contains("\"ambiguities\": 1"));
         assert!(json.contains("\"call\": \"frob\""));
     }
 
     #[test]
     fn sarif_levels_follow_status() {
-        let (mut findings, mut a, _) = sample();
-        findings.push(Finding {
+        let mut run = sample();
+        run.findings.push(Finding {
             rule: "R7",
             file: "w.rs".into(),
             line: 5,
             message: "waived one".into(),
             waived: true,
         });
-        a.waived = 1;
-        let sarif = render_sarif(&findings, &a);
+        let sarif = render_sarif(&run);
         assert!(sarif.contains("\"version\": \"2.1.0\""));
-        assert!(sarif.contains("\"schema_version\": 2"));
-        assert!(sarif.contains("\"level\": \"error\""));
-        assert!(sarif.contains("\"level\": \"note\""));
+        assert!(sarif.contains("\"schema_version\": 3"));
+        assert_eq!(sarif.matches("\"level\": \"error\"").count(), 1);
+        assert_eq!(sarif.matches("\"level\": \"note\"").count(), 1);
+        assert!(!sarif.contains("\"level\": \"warning\""));
         assert_eq!(sarif.matches('{').count(), sarif.matches('}').count());
         // Every rule in the catalogue is declared.
         for (id, _) in RULES {
@@ -239,8 +201,8 @@ mod tests {
 
     #[test]
     fn reports_are_deterministic() {
-        let (findings, a, ambs) = sample();
-        assert_eq!(render_json(&findings, &a, &ambs), render_json(&findings, &a, &ambs));
-        assert_eq!(render_sarif(&findings, &a), render_sarif(&findings, &a));
+        let run = sample();
+        assert_eq!(render_json(&run), render_json(&run));
+        assert_eq!(render_sarif(&run), render_sarif(&run));
     }
 }

@@ -32,10 +32,6 @@ impl FleetCollector {
         self.collectors.is_empty()
     }
 
-    pub fn collector_mut(&mut self, host: HostId) -> &mut Collector {
-        &mut self.collectors[host.0 as usize]
-    }
-
     /// Job begin on a set of nodes.
     pub fn begin_job(&mut self, kernels: &mut [KernelState], hosts: &[HostId], job: JobId, ts: Timestamp) {
         for &h in hosts {

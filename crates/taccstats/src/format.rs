@@ -174,10 +174,6 @@ impl FileWriter {
         }
     }
 
-    pub fn len_bytes(&self) -> usize {
-        self.buf.len()
-    }
-
     pub fn finish(self) -> String {
         self.buf
     }

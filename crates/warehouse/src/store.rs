@@ -8,7 +8,7 @@ use std::collections::BTreeMap;
 
 
 use supremm_metrics::metric::KeyMetricVec;
-use supremm_metrics::{ExtendedMetric, KeyMetric};
+use supremm_metrics::KeyMetric;
 
 use crate::record::JobRecord;
 
@@ -84,15 +84,6 @@ impl JobTable {
         Self::aggregate(self.jobs.iter())
     }
 
-    /// Node·hour-weighted mean of one extended metric.
-    pub fn weighted_extended_mean(&self, m: ExtendedMetric) -> f64 {
-        let mut acc = supremm_analytics::stats::WeightedMoments::new();
-        for j in &self.jobs {
-            acc.push(j.extended_get(m), j.node_hours());
-        }
-        acc.mean()
-    }
-
     /// Node·hour-weighted mean job length in minutes — the §4.3.4
     /// calibration statistic (549 min on Ranger, 446 on Lonestar4).
     pub fn weighted_mean_job_len_min(&self) -> f64 {
@@ -143,7 +134,7 @@ pub fn weighted_metric_mean<'a>(
 mod tests {
     use super::*;
     use crate::record::ExitKind;
-    use supremm_metrics::{JobId, ScienceField, Timestamp, UserId};
+    use supremm_metrics::{ExtendedMetric, JobId, ScienceField, Timestamp, UserId};
 
     fn job(id: u64, user: u32, app: &str, hours: u64, nodes: u32, idle: f64) -> JobRecord {
         let mut metrics = KeyMetricVec::default();
@@ -271,7 +262,7 @@ impl JobTable {
 mod persistence_tests {
     use super::*;
     use crate::record::ExitKind;
-    use supremm_metrics::{JobId, ScienceField, Timestamp, UserId};
+    use supremm_metrics::{ExtendedMetric, JobId, ScienceField, Timestamp, UserId};
 
     fn sample_table() -> JobTable {
         let mut metrics = KeyMetricVec::default();
