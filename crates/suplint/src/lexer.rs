@@ -98,7 +98,10 @@ fn scan_raw_string(b: &[u8], mut pos: usize, hashes: usize, line: &mut u32) -> u
         if b[pos] == b'\n' {
             *line += 1;
         }
-        if b[pos] == b'"' && b.len() - pos > hashes && b[pos + 1..pos + 1 + hashes].iter().all(|&c| c == b'#') {
+        if b[pos] == b'"'
+            && b.len() - pos > hashes
+            && b[pos + 1..pos + 1 + hashes].iter().all(|&c| c == b'#')
+        {
             return pos + 1 + hashes;
         }
         if b[pos] == b'"' && hashes == 0 {
@@ -138,7 +141,8 @@ fn scan_number(b: &[u8], mut pos: usize) -> (usize, TokKind) {
     if pos < b.len() && (b[pos] == b'e' || b[pos] == b'E') {
         let (sign, digit) = (b.get(pos + 1).copied(), b.get(pos + 2).copied());
         let exp = matches!(sign, Some(c) if c.is_ascii_digit())
-            || (matches!(sign, Some(b'+' | b'-')) && matches!(digit, Some(c) if c.is_ascii_digit()));
+            || (matches!(sign, Some(b'+' | b'-'))
+                && matches!(digit, Some(c) if c.is_ascii_digit()));
         if exp {
             kind = TokKind::Float;
             pos += 2; // 'e' + first sign/digit

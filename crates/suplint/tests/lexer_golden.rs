@@ -10,10 +10,7 @@ fn kinds(src: &str) -> Vec<TokKind> {
 }
 
 fn texts(src: &str) -> Vec<String> {
-    lex(src.as_bytes())
-        .into_iter()
-        .map(|t| String::from_utf8_lossy(t.text).into_owned())
-        .collect()
+    lex(src.as_bytes()).into_iter().map(|t| String::from_utf8_lossy(t.text).into_owned()).collect()
 }
 
 #[test]
@@ -136,9 +133,33 @@ fn arbitrary_byte_soup_never_panics() {
 fn tricky_fragment_soup_never_panics() {
     // Fragments chosen to land mid-literal, mid-fence, mid-escape.
     const FRAGS: &[&[u8]] = &[
-        b"r#\"", b"\"#", b"r###", b"b'", b"'\\", b"'a", b"/*", b"*/", b"//", b"\\", b"\"",
-        b"0x", b"1e", b"1.", b"..=", b"<<=", b"'", b"#", b"r#", b"br", b"cr\"", b"\n",
-        b"\xff\xfe", b"\xe2\x98", b"mod x {", b"}", b"#[cfg(test)]",
+        b"r#\"",
+        b"\"#",
+        b"r###",
+        b"b'",
+        b"'\\",
+        b"'a",
+        b"/*",
+        b"*/",
+        b"//",
+        b"\\",
+        b"\"",
+        b"0x",
+        b"1e",
+        b"1.",
+        b"..=",
+        b"<<=",
+        b"'",
+        b"#",
+        b"r#",
+        b"br",
+        b"cr\"",
+        b"\n",
+        b"\xff\xfe",
+        b"\xe2\x98",
+        b"mod x {",
+        b"}",
+        b"#[cfg(test)]",
     ];
     let mut rng = SplitMix64::new(42);
     for _ in 0..500 {

@@ -90,9 +90,7 @@ fn call_kinds_distinguish_method_and_path_calls() {
         f.calls.iter().map(|c| (c.path.join("::"), &c.kind)).collect();
     assert!(kinds.iter().any(|(p, k)| p == "helper" && matches!(k, CallKind::MethodSelf)));
     assert!(kinds.iter().any(|(p, k)| p == "helper" && matches!(k, CallKind::Method)));
-    assert!(
-        kinds.iter().any(|(p, k)| p == "crate::util::helper" && matches!(k, CallKind::Path))
-    );
+    assert!(kinds.iter().any(|(p, k)| p == "crate::util::helper" && matches!(k, CallKind::Path)));
 }
 
 #[test]
@@ -149,10 +147,8 @@ fn nested_fns_own_their_facts() {
 // --------------------------------------------------------------- call graph
 
 fn graph_of(files: &[(&str, &str)]) -> CallGraph {
-    let trees: Vec<_> = files
-        .iter()
-        .map(|(rel, src)| (classify(rel), parse(&lex(src.as_bytes()))))
-        .collect();
+    let trees: Vec<_> =
+        files.iter().map(|(rel, src)| (classify(rel), parse(&lex(src.as_bytes())))).collect();
     CallGraph::build(&trees)
 }
 
@@ -176,14 +172,8 @@ fn golden_graph_aliases_methods_and_suffix_paths() {
                  fn replay(&self) { supremm_warehouse::store::load(); }\n\
              }",
         ),
-        (
-            "crates/metrics/src/parse.rs",
-            "pub fn field() -> u8 { 0 }",
-        ),
-        (
-            "crates/warehouse/src/store.rs",
-            "pub fn load() {}",
-        ),
+        ("crates/metrics/src/parse.rs", "pub fn field() -> u8 { 0 }"),
+        ("crates/warehouse/src/store.rs", "pub fn load() {}"),
     ]);
     // `self.replay()` resolves to the same-impl method.
     assert!(edge_exists(&g, "tsdb::db::Tsdb::open", "tsdb::db::Tsdb::replay"));
@@ -212,14 +202,12 @@ fn golden_graph_reports_ambiguity_instead_of_guessing() {
 
 #[test]
 fn golden_graph_excludes_test_functions() {
-    let g = graph_of(&[
-        (
-            "crates/tsdb/src/db.rs",
-            "pub fn query() {}\n\
+    let g = graph_of(&[(
+        "crates/tsdb/src/db.rs",
+        "pub fn query() {}\n\
              #[cfg(test)]\n\
              mod tests { fn check() { crate::db::query(); } }",
-        ),
-    ]);
+    )]);
     assert!(g.nodes.iter().all(|n| n.name != "check"), "test fns stay out of the graph");
 }
 
