@@ -39,11 +39,19 @@
 //! effort, without an fsync. A *power cut* keeps every frame sealed
 //! before the last `sync` returned; a crash can leave a partial frame at
 //! the tail (short header, short payload, or a payload that fails its
-//! CRC or does not decode), and [`Wal::replay`] delivers the records of
-//! the frames before the first bad one and truncates the rest. The
-//! frame is the unit of loss: a damaged frame delivers none of its
-//! records. What is dropped was never acked (`sync` hadn't returned),
-//! so the durability contract holds.
+//! CRC or does not decode), and [`Wal::replay`] delivers the frames
+//! before the first bad one and truncates the rest. The frame is the
+//! unit of loss: a damaged frame delivers none of its records. What is
+//! dropped was never acked (`sync` hadn't returned), so the durability
+//! contract holds.
+//!
+//! **Replay.** [`Wal::replay`] is the one reader. It decodes each frame
+//! whole, then hands it to its visitor as a [`WalFrame`]: the frame's
+//! name table, and its records as `(host_ix, metric_ix, samples)`
+//! indexing that table — the layout on disk, so a reader that keeps
+//! per-name state (the engine's memtable) resolves each name once per
+//! frame, not once per record. [`Wal::open`] is `replay` collecting
+//! owned [`WalRecord`]s.
 //!
 //! One format is written and read. A log of another version (`SUPWAL01`)
 //! is refused with an error that says so and is left untouched.
@@ -154,16 +162,37 @@ struct FrameScratch {
     samples: Vec<(u64, u64)>,
 }
 
+/// One decoded frame, as [`Wal::replay`] hands it over: the frame's name
+/// table, and its records in append order, each naming its host and
+/// metric by index into that table.
+pub struct WalFrame<'a> {
+    pub names: &'a [&'a str],
+    scratch: &'a FrameScratch,
+}
+
+impl WalFrame<'_> {
+    /// The records, as `(host_ix, metric_ix, samples)`; every index is
+    /// inside [`WalFrame::names`].
+    pub fn records(&self) -> impl Iterator<Item = (usize, usize, &[(u64, u64)])> {
+        let FrameScratch { records, samples } = self.scratch;
+        let starts = std::iter::once(0).chain(records.iter().map(|&(_, _, end)| end));
+        records.iter().zip(starts).map(|(&(host, metric, end), start)| {
+            (host, metric, samples.get(start..end).unwrap_or_default())
+        })
+    }
+
+    /// Samples in the frame, over all its records.
+    pub fn n_samples(&self) -> usize {
+        self.scratch.samples.len()
+    }
+}
+
 impl FrameScratch {
-    /// Decode `payload` and hand its records to `visit` in append order;
+    /// Decode `payload` and hand it to `visit` as one [`WalFrame`];
     /// `None`, with nothing delivered, unless every byte of it decodes.
     /// Every claimed count is checked against the bytes there are to
     /// hold it before anything is stored for it.
-    fn replay(
-        &mut self,
-        payload: &[u8],
-        visit: &mut impl FnMut(&str, &str, &[(u64, u64)]),
-    ) -> Option<()> {
+    fn replay(&mut self, payload: &[u8], visit: &mut impl FnMut(&WalFrame<'_>)) -> Option<()> {
         self.records.clear();
         self.samples.clear();
         let mut pos = 0usize;
@@ -193,11 +222,7 @@ impl FrameScratch {
         if pos != payload.len() {
             return None;
         }
-        let mut start = 0usize;
-        for &(host, metric, end) in &self.records {
-            visit(names.get(host)?, names.get(metric)?, self.samples.get(start..end)?);
-            start = end;
-        }
+        visit(&WalFrame { names: &names, scratch: self });
         Some(())
     }
 }
@@ -253,14 +278,11 @@ pub struct Wal {
 }
 
 impl Wal {
-    /// Open (creating if absent), hand every record of every valid frame
-    /// to `visit` in append order as `(host, metric, samples)`, truncate
-    /// any torn tail, and position for appending. Returns the log and
-    /// the bytes of torn tail discarded (0 on a clean log).
-    pub fn replay(
-        path: &Path,
-        mut visit: impl FnMut(&str, &str, &[(u64, u64)]),
-    ) -> io::Result<(Wal, u64)> {
+    /// Open (creating if absent), hand every valid frame to `visit` in
+    /// append order, truncate any torn tail, and position for appending.
+    /// Returns the log and the bytes of torn tail discarded (0 on a
+    /// clean log).
+    pub fn replay(path: &Path, mut visit: impl FnMut(&WalFrame<'_>)) -> io::Result<(Wal, u64)> {
         let mut scratch = FrameScratch::default();
         let rec = AppendLog::open(path, WAL_MAGIC, WAL_MAGIC.len(), |rest| {
             let (payload, len) = frame_payload(rest)?;
@@ -280,12 +302,12 @@ impl Wal {
     /// [`Wal::replay`] collecting the records.
     pub fn open(path: &Path) -> io::Result<WalRecovery> {
         let mut records = Vec::new();
-        let (wal, truncated_bytes) = Wal::replay(path, |host, metric, samples| {
-            records.push(WalRecord {
-                host: host.to_owned(),
-                metric: metric.to_owned(),
+        let (wal, truncated_bytes) = Wal::replay(path, |frame| {
+            records.extend(frame.records().map(|(host, metric, samples)| WalRecord {
+                host: frame.names[host].to_owned(),
+                metric: frame.names[metric].to_owned(),
                 samples: samples.to_vec(),
-            });
+            }));
         })?;
         Ok(WalRecovery { wal, records, truncated_bytes })
     }
@@ -595,7 +617,7 @@ mod tests {
         ];
         for (what, bad) in &hostile {
             let mut delivered = 0usize;
-            let refused = FrameScratch::default().replay(bad, &mut |_, _, _| delivered += 1);
+            let refused = FrameScratch::default().replay(bad, &mut |_| delivered += 1);
             assert_eq!((refused, delivered), (None, 0), "{what}");
 
             fs::write(&path, [&WAL_MAGIC[..], &framed(&good), &framed(bad)].concat()).unwrap();

@@ -12,11 +12,18 @@
 //! owns a series' names once, so what it allocates grows with series and
 //! blocks, not chunks. Staging each chunk took at least three per chunk:
 //! its encoded buffer and two owned names.
+//!
+//! `Tsdb::open` replays a WAL tail a frame at a time, resolving each
+//! name of the frame's table once, into a memtable that owns a metric
+//! name once per store: what it allocates is a run per series plus a
+//! few per host and per metric. Resolving every record by name and
+//! owning a metric name per series took about 2.3 per series.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
 use supremm_tsdb::segment::{SegmentReader, SegmentWriter, KIND_SERIES};
+use supremm_tsdb::Tsdb;
 
 struct Counting;
 
@@ -163,5 +170,30 @@ fn sealing_allocates_per_series_and_block_not_per_chunk() {
         per_chunk < 1.0,
         "{one_calls} allocations for one chunk a series, {eight_calls} for eight: {per_chunk:.2} an added chunk"
     );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A store holding one synced tick of the fleet — one one-sample record
+/// per series, no segments — reopens with fewer than `series + 8·hosts
+/// + 2·metrics + 64` allocations.
+#[test]
+fn reopening_a_wal_tail_allocates_per_series_once() {
+    let dir = tmpdir("replay");
+    let day = Day::new();
+    {
+        let mut db = Tsdb::open(&dir).unwrap();
+        for (s, samples) in day.samples.iter().enumerate() {
+            let (host, metric) = (&day.hosts[s / METRICS], &day.metrics[s % METRICS]);
+            let (ts, bits) = samples[0];
+            db.append(host, metric, ts, f64::from_bits(bits)).unwrap();
+        }
+        db.sync().unwrap();
+    }
+    let (db, calls) = allocations(|| Tsdb::open(&dir).unwrap());
+    let stats = db.stats();
+    assert_eq!((stats.segments, stats.mem_series), (0, HOSTS * METRICS));
+    let bound = (HOSTS * METRICS + 8 * HOSTS + 2 * METRICS + 64) as u64;
+    assert!(calls < bound, "open made {calls} allocations, bound {bound}");
+    drop(db);
     let _ = std::fs::remove_dir_all(&dir);
 }
