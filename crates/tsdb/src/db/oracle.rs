@@ -19,11 +19,7 @@ fn bin_samples(samples: &[(u64, f64)], bin_secs: u64, agg: Agg) -> Vec<(u64, f64
     bins.into_iter().map(|(start, acc)| (start, agg.finish(&acc))).collect()
 }
 
-fn bin_series(
-    series: SeriesPoints,
-    bin_secs: u64,
-    agg: Agg,
-) -> SeriesPoints {
+fn bin_series(series: SeriesPoints, bin_secs: u64, agg: Agg) -> SeriesPoints {
     series
         .into_iter()
         .map(|(key, samples)| {
@@ -35,12 +31,7 @@ fn bin_series(
 
 impl Tsdb {
     /// Reference implementation of [`Tsdb::query`].
-    pub fn query_naive(
-        &self,
-        sel: &Selector,
-        t0: u64,
-        t1: u64,
-    ) -> Result<SeriesPoints, TsdbError> {
+    pub fn query_naive(&self, sel: &Selector, t0: u64, t1: u64) -> Result<SeriesPoints, TsdbError> {
         // Same retention clamp as `query` — the oracle sees the same
         // logically-surviving raw data as the fast path.
         let t0 = t0.max(self.manifest.raw_dropped_before);

@@ -111,11 +111,7 @@ mod tests {
     #[test]
     fn zero_length_and_binary_records_survive() {
         let path = tmp("binary");
-        let records = vec![
-            (0u64, vec![]),
-            (1, vec![0u8, 255, 128, 7]),
-            (2, vec![0xDE, 0xAD]),
-        ];
+        let records = vec![(0u64, vec![]), (1, vec![0u8, 255, 128, 7]), (2, vec![0xDE, 0xAD])];
         write_records(&path, &records).unwrap();
         // Format pin. A records file has no chunk index, so it is the
         // version-2 file but for the header's version field.

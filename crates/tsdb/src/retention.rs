@@ -137,19 +137,15 @@ impl RetentionPolicy {
     pub fn parse(spec: &str) -> Result<RetentionPolicy, String> {
         let mut policy = RetentionPolicy::default();
         for term in spec.split(',').map(str::trim).filter(|t| !t.is_empty()) {
-            let (key, value) = term
-                .split_once('=')
-                .ok_or_else(|| format!("{term:?}: expected <key>=<value>"))?;
+            let (key, value) =
+                term.split_once('=').ok_or_else(|| format!("{term:?}: expected <key>=<value>"))?;
             if key.trim() == "raw" {
                 policy.raw_ttl = Some(parse_duration_secs(value.trim())?);
             } else {
                 let bin_secs = parse_duration_secs(key.trim())?;
                 let v = value.trim();
-                let ttl = if v == "forever" || v == "inf" {
-                    None
-                } else {
-                    Some(parse_duration_secs(v)?)
-                };
+                let ttl =
+                    if v == "forever" || v == "inf" { None } else { Some(parse_duration_secs(v)?) };
                 policy.levels.push(RollupLevel { bin_secs, ttl });
             }
         }
@@ -178,9 +174,7 @@ fn parse_duration_secs(s: &str) -> Result<u64, String> {
         Some(b'w') => (&s[..s.len() - 1], 604_800),
         _ => (s, 1),
     };
-    let n: u64 = digits
-        .parse()
-        .map_err(|_| format!("{s:?}: expected <integer>[s|m|h|d|w]"))?;
+    let n: u64 = digits.parse().map_err(|_| format!("{s:?}: expected <integer>[s|m|h|d|w]"))?;
     n.checked_mul(mult).ok_or_else(|| format!("{s:?}: duration overflows"))
 }
 
@@ -425,9 +419,7 @@ pub(crate) fn decode_rollup_block(
     sel: &Selector,
     mut visit: impl FnMut(&str, &str, &[(u64, ChunkStats)]),
 ) -> Result<u64, TsdbError> {
-    let bad = |what: &str| {
-        TsdbError::Corrupt(format!("{}: rollup block: {what}", path.display()))
-    };
+    let bad = |what: &str| TsdbError::Corrupt(format!("{}: rollup block: {what}", path.display()));
     let mut pos = 0usize;
     let bin_secs = get_varint(payload, &mut pos).ok_or_else(|| bad("bin_secs"))?;
     if bin_secs == 0 {
@@ -442,8 +434,7 @@ pub(crate) fn decode_rollup_block(
     let mut bins: Vec<(u64, ChunkStats)> = Vec::new();
     for _ in 0..n_series {
         let host_id = get_varint(payload, &mut pos).ok_or_else(|| bad("host id"))? as usize;
-        let metric_id =
-            get_varint(payload, &mut pos).ok_or_else(|| bad("metric id"))? as usize;
+        let metric_id = get_varint(payload, &mut pos).ok_or_else(|| bad("metric id"))? as usize;
         let n = get_varint(payload, &mut pos).ok_or_else(|| bad("bin count"))? as usize;
         if n > payload.len() {
             return Err(bad("bin count out of range"));
@@ -533,8 +524,7 @@ mod tests {
 
     #[test]
     fn manifest_round_trips_and_rejects_damage() {
-        let dir = std::env::temp_dir()
-            .join(format!("tsdb-ret-manifest-{}", std::process::id()));
+        let dir = std::env::temp_dir().join(format!("tsdb-ret-manifest-{}", std::process::id()));
         let _ = fs::remove_dir_all(&dir);
         fs::create_dir_all(&dir).unwrap();
 
@@ -604,7 +594,11 @@ mod tests {
             ),
             // A series with no bin leaves no trace, not even its names.
             ("h1", "idle", vec![]),
-            ("h2", "mem", vec![(1200, BinAcc { count: 2, sum: -0.0, min: -0.0, max: 0.0, last: 0.0 })]),
+            (
+                "h2",
+                "mem",
+                vec![(1200, BinAcc { count: 2, sum: -0.0, min: -0.0, max: 0.0, last: 0.0 })],
+            ),
         ];
         let mut builder = RollupBlockBuilder::new(600);
         for (host, metric, bins) in &series {

@@ -651,9 +651,7 @@ impl SegmentReader {
         let index_offset = u64::from_le_bytes([o0, o1, o2, o3, o4, o5, o6, o7]);
         let index_len = u32::from_le_bytes([l0, l1, l2, l3]) as u64;
         let index_crc = u32::from_le_bytes([c0, c1, c2, c3]);
-        if index_offset
-            .checked_add(index_len)
-            .is_none_or(|end| end != file_len - FOOTER_LEN as u64)
+        if index_offset.checked_add(index_len).is_none_or(|end| end != file_len - FOOTER_LEN as u64)
         {
             return Err(corrupt(format!("{}: index frame out of bounds", path.display())));
         }
@@ -684,7 +682,8 @@ impl SegmentReader {
         }
         let mut pos = 0usize;
         let n = get_varint(&index, &mut pos)
-            .ok_or_else(|| corrupt(format!("{}: index count", path.display())))? as usize;
+            .ok_or_else(|| corrupt(format!("{}: index count", path.display())))?
+            as usize;
         if n > index.len() {
             return Err(corrupt(format!("{}: index claims {n} entries", path.display())));
         }
@@ -995,11 +994,7 @@ mod tests {
             idx.iter().map(|e| (e.host.as_str(), e.metric.as_str())).collect();
         assert_eq!(
             names,
-            vec![
-                ("c301-101", "cpu_user"),
-                ("c301-101", "mem_used"),
-                ("c301-102", "cpu_user")
-            ]
+            vec![("c301-101", "cpu_user"), ("c301-101", "mem_used"), ("c301-102", "cpu_user")]
         );
         // Each chunk decodes exactly, and its stats match a fresh scan.
         for entry in idx {
@@ -1265,8 +1260,7 @@ mod tests {
         };
         assert_eq!(with_index(&one_chunk_index(fields, &r.stats)), good, "the grammar, by hand");
 
-        for (at, name) in
-            [(1, "len"), (4, "n_chunks"), (5, "block_ix"), (6, "offset"), (7, "len")]
+        for (at, name) in [(1, "len"), (4, "n_chunks"), (5, "block_ix"), (6, "offset"), (7, "len")]
         {
             let mut hostile = fields;
             hostile[at] += 1 << 32;
@@ -1326,8 +1320,7 @@ mod tests {
             for _ in 0..rng.range(0..5) {
                 let epoch = rng.pick(&[0, 1_700_000_000, u64::MAX - 1_000_000]);
                 let chunks = rng.vec(0..6, |r| {
-                    let samples =
-                        r.vec(0..40, |r| (epoch + r.range(0..1_000_000), r.next_u64()));
+                    let samples = r.vec(0..40, |r| (epoch + r.range(0..1_000_000), r.next_u64()));
                     (format!("h{}", r.range(0..4)), format!("m{}", r.range(0..3)), samples)
                 });
                 w.push_series_block(&as_refs(&chunks));

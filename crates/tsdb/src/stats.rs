@@ -65,13 +65,7 @@ impl ChunkStats {
         for &(_, bits) in samples {
             acc.add(f64::from_bits(bits));
         }
-        ChunkStats {
-            count: acc.count,
-            sum: acc.sum,
-            min: acc.min,
-            max: acc.max,
-            last: acc.last,
-        }
+        ChunkStats { count: acc.count, sum: acc.sum, min: acc.min, max: acc.max, last: acc.last }
     }
 }
 

@@ -19,8 +19,7 @@ use supremm_tsdb::{
 };
 
 fn tmpdir(name: &str) -> PathBuf {
-    let dir =
-        std::env::temp_dir().join(format!("tsdb-retention-{name}-{}", std::process::id()));
+    let dir = std::env::temp_dir().join(format!("tsdb-retention-{name}-{}", std::process::id()));
     let _ = fs::remove_dir_all(&dir);
     fs::create_dir_all(&dir).unwrap();
     dir
@@ -132,12 +131,27 @@ fn retention_rolls_drops_and_serves_exact_tiers() {
         // level 500 serves [0, 5000), raw serves [9000, ..]. Capture
         // the oracle on each window at that tier's own bin width —
         // where rollup-served answers are exact for every aggregate.
-        pre_down.push((agg, 100u64, 5000u64, 8999u64,
-            db.downsample_naive(&Selector::all(), 5000, 8999, 100, agg).unwrap()));
-        pre_down.push((agg, 500, 0, 4999,
-            db.downsample_naive(&Selector::all(), 0, 4999, 500, agg).unwrap()));
-        pre_down.push((agg, 600, 9000, u64::MAX,
-            db.downsample_naive(&Selector::all(), 9000, u64::MAX, 600, agg).unwrap()));
+        pre_down.push((
+            agg,
+            100u64,
+            5000u64,
+            8999u64,
+            db.downsample_naive(&Selector::all(), 5000, 8999, 100, agg).unwrap(),
+        ));
+        pre_down.push((
+            agg,
+            500,
+            0,
+            4999,
+            db.downsample_naive(&Selector::all(), 0, 4999, 500, agg).unwrap(),
+        ));
+        pre_down.push((
+            agg,
+            600,
+            9000,
+            u64::MAX,
+            db.downsample_naive(&Selector::all(), 9000, u64::MAX, 600, agg).unwrap(),
+        ));
     }
 
     // Data time 10_000: raw cut at 9000 (aligned to the coarsest bin),
@@ -155,17 +169,14 @@ fn retention_rolls_drops_and_serves_exact_tiers() {
 
     // Level-100 expiry: 10_000 - 3000 = 7000. Level 100 serves
     // [7000, 9000), level 500 serves [0, 7000).
-    let (_, tiers) =
-        db.downsample_tiered(&Selector::all(), 0, u64::MAX, 600, Agg::Mean).unwrap();
+    let (_, tiers) = db.downsample_tiered(&Selector::all(), 0, u64::MAX, 600, Agg::Mean).unwrap();
     assert_eq!(tiers, vec!["raw", "rollup:100", "rollup:500"]);
 
     // Surviving raw is bit-identical to the pre-retention oracle.
     let post_raw = db.query_naive(&Selector::all(), 9000, u64::MAX).unwrap();
     let pre_window: Vec<(SeriesKey, Vec<(u64, f64)>)> = pre_raw
         .iter()
-        .map(|(k, s)| {
-            (k.clone(), s.iter().copied().filter(|&(ts, _)| ts >= 9000).collect())
-        })
+        .map(|(k, s)| (k.clone(), s.iter().copied().filter(|&(ts, _)| ts >= 9000).collect()))
         .collect();
     assert_bit_identical(&post_raw, &pre_window, "surviving raw");
     let post_fast = db.query(&Selector::all(), 9000, u64::MAX).unwrap();
@@ -179,11 +190,13 @@ fn retention_rolls_drops_and_serves_exact_tiers() {
     for agg in AGGS {
         let served = db.downsample(&Selector::all(), 7000, 8999, 100, agg).unwrap();
         let mut oracle = Vec::new();
-        for (k, s) in &pre_down.iter().find(|(a, b, lo, hi, _)| {
-            *a == agg && *b == 100 && *lo == 5000 && *hi == 8999
-        }).unwrap().4 {
-            let w: Vec<(u64, f64)> =
-                s.iter().copied().filter(|&(bs, _)| bs >= 7000).collect();
+        for (k, s) in &pre_down
+            .iter()
+            .find(|(a, b, lo, hi, _)| *a == agg && *b == 100 && *lo == 5000 && *hi == 8999)
+            .unwrap()
+            .4
+        {
+            let w: Vec<(u64, f64)> = s.iter().copied().filter(|&(bs, _)| bs >= 7000).collect();
             if !w.is_empty() {
                 oracle.push((k.clone(), w));
             }
@@ -192,23 +205,25 @@ fn retention_rolls_drops_and_serves_exact_tiers() {
 
         // The [0,4999] capture covers bins 0..4500; compare those.
         let served = db.downsample(&Selector::all(), 0, 6999, 500, agg).unwrap();
-        let pre = &pre_down.iter().find(|(a, b, lo, hi, _)| {
-            *a == agg && *b == 500 && *lo == 0 && *hi == 4999
-        }).unwrap().4;
+        let pre = &pre_down
+            .iter()
+            .find(|(a, b, lo, hi, _)| *a == agg && *b == 500 && *lo == 0 && *hi == 4999)
+            .unwrap()
+            .4;
         let served_sub: Vec<(SeriesKey, Vec<(u64, f64)>)> = served
             .iter()
-            .map(|(k, s)| {
-                (k.clone(), s.iter().copied().filter(|&(bs, _)| bs < 5000).collect())
-            })
+            .map(|(k, s)| (k.clone(), s.iter().copied().filter(|&(bs, _)| bs < 5000).collect()))
             .filter(|(_, s): &(SeriesKey, Vec<(u64, f64)>)| !s.is_empty())
             .collect();
         assert_bit_identical(&served_sub, pre, "level-500 window");
 
         // Raw window at an unrelated bin width stays oracle-exact too.
         let served = db.downsample(&Selector::all(), 9000, u64::MAX, 600, agg).unwrap();
-        let pre = &pre_down.iter().find(|(a, b, lo, hi, _)| {
-            *a == agg && *b == 600 && *lo == 9000 && *hi == u64::MAX
-        }).unwrap().4;
+        let pre = &pre_down
+            .iter()
+            .find(|(a, b, lo, hi, _)| *a == agg && *b == 600 && *lo == 9000 && *hi == u64::MAX)
+            .unwrap()
+            .4;
         assert_bit_identical(&served, pre, "raw window");
     }
 
@@ -311,13 +326,11 @@ fn rollup_tiers_expire_on_their_own_ttls() {
     // level-100 segment (covering [0, 3000)) is wholly expired.
     assert!(report.rollup_segments_dropped >= 1, "{report:?}");
     // The expired window now comes from the 500s tier only.
-    let (_, tiers) =
-        db.downsample_tiered(&Selector::all(), 0, 2999, 500, Agg::Count).unwrap();
+    let (_, tiers) = db.downsample_tiered(&Selector::all(), 0, 2999, 500, Agg::Count).unwrap();
     assert_eq!(tiers, vec!["rollup:500"]);
     // Fully-expired fine tier + surviving coarse tier still answer
     // with exact per-bin counts: 100 samples per 1000 s per series.
-    let (rows, _) =
-        db.downsample_tiered(&Selector::all(), 0, 2999, 1000, Agg::Count).unwrap();
+    let (rows, _) = db.downsample_tiered(&Selector::all(), 0, 2999, 1000, Agg::Count).unwrap();
     assert_eq!(rows.len(), 4);
     for (_, bins) in &rows {
         assert_eq!(bins.iter().map(|&(_, c)| c).sum::<f64>(), 300.0);
@@ -403,20 +416,14 @@ fn a_pass_resumed_from_uneven_marks_rolls_the_same_bytes() {
     even.enforce_retention(4_000).unwrap();
     fill(&mut even, 4_010, 8_000);
     even.enforce_retention(8_000).unwrap();
-    assert_eq!(
-        file_pin(&dir, "roll-100-000002.tsdb"),
-        file_pin(&even_dir, "roll-100-000002.tsdb")
-    );
+    assert_eq!(file_pin(&dir, "roll-100-000002.tsdb"), file_pin(&even_dir, "roll-100-000002.tsdb"));
     // Never rolled before: level 500's first file covers [0, 7000).
     let late_dir = tmpdir("uneven-late");
     let mut late = Tsdb::open_with(&late_dir, opts(policy())).unwrap();
     fill(&mut late, 0, 4_000);
     fill(&mut late, 4_010, 8_000);
     late.enforce_retention(8_000).unwrap();
-    assert_eq!(
-        file_pin(&dir, "roll-500-000002.tsdb"),
-        file_pin(&late_dir, "roll-500-000001.tsdb")
-    );
+    assert_eq!(file_pin(&dir, "roll-500-000002.tsdb"), file_pin(&late_dir, "roll-500-000001.tsdb"));
     // And the interrupted pass's sealed-but-uncommitted level-500 file
     // is invisible behind the later one.
     for agg in AGGS {
@@ -510,11 +517,7 @@ fn crash_point_torture_matrix() {
         // Invariant 1: acked raw newer than the TTL cut is never lost —
         // even before the pass is re-run.
         let survivors = db.query_naive(&Selector::all(), 7000, u64::MAX).unwrap();
-        assert_bit_identical(
-            &survivors,
-            &acked_new,
-            &format!("site {k}: acked raw after crash"),
-        );
+        assert_bit_identical(&survivors, &acked_new, &format!("site {k}: acked raw after crash"));
 
         db.enforce_retention(8_000).unwrap();
         assert_eq!(db.stats().raw_watermark, 7000, "site {k}");
@@ -532,8 +535,7 @@ fn crash_point_torture_matrix() {
                 (7000, u64::MAX, 250),    // raw only
             ] {
                 let got = db.downsample_tiered(&Selector::all(), t0, t1, q, agg).unwrap();
-                let want =
-                    control.downsample_tiered(&Selector::all(), t0, t1, q, agg).unwrap();
+                let want = control.downsample_tiered(&Selector::all(), t0, t1, q, agg).unwrap();
                 assert_bit_identical(
                     &got.0,
                     &want.0,
