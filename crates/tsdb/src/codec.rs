@@ -449,9 +449,19 @@ pub fn decode_chunk(buf: &[u8]) -> Option<Vec<(u64, u64)>> {
 /// Decode a chunk starting at `pos` (for streams of concatenated
 /// chunks); advances `pos` past it.
 pub fn decode_chunk_at(buf: &[u8], pos: &mut usize) -> Option<Vec<(u64, u64)>> {
+    let mut out = Vec::new();
+    decode_chunk_into(buf, pos, &mut out)?;
+    Some(out)
+}
+
+/// [`decode_chunk_at`] into `out`, replacing what it held: a reader that
+/// decodes chunk after chunk into one buffer allocates only when a chunk
+/// outgrows it. On `None`, `out` holds no meaningful samples.
+pub fn decode_chunk_into(buf: &[u8], pos: &mut usize, out: &mut Vec<(u64, u64)>) -> Option<()> {
+    out.clear();
     let n = get_varint(buf, pos)? as usize;
     if n == 0 {
-        return Some(Vec::new());
+        return Some(());
     }
     // Each sample costs ≥ 1 byte of timestamp stream; refuse a claimed
     // count the bytes cannot hold before allocating for it.
@@ -462,7 +472,7 @@ pub fn decode_chunk_at(buf: &[u8], pos: &mut usize) -> Option<Vec<(u64, u64)>> {
     *pos += 1;
 
     // Timestamps first, then the value stream fills in beside them.
-    let mut out = Vec::with_capacity(n);
+    out.reserve(n);
     let mut ts = get_varint(buf, pos)?;
     out.push((ts, 0));
     // The first delta is a delta-of-delta from zero.
@@ -474,11 +484,10 @@ pub fn decode_chunk_at(buf: &[u8], pos: &mut usize) -> Option<Vec<(u64, u64)>> {
     }
 
     match mode {
-        MODE_INT => decode_values_int(buf, pos, &mut out)?,
-        MODE_XOR => decode_values_xor(buf, pos, &mut out)?,
-        _ => return None,
+        MODE_INT => decode_values_int(buf, pos, out),
+        MODE_XOR => decode_values_xor(buf, pos, out),
+        _ => None,
     }
-    Some(out)
 }
 
 /// The sample streams `tests/proptests.rs` draws, so the differential

@@ -895,20 +895,25 @@ impl SegmentReader {
         decode_chunk(self.chunk_bytes(payload, 0, r)?).ok_or_else(|| self.bad_chunk(r, "decode"))
     }
 
-    /// Verify one chunk against its CRC and decode it, out of an
-    /// extent that [`SegmentReader::read_extent`] read from payload
-    /// offset `from` on.
+    /// Verify one chunk against its CRC and decode it into `out`
+    /// (replacing what it held), out of an extent that
+    /// [`SegmentReader::read_extent`] read from payload offset `from` on.
     pub(crate) fn decode_chunk_in_extent(
         &self,
         extent: &[u8],
         from: u32,
         r: &ChunkRef,
-    ) -> Result<Vec<(u64, u64)>, TsdbError> {
+        out: &mut Vec<(u64, u64)>,
+    ) -> Result<(), TsdbError> {
         let bytes = self.chunk_bytes(extent, from, r)?;
         if crc32(bytes) != r.crc {
             return Err(self.bad_chunk(r, "crc mismatch"));
         }
-        decode_chunk(bytes).ok_or_else(|| self.bad_chunk(r, "decode"))
+        let mut pos = 0;
+        match codec::decode_chunk_into(bytes, &mut pos, out) {
+            Some(()) if pos == bytes.len() => Ok(()),
+            _ => Err(self.bad_chunk(r, "decode")),
+        }
     }
 }
 
@@ -1539,7 +1544,7 @@ mod tests {
         // The index passed its CRC: these are the intact file's refs.
         // One extent per block, first chunk to last, as a walk of the
         // whole segment reads them.
-        let mut extent = Vec::new();
+        let (mut extent, mut samples) = (Vec::new(), Vec::new());
         let mut in_a_chunk = false;
         let series = r.series_index().unwrap();
         for (block_ix, block) in r.entries.iter().enumerate() {
@@ -1554,12 +1559,13 @@ mod tests {
                 if !in_block(&cref) {
                     continue;
                 }
-                let got = r.decode_chunk_in_extent(&extent, from, cref);
+                let got = r.decode_chunk_in_extent(&extent, from, cref, &mut samples);
                 if at.contains(&i) {
                     in_a_chunk = true;
                     assert!(matches!(got, Err(TsdbError::Corrupt(_))), "byte {i} in chunk {s}/{c}");
                 } else {
-                    assert_eq!(&got.unwrap(), want, "byte {i}, chunk {s}/{c}");
+                    got.unwrap();
+                    assert_eq!(&samples, want, "byte {i}, chunk {s}/{c}");
                 }
             }
         }

@@ -18,12 +18,17 @@
 //! name once per store: what it allocates is a run per series plus a
 //! few per host and per metric. Resolving every record by name and
 //! owning a metric name per series took about 2.3 per series.
+//!
+//! `Tsdb::downsample` bins each series into one vector reserved once and
+//! decodes every chunk into one buffer for the whole read: what a panel
+//! allocates grows with its series and the segments they span, not with
+//! its bins or chunks.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
 use supremm_tsdb::segment::{SegmentReader, SegmentWriter, KIND_SERIES};
-use supremm_tsdb::Tsdb;
+use supremm_tsdb::{Agg, DbOptions, Selector, Tsdb};
 
 struct Counting;
 
@@ -196,4 +201,75 @@ fn reopening_a_wal_tail_allocates_per_series_once() {
     assert!(calls < bound, "open made {calls} allocations, bound {bound}");
     drop(db);
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A store of `days` day segments of four hosts' `METRICS` series each,
+/// every series cut into `chunk_samples`-sample chunks, a day one block.
+fn panel_store(tag: &str, days: u64, chunk_samples: usize) -> (Tsdb, std::path::PathBuf) {
+    let dir = tmpdir(tag);
+    let opts = DbOptions { chunk_samples, block_chunks: 512, ..DbOptions::default() };
+    let mut db = Tsdb::open_with(&dir, opts).unwrap();
+    let day = Day::new();
+    for d in 0..days {
+        for s in 0..4 * METRICS {
+            let (host, metric) = (&day.hosts[s / METRICS], &day.metrics[s % METRICS]);
+            let samples: Vec<(u64, f64)> =
+                day.samples[s].iter().map(|&(ts, bits)| (ts + d * 86_400, bits as f64)).collect();
+            db.append_batch(host, metric, &samples).unwrap();
+        }
+        db.flush().unwrap();
+    }
+    (db, dir)
+}
+
+/// Allocations of one panel: the `METRICS` series of the store's second
+/// host, over its whole time range, in `bin_secs` bins. Each day of a
+/// series straddles two day bins, so every chunk is decoded at every
+/// width.
+fn panel_allocations(db: &Tsdb, bin_secs: u64) -> u64 {
+    let sel = Selector::host("c000-001");
+    let (out, calls) =
+        allocations(|| db.downsample(&sel, 0, u64::MAX, bin_secs, Agg::Mean).unwrap());
+    assert_eq!(out.len(), METRICS);
+    calls
+}
+
+/// A panel allocates per series and per (series, segment), never per
+/// bin or decoded chunk: one day segment costs the same at 600, 3600
+/// and 86400 s bins (112), two more days at most two allocations per
+/// added (series, segment) (148), and the same three days cut into
+/// eight chunks a series at most one more per (series, segment) — the
+/// plan's ref list grows as its refs come — and none per chunk (196).
+/// Binning into a map per series and decoding each chunk into a vector
+/// of its own made 511 / 191 / 143 over one day, 1,347 over three (26
+/// per added pair) and 1,731 cut into eight.
+#[test]
+fn a_panel_allocates_per_series_not_per_bin_or_chunk() {
+    let (db, dir) = panel_store("panel-one", 1, 144);
+    let one_day: Vec<u64> = [600, 3600, 86_400].map(|bin| panel_allocations(&db, bin)).to_vec();
+    drop(db);
+    let _ = std::fs::remove_dir_all(&dir);
+    assert!(one_day.iter().all(|&c| c == one_day[0]), "one day at 600/3600/86400 s: {one_day:?}");
+
+    let (db, dir) = panel_store("panel-three", 3, 144);
+    let three_days = panel_allocations(&db, 600);
+    drop(db);
+    let _ = std::fs::remove_dir_all(&dir);
+    let added = (2 * METRICS) as u64;
+    let per_added = (three_days - one_day[0]) as f64 / added as f64;
+    assert!(
+        per_added <= 2.0,
+        "{} allocations over one day, {three_days} over three: {per_added:.2} per added (series, segment)",
+        one_day[0]
+    );
+
+    let (db, dir) = panel_store("panel-cut", 3, 18);
+    let cut = panel_allocations(&db, 600);
+    drop(db);
+    let _ = std::fs::remove_dir_all(&dir);
+    let pairs = (3 * METRICS) as u64;
+    assert!(
+        cut <= three_days + pairs,
+        "{three_days} allocations for one chunk a (series, day), {cut} for eight"
+    );
 }

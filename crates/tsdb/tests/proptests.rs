@@ -9,6 +9,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 
 use supremm_metrics::rng::{cases, SplitMix64};
 use supremm_tsdb::codec::{decode_chunk, encode_chunk, get_bytes, get_varint, put_bytes};
+use supremm_tsdb::segment::{SegmentWriter, KIND_SERIES};
 use supremm_tsdb::wal::{Wal, WalRecord};
 use supremm_tsdb::{Agg, DbOptions, RetentionPolicy, RollupLevel, Selector, Tsdb};
 
@@ -240,6 +241,77 @@ fn preagg_downsample_is_bit_identical_to_naive() {
                 "selector {:?} range [{}, {}] bin {} agg {:?}",
                 sel, t0, t1, bin, agg
             );
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+    });
+}
+
+/// A `store_ops` store beside one hand-built segment, sealed at a seq
+/// the store left free (so it is older than some engine segments and
+/// newer than others): its chunks hold shuffled and repeated
+/// timestamps, one is empty, and some of its series are its alone.
+/// Every downsample answers bit for bit as the oracle does.
+#[test]
+fn foreign_chunks_downsample_as_the_oracle_does() {
+    cases("foreign_chunks_downsample_as_the_oracle_does", 128, |rng| {
+        let ops = store_ops(rng);
+        let dir = tmpdir("foreign");
+        drop(build_store(&dir, &ops));
+        let taken: Vec<u64> = std::fs::read_dir(&dir)
+            .unwrap()
+            .filter_map(|e| {
+                let name = e.unwrap().file_name().into_string().unwrap();
+                name.strip_prefix("seg-")?.strip_suffix(".tsdb")?.parse().ok()
+            })
+            .collect();
+        let free: Vec<u64> =
+            (1..taken.iter().max().unwrap_or(&0) + 3).filter(|seq| !taken.contains(seq)).collect();
+        let seq = rng.pick(&free);
+
+        let names: Vec<(String, String)> =
+            (0..4).flat_map(|h| (0..3).map(move |m| (format!("h{h}"), format!("m{m}")))).collect();
+        let mut chunks: Vec<(usize, Vec<(u64, u64)>)> = rng.vec(1..12, |r| {
+            let n = r.range(1..10) as usize;
+            let mut samples: Vec<(u64, u64)> = Vec::with_capacity(n);
+            for _ in 0..n {
+                // One in three repeats an earlier timestamp.
+                let ts = match samples.len() {
+                    len if len > 0 && r.range(0..3) == 0 => {
+                        samples[r.range(0..len as u64) as usize].0
+                    }
+                    _ => r.range(0..1000),
+                };
+                samples.push((ts, r.next_u64()));
+            }
+            (r.range(0..names.len() as u64) as usize, samples)
+        });
+        let at = rng.range(0..chunks.len() as u64 + 1) as usize;
+        chunks.insert(at, (rng.range(0..names.len() as u64) as usize, Vec::new()));
+        let mut w = SegmentWriter::new(KIND_SERIES);
+        let mut rest = chunks.as_slice();
+        while !rest.is_empty() {
+            let (block, tail) = rest.split_at((rng.range(1..4) as usize).min(rest.len()));
+            let block: Vec<_> = block
+                .iter()
+                .map(|(s, samples)| {
+                    (names[*s].0.as_str(), names[*s].1.as_str(), samples.as_slice())
+                })
+                .collect();
+            w.push_series_block(&block);
+            rest = tail;
+        }
+        w.seal(&dir.join(format!("seg-{seq:06}.tsdb"))).unwrap();
+
+        let db = Tsdb::open_with(&dir, small_opts()).unwrap();
+        for _ in 0..8 {
+            let sel = selector_from(rng.range(0..5) as u8, rng.range(0..4) as u8);
+            let (t0, len) = (rng.range(0..1100), rng.range(0..1100));
+            let (t1, bin, agg) = (t0 + len, rng.range(1..80), agg_from(rng.range(0..6) as u8));
+            let naive = bits_view(db.downsample_naive(&sel, t0, t1, bin, agg).unwrap());
+            let what = format!("foreign seq {seq}, {sel:?} [{t0}, {t1}] bin {bin} {agg:?}");
+            assert_eq!(bits_view(db.downsample(&sel, t0, t1, bin, agg).unwrap()), naive, "{what}");
+            let tiered = db.downsample_tiered(&sel, t0, t1, bin, agg).unwrap().0;
+            assert_eq!(bits_view(tiered), naive, "tiered, {what}");
         }
         let _ = std::fs::remove_dir_all(&dir);
     });
