@@ -88,15 +88,11 @@ mod tests {
 
     /// Deterministic noise in ±0.5.
     fn noise(i: usize) -> f64 {
-        (((i as u64 + 1).wrapping_mul(0x9e3779b97f4a7c15) >> 40) as f64
-            / (1u64 << 24) as f64)
-            - 0.5
+        (((i as u64 + 1).wrapping_mul(0x9e3779b97f4a7c15) >> 40) as f64 / (1u64 << 24) as f64) - 0.5
     }
 
     fn series_with_shift(n: usize, shift_at: usize, shift: f64) -> Vec<f64> {
-        (0..n)
-            .map(|i| 100.0 + noise(i) + if i >= shift_at { shift } else { 0.0 })
-            .collect()
+        (0..n).map(|i| 100.0 + noise(i) + if i >= shift_at { shift } else { 0.0 }).collect()
     }
 
     #[test]

@@ -7,7 +7,6 @@
 //! ib tx. Therefore, we have selected the smallest independent set of
 //! metrics that describe the execution behavior of the job mix."
 
-
 /// Pearson correlation of two equal-length series. `NaN` when either
 /// side is constant.
 pub fn pearson(x: &[f64], y: &[f64]) -> f64 {
@@ -101,11 +100,8 @@ mod tests {
 
     #[test]
     fn matrix_is_symmetric_with_unit_diagonal() {
-        let vars = vec![
-            series(|i| i as f64),
-            series(|i| (i as f64).sin()),
-            series(|i| -(i as f64) + 3.0),
-        ];
+        let vars =
+            vec![series(|i| i as f64), series(|i| (i as f64).sin()), series(|i| -(i as f64) + 3.0)];
         let m = correlation_matrix(&vars);
         for (i, row) in m.iter().enumerate() {
             assert_eq!(row[i], 1.0);

@@ -106,20 +106,14 @@ mod tests {
 
     #[test]
     fn average_line_is_node_hour_weighted() {
-        let report = WastedHoursReport::build(vec![
-            point(1, 900.0, 0.10),
-            point(2, 100.0, 0.90),
-        ]);
+        let report = WastedHoursReport::build(vec![point(1, 900.0, 0.10), point(2, 100.0, 0.90)]);
         // Weighted idle = (900·0.1 + 100·0.9)/1000 = 0.18.
         assert!((report.average_efficiency - 0.82).abs() < 1e-12);
     }
 
     #[test]
     fn above_line_flags_only_wasters() {
-        let report = WastedHoursReport::build(vec![
-            point(1, 500.0, 0.05),
-            point(2, 500.0, 0.40),
-        ]);
+        let report = WastedHoursReport::build(vec![point(1, 500.0, 0.05), point(2, 500.0, 0.40)]);
         let above: Vec<u32> = report.above_line().map(|p| p.key).collect();
         assert_eq!(above, vec![2]);
     }

@@ -6,7 +6,6 @@
 //! This is the same estimator family: a Gaussian kernel with bandwidth
 //! from Scott's / Silverman's rule, evaluated on a regular grid.
 
-
 use crate::stats::{percentile_sorted, Moments};
 
 /// A fitted kernel density estimate.
@@ -62,8 +61,7 @@ impl Kde {
     pub fn grid(&self, points: usize) -> Vec<(f64, f64)> {
         assert!(points >= 2);
         let lo = self.data.iter().cloned().fold(f64::INFINITY, f64::min) - 3.0 * self.bandwidth;
-        let hi =
-            self.data.iter().cloned().fold(f64::NEG_INFINITY, f64::max) + 3.0 * self.bandwidth;
+        let hi = self.data.iter().cloned().fold(f64::NEG_INFINITY, f64::max) + 3.0 * self.bandwidth;
         let step = (hi - lo) / (points - 1) as f64;
         (0..points)
             .map(|i| {
@@ -86,7 +84,8 @@ mod tests {
                 let mut acc = 0.0;
                 let mut state = (i as u64 + 1).wrapping_mul(0x9e3779b97f4a7c15);
                 for _ in 0..12 {
-                    state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+                    state =
+                        state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
                     acc += (state >> 11) as f64 / (1u64 << 53) as f64;
                 }
                 mean + sd * (acc - 6.0)

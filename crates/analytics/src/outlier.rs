@@ -101,8 +101,7 @@ mod tests {
     #[test]
     fn degenerate_mad_means_no_flags() {
         // More than half identical -> MAD 0 -> nothing flagged.
-        let data: Vec<(u32, f64)> =
-            (0..10).map(|i| (i, 5.0)).chain([(99, 1e9)]).collect();
+        let data: Vec<(u32, f64)> = (0..10).map(|i| (i, 5.0)).chain([(99, 1e9)]).collect();
         assert!(flag_outliers(data, 3.5).is_empty());
     }
 }

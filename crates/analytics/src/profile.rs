@@ -81,10 +81,7 @@ impl Profile {
     /// Render one line per metric, `name value` — the dataset behind a
     /// radar chart.
     pub fn to_rows(&self) -> Vec<(String, f64)> {
-        self.values
-            .iter()
-            .map(|(m, v)| (m.name().to_string(), v))
-            .collect()
+        self.values.iter().map(|(m, v)| (m.name().to_string(), v)).collect()
     }
 }
 
@@ -169,11 +166,7 @@ mod tests {
 
     #[test]
     fn profile_rows_cover_all_eight_metrics() {
-        let p = Profile {
-            label: "user 1".into(),
-            values: vec_of([1.0; 8]),
-            node_hours: 5.0,
-        };
+        let p = Profile { label: "user 1".into(), values: vec_of([1.0; 8]), node_hours: 5.0 };
         let rows = p.to_rows();
         assert_eq!(rows.len(), 8);
         assert_eq!(rows[0].0, "cpu_idle");

@@ -245,8 +245,7 @@ mod tests {
 
     #[test]
     fn weighted_merge_equals_single_pass() {
-        let data: Vec<(f64, f64)> =
-            (0..50).map(|i| (i as f64, 1.0 + (i % 7) as f64)).collect();
+        let data: Vec<(f64, f64)> = (0..50).map(|i| (i as f64, 1.0 + (i % 7) as f64)).collect();
         let mut whole = WeightedMoments::new();
         for &(x, w) in &data {
             whole.push(x, w);

@@ -48,8 +48,7 @@ pub fn decompose(series: &[f64], period: usize) -> Option<Decomposition> {
         *s -= grand;
     }
     // 3. Final linear trend on the de-seasonalised series.
-    let y: Vec<f64> =
-        series.iter().enumerate().map(|(i, &v)| v - seasonal[i % period]).collect();
+    let y: Vec<f64> = series.iter().enumerate().map(|(i, &v)| v - seasonal[i % period]).collect();
     let trend = linear_fit(&x, &y)?;
     // 3. Residuals.
     let resid_var = series
@@ -61,13 +60,7 @@ pub fn decompose(series: &[f64], period: usize) -> Option<Decomposition> {
         })
         .sum::<f64>()
         / series.len() as f64;
-    Some(Decomposition {
-        period,
-        trend,
-        seasonal,
-        resid_sd: resid_var.sqrt(),
-        n: series.len(),
-    })
+    Some(Decomposition { period, trend, seasonal, resid_sd: resid_var.sqrt(), n: series.len() })
 }
 
 impl Decomposition {

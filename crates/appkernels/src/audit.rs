@@ -27,13 +27,7 @@ pub struct AuditConfig {
 
 impl Default for AuditConfig {
     fn default() -> Self {
-        AuditConfig {
-            cadence_hours: 6,
-            baseline_runs: 12,
-            cusum_k: 0.5,
-            cusum_h: 5.0,
-            noise: 0.01,
-        }
+        AuditConfig { cadence_hours: 6, baseline_runs: 12, cusum_k: 0.5, cusum_h: 5.0, noise: 0.01 }
     }
 }
 
@@ -209,8 +203,16 @@ mod tests {
     #[test]
     fn concurrent_faults_implicate_both_subsystems() {
         let timeline = HealthTimeline::new(vec![
-            DegradationEvent { at: Timestamp(6 * 86_400), subsystem: Subsystem::MemoryBandwidth, factor: 0.8 },
-            DegradationEvent { at: Timestamp(9 * 86_400), subsystem: Subsystem::Interconnect, factor: 0.7 },
+            DegradationEvent {
+                at: Timestamp(6 * 86_400),
+                subsystem: Subsystem::MemoryBandwidth,
+                factor: 0.8,
+            },
+            DegradationEvent {
+                at: Timestamp(9 * 86_400),
+                subsystem: Subsystem::Interconnect,
+                factor: 0.7,
+            },
         ]);
         let report =
             Auditor::new(AuditConfig::default()).audit(&NodeSpec::lonestar4(), &timeline, 16);
@@ -241,8 +243,7 @@ mod tests {
             DegradationEvent { at: Timestamp(600), subsystem: Subsystem::Cpu, factor: 1.0 },
         ]);
         let _ = NodeHealth::HEALTHY;
-        let report =
-            Auditor::new(AuditConfig::default()).audit(&NodeSpec::ranger(), &timeline, 12);
+        let report = Auditor::new(AuditConfig::default()).audit(&NodeSpec::ranger(), &timeline, 12);
         assert!(report.alarms.is_empty(), "{}", report.render());
     }
 }

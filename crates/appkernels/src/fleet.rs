@@ -98,8 +98,7 @@ mod tests {
 
     #[test]
     fn healthy_fleet_has_no_suspects() {
-        let report =
-            screen_fleet(&NodeSpec::ranger(), &fleet(16), Timestamp(600), 3.5);
+        let report = screen_fleet(&NodeSpec::ranger(), &fleet(16), Timestamp(600), 3.5);
         assert!(report.suspect_nodes().is_empty(), "{:?}", report.flags);
         assert_eq!(report.scores.len(), 4);
         for (name, scores) in &report.scores {
@@ -111,8 +110,7 @@ mod tests {
     fn single_throttled_node_is_localised_with_the_right_subsystem() {
         let mut healths = fleet(24);
         healths[17] = NodeHealth { cpu: 0.8, ..NodeHealth::HEALTHY };
-        let report =
-            screen_fleet(&NodeSpec::ranger(), &healths, Timestamp(600), 3.5);
+        let report = screen_fleet(&NodeSpec::ranger(), &healths, Timestamp(600), 3.5);
         assert_eq!(report.suspect_nodes(), vec![17], "{:?}", report.flags);
         assert!(report.flags.iter().all(|f| f.implicates == Subsystem::Cpu));
         let flag = &report.flags[0];
@@ -125,8 +123,7 @@ mod tests {
         let mut healths = fleet(20);
         healths[3] = NodeHealth { net: 0.5, ..NodeHealth::HEALTHY };
         healths[11] = NodeHealth { fs_write: 0.6, ..NodeHealth::HEALTHY };
-        let report =
-            screen_fleet(&NodeSpec::lonestar4(), &healths, Timestamp(600), 3.5);
+        let report = screen_fleet(&NodeSpec::lonestar4(), &healths, Timestamp(600), 3.5);
         assert_eq!(report.suspect_nodes(), vec![3, 11]);
         let implicated: Vec<(usize, Subsystem)> =
             report.flags.iter().map(|f| (f.node, f.implicates)).collect();
@@ -141,8 +138,7 @@ mod tests {
         // A node somehow faster than the fleet must not be flagged.
         let mut healths = fleet(16);
         healths[5] = NodeHealth { cpu: 1.2, ..NodeHealth::HEALTHY };
-        let report =
-            screen_fleet(&NodeSpec::ranger(), &healths, Timestamp(600), 3.5);
+        let report = screen_fleet(&NodeSpec::ranger(), &healths, Timestamp(600), 3.5);
         assert!(report.suspect_nodes().is_empty(), "{:?}", report.flags);
     }
 }

@@ -47,8 +47,7 @@ pub struct NodeHealth {
 }
 
 impl NodeHealth {
-    pub const HEALTHY: NodeHealth =
-        NodeHealth { cpu: 1.0, mem_bw: 1.0, fs_write: 1.0, net: 1.0 };
+    pub const HEALTHY: NodeHealth = NodeHealth { cpu: 1.0, mem_bw: 1.0, fs_write: 1.0, net: 1.0 };
 
     pub fn factor(&self, s: Subsystem) -> f64 {
         match s {
@@ -145,8 +144,16 @@ mod tests {
     #[test]
     fn repair_restores_the_factor() {
         let t = HealthTimeline::new(vec![
-            DegradationEvent { at: Timestamp(1000), subsystem: Subsystem::Interconnect, factor: 0.5 },
-            DegradationEvent { at: Timestamp(5000), subsystem: Subsystem::Interconnect, factor: 1.0 },
+            DegradationEvent {
+                at: Timestamp(1000),
+                subsystem: Subsystem::Interconnect,
+                factor: 0.5,
+            },
+            DegradationEvent {
+                at: Timestamp(5000),
+                subsystem: Subsystem::Interconnect,
+                factor: 1.0,
+            },
         ]);
         assert_eq!(t.health_at(Timestamp(2000)).net, 0.5);
         assert!(t.health_at(Timestamp(5000)).is_healthy());

@@ -76,9 +76,7 @@ impl AppKernel {
     pub fn score(&self, prev: &Record, cur: &Record) -> Option<f64> {
         let m = interval_metrics(prev, cur)?;
         match self.scoring {
-            Scoring::Gflops => {
-                m.flops_valid.then(|| m.get(ExtendedMetric::CpuFlops) / 1e9)
-            }
+            Scoring::Gflops => m.flops_valid.then(|| m.get(ExtendedMetric::CpuFlops) / 1e9),
             Scoring::MemBandwidthGBs => {
                 // NUMA hit+miss counters count memory accesses; 64 B each.
                 let dt = cur.ts.since(prev.ts).seconds() as f64;
@@ -96,9 +94,7 @@ impl AppKernel {
             Scoring::ScratchWriteMBs => {
                 Some(m.get(ExtendedMetric::IoScratchWrite) / (1024.0 * 1024.0))
             }
-            Scoring::IbBandwidthMBs => {
-                Some(m.get(ExtendedMetric::NetIbTx) / (1024.0 * 1024.0))
-            }
+            Scoring::IbBandwidthMBs => Some(m.get(ExtendedMetric::NetIbTx) / (1024.0 * 1024.0)),
         }
     }
 }
@@ -167,10 +163,7 @@ mod tests {
         let spec = NodeSpec::ranger();
         let dgemm = &standard_suite()[0];
         let healthy = dgemm.activity(&spec, NodeHealth::HEALTHY);
-        let throttled = dgemm.activity(
-            &spec,
-            NodeHealth { cpu: 0.8, ..NodeHealth::HEALTHY },
-        );
+        let throttled = dgemm.activity(&spec, NodeHealth { cpu: 0.8, ..NodeHealth::HEALTHY });
         assert!((throttled.flops / healthy.flops - 0.8).abs() < 1e-12);
         assert_eq!(throttled.scratch_write_bytes, healthy.scratch_write_bytes);
         assert_eq!(throttled.ib_tx_bytes, healthy.ib_tx_bytes);

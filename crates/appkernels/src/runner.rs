@@ -66,7 +66,8 @@ mod tests {
     fn every_kernel_scores_on_a_healthy_node() {
         let spec = NodeSpec::ranger();
         for (i, k) in standard_suite().iter().enumerate() {
-            let run = run_kernel(k, &spec, NodeHealth::HEALTHY, Timestamp(600), JobId(i as u64 + 1));
+            let run =
+                run_kernel(k, &spec, NodeHealth::HEALTHY, Timestamp(600), JobId(i as u64 + 1));
             let score = run.score.unwrap_or_else(|| panic!("{} did not score", k.name));
             assert!(score > 0.0, "{}: {score}", k.name);
         }
@@ -77,9 +78,7 @@ mod tests {
         let spec = NodeSpec::ranger();
         let dgemm = &standard_suite()[0];
         let healthy =
-            run_kernel(dgemm, &spec, NodeHealth::HEALTHY, Timestamp(600), JobId(1))
-                .score
-                .unwrap();
+            run_kernel(dgemm, &spec, NodeHealth::HEALTHY, Timestamp(600), JobId(1)).score.unwrap();
         let throttled = run_kernel(
             dgemm,
             &spec,
@@ -99,9 +98,7 @@ mod tests {
         let spec = NodeSpec::ranger();
         let stream = &standard_suite()[1];
         let healthy =
-            run_kernel(stream, &spec, NodeHealth::HEALTHY, Timestamp(600), JobId(1))
-                .score
-                .unwrap();
+            run_kernel(stream, &spec, NodeHealth::HEALTHY, Timestamp(600), JobId(1)).score.unwrap();
         let cpu_throttled = run_kernel(
             stream,
             &spec,
@@ -131,9 +128,11 @@ mod tests {
         let ior = suite.iter().find(|k| k.probes == Subsystem::FilesystemWrite).unwrap();
         let osu = suite.iter().find(|k| k.probes == Subsystem::Interconnect).unwrap();
         let sick_io = NodeHealth { fs_write: 0.4, ..NodeHealth::HEALTHY };
-        let ior_h = run_kernel(ior, &spec, NodeHealth::HEALTHY, Timestamp(600), JobId(1)).score.unwrap();
+        let ior_h =
+            run_kernel(ior, &spec, NodeHealth::HEALTHY, Timestamp(600), JobId(1)).score.unwrap();
         let ior_s = run_kernel(ior, &spec, sick_io, Timestamp(600), JobId(2)).score.unwrap();
-        let osu_h = run_kernel(osu, &spec, NodeHealth::HEALTHY, Timestamp(600), JobId(3)).score.unwrap();
+        let osu_h =
+            run_kernel(osu, &spec, NodeHealth::HEALTHY, Timestamp(600), JobId(3)).score.unwrap();
         let osu_s = run_kernel(osu, &spec, sick_io, Timestamp(600), JobId(4)).score.unwrap();
         assert!((ior_s / ior_h - 0.4).abs() < 0.05);
         assert!((osu_s / osu_h - 1.0).abs() < 0.05, "I/O fault must not move OSU");

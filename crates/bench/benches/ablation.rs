@@ -26,10 +26,8 @@ fn unified_day() -> String {
     let mut ts = Timestamp(600);
     c.begin_job(&mut kernel, JobId(7), ts);
     for _ in 0..144 {
-        kernel.advance(
-            &NodeActivity { user_frac: 0.8, flops: 3e12, ..NodeActivity::idle() },
-            600.0,
-        );
+        kernel
+            .advance(&NodeActivity { user_frac: 0.8, flops: 3e12, ..NodeActivity::idle() }, 600.0);
         ts = ts + Duration(600);
         c.sample(&kernel, ts);
     }
@@ -44,10 +42,8 @@ fn csv_zoo_day() -> Vec<(DeviceClass, String)> {
     let mut streams: Vec<(DeviceClass, String)> =
         DeviceClass::ALL.iter().map(|&c| (c, String::new())).collect();
     for step in 0..144 {
-        kernel.advance(
-            &NodeActivity { user_frac: 0.8, flops: 3e12, ..NodeActivity::idle() },
-            600.0,
-        );
+        kernel
+            .advance(&NodeActivity { user_frac: 0.8, flops: 3e12, ..NodeActivity::idle() }, 600.0);
         let ts = 600 * (step + 1);
         for (class, out) in &mut streams {
             for r in kernel.read_class(*class) {
@@ -95,16 +91,12 @@ fn bench_format_ablation() {
 fn bench_join_ablation() {
     // Synthetic sample stream and job windows for the tagging-vs-join
     // comparison.
-    let jobs: Vec<(JobId, u64, u64)> = (0..200)
-        .map(|i| (JobId(i), i * 3_000, i * 3_000 + 36_000))
-        .collect();
+    let jobs: Vec<(JobId, u64, u64)> =
+        (0..200).map(|i| (JobId(i), i * 3_000, i * 3_000 + 36_000)).collect();
     let samples: Vec<(u64, Option<JobId>)> = (0..100_000u64)
         .map(|i| {
             let ts = i * 600 % 640_000;
-            let tag = jobs
-                .iter()
-                .find(|(_, s, e)| ts >= *s && ts < *e)
-                .map(|&(id, _, _)| id);
+            let tag = jobs.iter().find(|(_, s, e)| ts >= *s && ts < *e).map(|&(id, _, _)| id);
             (ts, tag)
         })
         .collect();

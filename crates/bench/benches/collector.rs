@@ -37,10 +37,8 @@ fn one_node_day() -> String {
     let mut ts = Timestamp(600);
     c.begin_job(&mut kernel, JobId(7), ts);
     for _ in 0..144 {
-        kernel.advance(
-            &NodeActivity { user_frac: 0.8, flops: 3e12, ..NodeActivity::idle() },
-            600.0,
-        );
+        kernel
+            .advance(&NodeActivity { user_frac: 0.8, flops: 3e12, ..NodeActivity::idle() }, 600.0);
         ts = ts + Duration(600);
         c.sample(&kernel, ts);
     }

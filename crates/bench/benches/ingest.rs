@@ -36,5 +36,4 @@ fn main() {
     bench("warehouse_queries/top5_users", None, || {
         black_box(ds.table.top_by_node_hours(|j| j.user, 5))
     });
-
 }

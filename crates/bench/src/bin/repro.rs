@@ -133,10 +133,7 @@ fn build(
     fault_plan: Option<FaultPlan>,
     store_dir: Option<std::path::PathBuf>,
 ) -> (MachineDataset, BenchTiming) {
-    eprintln!(
-        "[repro] simulating {label}: {} nodes x {} days ...",
-        cfg.node_count, cfg.sim_days
-    );
+    eprintln!("[repro] simulating {label}: {} nodes x {} days ...", cfg.node_count, cfg.sim_days);
     let (nodes, days) = (cfg.node_count, cfg.sim_days);
     let t0 = std::time::Instant::now();
     let ds = run_pipeline(
@@ -211,9 +208,8 @@ fn write_query_bench(root: &std::path::Path) -> std::io::Result<()> {
     use supremm_warehouse::tsdb::{DbOptions, Tsdb};
 
     const HOSTS: usize = 64;
-    const METRICS: [&str; 8] = [
-        "cpu_user", "cpu_system", "cpu_idle", "mem_used", "net_rx", "net_tx", "ib_rx", "flops",
-    ];
+    const METRICS: [&str; 8] =
+        ["cpu_user", "cpu_system", "cpu_idle", "mem_used", "net_rx", "net_tx", "ib_rx", "flops"];
     const SAMPLES_PER_SERIES: u64 = 2016; // 14 days at 600 s cadence
     const STEP_SECS: u64 = 600;
     const SPAN_SECS: u64 = SAMPLES_PER_SERIES * STEP_SECS;
@@ -224,9 +220,11 @@ fn write_query_bench(root: &std::path::Path) -> std::io::Result<()> {
     let dir = root.join("querybench");
     let _ = std::fs::remove_dir_all(&dir);
     std::fs::create_dir_all(&dir)?;
-    let mut db =
-        Tsdb::open_with(&dir, DbOptions { chunk_samples: 128, block_chunks: 64, ..Default::default() })
-            .map_err(io_err)?;
+    let mut db = Tsdb::open_with(
+        &dir,
+        DbOptions { chunk_samples: 128, block_chunks: 64, ..Default::default() },
+    )
+    .map_err(io_err)?;
     for h in 0..HOSTS {
         let host = format!("c{h:03}");
         for (m, metric) in METRICS.iter().enumerate() {
@@ -262,7 +260,10 @@ fn write_query_bench(root: &std::path::Path) -> std::io::Result<()> {
             let mut stream = std::net::TcpStream::connect(addr)?;
             stream.set_nodelay(true)?;
             let cold_target = |n: u64| {
-                format!("/v1/series?host=c042&metric=cpu_user&t1={}&bin=86400&agg=max", SPAN_SECS + n)
+                format!(
+                    "/v1/series?host=c042&metric=cpu_user&t1={}&bin=86400&agg=max",
+                    SPAN_SECS + n
+                )
             };
             http_fetch(&mut stream, &cold_target(0))?; // warm the connection
             let t0 = std::time::Instant::now();
@@ -284,10 +285,7 @@ fn write_query_bench(root: &std::path::Path) -> std::io::Result<()> {
     });
     let (serve_cold, serve_cached) = served?;
 
-    eprintln!(
-        "[repro] query bench: serve cached {:.1}x",
-        serve_cold / serve_cached.max(1e-12),
-    );
+    eprintln!("[repro] query bench: serve cached {:.1}x", serve_cold / serve_cached.max(1e-12),);
 
     let mut s = String::from("{\n");
     let _ = writeln!(
@@ -382,10 +380,8 @@ fn write_ingest_bench(root: &std::path::Path) -> std::io::Result<()> {
     let store = std::sync::Arc::new(std::sync::RwLock::new(
         supremm_tsdb::Tsdb::open(&dir).map_err(io_err)?,
     ));
-    let core = IngestCore::start(
-        store,
-        IngestOptions { obs: obs.clone(), ..IngestOptions::default() },
-    );
+    let core =
+        IngestCore::start(store, IngestOptions { obs: obs.clone(), ..IngestOptions::default() });
 
     let t0 = std::time::Instant::now();
     std::thread::scope(|s| {
@@ -472,14 +468,13 @@ fn write_ingest_bench(root: &std::path::Path) -> std::io::Result<()> {
 fn main() {
     let args = parse_args();
     let mut ranger_cfg = ClusterConfig::ranger().scaled(args.nodes, args.days);
-    let mut ls4_cfg =
-        ClusterConfig::lonestar4().scaled((args.nodes * 3 / 4).max(8), args.days);
+    let mut ls4_cfg = ClusterConfig::lonestar4().scaled((args.nodes * 3 / 4).max(8), args.days);
     if let Some(seed) = args.seed {
         ranger_cfg = ranger_cfg.with_seed(seed);
         ls4_cfg = ls4_cfg.with_seed(seed.wrapping_add(0x4c6f_6e65));
     }
-    let fault_plan = (args.fault_rate > 0.0)
-        .then(|| FaultPlan::with_rate(args.fault_seed, args.fault_rate));
+    let fault_plan =
+        (args.fault_rate > 0.0).then(|| FaultPlan::with_rate(args.fault_seed, args.fault_rate));
     let store_of = |label: &str| args.store_dir.as_ref().map(|d| d.join(label));
     let (ranger, ranger_timing) = build(ranger_cfg, "ranger", fault_plan, store_of("ranger"));
     let (ls4, ls4_timing) = build(ls4_cfg, "lonestar4", fault_plan, store_of("lonestar4"));
@@ -514,10 +509,8 @@ fn main() {
             Ok(()) => eprintln!("[repro] wrote BENCH_pipeline.json"),
             Err(e) => eprintln!("[repro] could not write BENCH_pipeline.json: {e}"),
         }
-        let bench_root = args
-            .store_dir
-            .clone()
-            .unwrap_or_else(|| std::env::temp_dir().join("repro-tsdb-bench"));
+        let bench_root =
+            args.store_dir.clone().unwrap_or_else(|| std::env::temp_dir().join("repro-tsdb-bench"));
         match write_query_bench(&bench_root) {
             Ok(()) => eprintln!("[repro] wrote BENCH_query.json"),
             Err(e) => eprintln!("[repro] could not write BENCH_query.json: {e}"),

@@ -109,7 +109,12 @@ impl AppProfile {
     /// `mem_scale` and `idle_scale` are cluster-wide calibration knobs
     /// (Lonestar4 runs memory-hungrier configurations and averages 85 %
     /// efficiency vs Ranger's 90 %).
-    pub fn signature_for(&self, on_lonestar4: bool, mem_scale: f64, idle_scale: f64) -> ResourceSignature {
+    pub fn signature_for(
+        &self,
+        on_lonestar4: bool,
+        mem_scale: f64,
+        idle_scale: f64,
+    ) -> ResourceSignature {
         let mut s = self.signature.clone();
         let mods = if on_lonestar4 { self.ls4_mods } else { MachineMods::NONE };
         s.flops_frac_peak.0 *= mods.flops;
@@ -301,7 +306,11 @@ impl AppCatalog {
         push(
             "SerialFarm",
             0.05,
-            &[(SF::MolecularBiosciences, 0.4), (SF::SocialSciences, 0.3), (SF::ComputerScience, 0.3)],
+            &[
+                (SF::MolecularBiosciences, 0.4),
+                (SF::SocialSciences, 0.3),
+                (SF::ComputerScience, 0.3),
+            ],
             ResourceSignature {
                 flops_frac_peak: (0.004, 0.6),
                 mem_gb: (3.0, 0.5),
@@ -398,16 +407,11 @@ mod tests {
         let c = AppCatalog::standard();
         let namd = c.by_name("NAMD").unwrap();
         let amber = c.by_name("AMBER").unwrap();
-        let (n_r, n_l) = (
-            namd.signature_for(false, 1.0, 1.0),
-            namd.signature_for(true, 1.0, 1.0),
-        );
+        let (n_r, n_l) = (namd.signature_for(false, 1.0, 1.0), namd.signature_for(true, 1.0, 1.0));
         let namd_flops_shift = n_l.flops_frac_peak.0 / n_r.flops_frac_peak.0;
         assert!((1.0..1.4).contains(&namd_flops_shift), "{namd_flops_shift}");
-        let (a_r, a_l) = (
-            amber.signature_for(false, 1.0, 1.0),
-            amber.signature_for(true, 1.0, 1.0),
-        );
+        let (a_r, a_l) =
+            (amber.signature_for(false, 1.0, 1.0), amber.signature_for(true, 1.0, 1.0));
         let amber_flops_shift = a_l.flops_frac_peak.0 / a_r.flops_frac_peak.0;
         assert!(amber_flops_shift > namd_flops_shift * 1.2, "{amber_flops_shift}");
         assert!(a_l.idle_frac.0 < a_r.idle_frac.0 * 0.8);
@@ -417,9 +421,8 @@ mod tests {
     fn amber_idles_more_than_namd_and_gromacs_everywhere() {
         let c = AppCatalog::standard();
         for ls4 in [false, true] {
-            let idle = |name: &str| {
-                c.by_name(name).unwrap().signature_for(ls4, 1.0, 1.0).idle_frac.0
-            };
+            let idle =
+                |name: &str| c.by_name(name).unwrap().signature_for(ls4, 1.0, 1.0).idle_frac.0;
             assert!(idle("AMBER") > 2.0 * idle("NAMD"), "ls4={ls4}");
             assert!(idle("AMBER") > 2.0 * idle("GROMACS"), "ls4={ls4}");
         }

@@ -241,7 +241,8 @@ fn normal_cdf(z: f64) -> f64 {
     let t = 1.0 / (1.0 + 0.327_591_1 * x.abs());
     let poly = t
         * (0.254_829_592
-            + t * (-0.284_496_736 + t * (1.421_413_741 + t * (-1.453_152_027 + t * 1.061_405_429))));
+            + t * (-0.284_496_736
+                + t * (1.421_413_741 + t * (-1.453_152_027 + t * 1.061_405_429))));
     let erf = 1.0 - poly * (-x * x).exp();
     let signed = if x >= 0.0 { erf } else { -erf };
     0.5 * (1.0 + signed)
@@ -297,9 +298,8 @@ mod tests {
     #[test]
     fn arrival_rate_offers_oversubscribed_load() {
         let c = ClusterConfig::ranger();
-        let offered = c.arrival_rate_per_sec()
-            * c.mean_job_len_secs()
-            * c.effective_mean_job_nodes();
+        let offered =
+            c.arrival_rate_per_sec() * c.mean_job_len_secs() * c.effective_mean_job_nodes();
         let ratio = offered / c.node_count as f64;
         assert!((ratio - 1.0).abs() < 1e-9, "{ratio}");
     }

@@ -239,7 +239,13 @@ impl FaultPlan {
 
     /// Write one record block, possibly skewing its stamp or tearing one
     /// of its lines.
-    fn emit_block(&self, block: &[&str], out: &mut String, rng: &mut SplitMix64, log: &mut InjectionLog) {
+    fn emit_block(
+        &self,
+        block: &[&str],
+        out: &mut String,
+        rng: &mut SplitMix64,
+        log: &mut InjectionLog,
+    ) {
         let skew = if chance(rng, self.rates.clock_skew) {
             log.records_skewed += 1;
             // ±1..900 s, never exactly zero.

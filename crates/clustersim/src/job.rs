@@ -127,9 +127,7 @@ impl RunningJob {
             flops_frac *= (1.0 - anomaly_idle).max(0.05);
         }
         let draw = JobDraw {
-            flops_per_sec: (flops_frac * (1.0 - idle)).min(0.35)
-                * node_spec.peak_gflops
-                * 1.0e9,
+            flops_per_sec: (flops_frac * (1.0 - idle)).min(0.35) * node_spec.peak_gflops * 1.0e9,
             max_flops_per_sec: 0.35 * node_spec.peak_gflops * 1.0e9,
             mem_bytes: (s.lognormal(sig.mem_gb.0, sig.mem_gb.1) * 1.073_741_824e9)
                 .min(node_spec.mem_bytes as f64 * 0.98),
@@ -142,10 +140,8 @@ impl RunningJob {
             // Per-job period jitter: real checkpoint cadences are set per
             // run, so aggregate write traffic carries no cluster-wide
             // periodicity.
-            checkpoint_period: ((sig.checkpoint_period as f64
-                * s.uniform_range(0.75, 1.35))
-                .round() as u32)
-                .max(3),
+            checkpoint_period:
+                ((sig.checkpoint_period as f64 * s.uniform_range(0.75, 1.35)).round() as u32).max(3),
             checkpoint_burst: sig.checkpoint_burst.max(1.0),
             ar1_rho: sig.ar1_rho,
             ar1_sigma: sig.ar1_sigma,
@@ -182,8 +178,7 @@ impl RunningJob {
         if !self.spec.papi {
             return false;
         }
-        let total_slices =
-            (self.spec.duration.seconds() / 600).max(2);
+        let total_slices = (self.spec.duration.seconds() / 600).max(2);
         self.slice_idx == total_slices / 2
     }
 
@@ -236,8 +231,7 @@ impl RunningJob {
 
         let act = NodeActivity {
             user_frac: busy * (1.0 - d.system_frac) * (0.97 + 0.03 * self.intensity),
-            system_frac: busy * d.system_frac
-                + (ib_tx as f64 / slice_secs) / (2.0e9) * 0.05,
+            system_frac: busy * d.system_frac + (ib_tx as f64 / slice_secs) / (2.0e9) * 0.05,
             iowait_frac: (lustre_total as f64 / slice_secs) / (500.0 * MB) * 0.05,
             flops: (d.flops_per_sec * self.intensity).min(d.max_flops_per_sec) * slice_secs,
             mem_accesses: 0.0, // derived from flops
@@ -251,8 +245,7 @@ impl RunningJob {
             share_read_bytes: io_bytes(d.work_write_bps, 0.15),
             share_write_bytes: io_bytes(d.work_write_bps, 0.08),
             ib_tx_bytes: ib_tx + lnet_tx,
-            ib_rx_bytes: ((ib_tx + lnet_tx) as f64 * (0.92 + 0.12 * self.sampler.uniform()))
-                as u64,
+            ib_rx_bytes: ((ib_tx + lnet_tx) as f64 * (0.92 + 0.12 * self.sampler.uniform())) as u64,
             lnet_tx_bytes: lnet_tx,
             lnet_rx_bytes: (scratch_read as f64 * 1.06) as u64,
             eth_tx_bytes: 40 << 10,
@@ -266,7 +259,7 @@ impl RunningJob {
             numa_local_frac: 0.9,
             sysv_shm_bytes: (mem * 0.05) as u64,
             tmpfs_bytes: 64 << 20,
-            }
+        }
         .normalized();
         self.slice_idx += 1;
         act
@@ -347,8 +340,7 @@ mod tests {
         let n = flops.len();
         let mean = flops.iter().sum::<f64>() / n as f64;
         let var: f64 = flops.iter().map(|x| (x - mean).powi(2)).sum();
-        let cov: f64 =
-            flops.windows(2).map(|w| (w[0] - mean) * (w[1] - mean)).sum();
+        let cov: f64 = flops.windows(2).map(|w| (w[0] - mean) * (w[1] - mean)).sum();
         let rho = cov / var;
         assert!(rho > 0.7, "lag-1 autocorrelation {rho}");
     }
@@ -356,8 +348,7 @@ mod tests {
     #[test]
     fn checkpoints_make_write_traffic_bursty() {
         let mut job = launch(None);
-        let writes: Vec<u64> =
-            (0..64).map(|_| job.next_slice(600.0).scratch_write_bytes).collect();
+        let writes: Vec<u64> = (0..64).map(|_| job.next_slice(600.0).scratch_write_bytes).collect();
         let max = *writes.iter().max().unwrap() as f64;
         let mean = writes.iter().sum::<u64>() as f64 / writes.len() as f64;
         assert!(max / mean > 1.7, "burstiness {max}/{mean}");

@@ -66,11 +66,7 @@ mod tests {
 
     #[test]
     fn window_membership() {
-        let o = Outage {
-            start: Timestamp(100),
-            duration: Duration(50),
-            frac: 1.0,
-        };
+        let o = Outage { start: Timestamp(100), duration: Duration(50), frac: 1.0 };
         assert!(!o.contains(Timestamp(99)));
         assert!(o.contains(Timestamp(100)));
         assert!(o.contains(Timestamp(149)));

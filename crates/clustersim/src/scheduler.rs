@@ -45,11 +45,7 @@ impl Scheduler {
     }
 
     pub fn with_policy(node_count: u32, policy: SchedPolicy) -> Scheduler {
-        Scheduler {
-            free: (0..node_count).map(HostId).collect(),
-            queue: VecDeque::new(),
-            policy,
-        }
+        Scheduler { free: (0..node_count).map(HostId).collect(), queue: VecDeque::new(), policy }
     }
 
     pub fn submit(&mut self, job: JobSpec) {

@@ -144,25 +144,19 @@ impl Simulation {
     /// current day's campaign intensities.
     fn draw_job(&mut self, submit: Timestamp) -> JobSpec {
         let day = (submit.day() as usize).min(self.campaigns[0].len() - 1);
-        let weights: Vec<f64> = self
-            .user_weights
-            .iter()
-            .zip(&self.campaigns)
-            .map(|(w, c)| w * c[day])
-            .collect();
+        let weights: Vec<f64> =
+            self.user_weights.iter().zip(&self.campaigns).map(|(w, c)| w * c[day]).collect();
         let uidx = self.sampler.weighted_index(&weights);
         let user = self.users.get(UserId(uidx as u32)).clone();
         let app_weights: Vec<f64> = user.apps.iter().map(|&(_, w)| w).collect();
         let app_id = user.apps[self.sampler.weighted_index(&app_weights)].0;
         let app = self.catalog.get(app_id);
-        let papi_prob =
-            app.signature_for(self.cfg.is_lonestar4, 1.0, 1.0).papi_prob;
+        let papi_prob = app.signature_for(self.cfg.is_lonestar4, 1.0, 1.0).papi_prob;
 
-        let nodes = (self
-            .sampler
-            .lognormal(user.job_nodes_median, self.cfg.job_nodes_sigma)
-            .round() as u32)
-            .clamp(1, self.cfg.node_count / 2);
+        let nodes =
+            (self.sampler.lognormal(user.job_nodes_median, self.cfg.job_nodes_sigma).round()
+                as u32)
+                .clamp(1, self.cfg.node_count / 2);
         // Durations quantise to whole sample intervals (the paper's
         // analyses exclude sub-interval jobs anyway).
         let iv = self.cfg.interval.seconds();
@@ -172,10 +166,10 @@ impl Simulation {
             .clamp(10.0, 14.0 * 1440.0);
         let dur_secs = ((minutes * 60.0 / iv as f64).round().max(1.0) as u64) * iv;
         let duration = Duration(dur_secs);
-        let requested = Duration(((dur_secs as f64 * self.sampler.uniform_range(1.1, 2.5))
-            / iv as f64)
-            .ceil() as u64
-            * iv);
+        let requested = Duration(
+            ((dur_secs as f64 * self.sampler.uniform_range(1.1, 2.5)) / iv as f64).ceil() as u64
+                * iv,
+        );
         let id = JobId(self.next_job_id);
         self.next_job_id += 1;
         JobSpec {
@@ -194,11 +188,7 @@ impl Simulation {
     fn launch(&mut self, spec: JobSpec, hosts: Vec<HostId>, at: Timestamp) -> RunningJob {
         let user = self.users.get(spec.user);
         let app = self.catalog.get(spec.app);
-        let sig = app.signature_for(
-            self.cfg.is_lonestar4,
-            self.cfg.mem_scale,
-            self.cfg.idle_scale,
-        );
+        let sig = app.signature_for(self.cfg.is_lonestar4, self.cfg.mem_scale, self.cfg.idle_scale);
         RunningJob::launch(
             spec,
             hosts,
@@ -221,8 +211,7 @@ impl Simulation {
         //    over-request the machine (the regime the paper describes);
         //    nights partially drain the backlog — the slow breathing this
         //    induces in every aggregate metric is what Table 1 measures.
-        let lambda =
-            self.cfg.arrival_rate_per_sec() * self.cfg.load_factor(self.now) * dt as f64;
+        let lambda = self.cfg.arrival_rate_per_sec() * self.cfg.load_factor(self.now) * dt as f64;
         let arrivals = self.sampler.poisson(lambda);
         for _ in 0..arrivals {
             let job = self.draw_job(self.now);

@@ -46,7 +46,11 @@ pub struct UserPopulation {
 
 impl UserPopulation {
     /// Generate a population for a cluster config.
-    pub fn generate(cfg: &ClusterConfig, catalog: &AppCatalog, sampler: &mut Sampler) -> UserPopulation {
+    pub fn generate(
+        cfg: &ClusterConfig,
+        catalog: &AppCatalog,
+        sampler: &mut Sampler,
+    ) -> UserPopulation {
         let n = cfg.users as usize;
         let anomaly_count = ((n as f64 * cfg.anomaly_user_frac).round() as usize).max(1);
         let app_weights = catalog.popularity_weights();
@@ -165,11 +169,7 @@ mod tests {
         w.reverse();
         let total: f64 = w.iter().sum();
         let top10: f64 = w.iter().take(p.len() / 10).sum();
-        assert!(
-            top10 / total > 0.35,
-            "top 10% of users should dominate, got {}",
-            top10 / total
-        );
+        assert!(top10 / total > 0.35, "top 10% of users should dominate, got {}", top10 / total);
     }
 
     #[test]

@@ -306,15 +306,12 @@ fn serve_cmd(args: &[String]) {
     let store_dir = dir.join("store").join("series");
     let retention = retention_from_args(args);
     let store = if store_dir.is_dir() {
-        Some(std::sync::RwLock::new(open_store_with_retention(
-            &store_dir,
-            retention.as_ref(),
-        )))
+        Some(std::sync::RwLock::new(open_store_with_retention(&store_dir, retention.as_ref())))
     } else {
         None
     };
-    let listener = std::net::TcpListener::bind(&addr)
-        .unwrap_or_else(|e| die(&format!("bind {addr}: {e}")));
+    let listener =
+        std::net::TcpListener::bind(&addr).unwrap_or_else(|e| die(&format!("bind {addr}: {e}")));
     println!(
         "serving {} jobs{} on http://{addr} (ctrl-c to stop)",
         table.len(),
@@ -348,23 +345,19 @@ fn ingestd_cmd(args: &[String]) {
     let db = open_store_with_retention(&store_dir, retention_from_args(args).as_ref());
     let store = std::sync::Arc::new(std::sync::RwLock::new(db));
     // The job table is optional for a pure ingest node.
-    let table = if dir.join("jobs.tsdb").exists() {
-        load_jobs(&dir)
-    } else {
-        JobTable::new(Vec::new())
-    };
+    let table =
+        if dir.join("jobs.tsdb").exists() { load_jobs(&dir) } else { JobTable::new(Vec::new()) };
     let mut ingest_opts = supremm_relay::IngestOptions::default();
     if let Some(v) = arg_value(args, "--queue-cap") {
-        ingest_opts.queue_cap =
-            v.parse().unwrap_or_else(|_| die("--queue-cap needs an integer"));
+        ingest_opts.queue_cap = v.parse().unwrap_or_else(|_| die("--queue-cap needs an integer"));
     }
     if let Some(v) = arg_value(args, "--max-batch-bytes") {
         ingest_opts.max_batch_bytes =
             v.parse().unwrap_or_else(|_| die("--max-batch-bytes needs an integer"));
     }
     let core = supremm_relay::IngestCore::start(store.clone(), ingest_opts);
-    let listener = std::net::TcpListener::bind(&addr)
-        .unwrap_or_else(|e| die(&format!("bind {addr}: {e}")));
+    let listener =
+        std::net::TcpListener::bind(&addr).unwrap_or_else(|e| die(&format!("bind {addr}: {e}")));
     println!("ingestd on http://{addr} (send \"drain\" on stdin or close it to stop)");
     let shutdown = std::sync::Arc::new(std::sync::atomic::AtomicBool::new(false));
     let flag = shutdown.clone();
@@ -404,9 +397,7 @@ fn ingestd_cmd(args: &[String]) {
 fn agent_cmd(args: &[String]) {
     let dir = data_dir(args);
     let server = arg_value(args, "--server").unwrap_or_else(|| "127.0.0.1:8080".into());
-    let id = arg_value(args, "--id").unwrap_or_else(|| {
-        format!("agent-{}", std::process::id())
-    });
+    let id = arg_value(args, "--id").unwrap_or_else(|| format!("agent-{}", std::process::id()));
     let spool = arg_value(args, "--spool")
         .map(PathBuf::from)
         .unwrap_or_else(|| dir.join(format!("spool-{id}.q")));
@@ -429,10 +420,7 @@ fn agent_cmd(args: &[String]) {
         files += 1;
     }
     agent.drain().unwrap_or_else(|e| die(&format!("drain: {e}")));
-    println!(
-        "{id}: {files} files pushed to {server}, max acked seq {:?}",
-        agent.max_acked()
-    );
+    println!("{id}: {files} files pushed to {server}, max acked seq {:?}", agent.max_acked());
 }
 
 fn diagnose_cmd(args: &[String]) {

@@ -63,21 +63,16 @@ const GB: f64 = 1.073_741_824e9;
 /// §4.2 — correlation analysis and the minimal independent metric set.
 pub fn corr_metric_selection(ds: &MachineDataset) -> ExperimentResult {
     let report = reports::metric_correlation_report(&ds.table, 0.8);
-    let user_idle =
-        report.correlation_of(ExtendedMetric::CpuUser, ExtendedMetric::CpuIdle);
+    let user_idle = report.correlation_of(ExtendedMetric::CpuUser, ExtendedMetric::CpuIdle);
     let rx_tx = report.correlation_of(ExtendedMetric::NetIbRx, ExtendedMetric::NetIbTx);
     let selected = report.selected_metrics();
     let mut artifact = String::from("selected independent metrics: ");
-    artifact.push_str(
-        &selected.iter().map(|m| m.name()).collect::<Vec<_>>().join(", "),
-    );
+    artifact.push_str(&selected.iter().map(|m| m.name()).collect::<Vec<_>>().join(", "));
     artifact.push_str(&format!(
         "\nr(cpu_user, cpu_idle) = {user_idle:.3}\nr(net_ib_rx, net_ib_tx) = {rx_tx:.3}\n"
     ));
-    let key_kept = KeyMetric::ALL
-        .iter()
-        .filter(|&&k| selected.iter().any(|m| m.as_key() == Some(k)))
-        .count();
+    let key_kept =
+        KeyMetric::ALL.iter().filter(|&&k| selected.iter().any(|m| m.as_key() == Some(k))).count();
     ExperimentResult {
         id: format!("§4.2 correlation ({})", ds.cfg.name),
         artifact,
@@ -131,7 +126,11 @@ pub fn fig2_user_profiles(ds: &MachineDataset) -> ExperimentResult {
         id: format!("Figure 2 ({})", ds.cfg.name),
         artifact,
         checks: vec![
-            Check::new("five heavy users found", format!("{}", profiles.len()), profiles.len() == 5),
+            Check::new(
+                "five heavy users found",
+                format!("{}", profiles.len()),
+                profiles.len() == 5,
+            ),
             Check::new(
                 "great variation between heavy users' profiles (some metric varies ≥3×)",
                 format!("max spread {max_spread:.1}×"),
@@ -239,7 +238,9 @@ pub fn fig4_wasted_hours(ds: &MachineDataset, paper_efficiency: f64) -> Experime
         ),
         Check::new(
             "an extreme-idle heavy user exists to circle (≥80% idle)",
-            worst.map_or("none".to_string(), |w| format!("{:.0}% idle", w.usage.idle_frac() * 100.0)),
+            worst.map_or("none".to_string(), |w| {
+                format!("{:.0}% idle", w.usage.idle_frac() * 100.0)
+            }),
             worst.is_some(),
         ),
     ];
@@ -284,7 +285,11 @@ pub fn fig5_anomalous_profile(ds: &MachineDataset) -> ExperimentResult {
                 format!("{idle_ratio:.1}×"),
                 idle_ratio > 3.0,
             ),
-            Check::new("all other metrics in the normal range (<3× avg)", "per-metric ratios", others_normal),
+            Check::new(
+                "all other metrics in the normal range (<3× avg)",
+                "per-metric ratios",
+                others_normal,
+            ),
         ],
     }
 }
@@ -305,11 +310,7 @@ pub fn table1_persistence(ds: &MachineDataset) -> ExperimentResult {
         let monotone = pts.windows(2).all(|w| w[1].ratio >= w[0].ratio - 0.16);
         checks.push(Check::new(
             format!("{m}: predictability decays with offset (ratios rise)"),
-            format!(
-                "{:.2} → {:.2}",
-                pts.first().unwrap().ratio,
-                pts.last().unwrap().ratio
-            ),
+            format!("{:.2} → {:.2}", pts.first().unwrap().ratio, pts.last().unwrap().ratio),
             monotone,
         ));
         if let Some(f) = fit {
@@ -366,10 +367,9 @@ pub fn fig6_persistence_fit(ranger: &MachineDataset, ls4: &MachineDataset) -> Ex
     let mut artifact = String::new();
     let mut checks = Vec::new();
     let mut slopes = Vec::new();
-    for (label, report, paper) in [
-        ("ranger", &rr, (-0.17, 0.36, 0.87)),
-        ("lonestar4", &lr, (-0.28, 0.42, 0.93)),
-    ] {
+    for (label, report, paper) in
+        [("ranger", &rr, (-0.17, 0.36, 0.87)), ("lonestar4", &lr, (-0.28, 0.42, 0.93))]
+    {
         match &report.combined {
             Some(f) => {
                 artifact.push_str(&format!(
@@ -390,7 +390,9 @@ pub fn fig6_persistence_fit(ranger: &MachineDataset, ls4: &MachineDataset) -> Ex
                     (0.2..0.6).contains(&f.slope),
                 ));
                 checks.push(Check::new(
-                    format!("{label}: log model explains most variance (paper ≥ 0.87; we accept ≥ 0.6)"),
+                    format!(
+                        "{label}: log model explains most variance (paper ≥ 0.87; we accept ≥ 0.6)"
+                    ),
                     format!("{:.2}", f.r_squared),
                     f.r_squared >= 0.6,
                 ));
@@ -461,7 +463,9 @@ pub fn fig7_system_reports(ds: &MachineDataset) -> ExperimentResult {
             Check::new(
                 "memory/core varies across parent sciences",
                 format!("{} science rows", a.rows.len()),
-                a.rows.len() >= 5 && a.rows.first().map(|r| r.1).unwrap_or(0.0) > 1.3 * a.rows.last().map(|r| r.1).unwrap_or(1.0),
+                a.rows.len() >= 5
+                    && a.rows.first().map(|r| r.1).unwrap_or(0.0)
+                        > 1.3 * a.rows.last().map(|r| r.1).unwrap_or(1.0),
             ),
             Check::new(
                 "user CPU hours dominate idle and system",
@@ -561,12 +565,8 @@ pub fn fig9_10_flops(ds: &MachineDataset) -> ExperimentResult {
 /// Figures 11 + 12 — memory per node over time and its distribution.
 pub fn fig11_12_memory(ds: &MachineDataset) -> ExperimentResult {
     let dense = ds.series.dense();
-    let gb: Vec<f64> = dense
-        .bins
-        .iter()
-        .filter(|b| b.intervals > 0)
-        .map(|b| b.mem_per_node() / GB)
-        .collect();
+    let gb: Vec<f64> =
+        dense.bins.iter().filter(|b| b.intervals > 0).map(|b| b.mem_per_node() / GB).collect();
     let cap = ds.cfg.node_spec.mem_bytes as f64 / GB;
     let mean = gb.iter().sum::<f64>() / gb.len().max(1) as f64;
     let peak = gb.iter().cloned().fold(0.0, f64::max);
@@ -593,13 +593,11 @@ pub fn fig11_12_memory(ds: &MachineDataset) -> ExperimentResult {
         sparkline(&gb.iter().step_by((gb.len() / 100).max(1)).cloned().collect::<Vec<_>>()),
     );
     let is_ls4 = ds.cfg.is_lonestar4;
-    let mut checks = vec![
-        Check::new(
-            "mem_used_max exceeds mem_used for the job mix (Fig 12 red vs black)",
-            format!("{mean_max:.1} vs {mean_used:.1} GB"),
-            mean_max > mean_used,
-        ),
-    ];
+    let mut checks = vec![Check::new(
+        "mem_used_max exceeds mem_used for the job mix (Fig 12 red vs black)",
+        format!("{mean_max:.1} vs {mean_used:.1} GB"),
+        mean_max > mean_used,
+    )];
     if is_ls4 {
         checks.push(Check::new(
             "Lonestar4: average use a bit above 50% of 24 GB (paper: ~14–15 GB)",
@@ -660,7 +658,9 @@ pub fn volume_and_workload(ds: &MachineDataset, paper_weighted_len_min: f64) -> 
                 (0.125..2.0).contains(&mb_per_node_day),
             ),
             Check::new(
-                format!("weighted mean job length near the paper's {paper_weighted_len_min:.0} min"),
+                format!(
+                    "weighted mean job length near the paper's {paper_weighted_len_min:.0} min"
+                ),
                 format!("{weighted_len:.0} min"),
                 (weighted_len / paper_weighted_len_min - 1.0).abs() < 0.35,
             ),
@@ -756,10 +756,8 @@ pub fn ablation_attribution(ds: &MachineDataset) -> ExperimentResult {
 /// §5's bouquet analysis across both machines.
 pub fn bouquet(ranger: &MachineDataset, ls4: &MachineDataset) -> ExperimentResult {
     const APPS: [&str; 5] = ["NAMD", "AMBER", "GROMACS", "WRF", "QuantumESPRESSO"];
-    let recs = reports::machine_bouquet(
-        &[("ranger", &ranger.table), ("lonestar4", &ls4.table)],
-        &APPS,
-    );
+    let recs =
+        reports::machine_bouquet(&[("ranger", &ranger.table), ("lonestar4", &ls4.table)], &APPS);
     let mut artifact = String::new();
     for r in &recs {
         artifact.push_str(&format!("{:<18}", r.app));
@@ -790,9 +788,7 @@ pub fn bouquet(ranger: &MachineDataset, ls4: &MachineDataset) -> ExperimentResul
             Check::new(
                 "AMBER (the machine-sensitive code) gets a recommendation — Lonestar4, \
                  where its flops are strongest",
-                amber
-                    .and_then(|r| r.recommended.clone())
-                    .unwrap_or_else(|| "none".into()),
+                amber.and_then(|r| r.recommended.clone()).unwrap_or_else(|| "none".into()),
                 amber.and_then(|r| r.recommended.as_deref()) == Some("lonestar4"),
             ),
         ],
@@ -804,23 +800,16 @@ pub fn bouquet(ranger: &MachineDataset, ls4: &MachineDataset) -> ExperimentResul
 /// (`xdmod::diagnose`).
 pub fn failure_diagnosis(ds: &MachineDataset) -> ExperimentResult {
     use supremm_xdmod::diagnose::{diagnose_failures, failure_profile, Cause};
-    let diagnoses = diagnose_failures(
-        &ds.table,
-        &ds.syslog,
-        ds.cfg.node_spec.mem_bytes as f64,
-    );
+    let diagnoses = diagnose_failures(&ds.table, &ds.syslog, ds.cfg.node_spec.mem_bytes as f64);
     let profile = failure_profile(&diagnoses);
-    let mut artifact = String::from("failure profile (abnormal terminations by diagnosed cause):\n");
+    let mut artifact =
+        String::from("failure profile (abnormal terminations by diagnosed cause):\n");
     for (cause, n) in &profile {
         artifact.push_str(&format!("  {:<20} {n}\n", cause.name()));
     }
-    let with_evidence =
-        diagnoses.iter().filter(|d| !d.evidence.is_empty()).count();
+    let with_evidence = diagnoses.iter().filter(|d| !d.evidence.is_empty()).count();
     let total = diagnoses.len();
-    let corroborated = diagnoses
-        .iter()
-        .filter(|d| d.metrics_corroborate)
-        .count();
+    let corroborated = diagnoses.iter().filter(|d| d.metrics_corroborate).count();
     artifact.push_str(&format!(
         "{with_evidence}/{total} failures have log evidence; {corroborated}/{total} corroborated by metrics\n"
     ));
@@ -850,20 +839,18 @@ pub fn failure_diagnosis(ds: &MachineDataset) -> ExperimentResult {
     // OOM diagnoses should be corroborated by the job's own memory
     // telemetry (that cross-check is the point of linking logs with
     // TACC_Stats data).
-    let ooms: Vec<_> = diagnoses
-        .iter()
-        .filter(|d| d.cause == Cause::MemoryExhaustion)
-        .collect();
+    let ooms: Vec<_> = diagnoses.iter().filter(|d| d.cause == Cause::MemoryExhaustion).collect();
     if !ooms.is_empty() {
-        let corroborated_ooms =
-            ooms.iter().filter(|d| d.metrics_corroborate).count();
+        let corroborated_ooms = ooms.iter().filter(|d| d.metrics_corroborate).count();
         checks.push(Check::new(
             "OOM diagnoses corroborated by near-capacity mem_used_max",
             format!("{corroborated_ooms}/{}", ooms.len()),
             corroborated_ooms * 3 >= ooms.len() * 2,
         ));
     }
-    ExperimentResult { id: format!("§4.3.1 failure diagnosis ({})", ds.cfg.name), artifact, checks }
+    ExperimentResult {
+        id: format!("§4.3.1 failure diagnosis ({})", ds.cfg.name), artifact, checks
+    }
 }
 
 /// §4.3.5 — utilisation trend decomposition and one-day-ahead forecast.
@@ -1112,11 +1099,8 @@ mod tests {
         let r = fig6_persistence_fit(ranger(), lonestar4());
         // The slope comparison between machines is statistically fragile
         // at test scale; require everything else.
-        let hard_fails: Vec<_> = r
-            .checks
-            .iter()
-            .filter(|c| !c.pass && !c.claim.contains("horizon"))
-            .collect();
+        let hard_fails: Vec<_> =
+            r.checks.iter().filter(|c| !c.pass && !c.claim.contains("horizon")).collect();
         assert!(hard_fails.is_empty(), "{}", r.render());
     }
 
@@ -1146,21 +1130,15 @@ mod tests {
         // scale (short runs under-fill the machine); require the
         // structural claims.
         let l = fig11_12_memory(lonestar4());
-        let hard_fails: Vec<_> = l
-            .checks
-            .iter()
-            .filter(|c| !c.pass && !c.claim.contains("average use"))
-            .collect();
+        let hard_fails: Vec<_> =
+            l.checks.iter().filter(|c| !c.pass && !c.claim.contains("average use")).collect();
         assert!(hard_fails.is_empty(), "{}", l.render());
     }
 
     #[test]
     fn attribution_ablation_quantifies_join_error() {
         // Needs the raw archive: build a tiny dedicated dataset.
-        let ds = run_pipeline(
-            ClusterConfig::ranger().scaled(12, 2),
-            &PipelineOptions::default(),
-        );
+        let ds = run_pipeline(ClusterConfig::ranger().scaled(12, 2), &PipelineOptions::default());
         let r = ablation_attribution(&ds);
         assert!(r.passed(), "{}", r.render());
     }
@@ -1188,9 +1166,7 @@ mod tests {
             .checks
             .iter()
             .filter(|c| {
-                !c.pass
-                    && !c.claim.contains("growth trend")
-                    && !c.claim.contains("forecast band")
+                !c.pass && !c.claim.contains("growth trend") && !c.claim.contains("forecast band")
             })
             .collect();
         assert!(hard_fails.is_empty(), "{}", r.render());
@@ -1213,15 +1189,9 @@ mod tests {
         // The weighted job-length band needs the full workload mix to
         // converge; at test scale short jobs dominate. Require the
         // volume and flux claims on both machines.
-        for r in [
-            volume_and_workload(ranger(), 549.0),
-            volume_and_workload(lonestar4(), 446.0),
-        ] {
-            let hard_fails: Vec<_> = r
-                .checks
-                .iter()
-                .filter(|c| !c.pass && !c.claim.contains("job length"))
-                .collect();
+        for r in [volume_and_workload(ranger(), 549.0), volume_and_workload(lonestar4(), 446.0)] {
+            let hard_fails: Vec<_> =
+                r.checks.iter().filter(|c| !c.pass && !c.claim.contains("job length")).collect();
             assert!(hard_fails.is_empty(), "{}", r.render());
         }
     }

@@ -229,7 +229,10 @@ struct SimStreams {
 /// finished raw file to `on_file`. Files rotate out at day boundaries
 /// *during* the run (enabling overlapped ingest); the remainder flushes
 /// at the end.
-fn drive_simulation(cfg: &ClusterConfig, mut on_file: impl FnMut(RawFileKey, String)) -> SimStreams {
+fn drive_simulation(
+    cfg: &ClusterConfig,
+    mut on_file: impl FnMut(RawFileKey, String),
+) -> SimStreams {
     let mut sim = Simulation::new(cfg.clone());
     let mut fleet = FleetCollector::new(cfg.node_count);
     let mut accounting: Vec<AccountingRecord> = Vec::new();
@@ -245,12 +248,8 @@ fn drive_simulation(cfg: &ClusterConfig, mut on_file: impl FnMut(RawFileKey, Str
         // Job endings: final sample + end mark on surviving nodes, then
         // the accounting record.
         for job in &ev.ended {
-            let up_hosts: Vec<HostId> = job
-                .hosts
-                .iter()
-                .copied()
-                .filter(|h| sim.node_up()[h.0 as usize])
-                .collect();
+            let up_hosts: Vec<HostId> =
+                job.hosts.iter().copied().filter(|h| sim.node_up()[h.0 as usize]).collect();
             fleet.end_job(sim.kernels_mut(), &up_hosts, job.spec.id, ev.ts);
             touched.extend(up_hosts);
             accounting.push(accounting_of(job));
@@ -261,8 +260,7 @@ fn drive_simulation(cfg: &ClusterConfig, mut on_file: impl FnMut(RawFileKey, Str
 
         // Raw syslog for this step, rationalized with the *pre-start*
         // ownership map (events refer to the jobs that just ran).
-        let raw_lines =
-            syslog_lines_for_step(&ev.ended, &ev.papi_clobbers, sim.node_up(), ev.ts);
+        let raw_lines = syslog_lines_for_step(&ev.ended, &ev.papi_clobbers, sim.node_up(), ev.ts);
         // Ended jobs' messages should still map to them.
         let mut ended_owner = owner.clone();
         for job in &ev.ended {
@@ -345,10 +343,8 @@ fn store_and_reload(
     use supremm_warehouse::tsdbio;
 
     std::fs::create_dir_all(dir).expect("create store dir");
-    let opts = DbOptions {
-        retention: retention.cloned().unwrap_or_default(),
-        ..Default::default()
-    };
+    let opts =
+        DbOptions { retention: retention.cloned().unwrap_or_default(), ..Default::default() };
     let mut db = Tsdb::open_with(&dir.join("series"), opts).expect("open tsdb store");
     tsdbio::store_system_series(&mut db, &series).expect("append system series");
     db.flush().expect("flush tsdb store");
@@ -378,11 +374,7 @@ fn ingest_worker_count() -> usize {
 /// files in flight, not the whole run.
 pub fn run_pipeline(cfg: ClusterConfig, opts: &PipelineOptions) -> MachineDataset {
     let bin = opts.series_bin_secs.unwrap_or(cfg.interval.seconds());
-    let consume_opts = ConsumeOptions {
-        bin_secs: Some(bin),
-        job_fragments: true,
-        strict: false,
-    };
+    let consume_opts = ConsumeOptions { bin_secs: Some(bin), job_fragments: true, strict: false };
 
     let obs = opts.obs.clone().unwrap_or_else(supremm_obs::global);
     let met = PipelineMetrics::new(&obs);
@@ -669,12 +661,7 @@ mod tests {
                 ClusterConfig::ranger().scaled(12, 1),
                 &PipelineOptions { keep_archive: false, ..Default::default() },
             );
-            (
-                ds.table.len(),
-                ds.table.total_node_hours(),
-                ds.accounting.len(),
-                ds.syslog.len(),
-            )
+            (ds.table.len(), ds.table.total_node_hours(), ds.accounting.len(), ds.syslog.len())
         };
         assert_eq!(run(), run());
     }
@@ -705,8 +692,10 @@ mod tests {
     #[test]
     fn streaming_without_archive_is_lossless() {
         let cfg = || ClusterConfig::ranger().scaled(8, 2);
-        let lean = run_pipeline(cfg(), &PipelineOptions { keep_archive: false, ..Default::default() });
-        let full = run_pipeline(cfg(), &PipelineOptions { keep_archive: true, ..Default::default() });
+        let lean =
+            run_pipeline(cfg(), &PipelineOptions { keep_archive: false, ..Default::default() });
+        let full =
+            run_pipeline(cfg(), &PipelineOptions { keep_archive: true, ..Default::default() });
         assert!(lean.archive.is_empty(), "keep_archive: false must not retain the archive");
         assert!(!full.archive.is_empty());
         assert_eq!(lean.ingest_stats, full.ingest_stats);
@@ -721,13 +710,10 @@ mod tests {
     #[test]
     fn store_backed_pipeline_matches_in_memory_exactly() {
         let cfg = || ClusterConfig::ranger().scaled(8, 2);
-        let dir = std::env::temp_dir()
-            .join(format!("pipeline-store-{}", std::process::id()));
+        let dir = std::env::temp_dir().join(format!("pipeline-store-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
-        let mem = run_pipeline(
-            cfg(),
-            &PipelineOptions { keep_archive: false, ..Default::default() },
-        );
+        let mem =
+            run_pipeline(cfg(), &PipelineOptions { keep_archive: false, ..Default::default() });
         let stored = run_pipeline(
             cfg(),
             &PipelineOptions {
@@ -748,10 +734,7 @@ mod tests {
         let series = supremm_warehouse::tsdbio::load_system_series(&db).unwrap();
         assert_eq!(series.bins, mem.series.bins);
         let table = JobTable::load(&dir.join("jobs.tsdb")).unwrap();
-        assert_eq!(
-            table.total_node_hours().to_bits(),
-            mem.table.total_node_hours().to_bits()
-        );
+        assert_eq!(table.total_node_hours().to_bits(), mem.table.total_node_hours().to_bits());
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -831,14 +814,18 @@ mod tests {
         use std::sync::Arc;
         let obs = Arc::new(supremm_obs::ObsRegistry::new());
         let cfg = ClusterConfig::ranger().scaled(8, 1);
-        let ds = run_pipeline(cfg, &PipelineOptions { obs: Some(obs.clone()), ..Default::default() });
+        let ds =
+            run_pipeline(cfg, &PipelineOptions { obs: Some(obs.clone()), ..Default::default() });
         let snap = obs.snapshot();
         assert_eq!(
             snap.counter("pipeline_files_consumed_total"),
             Some(ds.ingest_stats.files as u64)
         );
         assert_eq!(snap.counter("pipeline_bytes_consumed_total"), Some(ds.raw_total_bytes));
-        assert_eq!(snap.counter("pipeline_records_total"), Some(ds.ingest_stats.records_seen as u64));
+        assert_eq!(
+            snap.counter("pipeline_records_total"),
+            Some(ds.ingest_stats.records_seen as u64)
+        );
         assert_eq!(snap.counter("pipeline_worker_panics_total"), Some(0));
         assert!(snap
             .histogram("pipeline_stage_micros{stage=\"collect_ingest\"}")

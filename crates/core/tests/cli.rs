@@ -29,9 +29,8 @@ fn full_cli_round_trip() {
     let dir_s = dir.to_str().unwrap();
 
     // simulate
-    let (stdout, stderr, ok) = run(&[
-        "simulate", "--machine", "ranger", "--nodes", "8", "--days", "1", "--out", dir_s,
-    ]);
+    let (stdout, stderr, ok) =
+        run(&["simulate", "--machine", "ranger", "--nodes", "8", "--days", "1", "--out", dir_s]);
     assert!(ok, "simulate failed: {stderr}");
     assert!(stdout.contains("raw files"), "{stdout}");
     for artifact in ["accounting.log", "lariat.jsonl", "syslog.jsonl", "jobs.tsdb"] {

@@ -418,9 +418,7 @@ fn parse_string(b: &[u8], pos: &mut usize) -> Option<String> {
                                 return None;
                             }
                             *pos += 6;
-                            char::from_u32(
-                                0x10000 + ((hi - 0xD800) << 10) + (lo - 0xDC00),
-                            )?
+                            char::from_u32(0x10000 + ((hi - 0xD800) << 10) + (lo - 0xDC00))?
                         } else {
                             char::from_u32(hi)?
                         };
@@ -543,9 +541,24 @@ mod tests {
     #[test]
     fn rejects_malformed_documents() {
         for s in [
-            "", "{", "[1,", "{\"a\"}", "{\"a\":}", "nul", "tru", "01x", "1 2",
-            "\"unterminated", "{\"a\":1,}", "[1]extra", "\"\\u12\"", "\"\\ud800\"",
-            "--1", "1.", ".5", "1e",
+            "",
+            "{",
+            "[1,",
+            "{\"a\"}",
+            "{\"a\":}",
+            "nul",
+            "tru",
+            "01x",
+            "1 2",
+            "\"unterminated",
+            "{\"a\":1,}",
+            "[1]extra",
+            "\"\\u12\"",
+            "\"\\ud800\"",
+            "--1",
+            "1.",
+            ".5",
+            "1e",
         ] {
             assert_eq!(Value::parse(s), None, "{s:?} should fail");
         }

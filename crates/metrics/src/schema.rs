@@ -268,14 +268,10 @@ impl DeviceClass {
                 E::event("ctxt", 64, Count),
                 E::event("processes", 64, Count),
             ],
-            DeviceClass::SysvShm => schema![
-                E::gauge("used_bytes", Bytes),
-                E::gauge("segments", Count),
-            ],
-            DeviceClass::Tmpfs => schema![
-                E::gauge("used_bytes", Bytes),
-                E::gauge("files", Count),
-            ],
+            DeviceClass::SysvShm => {
+                schema![E::gauge("used_bytes", Bytes), E::gauge("segments", Count),]
+            }
+            DeviceClass::Tmpfs => schema![E::gauge("used_bytes", Bytes), E::gauge("files", Count),],
             DeviceClass::Irq => schema![E::event("count", 64, Count)],
             DeviceClass::PerfCtr => schema![
                 E::event("ctr0", 48, Count),

@@ -213,9 +213,7 @@ impl HistSnapshot {
     /// the astronomically unlikely overflow, so merge never panics).
     pub fn merge(&self, other: &HistSnapshot) -> HistSnapshot {
         HistSnapshot {
-            buckets: std::array::from_fn(|i| {
-                self.buckets[i].wrapping_add(other.buckets[i])
-            }),
+            buckets: std::array::from_fn(|i| self.buckets[i].wrapping_add(other.buckets[i])),
             overflow: self.overflow.wrapping_add(other.overflow),
             count: self.count.wrapping_add(other.count),
             sum: self.sum.wrapping_add(other.sum),
@@ -406,14 +404,10 @@ impl ObsRegistry {
     /// Deterministic point-in-time copy: metrics in lexicographic
     /// order, events oldest-first.
     pub fn snapshot(&self) -> Snapshot {
-        let counters = unpoison!(self.counters.read())
-            .iter()
-            .map(|(k, v)| (k.clone(), v.get()))
-            .collect();
-        let gauges = unpoison!(self.gauges.read())
-            .iter()
-            .map(|(k, v)| (k.clone(), v.get()))
-            .collect();
+        let counters =
+            unpoison!(self.counters.read()).iter().map(|(k, v)| (k.clone(), v.get())).collect();
+        let gauges =
+            unpoison!(self.gauges.read()).iter().map(|(k, v)| (k.clone(), v.get())).collect();
         let histograms = unpoison!(self.histograms.read())
             .iter()
             .map(|(k, v)| (k.clone(), v.snapshot()))
@@ -449,7 +443,13 @@ fn split_labels(name: &str) -> (&str, Option<&str>) {
     }
 }
 
-fn label_line(out: &mut String, base: &str, suffix: &str, labels: Option<&str>, extra: Option<&str>) {
+fn label_line(
+    out: &mut String,
+    base: &str,
+    suffix: &str,
+    labels: Option<&str>,
+    extra: Option<&str>,
+) {
     out.push_str(base);
     out.push_str(suffix);
     match (labels, extra) {

@@ -95,10 +95,7 @@ fn render_is_byte_deterministic() {
         let b = render_prometheus(&rotated.snapshot());
         assert_eq!(a.into_bytes(), b.into_bytes());
         // And re-rendering the same registry is stable.
-        assert_eq!(
-            render_prometheus(&forward.snapshot()),
-            render_prometheus(&forward.snapshot())
-        );
+        assert_eq!(render_prometheus(&forward.snapshot()), render_prometheus(&forward.snapshot()));
     });
 }
 

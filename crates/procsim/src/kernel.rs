@@ -362,14 +362,7 @@ impl KernelSource for KernelState {
                 .zip(&self.lustre)
                 .map(|(name, c)| DeviceReading {
                     device: (*name).to_string(),
-                    values: vec![
-                        c.read_bytes,
-                        c.write_bytes,
-                        c.open,
-                        c.close,
-                        c.fsync,
-                        c.getattr,
-                    ],
+                    values: vec![c.read_bytes, c.write_bytes, c.open, c.close, c.fsync, c.getattr],
                 })
                 .collect(),
             DeviceClass::Lnet => vec![DeviceReading {
@@ -534,11 +527,8 @@ mod tests {
         let mut k = KernelState::new(NodeSpec::ranger());
         k.program_perfctrs(CpuArch::AmdOpteron.tacc_stats_events());
         // Drive the per-core FLOPS counter past 2^48.
-        let act = NodeActivity {
-            user_frac: 0.9,
-            flops: 2.0f64.powi(49) * 16.0,
-            ..NodeActivity::idle()
-        };
+        let act =
+            NodeActivity { user_frac: 0.9, flops: 2.0f64.powi(49) * 16.0, ..NodeActivity::idle() };
         k.advance(&act, 600.0);
         let perf = &k.read_class(DeviceClass::PerfCtr)[0];
         assert!(perf.values[0] < (1u64 << 48));
@@ -548,11 +538,9 @@ mod tests {
     fn mem_gauges_track_activity_not_accumulate() {
         let mut k = KernelState::new(NodeSpec::ranger());
         k.advance(&busy(), 600.0);
-        let used_kb_1: u64 =
-            k.read_class(DeviceClass::Mem).iter().map(|r| r.values[4]).sum();
+        let used_kb_1: u64 = k.read_class(DeviceClass::Mem).iter().map(|r| r.values[4]).sum();
         k.advance(&busy(), 600.0);
-        let used_kb_2: u64 =
-            k.read_class(DeviceClass::Mem).iter().map(|r| r.values[4]).sum();
+        let used_kb_2: u64 = k.read_class(DeviceClass::Mem).iter().map(|r| r.values[4]).sum();
         assert_eq!(used_kb_1, used_kb_2, "gauges must not accumulate");
         let node_used = used_kb_2 << 10;
         assert!((node_used as i64 - (8i64 << 30)).abs() < (1 << 20), "{node_used}");

@@ -48,12 +48,7 @@ impl AccountingRecord {
     /// Serialise in the colon-separated accounting dialect (hosts joined
     /// with `+`, as PBS exec-host lists are).
     pub fn to_line(&self) -> String {
-        let hosts = self
-            .hosts
-            .iter()
-            .map(|h| h.hostname())
-            .collect::<Vec<_>>()
-            .join("+");
+        let hosts = self.hosts.iter().map(|h| h.hostname()).collect::<Vec<_>>().join("+");
         format!(
             "{}:u{:05}:{}:sci{}:{}:{}:{}:{}:{}:{}:{}:{}",
             self.queue,
@@ -82,10 +77,7 @@ impl AccountingRecord {
         let hosts = if f[11].is_empty() {
             Vec::new()
         } else {
-            f[11]
-                .split('+')
-                .map(HostId::parse_hostname)
-                .collect::<Option<Vec<_>>>()?
+            f[11].split('+').map(HostId::parse_hostname).collect::<Option<Vec<_>>>()?
         };
         Some(AccountingRecord {
             queue: f[0].to_string(),

@@ -85,10 +85,7 @@ impl LariatRecord {
             ("app_name", self.app_name.as_str().into()),
             ("nodes", self.nodes.into()),
             ("threads_per_rank", self.threads_per_rank.into()),
-            (
-                "libraries",
-                Value::Array(self.libraries.iter().map(|l| l.as_str().into()).collect()),
-            ),
+            ("libraries", Value::Array(self.libraries.iter().map(|l| l.as_str().into()).collect())),
         ])
         .to_string()
     }

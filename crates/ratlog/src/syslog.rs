@@ -392,15 +392,27 @@ mod tests {
         let cases = vec![
             (raw_oom(TS, HOST, "namd2", 777), EventCode::OomKill, Severity::Critical),
             (raw_soft_lockup(TS, HOST, 5, 67), EventCode::SoftLockup, Severity::Critical),
-            (raw_lustre_error(TS, HOST, "scratch-OST0001", -5), EventCode::LustreError, Severity::Error),
+            (
+                raw_lustre_error(TS, HOST, "scratch-OST0001", -5),
+                EventCode::LustreError,
+                Severity::Error,
+            ),
             (raw_mce(TS, HOST, 3, 2), EventCode::MceError, Severity::Error),
             (raw_wallclock(TS, HOST, JobId(4321)), EventCode::WallclockExceeded, Severity::Warning),
             (raw_fs_error(TS, HOST, "sda1"), EventCode::FsError, Severity::Error),
-            (raw_lustre_eviction(TS, HOST, "scratch-OST0001"), EventCode::LustreEviction, Severity::Error),
+            (
+                raw_lustre_eviction(TS, HOST, "scratch-OST0001"),
+                EventCode::LustreEviction,
+                Severity::Error,
+            ),
             (raw_ecc(TS, HOST, 2, 14), EventCode::EccCorrected, Severity::Warning),
             (raw_nfs_timeout(TS, HOST, "nfs01"), EventCode::NfsTimeout, Severity::Error),
             (raw_ib_flap(TS, HOST, false), EventCode::IbLinkFlap, Severity::Warning),
-            (raw_auth_failure(TS, HOST, "admin", "198.51.100.7"), EventCode::AuthFailure, Severity::Warning),
+            (
+                raw_auth_failure(TS, HOST, "admin", "198.51.100.7"),
+                EventCode::AuthFailure,
+                Severity::Warning,
+            ),
             (raw_node_state(TS, HOST, false), EventCode::NodeDown, Severity::Warning),
             (raw_node_state(TS, HOST, true), EventCode::NodeUp, Severity::Info),
             (raw_noise(TS, HOST), EventCode::Generic, Severity::Info),
@@ -426,8 +438,7 @@ mod tests {
 
     #[test]
     fn embedded_job_id_beats_mapping() {
-        let recs =
-            rationalize([raw_wallclock(TS, HOST, JobId(4321))], |_, _| Some(JobId(1)));
+        let recs = rationalize([raw_wallclock(TS, HOST, JobId(4321))], |_, _| Some(JobId(1)));
         assert_eq!(recs[0].job, Some(JobId(4321)));
     }
 

@@ -104,10 +104,16 @@ impl AgentMetrics {
 
 /// Outcome of one send attempt, as told by the server.
 enum SendResult {
-    Acked { deduped: bool },
-    Busy { retry_after_ms: u64 },
+    Acked {
+        deduped: bool,
+    },
+    Busy {
+        retry_after_ms: u64,
+    },
     /// Server says the batch itself is bad — retrying cannot help.
-    Poisoned { status: u16 },
+    Poisoned {
+        status: u16,
+    },
 }
 
 /// One collector agent bound to a server address and a spool file.
@@ -150,17 +156,14 @@ impl Agent {
         let mut recovered_seqs = Vec::new();
         let mut next_seq = recovery.spool.base_seq();
         for (seq, frame) in recovery.batches {
-            let samples = crate::wire::decode_batch(&frame)
-                .map(|b| b.sample_count() as u64)
-                .unwrap_or(0);
+            let samples =
+                crate::wire::decode_batch(&frame).map(|b| b.sample_count() as u64).unwrap_or(0);
             recovered_seqs.push(seq);
             next_seq = next_seq.max(seq + 1);
             outstanding.push_back((seq, frame, samples));
         }
         let met = AgentMetrics::new(opts.obs.clone());
-        let rng = opts.jitter_seed ^ id.bytes().fold(0u64, |h, b| {
-            h.rotate_left(7) ^ b as u64
-        });
+        let rng = opts.jitter_seed ^ id.bytes().fold(0u64, |h, b| h.rotate_left(7) ^ b as u64);
         let agent = Agent {
             id: id.to_string(),
             server: server.to_string(),
@@ -219,8 +222,7 @@ impl Agent {
     /// size-triggered seal followed by flush).
     pub fn offer_file(&mut self, host: &str, text: &str) -> io::Result<()> {
         for (metric, samples) in file_extended_series(text) {
-            let bits: Vec<(u64, u64)> =
-                samples.iter().map(|&(ts, v)| (ts, v.to_bits())).collect();
+            let bits: Vec<(u64, u64)> = samples.iter().map(|&(ts, v)| (ts, v.to_bits())).collect();
             self.pending_samples += bits.len();
             // Rough encoded size: names + ~10 bytes/sample worst case.
             self.pending_bytes += host.len() + metric.name().len() + 10 * bits.len() + 8;
@@ -474,9 +476,8 @@ pub fn read_http_response(stream: &mut TcpStream) -> io::Result<(u16, String, St
         .and_then(|line| line.split_whitespace().nth(1))
         .and_then(|code| code.parse::<u16>().ok())
         .ok_or_else(|| io::Error::new(io::ErrorKind::InvalidData, "bad status line"))?;
-    let content_len = header_value(&head, "content-length")
-        .and_then(|v| v.parse::<usize>().ok())
-        .unwrap_or(0);
+    let content_len =
+        header_value(&head, "content-length").and_then(|v| v.parse::<usize>().ok()).unwrap_or(0);
     if content_len > 16 * 1024 * 1024 {
         return Err(io::Error::new(io::ErrorKind::InvalidData, "response body too large"));
     }
@@ -484,10 +485,7 @@ pub fn read_http_response(stream: &mut TcpStream) -> io::Result<(u16, String, St
     while body.len() < content_len {
         let n = stream.read(&mut chunk)?;
         if n == 0 {
-            return Err(io::Error::new(
-                io::ErrorKind::UnexpectedEof,
-                "connection closed mid-body",
-            ));
+            return Err(io::Error::new(io::ErrorKind::UnexpectedEof, "connection closed mid-body"));
         }
         body.extend_from_slice(&chunk[..n]);
     }
@@ -513,8 +511,7 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("relay-agent-jit-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         std::fs::create_dir_all(&dir).unwrap();
-        let mut agent =
-            Agent::open("a1", "127.0.0.1:1", &dir.join("spool.q"), opts).unwrap();
+        let mut agent = Agent::open("a1", "127.0.0.1:1", &dir.join("spool.q"), opts).unwrap();
         agent.attempt = 0;
         for _ in 0..64 {
             assert!(agent.backoff_delay() <= Duration::from_millis(10));

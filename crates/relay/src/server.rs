@@ -380,12 +380,9 @@ impl IngestCore {
                         drop(inner);
                         // Queue fully applied: seal the memtable so the
                         // drained store is segment-durable on exit.
-                        let mut db =
-                            self.store.write().unwrap_or_else(|e| e.into_inner());
+                        let mut db = self.store.write().unwrap_or_else(|e| e.into_inner());
                         if let Err(e) = db.flush() {
-                            self.opts
-                                .obs
-                                .event("relay_ingest_error", format!("drain flush: {e}"));
+                            self.opts.obs.event("relay_ingest_error", format!("drain flush: {e}"));
                         }
                         return;
                     }
@@ -469,8 +466,7 @@ mod tests {
     use supremm_tsdb::Selector;
 
     fn tmp(name: &str) -> std::path::PathBuf {
-        let dir =
-            std::env::temp_dir().join(format!("relay-core-{name}-{}", std::process::id()));
+        let dir = std::env::temp_dir().join(format!("relay-core-{name}-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         std::fs::create_dir_all(&dir).unwrap();
         dir
@@ -506,10 +502,10 @@ mod tests {
         assert_eq!(core.submit(&f), WriteOutcome::Acked { seq: 0, deduped: false });
         // Retry of the same batch: deduped, still acked.
         assert_eq!(core.submit(&f), WriteOutcome::Acked { seq: 0, deduped: true });
-        assert_eq!(core.submit(&frame("a1", 1, 1200, 2.5)), WriteOutcome::Acked {
-            seq: 1,
-            deduped: false
-        });
+        assert_eq!(
+            core.submit(&frame("a1", 1, 1200, 2.5)),
+            WriteOutcome::Acked { seq: 1, deduped: false }
+        );
         core.drain();
         let db = Tsdb::open(&dir.join("store")).unwrap();
         let series = db.query(&Selector::default(), 0, u64::MAX).unwrap();
@@ -544,15 +540,9 @@ mod tests {
             &dir.join("store"),
             IngestOptions { obs: Arc::new(ObsRegistry::new()), ..IngestOptions::default() },
         );
-        assert!(matches!(
-            core.submit(&frame("a1", 0, 600, 1.0)),
-            WriteOutcome::Acked { .. }
-        ));
+        assert!(matches!(core.submit(&frame("a1", 0, 600, 1.0)), WriteOutcome::Acked { .. }));
         core.begin_drain();
-        assert!(matches!(
-            core.submit(&frame("a1", 1, 1200, 2.0)),
-            WriteOutcome::Busy { .. }
-        ));
+        assert!(matches!(core.submit(&frame("a1", 1, 1200, 2.0)), WriteOutcome::Busy { .. }));
         core.drain();
         let db = Tsdb::open(&dir.join("store")).unwrap();
         let series = db.query(&Selector::default(), 0, u64::MAX).unwrap();
@@ -592,10 +582,7 @@ mod tests {
         let plan = ChaosPlan { seed: 7, drop_before_apply: 0.5, drop_after_apply: 0.5 };
         for seq in 0..32u64 {
             for attempt in 0..4u64 {
-                assert_eq!(
-                    plan.draw("agent-x", seq, attempt),
-                    plan.draw("agent-x", seq, attempt)
-                );
+                assert_eq!(plan.draw("agent-x", seq, attempt), plan.draw("agent-x", seq, attempt));
             }
         }
         let zero = ChaosPlan { seed: 7, drop_before_apply: 0.0, drop_after_apply: 0.0 };

@@ -140,8 +140,7 @@ mod tests {
     use std::path::PathBuf;
 
     fn tmp(name: &str) -> PathBuf {
-        let dir =
-            std::env::temp_dir().join(format!("relay-spool-{name}-{}", std::process::id()));
+        let dir = std::env::temp_dir().join(format!("relay-spool-{name}-{}", std::process::id()));
         let _ = fs::remove_dir_all(&dir);
         fs::create_dir_all(&dir).unwrap();
         dir.join("spool.q")
@@ -250,8 +249,7 @@ mod tests {
                 Ok(rec) => {
                     // Every recovered batch must be one we wrote, and the
                     // prefix before the damaged frame must survive.
-                    let intact =
-                        boundaries.iter().filter(|&&b| b <= i).count().saturating_sub(1);
+                    let intact = boundaries.iter().filter(|&&b| b <= i).count().saturating_sub(1);
                     assert!(rec.batches.len() >= intact, "byte {i}");
                     assert_eq!(rec.batches[..intact], frames()[..intact], "byte {i}");
                     for got in &rec.batches {

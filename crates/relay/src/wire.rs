@@ -24,7 +24,9 @@
 //! Decoding is strict (trailing garbage is an error, CRC must match,
 //! all lengths bounded) and never panics on arbitrary input.
 
-use supremm_tsdb::codec::{decode_chunk_at, encode_chunk, get_str, get_varint, put_str, put_varint};
+use supremm_tsdb::codec::{
+    decode_chunk_at, encode_chunk, get_str, get_varint, put_str, put_varint,
+};
 use supremm_tsdb::crc::crc32;
 
 /// Frame magic; bump the trailing digit for incompatible revisions.

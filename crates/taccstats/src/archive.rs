@@ -168,9 +168,8 @@ mod tests {
 
     #[test]
     fn cached_total_matches_recount_through_from_iter() {
-        let a: RawArchive = (0..10u32)
-            .map(|i| (key(i % 3, u64::from(i)), "z".repeat(i as usize)))
-            .collect();
+        let a: RawArchive =
+            (0..10u32).map(|i| (key(i % 3, u64::from(i)), "z".repeat(i as usize))).collect();
         let recount: u64 = a.iter().map(|(_, c)| c.len() as u64).sum();
         assert_eq!(a.total_bytes(), recount);
         assert_eq!(a.host_count(), 3);

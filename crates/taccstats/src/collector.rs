@@ -33,7 +33,14 @@ impl Collector {
     /// A collector gathering only the given classes (the real tool's
     /// modules are individually selectable).
     pub fn with_classes(host: HostId, classes: Vec<DeviceClass>) -> Collector {
-        Collector { host, classes, current_job: None, writer: None, finished: Vec::new(), samples_taken: 0 }
+        Collector {
+            host,
+            classes,
+            current_job: None,
+            writer: None,
+            finished: Vec::new(),
+            samples_taken: 0,
+        }
     }
 
     pub fn host(&self) -> HostId {

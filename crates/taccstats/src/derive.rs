@@ -99,9 +99,9 @@ fn flops_delta(prev: &RecordRef<'_>, cur: &RecordRef<'_>) -> Option<f64> {
     for (device, values) in cur.class_rows(DeviceClass::PerfCtr) {
         let (core, cur_codes) = parse_perfctr_device(device)?;
         // Pair by core index: the instance *name* changes when codes do.
-        let (pdev, pvals) = prev.class_rows(DeviceClass::PerfCtr).find(|(d, _)| {
-            parse_perfctr_device(d).is_some_and(|(pc, _)| pc == core)
-        })?;
+        let (pdev, pvals) = prev
+            .class_rows(DeviceClass::PerfCtr)
+            .find(|(d, _)| parse_perfctr_device(d).is_some_and(|(pc, _)| pc == core))?;
         let (_, prev_codes) = parse_perfctr_device(pdev)?;
         for slot in 0..4 {
             if cur_codes[slot] == flops_code {
@@ -248,9 +248,7 @@ pub fn file_extended_series(text: &str) -> Vec<(ExtendedMetric, Vec<(u64, f64)>)
 mod tests {
     use super::*;
     use supremm_metrics::{JobId, Timestamp};
-    use supremm_procsim::{
-        CpuArch, KernelSource, KernelState, NodeActivity, NodeSpec,
-    };
+    use supremm_procsim::{CpuArch, KernelSource, KernelState, NodeActivity, NodeSpec};
 
     fn snap(kernel: &KernelState, ts: u64, job: Option<u64>) -> Record {
         let mut readings = std::collections::BTreeMap::new();
@@ -280,11 +278,7 @@ mod tests {
 
     #[test]
     fn flops_rate_recovered() {
-        let act = NodeActivity {
-            flops: 5.0e9 * 600.0,
-            user_frac: 0.9,
-            ..NodeActivity::idle()
-        };
+        let act = NodeActivity { flops: 5.0e9 * 600.0, user_frac: 0.9, ..NodeActivity::idle() };
         let (p, c) = driven_pair(act, 600.0);
         let m = interval_metrics(&p, &c).unwrap();
         assert!(m.flops_valid);
@@ -334,10 +328,8 @@ mod tests {
         // Per-node flops this interval; per-core (÷16) it must exceed the
         // 2^40 gap left below the wrap point.
         let extra = 3.2e13;
-        kernel.advance(
-            &NodeActivity { flops: extra, user_frac: 0.9, ..NodeActivity::idle() },
-            600.0,
-        );
+        kernel
+            .advance(&NodeActivity { flops: extra, user_frac: 0.9, ..NodeActivity::idle() }, 600.0);
         let cur = snap(&kernel, 1200, Some(1));
         let prev_v = prev.readings[&DeviceClass::PerfCtr][0].values[0];
         let cur_v = cur.readings[&DeviceClass::PerfCtr][0].values[0];

@@ -19,9 +19,7 @@ pub struct FleetCollector {
 
 impl FleetCollector {
     pub fn new(node_count: u32) -> FleetCollector {
-        FleetCollector {
-            collectors: (0..node_count).map(|i| Collector::new(HostId(i))).collect(),
-        }
+        FleetCollector { collectors: (0..node_count).map(|i| Collector::new(HostId(i))).collect() }
     }
 
     pub fn len(&self) -> usize {
@@ -33,14 +31,26 @@ impl FleetCollector {
     }
 
     /// Job begin on a set of nodes.
-    pub fn begin_job(&mut self, kernels: &mut [KernelState], hosts: &[HostId], job: JobId, ts: Timestamp) {
+    pub fn begin_job(
+        &mut self,
+        kernels: &mut [KernelState],
+        hosts: &[HostId],
+        job: JobId,
+        ts: Timestamp,
+    ) {
         for &h in hosts {
             self.collectors[h.0 as usize].begin_job(&mut kernels[h.0 as usize], job, ts);
         }
     }
 
     /// Job end on a set of nodes.
-    pub fn end_job(&mut self, kernels: &mut [KernelState], hosts: &[HostId], job: JobId, ts: Timestamp) {
+    pub fn end_job(
+        &mut self,
+        kernels: &mut [KernelState],
+        hosts: &[HostId],
+        job: JobId,
+        ts: Timestamp,
+    ) {
         for &h in hosts {
             self.collectors[h.0 as usize].end_job(&mut kernels[h.0 as usize], job, ts);
         }
@@ -130,9 +140,8 @@ mod tests {
         fleet.end_job(&mut kernels, &hosts, JobId(5), Timestamp(1800));
         let archive = fleet.into_archive();
         for host in 0..n {
-            let content = archive
-                .get(&crate::archive::RawFileKey { host: HostId(host), day: 0 })
-                .unwrap();
+            let content =
+                archive.get(&crate::archive::RawFileKey { host: HostId(host), day: 0 }).unwrap();
             let has_marks = content.contains("% begin 5");
             assert_eq!(has_marks, hosts.contains(&HostId(host)), "host {host}");
         }
@@ -145,10 +154,8 @@ mod tests {
             let mut ks: Vec<KernelState> =
                 (0..n).map(|_| KernelState::new(NodeSpec::ranger())).collect();
             for (i, k) in ks.iter_mut().enumerate() {
-                let act = NodeActivity {
-                    user_frac: 0.1 * i as f64 / n as f64,
-                    ..NodeActivity::idle()
-                };
+                let act =
+                    NodeActivity { user_frac: 0.1 * i as f64 / n as f64, ..NodeActivity::idle() };
                 k.advance(&act, 600.0);
             }
             ks

@@ -309,16 +309,18 @@ impl<'a> RecordRef<'a> {
 
     /// Rows of one class, in file order.
     pub fn class_rows(&self, class: DeviceClass) -> impl Iterator<Item = (&'a str, &[u64])> + '_ {
-        self.rows.iter().filter(move |m| m.class == class).map(move |m| {
-            (m.device, &self.values[m.start as usize..(m.start + m.len) as usize])
-        })
+        self.rows
+            .iter()
+            .filter(move |m| m.class == class)
+            .map(move |m| (m.device, &self.values[m.start as usize..(m.start + m.len) as usize]))
     }
 
     /// Values of the row for `device` in `class`, if present.
     pub fn row(&self, class: DeviceClass, device: &str) -> Option<&[u64]> {
-        self.rows.iter().find(|m| m.class == class && m.device == device).map(|m| {
-            &self.values[m.start as usize..(m.start + m.len) as usize]
-        })
+        self.rows
+            .iter()
+            .find(|m| m.class == class && m.device == device)
+            .map(|m| &self.values[m.start as usize..(m.start + m.len) as usize])
     }
 
     pub fn row_count(&self) -> usize {
@@ -450,12 +452,12 @@ fn stream_with(text: &str, strict: bool) -> Result<FileStream<'_>, ParseError> {
                     "hostname" => hostname = Some(val),
                     "arch" => arch = Some(val),
                     "cores" => {
-                        let n = parse_u64(val)
-                            .and_then(|v| u32::try_from(v).ok())
-                            .ok_or_else(|| ParseError::BadLine {
+                        let n = parse_u64(val).and_then(|v| u32::try_from(v).ok()).ok_or_else(
+                            || ParseError::BadLine {
                                 line: no,
                                 reason: format!("bad core count {val:?}"),
-                            })?;
+                            },
+                        )?;
                         cores = Some(n);
                     }
                     "timestamp" => {
@@ -472,10 +474,8 @@ fn stream_with(text: &str, strict: bool) -> Result<FileStream<'_>, ParseError> {
             }
             Some(b'!') => {
                 let name = line[1..].split_ascii_whitespace().next().unwrap_or("");
-                let class = DeviceClass::from_name(name).ok_or(ParseError::UnknownClass {
-                    line: no,
-                    class: name.to_string(),
-                })?;
+                let class = DeviceClass::from_name(name)
+                    .ok_or(ParseError::UnknownClass { line: no, class: name.to_string() })?;
                 classes.push(class);
             }
             // First data line: the header block is over.
@@ -897,8 +897,7 @@ mod tests {
             assert!(text.contains(&tag), "missing schema line for {class}");
         }
         // Each cpu record line has exactly 2 + schema-len fields.
-        let cpu_line =
-            text.lines().find(|l| l.starts_with("cpu 0")).expect("cpu record present");
+        let cpu_line = text.lines().find(|l| l.starts_with("cpu 0")).expect("cpu record present");
         assert_eq!(cpu_line.split_whitespace().count(), 2 + DeviceClass::Cpu.schema().len());
     }
 
@@ -923,7 +922,9 @@ mod tests {
     fn parse_rejects_arity_mismatch() {
         let bad = "$hostname h\n$arch a\n$cores 1\n$timestamp 0\n!lnet x\nT 0 -\nlnet lnet 1 2\n";
         match parse(bad) {
-            Err(ParseError::ArityMismatch { class: DeviceClass::Lnet, got: 2, want: 5, .. }) => {}
+            Err(ParseError::ArityMismatch {
+                class: DeviceClass::Lnet, got: 2, want: 5, ..
+            }) => {}
             other => panic!("expected arity mismatch, got {other:?}"),
         }
     }
@@ -964,12 +965,7 @@ mod tests {
 
     #[test]
     fn parse_error_display_is_informative() {
-        let e = ParseError::ArityMismatch {
-            line: 7,
-            class: DeviceClass::Cpu,
-            got: 3,
-            want: 7,
-        };
+        let e = ParseError::ArityMismatch { line: 7, class: DeviceClass::Cpu, got: 3, want: 7 };
         let s = e.to_string();
         assert!(s.contains("line 7") && s.contains("cpu"), "{s}");
     }
@@ -1113,14 +1109,8 @@ mod tests {
         let (samples, q) = drain_lenient(text);
         assert_eq!(q.lines, 1);
         assert_eq!(q.records, 0);
-        let marks = samples
-            .iter()
-            .filter(|s| matches!(s, Sample::Mark(_)))
-            .count();
-        let recs = samples
-            .iter()
-            .filter(|s| matches!(s, Sample::Record(_)))
-            .count();
+        let marks = samples.iter().filter(|s| matches!(s, Sample::Mark(_))).count();
+        let recs = samples.iter().filter(|s| matches!(s, Sample::Record(_))).count();
         assert_eq!((marks, recs), (1, 2), "both records and the good mark survive");
     }
 

@@ -125,8 +125,7 @@ pub(crate) fn assemble_jobs(
     lariat: &[LariatRecord],
     stats: &mut IngestStats,
 ) -> Vec<JobRecord> {
-    let lariat_by_job: BTreeMap<JobId, &LariatRecord> =
-        lariat.iter().map(|l| (l.job, l)).collect();
+    let lariat_by_job: BTreeMap<JobId, &LariatRecord> = lariat.iter().map(|l| (l.job, l)).collect();
     let mut seen_in_raw = jobs.len();
 
     let mut records = Vec::with_capacity(accounting.len());

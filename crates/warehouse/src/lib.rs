@@ -38,5 +38,7 @@ pub use supremm_tsdb as tsdb;
 pub use ingest::{ingest, IngestStats};
 pub use record::{ExitKind, JobRecord};
 pub use store::JobTable;
-pub use streaming::{consume_archive, ConsumeOptions, FilePartial, StreamAccumulator, StreamOutput};
+pub use streaming::{
+    consume_archive, ConsumeOptions, FilePartial, StreamAccumulator, StreamOutput,
+};
 pub use timeseries::{SystemBin, SystemSeries};

@@ -130,12 +130,9 @@ mod tests {
 
     #[test]
     fn failed_code_round_trip() {
-        for kind in [
-            ExitKind::Completed,
-            ExitKind::Failed,
-            ExitKind::NodeFailure,
-            ExitKind::Cancelled,
-        ] {
+        for kind in
+            [ExitKind::Completed, ExitKind::Failed, ExitKind::NodeFailure, ExitKind::Cancelled]
+        {
             assert_eq!(ExitKind::from_failed_code(kind.to_failed_code()), kind);
         }
         // Unknown nonzero codes are generic failures.

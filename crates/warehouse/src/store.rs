@@ -6,7 +6,6 @@
 
 use std::collections::BTreeMap;
 
-
 use supremm_metrics::metric::KeyMetricVec;
 use supremm_metrics::KeyMetric;
 
@@ -183,8 +182,7 @@ mod tests {
         let t = table();
         let agg = t.global_aggregate();
         // Weights: 40, 10, 160, 2 node-hours.
-        let want =
-            (40.0 * 0.05 + 10.0 * 0.10 + 160.0 * 0.40 + 2.0 * 0.15) / 212.0;
+        let want = (40.0 * 0.05 + 10.0 * 0.10 + 160.0 * 0.40 + 2.0 * 0.15) / 212.0;
         assert!((agg.means.get(KeyMetric::CpuIdle) - want).abs() < 1e-12);
         assert_eq!(agg.jobs, 4);
         assert!((agg.node_hours - 212.0).abs() < 1e-9);
@@ -244,16 +242,13 @@ impl JobTable {
     /// Load a table previously written with [`JobTable::save`]. Any
     /// other file, and any corruption, is an error — never a skip.
     pub fn load(path: &std::path::Path) -> std::io::Result<JobTable> {
-        let records = supremm_tsdb::recordlog::read_records(path).map_err(|e| {
-            std::io::Error::new(std::io::ErrorKind::InvalidData, e.to_string())
-        })?;
+        let records = supremm_tsdb::recordlog::read_records(path)
+            .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e.to_string()))?;
         let jobs = records
             .iter()
             .map(|bytes| crate::jobcodec::decode(bytes))
             .collect::<Result<Vec<_>, _>>()
-            .map_err(|e| {
-                std::io::Error::new(std::io::ErrorKind::InvalidData, e.to_string())
-            })?;
+            .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e.to_string()))?;
         Ok(JobTable::new(jobs))
     }
 }
@@ -288,8 +283,7 @@ mod persistence_tests {
 
     #[test]
     fn segment_file_round_trip() {
-        let path =
-            std::env::temp_dir().join(format!("supremm-table-{}.tsdb", std::process::id()));
+        let path = std::env::temp_dir().join(format!("supremm-table-{}.tsdb", std::process::id()));
         let t = sample_table();
         t.save(&path).unwrap();
         let back = JobTable::load(&path).unwrap();
@@ -299,8 +293,7 @@ mod persistence_tests {
 
     #[test]
     fn empty_table_round_trips_through_file() {
-        let path =
-            std::env::temp_dir().join(format!("supremm-empty-{}.tsdb", std::process::id()));
+        let path = std::env::temp_dir().join(format!("supremm-empty-{}.tsdb", std::process::id()));
         JobTable::default().save(&path).unwrap();
         assert!(JobTable::load(&path).unwrap().is_empty());
         std::fs::remove_file(&path).unwrap();

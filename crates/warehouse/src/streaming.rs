@@ -437,8 +437,10 @@ mod tests {
     #[test]
     fn binning_can_be_disabled() {
         let archive = archive_of(2);
-        let acc =
-            consume_archive(&archive, ConsumeOptions { bin_secs: None, job_fragments: true, strict: false });
+        let acc = consume_archive(
+            &archive,
+            ConsumeOptions { bin_secs: None, job_fragments: true, strict: false },
+        );
         assert_eq!(acc.files(), archive.len());
         assert_eq!(acc.total_bytes(), archive.total_bytes());
         let out = acc.finish(&[], &[]);

@@ -50,11 +50,23 @@ const FIELDS: [SystemField; 16] = [
         get: |b| b.busy_nodes as f64,
         set: |b, v| b.busy_nodes = v as u32,
     },
-    SystemField { name: "intervals", get: |b| b.intervals as f64, set: |b, v| b.intervals = v as u32 },
+    SystemField {
+        name: "intervals",
+        get: |b| b.intervals as f64,
+        set: |b, v| b.intervals = v as u32,
+    },
     SystemField { name: "flops", get: |b| b.flops, set: |b, v| b.flops = v },
-    SystemField { name: "mem_used_bytes", get: |b| b.mem_used_bytes, set: |b, v| b.mem_used_bytes = v },
+    SystemField {
+        name: "mem_used_bytes",
+        get: |b| b.mem_used_bytes,
+        set: |b, v| b.mem_used_bytes = v,
+    },
     SystemField { name: "cpu_user_sum", get: |b| b.cpu_user_sum, set: |b, v| b.cpu_user_sum = v },
-    SystemField { name: "cpu_system_sum", get: |b| b.cpu_system_sum, set: |b, v| b.cpu_system_sum = v },
+    SystemField {
+        name: "cpu_system_sum",
+        get: |b| b.cpu_system_sum,
+        set: |b, v| b.cpu_system_sum = v,
+    },
     SystemField { name: "cpu_idle_sum", get: |b| b.cpu_idle_sum, set: |b, v| b.cpu_idle_sum = v },
     SystemField {
         name: "scratch_write_bps",
@@ -66,14 +78,26 @@ const FIELDS: [SystemField; 16] = [
         get: |b| b.scratch_read_bps,
         set: |b, v| b.scratch_read_bps = v,
     },
-    SystemField { name: "work_write_bps", get: |b| b.work_write_bps, set: |b, v| b.work_write_bps = v },
-    SystemField { name: "work_read_bps", get: |b| b.work_read_bps, set: |b, v| b.work_read_bps = v },
+    SystemField {
+        name: "work_write_bps",
+        get: |b| b.work_write_bps,
+        set: |b, v| b.work_write_bps = v,
+    },
+    SystemField {
+        name: "work_read_bps",
+        get: |b| b.work_read_bps,
+        set: |b, v| b.work_read_bps = v,
+    },
     SystemField {
         name: "share_write_bps",
         get: |b| b.share_write_bps,
         set: |b, v| b.share_write_bps = v,
     },
-    SystemField { name: "share_read_bps", get: |b| b.share_read_bps, set: |b, v| b.share_read_bps = v },
+    SystemField {
+        name: "share_read_bps",
+        get: |b| b.share_read_bps,
+        set: |b, v| b.share_read_bps = v,
+    },
     SystemField { name: "ib_tx_bps", get: |b| b.ib_tx_bps, set: |b, v| b.ib_tx_bps = v },
     SystemField { name: "lnet_tx_bps", get: |b| b.lnet_tx_bps, set: |b, v| b.lnet_tx_bps = v },
 ];
@@ -96,8 +120,7 @@ pub fn load_system_series(db: &Tsdb) -> Result<SystemSeries, TsdbError> {
     // The binning row lives at ts 0, which a retention pass expires
     // from raw; the tier-aware read serves it from the rollup (Last is
     // exact there), so a store never forgets its own binning.
-    let meta_sel =
-        Selector { host: Some(META_HOST.into()), metric: Some("bin_secs".into()) };
+    let meta_sel = Selector { host: Some(META_HOST.into()), metric: Some("bin_secs".into()) };
     let bin_secs = db
         .downsample(&meta_sel, 0, u64::MAX, u64::MAX, Agg::Last)?
         .first()
@@ -161,8 +184,7 @@ mod tests {
     use supremm_taccstats::Collector;
 
     fn tmpdir(name: &str) -> PathBuf {
-        let dir =
-            std::env::temp_dir().join(format!("wh-tsdbio-{name}-{}", std::process::id()));
+        let dir = std::env::temp_dir().join(format!("wh-tsdbio-{name}-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         std::fs::create_dir_all(&dir).unwrap();
         dir
@@ -239,8 +261,7 @@ mod tests {
         let dir = tmpdir("retention");
         let policy = RetentionPolicy::parse("raw=1200s,600=forever").unwrap();
         let mut db =
-            Tsdb::open_with(&dir, DbOptions { retention: policy, ..Default::default() })
-                .unwrap();
+            Tsdb::open_with(&dir, DbOptions { retention: policy, ..Default::default() }).unwrap();
         let series = SystemSeries::from_archive(&archive(), 600);
         store_system_series(&mut db, &series).unwrap();
         db.flush().unwrap();
@@ -251,8 +272,7 @@ mod tests {
         assert!(report.rollup_segments_written > 0);
         let after = load_system_series(&db).unwrap();
         assert_eq!(after.bin_secs, before.bin_secs, "metadata rolled up, still served");
-        let survivors: Vec<_> =
-            before.bins.iter().filter(|b| b.ts.0 >= 2400).cloned().collect();
+        let survivors: Vec<_> = before.bins.iter().filter(|b| b.ts.0 >= 2400).cloned().collect();
         assert_eq!(after.bins, survivors, "surviving bins are bit-identical");
         let _ = std::fs::remove_dir_all(&dir);
     }

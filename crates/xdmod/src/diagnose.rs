@@ -71,7 +71,11 @@ pub struct Diagnosis {
     pub note: String,
 }
 
-fn classify(job: &JobRecord, events: &BTreeMap<EventCode, usize>, mem_capacity: f64) -> (Cause, bool, String) {
+fn classify(
+    job: &JobRecord,
+    events: &BTreeMap<EventCode, usize>,
+    mem_capacity: f64,
+) -> (Cause, bool, String) {
     let mem_max_frac = job.metrics.get(KeyMetric::MemUsedMax) / mem_capacity;
     let idle = job.metrics.get(KeyMetric::CpuIdle);
     if events.contains_key(&EventCode::OomKill) {
@@ -122,7 +126,11 @@ fn classify(job: &JobRecord, events: &BTreeMap<EventCode, usize>, mem_capacity: 
     (
         Cause::Unexplained,
         false,
-        format!("no log evidence; job idle {:.0}%, mem peak {:.0}%", idle * 100.0, mem_max_frac * 100.0),
+        format!(
+            "no log evidence; job idle {:.0}%, mem peak {:.0}%",
+            idle * 100.0,
+            mem_max_frac * 100.0
+        ),
     )
 }
 
@@ -292,11 +300,8 @@ mod tests {
         let table = JobTable::new(vec![job(6, ExitKind::Cancelled, 0.3, 0.1)]);
         let d = diagnose_failures(&table, &[], CAP);
         assert_eq!(d[0].cause, Cause::UserCancelled);
-        let with_wallclock = diagnose_failures(
-            &table,
-            &[log(6, EventCode::WallclockExceeded)],
-            CAP,
-        );
+        let with_wallclock =
+            diagnose_failures(&table, &[log(6, EventCode::WallclockExceeded)], CAP);
         assert_eq!(with_wallclock[0].cause, Cause::WallclockKill);
     }
 

@@ -89,9 +89,7 @@ impl Dataset {
         let rows: Vec<Value> = self
             .rows
             .iter()
-            .map(|(label, value)| {
-                Value::Array(vec![label.as_str().into(), (*value).into()])
-            })
+            .map(|(label, value)| Value::Array(vec![label.as_str().into(), (*value).into()]))
             .collect();
         supremm_metrics::json::obj([("rows", Value::Array(rows))]).to_string()
     }
@@ -111,9 +109,7 @@ fn dimension_label(dim: Dimension, j: &JobRecord) -> String {
     match dim {
         Dimension::None => "all".to_string(),
         Dimension::User => j.user.to_string(),
-        Dimension::Application => {
-            j.app.clone().unwrap_or_else(|| "(unresolved)".to_string())
-        }
+        Dimension::Application => j.app.clone().unwrap_or_else(|| "(unresolved)".to_string()),
         Dimension::ScienceField => j.science.name().to_string(),
         Dimension::Queue => j.queue.clone(),
         Dimension::ExitStatus => j.exit.name().to_string(),
@@ -130,8 +126,7 @@ fn statistic_of(stat: Statistic, jobs: &[&JobRecord]) -> f64 {
             if jobs.is_empty() {
                 f64::NAN
             } else {
-                jobs.iter().map(|j| j.wait_secs() as f64 / 3600.0).sum::<f64>()
-                    / jobs.len() as f64
+                jobs.iter().map(|j| j.wait_secs() as f64 / 3600.0).sum::<f64>() / jobs.len() as f64
             }
         }
         Statistic::WeightedJobLengthMin => {
@@ -175,7 +170,16 @@ mod tests {
     use supremm_metrics::{ExtendedMetric, JobId, Timestamp};
 
     #[allow(clippy::too_many_arguments)]
-    fn job(id: u64, user: u32, app: &str, sci: ScienceField, hours: u64, nodes: u32, idle: f64, exit: ExitKind) -> JobRecord {
+    fn job(
+        id: u64,
+        user: u32,
+        app: &str,
+        sci: ScienceField,
+        hours: u64,
+        nodes: u32,
+        idle: f64,
+        exit: ExitKind,
+    ) -> JobRecord {
         let mut metrics = KeyMetricVec::default();
         metrics.set(KeyMetric::CpuIdle, idle);
         JobRecord {
@@ -200,7 +204,16 @@ mod tests {
     fn table() -> JobTable {
         JobTable::new(vec![
             job(1, 1, "NAMD", ScienceField::MolecularBiosciences, 10, 4, 0.05, ExitKind::Completed),
-            job(2, 2, "AMBER", ScienceField::MolecularBiosciences, 10, 4, 0.30, ExitKind::Completed),
+            job(
+                2,
+                2,
+                "AMBER",
+                ScienceField::MolecularBiosciences,
+                10,
+                4,
+                0.30,
+                ExitKind::Completed,
+            ),
             job(3, 2, "AMBER", ScienceField::MolecularBiosciences, 5, 2, 0.35, ExitKind::Failed),
             job(4, 3, "WRF", ScienceField::AtmosphericSciences, 20, 16, 0.10, ExitKind::Completed),
         ])
@@ -229,10 +242,7 @@ mod tests {
             &Query {
                 dimension: Dimension::User,
                 statistic: Statistic::JobCount,
-                filters: vec![
-                    Filter::App("AMBER".into()),
-                    Filter::Exit(ExitKind::Failed),
-                ],
+                filters: vec![Filter::App("AMBER".into()), Filter::Exit(ExitKind::Failed)],
             },
         );
         assert_eq!(ds.rows.len(), 1);

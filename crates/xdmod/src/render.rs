@@ -4,14 +4,8 @@ use crate::framework::Dataset;
 
 /// Render rows as an aligned two-column text table with a title.
 pub fn to_ascii_table(title: &str, ds: &Dataset, value_header: &str) -> String {
-    let label_w = ds
-        .rows
-        .iter()
-        .map(|(l, _)| l.len())
-        .chain([8])
-        .max()
-        .unwrap_or(8)
-        .max(title.len().min(40));
+    let label_w =
+        ds.rows.iter().map(|(l, _)| l.len()).chain([8]).max().unwrap_or(8).max(title.len().min(40));
     let mut out = String::new();
     out.push_str(title);
     out.push('\n');
@@ -71,9 +65,7 @@ mod tests {
     use super::*;
 
     fn ds() -> Dataset {
-        Dataset {
-            rows: vec![("NAMD".into(), 320.5), ("AMBER, v12".into(), 50.0)],
-        }
+        Dataset { rows: vec![("NAMD".into(), 320.5), ("AMBER, v12".into(), 50.0)] }
     }
 
     #[test]

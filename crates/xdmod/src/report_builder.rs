@@ -97,7 +97,8 @@ fn md_table(title: &str, rows: &[(String, f64)], value_header: &str) -> String {
 
 /// Render a spec into one markdown document.
 pub fn build_report(spec: &ReportSpec, inputs: &ReportInputs<'_>) -> String {
-    let mut out = format!("# {} — {}\n\n*window: {}*\n\n", spec.title, inputs.machine, inputs.window);
+    let mut out =
+        format!("# {} — {}\n\n*window: {}*\n\n", spec.title, inputs.machine, inputs.window);
     for section in &spec.sections {
         match section {
             Section::Preamble(text) => {
@@ -161,7 +162,11 @@ pub fn build_report(spec: &ReportSpec, inputs: &ReportInputs<'_>) -> String {
             }
             Section::SystemPanels => {
                 let a = reports::mem_per_core_by_science(inputs.table, inputs.cores_per_node);
-                out.push_str(&md_table("Memory per core by parent science [GB]", &a.rows, "GB/core"));
+                out.push_str(&md_table(
+                    "Memory per core by parent science [GB]",
+                    &a.rows,
+                    "GB/core",
+                ));
                 let b = reports::cpu_hours_breakdown(inputs.series);
                 out.push_str(&md_table("CPU node-hours by state", &b.rows, "node-hours"));
                 let c = reports::lustre_throughput(inputs.series);

@@ -34,14 +34,9 @@ pub fn user_profiles(table: &JobTable, n: usize) -> Vec<Profile> {
         .top_by_node_hours(|j| j.user, n)
         .into_iter()
         .map(|(user, node_hours)| {
-            let jobs: Vec<_> =
-                table.jobs().iter().filter(|j| j.user == user).collect();
+            let jobs: Vec<_> = table.jobs().iter().filter(|j| j.user == user).collect();
             let agg = JobTable::aggregate(jobs);
-            Profile {
-                label: user.to_string(),
-                values: normalize(&agg.means, &global),
-                node_hours,
-            }
+            Profile { label: user.to_string(), values: normalize(&agg.means, &global), node_hours }
         })
         .collect()
 }
@@ -52,11 +47,8 @@ pub fn app_profiles(table: &JobTable, apps: &[&str]) -> Vec<Profile> {
     let global = table.global_aggregate().means;
     apps.iter()
         .map(|&name| {
-            let jobs: Vec<_> = table
-                .jobs()
-                .iter()
-                .filter(|j| j.app.as_deref() == Some(name))
-                .collect();
+            let jobs: Vec<_> =
+                table.jobs().iter().filter(|j| j.app.as_deref() == Some(name)).collect();
             let agg = JobTable::aggregate(jobs);
             Profile {
                 label: name.to_string(),
@@ -107,14 +99,10 @@ pub fn anomalous_user_profile(
     // single heaviest offender a busy IO band, which is a different
     // phenomenon than the paper circles. Fall back to the heaviest if
     // no candidate has the clean shape.
-    let mut candidates: Vec<&ScatterPoint<UserId>> = report
-        .points
-        .iter()
-        .filter(|p| p.usage.idle_frac() >= idle_threshold)
-        .collect();
-    candidates.sort_by(|a, b| {
-        b.usage.node_hours.total_cmp(&a.usage.node_hours).then(a.key.cmp(&b.key))
-    });
+    let mut candidates: Vec<&ScatterPoint<UserId>> =
+        report.points.iter().filter(|p| p.usage.idle_frac() >= idle_threshold).collect();
+    candidates
+        .sort_by(|a, b| b.usage.node_hours.total_cmp(&a.usage.node_hours).then(a.key.cmp(&b.key)));
     let clean = |prof: &Profile| {
         KeyMetric::ALL
             .into_iter()
@@ -217,8 +205,7 @@ pub fn mem_per_core_by_science(table: &JobTable, cores_per_node: u32) -> Dataset
     let mut rows: Vec<(String, f64)> = groups
         .into_iter()
         .map(|(sci, jobs)| {
-            let mean_node_bytes =
-                weighted_metric_mean(jobs.iter().copied(), KeyMetric::MemUsed);
+            let mean_node_bytes = weighted_metric_mean(jobs.iter().copied(), KeyMetric::MemUsed);
             let gb_per_core = mean_node_bytes / cores_per_node as f64 / 1.073_741_824e9;
             (sci.name().to_string(), gb_per_core)
         })
@@ -299,10 +286,8 @@ impl CorrelationReport {
 /// correlation structure matches the paper's.
 pub fn metric_correlation_report(table: &JobTable, threshold: f64) -> CorrelationReport {
     let metrics: Vec<ExtendedMetric> = ExtendedMetric::ALL.to_vec();
-    let vars: Vec<Vec<f64>> = metrics
-        .iter()
-        .map(|&m| table.jobs().iter().map(|j| j.extended_get(m)).collect())
-        .collect();
+    let vars: Vec<Vec<f64>> =
+        metrics.iter().map(|&m| table.jobs().iter().map(|j| j.extended_get(m)).collect()).collect();
     let matrix = supremm_analytics::correlation_matrix(&vars);
     // Key metrics first (paper's preference), then the rest.
     let mut priority: Vec<usize> = Vec::new();
@@ -331,7 +316,15 @@ mod tests {
     use supremm_metrics::{JobId, ScienceField, Timestamp};
     use supremm_warehouse::record::{ExitKind, JobRecord};
 
-    fn job(id: u64, user: u32, app: &str, hours: u64, nodes: u32, idle: f64, mem: f64) -> JobRecord {
+    fn job(
+        id: u64,
+        user: u32,
+        app: &str,
+        hours: u64,
+        nodes: u32,
+        idle: f64,
+        mem: f64,
+    ) -> JobRecord {
         let mut metrics = KeyMetricVec::default();
         metrics.set(KeyMetric::CpuIdle, idle);
         metrics.set(KeyMetric::MemUsed, mem);
@@ -483,11 +476,8 @@ mod tests {
         use supremm_warehouse::SystemBin;
         let bins: Vec<SystemBin> = (0..10)
             .map(|i| {
-                let mut b = SystemBin {
-                    ts: Timestamp(i * 600),
-                    intervals: 4,
-                    ..Default::default()
-                };
+                let mut b =
+                    SystemBin { ts: Timestamp(i * 600), intervals: 4, ..Default::default() };
                 b.cpu_user_sum = 3.0;
                 b.cpu_idle_sum = 0.8;
                 b.cpu_system_sum = 0.2;
@@ -542,20 +532,14 @@ pub fn machine_bouquet(
         .map(|&app| {
             let mut scores = Vec::new();
             for &(machine, table) in machines {
-                let jobs: Vec<_> = table
-                    .jobs()
-                    .iter()
-                    .filter(|j| j.app.as_deref() == Some(app))
-                    .collect();
+                let jobs: Vec<_> =
+                    table.jobs().iter().filter(|j| j.app.as_deref() == Some(app)).collect();
                 if jobs.is_empty() {
                     continue;
                 }
-                let idle =
-                    weighted_metric_mean(jobs.iter().copied(), KeyMetric::CpuIdle);
-                let flops =
-                    weighted_metric_mean(jobs.iter().copied(), KeyMetric::CpuFlops);
-                let machine_flops =
-                    weighted_metric_mean(table.jobs().iter(), KeyMetric::CpuFlops);
+                let idle = weighted_metric_mean(jobs.iter().copied(), KeyMetric::CpuIdle);
+                let flops = weighted_metric_mean(jobs.iter().copied(), KeyMetric::CpuFlops);
+                let machine_flops = weighted_metric_mean(table.jobs().iter(), KeyMetric::CpuFlops);
                 let node_hours: f64 = jobs.iter().map(|j| j.node_hours()).sum();
                 scores.push(MachineScore {
                     machine: machine.to_string(),
@@ -652,8 +636,7 @@ pub struct TrendReport {
 /// `node_count` converts busy-node counts into shares.
 pub fn utilization_trend(series: &SystemSeries, node_count: u32) -> Option<TrendReport> {
     let dense = series.dense();
-    let busy: Vec<f64> =
-        dense.series(|b| b.busy_nodes as f64 / node_count.max(1) as f64);
+    let busy: Vec<f64> = dense.series(|b| b.busy_nodes as f64 / node_count.max(1) as f64);
     let bins_per_day = (86_400 / dense.bin_secs.max(1)) as usize;
     let d = supremm_analytics::trend::decompose(&busy, bins_per_day)?;
     let season_hi = d.seasonal.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
@@ -712,12 +695,8 @@ pub fn user_report(table: &JobTable, user: UserId) -> Option<UserReport> {
 
     use supremm_warehouse::record::ExitKind;
     let mut completions = Vec::new();
-    for kind in [
-        ExitKind::Completed,
-        ExitKind::Failed,
-        ExitKind::NodeFailure,
-        ExitKind::Cancelled,
-    ] {
+    for kind in [ExitKind::Completed, ExitKind::Failed, ExitKind::NodeFailure, ExitKind::Cancelled]
+    {
         let n = jobs.iter().filter(|j| j.exit == kind).count();
         if n > 0 {
             completions.push((kind.name(), n));
@@ -741,10 +720,7 @@ pub fn user_report(table: &JobTable, user: UserId) -> Option<UserReport> {
                 .to_string(),
         );
     }
-    let failed = jobs
-        .iter()
-        .filter(|j| j.exit == ExitKind::Failed)
-        .count();
+    let failed = jobs.iter().filter(|j| j.exit == ExitKind::Failed).count();
     if failed * 5 > jobs.len() {
         advice.push(format!(
             "{failed} of {} jobs failed: the failure-diagnosis report can attribute causes",

@@ -62,8 +62,8 @@ use std::sync::{Arc, Mutex, RwLock};
 use std::time::Duration;
 
 use supremm_metrics::json::{obj, Value};
-use supremm_obs::{Counter, Gauge, Histogram, ObsHandle, ObsRegistry, Timer};
 use supremm_metrics::KeyMetric;
+use supremm_obs::{Counter, Gauge, Histogram, ObsHandle, ObsRegistry, Timer};
 use supremm_relay::{IngestCore, WriteOutcome};
 use supremm_warehouse::tsdb::{Agg, Selector, Tsdb};
 use supremm_warehouse::JobTable;
@@ -109,10 +109,9 @@ impl Response {
             _ => "Error",
         };
         let retry = match self.retry_after_ms {
-            Some(ms) => format!(
-                "Retry-After: {}\r\nX-Retry-After-Ms: {ms}\r\n",
-                ms.div_ceil(1000).max(1)
-            ),
+            Some(ms) => {
+                format!("Retry-After: {}\r\nX-Retry-After-Ms: {ms}\r\n", ms.div_ceil(1000).max(1))
+            }
             None => String::new(),
         };
         format!(
@@ -291,12 +290,7 @@ pub fn handle(
     route(table, store, obs, &Request::parse(request_line))
 }
 
-fn route(
-    table: &JobTable,
-    store: Option<&Tsdb>,
-    obs: &ObsRegistry,
-    req: &Request<'_>,
-) -> Response {
+fn route(table: &JobTable, store: Option<&Tsdb>, obs: &ObsRegistry, req: &Request<'_>) -> Response {
     if req.method.is_empty() {
         return Response::error(400, "malformed request line");
     }
@@ -324,15 +318,13 @@ fn route(
             )
         }
         "/v1/query" => {
-            if let Some(msg) = unknown_param(params, &["dimension", "statistic", "metric", "top"])
-            {
+            if let Some(msg) = unknown_param(params, &["dimension", "statistic", "metric", "top"]) {
                 return Response::error(400, &msg);
             }
             let Some(dimension) = get("dimension").and_then(parse_dimension) else {
                 return Response::error(400, "missing/unknown dimension");
             };
-            let Some(statistic) =
-                get("statistic").and_then(|s| parse_statistic(s, get("metric")))
+            let Some(statistic) = get("statistic").and_then(|s| parse_statistic(s, get("metric")))
             else {
                 return Response::error(400, "missing/unknown statistic (or metric)");
             };
@@ -350,8 +342,7 @@ fn route(
             Response::json(200, ds.to_json())
         }
         "/v1/series" => {
-            if let Some(msg) =
-                unknown_param(params, &["host", "metric", "t0", "t1", "bin", "agg"])
+            if let Some(msg) = unknown_param(params, &["host", "metric", "t0", "t1", "bin", "agg"])
             {
                 return Response::error(400, &msg);
             }
@@ -366,8 +357,7 @@ fn route(
                 None => Some(default),
                 Some(v) => v.parse::<u64>().ok(),
             };
-            let (Some(t0), Some(t1)) = (parse_ts("t0", 0), parse_ts("t1", u64::MAX))
-            else {
+            let (Some(t0), Some(t1)) = (parse_ts("t0", 0), parse_ts("t1", u64::MAX)) else {
                 return Response::error(400, "t0/t1 must be unsigned seconds");
             };
             let result = match get("bin") {
@@ -409,8 +399,7 @@ fn route(
             let tiers: Vec<Value> = tiers.iter().map(|t| t.as_str().into()).collect();
             Response::json(
                 200,
-                obj([("series", Value::Array(body)), ("tiers", Value::Array(tiers))])
-                    .to_string(),
+                obj([("series", Value::Array(body)), ("tiers", Value::Array(tiers))]).to_string(),
             )
         }
         "/v1/metrics" => {
@@ -463,11 +452,7 @@ impl std::fmt::Debug for ServeOptions {
 
 impl Default for ServeOptions {
     fn default() -> ServeOptions {
-        ServeOptions {
-            slow_query_micros: 100_000,
-            obs: supremm_obs::global(),
-            ingest: None,
-        }
+        ServeOptions { slow_query_micros: 100_000, obs: supremm_obs::global(), ingest: None }
     }
 }
 
@@ -668,11 +653,7 @@ impl ResponseCache {
         inner.map.insert(key, CacheEntry { generation, last_used: tick, response });
         let mut evicted = 0;
         while inner.map.len() > self.capacity {
-            let victim = inner
-                .map
-                .iter()
-                .min_by_key(|(_, e)| e.last_used)
-                .map(|(k, _)| k.clone());
+            let victim = inner.map.iter().min_by_key(|(_, e)| e.last_used).map(|(k, _)| k.clone());
             match victim {
                 Some(k) => {
                     inner.map.remove(&k);
@@ -1049,10 +1030,8 @@ mod tests {
     #[test]
     fn query_endpoint_runs_framework_queries() {
         let t = table();
-        let r = handle_line(
-            &t,
-            "GET /v1/query?dimension=application&statistic=node_hours HTTP/1.0",
-        );
+        let r =
+            handle_line(&t, "GET /v1/query?dimension=application&statistic=node_hours HTTP/1.0");
         assert_eq!(r.status, 200, "{}", r.body);
         let v = supremm_metrics::json::Value::parse(&r.body).unwrap();
         assert_eq!(v["rows"][0][0], "NAMD");
@@ -1077,10 +1056,7 @@ mod tests {
     #[test]
     fn top_truncates_and_errors_are_clean() {
         let t = table();
-        let r = handle_line(
-            &t,
-            "GET /v1/query?dimension=user&statistic=job_count&top=1 HTTP/1.0",
-        );
+        let r = handle_line(&t, "GET /v1/query?dimension=user&statistic=job_count&top=1 HTTP/1.0");
         let v = supremm_metrics::json::Value::parse(&r.body).unwrap();
         assert_eq!(v["rows"].as_array().unwrap().len(), 1);
         assert_eq!(handle_line(&t, "GET /nope HTTP/1.0").status, 404);
@@ -1136,8 +1112,7 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
         std::fs::create_dir_all(&dir).unwrap();
         let mut db = Tsdb::open(&dir).unwrap();
-        db.append_batch("c0000", "cpu_user", &[(0, 0.25), (600, 0.75), (1200, 0.5)])
-            .unwrap();
+        db.append_batch("c0000", "cpu_user", &[(0, 0.25), (600, 0.75), (1200, 0.5)]).unwrap();
         db.flush().unwrap();
         let t = table();
         // Without a store attached the endpoint is a clean 404.
@@ -1241,10 +1216,7 @@ mod tests {
         let snap = met.obs.snapshot();
         assert_eq!(snap.counter("serve_cache_hits_total"), Some(2));
         assert_eq!(snap.counter("serve_cache_misses_total"), Some(2));
-        assert_eq!(
-            snap.counter("serve_requests_total{endpoint=\"v1_series\"}"),
-            Some(4)
-        );
+        assert_eq!(snap.counter("serve_requests_total{endpoint=\"v1_series\"}"), Some(4));
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -1346,9 +1318,7 @@ mod tests {
         });
 
         let mut stream = std::net::TcpStream::connect(addr).unwrap();
-        stream
-            .write_all(b"GET /v1/summary HTTP/1.0\r\n\r\n")
-            .unwrap();
+        stream.write_all(b"GET /v1/summary HTTP/1.0\r\n\r\n").unwrap();
         let mut response = String::new();
         stream.read_to_string(&mut response).unwrap();
         assert!(response.starts_with("HTTP/1.1 200 OK"), "{response}");
@@ -1376,18 +1346,14 @@ mod tests {
         let mut stream = std::net::TcpStream::connect(addr).unwrap();
         // HTTP/1.1 defaults to keep-alive: three requests, one socket.
         for _ in 0..3 {
-            stream
-                .write_all(b"GET /v1/summary HTTP/1.1\r\nHost: test\r\n\r\n")
-                .unwrap();
+            stream.write_all(b"GET /v1/summary HTTP/1.1\r\nHost: test\r\n\r\n").unwrap();
             let response = read_response(&mut stream);
             assert!(response.starts_with("HTTP/1.1 200 OK"), "{response}");
             assert!(response.contains("Connection: keep-alive"), "{response}");
             assert!(response.contains("\"jobs\":3"), "{response}");
         }
         // An explicit Connection: close is honoured and the socket ends.
-        stream
-            .write_all(b"GET /healthz HTTP/1.1\r\nConnection: close\r\n\r\n")
-            .unwrap();
+        stream.write_all(b"GET /healthz HTTP/1.1\r\nConnection: close\r\n\r\n").unwrap();
         let response = read_response(&mut stream);
         assert!(response.contains("Connection: close"), "{response}");
         let mut rest = String::new();
@@ -1416,9 +1382,7 @@ mod tests {
             .map(|_| {
                 std::thread::spawn(move || {
                     let mut stream = std::net::TcpStream::connect(addr).unwrap();
-                    stream
-                        .write_all(b"GET /v1/summary HTTP/1.1\r\nHost: t\r\n\r\n")
-                        .unwrap();
+                    stream.write_all(b"GET /v1/summary HTTP/1.1\r\nHost: t\r\n\r\n").unwrap();
                     let response = read_response(&mut stream);
                     assert!(response.starts_with("HTTP/1.1 200 OK"), "{response}");
                 })
@@ -1598,9 +1562,7 @@ mod tests {
         let resp = read_response(&mut stream);
         assert!(resp.contains("\"deduped\":true"), "{resp}");
         // GETs interleave on the same connection after a POST body.
-        stream
-            .write_all(b"GET /healthz HTTP/1.1\r\nHost: t\r\n\r\n")
-            .unwrap();
+        stream.write_all(b"GET /healthz HTTP/1.1\r\nHost: t\r\n\r\n").unwrap();
         let resp = read_response(&mut stream);
         assert!(resp.starts_with("HTTP/1.1 200 OK"), "{resp}");
         // Over-limit body: refused before it is read, connection closes.

@@ -36,13 +36,10 @@ pub fn radar_chart(title: &str, profiles: &[Profile]) -> String {
     let cy = H / 2.0 + 12.0;
     let r_max = 160.0;
     // Scale: the largest value (or 2.0, whichever is bigger) maps to r_max.
-    let v_max = profiles
-        .iter()
-        .flat_map(|p| p.values.iter().map(|(_, v)| v))
-        .fold(2.0f64, f64::max);
+    let v_max =
+        profiles.iter().flat_map(|p| p.values.iter().map(|(_, v)| v)).fold(2.0f64, f64::max);
     let angle = |i: usize| {
-        std::f64::consts::TAU * i as f64 / KeyMetric::ALL.len() as f64
-            - std::f64::consts::FRAC_PI_2
+        std::f64::consts::TAU * i as f64 / KeyMetric::ALL.len() as f64 - std::f64::consts::FRAC_PI_2
     };
     let point = |i: usize, v: f64| {
         let r = (v / v_max).min(1.0) * r_max;
@@ -113,11 +110,8 @@ pub fn line_chart(title: &str, y_label: &str, series: &[(&str, Vec<f64>)]) -> St
         .flat_map(|(_, s)| s.iter().copied())
         .fold(f64::NEG_INFINITY, f64::max)
         .max(1e-12);
-    let v_min = series
-        .iter()
-        .flat_map(|(_, s)| s.iter().copied())
-        .fold(f64::INFINITY, f64::min)
-        .min(0.0);
+    let v_min =
+        series.iter().flat_map(|(_, s)| s.iter().copied()).fold(f64::INFINITY, f64::min).min(0.0);
     let sx = |i: usize| x0 + (x1 - x0) * i as f64 / (n - 1) as f64;
     let sy = |v: f64| y1 - (y1 - y0) * (v - v_min) / (v_max - v_min);
 
@@ -145,11 +139,8 @@ pub fn line_chart(title: &str, y_label: &str, series: &[(&str, Vec<f64>)]) -> St
     ));
     for (si, (label, s)) in series.iter().enumerate() {
         let color = PALETTE[si % PALETTE.len()];
-        let pts: Vec<String> = s
-            .iter()
-            .enumerate()
-            .map(|(i, &v)| format!("{:.1},{:.1}", sx(i), sy(v)))
-            .collect();
+        let pts: Vec<String> =
+            s.iter().enumerate().map(|(i, &v)| format!("{:.1},{:.1}", sx(i), sy(v))).collect();
         out.push_str(&format!(
             "<polyline points=\"{}\" fill=\"none\" stroke=\"{color}\" stroke-width=\"1.4\"/>\n",
             pts.join(" ")
@@ -171,10 +162,8 @@ pub fn line_chart(title: &str, y_label: &str, series: &[(&str, Vec<f64>)]) -> St
 /// A density chart from `(x, density)` pairs (Figures 10, 12) — one curve
 /// per labelled dataset.
 pub fn density_chart(title: &str, x_label: &str, curves: &[(&str, Vec<(f64, f64)>)]) -> String {
-    let series: Vec<(&str, Vec<f64>)> = curves
-        .iter()
-        .map(|(label, pts)| (*label, pts.iter().map(|&(_, d)| d).collect()))
-        .collect();
+    let series: Vec<(&str, Vec<f64>)> =
+        curves.iter().map(|(label, pts)| (*label, pts.iter().map(|&(_, d)| d).collect())).collect();
     let mut out = line_chart(title, "density", &series);
     // Replace the closing tag to append the x-label.
     out.truncate(out.len() - "</svg>\n".len());
@@ -219,11 +208,7 @@ mod tests {
 
     #[test]
     fn line_chart_scales_to_data() {
-        let svg = line_chart(
-            "Figure 9",
-            "TF",
-            &[("flops", vec![0.0, 5.0, 2.5, 10.0])],
-        );
+        let svg = line_chart("Figure 9", "TF", &[("flops", vec![0.0, 5.0, 2.5, 10.0])]);
         assert_valid_svg(&svg);
         assert!(svg.contains("polyline"));
         assert!(svg.contains("10.000"), "max tick present: {svg}");
@@ -231,7 +216,8 @@ mod tests {
 
     #[test]
     fn density_chart_has_two_curves_and_x_label() {
-        let a: Vec<(f64, f64)> = (0..32).map(|i| (i as f64, (i as f64 / 10.0).sin().abs())).collect();
+        let a: Vec<(f64, f64)> =
+            (0..32).map(|i| (i as f64, (i as f64 / 10.0).sin().abs())).collect();
         let svg = density_chart("Figure 12", "GB", &[("mem_used", a.clone()), ("mem_used_max", a)]);
         assert_valid_svg(&svg);
         assert_eq!(svg.matches("<polyline").count(), 2);

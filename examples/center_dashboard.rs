@@ -25,7 +25,10 @@ fn main() {
 
     // Figure 7a/b/c.
     let a = reports::mem_per_core_by_science(&ds.table, ds.cfg.node_spec.cores);
-    print!("{}", to_ascii_table("Fig 7a: avg memory per core by parent science [GB]", &a, "GB/core"));
+    print!(
+        "{}",
+        to_ascii_table("Fig 7a: avg memory per core by parent science [GB]", &a, "GB/core")
+    );
     let b = reports::cpu_hours_breakdown(&ds.series);
     print!("\n{}", to_ascii_table("Fig 7b: CPU node-hours by state", &b, "node-hours"));
     let c = reports::lustre_throughput(&ds.series);
@@ -40,12 +43,17 @@ fn main() {
     let tf = dense.series(|bin| bin.flops / 1e12);
     let mean_tf = tf.iter().sum::<f64>() / tf.len() as f64;
     let peak_tf = ds.cfg.node_count as f64 * ds.cfg.node_spec.peak_gflops / 1000.0;
-    println!("\nFig 9: system SSE FLOPS (mean {mean_tf:.3} TF of {peak_tf:.1} TF benchmarked peak)");
+    println!(
+        "\nFig 9: system SSE FLOPS (mean {mean_tf:.3} TF of {peak_tf:.1} TF benchmarked peak)"
+    );
     println!("  {}", sparkline(&downsample(&tf, 120)));
 
     // Figure 10: FLOPS kernel density.
     let kde = Kde::fit(&tf);
-    println!("\nFig 10: FLOPS distribution (kernel density, Silverman bandwidth {:.4} TF)", kde.bandwidth());
+    println!(
+        "\nFig 10: FLOPS distribution (kernel density, Silverman bandwidth {:.4} TF)",
+        kde.bandwidth()
+    );
     let grid = kde.grid(60);
     println!("  {}", sparkline(&grid.iter().map(|&(_, d)| d).collect::<Vec<_>>()));
     let mode = grid.iter().cloned().fold((0.0, 0.0), |acc, p| if p.1 > acc.1 { p } else { acc });
@@ -67,7 +75,8 @@ fn main() {
     println!("  {}", sparkline(&downsample(&mem, 120)));
 
     // Figure 12: per-job mem_used vs mem_used_max densities.
-    let used: Vec<f64> = ds.table.jobs().iter().map(|j| j.metrics.get(KeyMetric::MemUsed) / GB).collect();
+    let used: Vec<f64> =
+        ds.table.jobs().iter().map(|j| j.metrics.get(KeyMetric::MemUsed) / GB).collect();
     let used_max: Vec<f64> =
         ds.table.jobs().iter().map(|j| j.metrics.get(KeyMetric::MemUsedMax) / GB).collect();
     println!("\nFig 12: per-job memory distributions (black = mean, red = max in the paper)");
@@ -106,7 +115,11 @@ fn main() {
         ),
         (
             "fig11_memory.svg",
-            svg::line_chart("Figure 11: memory used per node", "GB", &[("mem/node", downsample(&mem, 400))]),
+            svg::line_chart(
+                "Figure 11: memory used per node",
+                "GB",
+                &[("mem/node", downsample(&mem, 400))],
+            ),
         ),
         (
             "fig12_memory_density.svg",

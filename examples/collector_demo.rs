@@ -50,11 +50,7 @@ fn main() {
     let parsed = parse(content).expect("the file we just wrote parses");
     println!("\n-- parsed --");
     println!("host {}  arch {}  cores {}", parsed.hostname, parsed.arch, parsed.cores);
-    println!(
-        "{} records, {} job marks",
-        parsed.records().count(),
-        parsed.marks().count()
-    );
+    println!("{} records, {} job marks", parsed.records().count(), parsed.marks().count());
 
     println!("\n-- derived per-interval metrics --");
     println!(

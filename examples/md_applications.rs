@@ -35,9 +35,7 @@ fn main() {
 
     // The paper's reading of the figure.
     let idle_of = |ds: &MachineDataset, app: &str| {
-        reports::app_profiles(&ds.table, &[app])[0]
-            .values
-            .get(KeyMetric::CpuIdle)
+        reports::app_profiles(&ds.table, &[app])[0].values.get(KeyMetric::CpuIdle)
     };
     println!("-- the paper's conclusions, checked --");
     for (label, ds) in [("Ranger", &ranger), ("Lonestar4", &ls4)] {

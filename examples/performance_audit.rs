@@ -23,11 +23,7 @@ fn main() {
     // Day 9: the fan fails, the CPU throttles to 88 %.
     // Day 15: an OST rebuild drags scratch writes to 65 %.
     let timeline = HealthTimeline::new(vec![
-        DegradationEvent {
-            at: Timestamp(9 * 86_400),
-            subsystem: Subsystem::Cpu,
-            factor: 0.88,
-        },
+        DegradationEvent { at: Timestamp(9 * 86_400), subsystem: Subsystem::Cpu, factor: 0.88 },
         DegradationEvent {
             at: Timestamp(15 * 86_400),
             subsystem: Subsystem::FilesystemWrite,

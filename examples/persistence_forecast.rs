@@ -27,12 +27,7 @@ fn main() {
         println!("\n-- Figure 6: combined fit over all five metrics --");
         println!(
             "ratio = {:.3} (se {:.3}, p {:.1e})  +  {:.3} (se {:.3}, p {:.1e}) * log10(offset_min)",
-            fit.intercept,
-            fit.intercept_se,
-            fit.intercept_p,
-            fit.slope,
-            fit.slope_se,
-            fit.slope_p
+            fit.intercept, fit.intercept_se, fit.intercept_p, fit.slope, fit.slope_se, fit.slope_p
         );
         println!("R^2 = {:.3}   (paper, Ranger: -0.17 + 0.36*log10, R^2 = 0.87)", fit.r_squared);
         // The paper's horizon observation: predictability is gone near the
@@ -60,7 +55,10 @@ fn main() {
         .collect::<Vec<_>>()
         .join(", ");
     println!("\n-- complement-the-load suggestion (end of simulated window) --");
-    println!("current scratch traffic: {io_mbs:.0} MB/s; cpu idle share: {:.0}%", idle_share * 100.0);
+    println!(
+        "current scratch traffic: {io_mbs:.0} MB/s; cpu idle share: {:.0}%",
+        idle_share * 100.0
+    );
     println!("10-minute predictability ratios: {ten_min}");
     if io_mbs < 50.0 {
         println!("=> I/O is relatively free: prefer I/O-heavy queue jobs (WRF, ENZO class).");

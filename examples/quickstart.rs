@@ -10,10 +10,7 @@ use supremm_suite::prelude::*;
 fn main() {
     // A pocket-sized Ranger: 16 nodes, 2 simulated days.
     let cfg = ClusterConfig::ranger().scaled(16, 2);
-    println!(
-        "simulating {} ({} nodes x {} days) ...",
-        cfg.name, cfg.node_count, cfg.sim_days
-    );
+    println!("simulating {} ({} nodes x {} days) ...", cfg.name, cfg.node_count, cfg.sim_days);
     let ds = run_pipeline(cfg, &PipelineOptions::default());
 
     println!("\n-- collection --");
@@ -32,10 +29,7 @@ fn main() {
 
     println!("\n-- warehouse --");
     println!("node-hours:       {:.0}", ds.table.total_node_hours());
-    println!(
-        "weighted job len: {:.0} min",
-        ds.table.weighted_mean_job_len_min()
-    );
+    println!("weighted job len: {:.0} min", ds.table.weighted_mean_job_len_min());
     let agg = ds.table.global_aggregate();
     println!("avg cpu_idle:     {:.1}%", agg.means.get(KeyMetric::CpuIdle) * 100.0);
     println!(
@@ -52,6 +46,10 @@ fn main() {
     let dataset = supremm_suite::xdmod::framework::run(&ds.table, &query);
     print!(
         "{}",
-        supremm_suite::xdmod::render::to_ascii_table("node-hours by application", &dataset, "node_hours")
+        supremm_suite::xdmod::render::to_ascii_table(
+            "node-hours by application",
+            &dataset,
+            "node_hours"
+        )
     );
 }

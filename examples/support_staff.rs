@@ -51,10 +51,7 @@ fn main() {
     // Figure 5: the circled user.
     match reports::anomalous_user_profile(&ds.table, 0.8) {
         Some((user, idle, profile)) => {
-            println!(
-                "\n-- Figure 5: user {user} spent {:.0}% of node-hours idle --",
-                idle * 100.0
-            );
+            println!("\n-- Figure 5: user {user} spent {:.0}% of node-hours idle --", idle * 100.0);
             println!("normalized profile (everything but cpu_idle should look ordinary):");
             for (name, v) in profile.to_rows() {
                 println!("  {name:<18} {v:>6.2}x");
@@ -67,8 +64,7 @@ fn main() {
     // §4.3.1 job-completion failure profile: the ANCOR-style linkage of
     // rationalized logs with job metrics.
     use supremm_suite::xdmod::diagnose::{diagnose_failures, failure_profile};
-    let diagnoses =
-        diagnose_failures(&ds.table, &ds.syslog, ds.cfg.node_spec.mem_bytes as f64);
+    let diagnoses = diagnose_failures(&ds.table, &ds.syslog, ds.cfg.node_spec.mem_bytes as f64);
     println!("\n-- failure diagnosis ({} abnormal terminations) --", diagnoses.len());
     for (cause, n) in failure_profile(&diagnoses) {
         println!("  {:<20} {n}", cause.name());
@@ -79,9 +75,6 @@ fn main() {
     println!(
         "\nrationalized syslog: {} records, {} error-or-worse, all job-tagged where a job ran",
         ds.syslog.len(),
-        ds.syslog
-            .iter()
-            .filter(|r| r.severity >= supremm_suite::ratlog::Severity::Error)
-            .count()
+        ds.syslog.iter().filter(|r| r.severity >= supremm_suite::ratlog::Severity::Error).count()
     );
 }

@@ -11,8 +11,8 @@ pub use supremm_clustersim as clustersim;
 pub use supremm_core as core;
 pub use supremm_metrics as metrics;
 pub use supremm_procsim as procsim;
-pub use supremm_relay as relay;
 pub use supremm_ratlog as ratlog;
+pub use supremm_relay as relay;
 pub use supremm_taccstats as taccstats;
 pub use supremm_warehouse as warehouse;
 pub use supremm_xdmod as xdmod;

@@ -34,8 +34,7 @@ fn every_raw_file_parses_and_matches_its_key() {
 #[test]
 fn accounting_log_round_trips_through_text() {
     let ds = dataset();
-    let text: String =
-        ds.accounting.iter().map(|r| r.to_line() + "\n").collect();
+    let text: String = ds.accounting.iter().map(|r| r.to_line() + "\n").collect();
     let parsed = parse_file(&text);
     assert_eq!(parsed.len(), ds.accounting.len());
     for (a, b) in parsed.iter().zip(&ds.accounting) {
@@ -46,8 +45,7 @@ fn accounting_log_round_trips_through_text() {
 #[test]
 fn warehouse_agrees_with_accounting_ground_truth() {
     let ds = dataset();
-    let by_id: std::collections::HashMap<_, _> =
-        ds.accounting.iter().map(|a| (a.job, a)).collect();
+    let by_id: std::collections::HashMap<_, _> = ds.accounting.iter().map(|a| (a.job, a)).collect();
     for job in ds.table.jobs() {
         let acct = by_id[&job.job];
         assert_eq!(job.user, acct.owner);
@@ -64,9 +62,8 @@ fn every_ingested_job_has_a_lariat_record_and_consistent_app() {
     let lariat_by_id: std::collections::HashMap<_, _> =
         ds.lariat.iter().map(|l| (l.job, l)).collect();
     for job in ds.table.jobs() {
-        let lariat = lariat_by_id
-            .get(&job.job)
-            .unwrap_or_else(|| panic!("job {} missing lariat", job.job));
+        let lariat =
+            lariat_by_id.get(&job.job).unwrap_or_else(|| panic!("job {} missing lariat", job.job));
         match &job.app {
             Some(app) => assert_eq!(app, &lariat.app_name),
             // Only the long-tail custom code lacks a resolvable name.
@@ -78,11 +75,7 @@ fn every_ingested_job_has_a_lariat_record_and_consistent_app() {
 #[test]
 fn node_hours_roughly_conserved_between_sim_and_warehouse() {
     let ds = dataset();
-    let acct_nh: f64 = ds
-        .accounting
-        .iter()
-        .map(|a| a.node_hours())
-        .sum();
+    let acct_nh: f64 = ds.accounting.iter().map(|a| a.node_hours()).sum();
     let table_nh = ds.table.total_node_hours();
     // The table misses only sub-interval jobs.
     assert!(table_nh <= acct_nh + 1e-6);
@@ -92,11 +85,7 @@ fn node_hours_roughly_conserved_between_sim_and_warehouse() {
 #[test]
 fn xdmod_queries_are_consistent_with_direct_aggregation() {
     let ds = dataset();
-    let q = Query {
-        dimension: Dimension::None,
-        statistic: Statistic::NodeHours,
-        filters: vec![],
-    };
+    let q = Query { dimension: Dimension::None, statistic: Statistic::NodeHours, filters: vec![] };
     let total = run_query(&ds.table, &q).get("all").unwrap();
     assert!((total - ds.table.total_node_hours()).abs() < 1e-6);
 
@@ -147,8 +136,7 @@ fn syslog_failure_events_reference_real_jobs() {
     let ds = dataset();
     // Lariat records are written at job *start*, so they also cover jobs
     // still running when the window closed (which accounting cannot).
-    let known: std::collections::HashSet<_> =
-        ds.lariat.iter().map(|l| l.job).collect();
+    let known: std::collections::HashSet<_> = ds.lariat.iter().map(|l| l.job).collect();
     for rec in &ds.syslog {
         if let Some(job) = rec.job {
             assert!(known.contains(&job), "syslog references unknown job {job}");

@@ -128,9 +128,9 @@ fn golden_archive() -> (RawArchive, Vec<AccountingRecord>) {
         let mut c = Collector::new(host);
         let mut ts = Timestamp(600);
         while ts < end {
-            let running = jobs
-                .iter()
-                .find(|(_, hosts, start, stop)| hosts.contains(&host) && *start <= ts && ts < *stop);
+            let running = jobs.iter().find(|(_, hosts, start, stop)| {
+                hosts.contains(&host) && *start <= ts && ts < *stop
+            });
             kernel.advance(if running.is_some() { &busy } else { &idle }, 600.0);
             match jobs.iter().find(|(_, hosts, start, _)| hosts.contains(&host) && *start == ts) {
                 Some((job, ..)) => c.begin_job(&mut kernel, *job, ts),
@@ -320,11 +320,9 @@ fn corrupted_pair() -> RawArchive {
 #[test]
 fn strict_mode_rejects_damaged_files_whole() {
     let archive = corrupted_pair();
-    let strict = consume_archive(
-        &archive,
-        ConsumeOptions { strict: true, ..ConsumeOptions::default() },
-    )
-    .finish(&[], &[]);
+    let strict =
+        consume_archive(&archive, ConsumeOptions { strict: true, ..ConsumeOptions::default() })
+            .finish(&[], &[]);
     assert_eq!(strict.stats.files, 2);
     assert_eq!(strict.stats.parse_errors, 1, "exactly the damaged file");
 
@@ -359,10 +357,7 @@ fn strict_error_precedence_is_unchanged() {
 
     // With a well-formed row it *is* the structural error.
     let text2 = text.replace(" x ", " 3 ");
-    assert!(matches!(
-        parse(&text2).unwrap_err(),
-        ParseError::RecordBeforeTimestamp { .. }
-    ));
+    assert!(matches!(parse(&text2).unwrap_err(), ParseError::RecordBeforeTimestamp { .. }));
 }
 
 // ---------------------------------------------------------------------

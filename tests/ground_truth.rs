@@ -27,8 +27,7 @@ fn injected_idle_anomalies_survive_the_measurement_chain() {
     let sim = Simulation::new(ds.cfg.clone());
     let mut found = 0;
     for user in sim.users().anomalous() {
-        let jobs: Vec<_> =
-            ds.table.jobs().iter().filter(|j| j.user == user.id).collect();
+        let jobs: Vec<_> = ds.table.jobs().iter().filter(|j| j.user == user.id).collect();
         if jobs.is_empty() {
             continue;
         }
@@ -54,12 +53,8 @@ fn app_idle_ordering_matches_catalog_signatures() {
     let ds = dataset();
     let catalog = AppCatalog::standard();
     let idle_of = |name: &str| {
-        let jobs: Vec<_> = ds
-            .table
-            .jobs()
-            .iter()
-            .filter(|j| j.app.as_deref() == Some(name))
-            .collect();
+        let jobs: Vec<_> =
+            ds.table.jobs().iter().filter(|j| j.app.as_deref() == Some(name)).collect();
         assert!(jobs.len() >= 3, "{name}: only {} jobs at this scale", jobs.len());
         supremm_suite::warehouse::store::weighted_metric_mean(
             jobs.iter().copied(),
@@ -68,10 +63,7 @@ fn app_idle_ordering_matches_catalog_signatures() {
     };
     let namd = idle_of("NAMD");
     let amber = idle_of("AMBER");
-    assert!(
-        amber > 1.5 * namd,
-        "AMBER ({amber:.3}) should idle far more than NAMD ({namd:.3})"
-    );
+    assert!(amber > 1.5 * namd, "AMBER ({amber:.3}) should idle far more than NAMD ({namd:.3})");
     // And both should be in the ballpark of their configured medians.
     let namd_sig = catalog.by_name("NAMD").unwrap().signature_for(false, 1.0, ds.cfg.idle_scale);
     assert!(

@@ -166,9 +166,7 @@ fn run_agents(addr: &str, spool_dir: &Path, obs: &ObsHandle) {
 /// Fetch `/v1/metrics` over the live socket.
 fn fetch_metrics(addr: &str) -> String {
     let mut stream = std::net::TcpStream::connect(addr).unwrap();
-    stream
-        .write_all(b"GET /v1/metrics HTTP/1.1\r\nHost: t\r\nConnection: close\r\n\r\n")
-        .unwrap();
+    stream.write_all(b"GET /v1/metrics HTTP/1.1\r\nHost: t\r\nConnection: close\r\n\r\n").unwrap();
     let mut body = String::new();
     stream.read_to_string(&mut body).unwrap();
     body
@@ -244,10 +242,7 @@ fn chaos_severed_connections_and_torn_spools_still_converge() {
                 // first send, so a torn frame is by construction one the
                 // server never saw — its seq was never consumed.)
                 {
-                    let mut f = std::fs::OpenOptions::new()
-                        .append(true)
-                        .open(&spool)
-                        .unwrap();
+                    let mut f = std::fs::OpenOptions::new().append(true).open(&spool).unwrap();
                     f.write_all(&supremm_relay::wire::MAGIC).unwrap();
                     f.write_all(&1000u32.to_le_bytes()).unwrap();
                     f.write_all(&[0xab; 10]).unwrap();
@@ -334,8 +329,7 @@ fn server_drain_preserves_every_acked_batch() {
     let by_host = files_by_host();
     let (host, files) = by_host.iter().next().unwrap();
     let spool = dir.join("spool.q");
-    let mut agent =
-        Agent::open("agent-drain", &server.addr, &spool, agent_opts(&obs)).unwrap();
+    let mut agent = Agent::open("agent-drain", &server.addr, &spool, agent_opts(&obs)).unwrap();
     for f in files {
         agent.offer_file(host, f).unwrap();
     }
@@ -345,7 +339,6 @@ fn server_drain_preserves_every_acked_batch() {
 
     let (store, _) = server.stop();
     // Every acked sample survived the drain into the store.
-    let total: u64 =
-        dump(&store.read().unwrap()).iter().map(|(_, _, s)| s.len() as u64).sum();
+    let total: u64 = dump(&store.read().unwrap()).iter().map(|(_, _, s)| s.len() as u64).sum();
     assert_eq!(total, acked_samples, "drain lost acked samples");
 }

@@ -393,21 +393,13 @@ mod scheduler_props {
                 // Schedule.
                 let reservations: Vec<Reservation> = running
                     .iter()
-                    .map(|(_, hosts, end)| Reservation {
-                        end: *end,
-                        nodes: hosts.len() as u32,
-                    })
+                    .map(|(_, hosts, end)| Reservation { end: *end, nodes: hosts.len() as u32 })
                     .collect();
                 for (job, hosts) in s.schedule(now, &reservations) {
                     assert_eq!(hosts.len(), job.nodes as usize);
                     let end = now + job.duration;
                     for h in &hosts {
-                        assert!(
-                            !busy.contains_key(h),
-                            "node {} double-booked at t={}",
-                            h,
-                            now.0
-                        );
+                        assert!(!busy.contains_key(h), "node {} double-booked at t={}", h, now.0);
                         busy.insert(*h, (job.id, end));
                     }
                     running.push((job.id, hosts, end));
@@ -514,10 +506,7 @@ fn retention_pass_preserves_surviving_raw_and_rolled_history() {
         drop(db);
         let db = Tsdb::open_with(&dir, opts).unwrap();
         assert_eq!(db.query(&all, target, u64::MAX).unwrap(), pre_raw);
-        assert_eq!(
-            db.downsample(&all, 0, u64::MAX, coarse, Agg::Count).unwrap(),
-            pre_down
-        );
+        assert_eq!(db.downsample(&all, 0, u64::MAX, coarse, Agg::Count).unwrap(), pre_down);
         let _ = std::fs::remove_dir_all(&dir);
     });
 }

@@ -25,9 +25,9 @@ use std::sync::{Arc, RwLock};
 
 use supremm_metrics::json::Value;
 use supremm_obs::ObsRegistry;
+use supremm_relay::agent::read_http_response;
 use supremm_warehouse::tsdb::Tsdb;
 use supremm_warehouse::JobTable;
-use supremm_relay::agent::read_http_response;
 use supremm_xdmod::serve::{serve, ServeOptions};
 
 fn env_or(name: &str, default: usize) -> usize {
@@ -112,11 +112,7 @@ fn soak_serve_layer_under_concurrent_writes() {
         let flag = shutdown.clone();
         let obs = obs.clone();
         std::thread::spawn(move || {
-            let opts = ServeOptions {
-                slow_query_micros: 250_000,
-                obs,
-                ..ServeOptions::default()
-            };
+            let opts = ServeOptions { slow_query_micros: 250_000, obs, ..ServeOptions::default() };
             serve(&table, Some(&store), listener, &flag, &opts).expect("serve");
         })
     };
@@ -206,8 +202,7 @@ fn soak_serve_layer_under_concurrent_writes() {
         let direct = db
             .query(&supremm_warehouse::tsdb::Selector::default(), 0, u64::MAX)
             .expect("oracle query");
-        let oracle: Vec<(u64, f64)> =
-            direct.into_iter().flat_map(|(_, points)| points).collect();
+        let oracle: Vec<(u64, f64)> = direct.into_iter().flat_map(|(_, points)| points).collect();
         assert_eq!(served, oracle, "served body disagrees with a direct store query");
     }
 
@@ -276,11 +271,7 @@ fn retention_pass_races_keep_alive_readers_and_live_writer() {
         let flag = shutdown.clone();
         let obs = obs.clone();
         std::thread::spawn(move || {
-            let opts = ServeOptions {
-                slow_query_micros: 250_000,
-                obs,
-                ..ServeOptions::default()
-            };
+            let opts = ServeOptions { slow_query_micros: 250_000, obs, ..ServeOptions::default() };
             serve(&table, Some(&store), listener, &flag, &opts).expect("serve");
         })
     };
@@ -386,8 +377,7 @@ fn retention_pass_races_keep_alive_readers_and_live_writer() {
                     // 3. Tier-served read: every Last bin's value names
                     //    a sample inside that bin, and the envelope
                     //    says which tiers answered.
-                    let (status, body) =
-                        client.get("/v1/series?host=h&metric=m&bin=100&agg=last");
+                    let (status, body) = client.get("/v1/series?host=h&metric=m&bin=100&agg=last");
                     assert!(status < 500, "client {c}: binned 5xx: {body}");
                     assert_eq!(status, 200, "client {c}: {body}");
                     let v = Value::parse(&body).expect("binned body parses");
