@@ -16,12 +16,14 @@
 //! ├── wal.log              append-only write-ahead log (torn-tail safe)
 //! ├── seg-000001.tsdb      immutable sealed segment (CRC'd blocks + index)
 //! ├── seg-000002.tsdb
-//! ├── roll-3600-000001.tsdb  rollup tier segment (pre-aggregated bins)
+//! ├── roll-3600-000004.tsdb  one rollup level: a segment of stats chunks
+//! │                          (its highest seq; open deletes older ones)
 //! └── retention.manifest   per-tier watermarks (rolled/dropped; CRC'd)
 //! ```
 //!
 //! - [`codec`] — Gorilla-style per-series chunk compression:
-//!   delta-of-delta timestamps and XOR / zigzag-varint values; plus the
+//!   delta-of-delta timestamps and XOR / zigzag-varint values, for sample
+//!   chunks and for a rollup level's stats chunks; plus the
 //!   one reader/writer for varint-length-prefixed fields every
 //!   container here (and the relay wire format) uses;
 //! - [`durable`] — the durable-file layer: atomic whole-file replace and
@@ -42,8 +44,8 @@
 //!   (the warehouse's job table rides on it);
 //! - [`retention`] — time-partitioned retention + multi-resolution
 //!   rollup tiers: [`retention::RetentionPolicy`], the durable
-//!   watermark manifest, and the rollup segment payload format driven
-//!   by [`Tsdb::enforce_retention`].
+//!   watermark manifest, and the one-file-per-level layout that
+//!   [`Tsdb::enforce_retention`] rewrites each pass.
 //!
 //! Durability contract: a sample is *acked* once [`Tsdb::sync`] (or
 //! [`Tsdb::flush`]) returns. Recovery after any crash — including a torn

@@ -11,24 +11,39 @@
 //!
 //! Three durable artifacts cooperate:
 //!
-//! - **rollup segments** (`roll-<bin>-<seq>.tsdb`, segment kind
-//!   [`crate::segment::KIND_ROLLUP`]): per `(host, metric)` series, one
-//!   [`ChunkStats`] row per time bin — the exact count / sequential sum
-//!   / min / max / last a downsampling bin would have computed from the
-//!   raw samples ([`crate::stats`] owns that arithmetic). Sealed like
-//!   every other segment.
+//! - **level files** (`roll-<bin>-<seq>.tsdb`, segment kind
+//!   [`crate::segment::KIND_STATS`]): one per rollup level, an ordinary
+//!   series-indexed segment whose chunks are *stats chunks* — per
+//!   `(host, metric)` series, one [`crate::stats::ChunkStats`] per time
+//!   bin: the exact count / sequential sum / min / max / last a
+//!   downsampling bin would have computed from the raw samples
+//!   ([`crate::stats`] owns that arithmetic). A level is read through
+//!   the raw tier's read plan and fold.
 //! - **the manifest** (`retention.manifest`): per-tier watermarks. The
 //!   watermark *is* the deletion record: any raw segment wholly below
-//!   `raw_dropped_before` (and any rollup segment wholly below its
-//!   level's `dropped_before`) is a crashed drop that open completes,
-//!   so reopen after a crash at any point is unambiguous. Drops are
-//!   whole-segment only — never partial file edits.
+//!   `raw_dropped_before` is a crashed drop that open completes, and
+//!   bins below a level's `dropped_before` are clipped at read time and
+//!   left out of the level's next file. Drops are whole-file only —
+//!   never partial file edits.
 //! - **`rolled_through` marks**: raw data below a level's mark has been
 //!   rolled into that level. The raw watermark only advances to the
-//!   minimum of all marks, so a crash between "rollup sealed" and
-//!   "manifest updated" merely re-rolls the same window from the raw
-//!   data that is still guaranteed present — and the last-write-wins
-//!   bin merge makes the duplicate rollup segment a no-op.
+//!   minimum of all marks, so raw data a level still needs is always
+//!   present.
+//!
+//! Each pass rewrites a level that is behind: it merge-joins, in series
+//! order, the level's file (its bins in `[dropped_before,
+//! rolled_through)`) with the bins newly rolled from the raw tier, seals
+//! the result as the next seq, commits the new mark, and deletes the
+//! older file. A series' bins are cut into chunks on *cells* — whole
+//! multiples of the coarsest bin, [`RetentionPolicy::chunk_cell`] — and
+//! every `chunk_samples` bins, so a chunk's bytes depend on its cell's
+//! bins alone; marks move by whole coarsest bins, so the pass copies
+//! the chunks of every cell it keeps whole without decoding them. **A level is its highest-seq file**: open deletes any
+//! lower seq as superseded, and bins at or past a level's mark belong
+//! to a pass that never committed — no tier window reaches them, and
+//! the next merge leaves them out. So a crash at any point leaves every
+//! tier answering from committed bins only, and re-running the pass
+//! writes the bytes an uninterrupted one would have.
 //!
 //! Alignment rule: level bins must form a divisibility chain (each
 //! coarser bin a multiple of the finer) and every watermark is aligned
@@ -39,12 +54,9 @@ use std::collections::BTreeMap;
 use std::fs;
 use std::path::Path;
 
-use crate::codec::{get_stats, get_str_table, get_varint, put_stats, put_varint, StrTable};
 use crate::crc::crc32;
-use crate::db::Selector;
 use crate::durable;
 use crate::segment::TsdbError;
-use crate::stats::{BinAcc, ChunkStats};
 
 /// On-disk name of the retention manifest inside a store directory.
 pub const MANIFEST_FILE: &str = "retention.manifest";
@@ -159,7 +171,26 @@ impl RetentionPolicy {
     pub fn coarsest_bin(&self) -> u64 {
         self.levels.last().map(|l| l.bin_secs).unwrap_or(1).max(1)
     }
+
+    /// The cells a `bin_secs` level's stats chunks are cut on: the
+    /// fewest whole quanta of [`RetentionPolicy::coarsest_bin`] that
+    /// hold [`CELL_BINS`] of its bins. Every mark moves by whole quanta,
+    /// so a pass finds most of a level's cells either wholly kept or
+    /// wholly gone, and copies a kept one's chunks without decoding them.
+    pub fn chunk_cell(&self, bin_secs: u64) -> u64 {
+        let quantum = self.coarsest_bin();
+        let per_quantum = (quantum / bin_secs.max(1)).max(1);
+        quantum.saturating_mul(CELL_BINS.div_ceil(per_quantum))
+    }
 }
+
+/// The fewest bins a level's cell holds (see
+/// [`RetentionPolicy::chunk_cell`]). It trades a store's open against
+/// its pass: every chunk's ≈ 50-byte index ref is read and checked at
+/// each open, and a pass decodes and re-encodes the newest, partly
+/// filled cell. At 48 an hourly level under a daily quantum is cut into
+/// two-day cells.
+const CELL_BINS: u64 = 48;
 
 /// Parse `"90"`, `"90s"`, `"15m"`, `"12h"`, `"7d"`, `"2w"` to seconds.
 fn parse_duration_secs(s: &str) -> Result<u64, String> {
@@ -185,8 +216,8 @@ pub struct LevelMark {
     /// level (always a multiple of the coarsest bin).
     pub rolled_through: u64,
     /// Bins with `bin_start < dropped_before` are logically gone from
-    /// this level (also coarsest-aligned); segments wholly below it are
-    /// deleted, spanning segments are clipped at read time.
+    /// this level (also coarsest-aligned): clipped at read time, and left
+    /// out when the level's file is next rewritten.
     pub dropped_before: u64,
 }
 
@@ -307,27 +338,28 @@ impl RetentionManifest {
 /// What one [`Tsdb::enforce_retention`] pass did.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct RetentionReport {
-    /// Rollup segments sealed this pass.
+    /// Level files sealed this pass.
     pub rollup_segments_written: usize,
-    /// Total bins written into those segments.
+    /// Bins newly rolled into those files (bins a file carried over
+    /// from the one it superseded do not count).
     pub rollup_bins_written: u64,
     /// Raw segments deleted (whole files only).
     pub raw_segments_dropped: usize,
-    /// Rollup segments deleted (whole files only).
+    /// Level files deleted: each one a newer file superseded.
     pub rollup_segments_dropped: usize,
     /// The raw watermark after the pass.
     pub raw_watermark: u64,
 }
 
 /// Fault-injection hook fired at every durability transition inside
-/// [`Tsdb::enforce_retention`] (before each rollup seal, manifest
+/// [`Tsdb::enforce_retention`] (before each level file seal, manifest
 /// write, and file delete, and after each seal). Returning `true`
 /// aborts the pass with an `Interrupted` error at that exact point —
 /// the torture tests use it to simulate a crash everywhere a real one
 /// could land. Production stores never set it.
 pub type FaultHook = Box<dyn FnMut(&str) -> bool + Send + Sync>;
 
-/// Rollup segment file name for one level + sequence number.
+/// Level file name for one level + sequence number.
 pub(crate) fn roll_file_name(bin_secs: u64, seq: u64) -> String {
     // suplint: allow(R7) -- filename built once per rollup segment seal
     format!("roll-{bin_secs}-{seq:06}.tsdb")
@@ -339,130 +371,6 @@ pub(crate) fn roll_id(path: &Path) -> Option<(u64, u64)> {
     let rest = name.strip_prefix("roll-")?.strip_suffix(".tsdb")?;
     let (bin, seq) = rest.split_once('-')?;
     Some((bin.parse().ok()?, seq.parse().ok()?))
-}
-
-/// One finished rollup block: the payload, the inclusive time range
-/// `(min_ts, max_ts)` its bins cover, and the bin count.
-pub(crate) type RollupBlock = (Vec<u8>, u64, u64, u32);
-
-/// Builds one rollup block a series at a time, in series-key order.
-/// Layout (all varints unless noted):
-///
-/// ```text
-/// bin_secs
-/// n_hosts   · (len · bytes)*            string tables
-/// n_metrics · (len · bytes)*
-/// n_series  · per series:
-///   host_id · metric_id · n_bins · per bin:
-///     bin_start · count · u64 sum/min/max/last bits (LE, fixed)
-/// ```
-#[derive(Default)]
-pub(crate) struct RollupBlockBuilder<'a> {
-    bin_secs: u64,
-    hosts: StrTable<'a>,
-    metrics: StrTable<'a>,
-    /// The per-series rows, which follow the tables in the payload.
-    rows: Vec<u8>,
-    n_series: u64,
-    n_bins: u64,
-    min_ts: u64,
-    max_ts: u64,
-}
-
-impl<'a> RollupBlockBuilder<'a> {
-    pub(crate) fn new(bin_secs: u64) -> RollupBlockBuilder<'a> {
-        RollupBlockBuilder { bin_secs, min_ts: u64::MAX, ..Default::default() }
-    }
-
-    /// Add one series' finished bins, `(bin_start, acc)` ascending; a
-    /// series with none adds nothing.
-    pub(crate) fn push_series(&mut self, host: &'a str, metric: &'a str, bins: &[(u64, BinAcc)]) {
-        let (Some(&(first, _)), Some(&(last, _))) = (bins.first(), bins.last()) else { return };
-        self.min_ts = self.min_ts.min(first);
-        self.max_ts = self.max_ts.max(last.saturating_add(self.bin_secs.saturating_sub(1)));
-        self.n_series += 1;
-        self.n_bins += bins.len() as u64;
-        put_varint(&mut self.rows, self.hosts.intern(host));
-        put_varint(&mut self.rows, self.metrics.intern(metric));
-        put_varint(&mut self.rows, bins.len() as u64);
-        for &(bin_start, BinAcc { count, sum, min, max, last }) in bins {
-            put_varint(&mut self.rows, bin_start);
-            put_stats(&mut self.rows, &ChunkStats { count, sum, min, max, last });
-        }
-    }
-
-    /// `None` when no series had a bin.
-    pub(crate) fn finish(self) -> Option<RollupBlock> {
-        if self.n_series == 0 {
-            return None;
-        }
-        let mut payload = Vec::with_capacity(self.rows.len() + 64);
-        put_varint(&mut payload, self.bin_secs);
-        self.hosts.write(&mut payload);
-        self.metrics.write(&mut payload);
-        put_varint(&mut payload, self.n_series);
-        payload.extend_from_slice(&self.rows);
-        Some((payload, self.min_ts, self.max_ts, u32::try_from(self.n_bins).unwrap_or(u32::MAX)))
-    }
-}
-
-/// Walk one rollup block, handing `visit` each series `sel` accepts as
-/// `(host, metric, bins)`, bins ascending by start; returns the block's
-/// `bin_secs`. A series `sel` refuses is stepped over: nothing of it is
-/// kept. Every failure is a named [`TsdbError::Corrupt`] — the CRC
-/// should have caught damage first, so reaching one of these means a
-/// logic or format mismatch — and the series visited before it must be
-/// discarded with it.
-pub(crate) fn decode_rollup_block(
-    payload: &[u8],
-    path: &Path,
-    sel: &Selector,
-    mut visit: impl FnMut(&str, &str, &[(u64, ChunkStats)]),
-) -> Result<u64, TsdbError> {
-    let bad = |what: &str| TsdbError::Corrupt(format!("{}: rollup block: {what}", path.display()));
-    let mut pos = 0usize;
-    let bin_secs = get_varint(payload, &mut pos).ok_or_else(|| bad("bin_secs"))?;
-    if bin_secs == 0 {
-        return Err(bad("bin_secs must be positive"));
-    }
-    let hosts = get_str_table(payload, &mut pos).ok_or_else(|| bad("host table"))?;
-    let metrics = get_str_table(payload, &mut pos).ok_or_else(|| bad("metric table"))?;
-    let n_series = get_varint(payload, &mut pos).ok_or_else(|| bad("series count"))? as usize;
-    if n_series > payload.len() {
-        return Err(bad("series count out of range"));
-    }
-    let mut bins: Vec<(u64, ChunkStats)> = Vec::new();
-    for _ in 0..n_series {
-        let host_id = get_varint(payload, &mut pos).ok_or_else(|| bad("host id"))? as usize;
-        let metric_id = get_varint(payload, &mut pos).ok_or_else(|| bad("metric id"))? as usize;
-        let n = get_varint(payload, &mut pos).ok_or_else(|| bad("bin count"))? as usize;
-        if n > payload.len() {
-            return Err(bad("bin count out of range"));
-        }
-        let host = hosts.get(host_id).ok_or_else(|| bad("host id out of range"))?;
-        let metric = metrics.get(metric_id).ok_or_else(|| bad("metric id out of range"))?;
-        let wanted = sel.accepts(host, metric);
-        bins.clear();
-        let mut prev: Option<u64> = None;
-        for _ in 0..n {
-            let bin_start = get_varint(payload, &mut pos).ok_or_else(|| bad("bin start"))?;
-            if prev.is_some_and(|p| bin_start <= p) {
-                return Err(bad("bin starts not strictly ascending"));
-            }
-            prev = Some(bin_start);
-            let stats = get_stats(payload, &mut pos).ok_or_else(|| bad("bin stats"))?;
-            if wanted {
-                bins.push((bin_start, stats));
-            }
-        }
-        if wanted {
-            visit(host, metric, &bins);
-        }
-    }
-    if pos != payload.len() {
-        return Err(bad("trailing bytes"));
-    }
-    Ok(bin_secs)
 }
 
 #[cfg(test)]
@@ -557,107 +465,6 @@ mod tests {
             );
         }
         let _ = fs::remove_dir_all(&dir);
-    }
-
-    /// One decoded series: names and bins, stats as bit patterns.
-    type Row = (String, String, Vec<(u64, [u64; 5])>);
-
-    fn bits(count: u64, [sum, min, max, last]: [f64; 4]) -> [u64; 5] {
-        [count, sum.to_bits(), min.to_bits(), max.to_bits(), last.to_bits()]
-    }
-
-    /// Everything the visitor hands over for `sel`, with the bin width.
-    fn visit_all(payload: &[u8], sel: &Selector) -> Result<(u64, Vec<Row>), TsdbError> {
-        let mut rows: Vec<Row> = Vec::new();
-        let bin = decode_rollup_block(payload, Path::new("x"), sel, |host, metric, bins| {
-            let bins = bins
-                .iter()
-                .map(|&(bs, s)| (bs, bits(s.count, [s.sum, s.min, s.max, s.last])))
-                .collect();
-            rows.push((host.to_owned(), metric.to_owned(), bins));
-        })?;
-        Ok((bin, rows))
-    }
-
-    #[test]
-    fn rollup_block_round_trips_bitwise() {
-        let nan = f64::from_bits(0x7FF8_0000_0000_0001);
-        let (inf, ninf) = (f64::INFINITY, f64::NEG_INFINITY);
-        let series = [
-            (
-                "h1",
-                "cpu",
-                vec![
-                    (0, BinAcc { count: 3, sum: 6.5, min: 1.0, max: 4.0, last: 1.5 }),
-                    (600, BinAcc { count: 1, sum: nan, min: inf, max: ninf, last: nan }),
-                ],
-            ),
-            // A series with no bin leaves no trace, not even its names.
-            ("h1", "idle", vec![]),
-            (
-                "h2",
-                "mem",
-                vec![(1200, BinAcc { count: 2, sum: -0.0, min: -0.0, max: 0.0, last: 0.0 })],
-            ),
-        ];
-        let mut builder = RollupBlockBuilder::new(600);
-        for (host, metric, bins) in &series {
-            builder.push_series(host, metric, bins);
-        }
-        let (payload, min_ts, max_ts, n) = builder.finish().unwrap();
-        assert_eq!((min_ts, max_ts, n), (0, 1799, 3));
-        // Format pin: same bytes as before the shared codec helpers.
-        assert_eq!((payload.len(), crc32(&payload)), (129, 0xEE93_945B));
-
-        let want: Vec<Row> = series
-            .iter()
-            .filter(|(_, _, bins)| !bins.is_empty())
-            .map(|(host, metric, bins)| {
-                let bins = bins
-                    .iter()
-                    .map(|&(bs, a)| (bs, bits(a.count, [a.sum, a.min, a.max, a.last])))
-                    .collect();
-                (host.to_string(), metric.to_string(), bins)
-            })
-            .collect();
-        assert_eq!(visit_all(&payload, &Selector::all()).unwrap(), (600, want.clone()));
-        // The selector is asked per series: a refused one is never
-        // handed over, and the walk still ends on the last byte.
-        for (sel, keep) in [
-            (Selector::host("h2"), vec![1]),
-            (Selector::metric("cpu"), vec![0]),
-            (Selector { host: Some("h1".into()), metric: Some("mem".into()) }, vec![]),
-            (Selector::host("h0"), vec![]),
-        ] {
-            let kept: Vec<Row> = keep.iter().map(|&i: &usize| want[i].clone()).collect();
-            assert_eq!(visit_all(&payload, &sel).unwrap(), (600, kept), "{sel:?}");
-        }
-        // No rows encode to nothing.
-        assert!(RollupBlockBuilder::new(600).finish().is_none());
-    }
-
-    /// Truncated anywhere, the block is refused whatever the selector
-    /// let through before the cut; a flipped byte never panics, and one
-    /// the decoder accepts still ends on the payload's last byte.
-    #[test]
-    fn rollup_block_decode_never_panics_on_corruption() {
-        let one = BinAcc { count: 1, sum: 1.0, min: 1.0, max: 1.0, last: 1.0 };
-        let mut builder = RollupBlockBuilder::new(60);
-        builder.push_series("h", "m", &[(0, one)]);
-        builder.push_series("h", "n", &[(0, one), (60, one)]);
-        let (payload, ..) = builder.finish().unwrap();
-        for sel in [Selector::all(), Selector::metric("n"), Selector::host("nope")] {
-            for cut in 0..payload.len() {
-                assert!(visit_all(&payload[..cut], &sel).is_err(), "cut {cut} {sel:?}");
-            }
-            for i in 0..payload.len() {
-                let mut bad = payload.clone();
-                bad[i] ^= 0xFF;
-                if let Ok((bin, rows)) = visit_all(&bad, &sel) {
-                    assert!(bin > 0 && rows.len() <= 2, "flip {i} {sel:?}");
-                }
-            }
-        }
     }
 
     #[test]

@@ -44,9 +44,9 @@
 //!   verification.
 //! - a block frame's `crc32` covers the whole payload and is checked by
 //!   [`SegmentReader::read_block`], the unit for whole-block consumers
-//!   (the naive oracles, [`crate::recordlog`], rollup blocks, which
-//!   have no chunk index). A series block's payload is its chunks and
-//!   nothing else, so every byte of it also sits under a chunk CRC.
+//!   (the naive oracles, and [`crate::recordlog`], whose blocks have no
+//!   chunk index). A series block's payload is its chunks and nothing
+//!   else, so every byte of it also sits under a chunk CRC.
 //!
 //! One format version is written and read: [`VERSION`]. Any other
 //! version in the header is refused at open with
@@ -65,6 +65,17 @@
 //! blocks still led with string tables and gave each chunk a `(host_id,
 //! metric_id, len)` prefix reads exactly as a bare one (`compact`
 //! rewrites such a file bare).
+//!
+//! Stats-block payload (kind 3, one rollup level): the same, but each
+//! chunk is a *stats chunk* — one series' `bin_secs`-wide bins, `varint
+//! n · bin starts as a timestamp stream · count, sum, min, max and last
+//! each as a value stream` (see [`codec::encode_stats_chunk_into`]).
+//! Its ref's time range is the time its bins cover, first start to last
+//! start + `bin_secs` − 1, and its stats are its bins folded in order,
+//! so a reader plans, fetches, verifies and folds it as it does a raw
+//! chunk. Kind 2 — a rollup level as opaque blocks with their own
+//! string tables and fixed-width stats per bin — is retired: a store
+//! holding such a file does not open, and the file is left alone.
 //!
 //! Index frame: the block entries, then the series-index tail.
 //!
@@ -134,7 +145,7 @@ use crate::codec::{
 use crate::crc::crc32;
 use crate::db::Selector;
 use crate::durable;
-use crate::stats::ChunkStats;
+use crate::stats::{BinAcc, ChunkStats};
 
 pub const MAGIC: &[u8; 8] = b"SUPTSDB1";
 pub const FOOTER_MAGIC: &[u8; 4] = b"BDST";
@@ -143,8 +154,11 @@ pub const VERSION: u16 = 3;
 pub const KIND_SERIES: u8 = 0;
 /// Segment holds opaque length-framed records (job table, etc.).
 pub const KIND_RECORDS: u8 = 1;
-/// Segment holds pre-aggregated rollup bins (see `tsdb::retention`).
-pub const KIND_ROLLUP: u8 = 2;
+/// Segment holds one rollup level: per series, stats chunks of
+/// pre-aggregated bins (see `tsdb::retention`). Kind 2, the opaque
+/// rollup block that came before it, is retired: a store holding one
+/// does not open.
+pub const KIND_STATS: u8 = 3;
 
 const HEADER_LEN: usize = 12;
 const FOOTER_LEN: usize = 20;
@@ -279,6 +293,66 @@ impl SegmentWriter {
             chunk_min = chunk_min.min(ts);
             chunk_max = chunk_max.max(ts);
         }
+        let stats = ChunkStats::from_samples(samples);
+        self.push_encoded(host, metric, (chunk_min, chunk_max), stats, |image| {
+            codec::encode_chunk_into(image, samples);
+            None
+        })
+    }
+
+    /// Encode one stats chunk — `bin_secs`-wide bins, `(start, stats)`
+    /// ascending — into the open block, as [`SegmentWriter::push_chunk`]
+    /// does a sample chunk. Its time range is the time its bins cover,
+    /// and its stats are its bins folded in order.
+    pub(crate) fn push_stats_chunk(
+        &mut self,
+        host: &str,
+        metric: &str,
+        bin_secs: u64,
+        bins: &[(u64, ChunkStats)],
+    ) -> usize {
+        let span = match (bins.first(), bins.last()) {
+            (Some(&(first, _)), Some(&(last, _))) => {
+                (first, last.saturating_add(bin_secs.saturating_sub(1)))
+            }
+            _ => (u64::MAX, 0),
+        };
+        let mut acc = BinAcc::new();
+        bins.iter().for_each(|(_, stats)| acc.fold_chunk(stats));
+        self.push_encoded(host, metric, span, acc.stats(), |image| {
+            codec::encode_stats_chunk_into(image, bins);
+            None
+        })
+    }
+
+    /// Append a chunk another segment holds — `bytes`, as `r` indexes
+    /// them there, already checked against `r.crc` — unchanged, as
+    /// [`SegmentWriter::push_chunk`] does a sample chunk.
+    pub(crate) fn push_chunk_bytes(
+        &mut self,
+        host: &str,
+        metric: &str,
+        r: &ChunkRef,
+        bytes: &[u8],
+    ) -> usize {
+        self.push_encoded(host, metric, (r.min_ts, r.max_ts), r.stats, |image| {
+            image.extend_from_slice(bytes);
+            Some(r.crc)
+        })
+    }
+
+    /// Append one chunk that `encode` writes onto the end of the image to
+    /// the open block, covering `(min, max)` — `(u64::MAX, 0)` when it
+    /// holds nothing — and index it under `stats`. `encode` returns the
+    /// chunk's CRC when it knows it already.
+    fn push_encoded(
+        &mut self,
+        host: &str,
+        metric: &str,
+        (chunk_min, chunk_max): (u64, u64),
+        stats: ChunkStats,
+        encode: impl FnOnce(&mut Vec<u8>) -> Option<u32>,
+    ) -> usize {
         // An empty chunk covers `[0, 0]`, and its block with it: the
         // index stores a chunk's `min_ts` as a delta over its block's.
         let chunk_min = chunk_min.min(chunk_max);
@@ -288,16 +362,16 @@ impl SegmentWriter {
         block.n_chunks += 1;
         let (payload_at, n_chunks) = (block.offset as usize + 8, block.n_chunks);
         let at = self.image.len();
-        codec::encode_chunk_into(&mut self.image, samples);
+        let known_crc = encode(&mut self.image);
         let chunk = &self.image[at..];
         let r = ChunkRef {
             block_ix: self.entries.len() as u32,
             offset: (at - payload_at) as u32,
             len: chunk.len() as u32,
-            crc: crc32(chunk),
+            crc: known_crc.unwrap_or_else(|| crc32(chunk)),
             min_ts: chunk_min,
             max_ts: chunk_max,
-            stats: ChunkStats::from_samples(samples),
+            stats,
         };
         // Names are owned once per series: a known one is found by
         // borrowing.
@@ -337,8 +411,7 @@ impl SegmentWriter {
         self.entries.push(block);
     }
 
-    /// Add an opaque block (kind-1 and kind-2 segments); time range is
-    /// caller-set.
+    /// Add an opaque block (kind-1 segments); time range is caller-set.
     pub fn push_raw_block(&mut self, payload: &[u8], min_ts: u64, max_ts: u64, n_items: u32) {
         self.close_block();
         let block = self.open_block(min_ts, max_ts);
@@ -905,12 +978,38 @@ impl SegmentReader {
         r: &ChunkRef,
         out: &mut Vec<(u64, u64)>,
     ) -> Result<(), TsdbError> {
+        self.decode_verified(extent, from, r, |bytes, pos| {
+            codec::decode_chunk_into(bytes, pos, out)
+        })
+    }
+
+    /// The bytes `r` frames out of an extent read from payload offset
+    /// `from` on, checked against its CRC.
+    pub(crate) fn verified_chunk<'b>(
+        &self,
+        extent: &'b [u8],
+        from: u32,
+        r: &ChunkRef,
+    ) -> Result<&'b [u8], TsdbError> {
         let bytes = self.chunk_bytes(extent, from, r)?;
         if crc32(bytes) != r.crc {
             return Err(self.bad_chunk(r, "crc mismatch"));
         }
+        Ok(bytes)
+    }
+
+    /// [`SegmentReader::verified_chunk`], then `decode` the bytes — a
+    /// sample or a stats chunk — which must end on their last byte.
+    pub(crate) fn decode_verified(
+        &self,
+        extent: &[u8],
+        from: u32,
+        r: &ChunkRef,
+        decode: impl FnOnce(&[u8], &mut usize) -> Option<()>,
+    ) -> Result<(), TsdbError> {
+        let bytes = self.verified_chunk(extent, from, r)?;
         let mut pos = 0;
-        match codec::decode_chunk_into(bytes, &mut pos, out) {
+        match decode(bytes, &mut pos) {
             Some(()) if pos == bytes.len() => Ok(()),
             _ => Err(self.bad_chunk(r, "decode")),
         }

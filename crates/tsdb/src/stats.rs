@@ -65,7 +65,7 @@ impl ChunkStats {
         for &(_, bits) in samples {
             acc.add(f64::from_bits(bits));
         }
-        ChunkStats { count: acc.count, sum: acc.sum, min: acc.min, max: acc.max, last: acc.last }
+        acc.stats()
     }
 }
 
@@ -105,6 +105,16 @@ impl BinAcc {
     /// decomposes at prefix boundaries, so the bin must still be empty.
     pub fn can_fold(&self, needs_sequential_sum: bool) -> bool {
         !needs_sequential_sum || self.count == 0
+    }
+
+    /// The bin as stored statistics; an empty bin's may not be folded.
+    pub fn stats(&self) -> ChunkStats {
+        match self.count {
+            0 => ChunkStats::invalid(),
+            count => {
+                ChunkStats { count, sum: self.sum, min: self.min, max: self.max, last: self.last }
+            }
+        }
     }
 
     /// Fold a whole chunk's stats. Caller must have checked
