@@ -309,6 +309,63 @@ mod tests {
         let _ = fs::remove_dir_all(dir);
     }
 
+    /// Crash `sync` and `reset` at each durable op they make. The
+    /// reopened spool is the old full one — every synced batch, base seq
+    /// 0 — or the new empty one with `base_seq = next_seq`, never a mix;
+    /// and the reset the agent retries leaves no tmp beside it.
+    #[test]
+    fn a_crash_in_sync_or_reset_leaves_the_old_spool_or_the_new() {
+        use supremm_tsdb::durable::{CrashSeam, Op};
+        // Two batches synced by an earlier run; this one spools the third,
+        // syncs it, and — every batch acked — resets to next seq 4.
+        let spooled = |name: &str| {
+            let path = tmp(name);
+            let mut rec = Spool::open(&path).unwrap();
+            for (_, f) in &frames()[..2] {
+                rec.spool.append_frame(f).unwrap();
+            }
+            rec.spool.sync().unwrap();
+            path
+        };
+        let run = |path: &Path| -> io::Result<()> {
+            let mut spool = Spool::open(path)?.spool;
+            spool.append_frame(&frames()[2].1)?;
+            spool.sync()?;
+            spool.reset(4)
+        };
+        let path = spooled("crash-trace");
+        let seam = CrashSeam::arm(None);
+        run(&path).unwrap();
+        let trace = seam.trace();
+        drop(seam);
+        let ops: Vec<Op> = trace.iter().map(|(op, _)| *op).collect();
+        assert_eq!(ops, [Op::Sync, Op::WriteTmp, Op::Rename]);
+        assert!(trace.iter().all(|(_, p)| *p == path), "{trace:?}");
+        let _ = fs::remove_dir_all(path.parent().unwrap());
+
+        for (k, op) in ops.into_iter().enumerate() {
+            let path = spooled("crash-k");
+            let seam = CrashSeam::arm(Some(k));
+            assert!(run(&path).is_err(), "op {k}");
+            assert_eq!(seam.trace().len(), k + 1, "op {k}");
+            drop(seam);
+            let mut rec = Spool::open(&path).unwrap();
+            // A crashed sync may or may not have written the third batch.
+            let synced = if op == Op::Sync { 2 } else { 3 };
+            let n = rec.batches.len();
+            let old = rec.spool.base_seq() == 0 && n >= synced && rec.batches == frames()[..n];
+            let new = rec.spool.base_seq() == 4 && n == 0;
+            assert!(old || new, "op {k}: {n} batches, base seq {}", rec.spool.base_seq());
+            rec.spool.reset(4).unwrap();
+            drop(rec);
+            let dir = path.parent().unwrap();
+            assert_eq!(fs::read_dir(dir).unwrap().count(), 1, "op {k}: no tmp left");
+            let rec = Spool::open(&path).unwrap();
+            assert!(rec.batches.is_empty() && rec.spool.base_seq() == 4, "op {k}");
+            let _ = fs::remove_dir_all(dir);
+        }
+    }
+
     #[test]
     fn foreign_file_is_refused() {
         let path = tmp("foreign");

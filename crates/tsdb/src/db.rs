@@ -83,13 +83,13 @@ use std::path::{Path, PathBuf};
 
 use supremm_obs::{Counter, Gauge, Histogram, ObsHandle, Timer};
 
-use crate::codec;
 use crate::retention::{
-    roll_file_name, roll_id, FaultHook, RetentionManifest, RetentionPolicy, RetentionReport,
+    roll_file_name, roll_id, RetentionManifest, RetentionPolicy, RetentionReport,
 };
 use crate::segment::{ChunkRef, SegmentReader, SegmentWriter, TsdbError, KIND_SERIES, KIND_STATS};
 use crate::stats::{BinAcc, ChunkStats};
 use crate::wal::Wal;
+use crate::{codec, durable};
 
 mod memtable;
 mod oracle;
@@ -228,8 +228,6 @@ pub struct Tsdb {
     rollups: BTreeMap<u64, (u64, SegmentReader)>,
     /// Durable retention watermarks (see [`crate::retention`]).
     manifest: RetentionManifest,
-    /// Crash-injection hook for `enforce_retention` (tests only).
-    fault_hook: Option<FaultHook>,
     opts: DbOptions,
     /// Bumped on every mutation; serve-layer caches key on this.
     generation: u64,
@@ -892,7 +890,7 @@ impl Tsdb {
         // superseded.
         for (seq, path) in wholly_below(&segments, manifest.raw_dropped_before) {
             segments.retain(|(s, _)| *s != seq);
-            fs::remove_file(&path)?;
+            durable::remove_file(&path)?;
         }
         segments.sort_by_key(|&(seq, _)| seq);
         let next_seq = segments.last().map(|&(seq, _)| seq + 1).unwrap_or(1);
@@ -900,7 +898,7 @@ impl Tsdb {
         let mut rollups: BTreeMap<u64, (u64, SegmentReader)> = BTreeMap::new();
         for (bin, seq, reader) in rolls {
             if let Some((_, superseded)) = rollups.insert(bin, (seq, reader)) {
-                fs::remove_file(superseded.path())?;
+                durable::remove_file(superseded.path())?;
             }
         }
 
@@ -928,7 +926,6 @@ impl Tsdb {
             next_seq,
             rollups,
             manifest,
-            fault_hook: None,
             opts,
             generation: 0,
             recovered_samples,
@@ -1051,7 +1048,7 @@ impl Tsdb {
             self.segments.drain(..).map(|(_, r)| r.path().to_path_buf()).collect();
         self.segments.extend(replacement);
         for p in old {
-            fs::remove_file(&p)?;
+            durable::remove_file(&p)?;
         }
         self.generation += 1;
         self.met.compact_micros.observe_timer(t);
@@ -1342,34 +1339,9 @@ impl Tsdb {
         max
     }
 
-    /// Install (or clear) the crash-injection hook that
-    /// [`Tsdb::enforce_retention`] fires at every durability
-    /// transition. Test-only instrumentation: production stores never
-    /// set it.
-    pub fn set_retention_fault_hook(&mut self, hook: Option<FaultHook>) {
-        self.fault_hook = hook;
-    }
-
-    /// Fire the crash-injection hook at a named site; a `true` from the
-    /// hook aborts the pass right there with an `Interrupted` error —
-    /// exactly what a kill at that instruction would leave behind.
-    fn fault(&mut self, site: &str, n: u64) -> Result<(), TsdbError> {
-        let Some(hook) = self.fault_hook.as_mut() else { return Ok(()) };
-        // suplint: allow(R7) -- label built only when a test hook is installed
-        let label = format!("{site}:{n}");
-        if hook(&label) {
-            return Err(TsdbError::Io(io::Error::new(
-                io::ErrorKind::Interrupted,
-                // suplint: allow(R7) -- injected-fault error construction, test-only path
-                format!("injected fault at {label}"),
-            )));
-        }
-        Ok(())
-    }
-
     /// Durably replace the manifest with an edited copy. The in-memory
     /// manifest changes only once the new file is in place, so a failed
-    /// (or fault-injected) store leaves both as they were.
+    /// (or crashed) store leaves both as they were.
     fn commit_manifest(
         &mut self,
         edit: impl FnOnce(&mut RetentionManifest),
@@ -1466,13 +1438,12 @@ impl Tsdb {
     ///    wholly below it — never partial files; spanning segments are
     ///    clipped logically at read time and GC'd by [`Tsdb::compact`].
     ///
-    /// A crash — or an injected fault — anywhere leaves the store
-    /// correct: reopen finishes manifest-committed raw drops and deletes
-    /// superseded level files, and re-running the pass completes
-    /// unfinished rolls. A level that grew by more bytes than the pass
-    /// dropped of raw segments is reported as one
-    /// `retention.rollup_larger_than_raw` event: its bins are too fine
-    /// to save space.
+    /// A crash anywhere leaves the store correct: reopen finishes
+    /// manifest-committed raw drops and deletes superseded level files,
+    /// and re-running the pass completes unfinished rolls. A level that
+    /// grew by more bytes than the pass dropped of raw segments is
+    /// reported as one `retention.rollup_larger_than_raw` event: its bins
+    /// are too fine to save space.
     pub fn enforce_retention(&mut self, now: u64) -> Result<RetentionReport, TsdbError> {
         let mut report = RetentionReport {
             raw_watermark: self.manifest.raw_dropped_before,
@@ -1499,7 +1470,6 @@ impl Tsdb {
             if dropped_before <= mark.dropped_before {
                 continue;
             }
-            self.fault("manifest-rollup-drop", bin)?;
             self.commit_manifest(|m| {
                 m.levels.entry(bin).or_default().dropped_before = dropped_before
             })?;
@@ -1520,7 +1490,6 @@ impl Tsdb {
             .collect();
         let mut grown: Vec<(u64, u64, u64)> = Vec::new();
         for (bin, writer, new_bins) in self.roll_levels(&behind, target)? {
-            self.fault("rollup-seal", bin)?;
             let superseded = match self.rollups.get(&bin) {
                 None if writer.is_empty() => None,
                 file => {
@@ -1535,12 +1504,9 @@ impl Tsdb {
                     self.rollups.insert(bin, (seq, reader))
                 }
             };
-            self.fault("rollup-sealed", bin)?;
-            self.fault("manifest-rolled", bin)?;
             self.commit_manifest(|m| m.levels.entry(bin).or_default().rolled_through = target)?;
             if let Some((_, old)) = superseded {
-                self.fault("drop-superseded", bin)?;
-                fs::remove_file(old.path())?;
+                durable::remove_file(old.path())?;
                 report.rollup_segments_dropped += 1;
                 self.met.retention_rollup_dropped_total.inc();
             }
@@ -1557,20 +1523,18 @@ impl Tsdb {
             .unwrap_or(target)
             .max(self.manifest.raw_dropped_before);
         if new_w > self.manifest.raw_dropped_before {
-            self.fault("manifest-raw-watermark", new_w)?;
             self.commit_manifest(|m| m.raw_dropped_before = new_w)?;
             self.met.raw_watermark.set(as_i64(new_w));
             self.generation += 1;
         }
         let mut raw_bytes_dropped = 0u64;
         for (seq, path) in wholly_below(&self.segments, self.manifest.raw_dropped_before) {
-            self.fault("drop-raw", seq)?;
             // Forget the reader before unlinking: if the delete faults,
             // the in-memory view stays consistent with a file reopen
             // will finish deleting anyway.
             let at = self.segments.iter().position(|(s, _)| *s == seq);
             raw_bytes_dropped += at.map_or(0, |at| self.segments.remove(at).1.file_len());
-            fs::remove_file(&path)?;
+            durable::remove_file(&path)?;
             report.raw_segments_dropped += 1;
             self.met.retention_raw_dropped_total.inc();
             self.generation += 1;

@@ -1,5 +1,5 @@
 //! The durable-file layer: every file this workspace must not lose or
-//! tear goes to disk through one of two primitives.
+//! tear goes to disk, and leaves it, through these primitives.
 //!
 //! - [`replace_file`] — atomic whole-file replace (tmp, fsync, rename):
 //!   a crash leaves the old file or the new one, never a mix. Sealed
@@ -9,14 +9,76 @@
 //!   [`AppendLog::open`] replays the valid prefix and cuts off whatever
 //!   a crash left after it. Frame contents are the caller's business:
 //!   the tsdb WAL and the relay spool are the two formats on top.
+//! - [`remove_file`] — a crash leaves the file or none; no fsync.
 //!
 //! Directory fsync is best-effort (not every platform allows it; the
 //! rename is atomic without it) and happens only where a directory
 //! entry changes — creation and replace — never on append or sync.
+//! Each step a crash can land before is an [`Op`] that first passes this
+//! thread's [`CrashSeam`]: one thread-local read while it is unarmed.
 
+use std::cell::RefCell;
 use std::fs::{self, File, OpenOptions};
 use std::io::{self, BufWriter, Read, Seek, SeekFrom, Write};
+use std::marker::PhantomData;
 use std::path::{Path, PathBuf};
+
+/// A durable step: [`replace_file`]'s tmp write + fsync and its rename,
+/// [`AppendLog::open`]'s header creation and torn-tail cut,
+/// [`AppendLog::sync`], [`AppendLog::truncate_to_header`], [`remove_file`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Op {
+    WriteTmp,
+    Rename,
+    CreateHeader,
+    TruncateTail,
+    Sync,
+    TruncateToHeader,
+    Remove,
+}
+
+/// An armed seam: the op to crash at (`None`, none) and the trace.
+type Armed = (Option<usize>, Vec<(Op, PathBuf)>);
+
+thread_local! {
+    static SEAM: RefCell<Option<Armed>> = const { RefCell::new(None) };
+}
+
+/// Trace `op` on `path` and, from the armed crash index on, fail it.
+fn seam(op: Op, path: &Path) -> io::Result<()> {
+    let crashed = SEAM.with_borrow_mut(|seam| {
+        let (crash_at, trace) = seam.as_mut()?;
+        trace.push((op, path.to_path_buf()));
+        crash_at.filter(|&k| trace.len() > k)
+    });
+    crashed.map_or(Ok(()), |_| Err(io::Error::other("crashed by the durable seam")))
+}
+
+/// Arms this thread's crash seam until dropped: every [`Op`] is traced
+/// with its path (a replace's, its target), and from op `crash_at` on
+/// (0-based; `None`, never) each fails without acting — the directory is
+/// what a kill there leaves: before a rename, a complete `.tmp` that no
+/// reader opens and the next replace of that name overwrites.
+#[must_use = "the seam disarms when the guard drops"]
+pub struct CrashSeam(PhantomData<*const ()>);
+
+impl CrashSeam {
+    pub fn arm(crash_at: Option<usize>) -> CrashSeam {
+        SEAM.set(Some((crash_at, Vec::new())));
+        CrashSeam(PhantomData)
+    }
+
+    /// The ops since arming, in order, the failed ones included.
+    pub fn trace(&self) -> Vec<(Op, PathBuf)> {
+        SEAM.with_borrow(|seam| seam.iter().flat_map(|(_, trace)| trace.clone()).collect())
+    }
+}
+
+impl Drop for CrashSeam {
+    fn drop(&mut self) {
+        SEAM.set(None);
+    }
+}
 
 /// Best-effort fsync of the directory holding `path`.
 fn sync_parent_dir(path: &Path) {
@@ -35,18 +97,27 @@ pub fn replace_file(path: &Path, bytes: &[u8]) -> io::Result<()> {
     let mut tmp = path.as_os_str().to_owned();
     tmp.push(".tmp");
     let tmp = PathBuf::from(tmp);
-    let written = File::create(&tmp)
-        .and_then(|mut f| {
-            f.write_all(bytes)?;
-            f.sync_all()
-        })
-        .and_then(|()| fs::rename(&tmp, path));
-    if written.is_err() {
+    seam(Op::WriteTmp, path)?;
+    let written = File::create(&tmp).and_then(|mut f| {
+        f.write_all(bytes)?;
+        f.sync_all()
+    });
+    if written.is_ok() {
+        seam(Op::Rename, path)?;
+    }
+    let renamed = written.and_then(|()| fs::rename(&tmp, path));
+    if renamed.is_err() {
         let _ = fs::remove_file(&tmp);
-        return written;
+        return renamed;
     }
     sync_parent_dir(path);
     Ok(())
+}
+
+/// Delete `path`; see the module docs.
+pub fn remove_file(path: &Path) -> io::Result<()> {
+    seam(Op::Remove, path)?;
+    fs::remove_file(path)
 }
 
 /// Append side of a framed log file; see the module docs.
@@ -100,6 +171,7 @@ impl AppendLog {
             ));
         }
         if buf.len() < fresh_header.len() {
+            seam(Op::CreateHeader, path)?;
             if !buf.is_empty() {
                 file.set_len(0)?;
                 file.seek(SeekFrom::Start(0))?;
@@ -120,6 +192,7 @@ impl AppendLog {
         let good_end = good_end as u64;
         let truncated_bytes = file_len.saturating_sub(good_end);
         if truncated_bytes > 0 {
+            seam(Op::TruncateTail, path)?;
             file.set_len(good_end)?;
             file.sync_all()?;
         }
@@ -158,12 +231,14 @@ impl AppendLog {
     /// Flush buffers and fsync: every frame appended so far survives a
     /// crash once this returns.
     pub fn sync(&mut self) -> io::Result<()> {
+        seam(Op::Sync, &self.path)?;
         self.writer.flush()?;
         self.writer.get_ref().sync_all()
     }
 
     /// Drop every frame in place: truncate back to the header and fsync.
     pub fn truncate_to_header(&mut self) -> io::Result<()> {
+        seam(Op::TruncateToHeader, &self.path)?;
         self.writer.flush()?;
         let f = self.writer.get_mut();
         f.set_len(self.header_len)?;
@@ -282,6 +357,58 @@ mod tests {
         assert!(rec.log.is_empty());
         drop(rec);
         assert_eq!(fs::read(&path).unwrap(), HEADER);
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    /// Each op fails from the armed index on and does nothing: a replace
+    /// crashed at its write leaves no tmp, one crashed at its rename the
+    /// whole tmp, and the log and the delete leave the file as it was.
+    #[test]
+    fn the_seam_crashes_each_op_without_acting() {
+        let dir = tmpdir("seam");
+        let (state, log) = (dir.join("state.bin"), dir.join("toy.log"));
+        let run = || -> io::Result<()> {
+            replace_file(&state, b"new")?;
+            let (mut rec, _) = toy_open(&log)?;
+            rec.log.append(&[1, 0xAB])?;
+            rec.log.sync()?;
+            rec.log.truncate_to_header()?;
+            remove_file(&state)
+        };
+        let trace = {
+            let seam = CrashSeam::arm(None);
+            run().unwrap();
+            seam.trace()
+        };
+        let ops: Vec<Op> = trace.iter().map(|(op, _)| *op).collect();
+        use Op::*;
+        assert_eq!(ops, [WriteTmp, Rename, CreateHeader, Sync, TruncateToHeader, Remove]);
+        assert!(trace[..2].iter().all(|(_, p)| *p == state), "{trace:?}");
+        assert!(trace[2..5].iter().all(|(_, p)| *p == log), "{trace:?}");
+
+        for (k, &op) in ops.iter().enumerate() {
+            let _ = fs::remove_file(&log);
+            replace_file(&state, b"old").unwrap();
+            let seam = CrashSeam::arm(Some(k));
+            assert!(run().is_err(), "op {k}");
+            assert_eq!(seam.trace().len(), k + 1, "nothing runs past the crash");
+            drop(seam);
+            let replaced: &[u8] = if k < 2 { b"old" } else { b"new" };
+            assert_eq!(fs::read(&state).unwrap(), replaced, "op {k}");
+            let tmp = dir.join("state.bin.tmp");
+            match op {
+                WriteTmp => assert_eq!(names(&dir), ["state.bin"]),
+                Rename => assert_eq!(fs::read(&tmp).unwrap(), b"new"),
+                CreateHeader => assert_eq!(fs::read(&log).unwrap(), b"", "created, never written"),
+                // The unsynced frame reaches the file as the log drops.
+                Sync | TruncateToHeader => assert_eq!(toy_open(&log).unwrap().1, [vec![0xAB]]),
+                Remove => assert!(toy_open(&log).unwrap().1.is_empty()),
+                TruncateTail => unreachable!("the run leaves no torn tail"),
+            }
+            let _ = fs::remove_file(&tmp);
+        }
+        // Disarmed, nothing is traced or failed.
+        assert!(run().is_ok());
         let _ = fs::remove_dir_all(&dir);
     }
 

@@ -26,9 +26,11 @@
 //!   chunks and for a rollup level's stats chunks; plus the
 //!   one reader/writer for varint-length-prefixed fields every
 //!   container here (and the relay wire format) uses;
-//! - [`durable`] — the durable-file layer: atomic whole-file replace and
-//!   the framed append log with valid-prefix recovery that the WAL, the
-//!   relay spool, segment seal and the retention manifest are built on;
+//! - [`durable`] — the durable-file layer: atomic whole-file replace,
+//!   the framed append log with valid-prefix recovery and file removal,
+//!   which the WAL, the relay spool, segment seal, compaction and the
+//!   retention manifest are built on; each of their steps passes one
+//!   per-thread crash seam that tests arm to kill a call at any op;
 //! - [`segment`] — immutable segment files: versioned header, per-block
 //!   CRC32, sparse time index + per-series chunk index (a CRC32 per
 //!   chunk) in the footer's index frame;

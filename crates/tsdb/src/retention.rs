@@ -351,14 +351,6 @@ pub struct RetentionReport {
     pub raw_watermark: u64,
 }
 
-/// Fault-injection hook fired at every durability transition inside
-/// [`Tsdb::enforce_retention`] (before each level file seal, manifest
-/// write, and file delete, and after each seal). Returning `true`
-/// aborts the pass with an `Interrupted` error at that exact point —
-/// the torture tests use it to simulate a crash everywhere a real one
-/// could land. Production stores never set it.
-pub type FaultHook = Box<dyn FnMut(&str) -> bool + Send + Sync>;
-
 /// Level file name for one level + sequence number.
 pub(crate) fn roll_file_name(bin_secs: u64, seq: u64) -> String {
     // suplint: allow(R7) -- filename built once per rollup segment seal

@@ -2,22 +2,25 @@
 //! crash-point torture matrix.
 //!
 //! The torture test is the WAL truncate-at-every-offset idea lifted to
-//! the retention pass: `enforce_retention` fires an injection hook at
-//! every durability transition (rollup seal, manifest write, segment
-//! delete), and we kill the pass at each such point in turn, reopen,
-//! and assert the two invariants the ISSUE names: acked raw newer than
-//! the TTL is never lost, and a rollup is never double-applied.
+//! the retention pass: every durable op the pass makes (a level file's
+//! tmp write and rename, a manifest's, a segment delete) passes the
+//! `durable` crash seam, and we kill the pass at each op in turn, reopen,
+//! and assert the two invariants: acked raw newer than the TTL is never
+//! lost, and a rollup is never double-applied.
 
 use std::fs;
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 use supremm_tsdb::crc::crc32;
+use supremm_tsdb::durable::Op;
 use supremm_tsdb::segment::SegmentReader;
 use supremm_tsdb::{
     Agg, DbOptions, RetentionPolicy, RollupLevel, Selector, SeriesKey, Tsdb, TsdbError,
 };
+
+mod seam;
+use seam::{crash_at, trace_of};
 
 fn tmpdir(name: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("tsdb-retention-{name}-{}", std::process::id()));
@@ -417,6 +420,12 @@ fn a_lone_segment_is_compacted_only_when_it_straddles_the_watermark() {
     let _ = fs::remove_dir_all(&dir);
 }
 
+/// The index in `trace` of the first `op` on the file `name`.
+fn op_at(trace: &[(Op, String)], op: Op, name: &str) -> usize {
+    let at = trace.iter().position(|(o, n)| *o == op && n == name);
+    at.unwrap_or_else(|| panic!("no {op:?} of {name} in {trace:?}"))
+}
+
 /// The `roll-*` files of a store, by name.
 fn level_files(dir: &std::path::Path) -> Vec<String> {
     let mut names: Vec<String> = fs::read_dir(dir)
@@ -438,15 +447,22 @@ fn level_files(dir: &std::path::Path) -> Vec<String> {
 /// writes for that window.
 #[test]
 fn a_pass_resumed_from_uneven_marks_rolls_the_same_bytes() {
-    let stop_before_second_commit = || -> Box<dyn FnMut(&str) -> bool + Send + Sync> {
-        Box::new(|site: &str| site == "manifest-rolled:500")
+    let build = |name: &str| -> (PathBuf, Tsdb) {
+        let dir = tmpdir(name);
+        let mut db = Tsdb::open_with(&dir, opts(policy())).unwrap();
+        fill(&mut db, 0, 4_000);
+        (dir, db)
     };
-    let dir = tmpdir("uneven");
-    let mut db = Tsdb::open_with(&dir, opts(policy())).unwrap();
-    fill(&mut db, 0, 4_000);
-    db.set_retention_fault_hook(Some(stop_before_second_commit()));
-    assert!(db.enforce_retention(4_000).is_err());
-    drop(db);
+    // The second commit: the manifest write right after level 500's seal.
+    let (trace_dir, mut db) = build("uneven-trace");
+    let trace = trace_of(|| {
+        db.enforce_retention(4_000).unwrap();
+    });
+    let _ = fs::remove_dir_all(&trace_dir);
+    let second_commit = op_at(&trace, Op::Rename, "roll-500-000001.tsdb") + 1;
+    assert_eq!(trace[second_commit], (Op::WriteTmp, "retention.manifest".to_string()));
+    let (dir, db) = build("uneven");
+    crash_at(second_commit, db, |db| db.enforce_retention(4_000).unwrap_err());
     let mut db = Tsdb::open_with(&dir, opts(policy())).unwrap();
     assert_eq!(db.stats().raw_watermark, 0, "level 500 holds the watermark back");
     assert_eq!(level_files(&dir), ["roll-100-000001.tsdb", "roll-500-000001.tsdb"]);
@@ -527,11 +543,18 @@ fn open_deletes_a_superseded_level_file() {
     let (control_dir, mut control) = build("superseded-control");
     control.enforce_retention(8_000).unwrap();
 
-    let (dir, mut db) = build("superseded");
-    db.set_retention_fault_hook(Some(Box::new(|site: &str| site == "drop-superseded:100")));
-    assert!(db.enforce_retention(8_000).is_err());
-    let crashed = tier_answers(&db);
-    drop(db);
+    let (trace_dir, mut db) = build("superseded-trace");
+    let trace = trace_of(|| {
+        db.enforce_retention(8_000).unwrap();
+    });
+    let _ = fs::remove_dir_all(&trace_dir);
+    let drop_superseded = op_at(&trace, Op::Remove, "roll-100-000001.tsdb");
+    let (dir, db) = build("superseded");
+    let mut crashed = Vec::new();
+    crash_at(drop_superseded, db, |db| {
+        db.enforce_retention(8_000).unwrap_err();
+        crashed = tier_answers(db);
+    });
     let both = ["roll-100-000001.tsdb", "roll-100-000002.tsdb", "roll-500-000001.tsdb"];
     assert_eq!(level_files(&dir), both);
     let mut db = Tsdb::open_with(&dir, opts(policy())).unwrap();
@@ -638,16 +661,16 @@ fn a_level_finer_than_its_samples_is_reported() {
     assert!(events("raw=23h,3600=forever").is_empty());
 }
 
-/// The crash-point torture matrix (ISSUE satellite #1).
+/// The crash-point torture matrix.
 ///
 /// Scenario: pass 1 runs clean (builds both tiers), more data arrives,
-/// then pass 2 — which exercises every durability-transition type:
-/// rollup seal, per-level manifest advance, raw-watermark manifest
-/// write, raw segment deletes, rollup-expiry manifest write, rollup
-/// segment deletes. We kill pass 2 at its k-th hook firing for every
-/// k, reopen (completing any manifest-committed drops), re-run the
-/// pass, and require the result to be indistinguishable from a store
-/// that never crashed.
+/// then pass 2 — which makes every kind of durable op a pass makes: a
+/// level file's tmp write and rename, a manifest's (level expiry, level
+/// mark, raw watermark), raw segment deletes and superseded level file
+/// deletes. We kill pass 2 at its k-th op for every k, reopen
+/// (completing any manifest-committed drops), re-run the pass, and
+/// require the result to be indistinguishable from a store that never
+/// crashed.
 #[test]
 fn crash_point_torture_matrix() {
     let build = |name: &str| -> (PathBuf, Tsdb) {
@@ -664,68 +687,50 @@ fn crash_point_torture_matrix() {
     control.enforce_retention(8_000).unwrap();
     assert_eq!(control.stats().raw_watermark, 7000);
 
-    // Count the injection sites (hook that never fires), and record
-    // the site labels so we know every transition type is covered.
-    let labels = Arc::new(Mutex::new(Vec::<String>::new()));
-    let sites = {
-        let (dir, mut db) = build("torture-count");
-        let hook_labels = labels.clone();
-        db.set_retention_fault_hook(Some(Box::new(move |site: &str| {
-            hook_labels.lock().unwrap().push(site.to_string());
-            false
-        })));
+    // Record pass 2's ops, and check every kind of op is among them.
+    let (dir, mut db) = build("torture-trace");
+    let trace = trace_of(|| {
         db.enforce_retention(8_000).unwrap();
-        drop(db);
-        let _ = fs::remove_dir_all(&dir);
-        let n = labels.lock().unwrap().len();
-        n
-    };
-    assert!(sites >= 10, "expected a dense site matrix, got {sites}");
-    let seen = labels.lock().unwrap().clone();
-    for kind in [
-        "rollup-seal:",
-        "rollup-sealed:",
-        "manifest-rolled:",
-        "manifest-raw-watermark:",
-        "drop-raw:",
-        "manifest-rollup-drop:",
-        "drop-superseded:",
+    });
+    drop(db);
+    let _ = fs::remove_dir_all(&dir);
+    for (op, prefix) in [
+        (Op::WriteTmp, "roll-"),
+        (Op::Rename, "roll-"),
+        (Op::WriteTmp, "retention.manifest"),
+        (Op::Rename, "retention.manifest"),
+        (Op::Remove, "seg-"),
+        (Op::Remove, "roll-"),
     ] {
-        assert!(
-            seen.iter().any(|s| s.starts_with(kind)),
-            "site kind {kind} never fired (saw {seen:?})"
-        );
+        let seen = trace.iter().any(|(o, name)| *o == op && name.starts_with(prefix));
+        assert!(seen, "no {op:?} of {prefix}* (saw {trace:?})");
     }
+    // Three manifest commits, two level seals, two superseded files and
+    // four raw segments: a crash point before and after each fsync.
+    assert_eq!(trace.len(), 18, "{trace:?}");
 
-    for k in 0..sites {
-        let (dir, mut db) = build("torture-k");
+    for k in 0..trace.len() {
+        let (dir, db) = build("torture-k");
         // Pre-crash capture: raw data newer than the pass-2 cut.
         let acked_new = db.query_naive(&Selector::all(), 7000, u64::MAX).unwrap();
-        let fired = Arc::new(AtomicUsize::new(0));
-        let fired2 = fired.clone();
-        db.set_retention_fault_hook(Some(Box::new(move |_site: &str| {
-            fired2.fetch_add(1, Ordering::SeqCst) == k
-        })));
-        let err = db.enforce_retention(8_000);
-        assert!(err.is_err(), "site {k} should have aborted the pass");
-        drop(db); // crash
+        crash_at(k, db, |db| db.enforce_retention(8_000).unwrap_err());
 
-        // Reopen after the crash: no hook, finish the pass.
+        // Reopen after the crash and finish the pass.
         let mut db = Tsdb::open_with(&dir, opts(policy())).unwrap();
 
         // Invariant 1: acked raw newer than the TTL cut is never lost —
         // even before the pass is re-run.
         let survivors = db.query_naive(&Selector::all(), 7000, u64::MAX).unwrap();
-        assert_bit_identical(&survivors, &acked_new, &format!("site {k}: acked raw after crash"));
+        assert_bit_identical(&survivors, &acked_new, &format!("op {k}: acked raw after crash"));
 
         db.enforce_retention(8_000).unwrap();
-        assert_eq!(db.stats().raw_watermark, 7000, "site {k}");
+        assert_eq!(db.stats().raw_watermark, 7000, "op {k}");
         // One file per level, holding what the control's holds.
         let (files, control_files) = (level_files(&dir), level_files(&control_dir));
-        assert_eq!(files.len(), 2, "site {k}: {files:?}");
+        assert_eq!(files.len(), 2, "op {k}: {files:?}");
         for (name, control_name) in files.iter().zip(&control_files) {
             let pin = file_pin(&dir, name);
-            assert_eq!(pin, file_pin(&control_dir, control_name), "site {k}: {name}");
+            assert_eq!(pin, file_pin(&control_dir, control_name), "op {k}: {name}");
         }
 
         // Invariant 2: no rollup is double-applied and no tier serves
@@ -745,9 +750,9 @@ fn crash_point_torture_matrix() {
                 assert_bit_identical(
                     &got.0,
                     &want.0,
-                    &format!("site {k}: agg {agg:?} range {t0}..{t1} bin {q}"),
+                    &format!("op {k}: agg {agg:?} range {t0}..{t1} bin {q}"),
                 );
-                assert_eq!(got.1, want.1, "site {k}: tier labels");
+                assert_eq!(got.1, want.1, "op {k}: tier labels");
             }
         }
         let _ = fs::remove_dir_all(&dir);
