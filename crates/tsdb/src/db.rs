@@ -909,7 +909,10 @@ impl Tsdb {
             mem.extend_frame(frame);
         })
         .map_err(TsdbError::Io)?;
-        wal.observe_seals(obs.histogram("tsdb_wal_append_micros"));
+        wal.observe(
+            obs.histogram("tsdb_wal_append_micros"),
+            obs.counter("tsdb_wal_zero_fill_bytes_total"),
+        );
 
         let tier_bins: Vec<u64> = {
             let mut bins: BTreeSet<u64> =
@@ -1592,6 +1595,17 @@ mod tests {
         dir
     }
 
+    /// A day of 144 samples for each of 64 series, one batch a series,
+    /// never synced.
+    fn fill_unsynced(db: &mut Tsdb, day: u64) {
+        for s in 0..64u64 {
+            let samples: Vec<(u64, f64)> =
+                (0..144).map(|i| (day * 86_400 + i * 600, (s + i) as f64)).collect();
+            db.append_batch(&format!("c301-{:03}", s / 4), &format!("m{}", s % 4), &samples)
+                .unwrap();
+        }
+    }
+
     fn fill(db: &mut Tsdb) {
         for host in ["c301-101", "c301-102"] {
             for (metric, base) in [("cpu_user", 0.25), ("mem_used", 1.0e9)] {
@@ -2054,6 +2068,52 @@ mod tests {
         assert_eq!(snap.gauge("tsdb_segments"), Some(1));
         assert_eq!(snap.gauge("tsdb_memtable_samples"), Some(0));
         assert!(snap.gauge("tsdb_indexed_chunks").unwrap() > 0);
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    /// Syncs zero-fill the WAL one `ZERO_FILL_STEP` at a time: a day of
+    /// one-sample records, synced a tick at a time, zero-fills
+    /// ⌈WAL bytes ÷ step⌉ times, and a batch load that never syncs
+    /// zero-fills nothing.
+    #[test]
+    fn wal_syncs_zero_fill_a_step_at_a_time() {
+        use crate::durable::ZERO_FILL_STEP;
+        use std::sync::Arc;
+        let dir = tmpdir("zero-fill");
+        let obs = Arc::new(supremm_obs::ObsRegistry::new());
+        let filled = || obs.snapshot().counter("tsdb_wal_zero_fill_bytes_total").unwrap_or(0);
+        let mut db = Tsdb::open_with_obs(&dir, DbOptions::default(), obs.clone()).unwrap();
+        let mut fills = 0;
+        for tick in 0..144u64 {
+            for h in 0..32 {
+                for m in 0..16 {
+                    let (host, metric) = (format!("c301-{h:03}"), format!("metric_{m:02}"));
+                    db.append(&host, &metric, tick * 600, (h * 16 + m) as f64).unwrap();
+                }
+            }
+            let before = filled();
+            db.sync().unwrap();
+            fills += u64::from(filled() > before);
+        }
+        let wal_bytes = db.stats().wal_bytes;
+        assert!(wal_bytes > 2 * ZERO_FILL_STEP, "{wal_bytes} B cross several steps");
+        assert_eq!(fills, wal_bytes.div_ceil(ZERO_FILL_STEP));
+        let file_len = fs::metadata(dir.join("wal.log")).unwrap().len();
+        assert_eq!(file_len, fills * ZERO_FILL_STEP);
+        assert!(filled() > 0 && filled() < file_len);
+        drop(db);
+        let _ = fs::remove_dir_all(&dir);
+
+        let obs = Arc::new(supremm_obs::ObsRegistry::new());
+        let filled = || obs.snapshot().counter("tsdb_wal_zero_fill_bytes_total").unwrap_or(0);
+        let mut db = Tsdb::open_with_obs(&dir, DbOptions::default(), obs.clone()).unwrap();
+        for day in 0..2 {
+            fill_unsynced(&mut db, day);
+            db.flush().unwrap();
+        }
+        fill_unsynced(&mut db, 2);
+        assert_eq!(filled(), 0, "a load that never syncs zero-fills nothing");
+        drop(db);
         let _ = fs::remove_dir_all(&dir);
     }
 

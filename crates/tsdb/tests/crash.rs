@@ -220,14 +220,15 @@ fn tiered_store(name: &str) -> (PathBuf, Tsdb) {
 }
 
 /// Cut a frame a writer appended to `dir`'s WAL short, as a kill in
-/// the middle of its write would.
+/// the middle of its write would: three bytes before the log's end,
+/// which is not the file's once a sync has zero-filled past it.
 fn tear_the_wal_tail(dir: &Path) {
     let path = dir.join("wal.log");
     let mut wal = Wal::open(&path).unwrap().wal;
     wal.append_parts("c301-101", "cpu_user", &[(8_010, 1f64.to_bits()), (8_020, 2f64.to_bits())])
         .unwrap();
+    let len = wal.len();
     drop(wal);
-    let len = fs::metadata(&path).unwrap().len();
     OpenOptions::new().write(true).open(&path).unwrap().set_len(len - 3).unwrap();
 }
 

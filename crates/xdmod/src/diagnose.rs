@@ -180,17 +180,24 @@ pub fn failure_profile(diagnoses: &[Diagnosis]) -> Vec<(Cause, usize)> {
     v
 }
 
-/// Render the self-observability side of a diagnosis: slow queries
-/// recorded in the obs event log. Empty string when there is nothing to
-/// report, so callers can print it unconditionally.
+/// Render the self-observability side of a diagnosis from the obs
+/// event log: slow queries, and retention passes that grew a rollup
+/// level by more than the raw segments they dropped. Empty string when
+/// there is nothing to report, so callers can print it unconditionally.
 pub fn obs_report(snap: &supremm_obs::Snapshot) -> String {
     use std::fmt::Write as _;
+    const KINDS: [(&str, &str); 2] = [
+        ("slow_query", "slow quer(y/ies)"),
+        ("retention.rollup_larger_than_raw", "rollup level(s) grown past the raw they replaced"),
+    ];
     let mut out = String::new();
-    let slow: Vec<_> = snap.events.iter().filter(|e| e.kind == "slow_query").collect();
-    if !slow.is_empty() {
-        let _ = writeln!(out, "{} slow quer(y/ies):", slow.len());
-        for e in &slow {
-            let _ = writeln!(out, "  {}", e.detail);
+    for (kind, heading) in KINDS {
+        let events: Vec<_> = snap.events.iter().filter(|e| e.kind == kind).collect();
+        if !events.is_empty() {
+            let _ = writeln!(out, "{} {heading}:", events.len());
+            for e in &events {
+                let _ = writeln!(out, "  {}", e.detail);
+            }
         }
     }
     if snap.events_dropped > 0 {
@@ -329,5 +336,26 @@ mod tests {
         assert!(report.contains("1 slow quer(y/ies):"));
         assert!(report.contains("250000us"));
         assert!(!report.contains("not interesting"));
+        assert!(!report.contains("rollup"));
+    }
+
+    #[test]
+    fn obs_report_surfaces_rollup_levels_larger_than_the_raw_they_replaced() {
+        let obs = supremm_obs::ObsRegistry::new();
+        let detail = "level 1: 596 bins grew it by 9000 B, more than the 4000 B of raw \
+                      segments the pass dropped";
+        obs.event("retention.rollup_larger_than_raw", detail);
+        obs.event("slow_query", "/v1/series took 250000us (status 200)");
+        let report = obs_report(&obs.snapshot());
+        let lines: Vec<&str> = report.lines().collect();
+        assert_eq!(
+            lines,
+            [
+                "1 slow quer(y/ies):",
+                "  /v1/series took 250000us (status 200)",
+                "1 rollup level(s) grown past the raw they replaced:",
+                &format!("  {detail}"),
+            ]
+        );
     }
 }
