@@ -166,9 +166,10 @@ pub fn get_stats(buf: &[u8], pos: &mut usize) -> Option<ChunkStats> {
 
 // --- bit stream -----------------------------------------------------------
 //
-// Bits travel most significant first. Writer and reader both work a
-// 64-bit word at a time and keep their pending bits left-aligned, so a
-// field is two shifts and an OR, never a loop over its bits.
+// Bits travel most significant first. The writer keeps its pending bits
+// left-aligned in a 64-bit word and the reader loads a word at its bit
+// position, so a field is a few shifts and an OR, never a loop over its
+// bits.
 
 struct BitWriter {
     buf: Vec<u8>,
@@ -217,53 +218,75 @@ impl BitWriter {
     }
 }
 
+/// Reads a bit stream one 8-byte big-endian load per field. Past the
+/// stream's end a load reads zeros, so a field never reads outside the
+/// slice; a decoder takes its fields unchecked and asks once, at its
+/// end, whether it stayed [`BitReader::within`] the stream.
 struct BitReader<'a> {
-    /// The stream's bytes not yet in the window.
-    rest: &'a [u8],
-    /// Unread bits in the top `have` positions; zero below them.
-    win: u64,
-    have: u32,
+    buf: &'a [u8],
+    /// Bits consumed, which may run past the stream's end.
+    pos: usize,
 }
 
 impl<'a> BitReader<'a> {
     fn new(buf: &'a [u8]) -> BitReader<'a> {
-        BitReader { rest: buf, win: 0, have: 0 }
+        BitReader { buf, pos: 0 }
     }
 
-    /// Top the window up to at least 57 bits, or to the stream's end.
-    fn refill(&mut self) {
-        while self.have <= 56 {
-            let Some((&byte, rest)) = self.rest.split_first() else { return };
-            self.win |= u64::from(byte) << (56 - self.have);
-            self.have += 8;
-            self.rest = rest;
+    /// The 64 bits from `pos` on, left-aligned, zeros past the stream's
+    /// end: at least the top 57 are the stream's next bits.
+    fn peek(&self) -> u64 {
+        let at = self.pos / 8;
+        let rest = self.buf.get(at..).unwrap_or_default();
+        let word = match rest.first_chunk::<8>() {
+            Some(word) => *word,
+            None => {
+                let mut word = [0u8; 8];
+                word.iter_mut().zip(rest).for_each(|(to, &from)| *to = from);
+                word
+            }
+        };
+        u64::from_be_bytes(word).wrapping_shl((self.pos % 8) as u32)
+    }
+
+    fn skip(&mut self, n: u32) {
+        self.pos = self.pos.wrapping_add(n as usize);
+    }
+
+    /// The next `n` bits, `1 ≤ n ≤ 64`, unchecked: one load when they
+    /// fit the 57 a load guarantees, two otherwise.
+    fn take(&mut self, n: u32) -> u64 {
+        if n <= 57 {
+            let v = self.peek() >> (64 - n);
+            self.skip(n);
+            return v;
         }
+        let high = self.peek() >> 32;
+        self.skip(32);
+        let low = self.peek() >> (96 - n);
+        self.skip(n - 32);
+        high.wrapping_shl(n - 32) | low
     }
 
+    /// Whether every bit taken so far was the stream's.
+    fn within(&self) -> Option<()> {
+        (self.pos <= self.buf.len().saturating_mul(8)).then_some(())
+    }
+
+    #[cfg(test)]
     fn read_bit(&mut self) -> Option<bool> {
         Some(self.read_bits(1)? == 1)
     }
 
-    /// The next `n` bits (`n` ≤ 64); `None` when fewer remain.
+    /// The next `n` bits (`n` ≤ 64), checked one field at a time, as
+    /// the tests read a stream; `None` when fewer remain.
+    #[cfg(test)]
     fn read_bits(&mut self, n: u32) -> Option<u64> {
-        if n > 56 {
-            // More than a refill guarantees: take it in two.
-            let high = self.read_bits(n - 32)?;
-            return Some((high << 32) | self.read_bits(32)?);
-        }
-        if self.have < n {
-            self.refill();
-            if self.have < n {
-                return None;
-            }
-        }
         if n == 0 {
-            return Some(0); // `win >> 64` below would overflow
+            return Some(0); // `take` would shift by 64
         }
-        let v = self.win >> (64 - n);
-        self.win <<= n;
-        self.have -= n;
-        Some(v)
+        let v = self.take(n);
+        self.within().map(|()| v)
     }
 }
 
@@ -359,31 +382,34 @@ fn encode_values_xor(out: &mut Vec<u8>, samples: &[(u64, u64)]) {
 
 fn decode_values_xor(buf: &[u8], pos: &mut usize, out: &mut [(u64, u64)]) -> Option<()> {
     let mut r = BitReader::new(get_bytes(buf, pos)?);
-    let mut prev = 0u64;
+    let Some(((_, first), rest)) = out.split_first_mut() else { return Some(()) };
+    let mut prev = r.take(64);
+    *first = prev;
     let mut prev_lead = 0u32;
     let mut prev_len = 0u32;
-    for (i, slot) in out.iter_mut().enumerate() {
-        let bits = if i == 0 {
-            r.read_bits(64)?
-        } else if !r.read_bit()? {
-            prev
+    for (_, slot) in rest {
+        // The control code and a new window's 12 bits, in one load.
+        let head = r.peek();
+        if head >> 63 == 0 {
+            r.skip(1);
         } else {
-            if r.read_bit()? {
-                let window = r.read_bits(12)? as u32;
+            if head >> 62 == 0b11 {
+                let window = (head >> 50) as u32 & 0xFFF;
                 prev_lead = window >> 6;
                 prev_len = (window & 63) + 1;
+                r.skip(14);
+            } else {
+                r.skip(2);
             }
-            let window_end = prev_lead.checked_add(prev_len)?;
+            let window_end = prev_lead.wrapping_add(prev_len);
             if prev_len == 0 || window_end > 64 {
                 return None;
             }
-            let meaningful = r.read_bits(prev_len)?;
-            prev ^ (meaningful << (64 - window_end))
-        };
-        slot.1 = bits;
-        prev = bits;
+            prev ^= r.take(prev_len).wrapping_shl(64 - window_end);
+        }
+        *slot = prev;
     }
-    Some(())
+    r.within()
 }
 
 // --- chunk ----------------------------------------------------------------
@@ -434,15 +460,24 @@ fn put_timestamps(out: &mut Vec<u8>, samples: &[(u64, u64)]) {
 /// held, each with a zero value for the value stream to fill in.
 fn get_timestamps(buf: &[u8], pos: &mut usize, n: usize, out: &mut Vec<(u64, u64)>) -> Option<()> {
     out.clear();
-    out.reserve(n);
+    out.resize(n, (0, 0));
+    let Some(((first, _), rest)) = out.split_first_mut() else { return Some(()) };
     let mut ts = get_varint(buf, pos)?;
-    out.push((ts, 0));
+    *first = ts;
     // The first delta is a delta-of-delta from zero.
     let mut delta = 0i64;
-    for _ in 1..n {
-        delta = delta.wrapping_add(unzigzag(get_varint(buf, pos)?));
+    for (slot, _) in rest {
+        // A regular tick's delta-of-delta is one byte: read it here.
+        let dod = match buf.get(*pos) {
+            Some(&byte) if byte < 0x80 => {
+                *pos += 1;
+                u64::from(byte)
+            }
+            _ => get_varint(buf, pos)?,
+        };
+        delta = delta.wrapping_add(unzigzag(dod));
         ts = ts.wrapping_add(delta as u64);
-        out.push((ts, 0));
+        *slot = ts;
     }
     Some(())
 }

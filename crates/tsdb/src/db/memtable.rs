@@ -7,7 +7,7 @@
 use std::collections::BTreeMap;
 use std::ops::Bound;
 
-use super::{merge_runs, normalize_run};
+use super::Append;
 use crate::wal::WalFrame;
 
 /// One series' samples, strictly ascending in time.
@@ -28,31 +28,6 @@ pub(super) struct Memtable {
     last: usize,
     series: usize,
     samples: u64,
-}
-
-/// Add `first` and then `rest` to the strictly-ascending `run`,
-/// last-write-wins on an equal timestamp; returns how many timestamps
-/// are new. Ascending input — the live and batch case — is pushed. From
-/// the first sample that is not past the run's end, what is left of the
-/// batch is sorted once and merged in once, so any batch costs
-/// O(n log n + m), never a shift per sample.
-fn extend_run(run: &mut Run, first: (u64, u64), mut rest: impl Iterator<Item = (u64, u64)>) -> u64 {
-    let before = run.len();
-    let mut next = Some(first);
-    while let Some(sample) = next {
-        if run.last().is_some_and(|&(last, _)| sample.0 <= last) {
-            break;
-        }
-        run.push(sample);
-        next = rest.next();
-    }
-    if let Some(sample) = next {
-        let batch = normalize_run(std::iter::once(sample).chain(rest).collect());
-        let overlap = run.partition_point(|&(ts, _)| ts < batch[0].0);
-        let tail = run.split_off(overlap);
-        run.extend(merge_runs(vec![tail, batch]));
-    }
-    (run.len() - before) as u64
 }
 
 impl Memtable {
@@ -114,15 +89,17 @@ impl Memtable {
 
     /// [`Memtable::extend`] with the names resolved.
     fn extend_at(&mut self, slot: usize, id: usize, samples: impl IntoIterator<Item = (u64, u64)>) {
-        let mut samples = samples.into_iter();
-        let Some(first) = samples.next() else { return };
         let Some((_, runs)) = self.hosts.get_mut(slot) else { return };
         if id >= runs.len() {
             runs.resize_with(self.metrics.len(), Vec::new);
         }
         let Some(run) = runs.get_mut(id) else { return };
-        self.series += usize::from(run.is_empty());
-        self.samples += extend_run(run, first, samples);
+        let new_series = run.is_empty();
+        let mut batch = Append::to(run);
+        batch.extend(samples);
+        let (added, _) = batch.finish();
+        self.series += usize::from(new_series && added > 0);
+        self.samples += added;
     }
 
     /// The series of `host` — of every host when `None` — in

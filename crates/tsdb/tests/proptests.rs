@@ -253,7 +253,8 @@ fn preagg_downsample_is_bit_identical_to_naive() {
 /// the store left free (so it is older than some engine segments and
 /// newer than others): its chunks hold shuffled and repeated
 /// timestamps, one is empty, and some of its series are its alone.
-/// Every downsample answers bit for bit as the oracle does.
+/// Every query and downsample answers bit for bit as the oracles do,
+/// and again, unchanged, once `compact` has rewritten the store.
 #[test]
 fn foreign_chunks_downsample_as_the_oracle_does() {
     cases("foreign_chunks_downsample_as_the_oracle_does", 128, |rng| {
@@ -305,19 +306,78 @@ fn foreign_chunks_downsample_as_the_oracle_does() {
         }
         w.seal(&dir.join(format!("seg-{seq:06}.tsdb"))).unwrap();
 
-        let db = Tsdb::open_with(&dir, small_opts()).unwrap();
-        for _ in 0..8 {
-            let sel = selector_from(rng.range(0..5) as u8, rng.range(0..4) as u8);
-            let (t0, len) = (rng.range(0..1100), rng.range(0..1100));
-            let (t1, bin, agg) = (t0 + len, rng.range(1..80), agg_from(rng.range(0..6) as u8));
-            let naive = bits_view(db.downsample_naive(&sel, t0, t1, bin, agg).unwrap());
-            let what = format!("foreign seq {seq}, {sel:?} [{t0}, {t1}] bin {bin} {agg:?}");
-            assert_eq!(bits_view(db.downsample(&sel, t0, t1, bin, agg).unwrap()), naive, "{what}");
-            let tiered = db.downsample_tiered(&sel, t0, t1, bin, agg).unwrap().0;
-            assert_eq!(bits_view(tiered), naive, "tiered, {what}");
+        let mut db = Tsdb::open_with(&dir, small_opts()).unwrap();
+        let reads: Vec<_> = (0..8)
+            .map(|_| {
+                let sel = selector_from(rng.range(0..5) as u8, rng.range(0..4) as u8);
+                let (t0, len) = (rng.range(0..1100), rng.range(0..1100));
+                (sel, t0, t0 + len, rng.range(1..80), agg_from(rng.range(0..6) as u8))
+            })
+            .collect();
+        let mut answers = Vec::new();
+        for compacted in [false, true] {
+            for (i, (sel, t0, t1, bin, agg)) in reads.iter().enumerate() {
+                let (t0, t1, bin, agg) = (*t0, *t1, *bin, *agg);
+                let what =
+                    format!("foreign seq {seq}, compacted {compacted}, {sel:?} [{t0}, {t1}]");
+                let points = bits_view(db.query(sel, t0, t1).unwrap());
+                assert_eq!(points, bits_view(db.query_naive(sel, t0, t1).unwrap()), "{what}");
+                let naive = bits_view(db.downsample_naive(sel, t0, t1, bin, agg).unwrap());
+                let what = format!("{what} bin {bin} {agg:?}");
+                assert_eq!(
+                    bits_view(db.downsample(sel, t0, t1, bin, agg).unwrap()),
+                    naive,
+                    "{what}"
+                );
+                let tiered = db.downsample_tiered(sel, t0, t1, bin, agg).unwrap().0;
+                assert_eq!(bits_view(tiered), naive, "tiered, {what}");
+                match compacted {
+                    false => answers.push((points, naive)),
+                    true => assert_eq!(answers[i], (points, naive), "compaction moved, {what}"),
+                }
+            }
+            db.compact().unwrap();
         }
         let _ = std::fs::remove_dir_all(&dir);
     });
+}
+
+/// A backfill sealed after the data it reaches back into: one segment
+/// of 8,192 chunks, each overwriting a sample of an older segment of
+/// 2²⁰ and adding one beside it. The walk appends the backfill as one
+/// source — one sort and one merge with the older run — and answers as
+/// `query_naive` does, and promptly: merging it chunk by chunk would
+/// move ~4 × 10⁹ samples here.
+#[test]
+fn a_segment_of_overlapping_chunks_merges_once_and_answers_as_the_oracle() {
+    const OLD: u64 = 1 << 20;
+    const CHUNKS: u64 = 8192;
+    let dir = tmpdir("backfill");
+    let mut w = SegmentWriter::new(KIND_SERIES);
+    let old: Vec<(u64, u64)> = (0..OLD).map(|i| (i * 2, (i as f64).to_bits())).collect();
+    for chunk in old.chunks(2048) {
+        w.push_series_block(&[("h", "m", chunk)]);
+    }
+    w.seal(&dir.join("seg-000001.tsdb")).unwrap();
+    let mut w = SegmentWriter::new(KIND_SERIES);
+    let step = OLD * 2 / CHUNKS;
+    let backfill: Vec<[(u64, u64); 2]> = (0..CHUNKS)
+        .map(|k| [(k * step + 2, (-1.0f64).to_bits()), (k * step + 3, (k as f64).to_bits())])
+        .collect();
+    for block in backfill.chunks(64) {
+        let block: Vec<_> = block.iter().map(|chunk| ("h", "m", &chunk[..])).collect();
+        w.push_series_block(&block);
+    }
+    w.seal(&dir.join("seg-000002.tsdb")).unwrap();
+
+    let db = Tsdb::open_with(&dir, DbOptions::default()).unwrap();
+    let started = std::time::Instant::now();
+    let fast = db.query(&Selector::all(), 0, u64::MAX).unwrap();
+    let took = started.elapsed();
+    assert_eq!(fast[0].1.len() as u64, OLD + CHUNKS);
+    assert_eq!(bits_view(fast), bits_view(db.query_naive(&Selector::all(), 0, u64::MAX).unwrap()));
+    assert!(took.as_secs() < 3, "took {took:?}");
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// Hosts that carry different metric sets — the first never has `m0`,
