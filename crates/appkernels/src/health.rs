@@ -49,15 +49,6 @@ pub struct NodeHealth {
 impl NodeHealth {
     pub const HEALTHY: NodeHealth = NodeHealth { cpu: 1.0, mem_bw: 1.0, fs_write: 1.0, net: 1.0 };
 
-    pub fn factor(&self, s: Subsystem) -> f64 {
-        match s {
-            Subsystem::Cpu => self.cpu,
-            Subsystem::MemoryBandwidth => self.mem_bw,
-            Subsystem::FilesystemWrite => self.fs_write,
-            Subsystem::Interconnect => self.net,
-        }
-    }
-
     fn set(&mut self, s: Subsystem, v: f64) {
         match s {
             Subsystem::Cpu => self.cpu = v,

@@ -1,4 +1,4 @@
-//! Timing shared by the `repro` binary and the `harness = false` benches.
+//! Timing shared by the `harness = false` benches (`repro` times its own runs).
 
 use std::time::Instant;
 

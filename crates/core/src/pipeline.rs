@@ -42,9 +42,6 @@ const INGEST_QUEUE_DEPTH: usize = 32;
 /// Pipeline tuning.
 #[derive(Debug, Clone)]
 pub struct PipelineOptions {
-    /// Bin width of the assembled system series (defaults to the
-    /// sampling interval).
-    pub series_bin_secs: Option<u64>,
     /// Keep the raw archive in the result (it is by far the largest
     /// artifact; reports only need the table + series).
     pub keep_archive: bool,
@@ -61,9 +58,9 @@ pub struct PipelineOptions {
     /// memory. Both paths produce bit-identical output.
     pub store_dir: Option<std::path::PathBuf>,
     /// Telemetry registry the pipeline reports into (file/byte/record
-    /// counters, quarantine tallies, per-stage durations). `None` uses
+    /// counters, quarantine tallies, per-stage durations); defaults to
     /// the process-wide [`supremm_obs::global`] registry.
-    pub obs: Option<supremm_obs::ObsHandle>,
+    pub obs: supremm_obs::ObsHandle,
     /// Retention policy applied to the series store when `store_dir` is
     /// set: the store opens under this policy and one retention pass
     /// (data-time `now`) runs after the series land, so the reloaded
@@ -75,11 +72,10 @@ pub struct PipelineOptions {
 impl Default for PipelineOptions {
     fn default() -> Self {
         PipelineOptions {
-            series_bin_secs: None,
             keep_archive: true,
             fault_plan: None,
             store_dir: None,
-            obs: None,
+            obs: supremm_obs::global(),
             retention: None,
         }
     }
@@ -373,11 +369,12 @@ fn ingest_worker_count() -> usize {
 /// right after its parse, so peak raw-text memory is bounded by the
 /// files in flight, not the whole run.
 pub fn run_pipeline(cfg: ClusterConfig, opts: &PipelineOptions) -> MachineDataset {
-    let bin = opts.series_bin_secs.unwrap_or(cfg.interval.seconds());
-    let consume_opts = ConsumeOptions { bin_secs: Some(bin), job_fragments: true, strict: false };
-
-    let obs = opts.obs.clone().unwrap_or_else(supremm_obs::global);
-    let met = PipelineMetrics::new(&obs);
+    let consume_opts = ConsumeOptions {
+        bin_secs: Some(cfg.interval.seconds()),
+        job_fragments: true,
+        strict: false,
+    };
+    let met = PipelineMetrics::new(&opts.obs);
 
     let mut fault_log = InjectionLog::default();
     let t = supremm_obs::Timer::start();
@@ -814,8 +811,7 @@ mod tests {
         use std::sync::Arc;
         let obs = Arc::new(supremm_obs::ObsRegistry::new());
         let cfg = ClusterConfig::ranger().scaled(8, 1);
-        let ds =
-            run_pipeline(cfg, &PipelineOptions { obs: Some(obs.clone()), ..Default::default() });
+        let ds = run_pipeline(cfg, &PipelineOptions { obs: obs.clone(), ..Default::default() });
         let snap = obs.snapshot();
         assert_eq!(
             snap.counter("pipeline_files_consumed_total"),

@@ -133,10 +133,6 @@ impl SampleInterval {
     /// The paper's production cadence: ten minutes.
     pub const TEN_MINUTES: SampleInterval = SampleInterval(Duration(600));
 
-    pub fn duration(self) -> Duration {
-        self.0
-    }
-
     pub fn seconds(self) -> u64 {
         self.0 .0
     }

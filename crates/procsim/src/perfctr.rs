@@ -101,10 +101,6 @@ impl PerfCounterSet {
         }
     }
 
-    pub fn cores(&self) -> u32 {
-        self.cores
-    }
-
     /// Program every core's slots to the given events, clearing the
     /// registers — what TACC_Stats does at job begin.
     pub fn program_all(&mut self, events: [Option<PerfEvent>; COUNTERS_PER_CORE]) {

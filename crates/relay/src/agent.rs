@@ -6,9 +6,8 @@
 //! function the batch store path calls — so a store fed by agents is
 //! bit-identical to one fed from disk by construction. Records
 //! accumulate until a size threshold ([`AgentOptions::batch_max_samples`]
-//! / [`AgentOptions::batch_max_bytes`]) or an age threshold
-//! ([`AgentOptions::batch_max_age`], checked by [`Agent::tick`]) seals
-//! them into a numbered batch.
+//! / `BATCH_MAX_BYTES`) or an age threshold (`BATCH_MAX_AGE`, checked by
+//! [`Agent::tick`]) seals them into a numbered batch.
 //!
 //! Sealed batches are appended to the crash-safe [`Spool`] *before* the
 //! first send attempt; [`Agent::flush`] syncs the spool, which is the
@@ -32,26 +31,28 @@ use supremm_taccstats::derive::file_extended_series;
 use crate::spool::Spool;
 use crate::wire::{encode_batch, Batch, BatchRecord};
 
+/// Seal the pending batch at roughly this many encoded payload bytes.
+const BATCH_MAX_BYTES: usize = 256 * 1024;
+/// Seal the pending batch once its oldest record is this old (see
+/// [`Agent::tick`]).
+const BATCH_MAX_AGE: Duration = Duration::from_millis(500);
+/// Socket read/write timeout.
+const IO_TIMEOUT: Duration = Duration::from_secs(5);
+/// Seed of the jitter RNG, mixed with the agent id so agents draw apart.
+const JITTER_SEED: u64 = 0x5eed;
+
 /// Knobs for one collector agent.
 #[derive(Clone)]
 pub struct AgentOptions {
-    /// Seal the pending batch at this many samples.
+    /// Seal the pending batch at this many samples (or at
+    /// `BATCH_MAX_BYTES`, or `BATCH_MAX_AGE`).
     pub batch_max_samples: usize,
-    /// ... or at roughly this many encoded payload bytes.
-    pub batch_max_bytes: usize,
-    /// ... or when the oldest pending record is this old (see
-    /// [`Agent::tick`]).
-    pub batch_max_age: Duration,
     /// First backoff ceiling; doubles per consecutive failure.
     pub backoff_base: Duration,
     /// Backoff ceiling cap.
     pub backoff_max: Duration,
     /// Consecutive failures before [`Agent::drain`] gives up.
     pub max_attempts: u32,
-    /// Socket read/write timeout.
-    pub io_timeout: Duration,
-    /// Seed for the jitter RNG (deterministic tests).
-    pub jitter_seed: u64,
     /// Telemetry registry for agent-side counters and gauges.
     pub obs: ObsHandle,
 }
@@ -60,13 +61,9 @@ impl Default for AgentOptions {
     fn default() -> AgentOptions {
         AgentOptions {
             batch_max_samples: 4096,
-            batch_max_bytes: 256 * 1024,
-            batch_max_age: Duration::from_millis(500),
             backoff_base: Duration::from_millis(10),
             backoff_max: Duration::from_secs(2),
             max_attempts: 64,
-            io_timeout: Duration::from_secs(5),
-            jitter_seed: 0x5eed,
             obs: supremm_obs::global(),
         }
     }
@@ -163,7 +160,7 @@ impl Agent {
             outstanding.push_back((seq, frame, samples));
         }
         let met = AgentMetrics::new(opts.obs.clone());
-        let rng = opts.jitter_seed ^ id.bytes().fold(0u64, |h, b| h.rotate_left(7) ^ b as u64);
+        let rng = JITTER_SEED ^ id.bytes().fold(0u64, |h, b| h.rotate_left(7) ^ b as u64);
         let agent = Agent {
             id: id.to_string(),
             server: server.to_string(),
@@ -187,28 +184,14 @@ impl Agent {
         Ok(agent)
     }
 
-    pub fn id(&self) -> &str {
-        &self.id
-    }
-
     /// Highest batch seq acked by the server this incarnation.
     pub fn max_acked(&self) -> Option<u64> {
         self.max_acked
     }
 
-    /// Next seq to assign — monotone across restarts.
-    pub fn next_seq(&self) -> u64 {
-        self.next_seq
-    }
-
     /// Seqs the spool carried over from a previous incarnation.
     pub fn recovered_seqs(&self) -> &[u64] {
         &self.recovered_seqs
-    }
-
-    /// Spooled batches not yet acked.
-    pub fn backlog(&self) -> usize {
-        self.outstanding.len()
     }
 
     fn update_gauges(&self) {
@@ -235,7 +218,7 @@ impl Agent {
                 self.pending_since = Some(Instant::now());
             }
             if self.pending_samples >= self.opts.batch_max_samples
-                || self.pending_bytes >= self.opts.batch_max_bytes
+                || self.pending_bytes >= BATCH_MAX_BYTES
             {
                 self.seal()?;
             }
@@ -268,11 +251,11 @@ impl Agent {
     }
 
     /// Age-based sealing: call periodically while streaming. Seals the
-    /// pending batch once it is older than `batch_max_age` and makes one
+    /// pending batch once it is older than `BATCH_MAX_AGE` and makes one
     /// non-blocking send attempt at the backlog.
     pub fn tick(&mut self) -> io::Result<()> {
         if let Some(since) = self.pending_since {
-            if since.elapsed() >= self.opts.batch_max_age {
+            if since.elapsed() >= BATCH_MAX_AGE {
                 self.seal()?;
             }
         }
@@ -345,7 +328,6 @@ impl Agent {
         self.met.sent.inc();
         match self.send_frame(&frame) {
             Ok(SendResult::Acked { deduped }) => {
-                self.outstanding.pop_front();
                 self.max_acked = Some(self.max_acked.map_or(seq, |m| m.max(seq)));
                 self.attempt = 0;
                 self.met.acked.inc();
@@ -353,10 +335,7 @@ impl Agent {
                 if deduped {
                     self.met.deduped.inc();
                 }
-                if self.outstanding.is_empty() && self.spool.entries() > 0 {
-                    self.spool.reset(self.next_seq)?;
-                }
-                self.update_gauges();
+                self.pop_resolved()?;
                 Ok(true)
             }
             Ok(SendResult::Busy { retry_after_ms }) => {
@@ -370,13 +349,12 @@ impl Agent {
             Ok(SendResult::Poisoned { status }) => {
                 // Unacceptable batch (corrupt frame / oversized): no
                 // retry can fix it. Drop it and keep the line moving.
-                self.outstanding.pop_front();
                 self.met.poisoned.inc();
                 self.met.obs.event(
                     "relay_poisoned_batch",
                     format!("agent {}: batch seq {} rejected with {}", self.id, seq, status),
                 );
-                self.update_gauges();
+                self.pop_resolved()?;
                 Ok(true)
             }
             Err(e) => {
@@ -389,11 +367,22 @@ impl Agent {
         }
     }
 
+    /// Drop the resolved head of the backlog. Once nothing is owed, the
+    /// spool resets, so a restart resends nothing.
+    fn pop_resolved(&mut self) -> io::Result<()> {
+        self.outstanding.pop_front();
+        if self.outstanding.is_empty() && self.spool.entries() > 0 {
+            self.spool.reset(self.next_seq)?;
+        }
+        self.update_gauges();
+        Ok(())
+    }
+
     fn connect(&mut self) -> io::Result<&mut TcpStream> {
         if self.conn.is_none() {
             let stream = TcpStream::connect(&self.server)?;
-            stream.set_read_timeout(Some(self.opts.io_timeout))?;
-            stream.set_write_timeout(Some(self.opts.io_timeout))?;
+            stream.set_read_timeout(Some(IO_TIMEOUT))?;
+            stream.set_write_timeout(Some(IO_TIMEOUT))?;
             stream.set_nodelay(true)?;
             self.conn = Some(stream);
         }

@@ -39,6 +39,10 @@ use supremm_tsdb::Tsdb;
 
 use crate::wire::{decode_batch, Batch};
 
+/// Sliding dedup window per agent, in seqs: a seq at least this far
+/// below the agent's highest acks as a duplicate without a lookup.
+const DEDUP_WINDOW: u64 = 1024;
+
 /// Knobs for the ingest core.
 #[derive(Clone)]
 pub struct IngestOptions {
@@ -46,8 +50,6 @@ pub struct IngestOptions {
     pub queue_cap: usize,
     /// Largest acceptable request body (bytes) — the 413 threshold.
     pub max_batch_bytes: usize,
-    /// Sliding dedup window per agent, in seqs.
-    pub dedup_window: u64,
     /// `Retry-After` hint handed out with Busy answers, milliseconds.
     pub retry_after_ms: u64,
     /// Telemetry registry for server-side counters/gauges/histograms.
@@ -61,7 +63,6 @@ impl Default for IngestOptions {
         IngestOptions {
             queue_cap: 64,
             max_batch_bytes: 4 * 1024 * 1024,
-            dedup_window: 1024,
             retry_after_ms: 50,
             obs: supremm_obs::global(),
             chaos: None,
@@ -243,16 +244,6 @@ impl IngestCore {
         self.opts.max_batch_bytes
     }
 
-    /// `Retry-After` hint, milliseconds.
-    pub fn retry_after_ms(&self) -> u64 {
-        self.opts.retry_after_ms
-    }
-
-    /// Batches admitted but not yet applied.
-    pub fn queue_depth(&self) -> usize {
-        lock_inner(&self.state).queue.len()
-    }
-
     /// Batches fully applied + synced.
     pub fn applied(&self) -> u64 {
         lock_inner(&self.state).applied
@@ -276,7 +267,6 @@ impl IngestCore {
         let timer = Timer::start();
         let agent_id = batch.agent_id.clone();
         let seq = batch.batch_seq;
-        let dw = self.opts.dedup_window;
         let busy = WriteOutcome::Busy { retry_after_ms: self.opts.retry_after_ms };
 
         let mut inner = lock_inner(&self.state);
@@ -301,7 +291,7 @@ impl IngestCore {
 
         let admission = {
             let win = inner.window(&agent_id);
-            if win.any && seq.saturating_add(dw) <= win.max_seq {
+            if win.any && seq.saturating_add(DEDUP_WINDOW) <= win.max_seq {
                 Admission::Old
             } else if let Some(&t) = win.recent.get(&seq) {
                 Admission::Dup(t)
@@ -335,7 +325,7 @@ impl IngestCore {
                 }
                 // Prune everything at or below the window floor (seqs
                 // the Old check already answers for).
-                if let Some(floor) = win.max_seq.checked_sub(dw) {
+                if let Some(floor) = win.max_seq.checked_sub(DEDUP_WINDOW) {
                     win.recent = win.recent.split_off(&floor.saturating_add(1));
                     win.attempts = win.attempts.split_off(&floor.saturating_add(1));
                 }
@@ -554,26 +544,31 @@ mod tests {
     #[test]
     fn old_seq_acks_as_duplicate() {
         let dir = tmp("oldseq");
+        let obs = Arc::new(ObsRegistry::new());
         let core = core_with(
             &dir.join("store"),
-            IngestOptions {
-                dedup_window: 4,
-                obs: Arc::new(ObsRegistry::new()),
-                ..IngestOptions::default()
-            },
+            IngestOptions { obs: obs.clone(), ..IngestOptions::default() },
         );
-        for seq in 0..8u64 {
+        let batches = DEDUP_WINDOW + 2;
+        for seq in 0..batches {
             assert!(matches!(
                 core.submit(&frame("a1", seq, 600 * (seq + 1), seq as f64)),
                 WriteOutcome::Acked { deduped: false, .. }
             ));
         }
-        // seq 0 is far below the window now.
+        // seq 0 is below the window now; a changed value shows whether
+        // the resend was applied.
         assert_eq!(
-            core.submit(&frame("a1", 0, 600, 0.0)),
+            core.submit(&frame("a1", 0, 600, -1.0)),
             WriteOutcome::Acked { seq: 0, deduped: true }
         );
         core.drain();
+        assert_eq!(obs.snapshot().counter("relay_server_batches_applied_total"), Some(batches));
+        let db = Tsdb::open(&dir.join("store")).unwrap();
+        let series = db.query(&Selector::default(), 0, u64::MAX).unwrap();
+        let expected: Vec<(u64, f64)> = (0..batches).map(|s| (600 * (s + 1), s as f64)).collect();
+        assert_eq!(series.len(), 1);
+        assert_eq!(series[0].1, expected, "each sample once, none re-applied");
         let _ = std::fs::remove_dir_all(&dir);
     }
 

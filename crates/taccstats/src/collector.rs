@@ -21,7 +21,6 @@ pub struct Collector {
     current_job: Option<JobId>,
     writer: Option<(u64, FileWriter)>,
     finished: Vec<(RawFileKey, String)>,
-    samples_taken: u64,
 }
 
 impl Collector {
@@ -33,26 +32,11 @@ impl Collector {
     /// A collector gathering only the given classes (the real tool's
     /// modules are individually selectable).
     pub fn with_classes(host: HostId, classes: Vec<DeviceClass>) -> Collector {
-        Collector {
-            host,
-            classes,
-            current_job: None,
-            writer: None,
-            finished: Vec::new(),
-            samples_taken: 0,
-        }
+        Collector { host, classes, current_job: None, writer: None, finished: Vec::new() }
     }
 
     pub fn host(&self) -> HostId {
         self.host
-    }
-
-    pub fn current_job(&self) -> Option<JobId> {
-        self.current_job
-    }
-
-    pub fn samples_taken(&self) -> u64 {
-        self.samples_taken
     }
 
     fn writer_for(&mut self, ts: Timestamp, src: &dyn KernelSource) -> &mut FileWriter {
@@ -99,7 +83,6 @@ impl Collector {
     pub fn sample(&mut self, src: &dyn KernelSource, ts: Timestamp) {
         let rec = self.read_record(src, ts);
         self.writer_for(ts, src).write_record(&rec);
-        self.samples_taken += 1;
     }
 
     /// Job end: final sample plus the `%end` mark.

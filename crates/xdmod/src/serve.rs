@@ -57,7 +57,7 @@
 use std::collections::BTreeMap;
 use std::io::{Read, Write};
 use std::net::{TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex, RwLock};
 use std::time::Duration;
 
@@ -604,19 +604,12 @@ struct CacheInner {
 /// invalidate the cache simply by mutating the store.
 pub struct ResponseCache {
     capacity: usize,
-    hits: AtomicU64,
-    misses: AtomicU64,
     inner: Mutex<CacheInner>,
 }
 
 impl ResponseCache {
     pub fn new(capacity: usize) -> ResponseCache {
-        ResponseCache {
-            capacity,
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
-            inner: Mutex::new(CacheInner { map: BTreeMap::new(), tick: 0 }),
-        }
+        ResponseCache { capacity, inner: Mutex::new(CacheInner { map: BTreeMap::new(), tick: 0 }) }
     }
 
     fn lock(&self) -> std::sync::MutexGuard<'_, CacheInner> {
@@ -631,7 +624,6 @@ impl ResponseCache {
         let stale = match inner.map.get_mut(key) {
             Some(entry) if entry.generation == generation => {
                 entry.last_used = tick;
-                self.hits.fetch_add(1, Ordering::Relaxed);
                 return Some(entry.response.clone());
             }
             Some(_) => true,
@@ -640,7 +632,6 @@ impl ResponseCache {
         if stale {
             inner.map.remove(key);
         }
-        self.misses.fetch_add(1, Ordering::Relaxed);
         None
     }
 
@@ -671,14 +662,6 @@ impl ResponseCache {
 
     pub fn is_empty(&self) -> bool {
         self.len() == 0
-    }
-
-    pub fn hits(&self) -> u64 {
-        self.hits.load(Ordering::Relaxed)
-    }
-
-    pub fn misses(&self) -> u64 {
-        self.misses.load(Ordering::Relaxed)
     }
 }
 
@@ -1160,8 +1143,6 @@ mod tests {
         // A newer generation misses and drops the stale entry.
         assert!(cache.get("a", 2).is_none());
         assert!(cache.get("a", 1).is_none(), "stale entry evicted on mismatch");
-        assert!(cache.hits() >= 2);
-        assert!(cache.misses() >= 2);
         // Capacity 0 holds nothing.
         let off = ResponseCache::new(0);
         off.put("x".into(), 1, resp("X"));
@@ -1196,7 +1177,7 @@ mod tests {
         // Same generation: served from cache, bit-identical.
         let again = respond(&t, Some(&db), &cache, &met, &line);
         assert_eq!(first, again);
-        assert_eq!(cache.hits(), 1);
+        assert_eq!(met.obs.snapshot().counter("serve_cache_hits_total"), Some(1));
         // Equivalent query, different parameter order: same cache slot.
         let reordered = respond(
             &t,
@@ -1206,13 +1187,13 @@ mod tests {
             &Request::parse("GET /v1/series?metric=m&host=h HTTP/1.1"),
         );
         assert_eq!(reordered, first);
-        assert_eq!(cache.hits(), 2);
+        assert_eq!(met.obs.snapshot().counter("serve_cache_hits_total"), Some(2));
         // A write bumps the generation; the next read recomputes.
         db.write().unwrap().append_batch("h", "m", &[(600, 2.0)]).unwrap();
         let after = respond(&t, Some(&db), &cache, &met, &line);
         assert_ne!(after, first, "stale response must not be served");
         assert!(after.body.contains("600"));
-        // The obs mirror saw the same traffic.
+        // Misses: the first read and the one after the write.
         let snap = met.obs.snapshot();
         assert_eq!(snap.counter("serve_cache_hits_total"), Some(2));
         assert_eq!(snap.counter("serve_cache_misses_total"), Some(2));

@@ -22,7 +22,7 @@ use std::sync::{Arc, OnceLock, RwLock};
 use std::time::Duration;
 
 use supremm_obs::{ObsHandle, ObsRegistry};
-use supremm_relay::{Agent, AgentOptions, ChaosPlan, IngestCore, IngestOptions};
+use supremm_relay::{Agent, AgentOptions, ChaosPlan, IngestCore, IngestOptions, Spool};
 use supremm_suite::prelude::*;
 use supremm_suite::taccstats::RawArchive;
 use supremm_suite::warehouse::tsdb::{Selector, Tsdb};
@@ -136,7 +136,6 @@ fn agent_opts(obs: &ObsHandle) -> AgentOptions {
         backoff_max: Duration::from_millis(50),
         max_attempts: 200,
         obs: obs.clone(),
-        ..AgentOptions::default()
     }
 }
 
@@ -341,4 +340,43 @@ fn server_drain_preserves_every_acked_batch() {
     // Every acked sample survived the drain into the store.
     let total: u64 = dump(&store.read().unwrap()).iter().map(|(_, _, s)| s.len() as u64).sum();
     assert_eq!(total, acked_samples, "drain lost acked samples");
+}
+
+#[test]
+fn the_spool_resets_when_a_poisoned_batch_empties_the_backlog() {
+    let dir = tmp("poison");
+    let by_host = files_by_host();
+    let (host, files) = by_host.iter().next().unwrap();
+    let file = &files[0];
+    // Only `flush` seals here, so one offered file is one batch.
+    let opts = |obs: &ObsHandle| AgentOptions { batch_max_samples: usize::MAX, ..agent_opts(obs) };
+    let id = "agent-poison";
+
+    // The server's limit is the spool of one file's batch: a 16-byte
+    // header and the frame. A batch of the file twice is over it.
+    let probe = dir.join("probe.q");
+    let mut agent =
+        Agent::open(id, "127.0.0.1:1", &probe, opts(&Arc::new(ObsRegistry::new()))).unwrap();
+    agent.offer_file(host, file).unwrap();
+    agent.flush().unwrap();
+    drop(agent);
+    let limit = std::fs::metadata(&probe).unwrap().len() as usize;
+    let server = start_server(&dir.join("live"), |o| o.max_batch_bytes = limit);
+
+    let spool = dir.join("spool.q");
+    let mut agent = Agent::open(id, &server.addr, &spool, opts(&server.obs)).unwrap();
+    agent.offer_file(host, file).unwrap();
+    agent.drain().unwrap();
+    agent.offer_file(host, file).unwrap();
+    agent.offer_file(host, file).unwrap();
+    agent.drain().unwrap();
+    drop(agent);
+    let (_, obs) = server.stop();
+
+    let snap = obs.snapshot();
+    assert_eq!(snap.counter("relay_agent_batches_acked_total"), Some(1));
+    assert_eq!(snap.counter("relay_agent_batches_poisoned_total"), Some(1));
+    // Nothing is owed, so a restart must resend nothing.
+    let recovered = Spool::open(&spool).unwrap().batches;
+    assert!(recovered.is_empty(), "the spool kept {} resolved batches", recovered.len());
 }
