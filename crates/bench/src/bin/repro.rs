@@ -346,7 +346,7 @@ fn write_ingest_bench(root: &std::path::Path) -> std::io::Result<()> {
     std::fs::create_dir_all(&dir)?;
 
     // Pre-encode every frame so the timed section measures the server
-    // path (decode, admission, dedup, apply, fsync), not the encoder.
+    // path (decode, dedup, apply, group fsync), not the encoder.
     let mut wire_bytes = 0u64;
     let frames: Vec<Vec<Vec<u8>>> = (0..AGENTS)
         .map(|a| {
@@ -389,9 +389,9 @@ fn write_ingest_bench(root: &std::path::Path) -> std::io::Result<()> {
             let core = core.clone();
             s.spawn(move || {
                 for frame in agent_frames {
-                    // Submit blocks until the batch is applied; with 4
-                    // submitters against a 64-deep queue Busy can't
-                    // happen, so every outcome must be an ack.
+                    // Submit blocks until the batch is applied and
+                    // synced; Busy comes only from a draining or failed
+                    // store, so every outcome must be an ack.
                     match core.submit(frame) {
                         supremm_relay::WriteOutcome::Acked { .. } => {}
                         other => panic!("bench submit rejected: {other:?}"),

@@ -27,13 +27,13 @@
 //!     that policy and one rollup+expiry pass runs before serving.
 //!
 //! supremm ingestd --data data/ --addr 127.0.0.1:8080
-//!                 [--queue-cap N] [--max-batch-bytes N] [--retention SPEC]
+//!                 [--max-batch-bytes N] [--retention SPEC]
 //!     the query API plus the live remote-write path: POST /v1/write
-//!     accepts relay wire frames from collector agents, admission-
-//!     controlled (429 + Retry-After under pressure, 413 over the body
-//!     cap) and exactly-once via the per-agent dedup window. Send
-//!     "drain\n" on stdin (or close it) for a graceful drain: stop
-//!     accepting, flush every admitted batch into the store, exit.
+//!     accepts relay wire frames from collector agents, acks each batch
+//!     once it is applied and WAL-synced (413 over the body cap, 429 +
+//!     Retry-After while draining) and is exactly-once via the
+//!     per-agent dedup window. Send "drain\n" on stdin (or close it) for
+//!     a graceful drain: stop accepting, seal the store, exit.
 //!
 //! supremm agent --data data/ --server 127.0.0.1:8080 [--id NAME]
 //!               [--spool path]
@@ -333,9 +333,9 @@ fn serve_cmd(args: &[String]) {
         .unwrap_or_else(|e| die(&format!("serve: {e}")));
 }
 
-/// The ingest daemon: the query API plus an admission-controlled
-/// `POST /v1/write` into the time-series store. Drains gracefully on
-/// stdin EOF or a "drain" line — no acked batch is ever lost.
+/// The ingest daemon: the query API plus `POST /v1/write` into the
+/// time-series store. Drains gracefully on stdin EOF or a "drain" line
+/// — no acked batch is ever lost.
 fn ingestd_cmd(args: &[String]) {
     let dir = data_dir(args);
     let addr = arg_value(args, "--addr").unwrap_or_else(|| "127.0.0.1:8080".into());
@@ -348,9 +348,6 @@ fn ingestd_cmd(args: &[String]) {
     let table =
         if dir.join("jobs.tsdb").exists() { load_jobs(&dir) } else { JobTable::new(Vec::new()) };
     let mut ingest_opts = supremm_relay::IngestOptions::default();
-    if let Some(v) = arg_value(args, "--queue-cap") {
-        ingest_opts.queue_cap = v.parse().unwrap_or_else(|_| die("--queue-cap needs an integer"));
-    }
     if let Some(v) = arg_value(args, "--max-batch-bytes") {
         ingest_opts.max_batch_bytes =
             v.parse().unwrap_or_else(|_| die("--max-batch-bytes needs an integer"));

@@ -2,7 +2,7 @@
 //! built on it.
 //!
 //! [`SplitMix64`] drives the simulator, fault plans, agent backoff jitter
-//! and server chaos plans; its stream is pinned by known-answer tests so
+//! and the live-ingest tests' fault proxy; its stream is pinned by known-answer tests so
 //! none of those schedules can move by accident. [`cases`] runs a test
 //! body over many seeded inputs and, on failure, names the seed that
 //! reproduces it.

@@ -402,6 +402,11 @@ impl Agent {
         stream.write_all(request.as_bytes())?;
         stream.write_all(frame)?;
         let (status, headers, body) = read_http_response(stream)?;
+        // The server closes its end after this answer (a 413, or its
+        // per-connection request budget spent): reconnect next time.
+        if header_value(&headers, "connection").is_some_and(|v| v.eq_ignore_ascii_case("close")) {
+            self.conn = None;
+        }
         match status {
             200 => Ok(SendResult::Acked { deduped: body.contains("\"deduped\":true") }),
             429 | 503 => {

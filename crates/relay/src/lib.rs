@@ -15,11 +15,12 @@
 //!   metric series (the exact reduction the batch path uses), batches by
 //!   size + age, ships with exponential backoff + full jitter, and
 //!   resends spooled batches after a crash.
-//! * [`server`] — the admission-controlled ingest core behind
-//!   `POST /v1/write`: bounded queue (429 + `Retry-After` when full),
-//!   sliding per-agent dedup window (retries are exactly-once as
-//!   observed in the store), acks only after the batch is applied and
-//!   WAL-synced, graceful drain.
+//! * [`server`] — the ingest core behind `POST /v1/write`: each request
+//!   thread applies its own batch, concurrent requests share a WAL sync
+//!   (group commit), a sliding per-agent dedup window makes retries
+//!   exactly-once as observed in the store, acks come only after the
+//!   batch is applied and WAL-synced, and a drain answers 429 +
+//!   `Retry-After`.
 //!
 //! Delivery contract: the agent retries until acked (at-least-once on
 //! the wire), the server dedups on `(agent_id, batch_seq)` (exactly-once
@@ -33,6 +34,6 @@ pub mod spool;
 pub mod wire;
 
 pub use agent::{Agent, AgentOptions};
-pub use server::{ChaosPlan, IngestCore, IngestOptions, WriteOutcome};
+pub use server::{IngestCore, IngestOptions, WriteOutcome};
 pub use spool::{Spool, SpoolRecovery};
 pub use wire::{decode_batch, encode_batch, Batch, BatchRecord, WireError};

@@ -1,40 +1,46 @@
-//! The admission-controlled ingest core behind `POST /v1/write`.
+//! The ingest core behind `POST /v1/write`.
 //!
-//! Request handlers call [`IngestCore::submit`] with the raw POST body.
-//! The core decodes the frame, consults the per-agent sliding dedup
+//! Request handlers call [`IngestCore::submit`] with the raw POST body,
+//! and each request thread applies its own batch. The core checks the
+//! body's size, decodes the frame, consults the per-agent sliding dedup
 //! window, and either (a) answers `deduped` for a batch it has already
-//! applied, (b) refuses with `Busy` (HTTP 429 + `Retry-After`) when the
-//! bounded admission queue is full or the core is draining, or (c)
-//! enqueues the batch and blocks until the writer thread has applied it
-//! to the store *and* WAL-synced it — only then is the ack returned, so
-//! a `200` always means "durable". The backpressure ladder a client can
-//! observe is therefore: 413 (body over limit) → 400 (bad frame) → 429
-//! (queue full / draining) → 200; the write path never answers 5xx.
+//! applied, (b) refuses with `Busy` (HTTP 429 + `Retry-After`) while
+//! draining or once the store has failed, or (c) appends the batch
+//! under the store's write guard and returns once a WAL sync covers the
+//! append — so a `200` always means "durable". The backpressure ladder
+//! a client can observe is therefore: 413 (body over limit) → 400 (bad
+//! frame) → 429 (draining / store failed) → 200; the write path never
+//! answers 5xx.
+//!
+//! **Group commit.** Concurrent submitters share an fsync. Once no
+//! append is in flight, the first submitter that finds appends not yet
+//! synced leads: it takes the write guard, reads the append count and
+//! syncs; the others wait on one condvar until the `synced` count
+//! covers their own append. Waiting out the appends in flight lets the
+//! batches that queued on the guard during a sync share the next one.
+//! A `/v1/series` read may see a batch that is appended but not yet
+//! acked; the ack itself still waits for the sync.
 //!
 //! **Exactly-once.** Agents send batches in seq order and retry until
 //! acked, so the wire carries at-least-once. The dedup window keeps, per
-//! agent, the highest seq seen and the set of recently admitted seqs
-//! (with their queue tickets): a retry of an in-flight batch waits on
-//! the original's ticket instead of re-applying, and a retry of an
-//! already-applied batch acks immediately. Seqs older than the window
-//! are acked as duplicates on the monotone-seq contract.
+//! agent, the highest seq seen and the recently admitted seqs with the
+//! append count that covers each: a retry of a batch not yet synced
+//! waits for that sync instead of re-applying, and a retry of a synced
+//! batch acks at once. A seq is marked pending before its append, so a
+//! copy that arrives mid-append answers Busy rather than appending
+//! twice. Seqs older than the window are acked as duplicates on the
+//! monotone-seq contract. The state mutex and the store guard are never
+//! held together.
 //!
-//! **Drain.** [`IngestCore::drain`] stops admissions (Busy), lets the
-//! writer flush the remaining queue into the store, seals the memtable,
-//! and joins the writer — no acked batch can be lost because acks only
-//! ever happen after apply+sync.
-//!
-//! [`ChaosPlan`] is the transport half of the `faultsim` story: a seeded,
-//! deterministic plan that severs connections before or after the apply,
-//! forcing agent retries through both dedup paths.
+//! **Drain.** [`IngestCore::drain`] stops admissions (Busy) and seals
+//! the memtable under the write guard — no acked batch can be lost
+//! because acks only ever happen after append + sync.
 
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::BTreeMap;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, RwLock};
-use std::thread::JoinHandle;
-use std::time::Duration;
 
-use supremm_metrics::rng::SplitMix64;
-use supremm_obs::{Gauge, ObsHandle, Timer};
+use supremm_obs::{ObsHandle, Timer};
 use supremm_tsdb::Tsdb;
 
 use crate::wire::{decode_batch, Batch};
@@ -43,59 +49,28 @@ use crate::wire::{decode_batch, Batch};
 /// below the agent's highest acks as a duplicate without a lookup.
 const DEDUP_WINDOW: u64 = 1024;
 
+/// Ticket of an admitted seq whose append has not finished (real
+/// tickets count appends from 1).
+const PENDING: u64 = 0;
+
 /// Knobs for the ingest core.
 #[derive(Clone)]
 pub struct IngestOptions {
-    /// Bounded admission queue: batches admitted but not yet applied.
-    pub queue_cap: usize,
     /// Largest acceptable request body (bytes) — the 413 threshold.
     pub max_batch_bytes: usize,
     /// `Retry-After` hint handed out with Busy answers, milliseconds.
     pub retry_after_ms: u64,
     /// Telemetry registry for server-side counters/gauges/histograms.
     pub obs: ObsHandle,
-    /// Optional deterministic connection-killing fault plan.
-    pub chaos: Option<ChaosPlan>,
 }
 
 impl Default for IngestOptions {
     fn default() -> IngestOptions {
         IngestOptions {
-            queue_cap: 64,
             max_batch_bytes: 4 * 1024 * 1024,
             retry_after_ms: 50,
             obs: supremm_obs::global(),
-            chaos: None,
         }
-    }
-}
-
-/// Seeded transport-fault plan: sever the connection for a deterministic
-/// subset of `(agent, seq, attempt)` triples. `drop_before_apply` kills
-/// the request before the batch is admitted (a plain retry);
-/// `drop_after_apply` kills it after apply+sync but before the ack (the
-/// interesting case — the retry must be deduped, not re-applied).
-/// Keying on the attempt number means a doomed batch is not doomed
-/// forever: each retry draws fresh.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ChaosPlan {
-    pub seed: u64,
-    pub drop_before_apply: f64,
-    pub drop_after_apply: f64,
-}
-
-impl ChaosPlan {
-    fn draw(&self, agent: &str, seq: u64, attempt: u64) -> (bool, bool) {
-        let mut h = self.seed ^ 0x9e37_79b9_7f4a_7c15;
-        for b in agent.bytes() {
-            h = h.rotate_left(9) ^ (b as u64);
-        }
-        h ^= seq.wrapping_mul(0xff51_afd7_ed55_8ccd);
-        h ^= attempt.rotate_left(32);
-        let mut rng = SplitMix64::new(h);
-        let before = rng.uniform() < self.drop_before_apply;
-        let after = rng.uniform() < self.drop_after_apply;
-        (before, after)
     }
 }
 
@@ -104,48 +79,36 @@ impl ChaosPlan {
 pub enum WriteOutcome {
     /// Batch is durable in the store (or provably already was).
     Acked { seq: u64, deduped: bool },
-    /// Admission queue full or draining: 429 + `Retry-After`.
+    /// Draining, or the store failed: 429 + `Retry-After`.
     Busy { retry_after_ms: u64 },
     /// Undecodable frame: 400.
     Malformed(String),
     /// Body over `max_batch_bytes`: 413.
     TooLarge { limit: usize },
-    /// Chaos plan says: close the socket without answering.
-    SeverConnection,
 }
 
 /// Per-agent sliding dedup window.
 struct AgentWindow {
     max_seq: u64,
     any: bool,
-    /// Recently admitted seqs → queue ticket (apply watermark target).
+    /// Recently admitted seqs → the append count that covers each (the
+    /// `synced` value a retry waits for), or [`PENDING`].
     recent: BTreeMap<u64, u64>,
-    /// Chaos attempt counters, pruned with `recent`.
-    attempts: BTreeMap<u64, u64>,
 }
 
 struct Inner {
-    queue: VecDeque<Batch>,
-    /// 1-based enqueue counter; `applied` is the watermark of tickets
-    /// fully applied + synced (FIFO, so watermark order == queue order).
-    next_ticket: u64,
-    applied: u64,
     windows: BTreeMap<String, AgentWindow>,
+    /// Submits admitted but not done appending; no sync starts until
+    /// they are.
+    appending: usize,
+    /// Appends covered by the last finished sync.
+    synced: u64,
+    /// A leader is syncing; the others wait for it on `synced_cv`.
+    syncing: bool,
     draining: bool,
-    /// Set when the writer hit a store I/O error and exited: all
-    /// subsequent and waiting submits answer Busy, never a false ack.
-    writer_dead: bool,
-}
-
-impl Inner {
-    fn window(&mut self, agent: &str) -> &mut AgentWindow {
-        self.windows.entry(agent.to_string()).or_insert_with(|| AgentWindow {
-            max_seq: 0,
-            any: false,
-            recent: BTreeMap::new(),
-            attempts: BTreeMap::new(),
-        })
-    }
+    /// Set when an append or sync hit a store I/O error: all subsequent
+    /// and waiting submits answer Busy, never a false ack.
+    store_dead: bool,
 }
 
 struct ServerMetrics {
@@ -156,8 +119,6 @@ struct ServerMetrics {
     rej_malformed: supremm_obs::Counter,
     rej_oversized: supremm_obs::Counter,
     rej_busy: supremm_obs::Counter,
-    conn_drops: supremm_obs::Counter,
-    queue_depth: Gauge,
     write_micros: supremm_obs::Histogram,
     apply_micros: supremm_obs::Histogram,
 }
@@ -172,70 +133,46 @@ impl ServerMetrics {
             rej_malformed: obs.counter("relay_server_rejected_total{reason=\"malformed\"}"),
             rej_oversized: obs.counter("relay_server_rejected_total{reason=\"oversized\"}"),
             rej_busy: obs.counter("relay_server_rejected_total{reason=\"busy\"}"),
-            conn_drops: obs.counter("relay_server_chaos_conn_drops_total"),
-            queue_depth: obs.gauge("relay_admission_queue_depth"),
             write_micros: obs.histogram("relay_server_write_micros"),
             apply_micros: obs.histogram("relay_server_apply_micros"),
         }
     }
 }
 
-/// The shared ingest core: admission queue + dedup window + writer
-/// thread applying into an `Arc<RwLock<Tsdb>>`.
+/// The shared ingest core: dedup window + group commit over an
+/// `Arc<RwLock<Tsdb>>`.
 pub struct IngestCore {
     state: Mutex<Inner>,
-    not_empty: Condvar,
-    applied_cv: Condvar,
+    synced_cv: Condvar,
+    /// Batches appended to the store; changes only under its write guard.
+    appended: AtomicU64,
     store: Arc<RwLock<Tsdb>>,
     opts: IngestOptions,
     met: ServerMetrics,
-    writer: Mutex<Option<JoinHandle<()>>>,
 }
 
 fn lock_inner(m: &Mutex<Inner>) -> MutexGuard<'_, Inner> {
     m.lock().unwrap_or_else(|e| e.into_inner())
 }
 
-enum Admission {
-    /// Older than the window — applied long ago.
-    Old,
-    /// Duplicate of an admitted batch: wait on its ticket.
-    Dup(u64),
-    /// New: admit under a fresh ticket.
-    Fresh,
-}
-
 impl IngestCore {
-    /// Spawn the writer thread and return the shared core handle.
+    /// Wrap the store in a shared core handle.
     pub fn start(store: Arc<RwLock<Tsdb>>, opts: IngestOptions) -> Arc<IngestCore> {
-        let met = ServerMetrics::new(&opts.obs);
-        let core = Arc::new(IngestCore {
+        Arc::new(IngestCore {
             state: Mutex::new(Inner {
-                queue: VecDeque::new(),
-                next_ticket: 0,
-                applied: 0,
                 windows: BTreeMap::new(),
+                appending: 0,
+                synced: 0,
+                syncing: false,
                 draining: false,
-                writer_dead: false,
+                store_dead: false,
             }),
-            not_empty: Condvar::new(),
-            applied_cv: Condvar::new(),
+            synced_cv: Condvar::new(),
+            appended: AtomicU64::new(0),
+            met: ServerMetrics::new(&opts.obs),
             store,
             opts,
-            met,
-            writer: Mutex::new(None),
-        });
-        let worker = Arc::clone(&core);
-        match std::thread::Builder::new()
-            .name("relay-ingest-writer".to_string())
-            .spawn(move || worker.writer_loop())
-        {
-            Ok(h) => {
-                *core.writer.lock().unwrap_or_else(|e| e.into_inner()) = Some(h);
-            }
-            Err(_) => lock_inner(&core.state).writer_dead = true,
-        }
-        core
+        })
     }
 
     /// Max request body this core accepts (the serve layer's 413 bound
@@ -244,9 +181,10 @@ impl IngestCore {
         self.opts.max_batch_bytes
     }
 
-    /// Batches fully applied + synced.
+    /// Batches appended to the store (all of them sealed once
+    /// [`IngestCore::drain`] returns).
     pub fn applied(&self) -> u64 {
-        lock_inner(&self.state).applied
+        self.appended.load(Ordering::Relaxed)
     }
 
     /// Handle one `POST /v1/write` body end to end. Blocks until the
@@ -265,185 +203,145 @@ impl IngestCore {
         };
         self.met.received.inc();
         let timer = Timer::start();
-        let agent_id = batch.agent_id.clone();
         let seq = batch.batch_seq;
         let busy = WriteOutcome::Busy { retry_after_ms: self.opts.retry_after_ms };
 
         let mut inner = lock_inner(&self.state);
-        let (sever_before, sever_after) = match &self.opts.chaos {
-            Some(plan) => {
-                let win = inner.window(&agent_id);
-                let attempt = win.attempts.entry(seq).or_insert(0);
-                let n = *attempt;
-                *attempt += 1;
-                plan.draw(&agent_id, seq, n)
-            }
-            None => (false, false),
-        };
-        if sever_before {
-            self.met.conn_drops.inc();
-            return WriteOutcome::SeverConnection;
-        }
-        if inner.draining || inner.writer_dead {
+        if inner.draining || inner.store_dead {
             self.met.rej_busy.inc();
             return busy;
         }
-
-        let admission = {
-            let win = inner.window(&agent_id);
-            if win.any && seq.saturating_add(DEDUP_WINDOW) <= win.max_seq {
-                Admission::Old
-            } else if let Some(&t) = win.recent.get(&seq) {
-                Admission::Dup(t)
-            } else {
-                Admission::Fresh
+        let win = inner.windows.entry(batch.agent_id.clone()).or_insert(AgentWindow {
+            max_seq: 0,
+            any: false,
+            recent: BTreeMap::new(),
+        });
+        if win.any && seq.saturating_add(DEDUP_WINDOW) <= win.max_seq {
+            self.met.deduped.inc();
+            return WriteOutcome::Acked { seq, deduped: true };
+        }
+        // `fresh` carries the sample count of a batch this call applied.
+        let (ticket, fresh) = match win.recent.get(&seq).copied() {
+            Some(PENDING) => {
+                self.met.rej_busy.inc();
+                return busy;
             }
-        };
-        let (ticket, deduped) = match admission {
-            Admission::Old => {
+            Some(t) => {
                 self.met.deduped.inc();
-                return WriteOutcome::Acked { seq, deduped: true };
+                (t, None)
             }
-            Admission::Dup(t) => {
-                self.met.deduped.inc();
-                (t, true)
-            }
-            Admission::Fresh => {
-                if inner.queue.len() >= self.opts.queue_cap {
-                    self.met.rej_busy.inc();
-                    return busy;
-                }
-                inner.next_ticket += 1;
-                let t = inner.next_ticket;
-                inner.queue.push_back(batch);
-                self.met.queue_depth.set(inner.queue.len() as i64);
-                let win = inner.window(&agent_id);
-                win.recent.insert(seq, t);
+            None => {
+                win.recent.insert(seq, PENDING);
                 if !win.any || seq > win.max_seq {
                     win.max_seq = seq;
                     win.any = true;
                 }
                 // Prune everything at or below the window floor (seqs
-                // the Old check already answers for).
+                // the check above already acks as duplicates).
                 if let Some(floor) = win.max_seq.checked_sub(DEDUP_WINDOW) {
                     win.recent = win.recent.split_off(&floor.saturating_add(1));
-                    win.attempts = win.attempts.split_off(&floor.saturating_add(1));
                 }
-                self.not_empty.notify_one();
-                (t, false)
+                inner.appending += 1;
+                drop(inner);
+                let appended = self.append(&batch);
+                inner = lock_inner(&self.state);
+                inner.appending -= 1;
+                if inner.appending == 0 {
+                    self.synced_cv.notify_all();
+                }
+                match appended {
+                    Ok((t, samples)) => {
+                        if let Some(win) = inner.windows.get_mut(&batch.agent_id) {
+                            win.recent.insert(seq, t);
+                        }
+                        (t, Some(samples))
+                    }
+                    Err(e) => {
+                        self.opts.obs.event("relay_ingest_error", format!("append: {e}"));
+                        inner.store_dead = true;
+                        self.met.rej_busy.inc();
+                        return busy;
+                    }
+                }
             }
         };
 
-        // Wait until the writer's applied watermark covers our ticket.
-        loop {
-            if inner.applied >= ticket {
-                break;
-            }
-            if inner.writer_dead {
+        // Group commit: wait until a sync covers our append, leading one
+        // when no other submitter is syncing or appending.
+        while inner.synced < ticket {
+            if inner.store_dead {
                 self.met.rej_busy.inc();
                 return busy;
             }
-            let (guard, _) = self
-                .applied_cv
-                .wait_timeout(inner, Duration::from_millis(100))
-                .unwrap_or_else(|e| e.into_inner());
-            inner = guard;
-        }
-        drop(inner);
-        self.met.write_micros.observe_timer(timer);
-        if sever_after {
-            self.met.conn_drops.inc();
-            return WriteOutcome::SeverConnection;
-        }
-        WriteOutcome::Acked { seq, deduped }
-    }
-
-    fn writer_loop(&self) {
-        loop {
-            let batches: Vec<Batch> = {
-                let mut inner = lock_inner(&self.state);
-                loop {
-                    if !inner.queue.is_empty() {
-                        break;
-                    }
-                    if inner.draining {
-                        drop(inner);
-                        // Queue fully applied: seal the memtable so the
-                        // drained store is segment-durable on exit.
-                        let mut db = self.store.write().unwrap_or_else(|e| e.into_inner());
-                        if let Err(e) = db.flush() {
-                            self.opts.obs.event("relay_ingest_error", format!("drain flush: {e}"));
-                        }
-                        return;
-                    }
-                    let (guard, _) = self
-                        .not_empty
-                        .wait_timeout(inner, Duration::from_millis(100))
-                        .unwrap_or_else(|e| e.into_inner());
-                    inner = guard;
-                }
-                let take = inner.queue.len().min(64);
-                let taken: Vec<Batch> = inner.queue.drain(..take).collect();
-                self.met.queue_depth.set(inner.queue.len() as i64);
-                taken
-            };
-            let n = batches.len() as u64;
-            let timer = Timer::start();
-            let result = {
-                let mut db = self.store.write().unwrap_or_else(|e| e.into_inner());
-                let mut samples = 0u64;
-                // One scratch for the whole apply group, not one per record.
-                let mut vals: Vec<(u64, f64)> = Vec::new();
-                let mut apply = || -> std::io::Result<()> {
-                    for b in &batches {
-                        for rec in &b.records {
-                            vals.clear();
-                            vals.extend(
-                                rec.samples.iter().map(|&(ts, bits)| (ts, f64::from_bits(bits))),
-                            );
-                            db.append_batch(&rec.host, &rec.metric, &vals)?;
-                            samples += vals.len() as u64;
-                        }
-                    }
-                    db.sync()
-                };
-                apply().map(|()| samples)
-            };
-            match result {
-                Ok(samples) => {
-                    self.met.apply_micros.observe_timer(timer);
-                    self.met.applied.add(n);
-                    self.met.samples.add(samples);
-                    let mut inner = lock_inner(&self.state);
-                    inner.applied += n;
-                    self.applied_cv.notify_all();
-                }
+            if inner.syncing || inner.appending > 0 {
+                inner = self.synced_cv.wait(inner).unwrap_or_else(|e| e.into_inner());
+                continue;
+            }
+            inner.syncing = true;
+            drop(inner);
+            let synced = self.sync();
+            inner = lock_inner(&self.state);
+            inner.syncing = false;
+            match synced {
+                Ok(n) => inner.synced = n,
                 Err(e) => {
-                    self.opts.obs.event("relay_ingest_error", format!("writer died: {e}"));
-                    let mut inner = lock_inner(&self.state);
-                    inner.writer_dead = true;
-                    self.applied_cv.notify_all();
-                    return;
+                    self.opts.obs.event("relay_ingest_error", format!("sync: {e}"));
+                    inner.store_dead = true;
                 }
             }
+            self.synced_cv.notify_all();
         }
+        drop(inner);
+        if let Some(samples) = fresh {
+            self.met.applied.inc();
+            self.met.samples.add(samples);
+        }
+        self.met.write_micros.observe_timer(timer);
+        WriteOutcome::Acked { seq, deduped: fresh.is_none() }
     }
 
-    /// Stop admitting new batches; in-flight admitted batches still get
-    /// applied and acked.
+    /// Append one batch under the store's write guard. Returns the append
+    /// count that covers it and its sample count.
+    fn append(&self, batch: &Batch) -> std::io::Result<(u64, u64)> {
+        let mut db = self.store.write().unwrap_or_else(|e| e.into_inner());
+        let timer = Timer::start();
+        let mut samples = 0u64;
+        // One scratch for the whole batch, not one per record.
+        let mut vals: Vec<(u64, f64)> = Vec::new();
+        for rec in &batch.records {
+            vals.clear();
+            vals.extend(rec.samples.iter().map(|&(ts, bits)| (ts, f64::from_bits(bits))));
+            db.append_batch(&rec.host, &rec.metric, &vals)?;
+            samples += vals.len() as u64;
+        }
+        let ticket = self.appended.fetch_add(1, Ordering::Relaxed) + 1;
+        drop(db);
+        self.met.apply_micros.observe_timer(timer);
+        Ok((ticket, samples))
+    }
+
+    /// Sync the store's WAL. Returns the append count the sync covers.
+    fn sync(&self) -> std::io::Result<u64> {
+        let mut db = self.store.write().unwrap_or_else(|e| e.into_inner());
+        let covered = self.appended.load(Ordering::Relaxed);
+        db.sync()?;
+        Ok(covered)
+    }
+
+    /// Stop admitting new batches; submits already past admission still
+    /// get synced and acked (one that appends after [`IngestCore::drain`]
+    /// seals the memtable is durable in the WAL).
     pub fn begin_drain(&self) {
         lock_inner(&self.state).draining = true;
-        self.not_empty.notify_all();
-        self.applied_cv.notify_all();
     }
 
-    /// Graceful drain: stop admissions, flush the admission queue into
-    /// the store, seal the memtable, and join the writer.
+    /// Graceful drain: stop admissions and seal the memtable, so the
+    /// drained store is segment-durable.
     pub fn drain(&self) {
         self.begin_drain();
-        let handle = self.writer.lock().unwrap_or_else(|e| e.into_inner()).take();
-        if let Some(h) = handle {
-            let _ = h.join();
+        let mut db = self.store.write().unwrap_or_else(|e| e.into_inner());
+        if let Err(e) = db.flush() {
+            self.opts.obs.event("relay_ingest_error", format!("drain flush: {e}"));
         }
     }
 }
@@ -453,7 +351,8 @@ mod tests {
     use super::*;
     use crate::wire::{encode_batch, BatchRecord};
     use supremm_obs::ObsRegistry;
-    use supremm_tsdb::Selector;
+    use supremm_tsdb::durable::{CrashSeam, Op};
+    use supremm_tsdb::{DbOptions, Selector};
 
     fn tmp(name: &str) -> std::path::PathBuf {
         let dir = std::env::temp_dir().join(format!("relay-core-{name}-{}", std::process::id()));
@@ -573,16 +472,90 @@ mod tests {
     }
 
     #[test]
-    fn chaos_draw_is_deterministic() {
-        let plan = ChaosPlan { seed: 7, drop_before_apply: 0.5, drop_after_apply: 0.5 };
-        for seq in 0..32u64 {
-            for attempt in 0..4u64 {
-                assert_eq!(plan.draw("agent-x", seq, attempt), plan.draw("agent-x", seq, attempt));
+    fn concurrent_submits_share_fsyncs_and_every_batch_lands() {
+        const THREADS: u64 = 4;
+        const BATCHES: u64 = 64;
+        let dir = tmp("group");
+        let obs = Arc::new(ObsRegistry::new());
+        let db =
+            Tsdb::open_with_obs(&dir.join("store"), DbOptions::default(), obs.clone()).unwrap();
+        let core = IngestCore::start(
+            Arc::new(RwLock::new(db)),
+            IngestOptions { obs: obs.clone(), ..IngestOptions::default() },
+        );
+        std::thread::scope(|s| {
+            for a in 0..THREADS {
+                let core = &core;
+                s.spawn(move || {
+                    for seq in 0..BATCHES {
+                        let n = a * BATCHES + seq;
+                        let f = frame(&format!("a{a}"), seq, 600 * (n + 1), n as f64);
+                        assert_eq!(core.submit(&f), WriteOutcome::Acked { seq, deduped: false });
+                    }
+                });
             }
+        });
+        let fsyncs = obs.snapshot().histogram("tsdb_wal_fsync_micros").map_or(0, |h| h.count);
+        assert!(
+            fsyncs < THREADS * BATCHES,
+            "{fsyncs} fsyncs for {} batches: concurrent submits never shared one",
+            THREADS * BATCHES
+        );
+        core.drain();
+        drop(core);
+        let db = Tsdb::open(&dir.join("store")).unwrap();
+        let series = db.query(&Selector::default(), 0, u64::MAX).unwrap();
+        let mut values: Vec<f64> =
+            series.iter().flat_map(|(_, s)| s.iter().map(|&(_, v)| v)).collect();
+        values.sort_by(f64::total_cmp);
+        let expected: Vec<f64> = (0..THREADS * BATCHES).map(|v| v as f64).collect();
+        assert_eq!(values, expected, "every acked batch, once");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_copy_arriving_mid_append_is_refused_not_applied_twice() {
+        let dir = tmp("pending");
+        let obs = Arc::new(ObsRegistry::new());
+        let core = core_with(
+            &dir.join("store"),
+            IngestOptions { obs: obs.clone(), ..IngestOptions::default() },
+        );
+        let f = frame("a1", 0, 600, 1.0);
+        std::thread::scope(|s| {
+            // Hold the store so the first copy stalls in its append.
+            let gate = core.store.write().unwrap();
+            let first = s.spawn(|| core.submit(&f));
+            while lock_inner(&core.state).appending == 0 {
+                std::thread::yield_now();
+            }
+            assert!(matches!(core.submit(&f), WriteOutcome::Busy { .. }));
+            drop(gate);
+            assert_eq!(first.join().unwrap(), WriteOutcome::Acked { seq: 0, deduped: false });
+        });
+        assert_eq!(core.submit(&f), WriteOutcome::Acked { seq: 0, deduped: true });
+        assert_eq!(obs.snapshot().counter("relay_server_batches_applied_total"), Some(1));
+        core.drain();
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_failed_sync_refuses_that_batch_and_every_later_one() {
+        let dir = tmp("deadstore");
+        let core = core_with(
+            &dir.join("store"),
+            IngestOptions { obs: Arc::new(ObsRegistry::new()), ..IngestOptions::default() },
+        );
+        {
+            // The submitting thread leads its own sync, so its seam fails it.
+            let seam = CrashSeam::arm(Some(0));
+            assert!(matches!(core.submit(&frame("a1", 0, 600, 1.0)), WriteOutcome::Busy { .. }));
+            assert_eq!(seam.trace().first().map(|(op, _)| *op), Some(Op::Sync));
         }
-        let zero = ChaosPlan { seed: 7, drop_before_apply: 0.0, drop_after_apply: 0.0 };
-        for seq in 0..32u64 {
-            assert_eq!(zero.draw("agent-x", seq, 0), (false, false));
+        // Disarmed, the store is still refused: what its WAL holds is unknown.
+        for (seq, ts) in [(0, 600), (1, 1200)] {
+            assert!(matches!(core.submit(&frame("a1", seq, ts, 2.0)), WriteOutcome::Busy { .. }));
         }
+        let _ = std::fs::remove_dir_all(&dir);
     }
 }

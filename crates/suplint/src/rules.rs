@@ -67,7 +67,7 @@ use crate::syntax::{is_ident, is_punct, panic_site, BLOCKING_CALLS};
 /// Fallible zones (module-path prefixes): decode, WAL replay, segment
 /// open/seal, raw-format scanners, HTTP handlers, store bridges, and
 /// the whole remote-write relay (wire decode, spool recovery, agent
-/// retry loop, admission server).
+/// retry loop, ingest server).
 pub const R1_ZONES: &[&str] = &[
     "tsdb",
     "taccstats::format",

@@ -18,8 +18,10 @@
 //! attached [`IngestCore`] ([`ServeOptions::ingest`]). The response
 //! ladder is 413 (body over the core's [`IngestCore::max_batch_bytes`],
 //! refused before the body is read) → 400 (undecodable frame) → 429 +
-//! `Retry-After` (admission queue full or draining) → 200 (the batch is
+//! `Retry-After` (draining, or the store failed) → 200 (the batch is
 //! durable — applied and WAL-synced — or a dedup-confirmed duplicate).
+//! The request's worker thread applies the batch itself; concurrent
+//! writes share one WAL sync.
 //! The write path never answers 5xx. Request bodies are read for every
 //! method (a body left on the stream would desync keep-alive parsing);
 //! over-limit bodies force a connection close because the stream cannot
@@ -728,14 +730,13 @@ fn respond(
     resp
 }
 
-/// Answer one POST request. `None` means the ingest core's chaos plan
-/// severed the connection: close the socket without writing anything.
+/// Answer one POST request.
 fn respond_post(
     ingest: Option<&IngestCore>,
     met: &ServeMetrics,
     req: &Request<'_>,
     body: &[u8],
-) -> Option<Response> {
+) -> Response {
     let t = Timer::start();
     let resp = match (req.path, ingest) {
         ("/v1/write", Some(core)) => match core.submit(body) {
@@ -743,19 +744,19 @@ fn respond_post(
                 Response::json(200, format!("{{\"acked\":{seq},\"deduped\":{deduped}}}"))
             }
             WriteOutcome::Busy { retry_after_ms } => {
-                Response::error(429, "admission queue full").with_retry_after(retry_after_ms)
+                Response::error(429, "draining or store unavailable")
+                    .with_retry_after(retry_after_ms)
             }
             WriteOutcome::Malformed(why) => Response::error(400, &why),
             WriteOutcome::TooLarge { limit } => {
                 Response::error(413, &format!("body exceeds {limit} bytes"))
             }
-            WriteOutcome::SeverConnection => return None,
         },
         ("/v1/write", None) => Response::error(503, "ingest not enabled"),
         _ => Response::error(404, "unknown path"),
     };
     met.record(req, t.elapsed_micros(), &resp);
-    Some(resp)
+    resp
 }
 
 // --- connection + accept loops --------------------------------------------
@@ -881,10 +882,7 @@ fn serve_connection(
             body = buf.drain(..content_length).collect();
         }
         let resp = if req.method == "POST" {
-            match respond_post(ingest, met, &req, &body) {
-                Some(r) => r,
-                None => return, // chaos plan: sever without answering
-            }
+            respond_post(ingest, met, &req, &body)
         } else {
             respond(table, store, cache, met, &req)
         };
@@ -1450,7 +1448,7 @@ mod tests {
         let met = ServeMetrics::new(&opts);
 
         let post = |core: Option<&IngestCore>, line, body: &[u8]| {
-            respond_post(core, &met, &Request::parse(line), body).unwrap()
+            respond_post(core, &met, &Request::parse(line), body)
         };
         // No ingest core attached: 503.
         let r = post(None, "POST /v1/write HTTP/1.1", b"");

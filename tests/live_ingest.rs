@@ -1,13 +1,13 @@
 //! Live-ingest differential tests: a time-series store fed by relay
 //! agents over real sockets must be **bit-identical** to one fed from
-//! disk by the batch pipeline — fault-free, under a seeded chaos plan
-//! that severs connections mid-flight, and across agent crashes that
-//! tear the spool.
+//! disk by the batch pipeline — fault-free, through a seeded chaos proxy
+//! that severs connections mid-flight, across agent crashes that tear
+//! the spool, and across a rolling server restart.
 //!
 //! Both paths reduce raw files through the same
 //! `taccstats::derive::file_extended_series`, so equality here proves
-//! the transport (framing, batching, spooling, retries, dedup,
-//! admission control) adds and loses nothing.
+//! the transport (framing, batching, spooling, retries, dedup, drain)
+//! adds and loses nothing.
 //!
 //! Sizing and fault rates scale by environment for the nightly soak:
 //! `LIVE_INGEST_NODES`, `LIVE_INGEST_DAYS`, `LIVE_INGEST_SEED`,
@@ -15,14 +15,16 @@
 
 use std::collections::BTreeMap;
 use std::io::{Read, Write};
-use std::net::TcpListener;
+use std::net::{TcpListener, TcpStream};
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, OnceLock, RwLock};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::{Arc, Barrier, Mutex, OnceLock, RwLock};
 use std::time::Duration;
 
+use supremm_metrics::rng::SplitMix64;
 use supremm_obs::{ObsHandle, ObsRegistry};
-use supremm_relay::{Agent, AgentOptions, ChaosPlan, IngestCore, IngestOptions, Spool};
+use supremm_relay::agent::read_http_response;
+use supremm_relay::{decode_batch, Agent, AgentOptions, IngestCore, IngestOptions, Spool};
 use supremm_suite::prelude::*;
 use supremm_suite::taccstats::RawArchive;
 use supremm_suite::warehouse::tsdb::{Selector, Tsdb};
@@ -92,6 +94,7 @@ fn files_by_host() -> BTreeMap<String, Vec<String>> {
 struct LiveServer {
     addr: String,
     store: Arc<RwLock<Tsdb>>,
+    core: Arc<IngestCore>,
     obs: ObsHandle,
     shutdown: Arc<AtomicBool>,
     thread: std::thread::JoinHandle<()>,
@@ -99,22 +102,33 @@ struct LiveServer {
 
 /// Start a real `/v1/write` server on an ephemeral port.
 fn start_server(dir: &Path, tune: impl FnOnce(&mut IngestOptions)) -> LiveServer {
-    let obs: ObsHandle = Arc::new(ObsRegistry::new());
+    start_server_at("127.0.0.1:0", dir, Arc::new(ObsRegistry::new()), tune)
+}
+
+/// Start a real `/v1/write` server on `addr` over the store in `dir`,
+/// reporting into `obs`.
+fn start_server_at(
+    addr: &str,
+    dir: &Path,
+    obs: ObsHandle,
+    tune: impl FnOnce(&mut IngestOptions),
+) -> LiveServer {
     let store = Arc::new(RwLock::new(Tsdb::open(dir).unwrap()));
     let mut iopts = IngestOptions { obs: obs.clone(), ..IngestOptions::default() };
     tune(&mut iopts);
     let core = IngestCore::start(store.clone(), iopts);
-    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+    let listener = TcpListener::bind(addr).unwrap();
     let addr = listener.local_addr().unwrap().to_string();
     let shutdown = Arc::new(AtomicBool::new(false));
     let flag = shutdown.clone();
-    let opts = ServeOptions { obs: obs.clone(), ingest: Some(core), ..ServeOptions::default() };
+    let opts =
+        ServeOptions { obs: obs.clone(), ingest: Some(core.clone()), ..ServeOptions::default() };
     let server_store = store.clone();
     let thread = std::thread::spawn(move || {
         let table = JobTable::new(Vec::new());
         let _ = serve(&table, Some(&*server_store), listener, &flag, &opts);
     });
-    LiveServer { addr, store, obs, shutdown, thread }
+    LiveServer { addr, store, core, obs, shutdown, thread }
 }
 
 impl LiveServer {
@@ -184,7 +198,7 @@ fn live_streamed_store_is_bit_identical_to_batch_ingest() {
     let metrics = fetch_metrics(&server.addr);
     assert!(metrics.contains("relay_server_batches_applied_total"), "{metrics}");
     assert!(metrics.contains("relay_agent_batches_acked_total"), "{metrics}");
-    assert!(metrics.contains("relay_admission_queue_depth"), "{metrics}");
+    assert!(metrics.contains("relay_server_samples_applied_total"), "{metrics}");
     assert!(metrics.contains("relay_server_write_micros_count"), "{metrics}");
 
     let (store, obs) = server.stop();
@@ -198,27 +212,174 @@ fn live_streamed_store_is_bit_identical_to_batch_ingest() {
     assert_eq!(snap.counter("serve_http_5xx_total").unwrap_or(0), 0);
 }
 
+/// Read one HTTP request off `stream`: its bytes and where the body
+/// starts. `None` once the client closes or idles out.
+fn read_request(stream: &mut TcpStream) -> Option<(Vec<u8>, usize)> {
+    let mut buf = Vec::new();
+    let mut chunk = [0u8; 4096];
+    let body_at = loop {
+        if let Some(i) = buf.windows(4).position(|w| w == b"\r\n\r\n") {
+            break i + 4;
+        }
+        match stream.read(&mut chunk) {
+            Ok(0) | Err(_) => return None,
+            Ok(n) => buf.extend_from_slice(&chunk[..n]),
+        }
+    };
+    let head = String::from_utf8_lossy(&buf[..body_at]).to_ascii_lowercase();
+    let len: usize = head
+        .lines()
+        .find_map(|l| l.strip_prefix("content-length:"))
+        .and_then(|v| v.trim().parse().ok())
+        .unwrap_or(0);
+    while buf.len() < body_at + len {
+        match stream.read(&mut chunk) {
+            Ok(0) | Err(_) => return None,
+            Ok(n) => buf.extend_from_slice(&chunk[..n]),
+        }
+    }
+    Some((buf, body_at))
+}
+
+/// Seeded transport faults for `(agent, seq, attempt)` triples:
+/// `before` closes the agent's socket before the batch is forwarded (a
+/// plain retry); `after` closes it once the server has answered, without
+/// relaying the answer (the batch is applied and synced, so the retry
+/// must be deduped, not re-applied). Keying on the attempt means a
+/// doomed batch is not doomed forever: each retry draws fresh.
+#[derive(Clone, Copy)]
+struct FaultPlan {
+    seed: u64,
+    before: f64,
+    after: f64,
+}
+
+impl FaultPlan {
+    fn draw(&self, agent: &str, seq: u64, attempt: u64) -> (bool, bool) {
+        let mut h = self.seed ^ 0x9e37_79b9_7f4a_7c15;
+        for b in agent.bytes() {
+            h = h.rotate_left(9) ^ (b as u64);
+        }
+        h ^= seq.wrapping_mul(0xff51_afd7_ed55_8ccd);
+        h ^= attempt.rotate_left(32);
+        let mut rng = SplitMix64::new(h);
+        let before = rng.uniform() < self.before;
+        let after = rng.uniform() < self.after;
+        (before, after)
+    }
+}
+
+/// A TCP proxy between agents and a server that applies a [`FaultPlan`]
+/// to every `/v1/write` it carries.
+struct ChaosProxy {
+    addr: String,
+    /// Connections closed before forwarding, and after the answer.
+    drops: Arc<[AtomicU64; 2]>,
+    shutdown: Arc<AtomicBool>,
+    thread: std::thread::JoinHandle<()>,
+}
+
+fn start_proxy(upstream: &str, plan: FaultPlan) -> ChaosProxy {
+    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+    listener.set_nonblocking(true).unwrap();
+    let addr = listener.local_addr().unwrap().to_string();
+    let shutdown = Arc::new(AtomicBool::new(false));
+    let drops = Arc::new([AtomicU64::new(0), AtomicU64::new(0)]);
+    let (flag, counts, upstream) = (shutdown.clone(), drops.clone(), upstream.to_string());
+    let thread = std::thread::spawn(move || {
+        let attempts = Mutex::new(BTreeMap::new());
+        std::thread::scope(|s| {
+            while !flag.load(Ordering::Relaxed) {
+                match listener.accept() {
+                    Ok((client, _)) => {
+                        let (upstream, attempts, counts) = (&upstream, &attempts, &counts);
+                        s.spawn(move || proxy_connection(client, upstream, plan, attempts, counts));
+                    }
+                    Err(_) => std::thread::sleep(Duration::from_millis(1)),
+                }
+            }
+        });
+    });
+    ChaosProxy { addr, drops, shutdown, thread }
+}
+
+/// Carry one agent connection's requests to the server, one at a time,
+/// dropping the ones the plan dooms.
+fn proxy_connection(
+    mut client: TcpStream,
+    upstream: &str,
+    plan: FaultPlan,
+    attempts: &Mutex<BTreeMap<(String, u64), u64>>,
+    drops: &[AtomicU64; 2],
+) {
+    client.set_nonblocking(false).unwrap();
+    client.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
+    let mut server: Option<TcpStream> = None;
+    while let Some((request, body_at)) = read_request(&mut client) {
+        let (before, after) = match decode_batch(&request[body_at..]) {
+            Ok(b) => {
+                let mut attempts = attempts.lock().unwrap();
+                let n = attempts.entry((b.agent_id.clone(), b.batch_seq)).or_insert(0);
+                *n += 1;
+                plan.draw(&b.agent_id, b.batch_seq, *n - 1)
+            }
+            Err(_) => (false, false),
+        };
+        if before {
+            drops[0].fetch_add(1, Ordering::Relaxed);
+            return;
+        }
+        let up = match &mut server {
+            Some(up) => up,
+            None => server.insert(TcpStream::connect(upstream).unwrap()),
+        };
+        if up.write_all(&request).is_err() {
+            return;
+        }
+        let Ok((_, head, body)) = read_http_response(up) else { return };
+        if after {
+            drops[1].fetch_add(1, Ordering::Relaxed);
+            return;
+        }
+        if client.write_all(format!("{head}\r\n\r\n{body}").as_bytes()).is_err() {
+            return;
+        }
+        // The server closed its end after this answer: pass the close on.
+        if head.to_ascii_lowercase().contains("connection: close") {
+            return;
+        }
+    }
+}
+
+impl ChaosProxy {
+    /// Stop accepting, wait for every carried connection to end, and
+    /// return the drop counts (before forwarding, after the answer).
+    fn stop(self) -> (u64, u64) {
+        self.shutdown.store(true, Ordering::Relaxed);
+        self.thread.join().unwrap();
+        (self.drops[0].load(Ordering::Relaxed), self.drops[1].load(Ordering::Relaxed))
+    }
+}
+
 #[test]
 fn chaos_severed_connections_and_torn_spools_still_converge() {
     let dir = tmp("chaos");
     let expected = batch_dump(&dir.join("batch"));
 
-    let plan = ChaosPlan {
+    let plan = FaultPlan {
         seed: env_u64("LIVE_INGEST_SEED", 0xfa),
-        drop_before_apply: env_f64("LIVE_INGEST_FAULT_BEFORE", 0.2),
-        drop_after_apply: env_f64("LIVE_INGEST_FAULT_AFTER", 0.2),
+        before: env_f64("LIVE_INGEST_FAULT_BEFORE", 0.2),
+        after: env_f64("LIVE_INGEST_FAULT_AFTER", 0.2),
     };
-    let server = start_server(&dir.join("live"), |o| {
-        o.chaos = Some(plan);
-        o.retry_after_ms = 1;
-    });
+    let server = start_server(&dir.join("live"), |o| o.retry_after_ms = 1);
+    let proxy = start_proxy(&server.addr, plan);
 
     let by_host = files_by_host();
     let spools = dir.join("spools");
     std::fs::create_dir_all(&spools).unwrap();
     std::thread::scope(|s| {
         for (host, files) in &by_host {
-            let addr = server.addr.clone();
+            let addr = proxy.addr.clone();
             let obs = server.obs.clone();
             let spool = spools.join(format!("{host}.q"));
             s.spawn(move || {
@@ -258,15 +419,15 @@ fn chaos_severed_connections_and_torn_spools_still_converge() {
         }
     });
 
+    let (dropped_before, dropped_after) = proxy.stop();
+    eprintln!("chaos proxy: {dropped_before} connections dropped before forwarding, {dropped_after} after the answer");
     let (store, obs) = server.stop();
     let live = dump(&store.read().unwrap());
     assert_eq!(live, expected, "chaos run diverged from batch ingest");
 
+    assert!(dropped_before > 0, "the proxy never dropped a batch before forwarding it");
+    assert!(dropped_after > 0, "the proxy never dropped an answer after the apply");
     let snap = obs.snapshot();
-    assert!(
-        snap.counter("relay_server_chaos_conn_drops_total").unwrap_or(0) > 0,
-        "chaos plan never fired — the run proved nothing"
-    );
     assert!(
         snap.counter("relay_server_batches_deduped_total").unwrap_or(0) > 0,
         "no retry was deduped — the exactly-once path went unexercised"
@@ -278,42 +439,66 @@ fn chaos_severed_connections_and_torn_spools_still_converge() {
 fn backpressure_throttles_agents_without_losing_data() {
     let dir = tmp("pressure");
     let expected = batch_dump(&dir.join("batch"));
+    let store_dir = dir.join("live");
+    let spools = dir.join("spools");
+    std::fs::create_dir_all(&spools).unwrap();
 
-    // An admission queue of one: concurrent agents must collide with
-    // 429s and back off, yet every sample still lands.
-    let server = start_server(&dir.join("live"), |o| {
-        o.queue_cap = 1;
-        o.retry_after_ms = 1;
-    });
-    // Force the collision rather than hope the scheduler produces one:
-    // with the store's write lock held the single writer stalls on its
-    // first batch, the queue of one fills, and the next submit must be
-    // refused. The gate opens on the first Busy.
-    std::thread::scope(|s| {
-        let gate = server.store.write().unwrap();
-        s.spawn(|| run_agents(&server.addr, &dir.join("spools"), &server.obs));
-        let busy = "relay_server_rejected_total{reason=\"busy\"}";
-        while server.obs.snapshot().counter(busy).unwrap_or(0) == 0 {
-            std::thread::sleep(Duration::from_millis(1));
+    // A rolling restart: every agent gets one batch acked by the first
+    // server, is refused with 429s while it drains, and finishes against
+    // a second server on the same address and store directory.
+    let first = start_server(&store_dir, |o| o.retry_after_ms = 1);
+    let (addr, obs) = (first.addr.clone(), first.obs.clone());
+    let by_host = files_by_host();
+    let step = Barrier::new(by_host.len() + 1);
+    let second = std::thread::scope(|s| {
+        for (host, files) in &by_host {
+            let (addr, obs, step) = (&addr, &obs, &step);
+            let spool = spools.join(format!("{host}.q"));
+            s.spawn(move || {
+                let mut agent =
+                    Agent::open(&format!("agent-{host}"), addr, &spool, agent_opts(obs)).unwrap();
+                for f in files {
+                    agent.offer_file(host, f).unwrap();
+                }
+                agent.flush().unwrap();
+                agent.tick().unwrap(); // one batch, acked
+                step.wait(); // the first server drains
+                             // The next one, refused. Twice: had the server's read
+                             // timeout closed the idle connection, the first attempt
+                             // is a transport error and only the second reaches it.
+                agent.tick().unwrap();
+                agent.tick().unwrap();
+                step.wait(); // the first server stops, the second starts
+                step.wait();
+                agent.drain().unwrap();
+            });
         }
-        drop(gate);
+        step.wait();
+        assert!(first.core.applied() > 0, "the first server applied nothing");
+        first.core.begin_drain();
+        step.wait();
+        drop(first.stop());
+        let second = start_server_at(&addr, &store_dir, obs.clone(), |o| o.retry_after_ms = 1);
+        step.wait();
+        second
     });
-
-    let (store, obs) = server.stop();
+    let core = second.core.clone();
+    let (store, obs) = second.stop();
+    assert!(core.applied() > 0, "the second server applied nothing");
     let live = dump(&store.read().unwrap());
-    assert_eq!(live, expected, "backpressure dropped or duplicated data");
+    assert_eq!(live, expected, "the restart dropped or duplicated data");
 
     let snap = obs.snapshot();
     assert!(
         snap.counter("relay_server_rejected_total{reason=\"busy\"}").unwrap_or(0) > 0,
-        "queue_cap=1 with concurrent agents never answered Busy"
+        "the draining server never answered Busy"
     );
     assert!(
         snap.counter("relay_agent_batches_retried_total").unwrap_or(0) > 0,
         "agents never backed off"
     );
-    // The write path refuses with 429, never 5xx, and never drops an
-    // acked batch (the differential above proves the latter).
+    // Both servers share `obs`: neither answered 5xx, and neither
+    // dropped an acked batch (the differential above proves the latter).
     assert_eq!(snap.counter("serve_http_5xx_total").unwrap_or(0), 0);
 }
 
@@ -370,13 +555,49 @@ fn the_spool_resets_when_a_poisoned_batch_empties_the_backlog() {
     agent.offer_file(host, file).unwrap();
     agent.offer_file(host, file).unwrap();
     agent.drain().unwrap();
+    // Nothing is owed, so a restart must resend nothing. The agent still
+    // holds its spool, so read the file through a copy.
+    let copy = dir.join("spool-copy.q");
+    std::fs::copy(&spool, &copy).unwrap();
+    let recovered = Spool::open(&copy).unwrap().batches;
+    assert!(recovered.is_empty(), "the spool kept {} resolved batches", recovered.len());
+    // The 413 closed the connection: the next batch goes out on a new
+    // one, with no failed send first.
+    agent.offer_file(host, file).unwrap();
+    agent.drain().unwrap();
     drop(agent);
     let (_, obs) = server.stop();
 
     let snap = obs.snapshot();
-    assert_eq!(snap.counter("relay_agent_batches_acked_total"), Some(1));
+    assert_eq!(snap.counter("relay_agent_batches_acked_total"), Some(2));
     assert_eq!(snap.counter("relay_agent_batches_poisoned_total"), Some(1));
-    // Nothing is owed, so a restart must resend nothing.
+    assert_eq!(snap.counter("relay_agent_send_errors_total").unwrap_or(0), 0);
     let recovered = Spool::open(&spool).unwrap().batches;
     assert!(recovered.is_empty(), "the spool kept {} resolved batches", recovered.len());
+}
+
+#[test]
+fn an_agent_past_the_per_connection_request_budget_reconnects_cleanly() {
+    let dir = tmp("budget");
+    let server = start_server(&dir.join("live"), |_| {});
+    // A batch a record, every host's files four times over: one agent
+    // sends more batches than the server's per-connection request budget
+    // (256). The resent samples are identical, so they change nothing.
+    let opts = AgentOptions { batch_max_samples: 1, ..agent_opts(&server.obs) };
+    let mut agent = Agent::open("agent-budget", &server.addr, &dir.join("spool.q"), opts).unwrap();
+    for _ in 0..4 {
+        for (host, files) in &files_by_host() {
+            for f in files {
+                agent.offer_file(host, f).unwrap();
+            }
+        }
+    }
+    agent.drain().unwrap();
+    drop(agent);
+    let (_, obs) = server.stop();
+
+    let snap = obs.snapshot();
+    let acked = snap.counter("relay_agent_batches_acked_total").unwrap_or(0);
+    assert!(acked > 256, "{acked} batches never reached the connection budget");
+    assert_eq!(snap.counter("relay_agent_send_errors_total").unwrap_or(0), 0);
 }
