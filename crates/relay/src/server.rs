@@ -379,6 +379,69 @@ mod tests {
         IngestCore::start(Arc::new(RwLock::new(db)), opts)
     }
 
+    /// What `relay_server_apply_micros` reads over fixed frames: one day
+    /// of a 256-host × 16-metric fleet at 600 s cadence, one-sample
+    /// records, a frame per 64-host apply group (576 frames of 1,024
+    /// records), submitted one at a time. Prints the p50 of the per-frame
+    /// apply times, read off the histogram's sum, and the bucket that
+    /// holds the histogram's own p50. A timing report, not a check; run
+    /// it with `cargo test --release -p supremm-relay --lib --
+    /// --ignored --nocapture apply_micros_over_fixed_frames`.
+    #[test]
+    #[ignore = "timing report; run by hand"]
+    fn apply_micros_over_fixed_frames() {
+        let dir = tmp("apply-loop");
+        let obs: ObsHandle = Arc::new(ObsRegistry::new());
+        let core = core_with(
+            &dir.join("store"),
+            IngestOptions { obs: obs.clone(), ..IngestOptions::default() },
+        );
+        let apply = obs.histogram("relay_server_apply_micros");
+        let hosts: Vec<String> =
+            (0..256).map(|h| format!("c{:03}-{:03}", h / 16, h % 16)).collect();
+        let metrics: Vec<String> = (0..16).map(|m| format!("m{m:02}")).collect();
+        let frames: Vec<Vec<u8>> = (0..576u64)
+            .map(|seq| {
+                let (tick, group) = (seq / 4, (seq % 4) as usize);
+                let records = hosts[group * 64..][..64]
+                    .iter()
+                    .flat_map(|host| {
+                        metrics.iter().enumerate().map(move |(m, metric)| BatchRecord {
+                            host: host.clone(),
+                            metric: metric.clone(),
+                            samples: vec![(
+                                tick * 600,
+                                (1.0e9 + (seq * 16) as f64 + m as f64).to_bits(),
+                            )],
+                        })
+                    })
+                    .collect();
+                encode_batch(&Batch { agent_id: "loop".into(), batch_seq: seq, records }).unwrap()
+            })
+            .collect();
+        let mut micros = Vec::with_capacity(frames.len());
+        for frame in &frames {
+            let before = apply.snapshot().sum;
+            assert!(matches!(core.submit(frame), WriteOutcome::Acked { deduped: false, .. }));
+            micros.push(apply.snapshot().sum - before);
+        }
+        micros.sort_unstable();
+        let snap = apply.snapshot();
+        let mut below = 0;
+        let bucket = supremm_obs::BUCKET_BOUNDS.iter().zip(snap.buckets).find_map(|(&bound, n)| {
+            below += n;
+            (2 * below >= snap.count).then_some(bound)
+        });
+        println!(
+            "relay_server_apply_micros over {} frames: p50 {} us (histogram p50 bucket <= {bucket:?} us), mean {:.1} us",
+            snap.count,
+            micros[micros.len() / 2],
+            snap.sum as f64 / snap.count as f64,
+        );
+        core.drain();
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
     #[test]
     fn ack_means_durable_and_retries_dedupe() {
         let dir = tmp("dedup");

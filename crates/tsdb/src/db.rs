@@ -1018,7 +1018,9 @@ impl Tsdb {
     }
 
     /// Append a batch for one series (one WAL record). For a series the
-    /// store has seen, nothing is allocated on the way in.
+    /// store has seen, nothing is allocated on the way in. The names are
+    /// resolved once, in the memtable; the WAL interns by what that
+    /// returns.
     pub fn append_batch(
         &mut self,
         host: &str,
@@ -1029,8 +1031,9 @@ impl Tsdb {
             return Ok(());
         }
         let bits = || samples.iter().map(|&(ts, v)| (ts, v.to_bits()));
-        self.wal.append_samples(host, metric, bits())?;
-        self.mem.extend(host, metric, bits());
+        let (slot, id) = self.mem.resolve(host, metric);
+        self.wal.append_samples((slot, host), (id, metric), bits())?;
+        self.mem.extend_at(slot, id, bits());
         self.met.mem_samples.set(as_i64(self.mem.samples()));
         self.generation += 1;
         Ok(())
@@ -2512,6 +2515,204 @@ mod tests {
         });
         let every_chunk: u64 = (0..8).flat_map(|h| chunk_lens(&format!("h{h:02}"))).sum();
         assert_eq!(all, (2, every_chunk));
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    /// Where an apply group's time goes, per 1,024-record group of
+    /// one-sample records (64 hosts × 16 metrics, the benchmark's
+    /// `live-ticks` group), over one day of a 256-host fleet: 576
+    /// groups. One store runs each part of `append_batch` as a loop of
+    /// its own over the group — name resolution in the memtable, the WAL
+    /// record (interning by slot and id, then encoding), the run push —
+    /// then the `sync`; a second store runs `append_batch` and `sync`
+    /// whole. Prints each part's median and quartiles per group and per
+    /// append. A timing report, not a check; run it with `cargo test
+    /// --release -p supremm-tsdb --lib -- --ignored --nocapture
+    /// apply_group_split`.
+    #[test]
+    #[ignore = "timing report; run by hand"]
+    fn apply_group_split() {
+        use std::time::Instant;
+
+        const GROUP: usize = 1024;
+        let hosts: Vec<String> =
+            (0..256).map(|h| format!("c{:03}-{:03}", h / 16, h % 16)).collect();
+        let metrics: Vec<String> = (0..16).map(|m| format!("m{m:02}")).collect();
+        let (split_dir, whole_dir) = (tmpdir("split-parts"), tmpdir("split-whole"));
+        let mut split = Tsdb::open(&split_dir).unwrap();
+        let mut whole = Tsdb::open(&whole_dir).unwrap();
+        let parts = ["resolve", "wal record", "run push", "sync", "whole append", "whole sync"];
+        let mut ns: Vec<Vec<u64>> = vec![Vec::new(); parts.len()];
+        let mut keys = vec![(0, 0); GROUP];
+        let timed = |f: &mut dyn FnMut()| {
+            let t = Instant::now();
+            f();
+            t.elapsed().as_nanos() as u64
+        };
+        for g in 0..576u64 {
+            let (ts, group) = (g / 4 * 600, (g % 4) as usize);
+            let names: Vec<(&str, &str)> = hosts[group * 64..][..64]
+                .iter()
+                .flat_map(|h| metrics.iter().map(move |m| (h.as_str(), m.as_str())))
+                .collect();
+            let bits = |i: usize| (1.0e9 + (g as usize * GROUP + i) as f64).to_bits();
+            let db = &mut split;
+            ns[0].push(timed(&mut || {
+                for (key, &(host, metric)) in keys.iter_mut().zip(&names) {
+                    *key = db.mem.resolve(host, metric);
+                }
+            }));
+            ns[1].push(timed(&mut || {
+                for (i, (&(slot, id), &(host, metric))) in keys.iter().zip(&names).enumerate() {
+                    let sample = std::iter::once((ts, bits(i)));
+                    db.wal.append_samples((slot, host), (id, metric), sample).unwrap();
+                }
+            }));
+            ns[2].push(timed(&mut || {
+                for (i, &(slot, id)) in keys.iter().enumerate() {
+                    db.mem.extend_at(slot, id, std::iter::once((ts, bits(i))));
+                }
+            }));
+            ns[3].push(timed(&mut || db.wal.sync().unwrap()));
+            let db = &mut whole;
+            ns[4].push(timed(&mut || {
+                for (i, &(host, metric)) in names.iter().enumerate() {
+                    db.append_batch(host, metric, &[(ts, f64::from_bits(bits(i)))]).unwrap();
+                }
+            }));
+            ns[5].push(timed(&mut || db.sync().unwrap()));
+        }
+        println!(
+            "per {GROUP}-record group, 576 groups: median [quartiles] µs, median ns per append"
+        );
+        for (part, mut v) in parts.iter().zip(ns) {
+            v.sort_unstable();
+            let q = |f: usize| v[v.len() * f / 4] as f64 / 1e3;
+            let per = v[v.len() / 2] as f64 / GROUP as f64;
+            println!("{part:>12}: {:7.1} [{:6.1}–{:6.1}] µs  {per:6.1} ns", q(2), q(1), q(3));
+        }
+        drop((split, whole));
+        let _ = fs::remove_dir_all(&split_dir);
+        let _ = fs::remove_dir_all(&whole_dir);
+    }
+
+    /// Every selector over `names` (and none of them) over all time,
+    /// each checked against `query_naive`; the answers with value bits.
+    fn answers(db: &Tsdb, names: &[&str]) -> Vec<(SeriesKey, Vec<(u64, u64)>)> {
+        let pick = |ix: usize| names.get(ix).map(|n| n.to_string());
+        let mut out = Vec::new();
+        for h in 0..=names.len() {
+            for m in 0..=names.len() {
+                let sel = Selector { host: pick(h), metric: pick(m) };
+                let fast = db.query(&sel, 0, u64::MAX).unwrap();
+                assert_bit_identical(&fast, &db.query_naive(&sel, 0, u64::MAX).unwrap());
+                out.extend(fast.into_iter().map(|(key, samples)| {
+                    (key, samples.into_iter().map(|(ts, v)| (ts, v.to_bits())).collect())
+                }));
+            }
+        }
+        out
+    }
+
+    /// What `stats()` reports of the store's contents (the recovery
+    /// counts describe an open, not the store).
+    fn contents(db: &Tsdb) -> [u64; 7] {
+        let s = db.stats();
+        [
+            s.segments as u64,
+            s.segment_bytes,
+            s.wal_bytes,
+            s.mem_series as u64,
+            s.mem_samples,
+            s.rollup_segments as u64,
+            s.raw_watermark,
+        ]
+    }
+
+    /// A name that is both a host and a metric. The engine's WAL keys
+    /// hosts by slot and metrics by id, so one frame's table lists the
+    /// name twice, once per role; the standalone API, keyed by the name,
+    /// lists it once. Both replay to the same records, and the reopened
+    /// store answers as the closed one did, before and after appends
+    /// keyed by the slots and ids replay assigned.
+    #[test]
+    fn a_name_that_is_host_and_metric_is_listed_twice_and_replays() {
+        use crate::crc::crc32;
+        use crate::wal::WAL_MAGIC;
+
+        let dir = tmpdir("host-and-metric");
+        let names = ["h", "m", "x", "y"];
+        let appends = [("h", "h", 600, 1.5), ("h", "m", 600, 2.5), ("x", "h", 1200, -0.0)];
+        let mut db = Tsdb::open(&dir).unwrap();
+        for (host, metric, ts, v) in appends {
+            db.append_batch(host, metric, &[(ts, v)]).unwrap();
+        }
+        db.sync().unwrap();
+        #[rustfmt::skip]
+        let payload = [
+            &[4, 1][..], b"h", &[1], b"h", &[1], b"m", &[1], b"x", // "h": host, then metric
+            &[3],                                                  // three records
+            &[0, 1, 1, 0xB0, 0x09], &1.5f64.to_bits().to_le_bytes(), // Δts +600
+            &[0, 2, 1, 0], &2.5f64.to_bits().to_le_bytes(),          // Δts 0
+            &[3, 1, 1, 0xB0, 0x09], &(-0.0f64).to_bits().to_le_bytes(), // Δts +600
+        ]
+        .concat();
+        let frame =
+            [&(payload.len() as u32).to_le_bytes()[..], &crc32(&payload).to_le_bytes(), &payload]
+                .concat();
+        let log = fs::read(dir.join("wal.log")).unwrap();
+        assert_eq!(log[..db.wal.len() as usize], [&WAL_MAGIC[..], &frame].concat());
+
+        let standalone = tmpdir("host-and-metric-standalone").join("wal.log");
+        let mut wal = Wal::open(&standalone).unwrap().wal;
+        for (host, metric, ts, v) in appends {
+            wal.append_parts(host, metric, &[(ts, f64::to_bits(v))]).unwrap();
+        }
+        wal.sync().unwrap();
+        assert_eq!(wal.len() + 2, db.wal.len(), "one entry of \"h\" fewer");
+        drop(wal);
+
+        let before = (contents(&db), answers(&db, &names));
+        drop(db);
+        let replayed = Wal::open(&dir.join("wal.log")).unwrap().records;
+        assert_eq!(Wal::open(&standalone).unwrap().records, replayed);
+        let mut db = Tsdb::open(&dir).unwrap();
+        assert_eq!((contents(&db), answers(&db, &names)), before);
+
+        db.append_batch("m", "h", &[(1800, 4.0)]).unwrap();
+        db.append_batch("h", "h", &[(1800, 5.0)]).unwrap();
+        db.append_batch("y", "y", &[(600, 6.0)]).unwrap();
+        db.sync().unwrap();
+        let before = (contents(&db), answers(&db, &names));
+        drop(db);
+        let db = Tsdb::open(&dir).unwrap();
+        assert_eq!((contents(&db), answers(&db, &names)), before);
+        assert_eq!(one_series(&db, "h", "h", 0, u64::MAX), [(600, 1.5), (1800, 5.0)]);
+        let _ = fs::remove_dir_all(&dir);
+        let _ = fs::remove_dir_all(standalone.parent().unwrap());
+    }
+
+    /// A flush clears the memtable, so slots and ids go to other names:
+    /// `(a, x)` then `(b, y)` before it, `(b, y)` then `(a, x)` after.
+    /// The WAL's reset forgets its keys with them, so the synced tail
+    /// replays to what the oracle answers.
+    #[test]
+    fn names_given_new_slots_after_a_flush_replay_as_the_oracle_answers() {
+        let dir = tmpdir("reassigned");
+        let names = ["a", "b", "x", "y"];
+        let mut db = Tsdb::open(&dir).unwrap();
+        db.append_batch("a", "x", &[(600, 1.0)]).unwrap();
+        db.append_batch("b", "y", &[(600, 2.0)]).unwrap();
+        db.flush().unwrap();
+        db.append_batch("b", "y", &[(1200, 3.0)]).unwrap();
+        db.append_batch("a", "x", &[(1200, 4.0), (600, 5.0)]).unwrap();
+        db.sync().unwrap();
+        let before = (contents(&db), answers(&db, &names));
+        drop(db);
+        let db = Tsdb::open(&dir).unwrap();
+        assert_eq!((contents(&db), answers(&db, &names)), before);
+        assert_eq!(one_series(&db, "a", "x", 0, u64::MAX), [(600, 5.0), (1200, 4.0)]);
+        assert_eq!(one_series(&db, "b", "y", 0, u64::MAX), [(600, 2.0), (1200, 3.0)]);
         let _ = fs::remove_dir_all(&dir);
     }
 }

