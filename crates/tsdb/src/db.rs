@@ -1055,7 +1055,7 @@ impl Tsdb {
         if self.mem.is_empty() {
             // Still reset a non-empty WAL (e.g. deletes-only future use).
             if !self.wal.is_empty() {
-                self.wal.reset()?;
+                self.reset_wal_and_memtable()?;
             }
             return Ok(());
         }
@@ -1067,11 +1067,20 @@ impl Tsdb {
         self.segments.extend(reader.map(|r| (seq, r)));
         self.next_seq = seq + 1;
         // Segment is durable; only now is it safe to drop the WAL.
-        self.wal.reset()?;
-        self.mem.clear();
+        self.reset_wal_and_memtable()?;
         self.generation += 1;
         self.met.flush_micros.observe_timer(t);
         self.update_storage_gauges();
+        Ok(())
+    }
+
+    /// Drop the WAL, then the memtable. The WAL interns names by the
+    /// memtable's slots and ids, which a cleared memtable hands out
+    /// again for other names; the WAL forgets them first, so a reused
+    /// key never meets a stamp from before.
+    fn reset_wal_and_memtable(&mut self) -> io::Result<()> {
+        self.wal.reset()?;
+        self.mem.clear();
         Ok(())
     }
 

@@ -80,7 +80,7 @@ use std::path::Path;
 
 use supremm_obs::{Counter, Histogram, Timer};
 
-use crate::codec::{get_str_table, get_varint, put_str, put_varint, unzigzag, zigzag};
+use crate::codec::{get_str, get_str_table, get_varint, put_str, put_varint, unzigzag, zigzag};
 use crate::crc::crc32;
 use crate::durable::AppendLog;
 
@@ -136,8 +136,24 @@ impl NameTable {
             *stamp = (self.frame_no, self.n_names);
             put_str(&mut self.names, name);
             self.n_names += 1;
+        } else {
+            debug_assert_eq!(
+                self.name_at(stamp.1),
+                Some(name),
+                "a key names one string until the log is reset"
+            );
         }
         stamp.1
+    }
+
+    /// The name at `ix` in the table, found by walking it: for checks.
+    fn name_at(&self, ix: u64) -> Option<&str> {
+        let mut pos = 0;
+        let mut name = None;
+        for _ in 0..=ix {
+            name = get_str(&self.names, &mut pos);
+        }
+        name
     }
 }
 
@@ -159,11 +175,10 @@ struct Pending {
     /// when the log is reset.
     hosts: Vec<Stamp>,
     metrics: Vec<Stamp>,
-    /// Name → key into `keyed`, for callers that name a record by its
-    /// strings alone ([`Wal::append_parts`]). Hosts and metrics share
-    /// the one key space, so a name is written to a frame once.
-    keys: HashMap<Box<str>, usize>,
-    keyed: Vec<Stamp>,
+    /// Stamps by name, for callers that name a record by its strings
+    /// alone ([`Wal::append_parts`]). Hosts and metrics share the one
+    /// map, so a name is written to a frame once.
+    named: HashMap<Box<str>, Stamp>,
     table: NameTable,
     /// The records so far, encoded.
     body: Vec<u8>,
@@ -173,14 +188,15 @@ struct Pending {
 }
 
 impl Pending {
-    /// The key of `name` in `keys`, added on first sight.
-    fn key(&mut self, name: &str) -> usize {
-        if let Some(&key) = self.keys.get(name) {
-            return key;
+    /// Index of `name` in this frame's table, keyed by the name itself.
+    fn intern_named(&mut self, name: &str) -> u64 {
+        if let Some(stamp) = self.named.get_mut(name) {
+            return self.table.intern(stamp, name);
         }
-        let key = self.keys.len();
-        self.keys.insert(name.into(), key);
-        key
+        let mut stamp = NEVER;
+        let ix = self.table.intern(&mut stamp, name);
+        self.named.insert(name.into(), stamp);
+        ix
     }
 
     /// Bytes the frame will occupy once sealed; 0 when nothing is pending.
@@ -209,8 +225,7 @@ impl Pending {
     fn forget_keys(&mut self) {
         self.hosts.clear();
         self.metrics.clear();
-        self.keys.clear();
-        self.keyed.clear();
+        self.named.clear();
     }
 }
 
@@ -414,10 +429,8 @@ impl Wal {
         metric: &str,
         samples: &[(u64, u64)],
     ) -> io::Result<()> {
-        let p = &mut self.pending;
-        let (host_key, metric_key) = (p.key(host), p.key(metric));
-        let host = p.table.intern(stamp_of(&mut p.keyed, host_key), host);
-        let metric = p.table.intern(stamp_of(&mut p.keyed, metric_key), metric);
+        let host = self.pending.intern_named(host);
+        let metric = self.pending.intern_named(metric);
         self.encode(host, metric, samples.iter().copied())
     }
 

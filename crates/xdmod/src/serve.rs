@@ -1440,6 +1440,54 @@ mod tests {
     }
 
     #[test]
+    fn shared_store_serves_and_sees_writes() {
+        use std::sync::atomic::AtomicBool;
+        use std::sync::Arc;
+
+        let dir = std::env::temp_dir().join(format!("serve-shared-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        let mut db = Tsdb::open(&dir).unwrap();
+        db.append_batch("h", "m", &[(0, 1.0)]).unwrap();
+        let store = Arc::new(RwLock::new(db));
+        let t = table();
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let shutdown = Arc::new(AtomicBool::new(false));
+
+        let flag = shutdown.clone();
+        let server_store = store.clone();
+        let server = std::thread::spawn(move || {
+            let _ = serve(&t, Some(&server_store), listener, &flag, &ServeOptions::default());
+        });
+
+        let fetch = || {
+            let mut stream = std::net::TcpStream::connect(addr).unwrap();
+            stream
+                .write_all(b"GET /v1/series?host=h&metric=m HTTP/1.1\r\nConnection: close\r\n\r\n")
+                .unwrap();
+            read_response(&mut stream)
+        };
+        let before = fetch();
+        assert!(before.contains("HTTP/1.1 200 OK"), "{before}");
+        // Cached: an identical fetch is consistent.
+        assert_eq!(fetch(), before);
+        // A concurrent write invalidates the cache via the generation.
+        store
+            .write()
+            .unwrap_or_else(|e| e.into_inner())
+            .append_batch("h", "m", &[(600, 2.0)])
+            .unwrap();
+        let after = fetch();
+        assert_ne!(after, before);
+        assert!(after.contains("600"), "{after}");
+
+        shutdown.store(true, Ordering::Relaxed);
+        server.join().unwrap();
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
     fn retry_after_headers_are_emitted() {
         let r = Response::error(429, "busy").with_retry_after(1500);
         let http = r.to_http_with(true);
